@@ -12,6 +12,12 @@ All pivot and witness tests are done in the square-root-free margin form
 
 where v_i is a pivot point iff margin_i >= 0, and p' is a witness iff every
 margin is strictly negative.
+
+Each iterate carries its products v_i^T p' with every point, kept up to date
+through the Gram column of each step's pivot, so a pivot search costs O(n)
+rather than the O(dim n) of recomputing V^T (p - p'). Only when those margins
+show no pivot are the margins recomputed from the points, and the
+recomputed ones decide; witness margins always come from the points.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
     "make_iterate",
     "initial_iterate",
     "pivot_margins",
+    "direct_margins",
     "find_pivot",
     "check_witness",
     "step_size",
@@ -68,6 +75,12 @@ COEFF_DUST = 1e-15
 DEGENERATE_PIVOT_SQ = 1e-30
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """||v||: what np.linalg.norm returns for a real vector, the square
+    root of v.dot(v), without its dispatch cost."""
+    return math.sqrt(v.dot(v))
+
+
 class DegeneratePivot(Exception):
     """Pivot point coincides with the current iterate (stalled geometry)."""
 
@@ -81,12 +94,9 @@ class HullInstance:
         Columns are the points v_1 ... v_n.
     target : (m,) array
         The query point p.
-    squared_norms : (n,) array, optional
-        Precomputed ||v_i||^2, reused when constructing many instances that
-        share columns (e.g. shifted right-hand sides).
     """
 
-    def __init__(self, points, target, squared_norms=None):
+    def __init__(self, points, target):
         points = np.ascontiguousarray(points, dtype=float)
         target = np.ascontiguousarray(target, dtype=float)
         if points.ndim != 2:
@@ -100,13 +110,6 @@ class HullInstance:
             raise ValueError("points and target must be finite")
         self.points = points
         self.target = target
-        if squared_norms is None:
-            squared_norms = np.einsum("ij,ij->j", points, points)
-        else:
-            squared_norms = np.asarray(squared_norms, dtype=float)
-            if squared_norms.shape != (n,):
-                raise ValueError("squared_norms must have one entry per point")
-        self.squared_norms = squared_norms
         self.target_dots = points.T @ target  # p^T v_i, fixed for the run
         self.target_sq = float(target @ target)
         self._radius = None
@@ -134,12 +137,31 @@ class HullInstance:
         return float(np.sqrt(d @ d))
 
     def gram_column(self, j: int) -> np.ndarray:
-        """v_i^T v_j for all i, memoized per pivot index."""
+        """v_i^T v_j for all i: O(dim n) on the first call for j, then O(1).
+
+        The returned array is the memo itself; do not modify it.
+        """
         col = self._gram_cols.get(j)
         if col is None:
             col = self.points.T @ self.points[:, j]
             self._gram_cols[j] = col
         return col
+
+    def move_last_point(self, point: np.ndarray, products: np.ndarray) -> None:
+        """Replace the last point in place, in O(n + dim).
+
+        products holds the new point's inner products with every point,
+        itself last; the caller computes them, typically in O(n) from
+        quantities it already has. Iterates built on the old point are not
+        updated.
+        """
+        last = self.n_points - 1
+        self.points[:, last] = point
+        self.target_dots[last] = self.target @ point
+        for j, col in self._gram_cols.items():
+            col[last] = products[j]
+        self._gram_cols[last] = products.copy()
+        self._radius = None
 
 
 @dataclass
@@ -148,13 +170,13 @@ class Iterate:
 
     coeffs is a probability vector over the columns, point equals
     points @ coeffs up to roundoff, gap is ||target - point||, and
-    dot_cache (when maintained) holds point^T v_i for all i.
+    dot_cache holds v_i^T point for all i up to roundoff.
     """
 
     coeffs: np.ndarray
     point: np.ndarray
     gap: float
-    dot_cache: np.ndarray | None = None
+    dot_cache: np.ndarray
 
 
 @dataclass
@@ -191,7 +213,6 @@ class HullConfig:
     pivot_rule: str = PIVOT_MOST_VIOLATED
     init_rule: str = INIT_NEAREST_VERTEX
     init_coeffs: np.ndarray | None = None
-    cache_dots: bool = False
     record_trace: bool = False
 
     def __post_init__(self):
@@ -242,15 +263,15 @@ def _clean_coeffs(coeffs: np.ndarray) -> np.ndarray:
     return coeffs / total
 
 
-def make_iterate(instance: HullInstance, coeffs, cache_dots: bool = False) -> Iterate:
-    """Build an Iterate from explicit convex coefficients."""
+def make_iterate(instance: HullInstance, coeffs) -> Iterate:
+    """Build an Iterate from explicit convex coefficients, in O(dim n)."""
     coeffs = _clean_coeffs(np.asarray(coeffs, dtype=float))
     if coeffs.shape != (instance.n_points,):
         raise ValueError("coefficient vector length must match the point count")
     point = instance.points @ coeffs
-    gap = float(np.linalg.norm(instance.target - point))
-    cache = instance.points.T @ point if cache_dots else None
-    return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=cache)
+    gap = vector_norm(instance.target - point)
+    dots = instance.points.T @ point
+    return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
 
 
 def initial_iterate(instance: HullInstance, config: HullConfig) -> Iterate:
@@ -265,21 +286,38 @@ def initial_iterate(instance: HullInstance, config: HullConfig) -> Iterate:
         k = int(np.argmin(np.einsum("ij,ij->j", diffs, diffs)))
         coeffs = np.zeros(n)
         coeffs[k] = 1.0
-    return make_iterate(instance, coeffs, cache_dots=config.cache_dots)
+    return make_iterate(instance, coeffs)
+
+
+def _margin_shift(instance: HullInstance, iterate: Iterate) -> float:
+    return 0.5 * (instance.target_sq - float(iterate.point @ iterate.point))
 
 
 def pivot_margins(instance: HullInstance, iterate: Iterate) -> np.ndarray:
-    """Square-root-free pivot margins for every point.
+    """Square-root-free pivot margins for every point, in O(n).
 
     margin_i >= 0 means v_i is a pivot point (equivalently
     ||p' - v_i|| >= ||p - v_i||); all margins < 0 means the iterate is a
-    witness. No square roots are taken.
+    witness. Computed from the iterate's maintained products, so they
+    carry the rounding those products accumulated; see direct_margins.
     """
-    point_sq = float(iterate.point @ iterate.point)
-    shift = 0.5 * (instance.target_sq - point_sq)
-    if iterate.dot_cache is not None:
-        return instance.target_dots - iterate.dot_cache - shift
-    return instance.points.T @ (instance.target - iterate.point) - shift
+    return instance.target_dots - iterate.dot_cache - _margin_shift(instance, iterate)
+
+
+def direct_margins(instance: HullInstance, iterate: Iterate) -> np.ndarray:
+    """The pivot margins recomputed from the points, in O(dim n)."""
+    return (
+        instance.points.T @ (instance.target - iterate.point)
+        - _margin_shift(instance, iterate)
+    )
+
+
+def _pick_pivot(margins: np.ndarray, rule: str) -> int | None:
+    if rule == PIVOT_FIRST_FOUND:
+        hits = np.flatnonzero(margins >= 0.0)
+        return int(hits[0]) if hits.size else None
+    j = int(np.argmax(margins))
+    return j if margins[j] >= 0.0 else None
 
 
 def find_pivot(
@@ -289,19 +327,19 @@ def find_pivot(
 
     Under PIVOT_MOST_VIOLATED the pivot maximizes the margin (ties to the
     lowest index); under PIVOT_FIRST_FOUND it is the lowest index with a
-    nonnegative margin.
+    nonnegative margin. The search reads pivot_margins in O(n); when they
+    show no pivot, direct_margins are computed and decide, so None always
+    means the recomputed margins are all negative.
     """
-    margins = pivot_margins(instance, iterate)
-    if rule == PIVOT_FIRST_FOUND:
-        hits = np.flatnonzero(margins >= 0.0)
-        return int(hits[0]) if hits.size else None
-    j = int(np.argmax(margins))
-    return j if margins[j] >= 0.0 else None
+    j = _pick_pivot(pivot_margins(instance, iterate), rule)
+    if j is None:
+        j = _pick_pivot(direct_margins(instance, iterate), rule)
+    return j
 
 
 def check_witness(instance: HullInstance, iterate: Iterate) -> Witness | None:
-    """Witness certificate when every pivot margin is strictly negative."""
-    margins = pivot_margins(instance, iterate)
+    """Witness certificate when every direct margin is strictly negative."""
+    margins = direct_margins(instance, iterate)
     if (margins < 0.0).all():
         bracket = (0.5 * iterate.gap, iterate.gap)
         return Witness(iterate=iterate, margins=margins, distance_bracket=bracket)
@@ -326,7 +364,11 @@ def step_size(target: np.ndarray, iterate: Iterate, pivot: np.ndarray) -> float:
 def apply_step(
     instance: HullInstance, iterate: Iterate, j: int, alpha: float
 ) -> Iterate:
-    """New iterate after pulling toward pivot j with step alpha in [0, 1]."""
+    """New iterate after pulling toward pivot j with step alpha in [0, 1].
+
+    The products move with the point, through the Gram column of j: O(n),
+    plus O(dim n) on the first visit to j.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if alpha == 1.0:
@@ -334,17 +376,15 @@ def apply_step(
         coeffs = np.zeros(instance.n_points)
         coeffs[j] = 1.0
         point = instance.points[:, j].copy()
-        cache = instance.gram_column(j).copy() if iterate.dot_cache is not None else None
+        dots = instance.gram_column(j).copy()
     else:
         coeffs = (1.0 - alpha) * iterate.coeffs
         coeffs[j] += alpha
         coeffs = _clean_coeffs(coeffs)
         point = (1.0 - alpha) * iterate.point + alpha * instance.points[:, j]
-        cache = None
-        if iterate.dot_cache is not None:
-            cache = (1.0 - alpha) * iterate.dot_cache + alpha * instance.gram_column(j)
-    gap = float(np.linalg.norm(instance.target - point))
-    return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=cache)
+        dots = (1.0 - alpha) * iterate.dot_cache + alpha * instance.gram_column(j)
+    gap = vector_norm(instance.target - point)
+    return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
 
 
 def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:

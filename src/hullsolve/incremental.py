@@ -8,6 +8,10 @@ When the iterate is a witness at the current shift, each point of the set
 induces a quadratic g_i(t) in the shift whose sign tells whether the same
 iterate stays a witness at shift t; the smallest root beyond the current
 shift gives the next shift to try. The final answer is x = x0 - t e.
+
+A change of shift moves only the last point, -b(t), so the solver builds
+its hull instance once and carries it, and the iterate's maintained
+products, to each new shift in O(n) (move_shift).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .hull import (
     initial_iterate,
     make_iterate,
     step_size,
+    vector_norm,
 )
 from .system import (
     CONVERGED,
@@ -46,6 +51,7 @@ __all__ = [
     "ShiftState",
     "ShiftCertificate",
     "shifted_instance",
+    "move_shift",
     "state_from_coeffs",
     "optimize_shift_tau0",
     "build_quadratics",
@@ -121,16 +127,10 @@ class ShiftCertificate:
     coeffs: np.ndarray
 
 
-def shifted_instance(
-    system: LinearSystem, t0: float, column_sq: np.ndarray | None = None
-) -> HullInstance:
+def shifted_instance(system: LinearSystem, t0: float) -> HullInstance:
     """Hull instance for conv({a_1, ..., a_n, -b(t0)}) against the origin."""
     rhs = -system.rhs_shifted(t0)
-    points = np.hstack([system.a, rhs[:, None]])
-    if column_sq is None:
-        column_sq = system.column_norms**2
-    sq = np.append(column_sq, rhs @ rhs)
-    return HullInstance(points, np.zeros(system.n), squared_norms=sq)
+    return HullInstance(np.hstack([system.a, rhs[:, None]]), np.zeros(system.n))
 
 
 def _rebase(system: LinearSystem, iterate: Iterate, t0: float) -> np.ndarray:
@@ -138,12 +138,28 @@ def _rebase(system: LinearSystem, iterate: Iterate, t0: float) -> np.ndarray:
     return iterate.point + (t0 * float(iterate.coeffs[-1])) * system.u
 
 
-def _iterate_from_base(
-    system: LinearSystem, p_base: np.ndarray, coeffs: np.ndarray, t0: float
+def move_shift(
+    system: LinearSystem, instance: HullInstance, iterate: Iterate, t0: float, t: float
 ) -> Iterate:
-    """Warm-started iterate at a new shift: same coefficients, moved point."""
-    point = p_base - (t0 * float(coeffs[-1])) * system.u
-    return Iterate(coeffs=coeffs, point=point, gap=float(np.linalg.norm(point)))
+    """Move a shifted hull and its iterate from shift t0 to t, in O(n).
+
+    The instance, built by shifted_instance, gets -b(t) as its last point in
+    place. The iterate keeps its coefficients; its point becomes
+    p_base - t alpha_b u, so its products with the columns move by
+    (t0 - t) alpha_b A^T u, and its product with -b(t) is recomputed.
+    """
+    rhs = -system.rhs_shifted(t)
+    products = np.empty(system.n + 1)  # -b(t)^T a_i = -(A^T b + t A^T u)_i
+    np.multiply(system.at_u, -t, out=products[:-1])
+    products[:-1] -= system.at_b
+    products[-1] = rhs @ rhs
+    instance.move_last_point(rhs, products)
+    alpha_b = float(iterate.coeffs[-1])
+    point = _rebase(system, iterate, t0) - (t * alpha_b) * system.u
+    dots = iterate.dot_cache.copy()
+    dots[:-1] += ((t0 - t) * alpha_b) * system.at_u
+    dots[-1] = rhs @ point
+    return Iterate(coeffs=iterate.coeffs, point=point, gap=vector_norm(point), dot_cache=dots)
 
 
 def state_from_coeffs(
@@ -191,7 +207,7 @@ def build_quadratics(
     u_sq = float(u @ u)
     base_sq = float(base @ base)
     base_u = float(base @ u)
-    col_u = system.a.T @ u
+    col_u = system.at_u
     col_base = system.a.T @ base
     c2 = alpha_b * alpha_b * u_sq
     quads = [
@@ -346,7 +362,6 @@ def solve_incremental(
     threshold = eps0 * rho
     hull_cfg = config.hull if config.hull is not None else HullConfig()
     rule = hull_cfg.pivot_rule
-    column_sq = system.column_norms**2
     ones = np.ones(n)
 
     if max_steps is None:
@@ -359,15 +374,8 @@ def solve_incremental(
         max_escalations = _default_escalation_cap(system)
 
     t0 = 0.0
-    instance = shifted_instance(system, t0, column_sq)
-    iterate = initial_iterate(
-        instance,
-        HullConfig(
-            epsilon=hull_cfg.epsilon,
-            init_rule=hull_cfg.init_rule,
-            init_coeffs=hull_cfg.init_coeffs,
-        ),
-    )
+    instance = shifted_instance(system, t0)
+    iterate = initial_iterate(instance, hull_cfg)
     trace: list[SolveTraceRecord] | None = [] if config.record_trace else None
     steps = 0
     escalations = 0
@@ -408,10 +416,8 @@ def solve_incremental(
             tau0 = max(t0, float(tau_hook(tau0)))
             err = float(np.linalg.norm(system.a @ x0 - system.rhs_shifted(tau0)))
         if tau0 != t0:
-            base = _rebase(system, iterate, t0)
+            iterate = move_shift(system, instance, iterate, t0, tau0)
             t0 = tau0
-            instance = shifted_instance(system, t0, column_sq)
-            iterate = _iterate_from_base(system, base, iterate.coeffs, t0)
         if err <= threshold:
             x = x0 - t0 * ones
             residual = system.residual_norm(x)
@@ -463,11 +469,9 @@ def solve_incremental(
             escalations += 1
             if escalations > max_escalations:
                 return capped()
-            base = _rebase(system, iterate, t0)
+            iterate = move_shift(system, instance, iterate, t0, new_t)
             t0 = new_t
             shifts.append(t0)
-            instance = shifted_instance(system, t0, column_sq)
-            iterate = _iterate_from_base(system, base, iterate.coeffs, t0)
             if trace is not None:
                 trace.append(
                     SolveTraceRecord(

@@ -9,6 +9,7 @@ the scale and shift direction used throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,16 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def at_u(self) -> np.ndarray:
+        """A^T u, the columns' products with the shift direction."""
+        return self.a.T @ self.u
+
+    @cached_property
+    def at_b(self) -> np.ndarray:
+        """A^T b, the columns' products with the right-hand side."""
+        return self.a.T @ self.b
 
     def rhs_shifted(self, t: float) -> np.ndarray:
         """b(t) = b + t u."""

@@ -13,6 +13,7 @@ every iteration and exits as soon as it passes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -92,27 +93,19 @@ class HullCapExceeded(Exception):
 
 
 def _phase_hull_config(config: SolveConfig, epsilon: float) -> HullConfig:
-    """Hull settings for an internal phase run, honoring user overrides."""
-    base = config.hull
-    return HullConfig(
-        epsilon=epsilon if base is None else base.epsilon,
-        max_iterations=(
-            DEFAULT_PHASE_CAP if base is None or base.max_iterations is None
-            else base.max_iterations
-        ),
-        pivot_rule=base.pivot_rule if base is not None else HullConfig().pivot_rule,
-        init_rule=base.init_rule if base is not None else HullConfig().init_rule,
-        init_coeffs=base.init_coeffs if base is not None else None,
-        cache_dots=base.cache_dots if base is not None else False,
-        record_trace=config.record_trace,
+    """Hull settings for an internal phase run: the user's pivot and init
+    rules and iteration cap, with the phase's own epsilon."""
+    base = config.hull if config.hull is not None else HullConfig()
+    cap = base.max_iterations if base.max_iterations is not None else DEFAULT_PHASE_CAP
+    return dataclasses.replace(
+        base, epsilon=epsilon, max_iterations=cap, record_trace=config.record_trace
     )
 
 
 def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
     instance = HullInstance(system.a, np.zeros(system.n))
     epsilon = min(config.epsilon0, PHASE1_EPSILON_CEIL)
-    hull_cfg = _phase_hull_config(config, epsilon=epsilon)
-    return run_hull(instance, hull_cfg)
+    return run_hull(instance, _phase_hull_config(config, epsilon=epsilon))
 
 
 def _phase1_decision(
@@ -265,7 +258,7 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     points = np.hstack([system.a, -system.b[:, None]])
     instance = HullInstance(points, np.zeros(n))
     if start_coeffs is not None:
-        iterate = make_iterate(instance, start_coeffs, cache_dots=hull_cfg.cache_dots)
+        iterate = make_iterate(instance, start_coeffs)
     else:
         iterate = initial_iterate(instance, hull_cfg)
 

@@ -7,9 +7,21 @@ verified at construction time, never assumed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hullsolve import LinearSystem
+from hullsolve.hull import (
+    CAP_EXCEEDED,
+    IN_HULL_APPROX,
+    NOT_IN_HULL,
+    PIVOT_FIRST_FOUND,
+    PIVOT_MOST_VIOLATED,
+    HullConfig,
+    HullInstance,
+    initial_iterate,
+)
 from hullsolve.oracles import boundary_distance_2d, hull_membership_2d
 
 
@@ -140,3 +152,72 @@ def example1_system() -> LinearSystem:
 
 def example2_system() -> LinearSystem:
     return LinearSystem(np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.0, -3.0]))
+
+
+def reference_margins(instance: HullInstance, point: np.ndarray) -> np.ndarray:
+    """Pivot margins of the point, recomputed from the instance's points."""
+    shift = 0.5 * (instance.target_sq - float(point @ point))
+    return instance.points.T @ (instance.target - point) - shift
+
+
+def _reference_pick(margins: np.ndarray, rule: str) -> int | None:
+    if rule == PIVOT_FIRST_FOUND:
+        hits = np.flatnonzero(margins >= 0.0)
+        return int(hits[0]) if hits.size else None
+    j = int(np.argmax(margins))
+    return j if margins[j] >= 0.0 else None
+
+
+def reference_find_pivot(instance, iterate, rule=PIVOT_MOST_VIOLATED):
+    """Pivot search on margins recomputed from the points at every call."""
+    return _reference_pick(reference_margins(instance, iterate.point), rule)
+
+
+def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
+    """A plain Triangle loop that recomputes every margin from the points.
+
+    It makes the same decisions, in the same order and with the same
+    arithmetic on the coefficients and the point, as run_hull, but keeps no
+    products between steps. Returns status, pivots, iterations, coeffs,
+    point, gap, certifying_vertex and witness_margins.
+    """
+    start = initial_iterate(instance, config)
+    coeffs, point, gap = start.coeffs, start.point, start.gap
+    cap = config.resolved_cap()
+    pivots: list[int] = []
+
+    def result(status, vertex=None, witness=None):
+        return dict(status=status, pivots=pivots, iterations=len(pivots), coeffs=coeffs,
+                    point=point, gap=gap, certifying_vertex=vertex, witness_margins=witness)
+
+    while True:
+        margins = reference_margins(instance, point)
+        j = _reference_pick(margins, config.pivot_rule)
+        if j is not None:
+            vertex = j
+        else:
+            diffs = instance.points - instance.target[:, None]
+            vertex = int(np.argmin(np.einsum("ij,ij->j", diffs, diffs)))
+        to_vertex = instance.target - instance.points[:, vertex]
+        if gap <= config.epsilon * float(np.sqrt(to_vertex @ to_vertex)):
+            return result(IN_HULL_APPROX, vertex=vertex)
+        if j is None:
+            return result(NOT_IN_HULL, witness=margins)
+        if len(pivots) >= cap:
+            return result(CAP_EXCEEDED)
+        pivot = instance.points[:, j]
+        direction = pivot - point
+        alpha = float((instance.target - point) @ direction) / float(direction @ direction)
+        alpha = min(1.0, max(0.0, alpha))
+        if alpha == 1.0:
+            coeffs = np.zeros(instance.n_points)
+            coeffs[j] = 1.0
+            point = pivot.copy()
+        else:
+            coeffs = (1.0 - alpha) * coeffs
+            coeffs[j] += alpha
+            coeffs[np.abs(coeffs) < 1e-15] = 0.0
+            coeffs = coeffs / coeffs.sum()
+            point = (1.0 - alpha) * point + alpha * pivot
+        gap = math.sqrt((instance.target - point) @ (instance.target - point))
+        pivots.append(j)

@@ -45,8 +45,14 @@ from hullsolve import (
     state_from_coeffs,
     step_size,
 )
-from hullsolve.incremental import POLICY_DOUBLE_PLUS_ONE, ShiftState, _rebase, shifted_instance
-from hullsolve.hull import Iterate, initial_iterate
+from hullsolve.incremental import (
+    POLICY_DOUBLE_PLUS_ONE,
+    ShiftState,
+    _rebase,
+    move_shift,
+    shifted_instance,
+)
+from hullsolve.hull import initial_iterate
 from hullsolve.oracles import delta_brute, hull_membership_2d, linear_system_oracle
 
 
@@ -323,7 +329,7 @@ def test_criterion_9_quadratic_consistency():
 
     Witness states are harvested the way the solver reaches them: Triangle
     steps at the current shift, and on a witness an escalation to the
-    quantized next shift with the shifted hull rebuilt. The second clause
+    quantized next shift, moving the shifted hull and the iterate there. The second clause
     checks the right-hand-side quadratic where escalation relies on it: it
     opens downward, is negative at the witness's own shift, and stays
     nonpositive up to the raw next shift. It is positive between its real
@@ -351,14 +357,9 @@ def test_criterion_9_quadratic_consistency():
                 if state.alpha_b >= 1e-12:
                     states.append((system, state))
                     quads = build_quadratics(state, system)
-                    t0 = next_shift(quads, t0, 1)
-                    instance = shifted_instance(system, t0)
-                    point = state.p_base - t0 * iterate.coeffs[-1] * system.u
-                    iterate = Iterate(
-                        coeffs=iterate.coeffs,
-                        point=point,
-                        gap=float(np.linalg.norm(point)),
-                    )
+                    new_t = next_shift(quads, t0, 1)
+                    iterate = move_shift(system, instance, iterate, t0, new_t)
+                    t0 = new_t
                     continue
                 break
             alpha = step_size(instance.target, iterate, instance.points[:, j])

@@ -117,6 +117,33 @@ class TestSolveCommand:
         assert report["status"] == "converged"
         assert np.allclose(report["x"], [1.0, 2.0], atol=1e-9)
 
+    def test_nonneg_coarse_epsilon_n200(self, tmp_path):
+        # Phase 1 keeps its own tight epsilon whatever the command line's
+        # --epsilon0: with 0.05 it once stopped at gap 0.0499 and reported
+        # this nonsingular matrix as singular (exit 2).
+        rng = np.random.default_rng(1)
+        n = 200
+        a = rng.normal(size=(n, n))
+        a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+        x = rng.uniform(0.5, 1.5, n)
+        b = a @ (x / x.sum())
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        np.savetxt(matrix, a, fmt="%.17g", header=f"{n} {n}", comments="")
+        np.savetxt(rhs, b[:, None], fmt="%.17g", header=f"{n} 1", comments="")
+        report_path = tmp_path / "report.json"
+        code = main(
+            [
+                "solve", "--matrix", str(matrix), "--rhs", str(rhs),
+                "--mode", "nonneg", "--epsilon0", "0.05",
+                "--report", str(report_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["status"] == "converged"
+        rho = max(np.linalg.norm(a, axis=0).max(), np.linalg.norm(b))
+        assert np.linalg.norm(a @ np.array(report["x"]) - b) <= 0.05 * rho
+
     def test_example2_incremental(self, ex2_files, tmp_path):
         matrix, rhs = ex2_files
         report_path = tmp_path / "report.json"

@@ -6,6 +6,7 @@ import pytest
 from helpers import inside_instance_2d, membership_instance, outside_instance_2d
 from hullsolve import (
     CAP_EXCEEDED,
+    LinearSystem,
     IN_HULL_APPROX,
     NOT_IN_HULL,
     DegeneratePivot,
@@ -20,6 +21,7 @@ from hullsolve import (
     step_size,
 )
 from hullsolve.hull import PIVOT_FIRST_FOUND, PIVOT_MOST_VIOLATED, pivot_margins
+from hullsolve.incremental import move_shift, shifted_instance
 from hullsolve.oracles import hull_membership_2d
 
 
@@ -162,17 +164,47 @@ class TestApplyStep:
         assert np.array_equal(stepped.point, instance.points[:, 2])
 
     def test_dot_cache_tracks_fresh_products(self):
+        # 10^4 steps toward random pivots with step lengths from 1e-6 to 1,
+        # so the rounding of the product updates has every chance to pile up.
         rng = np.random.default_rng(3)
-        points = rng.normal(size=(4, 7))
-        target = points @ rng.dirichlet(np.ones(7))
+        points = rng.normal(size=(6, 12))
+        target = points @ rng.dirichlet(np.ones(12))
         instance = HullInstance(points, target)
-        iterate = make_iterate(instance, rng.dirichlet(np.ones(7)), cache_dots=True)
-        for _ in range(50):
-            j = find_pivot(instance, iterate)
-            if j is None or iterate.gap == 0.0:
-                break
-            alpha = step_size(instance.target, iterate, instance.points[:, j])
+        iterate = make_iterate(instance, rng.dirichlet(np.ones(12)))
+        for step in range(10_000):
+            j = find_pivot(instance, iterate) if step < 50 else int(rng.integers(12))
+            alpha = 1.0 if step % 997 == 0 else 10.0 ** rng.uniform(-6.0, 0.0)
             iterate = apply_step(instance, iterate, j, alpha)
+            fresh = instance.points.T @ iterate.point
+            scale = np.abs(fresh).max() + 1e-30
+            assert np.abs(iterate.dot_cache - fresh).max() <= 1e-10 * scale
+
+    def test_dot_cache_tracks_fresh_products_across_shifts(self):
+        # The shifted hull moved between shifts in place, against a rebuilt
+        # one: the same points bit for bit, and products that track.
+        rng = np.random.default_rng(5)
+        n = 6
+        a = rng.normal(size=(n, n))
+        system = LinearSystem(a, a @ rng.normal(size=n))
+        t = 0.0
+        instance = shifted_instance(system, t)
+        iterate = make_iterate(instance, rng.dirichlet(np.ones(n + 1)))
+        for step in range(10_000):
+            if step % 3 == 0:
+                new_t = min(10.0, max(0.0, t + rng.uniform(-1.0, 1.5)))
+                iterate = move_shift(system, instance, iterate, t, new_t)
+                t = new_t
+                rebuilt = shifted_instance(system, t)
+                assert np.array_equal(instance.points, rebuilt.points)
+                assert np.array_equal(instance.target_dots, rebuilt.target_dots)
+                j = int(rng.integers(n + 1))
+                assert np.allclose(
+                    instance.gram_column(j), rebuilt.gram_column(j), rtol=1e-12, atol=1e-12
+                )
+            else:
+                j = int(rng.integers(n + 1))
+                alpha = 1.0 if step % 997 == 0 else 10.0 ** rng.uniform(-6.0, 0.0)
+                iterate = apply_step(instance, iterate, j, alpha)
             fresh = instance.points.T @ iterate.point
             scale = np.abs(fresh).max() + 1e-30
             assert np.abs(iterate.dot_cache - fresh).max() <= 1e-10 * scale

@@ -1,0 +1,246 @@
+"""The maintained-product kernel against margins recomputed from the points.
+
+Every Triangle loop reads its pivot margins from products V^T p' that it
+keeps up to date, instead of recomputing V^T (p - p') each step. These tests
+check, on fixed seeds, that this changes no decision: the same status,
+pivot sequence, iteration count and coefficients (or solution) bit for bit
+as a loop that recomputes every margin from the points.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from helpers import (
+    invertible_system,
+    membership_instance,
+    nonneg_system,
+    outside_instance_2d,
+    reference_find_pivot,
+    reference_margins,
+    reference_run_hull,
+)
+from hullsolve import (
+    IN_HULL_APPROX,
+    INFEASIBLE_NONNEG,
+    NOT_IN_HULL,
+    HullConfig,
+    HullInstance,
+    LinearSystem,
+    SolveConfig,
+    check_witness,
+    find_pivot,
+    make_iterate,
+    run_hull,
+    solve_incremental,
+    solve_nonneg,
+)
+from hullsolve import hull, incremental, two_phase
+from hullsolve.hull import PIVOT_FIRST_FOUND, PIVOT_MOST_VIOLATED
+
+
+def _with_reference_pivots(monkeypatch, solve, *args, **kwargs):
+    """solve(*args) once as shipped and once with every pivot search
+    recomputing its margins from the points."""
+    shipped = solve(*args, **kwargs)
+    with monkeypatch.context() as patch:
+        for module in (hull, two_phase, incremental):
+            patch.setattr(module, "find_pivot", reference_find_pivot)
+        reference = solve(*args, **kwargs)
+    return shipped, reference
+
+
+def _assert_same_solve(shipped, reference):
+    assert shipped.status == reference.status
+    assert shipped.iterations == reference.iterations
+    assert shipped.shift_t == reference.shift_t
+    if reference.x is None:
+        assert shipped.x is None
+    else:
+        assert np.array_equal(shipped.x, reference.x)
+    assert [(r.iteration, r.t, r.pivot, r.witness) for r in shipped.trace] == [
+        (r.iteration, r.t, r.pivot, r.witness) for r in reference.trace
+    ]
+    assert shipped.diagnostics == reference.diagnostics
+    if reference.witness is None:
+        assert shipped.witness is None
+    else:
+        assert np.array_equal(shipped.witness.margins, reference.witness.margins)
+
+
+class TestRunHull:
+    def _assert_same(self, instance, config):
+        outcome = run_hull(instance, dataclasses.replace(config, record_trace=True))
+        expected = reference_run_hull(instance, config)
+        assert outcome.status == expected["status"]
+        assert [r.pivot for r in outcome.trace] == expected["pivots"]
+        assert outcome.iterations == expected["iterations"]
+        assert np.array_equal(outcome.iterate.coeffs, expected["coeffs"])
+        assert np.array_equal(outcome.iterate.point, expected["point"])
+        assert outcome.iterate.gap == expected["gap"]
+        assert outcome.certifying_vertex == expected["certifying_vertex"]
+        if expected["witness_margins"] is None:
+            assert outcome.witness is None
+        else:
+            assert np.array_equal(outcome.witness.margins, expected["witness_margins"])
+        return outcome
+
+    @pytest.mark.parametrize("rule", [PIVOT_MOST_VIOLATED, PIVOT_FIRST_FOUND])
+    def test_membership_instances(self, rule):
+        rng = np.random.default_rng(401)
+        for dim in (3, 6, 10):
+            points, target = membership_instance(rng, dim)
+            outcome = self._assert_same(
+                HullInstance(points, target), HullConfig(epsilon=1e-3, pivot_rule=rule)
+            )
+            assert outcome.status == IN_HULL_APPROX
+
+    def test_outside_instances_witness(self):
+        rng = np.random.default_rng(403)
+        for _ in range(10):
+            points, target, _ = outside_instance_2d(rng, n_points=12)
+            outcome = self._assert_same(HullInstance(points, target), HullConfig(epsilon=1e-4))
+            assert outcome.status == NOT_IN_HULL
+
+    def test_column_hull_phase1(self):
+        # Phase 1 of the nonnegative solver: columns against the origin.
+        rng = np.random.default_rng(405)
+        system, _ = nonneg_system(rng, 60)
+        outcome = self._assert_same(
+            HullInstance(system.a, np.zeros(60)), HullConfig(epsilon=1e-6)
+        )
+        assert outcome.status == NOT_IN_HULL
+
+    def test_many_steps_and_cap(self):
+        rng = np.random.default_rng(407)
+        a = rng.normal(size=(40, 40))
+        a /= np.linalg.norm(a, axis=0)
+        target = a @ rng.dirichlet(np.ones(40))
+        outcome = self._assert_same(
+            HullInstance(a, target), HullConfig(epsilon=1e-6, max_iterations=3000)
+        )
+        assert outcome.iterations == 3000
+
+
+class TestSolvers:
+    def test_solve_nonneg(self, monkeypatch):
+        rng = np.random.default_rng(409)
+        for n in (20, 40):
+            system, _ = nonneg_system(rng, n, diag_boost=0.0)
+            config = SolveConfig(epsilon0=3e-3, record_trace=True)
+            shipped, reference = _with_reference_pivots(
+                monkeypatch, solve_nonneg, system, config
+            )
+            _assert_same_solve(shipped, reference)
+            assert shipped.iterations > 2000
+
+    def test_solve_nonneg_infeasible(self, monkeypatch):
+        rng = np.random.default_rng(411)
+        system, _ = invertible_system(rng, 25)
+        shipped, reference = _with_reference_pivots(
+            monkeypatch, solve_nonneg, system, SolveConfig(epsilon0=1e-3, record_trace=True)
+        )
+        _assert_same_solve(shipped, reference)
+        assert shipped.status == INFEASIBLE_NONNEG
+
+    def test_solve_incremental_many_shift_changes(self, monkeypatch):
+        # The shift re-optimisation moves t on most steps of these runs.
+        rng = np.random.default_rng(413)
+        shift_changes = 0
+        for n in (8, 20, 40):
+            a = rng.normal(size=(n, n))
+            a /= np.linalg.norm(a, axis=0)
+            system = LinearSystem(a, a @ rng.normal(size=n))
+            config = SolveConfig(epsilon0=0.05, record_trace=True)
+            shipped, reference = _with_reference_pivots(
+                monkeypatch, solve_incremental, system, config
+            )
+            _assert_same_solve(shipped, reference)
+            ts = [r.t for r in shipped.trace]
+            shift_changes += sum(1 for s, t in zip(ts, ts[1:]) if s != t)
+        assert shift_changes >= 2000
+
+    @pytest.mark.parametrize("policy", ["quantized", "double_plus_one"])
+    def test_solve_incremental_escalations(self, monkeypatch, policy):
+        # With the shift optimisation suppressed, witnesses raise the shift.
+        rng = np.random.default_rng(423)
+        escalations = 0
+        for n in (4, 8):
+            system, _ = invertible_system(rng, n)
+            config = SolveConfig(
+                epsilon0=1e-2, record_trace=True, hull=HullConfig(init_rule="centroid")
+            )
+            shipped, reference = _with_reference_pivots(
+                monkeypatch, solve_incremental, system, config,
+                policy=policy, tau_hook=lambda tau: 0.0,
+            )
+            _assert_same_solve(shipped, reference)
+            escalations += shipped.diagnostics["escalations"]
+        assert escalations >= 2
+
+
+class TestCertificates:
+    """Witness margins come from the points, never from the products."""
+
+    def test_run_hull_witness_margins_are_direct(self):
+        rng = np.random.default_rng(415)
+        for _ in range(10):
+            points, target, _ = outside_instance_2d(rng, n_points=9)
+            instance = HullInstance(points, target)
+            outcome = run_hull(instance, HullConfig(epsilon=1e-4))
+            assert outcome.status == NOT_IN_HULL
+            fresh = HullInstance(points.copy(), target.copy())
+            expected = reference_margins(fresh, outcome.witness.iterate.point)
+            assert np.array_equal(outcome.witness.margins, expected)
+
+    def test_nonneg_witness_margins_are_direct(self):
+        rng = np.random.default_rng(417)
+        system, _ = invertible_system(rng, 15)
+        outcome = solve_nonneg(system, SolveConfig(epsilon0=1e-4))
+        assert outcome.status == INFEASIBLE_NONNEG
+        points = np.hstack([system.a, -system.b[:, None]])
+        expected = reference_margins(
+            HullInstance(points, np.zeros(15)), outcome.witness.iterate.point
+        )
+        assert np.array_equal(outcome.witness.margins, expected)
+
+    def test_witness_ignores_drifted_products(self):
+        rng = np.random.default_rng(419)
+        points, target, _ = outside_instance_2d(rng)
+        instance = HullInstance(points, target)
+        witness = run_hull(instance, HullConfig(epsilon=1e-4)).witness
+        iterate = witness.iterate
+        iterate.dot_cache = iterate.dot_cache + 1e-3
+        assert np.array_equal(check_witness(instance, iterate).margins, witness.margins)
+
+    @pytest.mark.parametrize("rule", [PIVOT_MOST_VIOLATED, PIVOT_FIRST_FOUND])
+    def test_no_pivot_on_products_is_confirmed_directly(self, rule):
+        # Products that understate every margin must not yield a witness.
+        rng = np.random.default_rng(421)
+        points, target = membership_instance(rng, 6)
+        instance = HullInstance(points, target)
+        iterate = make_iterate(instance, rng.dirichlet(np.ones(6)))
+        expected = reference_find_pivot(instance, iterate, rule)
+        assert expected is not None
+        iterate.dot_cache = iterate.dot_cache + 1e6
+        assert find_pivot(instance, iterate, rule) == expected
+
+    def test_shift_certificate_margins_are_direct(self):
+        # Example 2 at shift 0, reached through a shift move so that the
+        # iterate carries moved products; they are spoiled on purpose.
+        system = LinearSystem(np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.0, -3.0]))
+        instance = incremental.shifted_instance(system, 1.0)
+        iterate = make_iterate(instance, [0.25, 0.5, 0.25])
+        iterate = incremental.move_shift(system, instance, iterate, 1.0, 0.0)
+        iterate.dot_cache = iterate.dot_cache + 1e-3
+        state = incremental.ShiftState(
+            t0=0.0, iterate=iterate, p_base=incremental._rebase(system, iterate, 0.0)
+        )
+        cert = incremental.shift_solvability_certificate(state, system)
+        p = iterate.point
+        p_sq = float(p @ p)
+        expected = np.append(p_sq - 2.0 * (system.a.T @ p), p_sq + 2.0 * float(p @ system.b))
+        assert np.array_equal(cert.margins, expected)
+        direct = 2.0 * reference_margins(instance, p)
+        assert np.allclose(cert.margins, direct, rtol=1e-12, atol=1e-12)
