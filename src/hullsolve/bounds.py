@@ -65,9 +65,17 @@ def _rayleigh(q: np.ndarray, z: np.ndarray) -> float:
 
 
 def _power_iteration_max(q: np.ndarray, cap: int) -> float:
-    """Largest eigenvalue of symmetric positive semidefinite q."""
+    """Largest eigenvalue of symmetric positive semidefinite q.
+
+    Starts from the all-ones vector unless q maps it to zero (A e = 0), and
+    then from the unit vector on q's largest diagonal entry, which q cannot
+    map to zero.
+    """
     n = q.shape[0]
     z = np.ones(n) / math.sqrt(n)
+    if not (q @ z).any():
+        z = np.zeros(n)
+        z[int(np.argmax(np.diag(q)))] = 1.0
     lam = _rayleigh(q, z)
     for _ in range(cap):
         y = q @ z
@@ -88,6 +96,9 @@ def _inverse_iteration_min(q: np.ndarray, cap: int) -> float | None:
     Two deterministic seeds are probed (all-ones and an index ramp) and the
     smaller Rayleigh quotient is kept: a seed exactly orthogonal to the
     minimal eigenvector would otherwise converge to a larger eigenvalue.
+    In exact arithmetic the quotient never rises from one iterate to the
+    next, so a rise means rounding dominates and the iteration stops; the
+    relative test alone can lie below that rounding when lambda_min is tiny.
     Returns None when q is not numerically positive definite.
     """
     n = q.shape[0]
@@ -106,7 +117,7 @@ def _inverse_iteration_min(q: np.ndarray, cap: int) -> float | None:
                 break
             z = y / norm
             new = _rayleigh(q, z)
-            if abs(new - lam) <= RAYLEIGH_TOL * abs(new):
+            if abs(new - lam) <= RAYLEIGH_TOL * abs(new) or new >= lam:
                 lam = new
                 break
             lam = new

@@ -4,16 +4,16 @@ Subcommands: hull (membership query), solve (linear system, nonneg or
 incremental mode), analyze (a-priori bounds), oracle (ground-truth
 utilities), bench (random instance suites). Exit codes: 0 on success, 1
 when the run ended without convergence (witness or cap, certificate in the
-report), 2 on input errors.
+report), 2 on input errors: unreadable or malformed files, a singular
+matrix, data too large to hold in memory, and a degenerate pivot (a point
+that coincides with the iterate).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .hull import (
     NOT_IN_HULL,
     PIVOT_FIRST_FOUND,
     PIVOT_MOST_VIOLATED,
+    DegeneratePivot,
     HullConfig,
     HullInstance,
     run_hull,
@@ -233,7 +234,6 @@ def _cmd_solve(args) -> int:
         )
     system = LinearSystem(a, b)
     hull_cfg = HullConfig(
-        epsilon=min(args.epsilon0, 0.5),
         max_iterations=args.max_iters,
         pivot_rule=_PIVOT_CHOICES[args.pivot_rule],
         init_rule=_INIT_CHOICES[args.init],
@@ -397,19 +397,11 @@ def _bench_instance(suite: str, size: int, index: int, seed: int, epsilon0: floa
 
 def _cmd_bench(args) -> int:
     started = time.perf_counter()
-    jobs = []
-    index = 0
-    for size in args.sizes:
-        for _ in range(args.count):
-            jobs.append((args.suite, size, index, args.seed, args.epsilon0))
-            index += 1
-    workers = int(os.environ.get("HULLSOLVE_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda job: _bench_instance(*job), jobs))
-    else:
-        rows = [_bench_instance(*job) for job in jobs]
-    rows.sort(key=lambda row: row["id"])
+    sizes = [size for size in args.sizes for _ in range(args.count)]
+    rows = [
+        _bench_instance(args.suite, size, index, args.seed, args.epsilon0)
+        for index, size in enumerate(sizes)
+    ]
     report = _round_trippable(
         {
             "command": "bench",
@@ -449,10 +441,12 @@ def main(argv=None) -> int:
         matio.DimensionMismatch,
         SingularMatrixError,
         two_phase.ZeroInColumnHull,
+        DegeneratePivot,
+        MemoryError,
         OSError,
         ValueError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

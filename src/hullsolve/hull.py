@@ -69,11 +69,6 @@ CAP_EXCEEDED = "cap_exceeded"
 # dust and are clamped to zero before renormalizing.
 COEFF_DUST = 1e-15
 
-# ||v_j - p'||^2 below this means the pivot coincides with the iterate; a
-# strict pivot margin rules that out in exact arithmetic, so hitting it
-# signals numerical breakdown rather than a recoverable state.
-DEGENERATE_PIVOT_SQ = 1e-30
-
 
 def vector_norm(v: np.ndarray) -> float:
     """||v||: what np.linalg.norm returns for a real vector, the square
@@ -82,7 +77,11 @@ def vector_norm(v: np.ndarray) -> float:
 
 
 class DegeneratePivot(Exception):
-    """Pivot point coincides with the current iterate (stalled geometry)."""
+    """Pivot point coincides exactly with the current iterate.
+
+    A pivot margin rules that out in exact arithmetic unless the iterate
+    already sits on the target, so it signals a stalled run, at any scale.
+    """
 
 
 class HullInstance:
@@ -355,7 +354,7 @@ def step_size(target: np.ndarray, iterate: Iterate, pivot: np.ndarray) -> float:
     """
     direction = pivot - iterate.point
     denom = float(direction @ direction)
-    if denom < DEGENERATE_PIVOT_SQ:
+    if denom == 0.0:
         raise DegeneratePivot("pivot coincides with the current iterate")
     alpha = float((target - iterate.point) @ direction) / denom
     return min(1.0, max(0.0, alpha))

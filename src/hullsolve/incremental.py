@@ -34,6 +34,7 @@ from .hull import (
     vector_norm,
 )
 from .system import (
+    ALPHA_FLOOR,
     CONVERGED,
     SOLVE_CAP_EXCEEDED,
     LinearSystem,
@@ -189,9 +190,7 @@ def optimize_shift_tau0(
     return tau0, err
 
 
-def build_quadratics(
-    state: ShiftState, system: LinearSystem, alpha_floor: float = 1e-12
-) -> list[ShiftQuadratic]:
+def build_quadratics(state: ShiftState, system: LinearSystem) -> list[ShiftQuadratic]:
     """Shift quadratics g_i(t) for the current witness state.
 
     For a column a_i: c2 = alpha_b^2 ||u||^2, c1 = -2 alpha_b (p' - a_i)^T u,
@@ -199,7 +198,7 @@ def build_quadratics(
     The right-hand-side entry expands ||p'(t)||^2 + 2 p'(t)^T (b + t u).
     """
     alpha_b = state.alpha_b
-    if alpha_b < alpha_floor:
+    if alpha_b < ALPHA_FLOOR:
         raise AlphaBVanishes(f"coefficient of -b(t) is {alpha_b:.3e}")
     base = state.p_base
     u = system.u
@@ -338,8 +337,6 @@ def solve_incremental(
     policy: str = POLICY_QUANTIZED,
     quantum: int | None = 1,
     tau_hook=None,
-    max_escalations: int | None = None,
-    max_steps: int | None = None,
 ) -> SolveOutcome:
     """Solve A x = b with no sign assumption, to relative residual epsilon0.
 
@@ -353,6 +350,8 @@ def solve_incremental(
 
     tau_hook, when given, post-processes tau0 (clamped below by the current
     shift); it exists to reproduce hand-worked shift sequences in tests.
+    Steps are capped by config.hull.max_iterations (DEFAULT_PHASE_CAP when
+    unset), escalations by a cap from the a-priori shift bound tau'_*.
     """
     if policy not in (POLICY_QUANTIZED, POLICY_DOUBLE_PLUS_ONE):
         raise ValueError(f"unknown increment policy {policy!r}")
@@ -364,14 +363,8 @@ def solve_incremental(
     rule = hull_cfg.pivot_rule
     ones = np.ones(n)
 
-    if max_steps is None:
-        max_steps = (
-            hull_cfg.max_iterations
-            if hull_cfg.max_iterations is not None
-            else DEFAULT_PHASE_CAP
-        )
-    if max_escalations is None:
-        max_escalations = _default_escalation_cap(system)
+    max_steps = hull_cfg.max_iterations or DEFAULT_PHASE_CAP
+    max_escalations = _default_escalation_cap(system)
 
     t0 = 0.0
     instance = shifted_instance(system, t0)
@@ -393,20 +386,15 @@ def solve_incremental(
         )
         return SolveOutcome(
             status=SOLVE_CAP_EXCEEDED,
-            x=None,
-            residual_norm=None,
-            relative_residual=None,
-            shift_t=t0,
-            phase1_delta0_prime=None,
-            inner_epsilon=None,
             iterations=steps,
+            shift_t=t0,
             trace=trace,
             diagnostics=diagnostics,
         )
 
     while True:
         # Step 1: re-optimize the shift for the current x0, test the stop rule.
-        if float(iterate.coeffs[-1]) < config.alpha_floor:
+        if float(iterate.coeffs[-1]) < ALPHA_FLOOR:
             iterate = _reseed(instance, iterate)
             reseeds += 1
         alpha_b = float(iterate.coeffs[-1])
@@ -430,13 +418,11 @@ def solve_incremental(
             )
             return SolveOutcome(
                 status=CONVERGED,
+                iterations=steps,
                 x=x,
                 residual_norm=residual,
                 relative_residual=residual / rho,
                 shift_t=t0,
-                phase1_delta0_prime=None,
-                inner_epsilon=None,
-                iterations=steps,
                 trace=trace,
                 diagnostics=diagnostics,
             )
@@ -447,20 +433,11 @@ def solve_incremental(
             if policy == POLICY_DOUBLE_PLUS_ONE:
                 new_t = 2.0 * t0 + 1.0
             else:
-                if float(iterate.coeffs[-1]) < config.alpha_floor:
-                    iterate = _reseed(instance, iterate)
-                    reseeds += 1
-                    j = find_pivot(instance, iterate, rule)
-                    continue
                 state = ShiftState(
                     t0=t0, iterate=iterate, p_base=_rebase(system, iterate, t0)
                 )
                 try:
-                    new_t = next_shift(
-                        build_quadratics(state, system, config.alpha_floor),
-                        t0,
-                        quantum,
-                    )
+                    new_t = next_shift(build_quadratics(state, system), t0, quantum)
                 except NoPositiveQuadratic:
                     iterate = _reseed(instance, iterate)
                     reseeds += 1
@@ -489,6 +466,6 @@ def solve_incremental(
             # ||p'(t)|| / alpha_b equals the residual of the recovered x0.
             new_ab = float(iterate.coeffs[-1])
             estimate = (
-                iterate.gap / new_ab if new_ab >= config.alpha_floor else iterate.gap
+                iterate.gap / new_ab if new_ab >= ALPHA_FLOOR else iterate.gap
             )
             trace.append(SolveTraceRecord(steps, t0, estimate, new_ab, j, False))

@@ -94,6 +94,10 @@ def _load_dense_text(path: str) -> np.ndarray:
         raise ParseError("header must be two integers 'rows cols'", line=lineno)
     if rows < 1 or cols < 1:
         raise ParseError("matrix dimensions must be positive", line=lineno)
+    # Count the data rows before allocating what the header declares.
+    found = sum(1 for raw in lines[lineno:] if raw.strip())
+    if found < rows:
+        raise ParseError(f"expected {rows} data rows, found {found}", line=len(lines))
     out = np.zeros((rows, cols))
     filled = 0
     for offset, raw in enumerate(lines[lineno:], start=lineno + 1):
@@ -111,10 +115,6 @@ def _load_dense_text(path: str) -> np.ndarray:
         except ValueError:
             raise ParseError("could not parse a numeric value", line=offset)
         filled += 1
-    if filled != rows:
-        raise ParseError(
-            f"expected {rows} data rows, found {filled}", line=len(lines) or 1
-        )
     return out
 
 

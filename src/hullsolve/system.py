@@ -27,6 +27,7 @@ __all__ = [
     "CONVERGED",
     "INFEASIBLE_NONNEG",
     "SOLVE_CAP_EXCEEDED",
+    "ALPHA_FLOOR",
 ]
 
 DELTA0_FROM_PHASE1 = "phase1"
@@ -36,6 +37,10 @@ DELTA0_SKIP = "skip"
 CONVERGED = "converged"
 INFEASIBLE_NONNEG = "infeasible_nonneg"
 SOLVE_CAP_EXCEEDED = "cap_exceeded"
+
+# A coefficient of -b below this carries no usable weight: x0 = alpha / alpha_b
+# is then unrecoverable and the shift quadratics degenerate.
+ALPHA_FLOOR = 1e-12
 
 
 class SingularMatrixError(Exception):
@@ -113,7 +118,6 @@ class SolveConfig:
     delta0_policy: str = DELTA0_FROM_PHASE1
     delta0_user: float | None = None
     hull: HullConfig | None = None
-    alpha_floor: float = 1e-12
     residual_first: bool = True
     record_trace: bool = False
 
@@ -125,8 +129,6 @@ class SolveConfig:
         if self.delta0_policy == DELTA0_USER:
             if self.delta0_user is None or self.delta0_user <= 0.0:
                 raise ValueError("delta0_policy 'user' requires a positive delta0_user")
-        if self.alpha_floor <= 0.0:
-            raise ValueError("alpha_floor must be positive")
 
 
 @dataclass
@@ -150,13 +152,13 @@ class SolveOutcome:
     """
 
     status: str
-    x: np.ndarray | None
-    residual_norm: float | None
-    relative_residual: float | None
-    shift_t: float
-    phase1_delta0_prime: float | None
-    inner_epsilon: float | None
     iterations: int
+    x: np.ndarray | None = None
+    residual_norm: float | None = None
+    relative_residual: float | None = None
+    shift_t: float = 0.0
+    phase1_delta0_prime: float | None = None
+    inner_epsilon: float | None = None
     witness: Witness | None = None
     trace: list[SolveTraceRecord] | None = None
     diagnostics: dict = field(default_factory=dict)

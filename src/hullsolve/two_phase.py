@@ -37,6 +37,7 @@ from .hull import (
     step_size,
 )
 from .system import (
+    ALPHA_FLOOR,
     CONVERGED,
     DELTA0_FROM_PHASE1,
     DELTA0_SKIP,
@@ -94,11 +95,11 @@ class HullCapExceeded(Exception):
 
 def _phase_hull_config(config: SolveConfig, epsilon: float) -> HullConfig:
     """Hull settings for an internal phase run: the user's pivot and init
-    rules and iteration cap, with the phase's own epsilon."""
+    rules and iteration cap, with the phase's own epsilon and no trace."""
     base = config.hull if config.hull is not None else HullConfig()
     cap = base.max_iterations if base.max_iterations is not None else DEFAULT_PHASE_CAP
     return dataclasses.replace(
-        base, epsilon=epsilon, max_iterations=cap, record_trace=config.record_trace
+        base, epsilon=epsilon, max_iterations=cap, record_trace=False
     )
 
 
@@ -167,18 +168,16 @@ def sensitivity_epsilon_prime(
     return 2.0 * (1.0 + b_norm / delta0_prime) * epsilon
 
 
-def recover_solution(
-    iterate: Iterate, system: LinearSystem, alpha_floor: float = 1e-12
-) -> np.ndarray:
+def recover_solution(iterate: Iterate, system: LinearSystem) -> np.ndarray:
     """x0 = (alpha_1, ..., alpha_n) / alpha_b from an iterate over
     conv({a_1, ..., a_n, -b}), where alpha_b is the coefficient of -b.
 
-    Raises AlphaBVanishes when alpha_b < alpha_floor: the hull
+    Raises AlphaBVanishes when alpha_b < ALPHA_FLOOR: the hull
     approximation then carries no usable weight on -b and the residual
     guarantee is unavailable.
     """
     alpha_b = float(iterate.coeffs[-1])
-    if alpha_b < alpha_floor:
+    if alpha_b < ALPHA_FLOOR:
         raise AlphaBVanishes(f"coefficient of -b is {alpha_b:.3e}")
     return iterate.coeffs[:-1] / alpha_b
 
@@ -229,12 +228,6 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     except HullCapExceeded as exc:
         return SolveOutcome(
             status=SOLVE_CAP_EXCEEDED,
-            x=None,
-            residual_norm=None,
-            relative_residual=None,
-            shift_t=0.0,
-            phase1_delta0_prime=None,
-            inner_epsilon=None,
             iterations=exc.iterations,
             diagnostics={"phase1": str(exc)},
         )
@@ -267,16 +260,15 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     threshold = eps0 * rho
     steps = 0
 
-    def outcome(status, x, residual, witness=None):
+    def outcome(status, x=None, residual=None, witness=None):
         return SolveOutcome(
             status=status,
+            iterations=phase1_steps + steps,
             x=x,
             residual_norm=residual,
             relative_residual=None if residual is None else residual / rho,
-            shift_t=0.0,
             phase1_delta0_prime=delta0_prime,
             inner_epsilon=inner_eps,
-            iterations=phase1_steps + steps,
             witness=witness,
             trace=trace,
             diagnostics=diagnostics,
@@ -284,23 +276,17 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
 
     while True:
         alpha_b = float(iterate.coeffs[-1])
-        if config.residual_first and alpha_b >= config.alpha_floor:
-            proxy = iterate.gap / alpha_b
-            if proxy <= threshold or steps % stride == 0:
-                x0 = iterate.coeffs[:-1] / alpha_b
-                residual = system.residual_norm(x0)
-                if residual <= threshold:
-                    if trace is not None:
-                        trace.append(
-                            SolveTraceRecord(steps, 0.0, residual, alpha_b, None, False)
-                        )
-                    return outcome(CONVERGED, x0, residual)
-        if inner_eps is not None and iterate.gap <= inner_eps * rho:
-            # Theoretical target: the sensitivity bound now guarantees the
-            # recovered residual, provided delta0' really was a lower bound.
-            if alpha_b < config.alpha_floor:
+        # Theoretical target: the sensitivity bound now guarantees the
+        # recovered residual, provided delta0' really was a lower bound.
+        at_target = inner_eps is not None and iterate.gap <= inner_eps * rho
+        if alpha_b < ALPHA_FLOOR:
+            if at_target:
                 diagnostics["alpha_b_vanished"] = True
-                return outcome(SOLVE_CAP_EXCEEDED, None, None)
+                return outcome(SOLVE_CAP_EXCEEDED)
+        elif at_target or (
+            config.residual_first
+            and (iterate.gap / alpha_b <= threshold or steps % stride == 0)
+        ):
             x0 = iterate.coeffs[:-1] / alpha_b
             residual = system.residual_norm(x0)
             if residual <= threshold:
@@ -309,9 +295,10 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
                         SolveTraceRecord(steps, 0.0, residual, alpha_b, None, False)
                     )
                 return outcome(CONVERGED, x0, residual)
-            # Only reachable when the supplied delta0' overstated the hull
-            # distance; keep iterating on the direct check instead.
-            diagnostics["hull_target_residual_miss"] = True
+            if at_target:
+                # Only reachable when the supplied delta0' overstated the
+                # hull distance; keep iterating on the direct check instead.
+                diagnostics["hull_target_residual_miss"] = True
 
         j = find_pivot(instance, iterate, hull_cfg.pivot_rule)
         if j is None:
@@ -320,10 +307,10 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
                 trace.append(
                     SolveTraceRecord(steps, 0.0, iterate.gap, alpha_b, None, True)
                 )
-            return outcome(INFEASIBLE_NONNEG, None, None, witness=witness)
+            return outcome(INFEASIBLE_NONNEG, witness=witness)
         if steps >= cap:
             diagnostics["last_gap"] = iterate.gap
-            return outcome(SOLVE_CAP_EXCEEDED, None, None)
+            return outcome(SOLVE_CAP_EXCEEDED)
         alpha = step_size(instance.target, iterate, instance.points[:, j])
         iterate = apply_step(instance, iterate, j, alpha)
         steps += 1

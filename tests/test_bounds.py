@@ -8,6 +8,7 @@ import pytest
 from helpers import example1_system, example2_system, invertible_system
 from hullsolve import (
     LinearSystem,
+    bounds,
     analyze_system,
     delta0_lower_bound,
     tau_star_bounds,
@@ -157,3 +158,40 @@ class TestAnalysisInvariants:
             assert reference[-1] * 0.9 <= analysis.lambda_max <= reference[-1] * (
                 1 + 1e-9
             )
+
+
+class TestSpectralIterations:
+    @pytest.mark.parametrize(
+        "a",
+        [[[1.0, -1.0], [1.0, -1.0]], [[1.0, -1.0, -1.0, 1.0]] * 4],
+        ids=["ones_in_null_space", "ones_and_ramp_in_null_space"],
+    )
+    def test_power_iteration_restarts_off_the_null_space(self, a):
+        a = np.array(a)
+        analysis = analyze_system(LinearSystem(a, np.arange(1.0, a.shape[0] + 1.0)))
+        expected = np.linalg.eigvalsh(a.T @ a)[-1]
+        assert analysis.lambda_max == pytest.approx(expected, rel=1e-12)
+        assert analysis.near_singular
+
+    def test_inverse_iteration_stops_at_rounding(self, monkeypatch):
+        # lambda_min = 1e-10 with 1.69e-10 next to it: the relative stop test
+        # alone sits below the Rayleigh quotient's rounding and ran to its cap.
+        rng = np.random.default_rng(7)
+        n = 100
+        u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        s = np.linspace(1.0, 2.0, n)
+        s[-1], s[-2] = 1e-5, 1.3e-5
+        a = u @ np.diag(s) @ v.T
+        calls = []
+        cho_solve = bounds.cho_solve
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return cho_solve(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "cho_solve", counting)
+        analysis = analyze_system(LinearSystem(a, a @ np.ones(n)))
+        assert len(calls) <= 100  # the cap is 10 n per seed, 2,000 in all
+        expected = np.linalg.eigvalsh(a.T @ a)[0]
+        assert analysis.lambda_min == pytest.approx(expected, rel=1e-3)

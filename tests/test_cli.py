@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from hullsolve import cli, matio
 from hullsolve.cli import main
+from hullsolve.hull import DegeneratePivot
 from hullsolve.matio import (
     DimensionMismatch,
     ParseError,
@@ -283,8 +285,7 @@ class TestotherCommands:
     def test_oracle_requires_inputs(self):
         assert main(["oracle"]) == 2
 
-    def test_bench_rows_sorted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HULLSOLVE_THREADS", "2")
+    def test_bench_rows_sorted(self, tmp_path):
         report_path = tmp_path / "bench.json"
         code = main(
             [
@@ -299,3 +300,64 @@ class TestotherCommands:
         assert ids == sorted(ids)
         assert len(ids) == 4
         assert all(row["status"] == "converged" for row in report["rows"])
+
+
+class TestNoTraceback:
+    @pytest.fixture
+    def ones_in_null_space_files(self, tmp_path):
+        # A e = 0, so power iteration from the all-ones vector finds nothing.
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        matrix.write_text("2 2\n1 -1\n1 -1\n")
+        rhs.write_text("2 1\n1\n0\n")
+        return str(matrix), str(rhs)
+
+    def test_analyze_ones_in_null_space(self, ones_in_null_space_files, tmp_path):
+        matrix, rhs = ones_in_null_space_files
+        report_path = tmp_path / "analysis.json"
+        code = main(
+            ["analyze", "--matrix", matrix, "--rhs", rhs, "--report", str(report_path)]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["lambda_max"] == pytest.approx(4.0, rel=1e-12)
+        assert report["near_singular"]
+
+    def test_solve_ones_in_null_space(self, ones_in_null_space_files, tmp_path):
+        matrix, rhs = ones_in_null_space_files
+        report_path = tmp_path / "report.json"
+        code = main(
+            [
+                "solve", "--matrix", matrix, "--rhs", rhs, "--max-iters", "100",
+                "--report", str(report_path),
+            ]
+        )
+        assert code == 1
+        assert json.loads(report_path.read_text())["status"] == "cap_exceeded"
+
+    def test_header_larger_than_data(self, tmp_path, capsys):
+        # The header declares 7.28 TiB; the rows present are checked first.
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000 1000000\n1 2\n")
+        code = main(["analyze", "--matrix", str(path), "--rhs", str(path)])
+        assert code == 2
+        assert "expected 1000000 data rows, found 1" in capsys.readouterr().err
+
+    def test_memory_error_exit_two(self, ex1_files, monkeypatch, capsys):
+        def load_matrix(path, fmt=None):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(matio, "load_matrix", load_matrix)
+        matrix, rhs = ex1_files
+        assert main(["analyze", "--matrix", matrix, "--rhs", rhs]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+
+    def test_degenerate_pivot_exit_two(self, tmp_path, monkeypatch, capsys):
+        def run_hull(instance, config):
+            raise DegeneratePivot("pivot coincides with the current iterate")
+
+        monkeypatch.setattr(cli, "run_hull", run_hull)
+        points, target = tmp_path / "pts.txt", tmp_path / "q.txt"
+        points.write_text("2 2\n0 1\n0 1\n")
+        target.write_text("2 1\n2\n2\n")
+        assert main(["hull", "--points", str(points), "--target", str(target)]) == 2
+        assert "error: pivot coincides" in capsys.readouterr().err

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from helpers import inside_instance_2d, membership_instance, outside_instance_2d
+from helpers import (
+    inside_instance_2d,
+    invertible_system,
+    membership_instance,
+    nonneg_system,
+    outside_instance_2d,
+)
 from hullsolve import (
     CAP_EXCEEDED,
     LinearSystem,
+    SolveConfig,
     IN_HULL_APPROX,
     NOT_IN_HULL,
     DegeneratePivot,
@@ -18,6 +25,8 @@ from hullsolve import (
     iteration_cap_from_bound,
     make_iterate,
     run_hull,
+    solve_incremental,
+    solve_nonneg,
     step_size,
 )
 from hullsolve.hull import PIVOT_FIRST_FOUND, PIVOT_MOST_VIOLATED, pivot_margins
@@ -130,6 +139,46 @@ class TestStepSize:
         iterate = make_iterate(instance, [1.0, 0.0])
         with pytest.raises(DegeneratePivot):
             step_size(instance.target, iterate, points[:, 1])
+
+
+def _run_at_scale(case: str, scale: float):
+    """(status, iterations, coefficients or x, shift) with every input
+    multiplied by scale."""
+    rng = np.random.default_rng(5)
+    if case in ("in_hull", "outside"):
+        points, target = inside_instance_2d(rng)
+        if case == "outside":
+            # Just beyond the point farthest from the centroid.
+            centroid = points.mean(axis=1)
+            offsets = points - centroid[:, None]
+            far = int(np.argmax(np.einsum("ij,ij->j", offsets, offsets)))
+            target = centroid + 1.05 * offsets[:, far]
+        instance = HullInstance(scale * points, scale * target)
+        config = HullConfig(epsilon=1e-3, init_rule="centroid")
+        outcome = run_hull(instance, config)
+        return outcome.status, outcome.iterations, outcome.iterate.coeffs, 0.0
+    if case == "nonneg":
+        system, _ = nonneg_system(rng, 6)
+        solve = solve_nonneg
+    else:
+        system, _ = invertible_system(rng, 5)
+        solve = solve_incremental
+    scaled = LinearSystem(scale * system.a, scale * system.b)
+    outcome = solve(scaled, SolveConfig(epsilon0=1e-6))
+    return outcome.status, outcome.iterations, outcome.x, outcome.shift_t
+
+
+@pytest.mark.parametrize("case", ["in_hull", "outside", "nonneg", "mixed_sign"])
+@pytest.mark.parametrize("scale", [2.0**-60, 2.0**60], ids=["2^-60", "2^60"])
+def test_power_of_two_scale_changes_nothing(case, scale):
+    # Scaling by a power of two is exact, so the Triangle Algorithm, whose
+    # decisions are all relative, must take the same path; a degenerate
+    # pivot is an exact coincidence, not a short distance.
+    status, iterations, values, shift = _run_at_scale(case, scale)
+    expected = _run_at_scale(case, 1.0)
+    assert (status, iterations, shift) == (expected[0], expected[1], expected[3])
+    assert iterations > 0
+    np.testing.assert_array_equal(values, expected[2])
 
 
 class TestApplyStep:

@@ -285,14 +285,14 @@ class TestSolveIncremental:
         config = SolveConfig(
             epsilon0=1e-10,
             record_trace=True,
-            hull=HullConfig(epsilon=0.5, init_rule="given", init_coeffs=EXAMPLE2_COEFFS),
+            hull=HullConfig(
+                epsilon=0.5,
+                max_iterations=1,
+                init_rule="given",
+                init_coeffs=EXAMPLE2_COEFFS,
+            ),
         )
-        outcome = solve_incremental(
-            system,
-            config,
-            tau_hook=math.floor,
-            max_steps=1,
-        )
+        outcome = solve_incremental(system, config, tau_hook=math.floor)
         first_step = next(r for r in outcome.trace if r.pivot is not None)
         assert first_step.t == 2.0
         assert first_step.pivot == 0
