@@ -124,6 +124,8 @@ def _round_trippable(value):
         return [_round_trippable(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_round_trippable(v) for v in value.tolist()]
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)  # before int: bool is a subclass of int
     if isinstance(value, (np.floating, float)):
         value = float(value)
         return None if value != value else value

@@ -69,6 +69,15 @@ CAP_EXCEEDED = "cap_exceeded"
 # dust and are clamped to zero before renormalizing.
 COEFF_DUST = 1e-15
 
+# A first visit to a pivot fills the unfilled Gram columns of its block of
+# this many consecutive points (fewer when the dimension is smaller) with
+# one matrix product, when there are at most twice as many points as
+# dimensions: then the whole Gram matrix is at most twice the size of the
+# points, and most columns get visited, as for a linear system's n + 1
+# points in n dimensions. A wider set fills one column per visited pivot,
+# since a block would store up to GRAM_BLOCK columns for each.
+GRAM_BLOCK = 64
+
 
 def vector_norm(v: np.ndarray) -> float:
     """||v||: what np.linalg.norm returns for a real vector, the square
@@ -112,7 +121,11 @@ class HullInstance:
         self.target_dots = points.T @ target  # p^T v_i, fixed for the run
         self.target_sq = float(target @ target)
         self._radius = None
-        self._gram_cols: dict[int, np.ndarray] = {}
+        # Filled Gram columns, one per row of _gram in fill order, and the
+        # row of each point's column (-1 while unfilled).
+        self._gram = np.empty((0, n))
+        self._gram_slot = np.full(n, -1, dtype=np.intp)
+        self._gram_used = 0
 
     @property
     def n_points(self) -> int:
@@ -136,30 +149,61 @@ class HullInstance:
         return float(np.sqrt(d @ d))
 
     def gram_column(self, j: int) -> np.ndarray:
-        """v_i^T v_j for all i: O(dim n) on the first call for j, then O(1).
+        """v_i^T v_j for all i, in O(1) once column j is filled.
 
-        The returned array is the memo itself; do not modify it.
+        The first call for j fills column j, in O(dim n); when there are
+        at most 2 dim points, it fills every unfilled column of j's block of
+        min(GRAM_BLOCK, dim) consecutive points with the same matrix
+        product. Storage grows with the columns or blocks visited. The
+        returned array is a row of the memo itself; do not modify it, and
+        do not keep it across calls that may fill more columns.
         """
-        col = self._gram_cols.get(j)
-        if col is None:
-            col = self.points.T @ self.points[:, j]
-            self._gram_cols[j] = col
-        return col
+        slot = self._gram_slot[j]
+        if slot < 0:
+            self._fill_block(j)
+            slot = self._gram_slot[j]
+        return self._gram[slot]
+
+    def _reserve(self, columns: np.ndarray) -> slice:
+        """Memo rows for the given unfilled columns, growing it geometrically
+        up to one row per point."""
+        start = self._gram_used
+        need = start + columns.size
+        if need > self._gram.shape[0]:
+            rows = min(max(need, 2 * self._gram.shape[0]), self.n_points)
+            grown = np.empty((rows, self.n_points))
+            grown[:start] = self._gram[:start]
+            self._gram = grown
+        self._gram_used = need
+        self._gram_slot[columns] = np.arange(start, need)
+        return slice(start, need)
+
+    def _fill_block(self, j: int) -> None:
+        width = min(GRAM_BLOCK, self.dim) if self.n_points <= 2 * self.dim else 1
+        first = j - j % width
+        block = np.arange(first, min(first + width, self.n_points))
+        block = block[self._gram_slot[block] < 0]
+        rows = self._reserve(block)
+        np.matmul(self.points[:, block].T, self.points, out=self._gram[rows])
 
     def move_last_point(self, point: np.ndarray, products: np.ndarray) -> None:
         """Replace the last point in place, in O(n + dim).
 
         products holds the new point's inner products with every point,
         itself last; the caller computes them, typically in O(n) from
-        quantities it already has. Iterates built on the old point are not
+        quantities it already has. They become the last entry of every
+        filled Gram column and the last point's own column, bit for bit,
+        in two vectorised writes. Iterates built on the old point are not
         updated.
         """
         last = self.n_points - 1
         self.points[:, last] = point
         self.target_dots[last] = self.target @ point
-        for j, col in self._gram_cols.items():
-            col[last] = products[j]
-        self._gram_cols[last] = products.copy()
+        filled = self._gram_slot >= 0
+        self._gram[self._gram_slot[filled], last] = products[filled]
+        if self._gram_slot[last] < 0:
+            self._reserve(np.array([last]))
+        self._gram[self._gram_slot[last]] = products
         self._radius = None
 
 
@@ -377,9 +421,12 @@ def apply_step(
         point = instance.points[:, j].copy()
         dots = instance.gram_column(j).copy()
     else:
+        # A fresh nonnegative array: clamp the dust and renormalise in
+        # place, which is what _clean_coeffs returns for it, bit for bit.
         coeffs = (1.0 - alpha) * iterate.coeffs
         coeffs[j] += alpha
-        coeffs = _clean_coeffs(coeffs)
+        coeffs[coeffs < COEFF_DUST] = 0.0
+        coeffs /= coeffs.sum()
         point = (1.0 - alpha) * iterate.point + alpha * instance.points[:, j]
         dots = (1.0 - alpha) * iterate.dot_cache + alpha * instance.gram_column(j)
     gap = vector_norm(instance.target - point)

@@ -118,6 +118,10 @@ def _load_dense_text(path: str) -> np.ndarray:
     return out
 
 
+def _is_data(raw: str) -> bool:
+    return bool(raw.strip()) and not raw.lstrip().startswith("%")
+
+
 def _load_matrix_market(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
@@ -133,17 +137,13 @@ def _load_matrix_market(path: str) -> np.ndarray:
         raise ParseError(f"unsupported field type {field!r}", line=1)
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
+    symmetric = symmetry == "symmetric"
 
-    body = [
-        (idx, raw)
-        for idx, raw in enumerate(lines[1:], start=2)
-        if raw.strip() and not raw.lstrip().startswith("%")
-    ]
-    if not body:
-        raise ParseError("missing size line", line=len(lines) or 1)
-    size_line, size_raw = body[0]
-    sizes = size_raw.split()
-    entries = body[1:]
+    size_at = next((k for k in range(1, len(lines)) if _is_data(lines[k])), None)
+    if size_at is None:
+        raise ParseError("missing size line", line=len(lines))
+    size_line, sizes = size_at + 1, lines[size_at].split()
+    body = lines[size_line:]
 
     if layout == "coordinate":
         if len(sizes) != 3:
@@ -152,7 +152,12 @@ def _load_matrix_market(path: str) -> np.ndarray:
             rows, cols, nnz = (int(s) for s in sizes)
         except ValueError:
             raise ParseError("coordinate size line must be integers", line=size_line)
+        if symmetric and rows != cols:
+            raise ParseError("a symmetric matrix must be square", line=size_line)
         out = np.zeros((rows, cols))
+        entries = [
+            (idx, raw) for idx, raw in enumerate(body, start=size_line + 1) if _is_data(raw)
+        ]
         if len(entries) != nnz:
             where = entries[nnz][0] if len(entries) > nnz else len(lines)
             raise ParseError(
@@ -170,7 +175,7 @@ def _load_matrix_market(path: str) -> np.ndarray:
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise ParseError("index out of range", line=lineno)
             out[i - 1, j - 1] = value
-            if symmetry == "symmetric":
+            if symmetric:
                 out[j - 1, i - 1] = value
         return out
 
@@ -180,30 +185,45 @@ def _load_matrix_market(path: str) -> np.ndarray:
         rows, cols = int(sizes[0]), int(sizes[1])
     except ValueError:
         raise ParseError("array size line must be integers", line=size_line)
-    values: list[float] = []
-    for lineno, raw in entries:
-        for fld in raw.split():
-            try:
-                values.append(float(fld))
-            except ValueError:
-                raise ParseError("could not parse a numeric value", line=lineno)
-    expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
-    if len(values) != expected:
-        raise ParseError(
-            f"expected {expected} values, found {len(values)}", line=len(lines) or 1
+    if symmetric and rows != cols:
+        raise ParseError("a symmetric matrix must be square", line=size_line)
+    # The body as one token list: every line ends in a line break, so no
+    # token spans two lines, and comment lines are dropped only if any.
+    text = "".join(body)
+    if "%" in text:
+        text = "".join(raw for raw in body if not raw.lstrip().startswith("%"))
+    tokens = text.split()
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        # The line number of the first line holding a bad value.
+        lineno = next(
+            idx
+            for idx, raw in enumerate(body, start=size_line + 1)
+            if _is_data(raw) and not _all_floats(raw)
         )
-    out = np.zeros((rows, cols))
-    if symmetry == "general":
+        raise ParseError("could not parse a numeric value", line=lineno) from None
+    expected = rows * cols if not symmetric else rows * (rows + 1) // 2
+    if values.size != expected:
+        raise ParseError(f"expected {expected} values, found {values.size}", line=len(lines))
+    if not symmetric:
         # Array format is column-major.
-        out = np.array(values).reshape((cols, rows)).T
-    else:
-        pos = 0
-        for j in range(cols):
-            for i in range(j, rows):
-                out[i, j] = values[pos]
-                out[j, i] = values[pos]
-                pos += 1
+        return values.reshape((cols, rows)).T
+    # Column-major lower triangle: column k holds rows k..n-1, which is
+    # the row-major upper triangle of the transpose.
+    out = np.zeros((rows, cols))
+    upper_i, upper_j = np.triu_indices(rows)
+    out[upper_j, upper_i] = values
+    out[upper_i, upper_j] = values
     return out
+
+
+def _all_floats(raw: str) -> bool:
+    try:
+        [float(fld) for fld in raw.split()]
+    except ValueError:
+        return False
+    return True
 
 
 def _trace_row(record) -> str:

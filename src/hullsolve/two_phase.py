@@ -7,8 +7,9 @@ and drives an iterate toward the origin; the convex coefficients of the
 iterate recover an approximate solution x0 = alpha / alpha_b, whose residual
 is A x0 - b = p' / alpha_b. The inner tolerance is chosen from delta0' so
 that reaching it guarantees the requested relative residual (sensitivity
-argument); in practice the solver checks the recovered residual directly
-every iteration and exits as soon as it passes.
+argument); in practice the solver exits as soon as the recovered residual
+passes, computed exactly whenever its O(1) estimate gap / alpha_b comes
+within rounding of the target and at least once every n steps.
 """
 
 from __future__ import annotations
@@ -71,10 +72,14 @@ DEFAULT_PHASE_CAP = 10**6
 # realistic conditioning rather than tied to the residual target.
 PHASE1_EPSILON_CEIL = 1e-6
 
-# Direct residual recomputation is O(n^2); above this size it runs only
-# every ceil(n / 512) iterations, with the O(1) proxy gap / alpha_b
-# (exactly the residual in exact arithmetic) triggering early checks.
-RESIDUAL_EVERY_N = 512
+# The exact residual ||A x0 - b|| costs O(n^2), its estimate gap / alpha_b
+# O(1). They are equal in exact arithmetic; on column-normalised Gaussian
+# systems of n = 12 to 800 at epsilon0 = 0.001 to 0.005 they differed by at
+# most 7.5e-13 of the target epsilon0 * rho over every Phase 2 step. An
+# estimate above the target by more than this relative margin therefore
+# hides no passing residual; one that did would only delay the stop to the
+# next backstop check.
+PROXY_MARGIN = 1e-6
 
 
 class ZeroInColumnHull(Exception):
@@ -210,12 +215,15 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     """Solve A x = b assuming x >= 0, to relative residual epsilon0.
 
     Runs Phase 1 per the delta0 policy, then iterates the Triangle
-    Algorithm on conv({a_1, ..., a_n, -b}) against the origin. Every
-    iterate update recovers x0 and tests ||A x0 - b|| <= epsilon0 * rho
-    directly (when residual_first, the default), returning early on
-    success; the theoretically selected inner epsilon governs the
-    iteration cap cap = ceil((48 / epsilon0^2) (rho / delta0')^2). A
-    witness means no nonnegative solution exists.
+    Algorithm on conv({a_1, ..., a_n, -b}) against the origin. When
+    residual_first (the default), the solver recovers x0 and tests
+    ||A x0 - b|| <= epsilon0 * rho directly, returning early on success,
+    whenever the O(1) estimate gap / alpha_b of that residual comes within
+    PROXY_MARGIN of the target and, as a backstop, once every n steps: O(n)
+    a step amortised, and the exact residual stays the only stop test. The
+    theoretically selected inner epsilon governs the iteration cap
+    cap = ceil((48 / epsilon0^2) (rho / delta0')^2). A witness means no
+    nonnegative solution exists.
     """
     rho = system.rho
     eps0 = config.epsilon0
@@ -256,8 +264,8 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
         iterate = initial_iterate(instance, hull_cfg)
 
     trace: list[SolveTraceRecord] | None = [] if config.record_trace else None
-    stride = 1 if n <= RESIDUAL_EVERY_N else math.ceil(n / RESIDUAL_EVERY_N)
     threshold = eps0 * rho
+    proxy_gate = threshold * (1.0 + PROXY_MARGIN)
     steps = 0
 
     def outcome(status, x=None, residual=None, witness=None):
@@ -285,7 +293,7 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
                 return outcome(SOLVE_CAP_EXCEEDED)
         elif at_target or (
             config.residual_first
-            and (iterate.gap / alpha_b <= threshold or steps % stride == 0)
+            and (iterate.gap / alpha_b <= proxy_gate or steps % n == 0)
         ):
             x0 = iterate.coeffs[:-1] / alpha_b
             residual = system.residual_norm(x0)

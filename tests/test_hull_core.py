@@ -1,5 +1,7 @@
 """Triangle Algorithm core: worked examples, invariants, properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,81 @@ class TestApplyStep:
             fresh = instance.points.T @ iterate.point
             scale = np.abs(fresh).max() + 1e-30
             assert np.abs(iterate.dot_cache - fresh).max() <= 1e-10 * scale
+
+
+class TestGramMemo:
+    """Gram columns live in one array, filled a block at a time."""
+
+    @staticmethod
+    def _filled(instance):
+        return np.flatnonzero(instance._gram_slot >= 0)
+
+    def _assert_matches_fresh(self, instance):
+        for j in self._filled(instance):
+            fresh = instance.points.T @ instance.points[:, j]
+            scale = np.abs(fresh).max()
+            assert np.abs(instance.gram_column(j) - fresh).max() <= 1e-12 * scale
+
+    def test_block_fills_and_moves_track_fresh_products(self):
+        rng = np.random.default_rng(61)
+        dim, n = 100, 150
+        instance = HullInstance(rng.normal(size=(dim, n)), rng.normal(size=dim))
+        instance.gram_column(70)
+        # The first visit filled the whole block of 64 around the pivot.
+        assert self._filled(instance).tolist() == list(range(64, 128))
+        instance.gram_column(149)  # the last block has 22 points
+        assert self._filled(instance).size == 64 + 22
+        self._assert_matches_fresh(instance)
+        for step in range(30):
+            point = rng.normal(size=dim)
+            products = np.append(instance.points[:, :-1].T @ point, point @ point)
+            instance.move_last_point(point, products)
+            if step % 3 == 0:
+                instance.gram_column(int(rng.integers(n)))
+            self._assert_matches_fresh(instance)
+        assert self._filled(instance).size > 64 + 22
+
+    def test_moved_row_and_column_are_the_products(self):
+        rng = np.random.default_rng(63)
+        dim, n = 5, 40
+        instance = HullInstance(rng.normal(size=(dim, n)), rng.normal(size=dim))
+        for j in (0, 7, 21):
+            instance.gram_column(j)
+        for _ in range(3):
+            point = rng.normal(size=dim)
+            # Any products are stored as given, whether or not they are
+            # the fresh ones.
+            products = instance.points.T @ point + rng.normal(size=n) * 1e-9
+            products[-1] = point @ point
+            instance.move_last_point(point, products)
+            assert instance.gram_column(n - 1).tobytes() == products.tobytes()
+            for j in self._filled(instance):
+                assert instance.gram_column(j)[n - 1] == products[j]
+
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_wide_point_set_stores_visited_columns(self, dim):
+        # 20,000 points: one column per visited pivot, far below the
+        # 3.2 GB of a full Gram matrix and the 64 columns a block holds.
+        rng = np.random.default_rng([65, dim])
+        n = 20_000
+        points = rng.normal(size=(dim, n))
+        points /= np.linalg.norm(points, axis=0)
+        direction = rng.normal(size=dim)
+        target = (0.99 if dim == 3 else 0.5) * direction / np.linalg.norm(direction)
+        instance = HullInstance(points, target)
+        config = HullConfig(epsilon=1e-4, init_rule="centroid", record_trace=True)
+        tracemalloc.start()
+        try:
+            outcome = run_hull(instance, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        visited = {record.pivot for record in outcome.trace}
+        assert len(visited) >= 20
+        assert self._filled(instance).tolist() == sorted(visited)
+        assert instance._gram.shape[0] <= 2 * len(visited)
+        assert peak <= (4 * len(visited) + 2 * dim + 10) * n * 8
+        assert peak < n * n * 8 / 20
 
 
 class TestRunHull:

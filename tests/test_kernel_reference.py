@@ -22,6 +22,7 @@ from helpers import (
     reference_run_hull,
 )
 from hullsolve import (
+    CONVERGED,
     IN_HULL_APPROX,
     INFEASIBLE_NONNEG,
     NOT_IN_HULL,
@@ -29,6 +30,7 @@ from hullsolve import (
     HullInstance,
     LinearSystem,
     SolveConfig,
+    apply_step,
     check_witness,
     find_pivot,
     make_iterate,
@@ -244,3 +246,93 @@ class TestCertificates:
         assert np.array_equal(cert.margins, expected)
         direct = 2.0 * reference_margins(instance, p)
         assert np.allclose(cert.margins, direct, rtol=1e-12, atol=1e-12)
+
+
+class TestGatedResidual:
+    """solve_nonneg computes ||A x0 - b|| only when gap / alpha_b nears the
+    target or once every n steps; the stop step must be the one an exact
+    check on every step finds."""
+
+    @pytest.mark.parametrize(
+        "n, eps0", [(40, 3e-3), (40, 2e-2), (200, 5e-3), (520, 5e-3), (520, 2e-2)]
+    )
+    def test_same_stop_as_every_step_check(self, monkeypatch, n, eps0):
+        rng = np.random.default_rng([431, n])
+        system, _ = nonneg_system(rng, n, diag_boost=0.0)
+        config = SolveConfig(epsilon0=eps0)
+        calls = []
+        residual_norm = LinearSystem.residual_norm
+
+        def counted(self, x):
+            calls.append(x)
+            return residual_norm(self, x)
+
+        monkeypatch.setattr(LinearSystem, "residual_norm", counted)
+        gated = solve_nonneg(system, config)
+        gated_checks = len(calls)
+        with monkeypatch.context() as patch:
+            # An infinite margin lets the proxy pass on every step.
+            patch.setattr(two_phase, "PROXY_MARGIN", np.inf)
+            every_step = solve_nonneg(system, config)
+        assert gated.status == every_step.status == CONVERGED
+        assert gated.iterations == every_step.iterations
+        assert gated.x.tobytes() == every_step.x.tobytes()
+        assert gated.residual_norm == every_step.residual_norm
+        phase2 = gated.iterations - gated.diagnostics["phase1_iterations"]
+        # The Phase 1 witness puts no weight on -b, so the reference checks
+        # from step 1 on; the gated run about once every n steps.
+        assert len(calls) - gated_checks == phase2
+        assert gated_checks <= phase2 // n + 3
+
+    def test_backstop_converges_without_the_proxy(self, monkeypatch):
+        rng = np.random.default_rng(433)
+        n, eps0 = 30, 5e-3
+        system, _ = nonneg_system(rng, n, diag_boost=0.0)
+        proxied = solve_nonneg(system, SolveConfig(epsilon0=eps0))
+        # A cap, so that a missing backstop fails instead of running on.
+        cap = HullConfig(max_iterations=20 * proxied.iterations)
+        config = SolveConfig(epsilon0=eps0, hull=cap)
+
+        def spoiled_step(instance, iterate, j, alpha):
+            # A gap no estimate can pass: only the backstop checks remain.
+            return dataclasses.replace(
+                hull.apply_step(instance, iterate, j, alpha), gap=np.inf
+            )
+
+        monkeypatch.setattr(two_phase, "apply_step", spoiled_step)
+        spoiled = solve_nonneg(system, config)
+        assert spoiled.status == CONVERGED
+        phase2 = spoiled.iterations - spoiled.diagnostics["phase1_iterations"]
+        assert phase2 % n == 0
+        assert spoiled.iterations >= proxied.iterations
+        assert spoiled.residual_norm <= eps0 * system.rho
+        assert system.residual_norm(spoiled.x) == spoiled.residual_norm
+
+
+def test_step_coefficients_equal_clean_coeffs():
+    # apply_step clamps and renormalises the mixed coefficients in place;
+    # _clean_coeffs of the same update is the reference, bit for bit.
+    rng = np.random.default_rng(435)
+    n = 25
+    points = rng.normal(size=(8, n))
+    instance = HullInstance(points, points @ rng.dirichlet(np.ones(n)))
+    iterate = make_iterate(instance, rng.dirichlet(np.ones(n)))
+    clamped = 0
+    for step in range(10_000):
+        j = int(rng.integers(n))
+        kind = step % 4
+        if kind == 0:
+            alpha = 10.0 ** rng.uniform(-6.0, 0.0)
+        elif kind == 1:
+            alpha = 1.0 - 10.0 ** rng.uniform(-16.0, -10.0)  # leaves dust
+        elif kind == 2:
+            alpha = 10.0 ** rng.uniform(-18.0, -12.0)
+        else:
+            alpha = 1.0 if step % 400 == 3 else float(rng.uniform())
+        mixed = (1.0 - alpha) * iterate.coeffs
+        mixed[j] += alpha
+        expected = hull._clean_coeffs(mixed)
+        clamped += int(((mixed > 0.0) & (mixed < hull.COEFF_DUST)).any())
+        iterate = apply_step(instance, iterate, j, alpha)
+        assert iterate.coeffs.tobytes() == expected.tobytes()
+    assert clamped >= 100
