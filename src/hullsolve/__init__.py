@@ -8,7 +8,7 @@ certified relative residual is recovered, or a witness certificate of
 non-membership that drives the shift upward.
 """
 
-from .bounds import SystemAnalysis, analyze_system, delta0_lower_bound, tau_star_bounds
+from .bounds import SystemAnalysis, analyze_system
 from .hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
@@ -32,15 +32,11 @@ from .incremental import (
     POLICY_DOUBLE_PLUS_ONE,
     POLICY_QUANTIZED,
     NoPositiveQuadratic,
-    ShiftCertificate,
     ShiftQuadratic,
-    ShiftState,
     build_quadratics,
     next_shift,
     optimize_shift_tau0,
-    shift_solvability_certificate,
     solve_incremental,
-    state_from_coeffs,
 )
 from .oracles import (
     OracleResult,

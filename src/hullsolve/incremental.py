@@ -49,15 +49,11 @@ __all__ = [
     "POLICY_DOUBLE_PLUS_ONE",
     "NoPositiveQuadratic",
     "ShiftQuadratic",
-    "ShiftState",
-    "ShiftCertificate",
     "shifted_instance",
     "move_shift",
-    "state_from_coeffs",
     "optimize_shift_tau0",
     "build_quadratics",
     "next_shift",
-    "shift_solvability_certificate",
     "solve_incremental",
 ]
 
@@ -97,37 +93,6 @@ class ShiftQuadratic:
         return (self.c2 * t + self.c1) * t + self.c0
 
 
-@dataclass
-class ShiftState:
-    """Iterate over conv({a_1, ..., a_n, -b(t0)}) with its shift bookkeeping.
-
-    p_base is the shift-independent part of the iterate's point:
-    point(t) = p_base - t * alpha_b * u.
-    """
-
-    t0: float
-    iterate: Iterate
-    p_base: np.ndarray
-
-    @property
-    def alpha_b(self) -> float:
-        return float(self.iterate.coeffs[-1])
-
-
-@dataclass
-class ShiftCertificate:
-    """Proof that A x = b + t0 u, x >= 0 is infeasible.
-
-    margins holds the n+1 expanded witness inequalities
-    ||p'||^2 - 2 p'^T a_i < 0 and ||p'||^2 + 2 p'^T b(t0) < 0 (these are
-    exactly twice the hull pivot margins).
-    """
-
-    t0: float
-    margins: np.ndarray
-    coeffs: np.ndarray
-
-
 def shifted_instance(system: LinearSystem, t0: float) -> HullInstance:
     """Hull instance for conv({a_1, ..., a_n, -b(t0)}) against the origin."""
     rhs = -system.rhs_shifted(t0)
@@ -163,15 +128,6 @@ def move_shift(
     return Iterate(coeffs=iterate.coeffs, point=point, gap=vector_norm(point), dot_cache=dots)
 
 
-def state_from_coeffs(
-    system: LinearSystem, coeffs: np.ndarray, t0: float
-) -> ShiftState:
-    """Build the full shift state from explicit convex coefficients."""
-    instance = shifted_instance(system, t0)
-    iterate = make_iterate(instance, coeffs)
-    return ShiftState(t0=t0, iterate=iterate, p_base=_rebase(system, iterate, t0))
-
-
 def optimize_shift_tau0(
     system: LinearSystem, x0: np.ndarray, t_floor: float
 ) -> tuple[float, float]:
@@ -190,17 +146,20 @@ def optimize_shift_tau0(
     return tau0, err
 
 
-def build_quadratics(state: ShiftState, system: LinearSystem) -> list[ShiftQuadratic]:
-    """Shift quadratics g_i(t) for the current witness state.
+def build_quadratics(
+    system: LinearSystem, iterate: Iterate, t0: float
+) -> list[ShiftQuadratic]:
+    """Shift quadratics g_i(t) for an iterate over the hull at shift t0.
 
-    For a column a_i: c2 = alpha_b^2 ||u||^2, c1 = -2 alpha_b (p' - a_i)^T u,
-    c0 = ||p'||^2 - 2 p'^T a_i, with p' the shift-independent base point.
-    The right-hand-side entry expands ||p'(t)||^2 + 2 p'(t)^T (b + t u).
+    The iterate's point is p'(t) = p' - t alpha_b u, with p' its
+    shift-independent base point. For a column a_i: c2 = alpha_b^2 ||u||^2,
+    c1 = -2 alpha_b (p' - a_i)^T u, c0 = ||p'||^2 - 2 p'^T a_i. The
+    right-hand-side entry expands ||p'(t)||^2 + 2 p'(t)^T (b + t u).
     """
-    alpha_b = state.alpha_b
+    alpha_b = float(iterate.coeffs[-1])
     if alpha_b < ALPHA_FLOOR:
         raise AlphaBVanishes(f"coefficient of -b(t) is {alpha_b:.3e}")
-    base = state.p_base
+    base = _rebase(system, iterate, t0)
     u = system.u
     n = system.n
     u_sq = float(u @ u)
@@ -294,22 +253,6 @@ def next_shift(
     return t0 + quantum * math.ceil(excess / quantum)
 
 
-def shift_solvability_certificate(
-    state: ShiftState, system: LinearSystem
-) -> ShiftCertificate:
-    """Package the witness at the current shift as an infeasibility proof."""
-    point = state.iterate.point
-    p_sq = float(point @ point)
-    col_margins = p_sq - 2.0 * (system.a.T @ point)
-    rhs_margin = p_sq + 2.0 * float(point @ system.rhs_shifted(state.t0))
-    margins = np.append(col_margins, rhs_margin)
-    if not (margins < 0.0).all():
-        raise ValueError("state is not a witness at its shift")
-    return ShiftCertificate(
-        t0=state.t0, margins=margins, coeffs=state.iterate.coeffs.copy()
-    )
-
-
 def _reseed(instance: HullInstance, iterate: Iterate) -> Iterate:
     """Move half the mass onto -b(t0) when its coefficient vanished.
 
@@ -322,8 +265,9 @@ def _reseed(instance: HullInstance, iterate: Iterate) -> Iterate:
 
 
 def _default_escalation_cap(system: LinearSystem) -> int:
-    log_prime, _, flags = bounds.tau_star_bounds(system)
-    if flags["near_singular"] or not math.isfinite(log_prime):
+    analysis = bounds.analyze_system(system)
+    log_prime = analysis.log_tau_star_prime
+    if analysis.near_singular or not math.isfinite(log_prime):
         return DEFAULT_ESCALATION_CAP
     if log_prime < math.log(DEFAULT_ESCALATION_CAP / 10.0):
         return math.ceil(10.0 * max(math.exp(log_prime), 1.0))
@@ -433,11 +377,8 @@ def solve_incremental(
             if policy == POLICY_DOUBLE_PLUS_ONE:
                 new_t = 2.0 * t0 + 1.0
             else:
-                state = ShiftState(
-                    t0=t0, iterate=iterate, p_base=_rebase(system, iterate, t0)
-                )
                 try:
-                    new_t = next_shift(build_quadratics(state, system), t0, quantum)
+                    new_t = next_shift(build_quadratics(system, iterate, t0), t0, quantum)
                 except NoPositiveQuadratic:
                     iterate = _reseed(instance, iterate)
                     reseeds += 1

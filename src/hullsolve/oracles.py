@@ -30,20 +30,19 @@ __all__ = [
 PIVOT_RATIO_FLOOR = 1e-13
 RESIDUAL_TOLERANCE = 1e-10
 GEOMETRY_TOL = 1e-12
+# Largest simplex grid delta_brute builds, in values (rows times points).
+MAX_GRID_VALUES = 10**7
 
 
 @dataclass
 class OracleResult:
-    """Ground truth for a test instance.
+    """Ground truth for a linear system.
 
-    x_star and t_star = max(0, -min_i x*_i) come from exact elimination;
-    membership and delta_exact from 2-d geometry when applicable.
+    x_star and t_star = max(0, -min_i x*_i) come from exact elimination.
     """
 
     x_star: np.ndarray | None = None
     t_star: float | None = None
-    membership: bool | None = None
-    delta_exact: float | None = None
 
 
 def solve_exact(system: LinearSystem) -> np.ndarray:
@@ -245,12 +244,21 @@ def delta_brute(points: np.ndarray, p: np.ndarray, grid_k: int) -> float:
 
     Minimizes ||points @ w - p|| over a simplex grid of resolution
     1 / grid_k, then refines the best grid point by pairwise local search.
-    Intended for small point counts (enumeration grows as a binomial in
-    grid_k and the point count).
+    Intended for small point counts: the grid has C(grid_k + n - 1, n - 1)
+    rows for n points, so ValueError is raised before building it when
+    grid_k < 1 or when it would hold more than MAX_GRID_VALUES values.
     """
     pts = np.asarray(points, dtype=float)
     p = np.asarray(p, dtype=float)
     n = pts.shape[1]
+    if grid_k < 1:
+        raise ValueError(f"grid_k must be a positive integer, got {grid_k}")
+    rows = math.comb(grid_k + n - 1, n - 1)
+    if rows * n > MAX_GRID_VALUES:
+        raise ValueError(
+            f"simplex grid of {rows} rows for {n} points at grid_k {grid_k} "
+            f"exceeds {MAX_GRID_VALUES} values; lower grid_k"
+        )
     grid = _simplex_grid(n, grid_k) / float(grid_k)
     diffs = grid @ pts.T - p
     best_idx = int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))

@@ -196,7 +196,7 @@ def _resolve_delta0(
         diagnostics["delta0_source"] = "user"
         return config.delta0_user, None, 0, diagnostics
     if config.delta0_policy == DELTA0_SKIP:
-        eigen = bounds.delta0_lower_bound(system)
+        eigen = bounds.analyze_system(system).delta0_lower
         if eigen > 0.0:
             diagnostics["delta0_source"] = "eigenvalue_bound"
             return eigen, None, 0, diagnostics

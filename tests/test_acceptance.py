@@ -42,12 +42,10 @@ from hullsolve import (
     sensitivity_epsilon_prime,
     solve_incremental,
     solve_nonneg,
-    state_from_coeffs,
     step_size,
 )
 from hullsolve.incremental import (
     POLICY_DOUBLE_PLUS_ONE,
-    ShiftState,
     _rebase,
     move_shift,
     shifted_instance,
@@ -99,8 +97,8 @@ def test_criterion_2_example2_regression():
     coeffs = np.array([0.25, 0.5, 0.25])
     tol = 1e-12
 
-    state0 = state_from_coeffs(system, coeffs, t0=0.0)
-    x0 = state0.iterate.coeffs[:2] / state0.iterate.coeffs[2]
+    iterate0 = make_iterate(shifted_instance(system, 0.0), coeffs)
+    x0 = iterate0.coeffs[:2] / iterate0.coeffs[2]
     e_at_0 = float(np.linalg.norm(system.a @ x0 - system.b))
     assert np.abs(x0 - [1.0, 2.0]).max() <= tol
     assert abs(e_at_0 - 6.0) <= tol
@@ -109,14 +107,14 @@ def test_criterion_2_example2_regression():
     assert abs(tau0 - 12.0 / 5.0) <= tol
     assert abs(err - 6.0 / math.sqrt(5.0)) <= tol
 
-    state2 = state_from_coeffs(system, coeffs, t0=2.0)
-    assert np.abs(state2.iterate.point - [-0.5, 0.5]).max() <= tol
     instance2 = shifted_instance(system, 2.0)
-    pivot = find_pivot(instance2, state2.iterate)
+    iterate2 = make_iterate(instance2, coeffs)
+    assert np.abs(iterate2.point - [-0.5, 0.5]).max() <= tol
+    pivot = find_pivot(instance2, iterate2)
     assert pivot == 0
-    alpha = step_size(instance2.target, state2.iterate, instance2.points[:, 0])
+    alpha = step_size(instance2.target, iterate2, instance2.points[:, 0])
     assert abs(alpha - 2.0 / 13.0) <= tol
-    stepped = apply_step(instance2, state2.iterate, 0, alpha)
+    stepped = apply_step(instance2, iterate2, 0, alpha)
     assert np.abs(
         stepped.coeffs - [19.0 / 52.0, 11.0 / 26.0, 11.0 / 52.0]
     ).max() <= tol
@@ -125,7 +123,7 @@ def test_criterion_2_example2_regression():
     e_at_2 = float(np.linalg.norm(system.a @ x1 - system.rhs_shifted(2.0)))
     assert abs(e_at_2 - math.sqrt(936.0) / 11.0) <= tol
 
-    quads = build_quadratics(state0, system)
+    quads = build_quadratics(system, iterate0, 0.0)
     expected = [
         (5.0 / 16.0, 0.5, -0.75),
         (5.0 / 16.0, -1.0, -0.75),
@@ -351,12 +349,9 @@ def test_criterion_9_quadratic_consistency():
         for _ in range(2000):
             j = find_pivot(instance, iterate)
             if j is None:
-                state = ShiftState(
-                    t0=t0, iterate=iterate, p_base=_rebase(system, iterate, t0)
-                )
-                if state.alpha_b >= 1e-12:
-                    states.append((system, state))
-                    quads = build_quadratics(state, system)
+                if float(iterate.coeffs[-1]) >= 1e-12:
+                    states.append((system, iterate, t0))
+                    quads = build_quadratics(system, iterate, t0)
                     new_t = next_shift(quads, t0, 1)
                     iterate = move_shift(system, instance, iterate, t0, new_t)
                     t0 = new_t
@@ -369,11 +364,12 @@ def test_criterion_9_quadratic_consistency():
                 break
 
     violation = None
-    for system, state in states:
-        quads = build_quadratics(state, system)
-        alpha_b = state.alpha_b
-        for t in rng.uniform(0.0, 5.0 + 2.0 * state.t0, 10):
-            moved = state.p_base - t * alpha_b * system.u
+    for system, iterate, t0 in states:
+        quads = build_quadratics(system, iterate, t0)
+        alpha_b = float(iterate.coeffs[-1])
+        base = _rebase(system, iterate, t0)
+        for t in rng.uniform(0.0, 5.0 + 2.0 * t0, 10):
+            moved = base - t * alpha_b * system.u
             moved_sq = float(moved @ moved)
             for quad in quads:
                 if quad.is_rhs:
@@ -383,13 +379,13 @@ def test_criterion_9_quadratic_consistency():
                 assert quad.value(t) == pytest.approx(direct, rel=1e-9, abs=1e-9)
         rhs = quads[-1]
         assert rhs.c2 < 0.0
-        assert rhs.value(state.t0) < 0.0
-        raw = next_shift(quads, state.t0, None)
-        grid = np.linspace(state.t0, raw, 200)
+        assert rhs.value(t0) < 0.0
+        raw = next_shift(quads, t0, None)
+        grid = np.linspace(t0, raw, 200)
         values = [rhs.value(t) for t in grid]
         peak = max(values)
         if peak > 1e-10 and violation is None:
-            violation = (peak, float(grid[int(np.argmax(values))]), state.t0, raw)
+            violation = (peak, float(grid[int(np.argmax(values))]), t0, raw)
 
     if violation is None:
         report(

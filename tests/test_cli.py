@@ -363,6 +363,15 @@ class TestotherCommands:
     def test_oracle_requires_inputs(self):
         assert main(["oracle"]) == 2
 
+    def test_oracle_brute_rejects_zero_grid(self, tmp_path, capsys):
+        points = tmp_path / "pts.txt"
+        points.write_text("3 4\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
+        target = tmp_path / "q.txt"
+        target.write_text("3 1\n0\n0\n0\n")
+        argv = ["oracle", "--points", str(points), "--target", str(target)]
+        assert main(argv + ["--grid-k", "0"]) == 2
+        assert "grid_k" in capsys.readouterr().err
+
     def test_bench_rows_sorted(self, tmp_path):
         report_path = tmp_path / "bench.json"
         code = main(
@@ -383,7 +392,7 @@ class TestotherCommands:
 class TestNoTraceback:
     @pytest.fixture
     def ones_in_null_space_files(self, tmp_path):
-        # A e = 0, so power iteration from the all-ones vector finds nothing.
+        # A e = 0: the all-ones vector lies in the null space of A.
         matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
         matrix.write_text("2 2\n1 -1\n1 -1\n")
         rhs.write_text("2 1\n1\n0\n")

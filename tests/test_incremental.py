@@ -15,11 +15,10 @@ from hullsolve import (
     SolveConfig,
     build_quadratics,
     check_witness,
+    make_iterate,
     next_shift,
     optimize_shift_tau0,
-    shift_solvability_certificate,
     solve_incremental,
-    state_from_coeffs,
 )
 from hullsolve.incremental import POLICY_DOUBLE_PLUS_ONE, shifted_instance
 from hullsolve.oracles import solve_exact
@@ -63,8 +62,8 @@ class TestOptimizeShift:
 class TestBuildQuadratics:
     def test_example2_coefficients(self):
         system = example2_system()
-        state = state_from_coeffs(system, EXAMPLE2_COEFFS, t0=0.0)
-        quads = build_quadratics(state, system)
+        iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
+        quads = build_quadratics(system, iterate, 0.0)
         g1, g2, g3 = quads
         assert (g1.c2, g1.c1, g1.c0) == pytest.approx(
             (5.0 / 16.0, 0.5, -0.75), abs=1e-14
@@ -79,18 +78,19 @@ class TestBuildQuadratics:
 
     def test_negative_at_current_shift(self):
         system = example2_system()
-        state = state_from_coeffs(system, EXAMPLE2_COEFFS, t0=0.0)
-        for quad in build_quadratics(state, system):
+        iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
+        for quad in build_quadratics(system, iterate, 0.0):
             assert quad.value(0.0) < 0.0
 
     def test_vanishing_rhs_weight_raises(self):
         system = example2_system()
-        state = state_from_coeffs(system, np.array([0.5, 0.5, 0.0]), t0=0.0)
+        instance = shifted_instance(system, 0.0)
+        iterate = make_iterate(instance, np.array([0.5, 0.5, 0.0]))
         with pytest.raises(AlphaBVanishes):
-            build_quadratics(state, system)
+            build_quadratics(system, iterate, 0.0)
 
-    def _random_witness_state(self, rng):
-        """Witness states harvested from solver runs on infeasible systems."""
+    def _random_witness(self, rng):
+        """Witness iterates at shift 0 for systems with a negative solution."""
         while True:
             system, x_star = invertible_system(rng, rng.integers(2, 5))
             if (x_star >= 0).all():
@@ -98,18 +98,19 @@ class TestBuildQuadratics:
             instance = shifted_instance(system, 0.0)
             coeffs = rng.dirichlet(np.ones(system.n + 1)) + 0.05
             coeffs /= coeffs.sum()
-            state = state_from_coeffs(system, coeffs, t0=0.0)
-            if check_witness(instance, state.iterate) is not None:
-                return system, state
+            iterate = make_iterate(instance, coeffs)
+            if check_witness(instance, iterate) is not None:
+                return system, iterate
 
     def test_coefficients_match_direct_evaluation(self):
         rng = np.random.default_rng(37)
         for _ in range(25):
-            system, state = self._random_witness_state(rng)
-            quads = build_quadratics(state, system)
-            alpha_b = state.alpha_b
+            system, iterate = self._random_witness(rng)
+            quads = build_quadratics(system, iterate, 0.0)
+            alpha_b = float(iterate.coeffs[-1])
             for t in rng.uniform(0.0, 5.0, 10):
-                moved = state.p_base - t * alpha_b * system.u
+                # At shift 0 the iterate's point is its shift-independent base.
+                moved = iterate.point - t * alpha_b * system.u
                 moved_sq = float(moved @ moved)
                 for quad in quads:
                     if quad.is_rhs:
@@ -131,9 +132,9 @@ class TestBuildQuadratics:
         # pivot), so the selected shift is the first zero of any quadratic.
         rng = np.random.default_rng(41)
         for _ in range(25):
-            system, state = self._random_witness_state(rng)
-            quads = build_quadratics(state, system)
-            t0 = state.t0
+            system, iterate = self._random_witness(rng)
+            quads = build_quadratics(system, iterate, 0.0)
+            t0 = 0.0
             for quad in quads[:-1]:
                 assert quad.c2 > 0.0
                 root = next_shift([quad], t0, quantum=None)
@@ -155,14 +156,14 @@ class TestBuildQuadratics:
 class TestNextShift:
     def test_example2_raw_root(self):
         system = example2_system()
-        state = state_from_coeffs(system, EXAMPLE2_COEFFS, t0=0.0)
-        raw = next_shift(build_quadratics(state, system), t0=0.0, quantum=None)
+        iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
+        raw = next_shift(build_quadratics(system, iterate, 0.0), t0=0.0, quantum=None)
         assert raw == pytest.approx((-8.0 + math.sqrt(304.0)) / 10.0, abs=1e-12)
 
     def test_example2_quantized_to_one(self):
         system = example2_system()
-        state = state_from_coeffs(system, EXAMPLE2_COEFFS, t0=0.0)
-        assert next_shift(build_quadratics(state, system), t0=0.0, quantum=1) == 1.0
+        iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
+        assert next_shift(build_quadratics(system, iterate, 0.0), t0=0.0, quantum=1) == 1.0
 
     def test_constructed_quadratics(self):
         quads = [
@@ -221,19 +222,18 @@ class TestNextShift:
 
 class TestCertificate:
     def test_example2_expanded_margins(self):
+        # The witness margins are half the expanded inequalities
+        # ||p'||^2 - 2 p'^T a_i < 0 and ||p'||^2 + 2 p'^T b(t0) < 0.
         system = example2_system()
-        state = state_from_coeffs(system, EXAMPLE2_COEFFS, t0=0.0)
-        cert = shift_solvability_certificate(state, system)
-        assert np.allclose(cert.margins, [-0.75, -0.75, -27.0 / 4.0], atol=1e-14)
-        # Expanded margins are exactly twice the hull pivot margins.
-        witness = check_witness(shifted_instance(system, 0.0), state.iterate)
-        assert np.allclose(cert.margins, 2.0 * witness.margins, atol=1e-14)
+        instance = shifted_instance(system, 0.0)
+        witness = check_witness(instance, make_iterate(instance, EXAMPLE2_COEFFS))
+        expanded = np.array([-0.75, -0.75, -27.0 / 4.0])
+        assert np.allclose(witness.margins, 0.5 * expanded, atol=1e-14)
 
     def test_rejects_non_witness(self):
         system = example1_system()
-        state = state_from_coeffs(system, np.full(3, 1 / 3), t0=0.0)
-        with pytest.raises(ValueError):
-            shift_solvability_certificate(state, system)
+        instance = shifted_instance(system, 0.0)
+        assert check_witness(instance, make_iterate(instance, np.full(3, 1 / 3))) is None
 
 
 class TestSolveIncremental:
@@ -350,8 +350,7 @@ class TestSolveIncremental:
         instance = shifted_instance(system, 3.0)  # t_* = 1.5
         for _ in range(200):
             coeffs = rng.dirichlet(np.ones(3))
-            state = state_from_coeffs(system, coeffs, t0=3.0)
-            assert check_witness(instance, state.iterate) is None
+            assert check_witness(instance, make_iterate(instance, coeffs)) is None
 
     def test_shift_sequence_monotone(self):
         rng = np.random.default_rng(53)

@@ -228,25 +228,6 @@ class TestCertificates:
         iterate.dot_cache = iterate.dot_cache + 1e6
         assert find_pivot(instance, iterate, rule) == expected
 
-    def test_shift_certificate_margins_are_direct(self):
-        # Example 2 at shift 0, reached through a shift move so that the
-        # iterate carries moved products; they are spoiled on purpose.
-        system = LinearSystem(np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.0, -3.0]))
-        instance = incremental.shifted_instance(system, 1.0)
-        iterate = make_iterate(instance, [0.25, 0.5, 0.25])
-        iterate = incremental.move_shift(system, instance, iterate, 1.0, 0.0)
-        iterate.dot_cache = iterate.dot_cache + 1e-3
-        state = incremental.ShiftState(
-            t0=0.0, iterate=iterate, p_base=incremental._rebase(system, iterate, 0.0)
-        )
-        cert = incremental.shift_solvability_certificate(state, system)
-        p = iterate.point
-        p_sq = float(p @ p)
-        expected = np.append(p_sq - 2.0 * (system.a.T @ p), p_sq + 2.0 * float(p @ system.b))
-        assert np.array_equal(cert.margins, expected)
-        direct = 2.0 * reference_margins(instance, p)
-        assert np.allclose(cert.margins, direct, rtol=1e-12, atol=1e-12)
-
 
 class TestGatedResidual:
     """solve_nonneg computes ||A x0 - b|| only when gap / alpha_b nears the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import example1_system, example2_system, inside_instance_2d
-from hullsolve import LinearSystem, SingularMatrixError
+from hullsolve import LinearSystem, SingularMatrixError, oracles
 from hullsolve.oracles import (
     convex_hull_2d,
     delta_brute,
@@ -108,3 +108,16 @@ class TestDeltaBrute:
             _, exact = hull_membership_2d(points, shifted)
             brute = delta_brute(points, shifted, grid_k=60)
             assert brute == pytest.approx(exact, abs=1e-6 + 1e-6 * exact)
+
+    @pytest.mark.parametrize(
+        "n_points, grid_k", [(6, 200), (4, 400), (3, 0), (3, -1)]
+    )
+    def test_refuses_grid_before_building_it(self, monkeypatch, n_points, grid_k):
+        # 6 points at grid_k 200 would be C(205, 5) = 2.9e9 rows.
+        def never(n, k):
+            raise AssertionError("simplex grid built")
+
+        monkeypatch.setattr(oracles, "_simplex_grid", never)
+        points = np.random.default_rng(11).normal(size=(3, n_points))
+        with pytest.raises(ValueError):
+            delta_brute(points, np.zeros(3), grid_k=grid_k)
