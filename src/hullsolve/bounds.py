@@ -66,22 +66,39 @@ class SystemAnalysis:
     near_singular: bool
 
 
+def _exponent(values: np.ndarray) -> int:
+    """k with 2^k within a factor of two of max |values| (0 for all zeros)."""
+    return math.frexp(float(np.abs(values).max()))[1]
+
+
 def analyze_system(system: LinearSystem) -> SystemAnalysis:
     """Full a-priori report: eigenvalue bound plus shift upper bounds."""
     a = system.a
     n = system.n
     q = a.T @ a
     q = 0.5 * (q + q.T)  # symmetrize roundoff
-    eigenvalues = np.linalg.eigvalsh(q)
-    lambda_max = float(eigenvalues[-1])
+    # Everything is computed from Q / 2^kq and A^T b / 2^kw, scaled by
+    # powers of two near their largest entries, so that no square
+    # underflows or overflows at any representable scale of A and b. The
+    # scaling is exact, and the bounds' factors 2^kq and 2^kw cancel to
+    # (kw - kq) log 2: the log bounds do not depend on the scale.
+    kq = _exponent(q)
+    q_scaled = np.ldexp(q, -kq)
+    eigenvalues = np.linalg.eigvalsh(q_scaled)
+    lambda_max = math.ldexp(float(eigenvalues[-1]), kq)
     # Q is positive semidefinite; a negative eigenvalue is rounding.
-    lambda_min = max(float(eigenvalues[0]), 0.0)
-
-    q_norms = np.sqrt(np.einsum("ij,ij->j", q, q))
+    lambda_min_scaled = max(float(eigenvalues[0]), 0.0)
+    lambda_min = math.ldexp(lambda_min_scaled, kq)
+    scaled_norms = np.sqrt(np.einsum("ij,ij->j", q_scaled, q_scaled))
+    q_norms = np.ldexp(scaled_norms, kq)
     q_min = float(q_norms.min())
-    w_norm = float(np.linalg.norm(system.at_b))
+    w = system.at_b
+    kw = _exponent(w)
+    w_scaled = np.ldexp(w, -kw)
+    w_norm_scaled = math.sqrt(float(w_scaled.dot(w_scaled)))
+    w_norm = math.ldexp(w_norm_scaled, kw)
 
-    near_singular = lambda_min < NEAR_SINGULAR_RATIO * lambda_max
+    near_singular = lambda_min_scaled < NEAR_SINGULAR_RATIO * float(eigenvalues[-1])
 
     if near_singular:
         log_det = -math.inf
@@ -90,18 +107,24 @@ def analyze_system(system: LinearSystem) -> SystemAnalysis:
         log_tau_star = math.inf
         log_tau_prime = math.inf
     else:
-        log_det = float(np.log(eigenvalues).sum())
+        log_det_scaled = float(np.log(eigenvalues).sum())
+        log_det = log_det_scaled + n * kq * math.log(2.0)
         # Rounding in the sum can leave n*log(lambda_min) a hair above
         # log det(Q); capping lambda_min by the geometric mean of the
         # eigenvalues keeps tau_* from falling below tau'_*.
-        lambda_min = min(lambda_min, math.exp(log_det / n))
+        lambda_min_scaled = min(lambda_min_scaled, math.exp(log_det_scaled / n))
+        lambda_min = math.ldexp(lambda_min_scaled, kq)
         stated = lambda_min / math.sqrt(n)
         safe = min(lambda_min, math.sqrt(lambda_min)) / math.sqrt(n)
-        log_num = float(np.log(q_norms).sum()) + (
-            math.log(w_norm) if w_norm > 0.0 else -math.inf
+        # log(prod_i ||q_i|| * ||w|| / q_min), less its n factors 2^kq.
+        log_num = (
+            float(np.log(scaled_norms).sum())
+            + (math.log(w_norm_scaled) if w_norm > 0.0 else -math.inf)
+            - math.log(float(scaled_norms.min()))
+            + (kw - kq) * math.log(2.0)
         )
-        log_tau_prime = log_num - math.log(q_min) - log_det
-        log_tau_star = log_num - math.log(q_min) - n * math.log(lambda_min)
+        log_tau_prime = log_num - log_det_scaled
+        log_tau_star = log_num - n * math.log(lambda_min_scaled)
 
     discrepancy = stated != safe
     if discrepancy:

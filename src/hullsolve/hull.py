@@ -121,9 +121,11 @@ class HullInstance:
         self.target_dots = points.T @ target  # p^T v_i, fixed for the run
         self.target_sq = float(target @ target)
         self._radius = None
-        # Filled Gram columns, one per row of _gram in fill order, and the
-        # row of each point's column (-1 while unfilled).
+        # Filled Gram columns, one per row of _gram in fill order; the
+        # point of each used row, and the row of each point's column (-1
+        # while unfilled).
         self._gram = np.empty((0, n))
+        self._gram_point = np.empty(n, dtype=np.intp)
         self._gram_slot = np.full(n, -1, dtype=np.intp)
         self._gram_used = 0
 
@@ -175,6 +177,7 @@ class HullInstance:
             grown[:start] = self._gram[:start]
             self._gram = grown
         self._gram_used = need
+        self._gram_point[start:need] = columns
         self._gram_slot[columns] = np.arange(start, need)
         return slice(start, need)
 
@@ -198,9 +201,9 @@ class HullInstance:
         """
         last = self.n_points - 1
         self.points[:, last] = point
-        self.target_dots[last] = self.target @ point
-        filled = self._gram_slot >= 0
-        self._gram[self._gram_slot[filled], last] = products[filled]
+        self.target_dots[last] = self.target.dot(point)
+        used = self._gram_used
+        self._gram[:used, last] = products[self._gram_point[:used]]
         if self._gram_slot[last] < 0:
             self._reserve(np.array([last]))
         self._gram[self._gram_slot[last]] = products

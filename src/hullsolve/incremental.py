@@ -11,7 +11,11 @@ shift gives the next shift to try. The final answer is x = x0 - t e.
 
 A change of shift moves only the last point, -b(t), so the solver builds
 its hull instance once and carries it, and the iterate's maintained
-products, to each new shift in O(n) (move_shift).
+products, to each new shift in O(n) (move_shift). The shift re-optimisation
+is O(n) too: the iterate's point is p'(t) = alpha_b (A x0 - b(t)), so the
+best shift and its residual E follow from u^T p'(t) and the moved gap. That
+E is an estimate; the exact residual, computed only when the estimate nears
+the target and once every n steps, decides the stop.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .system import (
     SolveOutcome,
     SolveTraceRecord,
 )
-from .two_phase import DEFAULT_PHASE_CAP, AlphaBVanishes
+from .two_phase import DEFAULT_PHASE_CAP, PROXY_MARGIN, AlphaBVanishes
 
 __all__ = [
     "POLICY_QUANTIZED",
@@ -113,19 +117,42 @@ def move_shift(
     place. The iterate keeps its coefficients; its point becomes
     p_base - t alpha_b u, so its products with the columns move by
     (t0 - t) alpha_b A^T u, and its product with -b(t) is recomputed.
+    Each array is built in place, in the same arithmetic as
+    -system.rhs_shifted(t) and _rebase.
     """
-    rhs = -system.rhs_shifted(t)
-    products = np.empty(system.n + 1)  # -b(t)^T a_i = -(A^T b + t A^T u)_i
-    np.multiply(system.at_u, -t, out=products[:-1])
-    products[:-1] -= system.at_b
-    products[-1] = rhs @ rhs
+    u = system.u
+    n = system.n
+    rhs = u * -t
+    rhs -= system.b
+    products = np.empty(n + 1)  # -b(t)^T a_i = -(A^T b + t A^T u)_i
+    np.multiply(system.at_u, -t, out=products[:n])
+    products[:n] -= system.at_b
+    products[n] = rhs.dot(rhs)
     instance.move_last_point(rhs, products)
     alpha_b = float(iterate.coeffs[-1])
-    point = _rebase(system, iterate, t0) - (t * alpha_b) * system.u
-    dots = iterate.dot_cache.copy()
-    dots[:-1] += ((t0 - t) * alpha_b) * system.at_u
-    dots[-1] = rhs @ point
+    point = u * (t0 * alpha_b)
+    point += iterate.point
+    point -= u * (t * alpha_b)
+    dots = np.empty(n + 1)
+    np.multiply(system.at_u, (t0 - t) * alpha_b, out=dots[:n])
+    dots[:n] += iterate.dot_cache[:n]
+    dots[n] = rhs.dot(point)
     return Iterate(coeffs=iterate.coeffs, point=point, gap=vector_norm(point), dot_cache=dots)
+
+
+def _optimal_shift(
+    system: LinearSystem, iterate: Iterate, t0: float, u_sq: float
+) -> float:
+    """optimize_shift_tau0's tau0 for the iterate's x0, in O(n).
+
+    The iterate's point at shift t0 is p' = alpha_b (A x0 - b(t0)), and
+    b(t) = b(t0) + (t - t0) u, so E(t) is least at
+    t0 + u^T p' / (alpha_b ||u||^2), clamped below at t0.
+    """
+    if u_sq <= 0.0:
+        return t0
+    lift = float(system.u.dot(iterate.point)) / (float(iterate.coeffs[-1]) * u_sq)
+    return t0 + lift if lift > 0.0 else t0
 
 
 def optimize_shift_tau0(
@@ -284,18 +311,26 @@ def solve_incremental(
 ) -> SolveOutcome:
     """Solve A x = b with no sign assumption, to relative residual epsilon0.
 
-    The loop per pass: recover x0 from the iterate, optimize the shift
-    tau0 >= t0 minimizing E(t) = ||A x0 - (b + t u)||, stop with
-    x = x0 - t0 e once E(t0) <= epsilon0 * rho; otherwise take one Triangle
-    step at the current shift, or, when the iterate is a witness, raise the
-    shift to the next quadratic root (policy "quantized", increase rounded
-    up to a multiple of quantum) or to 2 t0 + 1 (policy "double_plus_one")
-    and warm-start from the same coefficients.
+    The loop per pass: recover x0 from the iterate, move the shift to the
+    tau0 >= t0 minimizing E(t) = ||A x0 - (b + t u)||, in O(n) from the
+    iterate, and stop with x = x0 - t0 e once ||A x - b|| <= epsilon0 * rho.
+    That residual costs O(n^2), so it is computed only when the estimate
+    E(tau0) = gap / alpha_b comes within PROXY_MARGIN of the target and, as
+    a backstop, once every n steps; it is the only stop test. When the
+    current shift already passes it, tau0 replaces it only with a smaller
+    residual. Otherwise take one Triangle step at the current shift, or,
+    when the iterate is a witness, raise the shift to the next quadratic
+    root (policy "quantized", increase rounded up to a multiple of quantum)
+    or to 2 t0 + 1 (policy "double_plus_one") and warm-start from the same
+    coefficients.
 
-    tau_hook, when given, post-processes tau0 (clamped below by the current
-    shift); it exists to reproduce hand-worked shift sequences in tests.
+    tau_hook, when given, post-processes optimize_shift_tau0's tau0
+    (clamped below by the current shift), and E(tau0) is then computed
+    directly; it exists to reproduce hand-worked shift sequences in tests.
     Steps are capped by config.hull.max_iterations (DEFAULT_PHASE_CAP when
-    unset), escalations by a cap from the a-priori shift bound tau'_*.
+    unset), escalations by a cap from the a-priori shift bound tau'_*,
+    computed at the first escalation; diagnostics["max_escalations"] stays
+    None in a solve that never escalates.
     """
     if policy not in (POLICY_QUANTIZED, POLICY_DOUBLE_PLUS_ONE):
         raise ValueError(f"unknown increment policy {policy!r}")
@@ -303,12 +338,12 @@ def solve_incremental(
     rho = system.rho
     eps0 = config.epsilon0
     threshold = eps0 * rho
+    proxy_gate = threshold * (1.0 + PROXY_MARGIN)
+    u_sq = float(system.u @ system.u)
     hull_cfg = config.hull if config.hull is not None else HullConfig()
     rule = hull_cfg.pivot_rule
-    ones = np.ones(n)
 
     max_steps = hull_cfg.max_iterations or DEFAULT_PHASE_CAP
-    max_escalations = _default_escalation_cap(system)
 
     t0 = 0.0
     instance = shifted_instance(system, t0)
@@ -320,7 +355,7 @@ def solve_incremental(
     shifts = [t0]
     diagnostics: dict = {
         "policy": policy,
-        "max_escalations": max_escalations,
+        "max_escalations": None,
         "max_steps": max_steps,
     }
 
@@ -336,40 +371,59 @@ def solve_incremental(
             diagnostics=diagnostics,
         )
 
+    def converged(x: np.ndarray, residual: float) -> SolveOutcome:
+        if trace is not None:
+            trace.append(SolveTraceRecord(steps, t0, residual, alpha_b, None, False))
+        diagnostics.update(escalations=escalations, reseeds=reseeds, shifts=shifts)
+        return SolveOutcome(
+            status=CONVERGED,
+            iterations=steps,
+            x=x,
+            residual_norm=residual,
+            relative_residual=residual / rho,
+            shift_t=t0,
+            trace=trace,
+            diagnostics=diagnostics,
+        )
+
     while True:
         # Step 1: re-optimize the shift for the current x0, test the stop rule.
         if float(iterate.coeffs[-1]) < ALPHA_FLOOR:
             iterate = _reseed(instance, iterate)
             reseeds += 1
         alpha_b = float(iterate.coeffs[-1])
-        x0 = iterate.coeffs[:-1] / alpha_b
-        tau0, err = optimize_shift_tau0(system, x0, t_floor=t0)
         if tau_hook is not None:
+            x0 = iterate.coeffs[:-1] / alpha_b
+            tau0, _ = optimize_shift_tau0(system, x0, t_floor=t0)
             tau0 = max(t0, float(tau_hook(tau0)))
-            err = float(np.linalg.norm(system.a @ x0 - system.rhs_shifted(tau0)))
+            estimate = float(np.linalg.norm(system.a @ x0 - system.rhs_shifted(tau0)))
+        else:
+            tau0 = _optimal_shift(system, iterate, t0, u_sq)
+            if iterate.gap / alpha_b <= proxy_gate:
+                x0 = iterate.coeffs[:-1] / alpha_b
+                x = x0 - t0
+                residual = system.residual_norm(x)
+                if residual <= threshold:
+                    # The current shift passes. Once x0 solves the system,
+                    # u^T p' is rounding noise, so tau0 replaces the
+                    # current shift only with a smaller residual.
+                    if tau0 != t0:
+                        moved_x = x0 - tau0
+                        moved_residual = system.residual_norm(moved_x)
+                        if moved_residual < residual:
+                            x, residual, t0 = moved_x, moved_residual, tau0
+                    return converged(x, residual)
         if tau0 != t0:
             iterate = move_shift(system, instance, iterate, t0, tau0)
             t0 = tau0
-        if err <= threshold:
-            x = x0 - t0 * ones
+        if tau_hook is None:
+            estimate = iterate.gap / alpha_b
+        if estimate <= proxy_gate or steps % n == 0:
+            # x = x0 - t0 e; the move kept the coefficients.
+            x = iterate.coeffs[:-1] / alpha_b - t0
             residual = system.residual_norm(x)
-            if trace is not None:
-                trace.append(
-                    SolveTraceRecord(steps, t0, residual, alpha_b, None, False)
-                )
-            diagnostics.update(
-                escalations=escalations, reseeds=reseeds, shifts=shifts
-            )
-            return SolveOutcome(
-                status=CONVERGED,
-                iterations=steps,
-                x=x,
-                residual_norm=residual,
-                relative_residual=residual / rho,
-                shift_t=t0,
-                trace=trace,
-                diagnostics=diagnostics,
-            )
+            if residual <= threshold:
+                return converged(x, residual)
 
         # Step 2: witness check via pivot search; Step 3: shift escalation.
         j = find_pivot(instance, iterate, rule)
@@ -385,7 +439,9 @@ def solve_incremental(
                     j = find_pivot(instance, iterate, rule)
                     continue
             escalations += 1
-            if escalations > max_escalations:
+            if diagnostics["max_escalations"] is None:
+                diagnostics["max_escalations"] = _default_escalation_cap(system)
+            if escalations > diagnostics["max_escalations"]:
                 return capped()
             iterate = move_shift(system, instance, iterate, t0, new_t)
             t0 = new_t

@@ -222,8 +222,8 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     PROXY_MARGIN of the target and, as a backstop, once every n steps: O(n)
     a step amortised, and the exact residual stays the only stop test. The
     theoretically selected inner epsilon governs the iteration cap
-    cap = ceil((48 / epsilon0^2) (rho / delta0')^2). A witness means no
-    nonnegative solution exists.
+    cap = ceil((48 / epsilon0^2) (rho / delta0')^2), or DEFAULT_PHASE_CAP
+    where that overflows. A witness means no nonnegative solution exists.
     """
     rho = system.rho
     eps0 = config.epsilon0
@@ -251,7 +251,8 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     if config.hull is not None and config.hull.max_iterations is not None:
         cap = config.hull.max_iterations
     elif delta0_prime is not None and delta0_prime > 0.0:
-        cap = math.ceil((48.0 / (eps0 * eps0)) * (rho / delta0_prime) ** 2)
+        bound = (48.0 / (eps0 * eps0)) * (rho / delta0_prime) ** 2
+        cap = math.ceil(bound) if math.isfinite(bound) else DEFAULT_PHASE_CAP
     else:
         cap = DEFAULT_PHASE_CAP
     diagnostics["phase2_cap"] = cap

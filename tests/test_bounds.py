@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,55 @@ class TestTauStarBounds:
         assert analysis.log_tau_star > 700.0 and analysis.tau_star is None
         assert math.isfinite(analysis.log_tau_star_prime)
         assert analysis.tau_star_prime is not None
+
+
+class TestExtremeScale:
+    """Scaling A and b by 2^k scales Q and A^T b by 4^k exactly, and the
+    shift bounds tau'_* and tau_* do not depend on the scale. Squares of
+    entries of Q underflow at 2^-500 and overflow at 2^500."""
+
+    @staticmethod
+    def _systems():
+        rng = np.random.default_rng(79)
+        for n in (2, 6, 40):
+            a = rng.normal(size=(n, n))
+            yield a, rng.normal(size=n)
+        yield np.array([[1.0, -1.0], [1.0, -1.0]]), np.array([1.0, 2.0])
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_log_bounds_scale_invariant(self, k):
+        for a, b in self._systems():
+            base = analyze_system(LinearSystem(a, b))
+            scaled = analyze_system(LinearSystem(np.ldexp(a, k), np.ldexp(b, k)))
+            assert scaled.near_singular == base.near_singular
+            for name in ("log_tau_star_prime", "log_tau_star"):
+                expected = getattr(base, name)
+                got = getattr(scaled, name)
+                if math.isfinite(expected):
+                    assert abs(got - expected) <= 1e-12 * abs(expected), name
+                else:
+                    assert got == expected, name
+            assert scaled.lambda_max == pytest.approx(
+                math.ldexp(base.lambda_max, 2 * k), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_cli_commands_run(self, tmp_path, k):
+        from hullsolve.cli import main
+
+        system = example1_system()
+        a, b = np.ldexp(system.a, k), np.ldexp(system.b, k)
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        matrix.write_text("2 2\n%.17g %.17g\n%.17g %.17g\n" % tuple(a.ravel()))
+        rhs.write_text("2 1\n%.17g\n%.17g\n" % tuple(b))
+        files = ["--matrix", str(matrix), "--rhs", str(rhs)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", *files]) == 0
+            assert main(["solve", *files]) == 0
+            # delta0' from the eigenvalue bound, through analyze_system.
+            assert main(["solve", *files, "--mode", "nonneg", "--skip-phase1"]) == 0
+        assert caught == []
 
 
 class TestAnalysisInvariants:

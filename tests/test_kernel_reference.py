@@ -317,3 +317,148 @@ def test_step_coefficients_equal_clean_coeffs():
         iterate = apply_step(instance, iterate, j, alpha)
         assert iterate.coeffs.tobytes() == expected.tobytes()
     assert clamped >= 100
+
+
+def _column_normalised_system(rng, n, offset=0.0):
+    """Column-normalised Gaussian A, solution Gaussian less offset."""
+    a = rng.normal(size=(n, n))
+    a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+    return LinearSystem(a, a @ (rng.normal(size=n) - offset))
+
+
+def test_linear_time_shift_matches_direct_optimum():
+    # solve_incremental moves the shift to tau0 = t0 + max(0, u^T p' /
+    # (alpha_b ||u||^2)) and reads E(tau0) as the moved gap / alpha_b, both
+    # O(n); optimize_shift_tau0 recomputes A x0 - b, O(n^2). Tolerance,
+    # fixed in residual units: E within 1e-12 rho, and the two shifts
+    # within 1e-12 rho / ||u||, so that their residual vectors differ by
+    # at most 1e-12 rho.
+    rng = np.random.default_rng(437)
+    moved = clamped = 0
+    for _ in range(300):
+        n = int(rng.integers(5, 61))
+        # Solutions offset by up to 10 put the best shift on both sides of t0.
+        system = _column_normalised_system(rng, n, rng.uniform(0.0, 10.0))
+        instance = incremental.shifted_instance(system, 0.0)
+        alpha_b = rng.uniform(0.05, 1.0)
+        coeffs = np.append((1.0 - alpha_b) * rng.dirichlet(np.ones(n)), alpha_b)
+        iterate = make_iterate(instance, coeffs)
+        t0 = rng.uniform(0.0, 10.0)
+        iterate = incremental.move_shift(system, instance, iterate, 0.0, t0)
+        for _ in range(int(rng.integers(0, 20))):
+            j = int(rng.integers(n + 1))
+            iterate = apply_step(instance, iterate, j, float(rng.uniform(0.0, 0.2)))
+        u_norm = float(np.linalg.norm(system.u))
+        x0 = iterate.coeffs[:-1] / iterate.coeffs[-1]
+        expected_tau, expected_err = incremental.optimize_shift_tau0(system, x0, t0)
+        tau0 = incremental._optimal_shift(system, iterate, t0, u_norm * u_norm)
+        if tau0 != t0:
+            iterate = incremental.move_shift(system, instance, iterate, t0, tau0)
+            moved += 1
+        else:
+            clamped += 1
+        tol = 1e-12 * system.rho
+        assert abs(tau0 - expected_tau) * u_norm <= tol
+        assert abs(iterate.gap / iterate.coeffs[-1] - expected_err) <= tol
+    assert moved >= 50 and clamped >= 50
+
+
+class TestGatedIncrementalResidual:
+    """solve_incremental computes ||A x - b|| only when gap / alpha_b nears
+    the target or once every n steps; the stop step must be the one an
+    exact check on every pass finds."""
+
+    @pytest.mark.parametrize("n, eps0", [(12, 1e-2), (30, 5e-2), (50, 5e-2)])
+    def test_same_stop_as_every_pass_check(self, monkeypatch, n, eps0):
+        rng = np.random.default_rng([439, n])
+        system = _column_normalised_system(rng, n)
+        config = SolveConfig(epsilon0=eps0)
+        calls = []
+        residual_norm = LinearSystem.residual_norm
+
+        def counted(self, x):
+            calls.append(x)
+            return residual_norm(self, x)
+
+        monkeypatch.setattr(LinearSystem, "residual_norm", counted)
+        gated = solve_incremental(system, config)
+        gated_checks = len(calls)
+        with monkeypatch.context() as patch:
+            # An infinite margin lets the estimate pass on every pass.
+            patch.setattr(incremental, "PROXY_MARGIN", np.inf)
+            every_pass = solve_incremental(system, config)
+        assert gated.status == every_pass.status == CONVERGED
+        assert gated.iterations == every_pass.iterations
+        assert gated.shift_t == every_pass.shift_t
+        assert gated.x.tobytes() == every_pass.x.tobytes()
+        assert gated.residual_norm == every_pass.residual_norm
+        assert len(calls) - gated_checks > gated.iterations
+        assert gated_checks <= gated.iterations // n + 4
+
+    def test_backstop_converges_without_the_estimate(self, monkeypatch):
+        rng = np.random.default_rng(441)
+        n, eps0 = 30, 5e-2
+        system = _column_normalised_system(rng, n)
+        estimated = solve_incremental(system, SolveConfig(epsilon0=eps0))
+        # A cap, so that a missing backstop fails instead of running on.
+        cap = HullConfig(max_iterations=20 * estimated.iterations)
+        config = SolveConfig(epsilon0=eps0, hull=cap)
+
+        def spoiled(function):
+            # A gap no estimate can pass: only the backstop checks remain.
+            return lambda *args: dataclasses.replace(function(*args), gap=np.inf)
+
+        monkeypatch.setattr(incremental, "apply_step", spoiled(hull.apply_step))
+        monkeypatch.setattr(incremental, "move_shift", spoiled(incremental.move_shift))
+        outcome = solve_incremental(system, config)
+        assert outcome.status == CONVERGED
+        assert outcome.iterations % n == 0
+        assert outcome.iterations >= estimated.iterations
+        assert outcome.residual_norm <= eps0 * system.rho
+        assert system.residual_norm(outcome.x) == outcome.residual_norm
+
+
+def test_converged_incremental_residuals_meet_the_target():
+    # The 23 fixed systems of the general_shift benchmark workload (its
+    # reference stream, numpy seed [0, 1, 1]): every converged outcome's
+    # residual, recomputed in extended precision, is within epsilon0 * rho,
+    # and the final shift is the best one from there on for its x0.
+    rng = np.random.default_rng([0, 1, 1])
+    eps0 = 0.05
+    for _ in range(23):
+        system = _column_normalised_system(rng, 50)
+        outcome = solve_incremental(system, SolveConfig(epsilon0=eps0))
+        assert outcome.status == CONVERGED
+        a = system.a.astype(np.longdouble)
+        r = a @ outcome.x.astype(np.longdouble) - system.b.astype(np.longdouble)
+        assert np.sqrt(r @ r) <= eps0 * system.rho
+        x0 = outcome.x + outcome.shift_t
+        _, best = incremental.optimize_shift_tau0(system, x0, outcome.shift_t)
+        assert outcome.residual_norm <= best + 1e-12 * system.rho
+
+
+def test_escalation_cap_computed_only_on_escalation(monkeypatch):
+    rng = np.random.default_rng(443)
+    system = _column_normalised_system(rng, 20)
+
+    def refuse(system):
+        raise AssertionError("analyze_system ran in a solve without escalations")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(incremental.bounds, "analyze_system", refuse)
+        outcome = solve_incremental(system, SolveConfig(epsilon0=0.05))
+    assert outcome.status == CONVERGED
+    assert outcome.diagnostics["escalations"] == 0
+    assert outcome.diagnostics["max_escalations"] is None
+    # With the shift optimisation suppressed, witnesses raise the shift;
+    # the cap is then the one the a-priori bound gives.
+    system, _ = invertible_system(np.random.default_rng(445), 6)
+    outcome = solve_incremental(
+        system,
+        SolveConfig(epsilon0=1e-2, hull=HullConfig(init_rule="centroid")),
+        tau_hook=lambda tau: 0.0,
+    )
+    assert outcome.diagnostics["escalations"] >= 1
+    assert outcome.diagnostics["max_escalations"] == (
+        incremental._default_escalation_cap(system)
+    )
