@@ -57,7 +57,6 @@ from .system import (
 from .two_phase import (
     AlphaBVanishes,
     ZeroInColumnHull,
-    phase1_witness,
     recover_solution,
     select_inner_epsilon,
     sensitivity_epsilon_prime,

@@ -42,8 +42,9 @@ class SystemAnalysis:
     (None, log +inf) and log_det_q is -inf.
 
     delta0_lower is the bound actually safe to use downstream:
-    min(lambda_min, sqrt(lambda_min)) / sqrt(n). delta0_lower_stated is the
-    plain lambda_min / sqrt(n) form, which can exceed the true distance when
+    sqrt(lambda_min / n), since ||A w|| >= sigma_min ||w||_2 >= sqrt(lambda_min)
+    / sqrt(n) for every w in the simplex; it scales with A. delta0_lower_stated
+    is the plain lambda_min / sqrt(n) form, which exceeds it exactly when
     lambda_min > 1; the two are both reported and a discrepancy is flagged
     rather than silently corrected. tau'_* divides by det(Q), tau_* by
     lambda_min^n, so log_tau_star >= log_tau_star_prime; tau_star and
@@ -53,7 +54,6 @@ class SystemAnalysis:
     lambda_min: float
     lambda_max: float
     log_det_q: float
-    q_norms: np.ndarray
     q_min: float
     w_norm: float
     delta0_lower: float
@@ -90,8 +90,7 @@ def analyze_system(system: LinearSystem) -> SystemAnalysis:
     lambda_min_scaled = max(float(eigenvalues[0]), 0.0)
     lambda_min = math.ldexp(lambda_min_scaled, kq)
     scaled_norms = np.sqrt(np.einsum("ij,ij->j", q_scaled, q_scaled))
-    q_norms = np.ldexp(scaled_norms, kq)
-    q_min = float(q_norms.min())
+    q_min = math.ldexp(float(scaled_norms.min()), kq)
     w = system.at_b
     kw = _exponent(w)
     w_scaled = np.ldexp(w, -kw)
@@ -115,7 +114,11 @@ def analyze_system(system: LinearSystem) -> SystemAnalysis:
         lambda_min_scaled = min(lambda_min_scaled, math.exp(log_det_scaled / n))
         lambda_min = math.ldexp(lambda_min_scaled, kq)
         stated = lambda_min / math.sqrt(n)
-        safe = min(lambda_min, math.sqrt(lambda_min)) / math.sqrt(n)
+        # sqrt(lambda_min) from the scaled value, halving an even exponent,
+        # so that it neither underflows nor overflows.
+        half, odd = divmod(kq, 2)
+        root = math.ldexp(math.sqrt(math.ldexp(lambda_min_scaled, odd)), half)
+        safe = root / math.sqrt(n)
         # log(prod_i ||q_i|| * ||w|| / q_min), less its n factors 2^kq.
         log_num = (
             float(np.log(scaled_norms).sum())
@@ -126,7 +129,7 @@ def analyze_system(system: LinearSystem) -> SystemAnalysis:
         log_tau_prime = log_num - log_det_scaled
         log_tau_star = log_num - n * math.log(lambda_min_scaled)
 
-    discrepancy = stated != safe
+    discrepancy = stated > safe
     if discrepancy:
         log.info(
             "eigenvalue bound %.6g exceeds the provable form %.6g "
@@ -146,7 +149,6 @@ def analyze_system(system: LinearSystem) -> SystemAnalysis:
         lambda_min=lambda_min,
         lambda_max=lambda_max,
         log_det_q=log_det,
-        q_norms=q_norms,
         q_min=q_min,
         w_norm=w_norm,
         delta0_lower=safe,

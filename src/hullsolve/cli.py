@@ -19,7 +19,6 @@ import numpy as np
 
 from . import bounds, incremental, matio, oracles, two_phase
 from .hull import (
-    CAP_EXCEEDED,
     IN_HULL_APPROX,
     INIT_CENTROID,
     INIT_NEAREST_VERTEX,
@@ -29,6 +28,7 @@ from .hull import (
     DegeneratePivot,
     HullConfig,
     HullInstance,
+    TraceRecord,
     run_hull,
 )
 from .system import (
@@ -39,7 +39,6 @@ from .system import (
     LinearSystem,
     SingularMatrixError,
     SolveConfig,
-    SolveTraceRecord,
 )
 
 __all__ = ["main"]
@@ -185,21 +184,11 @@ def _cmd_hull(args) -> int:
     report = _round_trippable(report)
     _emit(report, args, started)
     if outcome.trace is not None:
-        rows = [
-            SolveTraceRecord(r.iteration, 0.0, r.gap, None, r.pivot, False)
-            for r in outcome.trace
-        ]
-        rows.append(
-            SolveTraceRecord(
-                outcome.iterations,
-                0.0,
-                outcome.iterate.gap,
-                None,
-                None,
-                outcome.status == NOT_IN_HULL,
-            )
+        verdict = TraceRecord(
+            outcome.iterations, 0.0, outcome.iterate.gap, None, None,
+            outcome.status == NOT_IN_HULL,
         )
-        _emit_trace(rows, args)
+        _emit_trace(outcome.trace + [verdict], args)
     print(f"hull: {outcome.status} gap={outcome.iterate.gap:.6e} "
           f"iterations={outcome.iterations}")
     return 0 if outcome.status == IN_HULL_APPROX else 1
@@ -303,25 +292,9 @@ def _cmd_analyze(args) -> int:
     b = matio.load_vector(args.rhs)
     system = LinearSystem(a, b)
     analysis = bounds.analyze_system(system)
-    report = {
-        "command": "analyze",
-        "n": system.n,
-        "rho": system.rho,
-        "lambda_min": analysis.lambda_min,
-        "lambda_max": analysis.lambda_max,
-        "log_det_q": analysis.log_det_q,
-        "q_min": analysis.q_min,
-        "w_norm": analysis.w_norm,
-        "delta0_lower": analysis.delta0_lower,
-        "delta0_lower_stated": analysis.delta0_lower_stated,
-        "bound_discrepancy": analysis.bound_discrepancy,
-        "log_tau_star": analysis.log_tau_star,
-        "log_tau_star_prime": analysis.log_tau_star_prime,
-        "tau_star": analysis.tau_star,
-        "tau_star_prime": analysis.tau_star_prime,
-        "near_singular": analysis.near_singular,
-    }
-    report = _round_trippable(report)
+    report = _round_trippable(
+        {"command": "analyze", "n": system.n, "rho": system.rho, **vars(analysis)}
+    )
     _emit(report, args, started)
     for key, value in report.items():
         if key not in ("command", "wall_time_s"):

@@ -23,7 +23,7 @@ recomputed ones decide; witness margins always come from the points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ __all__ = [
     "Witness",
     "HullConfig",
     "HullOutcome",
-    "HullTraceRecord",
+    "TraceRecord",
     "make_iterate",
     "initial_iterate",
     "pivot_margins",
@@ -77,6 +77,21 @@ COEFF_DUST = 1e-15
 # points in n dimensions. A wider set fills one column per visited pivot,
 # since a block would store up to GRAM_BLOCK columns for each.
 GRAM_BLOCK = 64
+
+# Largest squared norm of a point or target: below it ||p - v||^2 <= 4 max
+# and the other sums the solvers form stay finite.
+SQ_NORM_MAX = np.finfo(float).max / 4.0
+
+
+def check_scale(columns: np.ndarray, what: str) -> np.ndarray:
+    """Squared norms of the columns; ValueError when one exceeds SQ_NORM_MAX
+    or a nonzero column's underflows to 0, a scale doubles cannot square."""
+    sq = np.einsum("ij,ij->j", columns, columns)
+    if not (sq <= SQ_NORM_MAX).all():
+        raise ValueError(f"{what} too large: a squared norm overflows; rescale the input")
+    if ((sq == 0.0) & columns.any(axis=0)).any():
+        raise ValueError(f"{what} too small: a squared norm underflows to 0; rescale the input")
+    return sq
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -116,11 +131,12 @@ class HullInstance:
             raise ValueError(f"target has dimension {target.shape}, points have {m}")
         if not np.isfinite(points).all() or not np.isfinite(target).all():
             raise ValueError("points and target must be finite")
+        check_scale(points, "points")
+        check_scale(target[:, None], "target")
         self.points = points
         self.target = target
         self.target_dots = points.T @ target  # p^T v_i, fixed for the run
         self.target_sq = float(target @ target)
-        self._radius = None
         # Filled Gram columns, one per row of _gram in fill order; the
         # point of each used row, and the row of each point's column (-1
         # while unfilled).
@@ -139,11 +155,9 @@ class HullInstance:
 
     @property
     def radius_R(self) -> float:
-        """max_i ||p - v_i||, computed on first use."""
-        if self._radius is None:
-            diffs = self.points - self.target[:, None]
-            self._radius = float(np.sqrt(np.einsum("ij,ij->j", diffs, diffs).max()))
-        return self._radius
+        """max_i ||p - v_i||, the R of the iteration bounds."""
+        diffs = self.points - self.target[:, None]
+        return float(np.sqrt(np.einsum("ij,ij->j", diffs, diffs).max()))
 
     def distance_to_point(self, j: int) -> float:
         """||p - v_j||."""
@@ -207,7 +221,6 @@ class HullInstance:
         if self._gram_slot[last] < 0:
             self._reserve(np.array([last]))
         self._gram[self._gram_slot[last]] = products
-        self._radius = None
 
 
 @dataclass
@@ -239,11 +252,21 @@ class Witness:
 
 
 @dataclass
-class HullTraceRecord:
+class TraceRecord:
+    """One row of a hull or solve trace.
+
+    t is the shift (0.0 outside the incremental solver); value is the hull
+    gap, or the solvers' residual estimate, by context; alpha_b is the
+    coefficient of -b (None in a hull run); pivot is None on a row that
+    records a verdict or a shift, and witness marks a witness.
+    """
+
     iteration: int
-    gap: float
-    pivot: int
-    step: float
+    t: float
+    value: float
+    alpha_b: float | None
+    pivot: int | None
+    witness: bool
 
 
 @dataclass
@@ -294,7 +317,7 @@ class HullOutcome:
     initial_gap_delta0: float
     witness: Witness | None = None
     certifying_vertex: int | None = None
-    trace: list[HullTraceRecord] | None = None
+    trace: list[TraceRecord] | None = None
 
 
 def _clean_coeffs(coeffs: np.ndarray) -> np.ndarray:
@@ -450,7 +473,7 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     iterate = initial_iterate(instance, config)
     delta0 = iterate.gap
     cap = config.resolved_cap()
-    trace: list[HullTraceRecord] | None = [] if config.record_trace else None
+    trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     while True:
         j = find_pivot(instance, iterate, config.pivot_rule)
@@ -490,7 +513,7 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
         iterate = apply_step(instance, iterate, j, alpha)
         steps += 1
         if trace is not None:
-            trace.append(HullTraceRecord(steps, iterate.gap, j, alpha))
+            trace.append(TraceRecord(steps, 0.0, iterate.gap, None, j, False))
 
 
 def iteration_cap_from_bound(epsilon: float) -> int:

@@ -30,6 +30,7 @@ from .hull import (
     HullConfig,
     HullInstance,
     Iterate,
+    TraceRecord,
     apply_step,
     find_pivot,
     initial_iterate,
@@ -44,7 +45,6 @@ from .system import (
     LinearSystem,
     SolveConfig,
     SolveOutcome,
-    SolveTraceRecord,
 )
 from .two_phase import DEFAULT_PHASE_CAP, PROXY_MARGIN, AlphaBVanishes
 
@@ -324,9 +324,10 @@ def solve_incremental(
     or to 2 t0 + 1 (policy "double_plus_one") and warm-start from the same
     coefficients.
 
-    tau_hook, when given, post-processes optimize_shift_tau0's tau0
-    (clamped below by the current shift), and E(tau0) is then computed
-    directly; it exists to reproduce hand-worked shift sequences in tests.
+    tau_hook, when given, post-processes that same tau0 (clamped below by
+    the current shift) and skips the check at the current shift; it exists
+    to reproduce hand-worked shift sequences in tests.
+
     Steps are capped by config.hull.max_iterations (DEFAULT_PHASE_CAP when
     unset), escalations by a cap from the a-priori shift bound tau'_*,
     computed at the first escalation; diagnostics["max_escalations"] stays
@@ -348,7 +349,7 @@ def solve_incremental(
     t0 = 0.0
     instance = shifted_instance(system, t0)
     iterate = initial_iterate(instance, hull_cfg)
-    trace: list[SolveTraceRecord] | None = [] if config.record_trace else None
+    trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     escalations = 0
     reseeds = 0
@@ -373,7 +374,7 @@ def solve_incremental(
 
     def converged(x: np.ndarray, residual: float) -> SolveOutcome:
         if trace is not None:
-            trace.append(SolveTraceRecord(steps, t0, residual, alpha_b, None, False))
+            trace.append(TraceRecord(steps, t0, residual, alpha_b, None, False))
         diagnostics.update(escalations=escalations, reseeds=reseeds, shifts=shifts)
         return SolveOutcome(
             status=CONVERGED,
@@ -392,33 +393,27 @@ def solve_incremental(
             iterate = _reseed(instance, iterate)
             reseeds += 1
         alpha_b = float(iterate.coeffs[-1])
+        tau0 = _optimal_shift(system, iterate, t0, u_sq)
         if tau_hook is not None:
-            x0 = iterate.coeffs[:-1] / alpha_b
-            tau0, _ = optimize_shift_tau0(system, x0, t_floor=t0)
             tau0 = max(t0, float(tau_hook(tau0)))
-            estimate = float(np.linalg.norm(system.a @ x0 - system.rhs_shifted(tau0)))
-        else:
-            tau0 = _optimal_shift(system, iterate, t0, u_sq)
-            if iterate.gap / alpha_b <= proxy_gate:
-                x0 = iterate.coeffs[:-1] / alpha_b
-                x = x0 - t0
-                residual = system.residual_norm(x)
-                if residual <= threshold:
-                    # The current shift passes. Once x0 solves the system,
-                    # u^T p' is rounding noise, so tau0 replaces the
-                    # current shift only with a smaller residual.
-                    if tau0 != t0:
-                        moved_x = x0 - tau0
-                        moved_residual = system.residual_norm(moved_x)
-                        if moved_residual < residual:
-                            x, residual, t0 = moved_x, moved_residual, tau0
-                    return converged(x, residual)
+        elif iterate.gap / alpha_b <= proxy_gate:
+            x0 = iterate.coeffs[:-1] / alpha_b
+            x = x0 - t0
+            residual = system.residual_norm(x)
+            if residual <= threshold:
+                # The current shift passes. Once x0 solves the system,
+                # u^T p' is rounding noise, so tau0 replaces the current
+                # shift only with a smaller residual.
+                if tau0 != t0:
+                    moved_x = x0 - tau0
+                    moved_residual = system.residual_norm(moved_x)
+                    if moved_residual < residual:
+                        x, residual, t0 = moved_x, moved_residual, tau0
+                return converged(x, residual)
         if tau0 != t0:
             iterate = move_shift(system, instance, iterate, t0, tau0)
             t0 = tau0
-        if tau_hook is None:
-            estimate = iterate.gap / alpha_b
-        if estimate <= proxy_gate or steps % n == 0:
+        if iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
             # x = x0 - t0 e; the move kept the coefficients.
             x = iterate.coeffs[:-1] / alpha_b - t0
             residual = system.residual_norm(x)
@@ -448,9 +443,7 @@ def solve_incremental(
             shifts.append(t0)
             if trace is not None:
                 trace.append(
-                    SolveTraceRecord(
-                        steps, t0, iterate.gap, float(iterate.coeffs[-1]), None, True
-                    )
+                    TraceRecord(steps, t0, iterate.gap, float(iterate.coeffs[-1]), None, True)
                 )
             j = find_pivot(instance, iterate, rule)
 
@@ -465,4 +458,4 @@ def solve_incremental(
             estimate = (
                 iterate.gap / new_ab if new_ab >= ALPHA_FLOOR else iterate.gap
             )
-            trace.append(SolveTraceRecord(steps, t0, estimate, new_ab, j, False))
+            trace.append(TraceRecord(steps, t0, estimate, new_ab, j, False))

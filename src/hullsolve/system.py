@@ -13,14 +13,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .hull import HullConfig, Witness
+from .hull import HullConfig, TraceRecord, Witness, check_scale
 
 __all__ = [
     "SingularMatrixError",
     "LinearSystem",
     "SolveConfig",
     "SolveOutcome",
-    "SolveTraceRecord",
     "DELTA0_FROM_PHASE1",
     "DELTA0_USER",
     "DELTA0_SKIP",
@@ -50,9 +49,10 @@ class SingularMatrixError(Exception):
 class LinearSystem:
     """Square system A x = b held in column view.
 
-    Exposes the column norms, rho = max(||a_1||, ..., ||a_n||, ||b||), the
-    shift direction u = A e, and the shifted scale rho(t) with b replaced by
-    b + t u. A zero column is rejected outright since it makes A singular.
+    Exposes the column norms, rho = max(||a_1||, ..., ||a_n||, ||b||) and
+    the shift direction u = A e. A zero column is rejected outright since it
+    makes A singular; data whose squared norms overflow, or whose nonzero
+    columns' squared norms underflow, are rejected as out of scale.
     """
 
     def __init__(self, a, b):
@@ -65,15 +65,15 @@ class LinearSystem:
             raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
         if not np.isfinite(a).all() or not np.isfinite(b).all():
             raise ValueError("matrix and right-hand side must be finite")
-        column_norms = np.sqrt(np.einsum("ij,ij->j", a, a))
-        if (column_norms == 0.0).any():
+        if not a.any(axis=0).all():
             raise SingularMatrixError("matrix has a zero column")
+        column_norms = np.sqrt(check_scale(a, "matrix"))
+        check_scale(b[:, None], "right-hand side")
         self.a = a
         self.b = b
         self.column_norms = column_norms
-        self.max_column_norm = float(column_norms.max())
         self.norm_b = float(np.linalg.norm(b))
-        self.rho = max(self.max_column_norm, self.norm_b)
+        self.rho = max(float(column_norms.max()), self.norm_b)
         self.u = a @ np.ones(n)
 
     @property
@@ -93,10 +93,6 @@ class LinearSystem:
     def rhs_shifted(self, t: float) -> np.ndarray:
         """b(t) = b + t u."""
         return self.b + t * self.u
-
-    def rho_of_t(self, t: float) -> float:
-        """max(||a_1||, ..., ||a_n||, ||b + t u||); equals rho at t = 0."""
-        return max(self.max_column_norm, float(np.linalg.norm(self.rhs_shifted(t))))
 
     def residual_norm(self, x: np.ndarray) -> float:
         """||A x - b||."""
@@ -132,16 +128,6 @@ class SolveConfig:
 
 
 @dataclass
-class SolveTraceRecord:
-    iteration: int
-    t: float
-    value: float  # hull gap or current residual estimate, by context
-    alpha_b: float | None
-    pivot: int | None
-    witness: bool
-
-
-@dataclass
 class SolveOutcome:
     """Result of a linear system solve.
 
@@ -160,5 +146,5 @@ class SolveOutcome:
     phase1_delta0_prime: float | None = None
     inner_epsilon: float | None = None
     witness: Witness | None = None
-    trace: list[SolveTraceRecord] | None = None
+    trace: list[TraceRecord] | None = None
     diagnostics: dict = field(default_factory=dict)

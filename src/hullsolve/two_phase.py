@@ -23,12 +23,11 @@ from . import bounds
 from .hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
-    NOT_IN_HULL,
     HullConfig,
     HullInstance,
     HullOutcome,
     Iterate,
-    Witness,
+    TraceRecord,
     apply_step,
     check_witness,
     find_pivot,
@@ -40,7 +39,6 @@ from .hull import (
 from .system import (
     ALPHA_FLOOR,
     CONVERGED,
-    DELTA0_FROM_PHASE1,
     DELTA0_SKIP,
     DELTA0_USER,
     INFEASIBLE_NONNEG,
@@ -48,14 +46,11 @@ from .system import (
     LinearSystem,
     SolveConfig,
     SolveOutcome,
-    SolveTraceRecord,
 )
 
 __all__ = [
     "ZeroInColumnHull",
     "AlphaBVanishes",
-    "HullCapExceeded",
-    "phase1_witness",
     "select_inner_epsilon",
     "sensitivity_epsilon_prime",
     "recover_solution",
@@ -90,60 +85,24 @@ class AlphaBVanishes(Exception):
     """The iterate places (numerically) no weight on -b; x0 is unrecoverable."""
 
 
-class HullCapExceeded(Exception):
-    """A hull run hit its iteration cap before producing a verdict."""
-
-    def __init__(self, message: str, iterations: int = 0):
-        super().__init__(message)
-        self.iterations = iterations
-
-
-def _phase_hull_config(config: SolveConfig, epsilon: float) -> HullConfig:
-    """Hull settings for an internal phase run: the user's pivot and init
-    rules and iteration cap, with the phase's own epsilon and no trace."""
-    base = config.hull if config.hull is not None else HullConfig()
-    cap = base.max_iterations if base.max_iterations is not None else DEFAULT_PHASE_CAP
-    return dataclasses.replace(
-        base, epsilon=epsilon, max_iterations=cap, record_trace=False
-    )
-
-
 def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
-    instance = HullInstance(system.a, np.zeros(system.n))
-    epsilon = min(config.epsilon0, PHASE1_EPSILON_CEIL)
-    return run_hull(instance, _phase_hull_config(config, epsilon=epsilon))
+    """Phase 1's hull run: the columns of A against the origin, under the
+    user's pivot and init rules and iteration cap (DEFAULT_PHASE_CAP when
+    unset), with epsilon min(epsilon0, PHASE1_EPSILON_CEIL) and no trace.
 
-
-def _phase1_decision(
-    system: LinearSystem, config: SolveConfig
-) -> tuple[Witness, float, int]:
-    outcome = _phase1_outcome(system, config)
-    if outcome.status == IN_HULL_APPROX:
-        raise ZeroInColumnHull(
-            "origin lies in the convex hull of the columns to tolerance "
-            f"(gap {outcome.iterate.gap:.3e}); the matrix is singular"
-        )
-    if outcome.status == CAP_EXCEEDED:
-        raise HullCapExceeded(
-            f"phase 1 exceeded {outcome.iterations} iterations without a verdict",
-            iterations=outcome.iterations,
-        )
-    witness = outcome.witness
-    assert witness is not None
-    return witness, 0.5 * witness.iterate.gap, outcome.iterations
-
-
-def phase1_witness(system: LinearSystem, config: SolveConfig) -> tuple[Witness, float]:
-    """Witness that the origin is outside conv(columns of A), plus delta0'.
-
-    delta0' = 0.5 * ||p'|| is a valid lower bound on the hull-to-origin
-    distance by the factor-two property of witnesses. Raises
-    ZeroInColumnHull when the hull run instead reaches an approximate
-    membership (the origin is within epsilon of the column hull, i.e. A is
-    singular or nearly so), and HullCapExceeded on an inconclusive run.
+    A witness gives delta0' = gap / 2, a lower bound on the hull-to-origin
+    distance by the factor-two property of witnesses; an approximate
+    membership means the origin is within epsilon of the column hull, so A
+    is singular or nearly so.
     """
-    witness, delta0_prime, _ = _phase1_decision(system, config)
-    return witness, delta0_prime
+    base = config.hull if config.hull is not None else HullConfig()
+    hull_cfg = dataclasses.replace(
+        base,
+        epsilon=min(config.epsilon0, PHASE1_EPSILON_CEIL),
+        max_iterations=base.max_iterations or DEFAULT_PHASE_CAP,
+        record_trace=False,
+    )
+    return run_hull(HullInstance(system.a, np.zeros(system.n)), hull_cfg)
 
 
 def select_inner_epsilon(
@@ -189,26 +148,32 @@ def recover_solution(iterate: Iterate, system: LinearSystem) -> np.ndarray:
 
 def _resolve_delta0(
     system: LinearSystem, config: SolveConfig
-) -> tuple[float | None, Iterate | None, int, dict]:
-    """delta0' per policy, plus the Phase 2 warm start when Phase 1 ran."""
+) -> tuple[float | None, HullOutcome | None, dict]:
+    """delta0' per policy, and Phase 1's outcome when it ran.
+
+    Raises ZeroInColumnHull when Phase 1 ends in an approximate membership.
+    """
     diagnostics: dict = {"phase1_iterations": 0}
     if config.delta0_policy == DELTA0_USER:
         diagnostics["delta0_source"] = "user"
-        return config.delta0_user, None, 0, diagnostics
+        return config.delta0_user, None, diagnostics
     if config.delta0_policy == DELTA0_SKIP:
         eigen = bounds.analyze_system(system).delta0_lower
         if eigen > 0.0:
             diagnostics["delta0_source"] = "eigenvalue_bound"
-            return eigen, None, 0, diagnostics
+            return eigen, None, diagnostics
         diagnostics["delta0_source"] = "unavailable"
         diagnostics["guarantee"] = "direct residual check only"
-        return None, None, 0, diagnostics
-    witness, delta0_prime, iterations = _phase1_decision(system, config)
+        return None, None, diagnostics
+    phase1 = _phase1_outcome(system, config)
+    if phase1.status == IN_HULL_APPROX:
+        raise ZeroInColumnHull(
+            "origin lies in the convex hull of the columns to tolerance "
+            f"(gap {phase1.iterate.gap:.3e}); the matrix is singular"
+        )
     diagnostics["delta0_source"] = "phase1_witness"
-    diagnostics["phase1_iterations"] = iterations
-    # Embed the witness in the enlarged hull: coefficient of -b starts at 0.
-    start = np.append(witness.iterate.coeffs, 0.0)
-    return delta0_prime, start, iterations, diagnostics
+    diagnostics["phase1_iterations"] = phase1.iterations
+    return 0.5 * phase1.iterate.gap, phase1, diagnostics
 
 
 def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
@@ -229,15 +194,15 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     eps0 = config.epsilon0
     n = system.n
 
-    try:
-        delta0_prime, start_coeffs, phase1_steps, diagnostics = _resolve_delta0(
-            system, config
-        )
-    except HullCapExceeded as exc:
+    delta0_prime, phase1, diagnostics = _resolve_delta0(system, config)
+    phase1_steps = diagnostics["phase1_iterations"]
+    if phase1 is not None and phase1.status == CAP_EXCEEDED:
         return SolveOutcome(
             status=SOLVE_CAP_EXCEEDED,
-            iterations=exc.iterations,
-            diagnostics={"phase1": str(exc)},
+            iterations=phase1_steps,
+            diagnostics={
+                "phase1": f"phase 1 exceeded {phase1_steps} iterations without a verdict"
+            },
         )
 
     inner_eps: float | None = None
@@ -247,9 +212,9 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
         eps_prime = sensitivity_epsilon_prime(inner_eps, delta0_prime, system.norm_b)
         diagnostics["epsilon_prime"] = eps_prime
 
-    hull_cfg = _phase_hull_config(config, epsilon=eps0)
-    if config.hull is not None and config.hull.max_iterations is not None:
-        cap = config.hull.max_iterations
+    hull_cfg = config.hull if config.hull is not None else HullConfig()
+    if hull_cfg.max_iterations is not None:
+        cap = hull_cfg.max_iterations
     elif delta0_prime is not None and delta0_prime > 0.0:
         bound = (48.0 / (eps0 * eps0)) * (rho / delta0_prime) ** 2
         cap = math.ceil(bound) if math.isfinite(bound) else DEFAULT_PHASE_CAP
@@ -259,12 +224,13 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
 
     points = np.hstack([system.a, -system.b[:, None]])
     instance = HullInstance(points, np.zeros(n))
-    if start_coeffs is not None:
-        iterate = make_iterate(instance, start_coeffs)
+    if phase1 is not None:
+        # Embed the witness in the enlarged hull: coefficient of -b starts at 0.
+        iterate = make_iterate(instance, np.append(phase1.iterate.coeffs, 0.0))
     else:
         iterate = initial_iterate(instance, hull_cfg)
 
-    trace: list[SolveTraceRecord] | None = [] if config.record_trace else None
+    trace: list[TraceRecord] | None = [] if config.record_trace else None
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
     steps = 0
@@ -300,9 +266,7 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
             residual = system.residual_norm(x0)
             if residual <= threshold:
                 if trace is not None:
-                    trace.append(
-                        SolveTraceRecord(steps, 0.0, residual, alpha_b, None, False)
-                    )
+                    trace.append(TraceRecord(steps, 0.0, residual, alpha_b, None, False))
                 return outcome(CONVERGED, x0, residual)
             if at_target:
                 # Only reachable when the supplied delta0' overstated the
@@ -313,9 +277,7 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
         if j is None:
             witness = check_witness(instance, iterate)
             if trace is not None:
-                trace.append(
-                    SolveTraceRecord(steps, 0.0, iterate.gap, alpha_b, None, True)
-                )
+                trace.append(TraceRecord(steps, 0.0, iterate.gap, alpha_b, None, True))
             return outcome(INFEASIBLE_NONNEG, witness=witness)
         if steps >= cap:
             diagnostics["last_gap"] = iterate.gap
@@ -325,7 +287,5 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
         steps += 1
         if trace is not None:
             trace.append(
-                SolveTraceRecord(
-                    steps, 0.0, iterate.gap, float(iterate.coeffs[-1]), j, False
-                )
+                TraceRecord(steps, 0.0, iterate.gap, float(iterate.coeffs[-1]), j, False)
             )

@@ -12,8 +12,9 @@ import pytest
 
 import hullsolve
 from helpers import example1_system, example2_system, invertible_system
-from hullsolve import LinearSystem, analyze_system
+from hullsolve import LinearSystem, SolveConfig, analyze_system
 from hullsolve.oracles import delta_brute, linear_system_oracle
+from hullsolve.two_phase import _phase1_outcome
 
 
 class TestDelta0LowerBound:
@@ -48,6 +49,28 @@ class TestDelta0LowerBound:
         assert analysis.delta0_lower_stated == pytest.approx(
             25.0 / math.sqrt(2.0), rel=1e-9
         )
+
+    @pytest.mark.parametrize("k", [-500, 0, 500])
+    def test_scales_with_the_matrix(self, k):
+        # sqrt(lambda_min / n) is linear in the scale of A, as the hull
+        # distance it bounds is. Example 1: Q = [[13, -4], [-4, 5]],
+        # lambda_min = 9 - 4 sqrt(2), rho = ||b|| = sqrt(17).
+        base = example1_system()
+        system = LinearSystem(np.ldexp(base.a, k), np.ldexp(base.b, k))
+        expected = math.sqrt((9.0 - 4.0 * math.sqrt(2.0)) / 2.0) / math.sqrt(17.0)
+        ratio = analyze_system(system).delta0_lower / system.rho
+        assert ratio == pytest.approx(expected, rel=1e-12)
+
+    def test_below_phase1_witness_gap(self):
+        # A witness gap bounds the hull distance from above, so it bounds
+        # delta0_lower too.
+        rng = np.random.default_rng(1)
+        for n in (5, 20, 50):
+            a = rng.normal(size=(n, n))
+            system = LinearSystem(a / np.sqrt(np.einsum("ij,ij->j", a, a)), np.ones(n))
+            outcome = _phase1_outcome(system, SolveConfig(epsilon0=1e-3))
+            assert outcome.witness is not None
+            assert 0.0 < analyze_system(system).delta0_lower <= outcome.iterate.gap
 
     def test_min_eigenvector_orthogonal_to_ones(self):
         # Q = [[2,1],[1,2]] has lambda_min = 1 with eigenvector (1,-1),
@@ -124,7 +147,8 @@ class TestTauStarBounds:
         a = rng.normal(size=(n, n)) * 1e9 + 1e10 * np.eye(n)
         system = LinearSystem(a, rng.normal(size=n) * 1e9)
         analysis = analyze_system(system)
-        assert float(np.log(analysis.q_norms).sum()) > 709.0
+        q = system.a.T @ system.a
+        assert float(np.log(np.linalg.norm(q, axis=0)).sum()) > 709.0
         assert math.isfinite(analysis.log_tau_star)
         assert math.isfinite(analysis.log_tau_star_prime)
 

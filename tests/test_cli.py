@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from helpers import example2_system, reference_run_hull
 from hullsolve import cli, matio
 from hullsolve.cli import main
-from hullsolve.hull import DegeneratePivot
+from hullsolve.hull import NOT_IN_HULL, DegeneratePivot, HullConfig, HullInstance, run_hull
 from hullsolve.matio import (
     DimensionMismatch,
     ParseError,
@@ -330,6 +331,44 @@ class TestHullCommand:
         assert code == 0
 
 
+    @pytest.mark.parametrize(
+        "spread, max_iters, status",
+        [(0.0, None, "in_hull_approx"), (1.5, None, "not_in_hull"), (0.0, 3, "cap_exceeded")],
+    )
+    def test_trace_rows_match_run_hull(self, tmp_path, spread, max_iters, status):
+        # One row per step, i,0.0,gap,,pivot,0, then the verdict row.
+        rng = np.random.default_rng(19)
+        points = rng.normal(size=(3, 8))
+        center = points.mean(axis=1)
+        target = center + spread * (points[:, 3] - center)
+        points_path, target_path = tmp_path / "pts.txt", tmp_path / "q.txt"
+        trace_path = tmp_path / "trace.csv"
+        points_path.write_text("3 8\n" + "\n".join(" ".join("%.17g" % v for v in row) for row in points))
+        target_path.write_text("3 1\n" + "\n".join("%.17g" % v for v in target))
+        argv = ["hull", "--points", str(points_path), "--target", str(target_path),
+                "--trace", str(trace_path)]
+        if max_iters is not None:
+            argv += ["--max-iters", str(max_iters)]
+        main(argv)
+        instance = HullInstance(points, target)
+        config = HullConfig(epsilon=1e-2, max_iterations=max_iters)
+        outcome = run_hull(instance, config)
+        assert outcome.status == status and outcome.iterations > 0
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()]
+        assert rows[0] == TRACE_HEADER.split(",")
+        steps, verdict = rows[1:-1], rows[-1]
+        assert [int(r[0]) for r in steps] == list(range(1, outcome.iterations + 1))
+        assert all(r[1] == "0.0" and r[3] == "" and r[5] == "0" for r in steps)
+        assert [int(r[4]) for r in steps] == reference_run_hull(instance, config)["pivots"]
+        gaps = [float(r[2]) for r in steps]
+        assert gaps == sorted(gaps, reverse=True)
+        assert gaps[-1] == outcome.iterate.gap
+        assert verdict == [
+            str(outcome.iterations), "0.0", repr(outcome.iterate.gap), "", "",
+            "1" if outcome.status == NOT_IN_HULL else "0",
+        ]
+
+
 class TestotherCommands:
     def test_analyze(self, ex2_files, tmp_path):
         matrix, rhs = ex2_files
@@ -437,6 +476,19 @@ class TestNoTraceback:
         matrix, rhs = ex1_files
         assert main(["analyze", "--matrix", matrix, "--rhs", rhs]) == 2
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+
+    def test_underflowing_matrix_exit_two(self, tmp_path, capsys):
+        # Example 2 at 2^-540: the squares of every entry underflow to 0,
+        # although no column is zero.
+        system = example2_system()
+        a, b = np.ldexp(system.a, -540), np.ldexp(system.b, -540)
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        matrix.write_text("2 2\n%.17g %.17g\n%.17g %.17g\n" % tuple(a.ravel()))
+        rhs.write_text("2 1\n%.17g\n%.17g\n" % tuple(b))
+        assert main(["solve", "--matrix", str(matrix), "--rhs", str(rhs)]) == 2
+        assert capsys.readouterr().err == (
+            "error: matrix too small: a squared norm underflows to 0; rescale the input\n"
+        )
 
     def test_degenerate_pivot_exit_two(self, tmp_path, monkeypatch, capsys):
         def run_hull(instance, config):

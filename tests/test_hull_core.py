@@ -377,7 +377,9 @@ class TestRunHull:
         outcome = run_hull(instance, config)
         assert len(outcome.trace) == outcome.iterations
         assert outcome.trace[0].pivot == 1
-        assert outcome.trace[0].step == pytest.approx(0.25, abs=1e-15)
+        # Step 0.25 from the centroid toward a2 lands on the origin.
+        assert outcome.trace[0].value == pytest.approx(0.0, abs=1e-15)
+        assert np.allclose(outcome.iterate.coeffs, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_approximation_certificate_vertex(self):
         rng = np.random.default_rng(29)
@@ -388,6 +390,15 @@ class TestRunHull:
             assert outcome.status == IN_HULL_APPROX
             j = outcome.certifying_vertex
             assert outcome.iterate.gap <= 0.1 * instance.distance_to_point(j)
+
+    def test_overflowing_target_rejected(self):
+        # ||p||^2 overflows at this scale; the run reported in_hull_approx
+        # at gap inf.
+        rng = np.random.default_rng(37)
+        points = np.ldexp(rng.normal(size=(3, 6)), 509)
+        target = np.ldexp(np.full(3, 10.0), 509)
+        with pytest.raises(ValueError, match="target too large"):
+            run_hull(HullInstance(points, target), HullConfig(epsilon=0.01))
 
     def test_radius_matches_max_distance(self):
         rng = np.random.default_rng(31)

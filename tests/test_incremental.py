@@ -298,6 +298,33 @@ class TestSolveIncremental:
         assert first_step.pivot == 0
         assert first_step.alpha_b == pytest.approx(11.0 / 52.0, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "policy, hook, expected",
+        [
+            ("quantized", math.floor,
+             [(215, [0.0, 1.0]), (129, [0.0, 1.0, 2.0]), (613, [0.0, 2.0, 3.0])]),
+            ("quantized", lambda tau: 0.0,
+             [(215, [0.0, 1.0]), (129, [0.0, 1.0, 2.0]), (689, [0.0, 1.0, 2.0, 3.0])]),
+            (POLICY_DOUBLE_PLUS_ONE, math.floor,
+             [(215, [0.0, 1.0]), (297, [0.0, 1.0, 3.0]), (567, [0.0, 3.0])]),
+            (POLICY_DOUBLE_PLUS_ONE, lambda tau: 0.0,
+             [(215, [0.0, 1.0]), (297, [0.0, 1.0, 3.0]), (526, [0.0, 1.0, 3.0])]),
+        ],
+    )
+    def test_tau_hook_runs_repeat(self, policy, hook, expected):
+        # Step counts and shift sequences of hooked solves, pinned so that
+        # any change to the tau0 the hook post-processes shows.
+        rng = np.random.default_rng(61)
+        systems = [invertible_system(rng, n)[0] for n in (4, 7, 10)]
+        for system, (iterations, shifts) in zip(systems, expected):
+            outcome = solve_incremental(
+                system, SolveConfig(epsilon0=0.05), policy=policy, tau_hook=hook
+            )
+            assert outcome.status == CONVERGED
+            assert outcome.iterations == iterations
+            assert outcome.diagnostics["shifts"] == shifts
+            assert outcome.shift_t == shifts[-1]
+
     def test_nonnegative_solution_never_escalates(self):
         system = example1_system()
         config = SolveConfig(

@@ -9,16 +9,17 @@ from helpers import example1_system, example2_system, nonneg_system
 from hullsolve import (
     CONVERGED,
     INFEASIBLE_NONNEG,
+    SOLVE_CAP_EXCEEDED,
     HullConfig,
     HullInstance,
     LinearSystem,
     SolveConfig,
     ZeroInColumnHull,
     make_iterate,
-    phase1_witness,
     recover_solution,
     select_inner_epsilon,
     sensitivity_epsilon_prime,
+    solve_incremental,
     solve_nonneg,
 )
 from hullsolve.oracles import delta_brute
@@ -30,17 +31,40 @@ class TestLinearSystem:
         system = example2_system()
         assert system.rho == 3.0  # max(sqrt5, sqrt2, ||b||=3)
         assert system.rho >= system.norm_b
-        assert system.rho_of_t(0.0) == system.rho
         assert np.array_equal(system.u, system.a @ np.ones(2))
-        assert system.rho_of_t(2.0) == max(
-            system.max_column_norm, float(np.linalg.norm(system.b + 2 * system.u))
-        )
 
     def test_zero_column_rejected(self):
         from hullsolve import SingularMatrixError
 
         with pytest.raises(SingularMatrixError):
             LinearSystem(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0]))
+
+    def test_underflowing_columns_rejected_as_out_of_scale(self):
+        # No column of Example 2 at 2^-540 is zero, but every square of an
+        # entry underflows.
+        system = example2_system()
+        with pytest.raises(ValueError, match="too small"):
+            LinearSystem(np.ldexp(system.a, -540), np.ldexp(system.b, -540))
+
+    def test_overflowing_rhs_rejected_before_incremental_solve(self):
+        # ||b||^2 of Example 2 at 2^511 overflows: rho would be inf and any
+        # x would pass the residual test.
+        system = example2_system()
+        with pytest.raises(ValueError, match="too large"):
+            solve_incremental(
+                LinearSystem(np.ldexp(system.a, 511), np.ldexp(system.b, 511)),
+                SolveConfig(),
+            )
+
+    def test_overflowing_columns_rejected_before_nonneg_solve(self):
+        # A column of Example 1 at 2^511 has a squared norm past double
+        # range; Phase 1 would report the origin in the hull at gap inf.
+        system = example1_system()
+        with pytest.raises(ValueError, match="too large"):
+            solve_nonneg(
+                LinearSystem(np.ldexp(system.a, 511), np.ldexp(system.b, 511)),
+                SolveConfig(),
+            )
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -120,17 +144,24 @@ class TestRecoverSolution:
             recover_solution(self._iterate(system, [0.5, 0.5, 0.0]), system)
 
 
+def _phase1_witness(system, config):
+    """Phase 1's witness and delta0' = gap / 2."""
+    outcome = _phase1_outcome(system, config)
+    assert outcome.witness is not None
+    return outcome.witness, 0.5 * outcome.iterate.gap
+
+
 class TestPhase1:
     def test_unit_basis_segment(self):
         system = LinearSystem(np.eye(2), np.array([1.0, 1.0]))
-        witness, delta0p = phase1_witness(system, SolveConfig(epsilon0=1e-6))
+        witness, delta0p = _phase1_witness(system, SolveConfig(epsilon0=1e-6))
         exact = 1.0 / np.sqrt(2.0)
         assert 0.0 < delta0p <= exact * (1 + 1e-12)
         assert (witness.margins < 0.0).all()
 
     def test_example2_columns_witness_inequalities(self):
         system = example2_system()
-        witness, _ = phase1_witness(system, SolveConfig(epsilon0=1e-8))
+        witness, _ = _phase1_witness(system, SolveConfig(epsilon0=1e-8))
         p_prime = witness.iterate.point
         half_sq = 0.5 * float(p_prime @ p_prime)
         for col in system.a.T:
@@ -141,13 +172,13 @@ class TestPhase1:
             np.array([[1.0, -1.0], [0.0, 0.0]]), np.array([1.0, 0.0])
         )
         with pytest.raises(ZeroInColumnHull):
-            phase1_witness(system, SolveConfig(epsilon0=1e-4))
+            solve_nonneg(system, SolveConfig(epsilon0=1e-4))
 
     def test_bracket_against_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             system, _ = nonneg_system(rng, 3)
-            _, delta0p = phase1_witness(system, SolveConfig(epsilon0=1e-6))
+            _, delta0p = _phase1_witness(system, SolveConfig(epsilon0=1e-6))
             delta0 = delta_brute(system.a, np.zeros(3), grid_k=150)
             assert delta0p <= delta0 * (1 + 1e-6) + 1e-9
             assert delta0 <= 2.0 * delta0p * (1 + 1e-6) + 1e-9
@@ -217,6 +248,20 @@ class TestSolveNonneg:
             delta0p = 0.5 * outcome1.iterate.gap
             cap = math.ceil((48.0 / 0.1**2) * (system.rho / delta0p) ** 2)
             assert outcome1.iterations <= cap
+
+    def test_phase1_cap_ends_the_solve(self):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(20, 20))
+        a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+        system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
+        config = SolveConfig(epsilon0=0.01, hull=HullConfig(max_iterations=2))
+        outcome = solve_nonneg(system, config)
+        assert outcome.status == SOLVE_CAP_EXCEEDED
+        assert outcome.iterations == 2
+        assert outcome.diagnostics == {
+            "phase1": "phase 1 exceeded 2 iterations without a verdict"
+        }
+        assert outcome.x is None and outcome.phase1_delta0_prime is None
 
     def test_user_delta0_policy(self):
         rng = np.random.default_rng(12)
