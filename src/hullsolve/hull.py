@@ -17,7 +17,8 @@ Each iterate carries its products v_i^T p' with every point, kept up to date
 through the Gram column of each step's pivot, so a pivot search costs O(n)
 rather than the O(dim n) of recomputing V^T (p - p'). Only when those margins
 show no pivot are the margins recomputed from the points, and the
-recomputed ones decide; witness margins always come from the points.
+recomputed ones decide; witness margins always come from the points. Gram
+columns come from one V^T V, or per visited pivot on a wide set (n > 2 dim).
 """
 
 from __future__ import annotations
@@ -68,15 +69,6 @@ CAP_EXCEEDED = "cap_exceeded"
 # Negative convex coefficients smaller than this in magnitude are rounding
 # dust and are clamped to zero before renormalizing.
 COEFF_DUST = 1e-15
-
-# A first visit to a pivot fills the unfilled Gram columns of its block of
-# this many consecutive points (fewer when the dimension is smaller) with
-# one matrix product, when there are at most twice as many points as
-# dimensions: then the whole Gram matrix is at most twice the size of the
-# points, and most columns get visited, as for a linear system's n + 1
-# points in n dimensions. A wider set fills one column per visited pivot,
-# since a block would store up to GRAM_BLOCK columns for each.
-GRAM_BLOCK = 64
 
 # Largest squared norm of a point or target: below it ||p - v||^2 <= 4 max
 # and the other sums the solvers form stay finite.
@@ -137,13 +129,12 @@ class HullInstance:
         self.target = target
         self.target_dots = points.T @ target  # p^T v_i, fixed for the run
         self.target_sq = float(target @ target)
-        # Filled Gram columns, one per row of _gram in fill order; the
-        # point of each used row, and the row of each point's column (-1
-        # while unfilled).
-        self._gram = np.empty((0, n))
-        self._gram_point = np.empty(n, dtype=np.intp)
-        self._gram_slot = np.full(n, -1, dtype=np.intp)
-        self._gram_used = 0
+        # V^T V, computed whole at first use on a set of at most 2 dim points
+        # (at most twice the points' memory); a wider set keeps one column
+        # per visited pivot.
+        self._narrow = n <= 2 * m
+        self._gram: np.ndarray | None = None
+        self._gram_cols: dict[int, np.ndarray] = {}
 
     @property
     def n_points(self) -> int:
@@ -165,62 +156,38 @@ class HullInstance:
         return float(np.sqrt(d @ d))
 
     def gram_column(self, j: int) -> np.ndarray:
-        """v_i^T v_j for all i, in O(1) once column j is filled.
-
-        The first call for j fills column j, in O(dim n); when there are
-        at most 2 dim points, it fills every unfilled column of j's block of
-        min(GRAM_BLOCK, dim) consecutive points with the same matrix
-        product. Storage grows with the columns or blocks visited. The
-        returned array is a row of the memo itself; do not modify it, and
-        do not keep it across calls that may fill more columns.
-        """
-        slot = self._gram_slot[j]
-        if slot < 0:
-            self._fill_block(j)
-            slot = self._gram_slot[j]
-        return self._gram[slot]
-
-    def _reserve(self, columns: np.ndarray) -> slice:
-        """Memo rows for the given unfilled columns, growing it geometrically
-        up to one row per point."""
-        start = self._gram_used
-        need = start + columns.size
-        if need > self._gram.shape[0]:
-            rows = min(max(need, 2 * self._gram.shape[0]), self.n_points)
-            grown = np.empty((rows, self.n_points))
-            grown[:start] = self._gram[:start]
-            self._gram = grown
-        self._gram_used = need
-        self._gram_point[start:need] = columns
-        self._gram_slot[columns] = np.arange(start, need)
-        return slice(start, need)
-
-    def _fill_block(self, j: int) -> None:
-        width = min(GRAM_BLOCK, self.dim) if self.n_points <= 2 * self.dim else 1
-        first = j - j % width
-        block = np.arange(first, min(first + width, self.n_points))
-        block = block[self._gram_slot[block] < 0]
-        rows = self._reserve(block)
-        np.matmul(self.points[:, block].T, self.points, out=self._gram[rows])
+        """v_i^T v_j for all i, stored at the first call that needs it: the
+        whole Gram matrix, in O(dim n^2), on a set of at most 2 dim points,
+        else column j, in O(dim n). Do not modify the returned array."""
+        if self._narrow:
+            if self._gram is None:
+                self._gram = self.points.T @ self.points
+            return self._gram[j]
+        column = self._gram_cols.get(j)
+        if column is None:
+            column = self._gram_cols[j] = (self.points[:, [j]].T @ self.points)[0]
+        return column
 
     def move_last_point(self, point: np.ndarray, products: np.ndarray) -> None:
-        """Replace the last point in place, in O(n + dim).
+        """Replace the last point in place.
 
         products holds the new point's inner products with every point,
-        itself last; the caller computes them, typically in O(n) from
-        quantities it already has. They become the last entry of every
-        filled Gram column and the last point's own column, bit for bit,
-        in two vectorised writes. Iterates built on the old point are not
-        updated.
+        itself last, as the caller computes them. They become, bit for bit,
+        the last point's Gram column and the last entry of every other
+        stored one; a narrow set computes its Gram matrix first if no call
+        has. Iterates built on the old point are not updated.
         """
         last = self.n_points - 1
         self.points[:, last] = point
         self.target_dots[last] = self.target.dot(point)
-        used = self._gram_used
-        self._gram[:used, last] = products[self._gram_point[:used]]
-        if self._gram_slot[last] < 0:
-            self._reserve(np.array([last]))
-        self._gram[self._gram_slot[last]] = products
+        if self._narrow:
+            self.gram_column(last)
+            self._gram[:, last] = products
+            self._gram[last] = products
+        else:
+            for j, column in self._gram_cols.items():
+                column[last] = products[j]
+            self._gram_cols[last] = np.array(products, dtype=float)
 
 
 @dataclass
@@ -435,8 +402,8 @@ def apply_step(
 ) -> Iterate:
     """New iterate after pulling toward pivot j with step alpha in [0, 1].
 
-    The products move with the point, through the Gram column of j: O(n),
-    plus O(dim n) on the first visit to j.
+    The products move with the point, through the Gram column of j: O(n)
+    once that column is computed (see HullInstance.gram_column).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -475,6 +442,7 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     cap = config.resolved_cap()
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
+    witness = certifying_vertex = None
     while True:
         j = find_pivot(instance, iterate, config.pivot_rule)
         if j is not None:
@@ -483,41 +451,27 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
             diffs = instance.points - instance.target[:, None]
             reference_vertex = int(np.argmin(np.einsum("ij,ij->j", diffs, diffs)))
         if iterate.gap <= config.epsilon * instance.distance_to_point(reference_vertex):
-            return HullOutcome(
-                status=IN_HULL_APPROX,
-                iterate=iterate,
-                iterations=steps,
-                initial_gap_delta0=delta0,
-                certifying_vertex=reference_vertex,
-                trace=trace,
-            )
+            status, certifying_vertex = IN_HULL_APPROX, reference_vertex
+            break
         if j is None:
-            witness = check_witness(instance, iterate)
-            return HullOutcome(
-                status=NOT_IN_HULL,
-                iterate=iterate,
-                iterations=steps,
-                initial_gap_delta0=delta0,
-                witness=witness,
-                trace=trace,
-            )
+            status, witness = NOT_IN_HULL, check_witness(instance, iterate)
+            break
         if steps >= cap:
-            return HullOutcome(
-                status=CAP_EXCEEDED,
-                iterate=iterate,
-                iterations=steps,
-                initial_gap_delta0=delta0,
-                trace=trace,
-            )
+            status = CAP_EXCEEDED
+            break
         alpha = step_size(instance.target, iterate, instance.points[:, j])
         iterate = apply_step(instance, iterate, j, alpha)
         steps += 1
         if trace is not None:
             trace.append(TraceRecord(steps, 0.0, iterate.gap, None, j, False))
+    return HullOutcome(status, iterate, steps, delta0, witness, certifying_vertex, trace)
 
 
 def iteration_cap_from_bound(epsilon: float) -> int:
     """Worst-case iteration count ceil(48 / epsilon^2) for membership runs."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    return math.ceil(48.0 / (epsilon * epsilon))
+    bound = 48.0 / (epsilon * epsilon) if epsilon * epsilon > 0.0 else math.inf
+    if bound == math.inf:
+        raise ValueError(f"epsilon {epsilon!r} is too small for 48 / epsilon^2; set a cap")
+    return math.ceil(bound)

@@ -123,8 +123,8 @@ class SolveConfig:
         if self.delta0_policy not in (DELTA0_FROM_PHASE1, DELTA0_USER, DELTA0_SKIP):
             raise ValueError(f"unknown delta0 policy {self.delta0_policy!r}")
         if self.delta0_policy == DELTA0_USER:
-            if self.delta0_user is None or self.delta0_user <= 0.0:
-                raise ValueError("delta0_policy 'user' requires a positive delta0_user")
+            if self.delta0_user is None or not 0.0 < self.delta0_user < np.inf:
+                raise ValueError("delta0_policy 'user' requires a finite positive delta0_user")
 
 
 @dataclass

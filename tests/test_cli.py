@@ -500,3 +500,39 @@ class TestNoTraceback:
         target.write_text("2 1\n2\n2\n")
         assert main(["hull", "--points", str(points), "--target", str(target)]) == 2
         assert "error: pivot coincides" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["1e-200", "1e-160"])
+    def test_tiny_epsilon_exit_two(self, tmp_path, capsys, epsilon):
+        # 48 / epsilon^2, the default cap, divides by zero or overflows.
+        points, target = tmp_path / "square.txt", tmp_path / "p.txt"
+        points.write_text("2 4\n0 1 0 1\n0 0 1 1\n")
+        target.write_text("2 1\n0.3\n0.6\n")
+        argv = ["hull", "--points", str(points), "--target", str(target), "--epsilon", epsilon]
+        assert main(argv) == 2
+        assert f"epsilon {float(epsilon)!r} is too small" in capsys.readouterr().err
+
+    def test_tiny_epsilon_with_a_cap_runs(self, tmp_path):
+        points, target = tmp_path / "square.txt", tmp_path / "p.txt"
+        points.write_text("2 4\n0 1 0 1\n0 0 1 1\n")
+        target.write_text("2 1\n0.3\n0.6\n")
+        report_path = tmp_path / "hull.json"
+        argv = [
+            "hull", "--points", str(points), "--target", str(target), "--epsilon", "1e-200",
+            "--max-iters", "10", "--report", str(report_path),
+        ]
+        assert main(argv) == 1
+        report = json.loads(report_path.read_text())
+        assert (report["status"], report["iterations"]) == ("cap_exceeded", 10)
+        assert report["config"]["max_iterations"] == 10
+
+    @pytest.mark.parametrize("delta0", ["nan", "inf"])
+    def test_non_finite_delta0_exit_two(self, tmp_path, capsys, delta0):
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        matrix.write_text("2 2\n2 1\n1 3\n")
+        rhs.write_text("2 1\n1\n1\n")
+        argv = [
+            "solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", "nonneg",
+            "--epsilon0", "0.01", "--delta0", delta0,
+        ]
+        assert main(argv) == 2
+        assert "finite positive delta0_user" in capsys.readouterr().err

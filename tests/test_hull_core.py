@@ -262,42 +262,43 @@ class TestApplyStep:
 
 
 class TestGramMemo:
-    """Gram columns live in one array, filled a block at a time."""
+    """Gram columns are stored at their first request and move with the
+    last point."""
 
     @staticmethod
-    def _filled(instance):
-        return np.flatnonzero(instance._gram_slot >= 0)
-
-    def _assert_matches_fresh(self, instance):
-        for j in self._filled(instance):
-            fresh = instance.points.T @ instance.points[:, j]
+    def _assert_rows_are_products(instance, points, columns):
+        for j in columns:
+            fresh = points.T @ points[:, j]
             scale = np.abs(fresh).max()
             assert np.abs(instance.gram_column(j) - fresh).max() <= 1e-12 * scale
 
-    def test_block_fills_and_moves_track_fresh_products(self):
+    def test_first_request_serves_every_row(self):
         rng = np.random.default_rng(61)
         dim, n = 100, 150
         instance = HullInstance(rng.normal(size=(dim, n)), rng.normal(size=dim))
+        original = instance.points.copy()
         instance.gram_column(70)
-        # The first visit filled the whole block of 64 around the pivot.
-        assert self._filled(instance).tolist() == list(range(64, 128))
-        instance.gram_column(149)  # the last block has 22 points
-        assert self._filled(instance).size == 64 + 22
-        self._assert_matches_fresh(instance)
+        # Rows served from the points now would be zero: every row must
+        # have come from the first request.
+        instance.points[:] = 0.0
+        self._assert_rows_are_products(instance, original, range(n))
+        instance.points[:] = original
         for step in range(30):
             point = rng.normal(size=dim)
             products = np.append(instance.points[:, :-1].T @ point, point @ point)
             instance.move_last_point(point, products)
-            if step % 3 == 0:
-                instance.gram_column(int(rng.integers(n)))
-            self._assert_matches_fresh(instance)
-        assert self._filled(instance).size > 64 + 22
+            self._assert_rows_are_products(instance, instance.points, range(n))
 
-    def test_moved_row_and_column_are_the_products(self):
+    @pytest.mark.parametrize(
+        "dim, visits",
+        [(5, (0, 7, 21)), (30, (0, 7, 21)), (30, ())],
+        ids=["wide", "narrow", "narrow-move-first"],
+    )
+    def test_moved_row_and_column_are_the_products(self, dim, visits):
         rng = np.random.default_rng(63)
-        dim, n = 5, 40
+        n = 40
         instance = HullInstance(rng.normal(size=(dim, n)), rng.normal(size=dim))
-        for j in (0, 7, 21):
+        for j in visits:
             instance.gram_column(j)
         for _ in range(3):
             point = rng.normal(size=dim)
@@ -307,13 +308,13 @@ class TestGramMemo:
             products[-1] = point @ point
             instance.move_last_point(point, products)
             assert instance.gram_column(n - 1).tobytes() == products.tobytes()
-            for j in self._filled(instance):
+            for j in visits:
                 assert instance.gram_column(j)[n - 1] == products[j]
 
     @pytest.mark.parametrize("dim", [3, 64])
     def test_wide_point_set_stores_visited_columns(self, dim):
         # 20,000 points: one column per visited pivot, far below the
-        # 3.2 GB of a full Gram matrix and the 64 columns a block holds.
+        # 3.2 GB of a full Gram matrix.
         rng = np.random.default_rng([65, dim])
         n = 20_000
         points = rng.normal(size=(dim, n))
@@ -328,12 +329,18 @@ class TestGramMemo:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        visited = {record.pivot for record in outcome.trace}
+        visited = sorted({record.pivot for record in outcome.trace})
         assert len(visited) >= 20
-        assert self._filled(instance).tolist() == sorted(visited)
-        assert instance._gram.shape[0] <= 2 * len(visited)
         assert peak <= (4 * len(visited) + 2 * dim + 10) * n * 8
         assert peak < n * n * 8 / 20
+        # With the points zeroed, a stored column keeps its products and
+        # a column computed now is zero.
+        original = instance.points.copy()
+        instance.points[:] = 0.0
+        self._assert_rows_are_products(instance, original, visited)
+        unvisited = np.setdiff1d(np.arange(n), visited)[:: n // 10]
+        for j in unvisited:
+            assert not instance.gram_column(j).any()
 
 
 class TestRunHull:

@@ -1,8 +1,11 @@
-"""Every name a hullsolve module imports is used there or re-exported.
+"""Static checks on the hullsolve modules, with the stdlib ast module.
 
-A stdlib stand-in for a linter's unused-import rule: each module under
-src/hullsolve except the package __init__ must use each name it imports
-(load it, or read an attribute of it), or list it in __all__.
+- A stand-in for a linter's unused-import rule: each module under
+  src/hullsolve except the package __init__ must use each name it imports
+  (load it, or read an attribute of it), or list it in __all__.
+- Every name a module lists in __all__ is defined at its module level.
+- No module but cli calls print: the library reports through its return
+  values and logging.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hullsolve"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,6 +39,34 @@ def unused_imports(source: str) -> list[str]:
     return sorted(name for name in imported if name not in used | exported)
 
 
+def undefined_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined: set[str] = set()
+    exported: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
+
+
+def print_calls(source: str) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+    ]
+
+
 def test_check_finds_unused_names():
     source = "import os\nimport sys\nfrom math import pi, tau\n__all__ = ['tau']\nsys.exit(0)\n"
     assert unused_imports(source) == ["os", "pi"]
@@ -43,3 +75,21 @@ def test_check_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checks_find_undefined_exports_and_prints():
+    source = "import os\nX = 1\n__all__ = ['X', 'os', 'gone']\ndef f():\n    print(X)\n"
+    assert undefined_exports(source) == ["gone"]
+    assert print_calls(source) == [5]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_defines_its_exports(path):
+    assert undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "cli.py"], ids=lambda p: p.name
+)
+def test_library_module_does_not_print(path):
+    assert print_calls(path.read_text(encoding="utf-8")) == []
