@@ -144,12 +144,6 @@ class HullInstance:
     def dim(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def radius_R(self) -> float:
-        """max_i ||p - v_i||, the R of the iteration bounds."""
-        diffs = self.points - self.target[:, None]
-        return float(np.sqrt(np.einsum("ij,ij->j", diffs, diffs).max()))
-
     def distance_to_point(self, j: int) -> float:
         """||p - v_j||."""
         d = self.target - self.points[:, j]
@@ -223,7 +217,7 @@ class TraceRecord:
     """One row of a hull or solve trace.
 
     t is the shift (0.0 outside the incremental solver); value is the hull
-    gap, or the solvers' residual estimate, by context; alpha_b is the
+    gap, or the incremental solver's residual estimate; alpha_b is the
     coefficient of -b (None in a hull run); pivot is None on a row that
     records a verdict or a shift, and witness marks a witness.
     """
@@ -407,21 +401,15 @@ def apply_step(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if alpha == 1.0:
-        # Exact jump to the vertex: the combination collapses to e_j.
-        coeffs = np.zeros(instance.n_points)
-        coeffs[j] = 1.0
-        point = instance.points[:, j].copy()
-        dots = instance.gram_column(j).copy()
-    else:
-        # A fresh nonnegative array: clamp the dust and renormalise in
-        # place, which is what _clean_coeffs returns for it, bit for bit.
-        coeffs = (1.0 - alpha) * iterate.coeffs
-        coeffs[j] += alpha
-        coeffs[coeffs < COEFF_DUST] = 0.0
-        coeffs /= coeffs.sum()
-        point = (1.0 - alpha) * iterate.point + alpha * instance.points[:, j]
-        dots = (1.0 - alpha) * iterate.dot_cache + alpha * instance.gram_column(j)
+    # A fresh nonnegative array: clamp the dust and renormalise in place,
+    # which is what _clean_coeffs returns for it, bit for bit. At alpha = 1
+    # the mixing gives e_j, the pivot and its Gram column exactly.
+    coeffs = (1.0 - alpha) * iterate.coeffs
+    coeffs[j] += alpha
+    coeffs[coeffs < COEFF_DUST] = 0.0
+    coeffs /= coeffs.sum()
+    point = (1.0 - alpha) * iterate.point + alpha * instance.points[:, j]
+    dots = (1.0 - alpha) * iterate.dot_cache + alpha * instance.gram_column(j)
     gap = vector_norm(instance.target - point)
     return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
 
@@ -467,11 +455,16 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     return HullOutcome(status, iterate, steps, delta0, witness, certifying_vertex, trace)
 
 
-def iteration_cap_from_bound(epsilon: float) -> int:
-    """Worst-case iteration count ceil(48 / epsilon^2) for membership runs."""
+def iteration_cap_from_bound(epsilon: float, ratio: float = 1.0) -> int:
+    """Worst-case iteration count ceil((48 / epsilon^2) ratio^2): the
+    membership bound at ratio 1, Phase 2's at ratio rho / delta0'."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    bound = 48.0 / (epsilon * epsilon) if epsilon * epsilon > 0.0 else math.inf
-    if bound == math.inf:
-        raise ValueError(f"epsilon {epsilon!r} is too small for 48 / epsilon^2; set a cap")
+    eps_sq = epsilon * epsilon
+    bound = (48.0 / eps_sq) * (ratio * ratio) if eps_sq > 0.0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(
+            f"epsilon {epsilon!r} is too small for the iteration bound (48 / epsilon^2) "
+            f"{ratio!r}^2; set max_iterations (--max-iters)"
+        )
     return math.ceil(bound)

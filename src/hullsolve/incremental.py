@@ -27,7 +27,6 @@ import numpy as np
 
 from . import bounds
 from .hull import (
-    HullConfig,
     HullInstance,
     Iterate,
     TraceRecord,
@@ -46,7 +45,7 @@ from .system import (
     SolveConfig,
     SolveOutcome,
 )
-from .two_phase import DEFAULT_PHASE_CAP, PROXY_MARGIN, AlphaBVanishes
+from .two_phase import DEFAULT_PHASE_CAP, PROXY_MARGIN, AlphaBVanishes, recover_solution
 
 __all__ = [
     "POLICY_QUANTIZED",
@@ -63,8 +62,6 @@ __all__ = [
 
 POLICY_QUANTIZED = "quantized"
 POLICY_DOUBLE_PLUS_ONE = "double_plus_one"
-
-DEFAULT_ESCALATION_CAP = 10**6
 
 # Floor on the shift increase per escalation, guarding against a root that
 # lands on the current shift through roundoff.
@@ -295,10 +292,10 @@ def _default_escalation_cap(system: LinearSystem) -> int:
     analysis = bounds.analyze_system(system)
     log_prime = analysis.log_tau_star_prime
     if analysis.near_singular or not math.isfinite(log_prime):
-        return DEFAULT_ESCALATION_CAP
-    if log_prime < math.log(DEFAULT_ESCALATION_CAP / 10.0):
+        return DEFAULT_PHASE_CAP
+    if log_prime < math.log(DEFAULT_PHASE_CAP / 10.0):
         return math.ceil(10.0 * max(math.exp(log_prime), 1.0))
-    return DEFAULT_ESCALATION_CAP
+    return DEFAULT_PHASE_CAP
 
 
 def solve_incremental(
@@ -311,22 +308,23 @@ def solve_incremental(
 ) -> SolveOutcome:
     """Solve A x = b with no sign assumption, to relative residual epsilon0.
 
-    The loop per pass: recover x0 from the iterate, move the shift to the
-    tau0 >= t0 minimizing E(t) = ||A x0 - (b + t u)||, in O(n) from the
-    iterate, and stop with x = x0 - t0 e once ||A x - b|| <= epsilon0 * rho.
+    The loop per pass: recover x0 from the iterate, move the shift t to the
+    tau0 >= t minimizing E(t) = ||A x0 - (b + t u)||, in O(n) from the
+    iterate, and stop with x = x0 - tau0 e once ||A x - b|| <= epsilon0 * rho.
     That residual costs O(n^2), so it is computed only when the estimate
-    E(tau0) = gap / alpha_b comes within PROXY_MARGIN of the target and, as
-    a backstop, once every n steps; it is the only stop test. When the
-    current shift already passes it, tau0 replaces it only with a smaller
-    residual. Otherwise take one Triangle step at the current shift, or,
-    when the iterate is a witness, raise the shift to the next quadratic
-    root (policy "quantized", increase rounded up to a multiple of quantum)
-    or to 2 t0 + 1 (policy "double_plus_one") and warm-start from the same
+    E = gap / alpha_b comes within PROXY_MARGIN of the target at t or at
+    tau0 and, as a backstop, once every n steps; it is the only stop
+    test. When the estimate at t was near and tau0 != t, the residual
+    at t is computed too, and t is kept when it passes and tau0's residual
+    is not smaller. Otherwise take one Triangle step at tau0, or, when the
+    iterate is a witness, raise the shift to the next quadratic root
+    (policy "quantized", increase rounded up to a multiple of quantum) or
+    to 2 t + 1 (policy "double_plus_one") and warm-start from the same
     coefficients.
 
     tau_hook, when given, post-processes that same tau0 (clamped below by
-    the current shift) and skips the check at the current shift; it exists
-    to reproduce hand-worked shift sequences in tests.
+    the current shift) and skips the estimate at the current shift; it
+    exists to reproduce hand-worked shift sequences in tests.
 
     Steps are capped by config.hull.max_iterations (DEFAULT_PHASE_CAP when
     unset), escalations by a cap from the a-priori shift bound tau'_*,
@@ -341,14 +339,13 @@ def solve_incremental(
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
     u_sq = float(system.u @ system.u)
-    hull_cfg = config.hull if config.hull is not None else HullConfig()
-    rule = hull_cfg.pivot_rule
+    rule = config.hull.pivot_rule
 
-    max_steps = hull_cfg.max_iterations or DEFAULT_PHASE_CAP
+    max_steps = config.hull.max_iterations or DEFAULT_PHASE_CAP
 
     t0 = 0.0
     instance = shifted_instance(system, t0)
-    iterate = initial_iterate(instance, hull_cfg)
+    iterate = initial_iterate(instance, config.hull)
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     escalations = 0
@@ -360,28 +357,16 @@ def solve_incremental(
         "max_steps": max_steps,
     }
 
-    def capped() -> SolveOutcome:
-        diagnostics.update(
-            escalations=escalations, reseeds=reseeds, shifts=shifts, last_t=t0
-        )
-        return SolveOutcome(
-            status=SOLVE_CAP_EXCEEDED,
-            iterations=steps,
-            shift_t=t0,
-            trace=trace,
-            diagnostics=diagnostics,
-        )
-
-    def converged(x: np.ndarray, residual: float) -> SolveOutcome:
-        if trace is not None:
-            trace.append(TraceRecord(steps, t0, residual, alpha_b, None, False))
+    def outcome(status, x=None, residual=None):
         diagnostics.update(escalations=escalations, reseeds=reseeds, shifts=shifts)
+        if status == SOLVE_CAP_EXCEEDED:
+            diagnostics["last_t"] = t0
         return SolveOutcome(
-            status=CONVERGED,
+            status=status,
             iterations=steps,
             x=x,
             residual_norm=residual,
-            relative_residual=residual / rho,
+            relative_residual=None if residual is None else residual / rho,
             shift_t=t0,
             trace=trace,
             diagnostics=diagnostics,
@@ -393,32 +378,30 @@ def solve_incremental(
             iterate = _reseed(instance, iterate)
             reseeds += 1
         alpha_b = float(iterate.coeffs[-1])
+        t = t0
+        near = tau_hook is None and iterate.gap / alpha_b <= proxy_gate
         tau0 = _optimal_shift(system, iterate, t0, u_sq)
         if tau_hook is not None:
             tau0 = max(t0, float(tau_hook(tau0)))
-        elif iterate.gap / alpha_b <= proxy_gate:
-            x0 = iterate.coeffs[:-1] / alpha_b
-            x = x0 - t0
-            residual = system.residual_norm(x)
-            if residual <= threshold:
-                # The current shift passes. Once x0 solves the system,
-                # u^T p' is rounding noise, so tau0 replaces the current
-                # shift only with a smaller residual.
-                if tau0 != t0:
-                    moved_x = x0 - tau0
-                    moved_residual = system.residual_norm(moved_x)
-                    if moved_residual < residual:
-                        x, residual, t0 = moved_x, moved_residual, tau0
-                return converged(x, residual)
         if tau0 != t0:
             iterate = move_shift(system, instance, iterate, t0, tau0)
             t0 = tau0
-        if iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
+        if near or iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
             # x = x0 - t0 e; the move kept the coefficients.
-            x = iterate.coeffs[:-1] / alpha_b - t0
+            x0 = recover_solution(iterate, system)
+            x = x0 - t0
             residual = system.residual_norm(x)
+            if near and t != t0:
+                # Once x0 solves the system, u^T p' is rounding noise, so
+                # tau0 replaces a passing shift t only with a smaller residual.
+                x_t = x0 - t
+                residual_t = system.residual_norm(x_t)
+                if residual_t <= min(residual, threshold):
+                    x, residual, t0 = x_t, residual_t, t
             if residual <= threshold:
-                return converged(x, residual)
+                if trace is not None:
+                    trace.append(TraceRecord(steps, t0, residual, alpha_b, None, False))
+                return outcome(CONVERGED, x, residual)
 
         # Step 2: witness check via pivot search; Step 3: shift escalation.
         j = find_pivot(instance, iterate, rule)
@@ -437,7 +420,7 @@ def solve_incremental(
             if diagnostics["max_escalations"] is None:
                 diagnostics["max_escalations"] = _default_escalation_cap(system)
             if escalations > diagnostics["max_escalations"]:
-                return capped()
+                return outcome(SOLVE_CAP_EXCEEDED)
             iterate = move_shift(system, instance, iterate, t0, new_t)
             t0 = new_t
             shifts.append(t0)
@@ -448,7 +431,7 @@ def solve_incremental(
             j = find_pivot(instance, iterate, rule)
 
         if steps >= max_steps:
-            return capped()
+            return outcome(SOLVE_CAP_EXCEEDED)
         alpha = step_size(instance.target, iterate, instance.points[:, j])
         iterate = apply_step(instance, iterate, j, alpha)
         steps += 1

@@ -113,7 +113,7 @@ class SolveConfig:
     epsilon0: float = 1e-8
     delta0_policy: str = DELTA0_FROM_PHASE1
     delta0_user: float | None = None
-    hull: HullConfig | None = None
+    hull: HullConfig = field(default_factory=HullConfig)
     residual_first: bool = True
     record_trace: bool = False
 

@@ -15,7 +15,6 @@ within rounding of the target and at least once every n steps.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from . import bounds
 from .hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
-    HullConfig,
     HullInstance,
     HullOutcome,
     Iterate,
@@ -32,6 +30,7 @@ from .hull import (
     check_witness,
     find_pivot,
     initial_iterate,
+    iteration_cap_from_bound,
     make_iterate,
     run_hull,
     step_size,
@@ -95,11 +94,10 @@ def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
     membership means the origin is within epsilon of the column hull, so A
     is singular or nearly so.
     """
-    base = config.hull if config.hull is not None else HullConfig()
     hull_cfg = dataclasses.replace(
-        base,
+        config.hull,
         epsilon=min(config.epsilon0, PHASE1_EPSILON_CEIL),
-        max_iterations=base.max_iterations or DEFAULT_PHASE_CAP,
+        max_iterations=config.hull.max_iterations or DEFAULT_PHASE_CAP,
         record_trace=False,
     )
     return run_hull(HullInstance(system.a, np.zeros(system.n)), hull_cfg)
@@ -187,8 +185,9 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     PROXY_MARGIN of the target and, as a backstop, once every n steps: O(n)
     a step amortised, and the exact residual stays the only stop test. The
     theoretically selected inner epsilon governs the iteration cap
-    cap = ceil((48 / epsilon0^2) (rho / delta0')^2), or DEFAULT_PHASE_CAP
-    where that overflows. A witness means no nonnegative solution exists.
+    cap = ceil((48 / epsilon0^2) (rho / delta0')^2), DEFAULT_PHASE_CAP
+    without delta0'; a bound that is not finite raises ValueError. A
+    witness means no nonnegative solution exists.
     """
     rho = system.rho
     eps0 = config.epsilon0
@@ -206,18 +205,17 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
         )
 
     inner_eps: float | None = None
-    eps_prime: float | None = None
-    if delta0_prime is not None and delta0_prime > 0.0:
+    if delta0_prime is not None:
         inner_eps = select_inner_epsilon(eps0, delta0_prime, system)
-        eps_prime = sensitivity_epsilon_prime(inner_eps, delta0_prime, system.norm_b)
-        diagnostics["epsilon_prime"] = eps_prime
+        diagnostics["epsilon_prime"] = sensitivity_epsilon_prime(
+            inner_eps, delta0_prime, system.norm_b
+        )
 
-    hull_cfg = config.hull if config.hull is not None else HullConfig()
+    hull_cfg = config.hull
     if hull_cfg.max_iterations is not None:
         cap = hull_cfg.max_iterations
-    elif delta0_prime is not None and delta0_prime > 0.0:
-        bound = (48.0 / (eps0 * eps0)) * (rho / delta0_prime) ** 2
-        cap = math.ceil(bound) if math.isfinite(bound) else DEFAULT_PHASE_CAP
+    elif delta0_prime is not None:
+        cap = iteration_cap_from_bound(eps0, rho / delta0_prime)
     else:
         cap = DEFAULT_PHASE_CAP
     diagnostics["phase2_cap"] = cap
@@ -262,7 +260,7 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
             config.residual_first
             and (iterate.gap / alpha_b <= proxy_gate or steps % n == 0)
         ):
-            x0 = iterate.coeffs[:-1] / alpha_b
+            x0 = recover_solution(iterate, system)
             residual = system.residual_norm(x0)
             if residual <= threshold:
                 if trace is not None:

@@ -154,6 +154,12 @@ def example2_system() -> LinearSystem:
     return LinearSystem(np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.0, -3.0]))
 
 
+def radius_R(instance: HullInstance) -> float:
+    """max_i ||p - v_i||, the R of the iteration bounds."""
+    diffs = instance.points - instance.target[:, None]
+    return float(np.sqrt(np.einsum("ij,ij->j", diffs, diffs).max()))
+
+
 def reference_margins(instance: HullInstance, point: np.ndarray) -> np.ndarray:
     """Pivot margins of the point, recomputed from the instance's points."""
     shift = 0.5 * (instance.target_sq - float(point @ point))

@@ -19,6 +19,7 @@ from helpers import (
     membership_instance,
     nonneg_system,
     outside_instance_2d,
+    radius_R,
     relative_interior_margin,
 )
 from hullsolve import (
@@ -198,7 +199,7 @@ def test_criterion_5_witness_soundness_and_bracket():
         instance = HullInstance(points, target)
         diffs = points - target[:, None]
         delta0 = float(np.sqrt(np.einsum("ij,ij->j", diffs, diffs).min()))
-        radius = instance.radius_R
+        radius = radius_R(instance)
         cap = math.ceil(
             8.0 * radius**2 / delta_exact**2
             * max(1.0, math.log(2.0 * delta0 / delta_exact))
@@ -292,7 +293,7 @@ def test_criterion_8_oracle_equivalence():
             )
             target = centroid + rng.uniform(-2.0, 2.0, 2) * radius
         instance = HullInstance(points, target)
-        if boundary_margin_2d(points, target) < epsilon * instance.radius_R:
+        if boundary_margin_2d(points, target) < epsilon * radius_R(instance):
             excluded += 1
             continue
         inside, delta = hull_membership_2d(points, target)
@@ -302,7 +303,7 @@ def test_criterion_8_oracle_equivalence():
             diffs = points - target[:, None]
             delta0 = float(np.sqrt(np.einsum("ij,ij->j", diffs, diffs).min()))
             cap = math.ceil(
-                8.0 * instance.radius_R**2 / delta**2
+                8.0 * radius_R(instance)**2 / delta**2
                 * max(1.0, math.log(2.0 * delta0 / delta))
             ) + 1
         outcome = run_hull(

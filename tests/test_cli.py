@@ -536,3 +536,30 @@ class TestNoTraceback:
         ]
         assert main(argv) == 2
         assert "finite positive delta0_user" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--epsilon0", "1e-170"], ["--epsilon0", "0.01", "--delta0", "1e-160"]],
+        ids=["tiny_epsilon0", "tiny_delta0"],
+    )
+    @pytest.mark.parametrize("cap", [None, "5"], ids=["no_cap", "cap"])
+    def test_phase2_cap_bound_not_finite(self, tmp_path, capsys, args, cap):
+        # (48 / epsilon0^2) (rho / delta0')^2 divides by zero or overflows;
+        # a cap of one's own still runs.
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        matrix.write_text("2 2\n2 1\n1 3\n")
+        rhs.write_text("2 1\n1\n1\n")
+        report_path = tmp_path / "report.json"
+        argv = [
+            "solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", "nonneg",
+            *args, "--report", str(report_path),
+        ]
+        if cap is None:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "too small for the iteration bound" in err and "--max-iters" in err
+            assert not report_path.exists()
+        else:
+            assert main([*argv, "--max-iters", cap]) == 1
+            report = json.loads(report_path.read_text())
+            assert (report["status"], report["iterations"]) == ("cap_exceeded", 5)

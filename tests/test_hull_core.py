@@ -11,6 +11,7 @@ from helpers import (
     membership_instance,
     nonneg_system,
     outside_instance_2d,
+    radius_R,
 )
 from hullsolve import (
     CAP_EXCEEDED,
@@ -415,7 +416,7 @@ class TestRunHull:
         expected = max(
             np.linalg.norm(target - points[:, i]) for i in range(6)
         )
-        assert instance.radius_R == pytest.approx(expected, rel=1e-15)
+        assert radius_R(instance) == pytest.approx(expected, rel=1e-15)
 
 
 class TestInvariants:

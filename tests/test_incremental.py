@@ -8,6 +8,7 @@ import pytest
 from helpers import example1_system, example2_system, invertible_system
 from hullsolve import (
     CONVERGED,
+    SOLVE_CAP_EXCEEDED,
     HullConfig,
     LinearSystem,
     NoPositiveQuadratic,
@@ -20,6 +21,7 @@ from hullsolve import (
     optimize_shift_tau0,
     solve_incremental,
 )
+from hullsolve import incremental
 from hullsolve.incremental import POLICY_DOUBLE_PLUS_ONE, shifted_instance
 from hullsolve.oracles import solve_exact
 from hullsolve.two_phase import AlphaBVanishes
@@ -378,6 +380,24 @@ class TestSolveIncremental:
         for _ in range(200):
             coeffs = rng.dirichlet(np.ones(3))
             assert check_witness(instance, make_iterate(instance, coeffs)) is None
+
+    def test_escalation_cap_ends_the_solve(self, monkeypatch):
+        # The initial iterate is a witness at t = 0; with the shift
+        # optimisation suppressed, the first escalation exceeds a cap of 0.
+        monkeypatch.setattr(incremental, "_default_escalation_cap", lambda system: 0)
+        system = LinearSystem(
+            np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
+        )
+        config = SolveConfig(
+            epsilon0=1e-6,
+            hull=HullConfig(init_rule="given", init_coeffs=EXAMPLE2_COEFFS),
+        )
+        outcome = solve_incremental(system, config, tau_hook=lambda tau: 0.0)
+        assert outcome.status == SOLVE_CAP_EXCEEDED
+        assert outcome.x is None
+        assert outcome.diagnostics["escalations"] == 1
+        assert outcome.diagnostics["shifts"] == [0.0]
+        assert outcome.diagnostics["last_t"] == outcome.shift_t == 0.0
 
     def test_shift_sequence_monotone(self):
         rng = np.random.default_rng(53)

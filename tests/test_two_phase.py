@@ -263,6 +263,33 @@ class TestSolveNonneg:
         }
         assert outcome.x is None and outcome.phase1_delta0_prime is None
 
+    def test_phase2_cap_ends_the_solve(self):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(20, 20))
+        a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+        system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
+        config = SolveConfig(
+            epsilon0=0.01, delta0_policy="skip", hull=HullConfig(max_iterations=3),
+            record_trace=True,
+        )
+        outcome = solve_nonneg(system, config)
+        assert (outcome.status, outcome.iterations) == (SOLVE_CAP_EXCEEDED, 3)
+        assert outcome.diagnostics["phase2_cap"] == 3
+        # The gap of the iterate the cap stopped, as its step row holds it.
+        assert outcome.trace[-1].iteration == 3
+        assert outcome.diagnostics["last_gap"] == outcome.trace[-1].value > 0.0
+
+    def test_skip_without_eigenvalue_bound(self):
+        # A singular matrix gives no delta0': no epsilon', the default cap.
+        system = LinearSystem(np.ones((2, 2)), np.ones(2))
+        outcome = solve_nonneg(system, SolveConfig(epsilon0=0.01, delta0_policy="skip"))
+        assert outcome.status == CONVERGED
+        assert outcome.diagnostics["delta0_source"] == "unavailable"
+        assert outcome.diagnostics["guarantee"] == "direct residual check only"
+        assert "epsilon_prime" not in outcome.diagnostics
+        assert outcome.diagnostics["phase2_cap"] == 10**6
+        assert outcome.inner_epsilon is None and outcome.phase1_delta0_prime is None
+
     def test_user_delta0_policy(self):
         rng = np.random.default_rng(12)
         system, _ = nonneg_system(rng, 6)
