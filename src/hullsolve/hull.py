@@ -19,6 +19,13 @@ rather than the O(dim n) of recomputing V^T (p - p'). Only when those margins
 show no pivot are the margins recomputed from the points, and the
 recomputed ones decide; witness margins always come from the points. Gram
 columns come from one V^T V, or per visited pivot on a wide set (n > 2 dim).
+
+A step is the Triangle step toward the pivot j with exact line search. On
+request (the nonnegative solver's two phases) apply_step instead takes the
+better of that step and a pairwise step, which moves weight to j from the
+active point of least margin, as pairwise Frank-Wolfe does; both decreases
+follow in O(1) from the products and the Gram columns, so a step stays
+O(n + dim) either way.
 """
 
 from __future__ import annotations
@@ -161,6 +168,23 @@ class HullInstance:
         if column is None:
             column = self._gram_cols[j] = (self.points[:, [j]].T @ self.points)[0]
         return column
+
+    def with_point(self, point: np.ndarray, products: np.ndarray) -> HullInstance:
+        """A new instance: these points with point appended, same target.
+
+        products holds the point's inner products with every point, itself
+        last, as the caller computes them. A Gram matrix this instance has
+        computed is bordered with them, in O(n^2), instead of the O(dim n^2)
+        product; otherwise the new instance computes its own at first use.
+        """
+        grown = HullInstance(np.column_stack([self.points, point]), self.target)
+        if self._gram is not None and grown._narrow:
+            n = self.n_points
+            gram = grown._gram = np.empty((n + 1, n + 1))
+            gram[:n, :n] = self._gram
+            gram[n] = products
+            gram[:, n] = products
+        return grown
 
     def move_last_point(self, point: np.ndarray, products: np.ndarray) -> None:
         """Replace the last point in place.
@@ -391,16 +415,72 @@ def step_size(target: np.ndarray, iterate: Iterate, pivot: np.ndarray) -> float:
     return min(1.0, max(0.0, alpha))
 
 
+def _pairwise_step(
+    instance: HullInstance, iterate: Iterate, j: int, alpha: float, column: np.ndarray
+) -> Iterate | None:
+    """The pairwise step from k to j when it lowers ||p - p'||^2 more than
+    the Triangle step toward j with alpha does, else None.
+
+    k is the point of positive coefficient with the least margin, and the
+    step moves weight gamma = min((margin_j - margin_k) / ||v_j - v_k||^2,
+    c_k) from k to j, all of it when clamped. Both decreases come in O(1)
+    from the maintained products and the Gram columns of j and k.
+    """
+    coeffs, dots = iterate.coeffs, iterate.dot_cache
+    # (p - p')^T v_i: the margins up to a shift common to every point.
+    along = instance.target_dots - dots
+    along_j = float(along[j])
+    np.putmask(along, coeffs == 0.0, np.inf)
+    k = int(along.argmin())
+    column_k = instance.gram_column(k)
+    rise = along_j - float(along[k])
+    curvature = float(column[j] - 2.0 * column[k] + column_k[k])
+    if rise <= 0.0 or curvature <= 0.0:  # k = j gives rise 0
+        return None
+    gamma = min(rise / curvature, float(coeffs[k]))
+    # A step of length s along d lowers ||p - p'||^2 / 2 by
+    # s (p - p')^T d - s^2 ||d||^2 / 2: here d = v_j - v_k and s = gamma,
+    # for the Triangle step d = v_j - p' and s = alpha.
+    point_sq = float(iterate.point @ iterate.point)
+    toward = along_j - float(instance.target @ iterate.point) + point_sq
+    length_sq = float(column[j]) - 2.0 * float(dots[j]) + point_sq
+    if gamma * (rise - 0.5 * gamma * curvature) <= alpha * (toward - 0.5 * alpha * length_sq):
+        return None
+    # The sum stays 1 up to the rounding of two additions; only a clamp of
+    # dust changes it and renormalises.
+    coeffs = coeffs.copy()
+    coeffs[k] -= gamma  # exactly 0 when gamma is clamped at c_k
+    coeffs[j] += gamma
+    if 0.0 < coeffs[k] < COEFF_DUST:
+        coeffs[k] = 0.0
+        coeffs /= coeffs.sum()
+    point = iterate.point + gamma * (instance.points[:, j] - instance.points[:, k])
+    dots = dots + gamma * (column - column_k)
+    gap = vector_norm(instance.target - point)
+    return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
+
+
 def apply_step(
-    instance: HullInstance, iterate: Iterate, j: int, alpha: float
+    instance: HullInstance, iterate: Iterate, j: int, alpha: float, pairwise: bool = False
 ) -> Iterate:
     """New iterate after pulling toward pivot j with step alpha in [0, 1].
 
     The products move with the point, through the Gram column of j: O(n)
     once that column is computed (see HullInstance.gram_column).
+
+    With pairwise, the step is the better of two exact line-search steps,
+    by how far each lowers ||p - p'||^2: this Triangle step, and a pairwise
+    step that moves weight from the active point of least margin to j
+    (see _pairwise_step), which costs O(n + dim) as well. Either way j is
+    the point that gains weight.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    column = instance.gram_column(j)
+    if pairwise:
+        stepped = _pairwise_step(instance, iterate, j, alpha, column)
+        if stepped is not None:
+            return stepped
     # A fresh nonnegative array: clamp the dust and renormalise in place,
     # which is what _clean_coeffs returns for it, bit for bit. At alpha = 1
     # the mixing gives e_j, the pivot and its Gram column exactly.
@@ -409,15 +489,19 @@ def apply_step(
     coeffs[coeffs < COEFF_DUST] = 0.0
     coeffs /= coeffs.sum()
     point = (1.0 - alpha) * iterate.point + alpha * instance.points[:, j]
-    dots = (1.0 - alpha) * iterate.dot_cache + alpha * instance.gram_column(j)
+    dots = (1.0 - alpha) * iterate.dot_cache + alpha * column
     gap = vector_norm(instance.target - point)
     return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
 
 
-def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
+def run_hull(
+    instance: HullInstance, config: HullConfig, pairwise: bool = False
+) -> HullOutcome:
     """Run the Triangle Algorithm to an eps-approximation or a witness.
 
-    Loops pivot search / step-size / update. Returns IN_HULL_APPROX as soon
+    Loops pivot search / step-size / update, each update the better of the
+    Triangle and the pairwise step when pairwise (see apply_step), the
+    Triangle step alone otherwise. Returns IN_HULL_APPROX as soon
     as gap <= epsilon * ||p - v_j|| for the current pivot j (checked before
     stepping; when no pivot exists the reference falls back to
     min_i ||p - v_i||), NOT_IN_HULL with a witness when no pivot exists and
@@ -448,7 +532,7 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
             status = CAP_EXCEEDED
             break
         alpha = step_size(instance.target, iterate, instance.points[:, j])
-        iterate = apply_step(instance, iterate, j, alpha)
+        iterate = apply_step(instance, iterate, j, alpha, pairwise=pairwise)
         steps += 1
         if trace is not None:
             trace.append(TraceRecord(steps, 0.0, iterate.gap, None, j, False))

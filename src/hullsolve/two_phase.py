@@ -10,6 +10,11 @@ that reaching it guarantees the requested relative residual (sensitivity
 argument); in practice the solver exits as soon as the recovered residual
 passes, computed exactly whenever its O(1) estimate gap / alpha_b comes
 within rounding of the target and at least once every n steps.
+
+Both phases take pairwise steps: each step is the better of the Triangle
+step toward the pivot and a transfer of weight to the pivot from the active
+point of least margin (hull.apply_step with pairwise=True). Phase 2's Gram
+matrix borders the A^T A of Phase 1 with -A^T b and ||b||^2.
 """
 
 from __future__ import annotations
@@ -84,10 +89,11 @@ class AlphaBVanishes(Exception):
     """The iterate places (numerically) no weight on -b; x0 is unrecoverable."""
 
 
-def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
-    """Phase 1's hull run: the columns of A against the origin, under the
-    user's pivot and init rules and iteration cap (DEFAULT_PHASE_CAP when
-    unset), with epsilon min(epsilon0, PHASE1_EPSILON_CEIL) and no trace.
+def _phase1_outcome(columns: HullInstance, config: SolveConfig) -> HullOutcome:
+    """Phase 1's hull run on columns, the columns of A against the origin,
+    in pairwise steps, under the user's pivot and init rules and iteration
+    cap (DEFAULT_PHASE_CAP when unset), with epsilon
+    min(epsilon0, PHASE1_EPSILON_CEIL) and no trace.
 
     A witness gives delta0' = gap / 2, a lower bound on the hull-to-origin
     distance by the factor-two property of witnesses; an approximate
@@ -100,7 +106,7 @@ def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
         max_iterations=config.hull.max_iterations or DEFAULT_PHASE_CAP,
         record_trace=False,
     )
-    return run_hull(HullInstance(system.a, np.zeros(system.n)), hull_cfg)
+    return run_hull(columns, hull_cfg, pairwise=True)
 
 
 def select_inner_epsilon(
@@ -145,14 +151,21 @@ def recover_solution(iterate: Iterate, system: LinearSystem) -> np.ndarray:
 
 
 def _resolve_delta0(
-    system: LinearSystem, config: SolveConfig
+    system: LinearSystem, config: SolveConfig, columns: HullInstance
 ) -> tuple[float | None, HullOutcome | None, dict]:
-    """delta0' per policy, and Phase 1's outcome when it ran.
+    """delta0' per policy, and Phase 1's outcome on columns when it ran.
 
-    Raises ZeroInColumnHull when Phase 1 ends in an approximate membership.
+    Raises ZeroInColumnHull when Phase 1 ends in an approximate membership,
+    and ValueError when a user delta0' exceeds rho: the hull-to-origin
+    distance is at most ||b|| <= rho.
     """
     diagnostics: dict = {"phase1_iterations": 0}
     if config.delta0_policy == DELTA0_USER:
+        if config.delta0_user > system.rho:
+            raise ValueError(
+                f"delta0 {config.delta0_user!r} exceeds rho = {system.rho!r}, "
+                "an upper bound on the hull-to-origin distance"
+            )
         diagnostics["delta0_source"] = "user"
         return config.delta0_user, None, diagnostics
     if config.delta0_policy == DELTA0_SKIP:
@@ -163,7 +176,7 @@ def _resolve_delta0(
         diagnostics["delta0_source"] = "unavailable"
         diagnostics["guarantee"] = "direct residual check only"
         return None, None, diagnostics
-    phase1 = _phase1_outcome(system, config)
+    phase1 = _phase1_outcome(columns, config)
     if phase1.status == IN_HULL_APPROX:
         raise ZeroInColumnHull(
             "origin lies in the convex hull of the columns to tolerance "
@@ -178,7 +191,9 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     """Solve A x = b assuming x >= 0, to relative residual epsilon0.
 
     Runs Phase 1 per the delta0 policy, then iterates the Triangle
-    Algorithm on conv({a_1, ..., a_n, -b}) against the origin. When
+    Algorithm on conv({a_1, ..., a_n, -b}) against the origin, both phases
+    in pairwise steps (see hull.apply_step). A user delta0' above rho
+    raises ValueError: no hull-to-origin distance exceeds ||b||. When
     residual_first (the default), the solver recovers x0 and tests
     ||A x0 - b|| <= epsilon0 * rho directly, returning early on success,
     whenever the O(1) estimate gap / alpha_b of that residual comes within
@@ -193,7 +208,8 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     eps0 = config.epsilon0
     n = system.n
 
-    delta0_prime, phase1, diagnostics = _resolve_delta0(system, config)
+    columns = HullInstance(system.a, np.zeros(n))
+    delta0_prime, phase1, diagnostics = _resolve_delta0(system, config, columns)
     phase1_steps = diagnostics["phase1_iterations"]
     if phase1 is not None and phase1.status == CAP_EXCEEDED:
         return SolveOutcome(
@@ -220,8 +236,9 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
         cap = DEFAULT_PHASE_CAP
     diagnostics["phase2_cap"] = cap
 
-    points = np.hstack([system.a, -system.b[:, None]])
-    instance = HullInstance(points, np.zeros(n))
+    # The Gram matrix of [A, -b] borders the A^T A Phase 1 computed, if it
+    # did, with -A^T b and ||b||^2.
+    instance = columns.with_point(-system.b, np.append(-system.at_b, system.b @ system.b))
     if phase1 is not None:
         # Embed the witness in the enlarged hull: coefficient of -b starts at 0.
         iterate = make_iterate(instance, np.append(phase1.iterate.coeffs, 0.0))
@@ -281,7 +298,7 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
             diagnostics["last_gap"] = iterate.gap
             return outcome(SOLVE_CAP_EXCEEDED)
         alpha = step_size(instance.target, iterate, instance.points[:, j])
-        iterate = apply_step(instance, iterate, j, alpha)
+        iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
         steps += 1
         if trace is not None:
             trace.append(

@@ -12,7 +12,7 @@ import pytest
 
 import hullsolve
 from helpers import example1_system, example2_system, invertible_system
-from hullsolve import LinearSystem, SolveConfig, analyze_system
+from hullsolve import HullInstance, LinearSystem, SolveConfig, analyze_system
 from hullsolve.oracles import delta_brute, linear_system_oracle
 from hullsolve.two_phase import _phase1_outcome
 
@@ -68,7 +68,8 @@ class TestDelta0LowerBound:
         for n in (5, 20, 50):
             a = rng.normal(size=(n, n))
             system = LinearSystem(a / np.sqrt(np.einsum("ij,ij->j", a, a)), np.ones(n))
-            outcome = _phase1_outcome(system, SolveConfig(epsilon0=1e-3))
+            columns = HullInstance(system.a, np.zeros(n))
+            outcome = _phase1_outcome(columns, SolveConfig(epsilon0=1e-3))
             assert outcome.witness is not None
             assert 0.0 < analyze_system(system).delta0_lower <= outcome.iterate.gap
 

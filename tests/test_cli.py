@@ -537,12 +537,26 @@ class TestNoTraceback:
         assert main(argv) == 2
         assert "finite positive delta0_user" in capsys.readouterr().err
 
+    def test_delta0_above_rho_exit_two(self, tmp_path, capsys):
+        # rho = sqrt(10) bounds every hull-to-origin distance.
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        matrix.write_text("2 2\n2 1\n1 3\n")
+        rhs.write_text("2 1\n1\n1\n")
+        report_path = tmp_path / "report.json"
+        argv = [
+            "solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", "nonneg",
+            "--epsilon0", "0.01", "--delta0", "1e300", "--report", str(report_path),
+        ]
+        assert main(argv) == 2
+        assert "exceeds rho = 3.16" in capsys.readouterr().err
+        assert not report_path.exists()
+
     @pytest.mark.parametrize(
         "args",
         [["--epsilon0", "1e-170"], ["--epsilon0", "0.01", "--delta0", "1e-160"]],
         ids=["tiny_epsilon0", "tiny_delta0"],
     )
-    @pytest.mark.parametrize("cap", [None, "5"], ids=["no_cap", "cap"])
+    @pytest.mark.parametrize("cap", [None, "2"], ids=["no_cap", "cap"])
     def test_phase2_cap_bound_not_finite(self, tmp_path, capsys, args, cap):
         # (48 / epsilon0^2) (rho / delta0')^2 divides by zero or overflows;
         # a cap of one's own still runs.
@@ -562,4 +576,4 @@ class TestNoTraceback:
         else:
             assert main([*argv, "--max-iters", cap]) == 1
             report = json.loads(report_path.read_text())
-            assert (report["status"], report["iterations"]) == ("cap_exceeded", 5)
+            assert (report["status"], report["iterations"]) == ("cap_exceeded", 2)

@@ -1,5 +1,6 @@
 """Triangle Algorithm core: worked examples, invariants, properties."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from hullsolve import (
     apply_step,
     check_witness,
     find_pivot,
+    initial_iterate,
     iteration_cap_from_bound,
     make_iterate,
     run_hull,
@@ -262,6 +264,93 @@ class TestApplyStep:
             assert np.abs(iterate.dot_cache - fresh).max() <= 1e-10 * scale
 
 
+class TestPairwiseStep:
+    """apply_step(pairwise=True): the better of the Triangle step and a
+    transfer of weight to the pivot from the active point of least margin."""
+
+    def test_clamped_transfer_empties_the_point(self):
+        # From p' = (0, 1) toward p = (0, -1): the Triangle step jumps to
+        # v_0 and lowers ||p - p'||^2 / 2 by 1. Moving weight from v_2
+        # (margin -20) to v_0 (margin 0) has gamma* = 20 / 101, clamped at
+        # v_2's 0.1, and lowers it by 0.1 * 20 - 0.01 * 101 / 2 = 1.495.
+        points = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 10.0]])
+        instance = HullInstance(points, np.array([0.0, -1.0]))
+        iterate = make_iterate(instance, [0.45, 0.45, 0.1])
+        alpha = step_size(instance.target, iterate, points[:, 0])
+        assert alpha == 1.0
+        assert np.array_equal(apply_step(instance, iterate, 0, alpha).coeffs, [1.0, 0.0, 0.0])
+        stepped = apply_step(instance, iterate, 0, alpha, pairwise=True)
+        assert stepped.coeffs[2] == 0.0
+        assert stepped.coeffs[1] == iterate.coeffs[1]
+        assert stepped.coeffs[0] == pytest.approx(0.55, abs=1e-15)
+        assert np.allclose(stepped.point, [0.1, 0.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(stepped.dot_cache, points.T @ stepped.point, rtol=0.0, atol=1e-14)
+        assert stepped.gap == pytest.approx(math.hypot(0.1, 1.0), rel=1e-15)
+
+    def test_never_worse_than_the_triangle_step(self):
+        # Random iterates and pivots: the pairwise result is the Triangle
+        # step bit for bit, or a transfer between two points that ends at
+        # least as close to the target.
+        rng = np.random.default_rng(67)
+        points = rng.normal(size=(6, 10))
+        instance = HullInstance(points, points @ rng.dirichlet(np.ones(10)))
+        transfers = 0
+        for _ in range(500):
+            coeffs = rng.dirichlet(np.ones(10)) * (rng.random(10) < 0.6)
+            if not coeffs.any():
+                continue
+            iterate = make_iterate(instance, coeffs)
+            j = find_pivot(instance, iterate)
+            if j is None:
+                continue
+            alpha = step_size(instance.target, iterate, points[:, j])
+            triangle = apply_step(instance, iterate, j, alpha)
+            stepped = apply_step(instance, iterate, j, alpha, pairwise=True)
+            if np.array_equal(stepped.coeffs, triangle.coeffs):
+                assert np.array_equal(stepped.point, triangle.point)
+                continue
+            transfers += 1
+            changed = np.flatnonzero(stepped.coeffs != iterate.coeffs)
+            assert j in changed and len(changed) == 2
+            assert stepped.coeffs[j] > iterate.coeffs[j]
+            assert stepped.gap <= triangle.gap * (1.0 + 1e-12)
+        assert 50 <= transfers <= 450
+
+    @pytest.mark.parametrize("kind", ["phase2", "phase1", "membership"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_invariants_over_long_runs(self, kind, seed):
+        # Up to 3,000 steps each, until a witness or, inside the hull, the
+        # gap reaches the rounding floor.
+        rng = np.random.default_rng([69, seed])
+        system, _ = nonneg_system(rng, 30, diag_boost=0.0)
+        if kind == "phase2":
+            instance = HullInstance(np.hstack([system.a, -system.b[:, None]]), np.zeros(30))
+        elif kind == "phase1":
+            instance = HullInstance(system.a, np.zeros(30))
+        else:
+            instance = HullInstance(*membership_instance(rng, 8))
+        # The product updates round on the scale of the Gram entries.
+        scale = np.einsum("ij,ij->j", instance.points, instance.points).max()
+        iterate = initial_iterate(instance, HullConfig(init_rule="centroid"))
+        floor = 1e-9 * iterate.gap
+        for _ in range(3000):
+            j = find_pivot(instance, iterate)
+            if j is None or iterate.gap <= floor:
+                break
+            alpha = step_size(instance.target, iterate, instance.points[:, j])
+            stepped = apply_step(instance, iterate, j, alpha, pairwise=True)
+            assert (stepped.coeffs >= 0.0).all()
+            assert abs(stepped.coeffs.sum() - 1.0) <= 1e-12
+            fresh = instance.points.T @ stepped.point
+            assert np.abs(stepped.dot_cache - fresh).max() <= 1e-12 * scale
+            assert stepped.gap <= iterate.gap
+            iterate = stepped
+        if kind == "phase1":
+            assert j is None and check_witness(instance, iterate) is not None
+        elif kind == "membership":
+            assert iterate.gap <= floor
+
+
 class TestGramMemo:
     """Gram columns are stored at their first request and move with the
     last point."""
@@ -311,6 +400,28 @@ class TestGramMemo:
             assert instance.gram_column(n - 1).tobytes() == products.tobytes()
             for j in visits:
                 assert instance.gram_column(j)[n - 1] == products[j]
+
+    @pytest.mark.parametrize("computed", [True, False])
+    def test_appended_point_borders_the_gram_matrix(self, computed):
+        # A Gram matrix computed on the smaller set is kept bit for bit and
+        # bordered with the given products; one not yet computed is
+        # computed whole on the grown set.
+        rng = np.random.default_rng(73)
+        dim, n = 12, 12
+        instance = HullInstance(rng.normal(size=(dim, n)), np.zeros(dim))
+        if computed:
+            instance.gram_column(0)
+        point = rng.normal(size=dim)
+        products = np.append(instance.points.T @ point, point @ point)
+        grown = instance.with_point(point, products)
+        assert np.array_equal(grown.points, np.column_stack([instance.points, point]))
+        assert np.array_equal(grown.target, instance.target)
+        assert np.array_equal(grown.target_dots, grown.points.T @ grown.target)
+        self._assert_rows_are_products(grown, grown.points, range(n + 1))
+        if computed:
+            assert grown.gram_column(n).tobytes() == products.tobytes()
+            for j in range(n):
+                assert np.array_equal(grown.gram_column(j)[:n], instance.gram_column(j))
 
     @pytest.mark.parametrize("dim", [3, 64])
     def test_wide_point_set_stores_visited_columns(self, dim):

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import example1_system, example2_system, nonneg_system
+from helpers import (
+    example1_system,
+    example2_system,
+    invertible_system,
+    nonneg_system,
+    reference_margins,
+)
 from hullsolve import (
     CONVERGED,
     INFEASIBLE_NONNEG,
@@ -146,7 +152,7 @@ class TestRecoverSolution:
 
 def _phase1_witness(system, config):
     """Phase 1's witness and delta0' = gap / 2."""
-    outcome = _phase1_outcome(system, config)
+    outcome = _phase1_outcome(HullInstance(system.a, np.zeros(system.n)), config)
     assert outcome.witness is not None
     return outcome.witness, 0.5 * outcome.iterate.gap
 
@@ -244,7 +250,7 @@ class TestSolveNonneg:
         for n in (5, 20):
             system, _ = nonneg_system(rng, n)
             config = SolveConfig(epsilon0=0.1)
-            outcome1 = _phase1_outcome(system, config)
+            outcome1 = _phase1_outcome(HullInstance(system.a, np.zeros(n)), config)
             delta0p = 0.5 * outcome1.iterate.gap
             cap = math.ceil((48.0 / 0.1**2) * (system.rho / delta0p) ** 2)
             assert outcome1.iterations <= cap
@@ -299,3 +305,62 @@ class TestSolveNonneg:
         outcome = solve_nonneg(system, config)
         assert outcome.status == CONVERGED
         assert outcome.phase1_delta0_prime == 0.05
+
+    def test_user_delta0_above_rho_is_refused(self):
+        # No hull-to-origin distance exceeds ||b|| <= rho (sqrt(10) here); a
+        # larger delta0' would make the Phase 2 cap (rho / delta0')^2 vanish.
+        system = LinearSystem(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 1.0]))
+        for delta0 in (1e300, 100.0, np.nextafter(system.rho, np.inf)):
+            config = SolveConfig(epsilon0=0.01, delta0_policy="user", delta0_user=delta0)
+            with pytest.raises(ValueError, match=r"exceeds rho = 3\.16"):
+                solve_nonneg(system, config)
+        config = SolveConfig(epsilon0=0.01, delta0_policy="user", delta0_user=system.rho)
+        assert solve_nonneg(system, config).status == CONVERGED
+
+
+class TestPairwiseSteps:
+    """Both phases take the better of the Triangle step and a pairwise
+    transfer of weight; the exact residual and direct witness margins
+    still decide every outcome."""
+
+    def test_step_counts(self):
+        # (total steps, Phase 1 steps); the Triangle step alone took
+        # (2,304, 54) and (2,250, 67).
+        rng = np.random.default_rng(409)
+        for n, expected in ((20, (368, 33)), (40, (1198, 64))):
+            system, _ = nonneg_system(rng, n, diag_boost=0.0)
+            outcome = solve_nonneg(system, SolveConfig(epsilon0=3e-3))
+            assert outcome.status == CONVERGED
+            assert (outcome.iterations, outcome.diagnostics["phase1_iterations"]) == expected
+
+    def test_half_the_steps_at_n_600(self):
+        # A column-normalised Gaussian system with a positive solution, as
+        # the nonneg_phases benchmark draws its n = 600 one: 2,292 steps,
+        # 1,155 of them in Phase 1, where the Triangle step alone took 5,269
+        # and 1,834. Bounded rather than pinned: at this size the count can
+        # move with the BLAS build's rounding.
+        rng = np.random.default_rng([0, 2, 1])
+        a = rng.normal(size=(600, 600))
+        a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+        x = rng.uniform(0.5, 1.5, 600)
+        system = LinearSystem(a, a @ (x / x.sum()))
+        outcome = solve_nonneg(system, SolveConfig(epsilon0=0.005))
+        assert outcome.status == CONVERGED
+        assert outcome.iterations <= 5269 // 2
+        assert outcome.diagnostics["phase1_iterations"] < 1834
+        assert np.linalg.norm(a @ outcome.x - system.b) <= 0.005 * system.rho
+        assert (outcome.x >= 0.0).all()
+
+    @pytest.mark.parametrize("n", [10, 25, 50])
+    def test_infeasible_systems_end_with_a_direct_witness(self, n):
+        for seed in range(4):
+            rng = np.random.default_rng([613, n, seed])
+            system, _ = invertible_system(rng, n)
+            outcome = solve_nonneg(system, SolveConfig(epsilon0=1e-3))
+            assert outcome.status == INFEASIBLE_NONNEG
+            points = np.hstack([system.a, -system.b[:, None]])
+            margins = reference_margins(
+                HullInstance(points, np.zeros(n)), outcome.witness.iterate.point
+            )
+            assert np.array_equal(outcome.witness.margins, margins)
+            assert (margins < 0.0).all()
