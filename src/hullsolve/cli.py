@@ -23,8 +23,6 @@ from .hull import (
     INIT_CENTROID,
     INIT_NEAREST_VERTEX,
     NOT_IN_HULL,
-    PIVOT_FIRST_FOUND,
-    PIVOT_MOST_VIOLATED,
     DegeneratePivot,
     HullConfig,
     HullInstance,
@@ -43,10 +41,6 @@ from .system import (
 
 __all__ = ["main"]
 
-_PIVOT_CHOICES = {
-    "most-violated": PIVOT_MOST_VIOLATED,
-    "first-found": PIVOT_FIRST_FOUND,
-}
 _INIT_CHOICES = {
     "nearest": INIT_NEAREST_VERTEX,
     "centroid": INIT_CENTROID,
@@ -69,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hull.add_argument("--points", required=True, help="matrix file; columns are points")
     hull.add_argument("--target", required=True, help="vector file; the query point")
     hull.add_argument("--epsilon", type=float, default=1e-2)
-    hull.add_argument("--pivot-rule", choices=sorted(_PIVOT_CHOICES), default="most-violated")
     hull.add_argument("--init", choices=sorted(_INIT_CHOICES), default="nearest")
     hull.add_argument("--max-iters", type=int, default=None)
     common_output(hull)
@@ -86,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--skip-phase1", action="store_true")
     solve.add_argument("--delta0", type=float, default=None, help="user bound on hull distance")
-    solve.add_argument("--pivot-rule", choices=sorted(_PIVOT_CHOICES), default="most-violated")
     solve.add_argument("--init", choices=sorted(_INIT_CHOICES), default="nearest")
     solve.add_argument("--max-iters", type=int, default=None)
     common_output(solve)
@@ -133,11 +125,15 @@ def _round_trippable(value):
     return value
 
 
-def _emit(report: dict, args, started: float) -> None:
+def _emit(report: dict, args, started: float) -> dict:
+    """Stamp wall_time_s, write the report when --report asks for it, and
+    return it in JSON-native types."""
     report["wall_time_s"] = time.perf_counter() - started
+    report = _round_trippable(report)
     if getattr(args, "report", None):
         with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(matio.report_to_json(_round_trippable(report)) + "\n")
+            handle.write(matio.report_to_json(report) + "\n")
+    return report
 
 
 def _emit_trace(records, args) -> None:
@@ -156,7 +152,6 @@ def _cmd_hull(args) -> int:
     config = HullConfig(
         epsilon=args.epsilon,
         max_iterations=args.max_iters,
-        pivot_rule=_PIVOT_CHOICES[args.pivot_rule],
         init_rule=_INIT_CHOICES[args.init],
         record_trace=bool(args.trace),
     )
@@ -166,7 +161,6 @@ def _cmd_hull(args) -> int:
         "command": "hull",
         "config": {
             "epsilon": args.epsilon,
-            "pivot_rule": config.pivot_rule,
             "init_rule": config.init_rule,
             "max_iterations": config.resolved_cap(),
         },
@@ -181,7 +175,6 @@ def _cmd_hull(args) -> int:
         report["distance_bracket"] = list(outcome.witness.distance_bracket)
     if outcome.certifying_vertex is not None:
         report["certifying_vertex"] = outcome.certifying_vertex
-    report = _round_trippable(report)
     _emit(report, args, started)
     if outcome.trace is not None:
         verdict = TraceRecord(
@@ -226,7 +219,6 @@ def _cmd_solve(args) -> int:
     system = LinearSystem(a, b)
     hull_cfg = HullConfig(
         max_iterations=args.max_iters,
-        pivot_rule=_PIVOT_CHOICES[args.pivot_rule],
         init_rule=_INIT_CHOICES[args.init],
     )
     if args.delta0 is not None:
@@ -246,7 +238,6 @@ def _cmd_solve(args) -> int:
         "mode": args.mode,
         "epsilon0": args.epsilon0,
         "delta0_policy": policy,
-        "pivot_rule": hull_cfg.pivot_rule,
         "init_rule": hull_cfg.init_rule,
         "increment": args.increment,
     }
@@ -257,8 +248,7 @@ def _cmd_solve(args) -> int:
         outcome = incremental.solve_incremental(
             system, config, policy=policy_name, quantum=quantum
         )
-    report = _round_trippable(_solve_outcome_report("solve", config_echo, outcome))
-    _emit(report, args, started)
+    _emit(_solve_outcome_report("solve", config_echo, outcome), args, started)
     _emit_trace(outcome.trace, args)
     if outcome.status == CONVERGED:
         print(
@@ -292,10 +282,11 @@ def _cmd_analyze(args) -> int:
     b = matio.load_vector(args.rhs)
     system = LinearSystem(a, b)
     analysis = bounds.analyze_system(system)
-    report = _round_trippable(
-        {"command": "analyze", "n": system.n, "rho": system.rho, **vars(analysis)}
+    report = _emit(
+        {"command": "analyze", "n": system.n, "rho": system.rho, **vars(analysis)},
+        args,
+        started,
     )
-    _emit(report, args, started)
     for key, value in report.items():
         if key not in ("command", "wall_time_s"):
             print(f"{key} = {value}")
@@ -321,8 +312,7 @@ def _cmd_oracle(args) -> int:
             report["delta_brute"] = oracles.delta_brute(points, target, args.grid_k)
     else:
         raise ValueError("oracle needs --matrix/--rhs or --points/--target")
-    report = _round_trippable(report)
-    _emit(report, args, started)
+    report = _emit(report, args, started)
     for key, value in report.items():
         if key not in ("command", "wall_time_s"):
             print(f"{key} = {value}")
@@ -377,7 +367,7 @@ def _cmd_bench(args) -> int:
         _bench_instance(args.suite, size, index, args.seed, args.epsilon0)
         for index, size in enumerate(sizes)
     ]
-    report = _round_trippable(
+    report = _emit(
         {
             "command": "bench",
             "suite": args.suite,
@@ -386,9 +376,10 @@ def _cmd_bench(args) -> int:
             "seed": args.seed,
             "epsilon0": args.epsilon0,
             "rows": rows,
-        }
+        },
+        args,
+        started,
     )
-    _emit(report, args, started)
     for row in report["rows"]:
         print(
             f"bench[{row['id']}] n={row['n']} {row['status']} "

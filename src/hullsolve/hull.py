@@ -36,8 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PIVOT_MOST_VIOLATED",
-    "PIVOT_FIRST_FOUND",
     "INIT_NEAREST_VERTEX",
     "INIT_CENTROID",
     "INIT_GIVEN",
@@ -63,8 +61,6 @@ __all__ = [
     "iteration_cap_from_bound",
 ]
 
-PIVOT_MOST_VIOLATED = "most_violated"
-PIVOT_FIRST_FOUND = "first_found"
 INIT_NEAREST_VERTEX = "nearest_vertex"
 INIT_CENTROID = "centroid"
 INIT_GIVEN = "given"
@@ -264,7 +260,6 @@ class HullConfig:
 
     epsilon: float = 1e-4
     max_iterations: int | None = None
-    pivot_rule: str = PIVOT_MOST_VIOLATED
     init_rule: str = INIT_NEAREST_VERTEX
     init_coeffs: np.ndarray | None = None
     record_trace: bool = False
@@ -274,8 +269,6 @@ class HullConfig:
             raise ValueError("epsilon must lie strictly between 0 and 1")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.pivot_rule not in (PIVOT_MOST_VIOLATED, PIVOT_FIRST_FOUND):
-            raise ValueError(f"unknown pivot rule {self.pivot_rule!r}")
         if self.init_rule not in (INIT_NEAREST_VERTEX, INIT_CENTROID, INIT_GIVEN):
             raise ValueError(f"unknown init rule {self.init_rule!r}")
         if self.init_rule == INIT_GIVEN and self.init_coeffs is None:
@@ -328,6 +321,12 @@ def make_iterate(instance: HullInstance, coeffs) -> Iterate:
     return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
 
 
+def _nearest_vertex(instance: HullInstance) -> int:
+    """Index of the point nearest the target, ties to the lowest index."""
+    diffs = instance.points - instance.target[:, None]
+    return int(np.argmin(np.einsum("ij,ij->j", diffs, diffs)))
+
+
 def initial_iterate(instance: HullInstance, config: HullConfig) -> Iterate:
     """Starting iterate per the configured init rule."""
     n = instance.n_points
@@ -336,10 +335,8 @@ def initial_iterate(instance: HullInstance, config: HullConfig) -> Iterate:
     elif config.init_rule == INIT_GIVEN:
         coeffs = np.asarray(config.init_coeffs, dtype=float)
     else:  # nearest vertex: the cheapest start that is often already close
-        diffs = instance.points - instance.target[:, None]
-        k = int(np.argmin(np.einsum("ij,ij->j", diffs, diffs)))
         coeffs = np.zeros(n)
-        coeffs[k] = 1.0
+        coeffs[_nearest_vertex(instance)] = 1.0
     return make_iterate(instance, coeffs)
 
 
@@ -366,29 +363,20 @@ def direct_margins(instance: HullInstance, iterate: Iterate) -> np.ndarray:
     )
 
 
-def _pick_pivot(margins: np.ndarray, rule: str) -> int | None:
-    if rule == PIVOT_FIRST_FOUND:
-        hits = np.flatnonzero(margins >= 0.0)
-        return int(hits[0]) if hits.size else None
-    j = int(np.argmax(margins))
-    return j if margins[j] >= 0.0 else None
-
-
-def find_pivot(
-    instance: HullInstance, iterate: Iterate, rule: str = PIVOT_MOST_VIOLATED
-) -> int | None:
+def find_pivot(instance: HullInstance, iterate: Iterate) -> int | None:
     """Index of a pivot point, or None when the iterate is a witness.
 
-    Under PIVOT_MOST_VIOLATED the pivot maximizes the margin (ties to the
-    lowest index); under PIVOT_FIRST_FOUND it is the lowest index with a
-    nonnegative margin. The search reads pivot_margins in O(n); when they
-    show no pivot, direct_margins are computed and decide, so None always
-    means the recomputed margins are all negative.
+    The pivot maximizes the margin, ties to the lowest index. The search
+    reads pivot_margins in O(n); when they show no pivot, direct_margins
+    are computed and decide, so None always means the recomputed margins
+    are all negative.
     """
-    j = _pick_pivot(pivot_margins(instance, iterate), rule)
-    if j is None:
-        j = _pick_pivot(direct_margins(instance, iterate), rule)
-    return j
+    for margins_of in (pivot_margins, direct_margins):
+        margins = margins_of(instance, iterate)
+        j = int(np.argmax(margins))
+        if margins[j] >= 0.0:
+            return j
+    return None
 
 
 def check_witness(instance: HullInstance, iterate: Iterate) -> Witness | None:
@@ -516,12 +504,8 @@ def run_hull(
     steps = 0
     witness = certifying_vertex = None
     while True:
-        j = find_pivot(instance, iterate, config.pivot_rule)
-        if j is not None:
-            reference_vertex = j
-        else:
-            diffs = instance.points - instance.target[:, None]
-            reference_vertex = int(np.argmin(np.einsum("ij,ij->j", diffs, diffs)))
+        j = find_pivot(instance, iterate)
+        reference_vertex = _nearest_vertex(instance) if j is None else j
         if iterate.gap <= config.epsilon * instance.distance_to_point(reference_vertex):
             status, certifying_vertex = IN_HULL_APPROX, reference_vertex
             break

@@ -339,7 +339,6 @@ def solve_incremental(
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
     u_sq = float(system.u @ system.u)
-    rule = config.hull.pivot_rule
 
     max_steps = config.hull.max_iterations or DEFAULT_PHASE_CAP
 
@@ -404,7 +403,7 @@ def solve_incremental(
                 return outcome(CONVERGED, x, residual)
 
         # Step 2: witness check via pivot search; Step 3: shift escalation.
-        j = find_pivot(instance, iterate, rule)
+        j = find_pivot(instance, iterate)
         while j is None:
             if policy == POLICY_DOUBLE_PLUS_ONE:
                 new_t = 2.0 * t0 + 1.0
@@ -414,7 +413,7 @@ def solve_incremental(
                 except NoPositiveQuadratic:
                     iterate = _reseed(instance, iterate)
                     reseeds += 1
-                    j = find_pivot(instance, iterate, rule)
+                    j = find_pivot(instance, iterate)
                     continue
             escalations += 1
             if diagnostics["max_escalations"] is None:
@@ -428,7 +427,7 @@ def solve_incremental(
                 trace.append(
                     TraceRecord(steps, t0, iterate.gap, float(iterate.coeffs[-1]), None, True)
                 )
-            j = find_pivot(instance, iterate, rule)
+            j = find_pivot(instance, iterate)
 
         if steps >= max_steps:
             return outcome(SOLVE_CAP_EXCEEDED)

@@ -91,8 +91,8 @@ class AlphaBVanishes(Exception):
 
 def _phase1_outcome(columns: HullInstance, config: SolveConfig) -> HullOutcome:
     """Phase 1's hull run on columns, the columns of A against the origin,
-    in pairwise steps, under the user's pivot and init rules and iteration
-    cap (DEFAULT_PHASE_CAP when unset), with epsilon
+    in pairwise steps, under the user's init rule and iteration cap
+    (DEFAULT_PHASE_CAP when unset), with epsilon
     min(epsilon0, PHASE1_EPSILON_CEIL) and no trace.
 
     A witness gives delta0' = gap / 2, a lower bound on the hull-to-origin
@@ -288,7 +288,7 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
                 # hull distance; keep iterating on the direct check instead.
                 diagnostics["hull_target_residual_miss"] = True
 
-        j = find_pivot(instance, iterate, hull_cfg.pivot_rule)
+        j = find_pivot(instance, iterate)
         if j is None:
             witness = check_witness(instance, iterate)
             if trace is not None:

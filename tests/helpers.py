@@ -16,8 +16,6 @@ from hullsolve.hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
     NOT_IN_HULL,
-    PIVOT_FIRST_FOUND,
-    PIVOT_MOST_VIOLATED,
     HullConfig,
     HullInstance,
     initial_iterate,
@@ -166,17 +164,14 @@ def reference_margins(instance: HullInstance, point: np.ndarray) -> np.ndarray:
     return instance.points.T @ (instance.target - point) - shift
 
 
-def _reference_pick(margins: np.ndarray, rule: str) -> int | None:
-    if rule == PIVOT_FIRST_FOUND:
-        hits = np.flatnonzero(margins >= 0.0)
-        return int(hits[0]) if hits.size else None
+def _reference_pick(margins: np.ndarray) -> int | None:
     j = int(np.argmax(margins))
     return j if margins[j] >= 0.0 else None
 
 
-def reference_find_pivot(instance, iterate, rule=PIVOT_MOST_VIOLATED):
+def reference_find_pivot(instance, iterate):
     """Pivot search on margins recomputed from the points at every call."""
-    return _reference_pick(reference_margins(instance, iterate.point), rule)
+    return _reference_pick(reference_margins(instance, iterate.point))
 
 
 def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
@@ -198,7 +193,7 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
 
     while True:
         margins = reference_margins(instance, point)
-        j = _reference_pick(margins, config.pivot_rule)
+        j = _reference_pick(margins)
         if j is not None:
             vertex = j
         else:

@@ -1,14 +1,24 @@
 """File formats, CLI subcommands, reports, and traces."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import example2_system, reference_run_hull
-from hullsolve import cli, matio
+from hullsolve import SolveConfig, cli, matio, solve_incremental
 from hullsolve.cli import main
-from hullsolve.hull import NOT_IN_HULL, DegeneratePivot, HullConfig, HullInstance, run_hull
+from hullsolve.hull import (
+    INIT_CENTROID,
+    NOT_IN_HULL,
+    DegeneratePivot,
+    HullConfig,
+    HullInstance,
+    run_hull,
+)
 from hullsolve.matio import (
     DimensionMismatch,
     ParseError,
@@ -284,6 +294,20 @@ class TestSolveCommand:
             blobs.append(json.dumps(parsed, sort_keys=True))
         assert blobs[0] == blobs[1]
 
+    def test_init_centroid_matches_library(self, ex2_files, tmp_path):
+        matrix, rhs = ex2_files
+        report_path = tmp_path / "report.json"
+        main(["solve", "--matrix", matrix, "--rhs", rhs, "--init", "centroid",
+              "--report", str(report_path)])
+        report = json.loads(report_path.read_text())
+        assert report["config"]["init_rule"] == INIT_CENTROID
+        centroid = solve_incremental(
+            example2_system(), SolveConfig(hull=HullConfig(init_rule=INIT_CENTROID))
+        )
+        nearest = solve_incremental(example2_system(), SolveConfig())
+        assert (report["status"], report["iterations"]) == (centroid.status, centroid.iterations)
+        assert centroid.iterations != nearest.iterations
+
     def test_bad_increment_spec_exit_two(self, ex2_files):
         matrix, rhs = ex2_files
         assert main(
@@ -330,6 +354,24 @@ class TestHullCommand:
         )
         assert code == 0
 
+    def test_init_centroid_matches_library(self, tmp_path):
+        rng = np.random.default_rng(19)
+        points = rng.normal(size=(3, 8))
+        center = points.mean(axis=1)
+        target = center + 0.5 * (points[:, 3] - center)
+        points_path, target_path = tmp_path / "pts.txt", tmp_path / "q.txt"
+        np.savetxt(points_path, points, fmt="%.17g", header="3 8", comments="")
+        np.savetxt(target_path, target[:, None], fmt="%.17g", header="3 1", comments="")
+        report_path = tmp_path / "hull.json"
+        main(["hull", "--points", str(points_path), "--target", str(target_path),
+              "--init", "centroid", "--report", str(report_path)])
+        report = json.loads(report_path.read_text())
+        assert report["config"]["init_rule"] == INIT_CENTROID
+        instance = HullInstance(points, target)
+        centroid = run_hull(instance, HullConfig(epsilon=1e-2, init_rule=INIT_CENTROID))
+        nearest = run_hull(instance, HullConfig(epsilon=1e-2))
+        assert (report["status"], report["iterations"]) == (centroid.status, centroid.iterations)
+        assert centroid.iterations != nearest.iterations
 
     @pytest.mark.parametrize(
         "spread, max_iters, status",
@@ -577,3 +619,29 @@ class TestNoTraceback:
             assert main([*argv, "--max-iters", cap]) == 1
             report = json.loads(report_path.read_text())
             assert (report["status"], report["iterations"]) == ("cap_exceeded", 2)
+
+
+def _readme_synopsis_flags() -> dict[str, set[str]]:
+    """{subcommand: the --flags of its lines in the README's command-line
+    synopsis}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    flags: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("hullsolve "):
+            command = flags.setdefault(line.split()[1], set())
+        command.update(re.findall(r"--[a-z0-9-]+", line))
+    return flags
+
+
+def test_readme_synopsis_lists_every_option():
+    # --report and --trace are documented once, under the synopsis.
+    subparsers = next(
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {s for a in sub._actions for s in a.option_strings if s.startswith("--")}
+        - {"--help", "--report", "--trace"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert _readme_synopsis_flags() == parsed

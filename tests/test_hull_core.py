@@ -34,7 +34,7 @@ from hullsolve import (
     solve_nonneg,
     step_size,
 )
-from hullsolve.hull import PIVOT_FIRST_FOUND, PIVOT_MOST_VIOLATED, pivot_margins
+from hullsolve.hull import pivot_margins
 from hullsolve.incremental import move_shift, shifted_instance
 from hullsolve.oracles import hull_membership_2d
 
@@ -55,14 +55,12 @@ class TestFindPivot:
         iterate = make_iterate(instance, [0.25, 0.5, 0.25])
         assert np.allclose(iterate.point, [0.0, 1.5])
         assert find_pivot(instance, iterate) is None
-        assert find_pivot(instance, iterate, PIVOT_FIRST_FOUND) is None
 
     def test_centroid_picks_second_column(self):
         instance = HullInstance(hull_points_example1(), np.zeros(2))
         iterate = make_iterate(instance, np.full(3, 1.0 / 3.0))
         assert np.allclose(iterate.point, [2.0 / 3.0, -1.0 / 3.0])
-        assert find_pivot(instance, iterate, PIVOT_MOST_VIOLATED) == 1
-        assert find_pivot(instance, iterate, PIVOT_FIRST_FOUND) == 1
+        assert find_pivot(instance, iterate) == 1
 
     def test_zero_gap_every_index_is_pivot(self):
         points = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 2.0]])
@@ -71,8 +69,7 @@ class TestFindPivot:
         iterate = make_iterate(instance, [0.25, 0.25, 0.5])
         margins = pivot_margins(instance, iterate)
         assert np.all(np.abs(margins) < 1e-12)
-        assert find_pivot(instance, iterate, PIVOT_MOST_VIOLATED) == 0
-        assert find_pivot(instance, iterate, PIVOT_FIRST_FOUND) == 0
+        assert find_pivot(instance, iterate) == 0
 
 
 class TestCheckWitness:

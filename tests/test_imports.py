@@ -6,9 +6,13 @@
 - Every name a module lists in __all__ is defined at its module level.
 - No module but cli calls print: the library reports through its return
   values and logging.
+- Every module-level UPPER_CASE constant is read somewhere in the package,
+  by name or as a module attribute; an __all__ entry or an import alone
+  does not count, so a constant whose last reader is gone shows up.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -93,3 +97,39 @@ def test_module_defines_its_exports(path):
 )
 def test_library_module_does_not_print(path):
     assert print_calls(path.read_text(encoding="utf-8")) == []
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """module.NAME for each module-level UPPER_CASE constant of sources
+    ({module: source}) that no module reads."""
+    defined: list[str] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.extend(
+                    f"{module}.{t.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in defined if name.split(".", 1)[1] not in read]
+
+
+def test_check_finds_unread_constants():
+    sources = {
+        "a": "X = 1\nY: int = 2\nZ = 3\n_W = 4\nlower = 5\n__all__ = ['X', 'Y']\n",
+        "b": "from .a import X, Y, _W\nimport a\n\ndef f():\n    return X + a.Z\n",
+    }
+    assert unread_constants(sources) == ["a.Y", "a._W"]
+
+
+def test_every_constant_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in ALL_MODULES}
+    assert unread_constants(sources) == []

@@ -39,7 +39,6 @@ from hullsolve import (
     solve_nonneg,
 )
 from hullsolve import hull, incremental, two_phase
-from hullsolve.hull import PIVOT_FIRST_FOUND, PIVOT_MOST_VIOLATED
 
 
 def _with_reference_pivots(monkeypatch, solve, *args, **kwargs):
@@ -88,14 +87,11 @@ class TestRunHull:
             assert np.array_equal(outcome.witness.margins, expected["witness_margins"])
         return outcome
 
-    @pytest.mark.parametrize("rule", [PIVOT_MOST_VIOLATED, PIVOT_FIRST_FOUND])
-    def test_membership_instances(self, rule):
+    def test_membership_instances(self):
         rng = np.random.default_rng(401)
         for dim in (3, 6, 10):
             points, target = membership_instance(rng, dim)
-            outcome = self._assert_same(
-                HullInstance(points, target), HullConfig(epsilon=1e-3, pivot_rule=rule)
-            )
+            outcome = self._assert_same(HullInstance(points, target), HullConfig(epsilon=1e-3))
             assert outcome.status == IN_HULL_APPROX
 
     def test_outside_instances_witness(self):
@@ -218,17 +214,16 @@ class TestCertificates:
         iterate.dot_cache = iterate.dot_cache + 1e-3
         assert np.array_equal(check_witness(instance, iterate).margins, witness.margins)
 
-    @pytest.mark.parametrize("rule", [PIVOT_MOST_VIOLATED, PIVOT_FIRST_FOUND])
-    def test_no_pivot_on_products_is_confirmed_directly(self, rule):
+    def test_no_pivot_on_products_is_confirmed_directly(self):
         # Products that understate every margin must not yield a witness.
         rng = np.random.default_rng(421)
         points, target = membership_instance(rng, 6)
         instance = HullInstance(points, target)
         iterate = make_iterate(instance, rng.dirichlet(np.ones(6)))
-        expected = reference_find_pivot(instance, iterate, rule)
+        expected = reference_find_pivot(instance, iterate)
         assert expected is not None
         iterate.dot_cache = iterate.dot_cache + 1e6
-        assert find_pivot(instance, iterate, rule) == expected
+        assert find_pivot(instance, iterate) == expected
 
 
 class TestGatedResidual:
