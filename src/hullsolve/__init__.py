@@ -56,7 +56,6 @@ from .system import (
 )
 from .two_phase import (
     AlphaBVanishes,
-    ZeroInColumnHull,
     recover_solution,
     select_inner_epsilon,
     sensitivity_epsilon_prime,

@@ -4,9 +4,10 @@ Subcommands: hull (membership query), solve (linear system, nonneg or
 incremental mode), analyze (a-priori bounds), oracle (ground-truth
 utilities), bench (random instance suites). Exit codes: 0 on success, 1
 when the run ended without convergence (witness or cap, certificate in the
-report), 2 on input errors: unreadable or malformed files, a singular
-matrix, data too large to hold in memory, and a degenerate pivot (a point
-that coincides with the iterate).
+report), 2 on an input error: a ValueError, MemoryError or OSError. Every
+exception hullsolve raises is a ValueError: unreadable or malformed files,
+mismatched shapes, a singular matrix, a degenerate pivot that no point
+certifies.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .hull import (
     INIT_CENTROID,
     INIT_NEAREST_VERTEX,
     NOT_IN_HULL,
-    DegeneratePivot,
     HullConfig,
     HullInstance,
     TraceRecord,
@@ -35,7 +35,6 @@ from .system import (
     DELTA0_SKIP,
     DELTA0_USER,
     LinearSystem,
-    SingularMatrixError,
     SolveConfig,
 )
 
@@ -145,10 +144,6 @@ def _cmd_hull(args) -> int:
     started = time.perf_counter()
     points = matio.load_matrix(args.points)
     target = matio.load_vector(args.target)
-    if points.shape[0] != target.shape[0]:
-        raise matio.DimensionMismatch(
-            f"points live in dimension {points.shape[0]}, target in {target.shape[0]}"
-        )
     config = HullConfig(
         epsilon=args.epsilon,
         max_iterations=args.max_iters,
@@ -212,10 +207,6 @@ def _cmd_solve(args) -> int:
     started = time.perf_counter()
     a = matio.load_matrix(args.matrix)
     b = matio.load_vector(args.rhs)
-    if a.shape[0] != b.shape[0]:
-        raise matio.DimensionMismatch(
-            f"matrix is {a.shape[0]}x{a.shape[1]}, rhs has length {b.shape[0]}"
-        )
     system = LinearSystem(a, b)
     hull_cfg = HullConfig(
         max_iterations=args.max_iters,
@@ -337,10 +328,7 @@ def _bench_instance(suite: str, size: int, index: int, seed: int, epsilon0: floa
         else:
             x_star = rng.normal(size=size)
         system = LinearSystem(a, a @ x_star)
-        config = SolveConfig(
-            epsilon0=epsilon0,
-            delta0_policy=DELTA0_SKIP if suite == "general" else DELTA0_FROM_PHASE1,
-        )
+        config = SolveConfig(epsilon0=epsilon0)
         if suite == "nonneg":
             outcome = two_phase.solve_nonneg(system, config)
         else:
@@ -402,16 +390,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        matio.ParseError,
-        matio.DimensionMismatch,
-        SingularMatrixError,
-        two_phase.ZeroInColumnHull,
-        DegeneratePivot,
-        MemoryError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -95,11 +95,12 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-class DegeneratePivot(Exception):
+class DegeneratePivot(ValueError):
     """Pivot point coincides exactly with the current iterate.
 
     A pivot margin rules that out in exact arithmetic unless the iterate
     already sits on the target, so it signals a stalled run, at any scale.
+    run_hull raises it only when no point certifies the iterate either.
     """
 
 
@@ -117,13 +118,13 @@ class HullInstance:
     def __init__(self, points, target):
         points = np.ascontiguousarray(points, dtype=float)
         target = np.ascontiguousarray(target, dtype=float)
-        if points.ndim != 2:
-            raise ValueError("points must be a 2-d array with one column per point")
+        if points.ndim != 2 or target.ndim != 1:
+            raise ValueError("points must be a 2-d array, one column per point, and target 1-d")
         m, n = points.shape
         if n < 1 or m < 1:
             raise ValueError("need at least one point in at least one dimension")
-        if target.shape != (m,):
-            raise ValueError(f"target has dimension {target.shape}, points have {m}")
+        if target.size != m:
+            raise ValueError(f"points live in dimension {m}, target in {target.size}")
         if not np.isfinite(points).all() or not np.isfinite(target).all():
             raise ValueError("points and target must be finite")
         check_scale(points, "points")
@@ -142,10 +143,6 @@ class HullInstance:
     @property
     def n_points(self) -> int:
         return self.points.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[0]
 
     def distance_to_point(self, j: int) -> float:
         """||p - v_j||."""
@@ -321,10 +318,15 @@ def make_iterate(instance: HullInstance, coeffs) -> Iterate:
     return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
 
 
+def _sq_distances(instance: HullInstance) -> np.ndarray:
+    """||p - v_i||^2 for every point."""
+    diffs = instance.points - instance.target[:, None]
+    return np.einsum("ij,ij->j", diffs, diffs)
+
+
 def _nearest_vertex(instance: HullInstance) -> int:
     """Index of the point nearest the target, ties to the lowest index."""
-    diffs = instance.points - instance.target[:, None]
-    return int(np.argmin(np.einsum("ij,ij->j", diffs, diffs)))
+    return int(np.argmin(_sq_distances(instance)))
 
 
 def initial_iterate(instance: HullInstance, config: HullConfig) -> Iterate:
@@ -494,8 +496,11 @@ def run_hull(
     stepping; when no pivot exists the reference falls back to
     min_i ||p - v_i||), NOT_IN_HULL with a witness when no pivot exists and
     the approximation test fails, and CAP_EXCEEDED once max_iterations
-    steps were taken without either. Deterministic for a fixed
-    configuration.
+    steps were taken without either. A pivot that coincides with the
+    iterate, as when the target is within rounding of a point, ends the
+    run IN_HULL_APPROX if gap <= epsilon * ||p - v_far|| for the point
+    v_far farthest from p, and raises DegeneratePivot otherwise.
+    Deterministic for a fixed configuration.
     """
     iterate = initial_iterate(instance, config)
     delta0 = iterate.gap
@@ -515,7 +520,14 @@ def run_hull(
         if steps >= cap:
             status = CAP_EXCEEDED
             break
-        alpha = step_size(instance.target, iterate, instance.points[:, j])
+        try:
+            alpha = step_size(instance.target, iterate, instance.points[:, j])
+        except DegeneratePivot:
+            far = int(np.argmax(_sq_distances(instance)))
+            if iterate.gap > config.epsilon * instance.distance_to_point(far):
+                raise
+            status, certifying_vertex = IN_HULL_APPROX, far
+            break
         iterate = apply_step(instance, iterate, j, alpha, pairwise=pairwise)
         steps += 1
         if trace is not None:

@@ -68,7 +68,7 @@ POLICY_DOUBLE_PLUS_ONE = "double_plus_one"
 ROOT_TINY = 1e-12
 
 
-class NoPositiveQuadratic(Exception):
+class NoPositiveQuadratic(ValueError):
     """No column quadratic opens upward (the -b coefficient vanished)."""
 
 

@@ -32,7 +32,7 @@ FORMAT_DENSE_TEXT = "dense_text"
 TRACE_HEADER = "iter,t,gap_or_E,alpha_b,pivot,witness"
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Malformed input file; carries the 1-based offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -42,7 +42,7 @@ class ParseError(Exception):
         super().__init__(message)
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(ValueError):
     """Loaded data has a shape incompatible with its declared use."""
 
 

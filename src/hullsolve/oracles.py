@@ -9,6 +9,7 @@ simplex grid with local refinement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -186,18 +187,16 @@ def boundary_distance_2d(
 
 
 def _simplex_grid(n: int, k: int) -> np.ndarray:
-    """All nonnegative integer n-vectors summing to k, as rows."""
-    if n == 1:
-        return np.array([[k]], dtype=float)
-    if n == 2:
-        firsts = np.arange(k + 1, dtype=float)
-        return np.stack([firsts, k - firsts], axis=1)
-    blocks = []
-    for first in range(k + 1):
-        rest = _simplex_grid(n - 1, k - first)
-        first_col = np.full((rest.shape[0], 1), float(first))
-        blocks.append(np.hstack([first_col, rest]))
-    return np.vstack(blocks)
+    """All nonnegative integer n-vectors summing to k, as rows in
+    lexicographic order: the gaps between n - 1 bars placed among
+    k + n - 1 slots (stars and bars)."""
+    rows = math.comb(k + n - 1, n - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(k + n - 1), n - 1)),
+        dtype=float,
+        count=rows * (n - 1),
+    ).reshape(rows, n - 1)
+    return np.diff(bars, axis=1, prepend=-1.0, append=float(k + n - 1)) - 1.0
 
 
 def _pairwise_refine(points: np.ndarray, p: np.ndarray, weights: np.ndarray) -> float:

@@ -42,7 +42,7 @@ SOLVE_CAP_EXCEEDED = "cap_exceeded"
 ALPHA_FLOOR = 1e-12
 
 
-class SingularMatrixError(Exception):
+class SingularMatrixError(ValueError):
     """The coefficient matrix is singular (or numerically indistinguishable)."""
 
 
@@ -58,11 +58,11 @@ class LinearSystem:
     def __init__(self, a, b):
         a = np.ascontiguousarray(a, dtype=float)
         b = np.ascontiguousarray(b, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 1:
+            raise ValueError("matrix must be square and right-hand side 1-d")
         n = a.shape[0]
-        if b.shape != (n,):
-            raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
+        if b.size != n:
+            raise ValueError(f"matrix is {n}x{n}, right-hand side has length {b.size}")
         if not np.isfinite(a).all() or not np.isfinite(b).all():
             raise ValueError("matrix and right-hand side must be finite")
         if not a.any(axis=0).all():

@@ -48,12 +48,12 @@ from .system import (
     INFEASIBLE_NONNEG,
     SOLVE_CAP_EXCEEDED,
     LinearSystem,
+    SingularMatrixError,
     SolveConfig,
     SolveOutcome,
 )
 
 __all__ = [
-    "ZeroInColumnHull",
     "AlphaBVanishes",
     "select_inner_epsilon",
     "sensitivity_epsilon_prime",
@@ -81,11 +81,7 @@ PHASE1_EPSILON_CEIL = 1e-6
 PROXY_MARGIN = 1e-6
 
 
-class ZeroInColumnHull(Exception):
-    """The origin lies in conv(columns of A) to tolerance, so A is singular."""
-
-
-class AlphaBVanishes(Exception):
+class AlphaBVanishes(ValueError):
     """The iterate places (numerically) no weight on -b; x0 is unrecoverable."""
 
 
@@ -153,11 +149,12 @@ def recover_solution(iterate: Iterate, system: LinearSystem) -> np.ndarray:
 def _resolve_delta0(
     system: LinearSystem, config: SolveConfig, columns: HullInstance
 ) -> tuple[float | None, HullOutcome | None, dict]:
-    """delta0' per policy, and Phase 1's outcome on columns when it ran.
+    """delta0' per policy, and Phase 1's outcome on columns when it ran;
+    no delta0' when Phase 1 reached its cap without a witness.
 
-    Raises ZeroInColumnHull when Phase 1 ends in an approximate membership,
-    and ValueError when a user delta0' exceeds rho: the hull-to-origin
-    distance is at most ||b|| <= rho.
+    Raises SingularMatrixError when Phase 1 ends in an approximate
+    membership, and ValueError when a user delta0' exceeds rho: the
+    hull-to-origin distance is at most ||b|| <= rho.
     """
     diagnostics: dict = {"phase1_iterations": 0}
     if config.delta0_policy == DELTA0_USER:
@@ -178,12 +175,18 @@ def _resolve_delta0(
         return None, None, diagnostics
     phase1 = _phase1_outcome(columns, config)
     if phase1.status == IN_HULL_APPROX:
-        raise ZeroInColumnHull(
+        raise SingularMatrixError(
             "origin lies in the convex hull of the columns to tolerance "
             f"(gap {phase1.iterate.gap:.3e}); the matrix is singular"
         )
-    diagnostics["delta0_source"] = "phase1_witness"
     diagnostics["phase1_iterations"] = phase1.iterations
+    if phase1.status == CAP_EXCEEDED:
+        diagnostics["delta0_source"] = "unavailable"
+        diagnostics["phase1"] = (
+            f"phase 1 exceeded {phase1.iterations} iterations without a verdict"
+        )
+        return None, phase1, diagnostics
+    diagnostics["delta0_source"] = "phase1_witness"
     return 0.5 * phase1.iterate.gap, phase1, diagnostics
 
 
@@ -211,16 +214,27 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     columns = HullInstance(system.a, np.zeros(n))
     delta0_prime, phase1, diagnostics = _resolve_delta0(system, config, columns)
     phase1_steps = diagnostics["phase1_iterations"]
-    if phase1 is not None and phase1.status == CAP_EXCEEDED:
+    inner_eps: float | None = None
+    trace: list[TraceRecord] | None = None
+    steps = 0
+
+    def outcome(status, x=None, residual=None, witness=None):
         return SolveOutcome(
-            status=SOLVE_CAP_EXCEEDED,
-            iterations=phase1_steps,
-            diagnostics={
-                "phase1": f"phase 1 exceeded {phase1_steps} iterations without a verdict"
-            },
+            status=status,
+            iterations=phase1_steps + steps,
+            x=x,
+            residual_norm=residual,
+            relative_residual=None if residual is None else residual / rho,
+            phase1_delta0_prime=delta0_prime,
+            inner_epsilon=inner_eps,
+            witness=witness,
+            trace=trace,
+            diagnostics=diagnostics,
         )
 
-    inner_eps: float | None = None
+    if phase1 is not None and phase1.status == CAP_EXCEEDED:
+        return outcome(SOLVE_CAP_EXCEEDED)
+
     if delta0_prime is not None:
         inner_eps = select_inner_epsilon(eps0, delta0_prime, system)
         diagnostics["epsilon_prime"] = sensitivity_epsilon_prime(
@@ -245,24 +259,10 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     else:
         iterate = initial_iterate(instance, hull_cfg)
 
-    trace: list[TraceRecord] | None = [] if config.record_trace else None
+    if config.record_trace:
+        trace = []
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
-    steps = 0
-
-    def outcome(status, x=None, residual=None, witness=None):
-        return SolveOutcome(
-            status=status,
-            iterations=phase1_steps + steps,
-            x=x,
-            residual_norm=residual,
-            relative_residual=None if residual is None else residual / rho,
-            phase1_delta0_prime=delta0_prime,
-            inner_epsilon=inner_eps,
-            witness=witness,
-            trace=trace,
-            diagnostics=diagnostics,
-        )
 
     while True:
         alpha_b = float(iterate.coeffs[-1])

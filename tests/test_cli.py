@@ -543,6 +543,38 @@ class TestNoTraceback:
         assert main(["hull", "--points", str(points), "--target", str(target)]) == 2
         assert "error: pivot coincides" in capsys.readouterr().err
 
+    def test_target_within_rounding_of_a_point_exit_zero(self, tmp_path):
+        pts = np.random.default_rng(19).normal(size=(3, 8))
+        centroid = pts.mean(axis=1)
+        q = centroid + 1.0 * (pts[:, 5] - centroid)
+        points, target = tmp_path / "pts.txt", tmp_path / "q.txt"
+        points.write_text("3 8\n" + "".join(" ".join(map(repr, r)) + "\n" for r in pts.tolist()))
+        target.write_text("3 1\n" + "".join(f"{v!r}\n" for v in q.tolist()))
+        report_path = tmp_path / "hull.json"
+        argv = ["hull", "--points", str(points), "--target", str(target)]
+        assert main(argv + ["--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert (report["status"], report["iterations"]) == ("in_hull_approx", 0)
+        assert report["certifying_vertex"] == 6
+
+    def test_degenerate_pivot_no_point_certifies_exit_two(self, tmp_path, capsys):
+        points, target = tmp_path / "pts.txt", tmp_path / "q.txt"
+        points.write_text("2 3\n1 1 1\n1 1 1\n")
+        target.write_text(f"2 1\n1\n{1.0 + 2.0**-52!r}\n")
+        assert main(["hull", "--points", str(points), "--target", str(target)]) == 2
+        assert capsys.readouterr().err == "error: pivot coincides with the current iterate\n"
+
+    def test_shape_mismatch_same_message_everywhere(self, ex1_files, tmp_path, capsys):
+        matrix, _ = ex1_files
+        rhs = tmp_path / "b3.txt"
+        rhs.write_text("3 1\n1\n2\n3\n")
+        for command in (["solve"], ["solve", "--mode", "nonneg"], ["analyze"], ["oracle"]):
+            assert main(command + ["--matrix", matrix, "--rhs", str(rhs)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: matrix is 2x2, right-hand side has length 3\n"
+        assert main(["hull", "--points", matrix, "--target", str(rhs)]) == 2
+        assert capsys.readouterr().err == "error: points live in dimension 2, target in 3\n"
+
     @pytest.mark.parametrize("epsilon", ["1e-200", "1e-160"])
     def test_tiny_epsilon_exit_two(self, tmp_path, capsys, epsilon):
         # 48 / epsilon^2, the default cap, divides by zero or overflows.

@@ -516,6 +516,27 @@ class TestRunHull:
         with pytest.raises(ValueError, match="target too large"):
             run_hull(HullInstance(points, target), HullConfig(epsilon=0.01))
 
+    def test_target_within_rounding_of_a_point(self):
+        # The target misses v_5 by one rounding, so the pivot v_5 is the
+        # iterate itself; the point farthest from the target certifies.
+        points = np.random.default_rng(19).normal(size=(3, 8))
+        centroid = points.mean(axis=1)
+        target = centroid + 1.0 * (points[:, 5] - centroid)
+        instance = HullInstance(points, target)
+        outcome = run_hull(instance, HullConfig(epsilon=0.01))
+        assert (outcome.status, outcome.iterations) == (IN_HULL_APPROX, 0)
+        assert outcome.iterate.gap > 0.0
+        assert outcome.iterate.coeffs[5] == 1.0
+        distances = [instance.distance_to_point(i) for i in range(8)]
+        assert outcome.certifying_vertex == int(np.argmax(distances)) == 6
+        assert outcome.iterate.gap <= 0.01 * distances[6]
+
+    def test_degenerate_pivot_no_point_certifies(self):
+        # Every point is the iterate and as far from the target as it is.
+        instance = HullInstance(np.ones((2, 3)), np.array([1.0, 1.0 + 2.0**-52]))
+        with pytest.raises(DegeneratePivot):
+            run_hull(instance, HullConfig(epsilon=0.01))
+
     def test_radius_matches_max_distance(self):
         rng = np.random.default_rng(31)
         points = rng.normal(size=(3, 6))

@@ -9,9 +9,14 @@
 - Every module-level UPPER_CASE constant is read somewhere in the package,
   by name or as a module attribute; an __all__ entry or an import alone
   does not count, so a constant whose last reader is gone shows up.
+- Every exception class of the package derives from ValueError, directly
+  or through another class of the package, and the except clauses of
+  cli.main name only built-in exceptions: cli.main catches every error
+  the library raises without importing one.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -133,3 +138,80 @@ def test_check_finds_unread_constants():
 def test_every_constant_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in ALL_MODULES}
     assert unread_constants(sources) == []
+
+
+def is_builtin_exception(name: str, kind: type = BaseException) -> bool:
+    """Whether name is a built-in subclass of kind."""
+    obj = getattr(builtins, name, None)
+    return isinstance(obj, type) and issubclass(obj, kind)
+
+
+def exception_classes(sources: list[str]) -> dict[str, bool]:
+    """{class: whether it derives from ValueError} for each class of sources
+    that derives from a built-in exception, directly or through classes
+    defined in sources; a base is matched by its last dotted name."""
+    bases: dict[str, list[str]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
+
+    def roots(name: str) -> set[str]:
+        if name not in bases:
+            return {name}
+        return set().union(*map(roots, bases[name]))
+
+    return {
+        name: any(is_builtin_exception(r, ValueError) for r in roots(name))
+        for name in bases
+        if any(is_builtin_exception(r) for r in roots(name))
+    }
+
+
+def handler_types(source: str, function: str) -> list[str]:
+    """The exception types the except clauses of function name, as
+    written; a bare except is listed as 'except:'."""
+    tree = ast.parse(source)
+    body = next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function
+    )
+    names: list[str] = []
+    for node in ast.walk(body):
+        if isinstance(node, ast.ExceptHandler):
+            if node.type is None:
+                names.append("except:")
+            else:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names.extend(ast.unparse(t) for t in types)
+    return names
+
+
+def test_checks_find_other_exceptions_and_handlers():
+    sources = [
+        "class A(ValueError):\n    pass\nclass B(A):\n    pass\nclass C(Exception):\n    pass\n",
+        "import x\nclass D(x.C):\n    pass\nclass E(KeyError):\n    pass\n"
+        "class F:\n    pass\nclass G(UnicodeError):\n    pass\n",
+    ]
+    assert exception_classes(sources) == {
+        "A": True, "B": True, "C": False, "D": False, "E": False, "G": True
+    }
+    source = (
+        "def main():\n    try:\n        run()\n"
+        "    except (ValueError, matio.ParseError) as exc:\n        pass\n"
+        "    except OSError:\n        pass\n    except:\n        pass\n"
+        "def other():\n    try:\n        run()\n    except Custom:\n        pass\n"
+    )
+    types = handler_types(source, "main")
+    assert types == ["ValueError", "matio.ParseError", "OSError", "except:"]
+    assert [t for t in types if not is_builtin_exception(t)] == ["matio.ParseError", "except:"]
+
+
+def test_every_exception_is_a_value_error():
+    classes = exception_classes([p.read_text(encoding="utf-8") for p in ALL_MODULES])
+    assert {"ParseError", "SingularMatrixError", "DegeneratePivot"} <= set(classes)
+    assert [name for name, is_value_error in classes.items() if not is_value_error] == []
+
+
+def test_cli_main_catches_only_builtins():
+    types = handler_types((PACKAGE / "cli.py").read_text(encoding="utf-8"), "main")
+    assert types and [t for t in types if not is_builtin_exception(t)] == []

@@ -1,5 +1,7 @@
 """Ground-truth oracles: exact solve, 2-d geometry, brute-force distance."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,17 @@ class TestDeltaBrute:
             _, exact = hull_membership_2d(points, shifted)
             brute = delta_brute(points, shifted, grid_k=60)
             assert brute == pytest.approx(exact, abs=1e-6 + 1e-6 * exact)
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (2, 0), (2, 4), (3, 2), (4, 5)])
+    def test_simplex_grid_rows_in_order(self, n, k):
+        expected = sorted(r for r in itertools.product(range(k + 1), repeat=n) if sum(r) == k)
+        assert [tuple(row) for row in oracles._simplex_grid(n, k).tolist()] == expected
+
+    def test_simplex_grid_of_many_points(self):
+        # At grid_k 1 the size guard admits up to 3,162 points; a grid built
+        # by recursion over the points ran out of stack at 1,500.
+        grid = oracles._simplex_grid(1500, 1)
+        assert np.array_equal(grid, np.eye(1500)[::-1])
 
     @pytest.mark.parametrize(
         "n_points, grid_k", [(6, 200), (4, 400), (3, 0), (3, -1)]

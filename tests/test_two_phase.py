@@ -19,8 +19,8 @@ from hullsolve import (
     HullConfig,
     HullInstance,
     LinearSystem,
+    SingularMatrixError,
     SolveConfig,
-    ZeroInColumnHull,
     make_iterate,
     recover_solution,
     select_inner_epsilon,
@@ -177,7 +177,7 @@ class TestPhase1:
         system = LinearSystem(
             np.array([[1.0, -1.0], [0.0, 0.0]]), np.array([1.0, 0.0])
         )
-        with pytest.raises(ZeroInColumnHull):
+        with pytest.raises(SingularMatrixError):
             solve_nonneg(system, SolveConfig(epsilon0=1e-4))
 
     def test_bracket_against_brute_force(self):
@@ -264,10 +264,14 @@ class TestSolveNonneg:
         outcome = solve_nonneg(system, config)
         assert outcome.status == SOLVE_CAP_EXCEEDED
         assert outcome.iterations == 2
+        # The same diagnostics as every other outcome, and the cap message.
         assert outcome.diagnostics == {
-            "phase1": "phase 1 exceeded 2 iterations without a verdict"
+            "phase1_iterations": 2,
+            "delta0_source": "unavailable",
+            "phase1": "phase 1 exceeded 2 iterations without a verdict",
         }
         assert outcome.x is None and outcome.phase1_delta0_prime is None
+        assert outcome.inner_epsilon is None
 
     def test_phase2_cap_ends_the_solve(self):
         rng = np.random.default_rng(14)
