@@ -27,16 +27,11 @@ from .hull import (
     HullConfig,
     HullInstance,
     TraceRecord,
+    check_shapes,
     run_hull,
 )
-from .system import (
-    CONVERGED,
-    DELTA0_FROM_PHASE1,
-    DELTA0_SKIP,
-    DELTA0_USER,
-    LinearSystem,
-    SolveConfig,
-)
+from .system import CONVERGED, LinearSystem, SolveConfig
+from .two_phase import DELTA0_FROM_PHASE1, DELTA0_SKIP, DELTA0_USER
 
 __all__ = ["main"]
 
@@ -73,11 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=["incremental", "nonneg"], default="incremental")
     solve.add_argument(
         "--increment",
-        default="quantized:1",
-        help="shift policy for incremental mode: quantized:N or double",
+        default=None,
+        help="shift policy for incremental mode: quantized:N (default quantized:1) or double",
     )
-    solve.add_argument("--skip-phase1", action="store_true")
-    solve.add_argument("--delta0", type=float, default=None, help="user bound on hull distance")
+    solve.add_argument("--skip-phase1", action="store_true", help="nonneg mode only")
+    solve.add_argument("--delta0", type=float, help="nonneg mode: user bound on hull distance")
     solve.add_argument("--init", choices=sorted(_INIT_CHOICES), default="nearest")
     solve.add_argument("--max-iters", type=int, default=None)
     common_output(solve)
@@ -205,12 +200,23 @@ def _solve_outcome_report(command: str, config_echo: dict, outcome) -> dict:
 
 def _cmd_solve(args) -> int:
     started = time.perf_counter()
+    nonneg = args.mode == "nonneg"
+    for option, given, for_nonneg in (
+        ("--delta0", args.delta0 is not None, True),
+        ("--skip-phase1", args.skip_phase1, True),
+        ("--increment", args.increment is not None, False),
+    ):
+        if given and for_nonneg != nonneg:
+            raise ValueError(f"{option} does not apply to --mode {args.mode}")
+    increment = "quantized:1" if args.increment is None else args.increment
     a = matio.load_matrix(args.matrix)
     b = matio.load_vector(args.rhs)
     system = LinearSystem(a, b)
-    hull_cfg = HullConfig(
+    config = SolveConfig(
+        epsilon0=args.epsilon0,
         max_iterations=args.max_iters,
         init_rule=_INIT_CHOICES[args.init],
+        record_trace=bool(args.trace),
     )
     if args.delta0 is not None:
         policy = DELTA0_USER
@@ -218,24 +224,19 @@ def _cmd_solve(args) -> int:
         policy = DELTA0_SKIP
     else:
         policy = DELTA0_FROM_PHASE1
-    config = SolveConfig(
-        epsilon0=args.epsilon0,
-        delta0_policy=policy,
-        delta0_user=args.delta0,
-        hull=hull_cfg,
-        record_trace=bool(args.trace),
-    )
     config_echo = {
         "mode": args.mode,
         "epsilon0": args.epsilon0,
         "delta0_policy": policy,
-        "init_rule": hull_cfg.init_rule,
-        "increment": args.increment,
+        "init_rule": config.init_rule,
+        "increment": increment,
     }
-    if args.mode == "nonneg":
-        outcome = two_phase.solve_nonneg(system, config)
+    if nonneg:
+        outcome = two_phase.solve_nonneg(
+            system, config, delta0_policy=policy, delta0_user=args.delta0
+        )
     else:
-        policy_name, quantum = _parse_increment(args.increment)
+        policy_name, quantum = _parse_increment(increment)
         outcome = incremental.solve_incremental(
             system, config, policy=policy_name, quantum=quantum
         )
@@ -261,8 +262,6 @@ def _parse_increment(spec: str) -> tuple[str, int | None]:
             quantum = int(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad increment spec {spec!r}")
-        if quantum < 1:
-            raise ValueError("increment quantum must be a positive integer")
         return incremental.POLICY_QUANTIZED, quantum
     raise ValueError(f"bad increment spec {spec!r}; use quantized:N or double")
 
@@ -295,6 +294,7 @@ def _cmd_oracle(args) -> int:
     elif args.points and args.target:
         points = matio.load_matrix(args.points)
         target = matio.load_vector(args.target)
+        check_shapes(points, target)
         if points.shape[0] == 2:
             inside, delta = oracles.hull_membership_2d(points, target)
             report["membership"] = bool(inside)

@@ -89,6 +89,17 @@ def check_scale(columns: np.ndarray, what: str) -> np.ndarray:
     return sq
 
 
+def check_shapes(points: np.ndarray, target: np.ndarray) -> None:
+    """ValueError unless points (one per column) and target fit together."""
+    if points.ndim != 2 or target.ndim != 1:
+        raise ValueError("points must be a 2-d array, one column per point, and target 1-d")
+    m, n = points.shape
+    if n < 1 or m < 1:
+        raise ValueError("need at least one point in at least one dimension")
+    if target.size != m:
+        raise ValueError(f"points live in dimension {m}, target in {target.size}")
+
+
 def vector_norm(v: np.ndarray) -> float:
     """||v||: what np.linalg.norm returns for a real vector, the square
     root of v.dot(v), without its dispatch cost."""
@@ -118,13 +129,7 @@ class HullInstance:
     def __init__(self, points, target):
         points = np.ascontiguousarray(points, dtype=float)
         target = np.ascontiguousarray(target, dtype=float)
-        if points.ndim != 2 or target.ndim != 1:
-            raise ValueError("points must be a 2-d array, one column per point, and target 1-d")
-        m, n = points.shape
-        if n < 1 or m < 1:
-            raise ValueError("need at least one point in at least one dimension")
-        if target.size != m:
-            raise ValueError(f"points live in dimension {m}, target in {target.size}")
+        check_shapes(points, target)
         if not np.isfinite(points).all() or not np.isfinite(target).all():
             raise ValueError("points and target must be finite")
         check_scale(points, "points")
@@ -136,7 +141,7 @@ class HullInstance:
         # V^T V, computed whole at first use on a set of at most 2 dim points
         # (at most twice the points' memory); a wider set keeps one column
         # per visited pivot.
-        self._narrow = n <= 2 * m
+        self._narrow = points.shape[1] <= 2 * points.shape[0]
         self._gram: np.ndarray | None = None
         self._gram_cols: dict[int, np.ndarray] = {}
 
@@ -264,17 +269,23 @@ class HullConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie strictly between 0 and 1")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.init_rule not in (INIT_NEAREST_VERTEX, INIT_CENTROID, INIT_GIVEN):
-            raise ValueError(f"unknown init rule {self.init_rule!r}")
-        if self.init_rule == INIT_GIVEN and self.init_coeffs is None:
-            raise ValueError("init_rule 'given' requires init_coeffs")
+        check_run_settings(self)
 
     def resolved_cap(self) -> int:
         if self.max_iterations is not None:
             return self.max_iterations
         return iteration_cap_from_bound(self.epsilon)
+
+
+def check_run_settings(config) -> None:
+    """HullConfig's and SolveConfig's common checks: max_iterations is None
+    or positive, and init_rule known, with init_coeffs if INIT_GIVEN."""
+    if config.max_iterations is not None and config.max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    if config.init_rule not in (INIT_NEAREST_VERTEX, INIT_CENTROID, INIT_GIVEN):
+        raise ValueError(f"unknown init rule {config.init_rule!r}")
+    if config.init_rule == INIT_GIVEN and config.init_coeffs is None:
+        raise ValueError("init_rule 'given' requires init_coeffs")
 
 
 @dataclass
@@ -329,13 +340,13 @@ def _nearest_vertex(instance: HullInstance) -> int:
     return int(np.argmin(_sq_distances(instance)))
 
 
-def initial_iterate(instance: HullInstance, config: HullConfig) -> Iterate:
-    """Starting iterate per the configured init rule."""
+def initial_iterate(instance: HullInstance, init_rule: str, init_coeffs=None) -> Iterate:
+    """Starting iterate per an init rule of a HullConfig or a SolveConfig."""
     n = instance.n_points
-    if config.init_rule == INIT_CENTROID:
+    if init_rule == INIT_CENTROID:
         coeffs = np.full(n, 1.0 / n)
-    elif config.init_rule == INIT_GIVEN:
-        coeffs = np.asarray(config.init_coeffs, dtype=float)
+    elif init_rule == INIT_GIVEN:
+        coeffs = np.asarray(init_coeffs, dtype=float)
     else:  # nearest vertex: the cheapest start that is often already close
         coeffs = np.zeros(n)
         coeffs[_nearest_vertex(instance)] = 1.0
@@ -502,7 +513,7 @@ def run_hull(
     v_far farthest from p, and raises DegeneratePivot otherwise.
     Deterministic for a fixed configuration.
     """
-    iterate = initial_iterate(instance, config)
+    iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
     delta0 = iterate.gap
     cap = config.resolved_cap()
     trace: list[TraceRecord] | None = [] if config.record_trace else None

@@ -326,13 +326,17 @@ def solve_incremental(
     the current shift) and skips the estimate at the current shift; it
     exists to reproduce hand-worked shift sequences in tests.
 
-    Steps are capped by config.hull.max_iterations (DEFAULT_PHASE_CAP when
-    unset), escalations by a cap from the a-priori shift bound tau'_*,
-    computed at the first escalation; diagnostics["max_escalations"] stays
-    None in a solve that never escalates.
+    Another policy, or a quantum below 1, raises ValueError before the
+    first step. Steps are capped by config.max_iterations
+    (DEFAULT_PHASE_CAP when unset), escalations by a cap from the a-priori
+    shift bound tau'_*, computed at the first escalation;
+    diagnostics["max_escalations"] stays None in a solve that never
+    escalates.
     """
     if policy not in (POLICY_QUANTIZED, POLICY_DOUBLE_PLUS_ONE):
         raise ValueError(f"unknown increment policy {policy!r}")
+    if quantum is not None and quantum < 1:
+        raise ValueError("quantum must be a positive integer")
     n = system.n
     rho = system.rho
     eps0 = config.epsilon0
@@ -340,11 +344,11 @@ def solve_incremental(
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
     u_sq = float(system.u @ system.u)
 
-    max_steps = config.hull.max_iterations or DEFAULT_PHASE_CAP
+    max_steps = config.max_iterations or DEFAULT_PHASE_CAP
 
     t0 = 0.0
     instance = shifted_instance(system, t0)
-    iterate = initial_iterate(instance, config.hull)
+    iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     escalations = 0

@@ -13,25 +13,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .hull import HullConfig, TraceRecord, Witness, check_scale
+from .hull import INIT_NEAREST_VERTEX, TraceRecord, Witness, check_run_settings, check_scale
 
 __all__ = [
     "SingularMatrixError",
     "LinearSystem",
     "SolveConfig",
     "SolveOutcome",
-    "DELTA0_FROM_PHASE1",
-    "DELTA0_USER",
-    "DELTA0_SKIP",
     "CONVERGED",
     "INFEASIBLE_NONNEG",
     "SOLVE_CAP_EXCEEDED",
     "ALPHA_FLOOR",
 ]
-
-DELTA0_FROM_PHASE1 = "phase1"
-DELTA0_USER = "user"
-DELTA0_SKIP = "skip"
 
 CONVERGED = "converged"
 INFEASIBLE_NONNEG = "infeasible_nonneg"
@@ -101,30 +94,26 @@ class LinearSystem:
 
 @dataclass
 class SolveConfig:
-    """Settings shared by the nonnegative-solution and incremental solvers.
+    """Settings both solvers read.
 
     epsilon0 is the target relative residual: the solvers stop once
-    ||A x - b|| <= epsilon0 * rho. delta0_policy controls where the lower
-    bound on the hull-to-origin distance comes from: a Phase 1 witness, a
-    user-supplied value, or skipped entirely (eigenvalue-bound fallback,
-    with the direct residual check standing alone as the guarantee).
+    ||A x - b|| <= epsilon0 * rho. max_iterations caps the Triangle steps
+    (solve_nonneg: each phase; solve_incremental: all of them), init_rule
+    and init_coeffs choose the starting iterate as in HullConfig, and
+    record_trace keeps the per-step rows. The settings of one solver alone
+    are its keyword arguments.
     """
 
     epsilon0: float = 1e-8
-    delta0_policy: str = DELTA0_FROM_PHASE1
-    delta0_user: float | None = None
-    hull: HullConfig = field(default_factory=HullConfig)
-    residual_first: bool = True
+    max_iterations: int | None = None
+    init_rule: str = INIT_NEAREST_VERTEX
+    init_coeffs: np.ndarray | None = None
     record_trace: bool = False
 
     def __post_init__(self):
+        check_run_settings(self)
         if not 0.0 < self.epsilon0 < 1.0:
             raise ValueError("epsilon0 must lie strictly between 0 and 1")
-        if self.delta0_policy not in (DELTA0_FROM_PHASE1, DELTA0_USER, DELTA0_SKIP):
-            raise ValueError(f"unknown delta0 policy {self.delta0_policy!r}")
-        if self.delta0_policy == DELTA0_USER:
-            if self.delta0_user is None or not 0.0 < self.delta0_user < np.inf:
-                raise ValueError("delta0_policy 'user' requires a finite positive delta0_user")
 
 
 @dataclass

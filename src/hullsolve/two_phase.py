@@ -19,14 +19,13 @@ matrix borders the A^T A of Phase 1 with -A^T b and ||b||^2.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import bounds
 from .hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
+    HullConfig,
     HullInstance,
     HullOutcome,
     Iterate,
@@ -43,8 +42,6 @@ from .hull import (
 from .system import (
     ALPHA_FLOOR,
     CONVERGED,
-    DELTA0_SKIP,
-    DELTA0_USER,
     INFEASIBLE_NONNEG,
     SOLVE_CAP_EXCEEDED,
     LinearSystem,
@@ -54,12 +51,19 @@ from .system import (
 )
 
 __all__ = [
+    "DELTA0_FROM_PHASE1",
+    "DELTA0_USER",
+    "DELTA0_SKIP",
     "AlphaBVanishes",
     "select_inner_epsilon",
     "sensitivity_epsilon_prime",
     "recover_solution",
     "solve_nonneg",
 ]
+
+DELTA0_FROM_PHASE1 = "phase1"
+DELTA0_USER = "user"
+DELTA0_SKIP = "skip"
 
 # Fallback iteration cap for hull runs whose theoretical bound is unknown
 # or impractically large.
@@ -96,11 +100,11 @@ def _phase1_outcome(columns: HullInstance, config: SolveConfig) -> HullOutcome:
     membership means the origin is within epsilon of the column hull, so A
     is singular or nearly so.
     """
-    hull_cfg = dataclasses.replace(
-        config.hull,
+    hull_cfg = HullConfig(
         epsilon=min(config.epsilon0, PHASE1_EPSILON_CEIL),
-        max_iterations=config.hull.max_iterations or DEFAULT_PHASE_CAP,
-        record_trace=False,
+        max_iterations=config.max_iterations or DEFAULT_PHASE_CAP,
+        init_rule=config.init_rule,
+        init_coeffs=config.init_coeffs,
     )
     return run_hull(columns, hull_cfg, pairwise=True)
 
@@ -147,25 +151,28 @@ def recover_solution(iterate: Iterate, system: LinearSystem) -> np.ndarray:
 
 
 def _resolve_delta0(
-    system: LinearSystem, config: SolveConfig, columns: HullInstance
+    system: LinearSystem, config: SolveConfig, columns: HullInstance, delta0_policy, delta0_user
 ) -> tuple[float | None, HullOutcome | None, dict]:
     """delta0' per policy, and Phase 1's outcome on columns when it ran;
     no delta0' when Phase 1 reached its cap without a witness.
 
     Raises SingularMatrixError when Phase 1 ends in an approximate
-    membership, and ValueError when a user delta0' exceeds rho: the
+    membership, and ValueError, before Phase 1, on an unknown policy, a
+    user delta0' missing, not finite and positive, or above rho: the
     hull-to-origin distance is at most ||b|| <= rho.
     """
     diagnostics: dict = {"phase1_iterations": 0}
-    if config.delta0_policy == DELTA0_USER:
-        if config.delta0_user > system.rho:
+    if delta0_policy == DELTA0_USER:
+        if delta0_user is None or not 0.0 < delta0_user < np.inf:
+            raise ValueError("delta0_policy 'user' requires a finite positive delta0_user")
+        if delta0_user > system.rho:
             raise ValueError(
-                f"delta0 {config.delta0_user!r} exceeds rho = {system.rho!r}, "
+                f"delta0 {delta0_user!r} exceeds rho = {system.rho!r}, "
                 "an upper bound on the hull-to-origin distance"
             )
         diagnostics["delta0_source"] = "user"
-        return config.delta0_user, None, diagnostics
-    if config.delta0_policy == DELTA0_SKIP:
+        return delta0_user, None, diagnostics
+    if delta0_policy == DELTA0_SKIP:
         eigen = bounds.analyze_system(system).delta0_lower
         if eigen > 0.0:
             diagnostics["delta0_source"] = "eigenvalue_bound"
@@ -173,6 +180,8 @@ def _resolve_delta0(
         diagnostics["delta0_source"] = "unavailable"
         diagnostics["guarantee"] = "direct residual check only"
         return None, None, diagnostics
+    if delta0_policy != DELTA0_FROM_PHASE1:
+        raise ValueError(f"unknown delta0 policy {delta0_policy!r}")
     phase1 = _phase1_outcome(columns, config)
     if phase1.status == IN_HULL_APPROX:
         raise SingularMatrixError(
@@ -190,12 +199,23 @@ def _resolve_delta0(
     return 0.5 * phase1.iterate.gap, phase1, diagnostics
 
 
-def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
+def solve_nonneg(
+    system: LinearSystem,
+    config: SolveConfig,
+    *,
+    delta0_policy: str = DELTA0_FROM_PHASE1,
+    delta0_user: float | None = None,
+    residual_first: bool = True,
+) -> SolveOutcome:
     """Solve A x = b assuming x >= 0, to relative residual epsilon0.
 
-    Runs Phase 1 per the delta0 policy, then iterates the Triangle
-    Algorithm on conv({a_1, ..., a_n, -b}) against the origin, both phases
-    in pairwise steps (see hull.apply_step). A user delta0' above rho
+    delta0' bounds the hull-to-origin distance from below: Phase 1's
+    witness gives it (DELTA0_FROM_PHASE1), delta0_user, finite and
+    positive (DELTA0_USER), or, without Phase 1, the eigenvalue bound
+    (DELTA0_SKIP). Phase 2 then iterates the Triangle Algorithm on
+    conv({a_1, ..., a_n, -b}) against the origin; both phases take
+    pairwise steps (hull.apply_step), start per config's init rule and
+    stop at config.max_iterations steps when set. A user delta0' above rho
     raises ValueError: no hull-to-origin distance exceeds ||b||. When
     residual_first (the default), the solver recovers x0 and tests
     ||A x0 - b|| <= epsilon0 * rho directly, returning early on success,
@@ -212,7 +232,9 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
     n = system.n
 
     columns = HullInstance(system.a, np.zeros(n))
-    delta0_prime, phase1, diagnostics = _resolve_delta0(system, config, columns)
+    delta0_prime, phase1, diagnostics = _resolve_delta0(
+        system, config, columns, delta0_policy, delta0_user
+    )
     phase1_steps = diagnostics["phase1_iterations"]
     inner_eps: float | None = None
     trace: list[TraceRecord] | None = None
@@ -241,9 +263,8 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
             inner_eps, delta0_prime, system.norm_b
         )
 
-    hull_cfg = config.hull
-    if hull_cfg.max_iterations is not None:
-        cap = hull_cfg.max_iterations
+    if config.max_iterations is not None:
+        cap = config.max_iterations
     elif delta0_prime is not None:
         cap = iteration_cap_from_bound(eps0, rho / delta0_prime)
     else:
@@ -257,7 +278,7 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
         # Embed the witness in the enlarged hull: coefficient of -b starts at 0.
         iterate = make_iterate(instance, np.append(phase1.iterate.coeffs, 0.0))
     else:
-        iterate = initial_iterate(instance, hull_cfg)
+        iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
 
     if config.record_trace:
         trace = []
@@ -274,7 +295,7 @@ def solve_nonneg(system: LinearSystem, config: SolveConfig) -> SolveOutcome:
                 diagnostics["alpha_b_vanished"] = True
                 return outcome(SOLVE_CAP_EXCEEDED)
         elif at_target or (
-            config.residual_first
+            residual_first
             and (iterate.gap / alpha_b <= proxy_gate or steps % n == 0)
         ):
             x0 = recover_solution(iterate, system)

@@ -182,7 +182,7 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
     products between steps. Returns status, pivots, iterations, coeffs,
     point, gap, certifying_vertex and witness_margins.
     """
-    start = initial_iterate(instance, config)
+    start = initial_iterate(instance, config.init_rule, config.init_coeffs)
     coeffs, point, gap = start.coeffs, start.point, start.gap
     cap = config.resolved_cap()
     pivots: list[int] = []

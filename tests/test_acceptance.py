@@ -237,8 +237,7 @@ def test_criterion_6_sensitivity_theorem():
     for index in range(100):
         n = 5 if index % 2 == 0 else 20
         system, _ = nonneg_system(rng, n)
-        config = SolveConfig(epsilon0=epsilon0, residual_first=False)
-        outcome = solve_nonneg(system, config)
+        outcome = solve_nonneg(system, SolveConfig(epsilon0=epsilon0), residual_first=False)
         assert outcome.status == CONVERGED
         delta0p = outcome.phase1_delta0_prime
         epsilon = outcome.inner_epsilon
@@ -344,9 +343,7 @@ def test_criterion_9_quadratic_consistency():
             continue
         t0 = 0.0
         instance = shifted_instance(system, t0)
-        iterate = initial_iterate(
-            instance, HullConfig(epsilon=0.5, init_rule="centroid")
-        )
+        iterate = initial_iterate(instance, "centroid")
         for _ in range(2000):
             j = find_pivot(instance, iterate)
             if j is None:

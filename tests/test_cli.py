@@ -301,9 +301,7 @@ class TestSolveCommand:
               "--report", str(report_path)])
         report = json.loads(report_path.read_text())
         assert report["config"]["init_rule"] == INIT_CENTROID
-        centroid = solve_incremental(
-            example2_system(), SolveConfig(hull=HullConfig(init_rule=INIT_CENTROID))
-        )
+        centroid = solve_incremental(example2_system(), SolveConfig(init_rule=INIT_CENTROID))
         nearest = solve_incremental(example2_system(), SolveConfig())
         assert (report["status"], report["iterations"]) == (centroid.status, centroid.iterations)
         assert centroid.iterations != nearest.iterations
@@ -565,15 +563,61 @@ class TestNoTraceback:
         assert capsys.readouterr().err == "error: pivot coincides with the current iterate\n"
 
     def test_shape_mismatch_same_message_everywhere(self, ex1_files, tmp_path, capsys):
-        matrix, _ = ex1_files
+        matrix, rhs2 = ex1_files
         rhs = tmp_path / "b3.txt"
         rhs.write_text("3 1\n1\n2\n3\n")
         for command in (["solve"], ["solve", "--mode", "nonneg"], ["analyze"], ["oracle"]):
             assert main(command + ["--matrix", matrix, "--rhs", str(rhs)]) == 2
             err = capsys.readouterr().err
             assert err == "error: matrix is 2x2, right-hand side has length 3\n"
-        assert main(["hull", "--points", matrix, "--target", str(rhs)]) == 2
-        assert capsys.readouterr().err == "error: points live in dimension 2, target in 3\n"
+        # oracle --points on 2-d points (the exact 2-d oracle) and 3-d ones;
+        # the triangle's oracle once answered for (0.5, 0.5) instead.
+        triangle, points3, target3 = tmp_path / "t.txt", tmp_path / "p3.txt", tmp_path / "q3.txt"
+        triangle.write_text("2 3\n0 2 0\n0 0 2\n")
+        points3.write_text("3 2\n1 0\n0 1\n0 0\n")
+        target3.write_text("3 1\n0.5\n0.5\n1\n")
+        for command, points, target, dims in (
+            ("hull", matrix, rhs, (2, 3)),
+            ("oracle", matrix, rhs, (2, 3)),
+            ("oracle", triangle, target3, (2, 3)),
+            ("oracle", points3, rhs2, (3, 2)),
+        ):
+            assert main([command, "--points", str(points), "--target", str(target)]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: points live in dimension %d, target in %d\n" % dims
+
+    @pytest.mark.parametrize(
+        "mode, option",
+        [
+            ([], ["--delta0", "0.01"]),
+            ([], ["--skip-phase1"]),
+            (["--mode", "incremental"], ["--delta0", "nan"]),
+            (["--mode", "nonneg"], ["--increment", "quantized:1"]),
+        ],
+    )
+    def test_option_of_the_other_mode_exit_two(self, ex1_files, tmp_path, capsys, mode, option):
+        matrix, rhs = ex1_files
+        report_path = tmp_path / "report.json"
+        argv = ["solve", "--matrix", matrix, "--rhs", rhs, *mode, *option]
+        assert main([*argv, "--report", str(report_path)]) == 2
+        other = "nonneg" if option[0] == "--increment" else "incremental"
+        assert capsys.readouterr().err == f"error: {option[0]} does not apply to --mode {other}\n"
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("mode", ["incremental", "nonneg"])
+    def test_increment_echo_without_the_option(self, ex1_files, tmp_path, mode):
+        matrix, rhs = ex1_files
+        report_path = tmp_path / "report.json"
+        argv = ["solve", "--matrix", matrix, "--rhs", rhs, "--mode", mode]
+        assert main([*argv, "--report", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["config"]["increment"] == "quantized:1"
+
+    @pytest.mark.parametrize("quantum", ["0", "-5"])
+    def test_bad_quantum_exit_two(self, ex2_files, capsys, quantum):
+        matrix, rhs = ex2_files
+        argv = ["solve", "--matrix", matrix, "--rhs", rhs, "--increment", f"quantized:{quantum}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: quantum must be a positive integer\n"
 
     @pytest.mark.parametrize("epsilon", ["1e-200", "1e-160"])
     def test_tiny_epsilon_exit_two(self, tmp_path, capsys, epsilon):

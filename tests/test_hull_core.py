@@ -328,7 +328,7 @@ class TestPairwiseStep:
             instance = HullInstance(*membership_instance(rng, 8))
         # The product updates round on the scale of the Gram entries.
         scale = np.einsum("ij,ij->j", instance.points, instance.points).max()
-        iterate = initial_iterate(instance, HullConfig(init_rule="centroid"))
+        iterate = initial_iterate(instance, "centroid")
         floor = 1e-9 * iterate.gap
         for _ in range(3000):
             j = find_pivot(instance, iterate)
@@ -450,6 +450,20 @@ class TestGramMemo:
         unvisited = np.setdiff1d(np.arange(n), visited)[:: n // 10]
         for j in unvisited:
             assert not instance.gram_column(j).any()
+
+
+@pytest.mark.parametrize("config_type", [HullConfig, SolveConfig])
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"max_iterations": 0}, "max_iterations must be at least 1"),
+        ({"init_rule": "farthest"}, "unknown init rule 'farthest'"),
+        ({"init_rule": "given"}, "init_rule 'given' requires init_coeffs"),
+    ],
+)
+def test_configs_share_their_run_checks(config_type, settings, message):
+    with pytest.raises(ValueError, match=message):
+        config_type(**settings)
 
 
 class TestRunHull:

@@ -13,6 +13,11 @@
   or through another class of the package, and the except clauses of
   cli.main name only built-in exceptions: cli.main catches every error
   the library raises without importing one.
+- SolveConfig holds only what both solvers read: two_phase and
+  incremental each read every one of its fields as an attribute, and
+  hull reads every HullConfig field. Reads in __post_init__ and in the
+  check_run_settings the two configs share are validation, not use, and
+  do not count.
 """
 
 import ast
@@ -215,3 +220,62 @@ def test_every_exception_is_a_value_error():
 def test_cli_main_catches_only_builtins():
     types = handler_types((PACKAGE / "cli.py").read_text(encoding="utf-8"), "main")
     assert types and [t for t in types if not is_builtin_exception(t)] == []
+
+
+VALIDATORS = {"__post_init__", "check_run_settings"}
+
+
+def config_fields(source: str, name: str) -> list[str]:
+    """The annotated fields of class name in source, in order."""
+    node = next(
+        n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef) and n.name == name
+    )
+    return [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+
+
+def unread_fields(fields: list[str], sources: dict[str, str]) -> list[str]:
+    """module.field for each field that a module of sources ({module:
+    source}) never reads as an attribute outside the VALIDATORS."""
+    unread = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        skipped = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name in VALIDATORS
+            for n in ast.walk(f)
+        }
+        read = {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in skipped
+        }
+        unread.extend(f"{module}.{field}" for field in fields if field not in read)
+    return unread
+
+
+def test_check_finds_stray_fields():
+    config = (
+        "@dataclass\nclass Config:\n    used: int = 1\n    stray: int = 2\n"
+        "    def __post_init__(self):\n        check_run_settings(self)\n"
+        "        assert self.stray\n"
+        "def check_run_settings(config):\n    assert config.stray and config.used\n"
+    )
+    fields = config_fields(config, "Config")
+    assert fields == ["used", "stray"]
+    readers = {"a": "def f(config):\n    return config.used\n", "b": "x = config.stray\n"}
+    assert unread_fields(fields, {"config": config, **readers}) == [
+        "config.used", "config.stray", "a.stray", "b.used"
+    ]
+
+
+def test_solve_config_holds_what_both_solvers_read():
+    fields = config_fields((PACKAGE / "system.py").read_text(encoding="utf-8"), "SolveConfig")
+    assert fields == ["epsilon0", "max_iterations", "init_rule", "init_coeffs", "record_trace"]
+    solvers = {m: (PACKAGE / f"{m}.py").read_text(encoding="utf-8") for m in ("two_phase", "incremental")}
+    assert unread_fields(fields, solvers) == []
+
+
+def test_hull_reads_every_hull_config_field():
+    source = (PACKAGE / "hull.py").read_text(encoding="utf-8")
+    assert unread_fields(config_fields(source, "HullConfig"), {"hull": source}) == []

@@ -9,7 +9,6 @@ from helpers import example1_system, example2_system, invertible_system
 from hullsolve import (
     CONVERGED,
     SOLVE_CAP_EXCEEDED,
-    HullConfig,
     LinearSystem,
     NoPositiveQuadratic,
     ShiftQuadratic,
@@ -248,6 +247,16 @@ class TestSolveIncremental:
         # Final shift is large enough that x0 = x + t e is nonnegative.
         assert (outcome.x + outcome.shift_t * np.ones(2) >= -1e-9).all()
 
+    @pytest.mark.parametrize("quantum", [0, -5])
+    def test_bad_quantum_raises_before_the_first_step(self, monkeypatch, quantum):
+        # A solve that never escalates would otherwise not look at quantum.
+        def started(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(incremental, "shifted_instance", started)
+        with pytest.raises(ValueError, match="quantum must be a positive integer"):
+            solve_incremental(example2_system(), SolveConfig(), quantum=quantum)
+
     def test_example2_double_plus_one_escalations(self):
         system = example2_system()
         outcome = solve_incremental(
@@ -267,8 +276,7 @@ class TestSolveIncremental:
             np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
         )
         config = SolveConfig(
-            epsilon0=1e-6,
-            hull=HullConfig(epsilon=0.5, init_rule="given", init_coeffs=EXAMPLE2_COEFFS),
+            epsilon0=1e-6, init_rule="given", init_coeffs=EXAMPLE2_COEFFS
         )
         outcome = solve_incremental(
             system, config, tau_hook=lambda tau: 0.0, quantum=1
@@ -286,13 +294,10 @@ class TestSolveIncremental:
         system = example2_system()
         config = SolveConfig(
             epsilon0=1e-10,
+            max_iterations=1,
+            init_rule="given",
+            init_coeffs=EXAMPLE2_COEFFS,
             record_trace=True,
-            hull=HullConfig(
-                epsilon=0.5,
-                max_iterations=1,
-                init_rule="given",
-                init_coeffs=EXAMPLE2_COEFFS,
-            ),
         )
         outcome = solve_incremental(system, config, tau_hook=math.floor)
         first_step = next(r for r in outcome.trace if r.pivot is not None)
@@ -329,10 +334,7 @@ class TestSolveIncremental:
 
     def test_nonnegative_solution_never_escalates(self):
         system = example1_system()
-        config = SolveConfig(
-            epsilon0=1e-10,
-            hull=HullConfig(epsilon=0.5, init_rule="centroid"),
-        )
+        config = SolveConfig(epsilon0=1e-10, init_rule="centroid")
         outcome = solve_incremental(system, config)
         assert outcome.status == CONVERGED
         assert outcome.shift_t == 0.0
@@ -358,8 +360,7 @@ class TestSolveIncremental:
             np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
         )
         config = SolveConfig(
-            epsilon0=1e-6,
-            hull=HullConfig(epsilon=0.5, init_rule="given", init_coeffs=EXAMPLE2_COEFFS),
+            epsilon0=1e-6, init_rule="given", init_coeffs=EXAMPLE2_COEFFS
         )
         outcome = solve_incremental(
             system, config, policy=POLICY_DOUBLE_PLUS_ONE, tau_hook=lambda tau: 0.0
@@ -389,8 +390,7 @@ class TestSolveIncremental:
             np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
         )
         config = SolveConfig(
-            epsilon0=1e-6,
-            hull=HullConfig(init_rule="given", init_coeffs=EXAMPLE2_COEFFS),
+            epsilon0=1e-6, init_rule="given", init_coeffs=EXAMPLE2_COEFFS
         )
         outcome = solve_incremental(system, config, tau_hook=lambda tau: 0.0)
         assert outcome.status == SOLVE_CAP_EXCEEDED

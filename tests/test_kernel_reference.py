@@ -168,9 +168,7 @@ class TestSolvers:
         escalations = 0
         for n in (4, 8):
             system, _ = invertible_system(rng, n)
-            config = SolveConfig(
-                epsilon0=1e-2, record_trace=True, hull=HullConfig(init_rule="centroid")
-            )
+            config = SolveConfig(epsilon0=1e-2, init_rule="centroid", record_trace=True)
             shipped, reference = _with_reference_pivots(
                 monkeypatch, solve_incremental, system, config,
                 policy=policy, tau_hook=lambda tau: 0.0,
@@ -268,8 +266,7 @@ class TestGatedResidual:
         system, _ = nonneg_system(rng, n, diag_boost=0.0)
         proxied = solve_nonneg(system, SolveConfig(epsilon0=eps0))
         # A cap, so that a missing backstop fails instead of running on.
-        cap = HullConfig(max_iterations=20 * proxied.iterations)
-        config = SolveConfig(epsilon0=eps0, hull=cap)
+        config = SolveConfig(epsilon0=eps0, max_iterations=20 * proxied.iterations)
 
         def spoiled_step(instance, iterate, j, alpha, **kwargs):
             # A gap no estimate can pass: only the backstop checks remain.
@@ -398,8 +395,7 @@ class TestGatedIncrementalResidual:
         system = _column_normalised_system(rng, n)
         estimated = solve_incremental(system, SolveConfig(epsilon0=eps0))
         # A cap, so that a missing backstop fails instead of running on.
-        cap = HullConfig(max_iterations=20 * estimated.iterations)
-        config = SolveConfig(epsilon0=eps0, hull=cap)
+        config = SolveConfig(epsilon0=eps0, max_iterations=20 * estimated.iterations)
 
         def spoiled(function):
             # A gap no estimate can pass: only the backstop checks remain.
@@ -452,7 +448,7 @@ def test_escalation_cap_computed_only_on_escalation(monkeypatch):
     system, _ = invertible_system(np.random.default_rng(445), 6)
     outcome = solve_incremental(
         system,
-        SolveConfig(epsilon0=1e-2, hull=HullConfig(init_rule="centroid")),
+        SolveConfig(epsilon0=1e-2, init_rule="centroid"),
         tau_hook=lambda tau: 0.0,
     )
     assert outcome.diagnostics["escalations"] >= 1

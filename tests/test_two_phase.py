@@ -16,7 +16,6 @@ from hullsolve import (
     CONVERGED,
     INFEASIBLE_NONNEG,
     SOLVE_CAP_EXCEEDED,
-    HullConfig,
     HullInstance,
     LinearSystem,
     SingularMatrixError,
@@ -28,6 +27,7 @@ from hullsolve import (
     solve_incremental,
     solve_nonneg,
 )
+from hullsolve import two_phase
 from hullsolve.oracles import delta_brute
 from hullsolve.two_phase import AlphaBVanishes, _phase1_outcome
 
@@ -192,12 +192,8 @@ class TestPhase1:
 
 class TestSolveNonneg:
     def test_example1_exact_in_one_step(self):
-        config = SolveConfig(
-            epsilon0=1e-10,
-            delta0_policy="skip",
-            hull=HullConfig(epsilon=1e-10, init_rule="centroid"),
-        )
-        outcome = solve_nonneg(example1_system(), config)
+        config = SolveConfig(epsilon0=1e-10, init_rule="centroid")
+        outcome = solve_nonneg(example1_system(), config, delta0_policy="skip")
         assert outcome.status == CONVERGED
         assert np.allclose(outcome.x, [1.0, 2.0], atol=1e-12)
         assert outcome.residual_norm <= 1e-12
@@ -236,8 +232,7 @@ class TestSolveNonneg:
         rng = np.random.default_rng(8)
         for _ in range(10):
             system, _ = nonneg_system(rng, 5)
-            config = SolveConfig(epsilon0=0.25, residual_first=False)
-            outcome = solve_nonneg(system, config)
+            outcome = solve_nonneg(system, SolveConfig(epsilon0=0.25), residual_first=False)
             assert outcome.status == CONVERGED
             delta0p = outcome.phase1_delta0_prime
             eps = outcome.inner_epsilon
@@ -260,7 +255,7 @@ class TestSolveNonneg:
         a = rng.normal(size=(20, 20))
         a /= np.sqrt(np.einsum("ij,ij->j", a, a))
         system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
-        config = SolveConfig(epsilon0=0.01, hull=HullConfig(max_iterations=2))
+        config = SolveConfig(epsilon0=0.01, max_iterations=2)
         outcome = solve_nonneg(system, config)
         assert outcome.status == SOLVE_CAP_EXCEEDED
         assert outcome.iterations == 2
@@ -278,11 +273,8 @@ class TestSolveNonneg:
         a = rng.normal(size=(20, 20))
         a /= np.sqrt(np.einsum("ij,ij->j", a, a))
         system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
-        config = SolveConfig(
-            epsilon0=0.01, delta0_policy="skip", hull=HullConfig(max_iterations=3),
-            record_trace=True,
-        )
-        outcome = solve_nonneg(system, config)
+        config = SolveConfig(epsilon0=0.01, max_iterations=3, record_trace=True)
+        outcome = solve_nonneg(system, config, delta0_policy="skip")
         assert (outcome.status, outcome.iterations) == (SOLVE_CAP_EXCEEDED, 3)
         assert outcome.diagnostics["phase2_cap"] == 3
         # The gap of the iterate the cap stopped, as its step row holds it.
@@ -292,7 +284,7 @@ class TestSolveNonneg:
     def test_skip_without_eigenvalue_bound(self):
         # A singular matrix gives no delta0': no epsilon', the default cap.
         system = LinearSystem(np.ones((2, 2)), np.ones(2))
-        outcome = solve_nonneg(system, SolveConfig(epsilon0=0.01, delta0_policy="skip"))
+        outcome = solve_nonneg(system, SolveConfig(epsilon0=0.01), delta0_policy="skip")
         assert outcome.status == CONVERGED
         assert outcome.diagnostics["delta0_source"] == "unavailable"
         assert outcome.diagnostics["guarantee"] == "direct residual check only"
@@ -303,23 +295,39 @@ class TestSolveNonneg:
     def test_user_delta0_policy(self):
         rng = np.random.default_rng(12)
         system, _ = nonneg_system(rng, 6)
-        config = SolveConfig(
-            epsilon0=0.05, delta0_policy="user", delta0_user=0.05
+        outcome = solve_nonneg(
+            system, SolveConfig(epsilon0=0.05), delta0_policy="user", delta0_user=0.05
         )
-        outcome = solve_nonneg(system, config)
         assert outcome.status == CONVERGED
         assert outcome.phase1_delta0_prime == 0.05
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"delta0_policy": "bogus"}, "unknown delta0 policy 'bogus'"),
+            ({"delta0_policy": "user"}, "requires a finite positive delta0_user"),
+            ({"delta0_policy": "user", "delta0_user": np.nan}, "finite positive"),
+            ({"delta0_policy": "user", "delta0_user": -1.0}, "finite positive"),
+        ],
+    )
+    def test_delta0_settings_checked_before_phase1(self, monkeypatch, settings, message):
+        def started(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(two_phase, "run_hull", started)
+        with pytest.raises(ValueError, match=message):
+            solve_nonneg(example1_system(), SolveConfig(), **settings)
 
     def test_user_delta0_above_rho_is_refused(self):
         # No hull-to-origin distance exceeds ||b|| <= rho (sqrt(10) here); a
         # larger delta0' would make the Phase 2 cap (rho / delta0')^2 vanish.
         system = LinearSystem(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 1.0]))
+        config = SolveConfig(epsilon0=0.01)
         for delta0 in (1e300, 100.0, np.nextafter(system.rho, np.inf)):
-            config = SolveConfig(epsilon0=0.01, delta0_policy="user", delta0_user=delta0)
             with pytest.raises(ValueError, match=r"exceeds rho = 3\.16"):
-                solve_nonneg(system, config)
-        config = SolveConfig(epsilon0=0.01, delta0_policy="user", delta0_user=system.rho)
-        assert solve_nonneg(system, config).status == CONVERGED
+                solve_nonneg(system, config, delta0_policy="user", delta0_user=delta0)
+        outcome = solve_nonneg(system, config, delta0_policy="user", delta0_user=system.rho)
+        assert outcome.status == CONVERGED
 
 
 class TestPairwiseSteps:
