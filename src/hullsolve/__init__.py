@@ -40,9 +40,9 @@ from .incremental import (
 )
 from .oracles import (
     OracleResult,
-    delta_brute,
     hull_membership_2d,
     linear_system_oracle,
+    min_norm_point,
     solve_exact,
 )
 from .system import (

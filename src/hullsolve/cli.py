@@ -27,7 +27,6 @@ from .hull import (
     HullConfig,
     HullInstance,
     TraceRecord,
-    check_shapes,
     run_hull,
 )
 from .system import CONVERGED, LinearSystem, SolveConfig
@@ -87,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--rhs")
     oracle.add_argument("--points")
     oracle.add_argument("--target")
-    oracle.add_argument("--grid-k", type=int, default=200)
     oracle.add_argument("--report", metavar="OUT.json")
 
     bench = sub.add_parser("bench", help="random instance benchmark suites")
@@ -294,13 +292,9 @@ def _cmd_oracle(args) -> int:
     elif args.points and args.target:
         points = matio.load_matrix(args.points)
         target = matio.load_vector(args.target)
-        check_shapes(points, target)
-        if points.shape[0] == 2:
-            inside, delta = oracles.hull_membership_2d(points, target)
-            report["membership"] = bool(inside)
-            report["delta_exact"] = delta
-        else:
-            report["delta_brute"] = oracles.delta_brute(points, target, args.grid_k)
+        delta, weights = oracles.min_norm_point(points, target)
+        report["membership"], report["delta_exact"] = oracles.hull_verdict(points, target, delta)
+        report["coeffs"] = weights
     else:
         raise ValueError("oracle needs --matrix/--rhs or --points/--target")
     report = _emit(report, args, started)

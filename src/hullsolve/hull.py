@@ -89,8 +89,9 @@ def check_scale(columns: np.ndarray, what: str) -> np.ndarray:
     return sq
 
 
-def check_shapes(points: np.ndarray, target: np.ndarray) -> None:
-    """ValueError unless points (one per column) and target fit together."""
+def check_query(points: np.ndarray, target: np.ndarray) -> None:
+    """ValueError unless points (one per column) and target fit together
+    and are finite."""
     if points.ndim != 2 or target.ndim != 1:
         raise ValueError("points must be a 2-d array, one column per point, and target 1-d")
     m, n = points.shape
@@ -98,6 +99,8 @@ def check_shapes(points: np.ndarray, target: np.ndarray) -> None:
         raise ValueError("need at least one point in at least one dimension")
     if target.size != m:
         raise ValueError(f"points live in dimension {m}, target in {target.size}")
+    if not np.isfinite(points).all() or not np.isfinite(target).all():
+        raise ValueError("points and target must be finite")
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -129,9 +132,7 @@ class HullInstance:
     def __init__(self, points, target):
         points = np.ascontiguousarray(points, dtype=float)
         target = np.ascontiguousarray(target, dtype=float)
-        check_shapes(points, target)
-        if not np.isfinite(points).all() or not np.isfinite(target).all():
-            raise ValueError("points and target must be finite")
+        check_query(points, target)
         check_scale(points, "points")
         check_scale(target[:, None], "target")
         self.points = points

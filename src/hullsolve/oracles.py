@@ -3,18 +3,19 @@
 Nothing here shares logic with the Triangle Algorithm: the linear solve is
 plain Gaussian elimination with partial pivoting, 2-d membership and
 distances are computed geometrically from the exact convex hull, and the
-hull-to-point distance at small sizes is minimized by brute force over a
-simplex grid with local refinement.
+distance from a point to the hull of points in any dimension, with the
+weights of its nearest point, comes from Wolfe's finite minimum-norm-point
+algorithm. Only the input checks are shared.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .hull import check_query, check_scale
 from .system import LinearSystem, SingularMatrixError
 
 __all__ = [
@@ -23,16 +24,17 @@ __all__ = [
     "linear_system_oracle",
     "convex_hull_2d",
     "point_segment_distance",
+    "hull_verdict",
     "hull_membership_2d",
     "boundary_distance_2d",
-    "delta_brute",
+    "min_norm_point",
 ]
 
 PIVOT_RATIO_FLOOR = 1e-13
 RESIDUAL_TOLERANCE = 1e-10
 GEOMETRY_TOL = 1e-12
-# Largest simplex grid delta_brute builds, in values (rows times points).
-MAX_GRID_VALUES = 10**7
+# Distance accuracy of min_norm_point, relative to the largest ||v_i - p||.
+MIN_NORM_TOL = 1e-13
 
 
 @dataclass
@@ -131,6 +133,15 @@ def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float
     return float(np.linalg.norm(p - (a + s * d)))
 
 
+def hull_verdict(points: np.ndarray, target: np.ndarray, distance: float) -> tuple[bool, float]:
+    """(inside, distance): target counts as in the hull of the column points
+    when distance <= GEOMETRY_TOL * max(1, largest |entry| of points and
+    target), and its distance is then reported as 0."""
+    scale = max(1.0, float(np.abs(points).max()), float(np.abs(target).max()))
+    inside = distance <= GEOMETRY_TOL * scale
+    return inside, 0.0 if inside else distance
+
+
 def hull_membership_2d(points: np.ndarray, p: np.ndarray) -> tuple[bool, float]:
     """(inside, distance) of p relative to the hull of 2-d column points.
 
@@ -140,25 +151,13 @@ def hull_membership_2d(points: np.ndarray, p: np.ndarray) -> tuple[bool, float]:
     pts = np.asarray(points, dtype=float)
     p = np.asarray(p, dtype=float)
     hull = convex_hull_2d(pts)
-    scale = max(1.0, float(np.abs(pts).max()), float(np.abs(p).max()))
-    tol = GEOMETRY_TOL * scale
-    if len(hull) == 1:
-        dist = float(np.linalg.norm(p - pts[:, hull[0]]))
-        return (dist <= tol, 0.0 if dist <= tol else dist)
-    if len(hull) == 2:
-        dist = point_segment_distance(p, pts[:, hull[0]], pts[:, hull[1]])
-        return (dist <= tol, 0.0 if dist <= tol else dist)
-    inside = True
-    for i in range(len(hull)):
-        a = pts[:, hull[i]]
-        b = pts[:, hull[(i + 1) % len(hull)]]
-        cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if cross < -tol * scale:
-            inside = False
-            break
-    if inside:
-        return True, 0.0
-    return False, boundary_distance_2d(pts, p, hull=hull)
+    edges = [(pts[:, hull[i - 1]], pts[:, hull[i]]) for i in range(len(hull))]
+    inside = len(hull) > 2 and all(
+        (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0.0
+        for a, b in edges
+    )
+    dist = 0.0 if inside else boundary_distance_2d(pts, p, hull=hull)
+    return hull_verdict(pts, p, dist)
 
 
 def boundary_distance_2d(
@@ -186,79 +185,65 @@ def boundary_distance_2d(
     return best
 
 
-def _simplex_grid(n: int, k: int) -> np.ndarray:
-    """All nonnegative integer n-vectors summing to k, as rows in
-    lexicographic order: the gaps between n - 1 bars placed among
-    k + n - 1 slots (stars and bars)."""
-    rows = math.comb(k + n - 1, n - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(k + n - 1), n - 1)),
-        dtype=float,
-        count=rows * (n - 1),
-    ).reshape(rows, n - 1)
-    return np.diff(bars, axis=1, prepend=-1.0, append=float(k + n - 1)) - 1.0
+def min_norm_point(points: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """(distance, weights): the distance from target to the convex hull of
+    the column points, and convex weights w of its nearest point
+    points @ w.
 
-
-def _pairwise_refine(points: np.ndarray, p: np.ndarray, weights: np.ndarray) -> float:
-    """Local search: exact line minimization over coordinate pairs.
-
-    Moves mass between pairs of coefficients with the closed-form optimal
-    step, sweeping until no sweep improves the squared distance. Converges
-    quickly at the small sizes the brute oracle targets.
-    """
-    n = points.shape[1]
-    w = weights.copy()
-    q = points @ w - p
-    best = float(q @ q)
-    for _ in range(200):
-        improved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                d = points[:, i] - points[:, j]
-                dd = float(d @ d)
-                if dd == 0.0:
-                    continue
-                # Minimize ||q + s d||^2 over s in [-w_i, w_j].
-                s = -float(q @ d) / dd
-                s = min(w[j], max(-w[i], s))
-                if s == 0.0:
-                    continue
-                candidate = q + s * d
-                value = float(candidate @ candidate)
-                if value < best - 1e-18 * max(1.0, best):
-                    w[i] += s
-                    w[j] -= s
-                    q = candidate
-                    best = value
-                    improved = True
-        if not improved:
-            break
-    return math.sqrt(max(best, 0.0))
-
-
-def delta_brute(points: np.ndarray, p: np.ndarray, grid_k: int) -> float:
-    """Brute-force distance from p to the hull of the column points.
-
-    Minimizes ||points @ w - p|| over a simplex grid of resolution
-    1 / grid_k, then refines the best grid point by pairwise local search.
-    Intended for small point counts: the grid has C(grid_k + n - 1, n - 1)
-    rows for n points, so ValueError is raised before building it when
-    grid_k < 1 or when it would hold more than MAX_GRID_VALUES values.
+    P. Wolfe's minimum-norm-point algorithm ("Finding the nearest point in
+    a polytope", Math. Programming 11, 1976) on q_i = v_i - target, with x
+    the current point of the hull of the q_i. Each major cycle adds to the
+    corral the point outside it of least q_i^T x; each minor cycle moves x
+    to the affine minimum-norm point of the corral, a least-squares solve
+    over the corral's edge vectors from its first point, or, when that
+    point leaves the corral's hull, as far toward it as the hull allows,
+    dropping the points whose weight falls to 0. The corral's own points
+    have q_i^T x = ||x||^2 up to rounding. The run stops when every other point has
+    q_i^T x >= ||x||^2 - MIN_NORM_TOL * R * ||x||, R = max_i ||q_i||: then
+    every point y of the hull has ||y|| >= ||x|| - MIN_NORM_TOL * R, so
+    the distance is exact to that much. A major cycle that does not lower
+    ||x||^2, which only rounding can cause, also ends the run at the point
+    before it.
     """
     pts = np.asarray(points, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = pts.shape[1]
-    if grid_k < 1:
-        raise ValueError(f"grid_k must be a positive integer, got {grid_k}")
-    rows = math.comb(grid_k + n - 1, n - 1)
-    if rows * n > MAX_GRID_VALUES:
-        raise ValueError(
-            f"simplex grid of {rows} rows for {n} points at grid_k {grid_k} "
-            f"exceeds {MAX_GRID_VALUES} values; lower grid_k"
-        )
-    grid = _simplex_grid(n, grid_k) / float(grid_k)
-    diffs = grid @ pts.T - p
-    best_idx = int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
-    return _pairwise_refine(pts, p, grid[best_idx])
+    p = np.asarray(target, dtype=float)
+    check_query(pts, p)
+    check_scale(pts, "points")
+    check_scale(p[:, None], "target")
+    q = pts - p[:, None]
+    sq = np.einsum("ij,ij->j", q, q)
+    radius = math.sqrt(float(sq.max()))
+    corral = np.array([np.argmin(sq)])
+    w = np.ones(1)
+    x = q[:, corral[0]]
+    while True:
+        dots = q.T @ x
+        dots[corral] = np.inf
+        k = int(np.argmin(dots))
+        norm_sq = float(x @ x)
+        if dots[k] >= norm_sq - MIN_NORM_TOL * radius * math.sqrt(norm_sq):
+            break
+        new_corral, new_w = np.append(corral, k), np.append(w, 0.0)
+        while True:
+            base = q[:, new_corral[0]]
+            edges = q[:, new_corral[1:]] - base[:, None]
+            lam = np.linalg.lstsq(edges, -base, rcond=None)[0]
+            affine = np.concatenate(([1.0 - lam.sum()], lam))
+            out = np.flatnonzero(affine < 0.0)
+            if out.size == 0:
+                new_w = affine
+            else:
+                ratios = new_w[out] / (new_w[out] - affine[out])
+                new_w = new_w + float(ratios.min()) * (affine - new_w)
+                new_w[out[np.argmin(ratios)]] = 0.0
+            keep = new_w > 0.0
+            new_corral, new_w = new_corral[keep], new_w[keep]
+            if out.size == 0:
+                break
+        new_x = q[:, new_corral] @ new_w
+        if float(new_x @ new_x) >= norm_sq:
+            break
+        corral, w, x = new_corral, new_w, new_x
+    weights = np.zeros(pts.shape[1])
+    weights[corral] = w / w.sum()
+    return math.sqrt(float(x @ x)), weights

@@ -52,7 +52,7 @@ from hullsolve.incremental import (
     shifted_instance,
 )
 from hullsolve.hull import initial_iterate
-from hullsolve.oracles import delta_brute, hull_membership_2d, linear_system_oracle
+from hullsolve.oracles import hull_membership_2d, linear_system_oracle, min_norm_point
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -251,7 +251,7 @@ def test_criterion_6_sensitivity_theorem():
 
 
 def test_criterion_7_bounds_chain():
-    """tau_* >= tau'_* >= t_* and the eigenvalue bound below brute force."""
+    """tau_* >= tau'_* >= t_* and the eigenvalue bound below the exact distance."""
     from hullsolve import analyze_system
 
     rng = np.random.default_rng(2027)
@@ -267,7 +267,7 @@ def test_criterion_7_bounds_chain():
         if t_star > 0.0:
             assert analysis.log_tau_star_prime >= math.log(t_star) - slack
         if n == 3:
-            delta0 = delta_brute(system.a, np.zeros(n), grid_k=120)
+            delta0, _ = min_norm_point(system.a, np.zeros(n))
             assert analysis.delta0_lower <= delta0 * (1 + 1e-6) + 1e-12
     report(7, True, "100 systems: bound chain and eigenvalue bound hold")
 

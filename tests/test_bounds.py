@@ -13,7 +13,7 @@ import pytest
 import hullsolve
 from helpers import example1_system, example2_system, invertible_system
 from hullsolve import HullInstance, LinearSystem, SolveConfig, analyze_system
-from hullsolve.oracles import delta_brute, linear_system_oracle
+from hullsolve.oracles import linear_system_oracle, min_norm_point
 from hullsolve.two_phase import _phase1_outcome
 
 
@@ -31,10 +31,10 @@ class TestDelta0LowerBound:
         exact = 3.0 / math.sqrt(10.0)  # origin to segment (1,0)-(0,3)
         assert bound <= exact
 
-    def test_example1_below_brute_force(self):
+    def test_example1_below_exact_distance(self):
         system = example1_system()
         bound = analyze_system(system).delta0_lower
-        delta0 = delta_brute(system.a, np.zeros(2), grid_k=400)
+        delta0, _ = min_norm_point(system.a, np.zeros(2))
         assert 0.0 < bound <= delta0 * (1 + 1e-6)
 
     def test_scaled_identity_uses_provable_form(self):

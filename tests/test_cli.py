@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import example2_system, reference_run_hull
+from helpers import example2_system, inside_instance_2d, reference_run_hull
 from hullsolve import SolveConfig, cli, matio, solve_incremental
 from hullsolve.cli import main
 from hullsolve.hull import (
@@ -27,6 +27,7 @@ from hullsolve.matio import (
     load_matrix,
     load_vector,
 )
+from hullsolve.oracles import hull_membership_2d
 
 
 @pytest.fixture
@@ -442,14 +443,74 @@ class TestotherCommands:
     def test_oracle_requires_inputs(self):
         assert main(["oracle"]) == 2
 
-    def test_oracle_brute_rejects_zero_grid(self, tmp_path, capsys):
+    def test_oracle_has_no_grid_option(self, tmp_path):
         points = tmp_path / "pts.txt"
         points.write_text("3 4\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
         target = tmp_path / "q.txt"
         target.write_text("3 1\n0\n0\n0\n")
         argv = ["oracle", "--points", str(points), "--target", str(target)]
-        assert main(argv + ["--grid-k", "0"]) == 2
-        assert "grid_k" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--grid-k", "1"])
+        assert exc.value.code == 2
+
+    def test_oracle_points_in_3d(self, tmp_path, capsys):
+        # The hull's nearest point to the origin is the centroid of the
+        # three unit vectors, at distance 1/sqrt(3).
+        points = tmp_path / "pts.txt"
+        points.write_text("3 5\n1 0 0 1 2\n0 1 0 1 2\n0 0 1 1 3\n")
+        target = tmp_path / "q.txt"
+        target.write_text("3 1\n0\n0\n0\n")
+        report_path = tmp_path / "oracle.json"
+        argv = ["oracle", "--points", str(points), "--target", str(target)]
+        assert main(argv + ["--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["membership"] is False
+        assert report["delta_exact"] == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
+        coeffs = np.array(report["coeffs"])
+        assert np.allclose(coeffs, [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
+        assert "delta_exact = 0.577350269189625" in capsys.readouterr().out
+
+    def test_oracle_membership_matches_2d_geometry(self, tmp_path):
+        points = tmp_path / "pts.txt"
+        target = tmp_path / "q.txt"
+        report_path = tmp_path / "oracle.json"
+        rng = np.random.default_rng(12)
+        queries = []
+        for _ in range(10):
+            pts, p = inside_instance_2d(rng, n_points=5)
+            queries.append((pts, p + rng.normal(size=2)))
+        # A triangle 1e-6 thick and a target inside it, 5e-7 from its apex.
+        queries.append((np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1e-6]]), np.array([0.0, 5e-7])))
+        for pts, p in queries:
+            rows = "".join(" ".join(map(repr, r)) + "\n" for r in pts.tolist())
+            points.write_text(f"2 {pts.shape[1]}\n{rows}")
+            target.write_text("2 1\n" + "".join(f"{v!r}\n" for v in p.tolist()))
+            argv = ["oracle", "--points", str(points), "--target", str(target)]
+            assert main(argv + ["--report", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())
+            inside, delta = hull_membership_2d(pts, p)
+            assert report["membership"] is inside
+            assert report["delta_exact"] == pytest.approx(delta, rel=1e-12)
+            assert np.linalg.norm(pts @ report["coeffs"] - p) == pytest.approx(delta, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "points_text, target_text, message",
+        [
+            ("2 3\n0 2 nan\n0 0 2\n", "2 1\n0.5\n0.5\n", "points and target must be finite\n"),
+            ("3 2\n0 2\n0 0\n1 inf\n", "3 1\n1\n1\n1\n", "points and target must be finite\n"),
+            ("2 2\n1e200 0\n0 1\n", "2 1\n0\n0\n", "points too large: a squared norm"),
+            ("3 2\n1 0\n0 1\n0 0\n", "3 1\n1e-200\n0\n0\n", "target too small: a squared norm"),
+        ],
+    )
+    def test_oracle_refuses_what_hull_refuses(
+        self, tmp_path, capsys, points_text, target_text, message
+    ):
+        points, target = tmp_path / "pts.txt", tmp_path / "q.txt"
+        points.write_text(points_text)
+        target.write_text(target_text)
+        for command in ("oracle", "hull"):
+            assert main([command, "--points", str(points), "--target", str(target)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_bench_rows_sorted(self, tmp_path):
         report_path = tmp_path / "bench.json"

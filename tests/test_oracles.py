@@ -1,6 +1,4 @@
-"""Ground-truth oracles: exact solve, 2-d geometry, brute-force distance."""
-
-import itertools
+"""Ground-truth oracles: exact solve, 2-d geometry, minimum-norm point."""
 
 import numpy as np
 import pytest
@@ -9,9 +7,10 @@ from helpers import example1_system, example2_system, inside_instance_2d
 from hullsolve import LinearSystem, SingularMatrixError, oracles
 from hullsolve.oracles import (
     convex_hull_2d,
-    delta_brute,
     hull_membership_2d,
+    hull_verdict,
     linear_system_oracle,
+    min_norm_point,
     point_segment_distance,
     solve_exact,
 )
@@ -88,49 +87,99 @@ class TestHull2d:
         )
 
 
-class TestDeltaBrute:
+def check_min_norm_point(points, target):
+    """min_norm_point's answer, after checking that its weights are a
+    probability vector reproducing the distance and that, when the target
+    counts as outside the hull, they carry the optimality certificate."""
+    delta, weights = min_norm_point(points, target)
+    assert weights.shape == (points.shape[1],)
+    assert (weights >= 0.0).all() and weights.sum() == pytest.approx(1.0, abs=1e-12)
+    q = points - target[:, None]
+    x = q @ weights
+    assert np.linalg.norm(x) == pytest.approx(delta, rel=1e-12, abs=1e-15)
+    if not hull_verdict(points, target, delta)[0]:
+        # x recomputed from the weights is off by rounding of order
+        # eps * radius, which moves each q_i^T x by up to about eps * radius^2.
+        radius = np.sqrt(np.einsum("ij,ij->j", q, q).max())
+        rounding = 16.0 * np.finfo(float).eps * radius**2
+        slack = oracles.MIN_NORM_TOL * radius * np.linalg.norm(x) + rounding
+        assert (q.T @ x).min() >= x @ x - slack
+    return delta
+
+
+class TestMinNormPoint:
     def test_segment_to_origin(self):
         seg = np.array([[1.0, 0.0], [0.0, 3.0]])
-        delta = delta_brute(seg, np.zeros(2), grid_k=10_000)
-        assert delta == pytest.approx(3.0 / np.sqrt(10.0), abs=1e-3)
+        delta = check_min_norm_point(seg, np.zeros(2))
+        assert delta == pytest.approx(3.0 / np.sqrt(10.0), rel=1e-12)
+        # The nearer endpoint misses the nearest point (1, 0) by 1e-6, and
+        # a stopping slack above 1.1e-11 would accept it.
+        seg = np.array([[1.0, 1.0], [1e-6, -1e-5]])
+        assert check_min_norm_point(seg, np.zeros(2)) == pytest.approx(1.0, rel=1e-12)
+        _, weights = min_norm_point(seg, np.zeros(2))
+        assert weights == pytest.approx([10.0 / 11.0, 1.0 / 11.0], abs=1e-4)
 
     def test_vertex_target(self):
         pts = np.array([[1.0, 4.0, 2.0], [2.0, 0.0, 5.0]])
-        assert delta_brute(pts, pts[:, 1].copy(), grid_k=50) <= 1e-9
+        assert check_min_norm_point(pts, pts[:, 1].copy()) == 0.0
 
     def test_containing_triangle(self):
         tri = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
-        assert delta_brute(tri, np.array([0.5, 0.5]), grid_k=100) <= 1e-6
+        assert check_min_norm_point(tri, np.array([0.5, 0.5])) <= 1e-15
+
+    def test_duplicate_and_collinear_points(self):
+        # Three copies of a segment's endpoints and points along it.
+        line = np.array([[1.0, 0.0], [0.0, 3.0]]) @ np.array(
+            [[1.0, 0.0, 0.5, 0.25, 1.0, 0.0], [0.0, 1.0, 0.5, 0.75, 0.0, 1.0]]
+        )
+        delta = check_min_norm_point(np.repeat(line, 3, axis=1), np.zeros(2))
+        assert delta == pytest.approx(3.0 / np.sqrt(10.0), rel=1e-12)
+        inside = check_min_norm_point(np.repeat(line, 3, axis=1), np.array([0.5, 1.5]))
+        assert inside <= 1e-15
+        # Points c + s u on a 3-d line, s from -2 to 3: the origin's nearest
+        # point, at s = -c.u / u.u = 5/6, lies between two of them.
+        u, c = np.array([1.0, -1.0, 2.0]), np.array([0.0, 5.0, 0.0])
+        collinear = c[:, None] + np.outer(u, np.linspace(-2.0, 3.0, 7))
+        delta = check_min_norm_point(collinear, np.zeros(3))
+        assert delta == pytest.approx(np.sqrt(25.0 - 25.0 / 6.0), rel=1e-12)
 
     def test_agrees_with_geometry(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             points, target = inside_instance_2d(rng, n_points=4)
             shifted = target + rng.normal(size=2) * 2.0
-            _, exact = hull_membership_2d(points, shifted)
-            brute = delta_brute(points, shifted, grid_k=60)
-            assert brute == pytest.approx(exact, abs=1e-6 + 1e-6 * exact)
+            inside, exact = hull_membership_2d(points, shifted)
+            delta = check_min_norm_point(points, shifted)
+            assert hull_verdict(points, shifted, delta)[0] == inside
+            if not inside:
+                assert delta == pytest.approx(exact, rel=1e-12)
 
-    @pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (2, 0), (2, 4), (3, 2), (4, 5)])
-    def test_simplex_grid_rows_in_order(self, n, k):
-        expected = sorted(r for r in itertools.product(range(k + 1), repeat=n) if sum(r) == k)
-        assert [tuple(row) for row in oracles._simplex_grid(n, k).tolist()] == expected
+    def test_thin_simplices(self):
+        # A triangle and a tetrahedron 1e-6 thick along the last axis. The
+        # apex is the nearest point to a target 5e-7 up the axis, which is
+        # inside; 1e-7 below the base and 5e-7 above the apex are outside.
+        tri = np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1e-6]])
+        tet = np.array([[-1.0, 1.0, 0.0, 0.0], [-1.0, -1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1e-6]])
+        for points in (tri, tet):
+            for height, expected in ((5e-7, 0.0), (-1e-7, 1e-7), (1.5e-6, 5e-7)):
+                target = np.zeros(len(points))
+                target[-1] = height
+                delta = check_min_norm_point(points, target)
+                inside, delta = hull_verdict(points, target, delta)
+                assert inside == (expected == 0.0)
+                assert delta == pytest.approx(expected, rel=1e-9)
+        for target in ([0.0, 5e-7], [0.3, 2e-7], [0.0, -1e-7]):
+            target = np.array(target)
+            delta = check_min_norm_point(tri, target)
+            assert hull_verdict(tri, target, delta) == hull_membership_2d(tri, target)
 
-    def test_simplex_grid_of_many_points(self):
-        # At grid_k 1 the size guard admits up to 3,162 points; a grid built
-        # by recursion over the points ran out of stack at 1,500.
-        grid = oracles._simplex_grid(1500, 1)
-        assert np.array_equal(grid, np.eye(1500)[::-1])
-
-    @pytest.mark.parametrize(
-        "n_points, grid_k", [(6, 200), (4, 400), (3, 0), (3, -1)]
-    )
-    def test_refuses_grid_before_building_it(self, monkeypatch, n_points, grid_k):
-        # 6 points at grid_k 200 would be C(205, 5) = 2.9e9 rows.
-        def never(n, k):
-            raise AssertionError("simplex grid built")
-
-        monkeypatch.setattr(oracles, "_simplex_grid", never)
-        points = np.random.default_rng(11).normal(size=(3, n_points))
-        with pytest.raises(ValueError):
-            delta_brute(points, np.zeros(3), grid_k=grid_k)
+    def test_many_points_far_target(self):
+        rng = np.random.default_rng(6)
+        points = rng.normal(size=(3, 1500))
+        target = np.array([6.0, -4.0, 3.0])
+        delta = check_min_norm_point(points, target)
+        # The hull lies within the ball of the farthest point, and the
+        # target's distance from the centroid bounds the distance above.
+        radius = np.linalg.norm(points, axis=0).max()
+        assert np.linalg.norm(target) - radius <= delta
+        assert delta <= np.linalg.norm(target - points.mean(axis=1))

@@ -28,7 +28,7 @@ from hullsolve import (
     solve_nonneg,
 )
 from hullsolve import two_phase
-from hullsolve.oracles import delta_brute
+from hullsolve.oracles import min_norm_point
 from hullsolve.two_phase import AlphaBVanishes, _phase1_outcome
 
 
@@ -180,12 +180,12 @@ class TestPhase1:
         with pytest.raises(SingularMatrixError):
             solve_nonneg(system, SolveConfig(epsilon0=1e-4))
 
-    def test_bracket_against_brute_force(self):
+    def test_bracket_against_exact_distance(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             system, _ = nonneg_system(rng, 3)
             _, delta0p = _phase1_witness(system, SolveConfig(epsilon0=1e-6))
-            delta0 = delta_brute(system.a, np.zeros(3), grid_k=150)
+            delta0, _ = min_norm_point(system.a, np.zeros(3))
             assert delta0p <= delta0 * (1 + 1e-6) + 1e-9
             assert delta0 <= 2.0 * delta0p * (1 + 1e-6) + 1e-9
 
