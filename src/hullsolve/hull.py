@@ -20,12 +20,12 @@ show no pivot are the margins recomputed from the points, and the
 recomputed ones decide; witness margins always come from the points. Gram
 columns come from one V^T V, or per visited pivot on a wide set (n > 2 dim).
 
-A step is the Triangle step toward the pivot j with exact line search. On
-request (the nonnegative solver's two phases) apply_step instead takes the
-better of that step and a pairwise step, which moves weight to j from the
-active point of least margin, as pairwise Frank-Wolfe does; both decreases
-follow in O(1) from the products and the Gram columns, so a step stays
-O(n + dim) either way.
+A run_hull step is the better of two exact line-search steps for the
+pivot j: the Triangle step toward j, and a pairwise step that moves weight
+to j from the active point of least margin, as pairwise Frank-Wolfe does.
+Both decreases follow in O(1) from the products and the Gram columns, so a
+step stays O(n + dim). The better-of step lowers ||p - p'|| at least as
+much as the Triangle step, so the Triangle Algorithm's bounds still hold.
 """
 
 from __future__ import annotations
@@ -474,7 +474,10 @@ def apply_step(
     by how far each lowers ||p - p'||^2: this Triangle step, and a pairwise
     step that moves weight from the active point of least margin to j
     (see _pairwise_step), which costs O(n + dim) as well. Either way j is
-    the point that gains weight.
+    the point that gains weight. run_hull and solve_nonneg always pass it;
+    solve_incremental does not: on the 23 general_shift benchmark systems
+    at epsilon0 = 0.05, pairwise steps made its solves slower (3.83 ->
+    4.23 s, one BLAS thread on a 2-core machine).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -496,16 +499,13 @@ def apply_step(
     return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
 
 
-def run_hull(
-    instance: HullInstance, config: HullConfig, pairwise: bool = False
-) -> HullOutcome:
+def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     """Run the Triangle Algorithm to an eps-approximation or a witness.
 
     Loops pivot search / step-size / update, each update the better of the
-    Triangle and the pairwise step when pairwise (see apply_step), the
-    Triangle step alone otherwise. Returns IN_HULL_APPROX as soon
-    as gap <= epsilon * ||p - v_j|| for the current pivot j (checked before
-    stepping; when no pivot exists the reference falls back to
+    Triangle and the pairwise step (see apply_step). Returns IN_HULL_APPROX
+    as soon as gap <= epsilon * ||p - v_j|| for the current pivot j (checked
+    before stepping; when no pivot exists the reference falls back to
     min_i ||p - v_i||), NOT_IN_HULL with a witness when no pivot exists and
     the approximation test fails, and CAP_EXCEEDED once max_iterations
     steps were taken without either. A pivot that coincides with the
@@ -540,7 +540,7 @@ def run_hull(
                 raise
             status, certifying_vertex = IN_HULL_APPROX, far
             break
-        iterate = apply_step(instance, iterate, j, alpha, pairwise=pairwise)
+        iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
         steps += 1
         if trace is not None:
             trace.append(TraceRecord(steps, 0.0, iterate.gap, None, j, False))

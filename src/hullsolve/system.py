@@ -99,9 +99,11 @@ class SolveConfig:
     epsilon0 is the target relative residual: the solvers stop once
     ||A x - b|| <= epsilon0 * rho. max_iterations caps the Triangle steps
     (solve_nonneg: each phase; solve_incremental: all of them), init_rule
-    and init_coeffs choose the starting iterate as in HullConfig, and
-    record_trace keeps the per-step rows. The settings of one solver alone
-    are its keyword arguments.
+    and init_coeffs choose the starting iterate over the n + 1 points
+    a_1, ..., a_n, -b as in HullConfig (init_coeffs has n + 1 entries; the
+    nonneg Phase 1 always starts from the nearest column), and record_trace
+    keeps the per-step rows. The settings of one solver alone are its
+    keyword arguments.
     """
 
     epsilon0: float = 1e-8

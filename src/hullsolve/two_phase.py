@@ -3,18 +3,19 @@
 Phase 1 runs the Triangle Algorithm on the columns of A against the origin
 to obtain a witness, whose distance to the origin yields a lower bound
 delta0' on the hull-to-origin distance. Phase 2 adjoins -b to the point set
-and drives an iterate toward the origin; the convex coefficients of the
-iterate recover an approximate solution x0 = alpha / alpha_b, whose residual
-is A x0 - b = p' / alpha_b. The inner tolerance is chosen from delta0' so
-that reaching it guarantees the requested relative residual (sensitivity
-argument); in practice the solver exits as soon as the recovered residual
-passes, computed exactly whenever its O(1) estimate gap / alpha_b comes
-within rounding of the target and at least once every n steps.
+and drives an iterate of its own toward the origin; the convex coefficients
+of the iterate recover an approximate solution x0 = alpha / alpha_b, whose
+residual is A x0 - b = p' / alpha_b. The inner tolerance is chosen from
+delta0' so that reaching it guarantees the requested relative residual
+(sensitivity argument); in practice the solver exits as soon as the
+recovered residual passes, computed exactly whenever its O(1) estimate
+gap / alpha_b comes within rounding of the target and at least once every
+n steps.
 
 Both phases take pairwise steps: each step is the better of the Triangle
 step toward the pivot and a transfer of weight to the pivot from the active
 point of least margin (hull.apply_step with pairwise=True). Phase 2's Gram
-matrix borders the A^T A of Phase 1 with -A^T b and ||b||^2.
+matrix borders the A^T A of Phase 1, when it ran, with -A^T b and ||b||^2.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .hull import (
     find_pivot,
     initial_iterate,
     iteration_cap_from_bound,
-    make_iterate,
     run_hull,
     step_size,
 )
@@ -91,9 +91,9 @@ class AlphaBVanishes(ValueError):
 
 def _phase1_outcome(columns: HullInstance, config: SolveConfig) -> HullOutcome:
     """Phase 1's hull run on columns, the columns of A against the origin,
-    in pairwise steps, under the user's init rule and iteration cap
-    (DEFAULT_PHASE_CAP when unset), with epsilon
-    min(epsilon0, PHASE1_EPSILON_CEIL) and no trace.
+    from the nearest column (init_rule and init_coeffs start Phase 2),
+    under the user's iteration cap (DEFAULT_PHASE_CAP when unset) and
+    trace setting, with epsilon min(epsilon0, PHASE1_EPSILON_CEIL).
 
     A witness gives delta0' = gap / 2, a lower bound on the hull-to-origin
     distance by the factor-two property of witnesses; an approximate
@@ -103,10 +103,9 @@ def _phase1_outcome(columns: HullInstance, config: SolveConfig) -> HullOutcome:
     hull_cfg = HullConfig(
         epsilon=min(config.epsilon0, PHASE1_EPSILON_CEIL),
         max_iterations=config.max_iterations or DEFAULT_PHASE_CAP,
-        init_rule=config.init_rule,
-        init_coeffs=config.init_coeffs,
+        record_trace=config.record_trace,
     )
-    return run_hull(columns, hull_cfg, pairwise=True)
+    return run_hull(columns, hull_cfg)
 
 
 def select_inner_epsilon(
@@ -214,18 +213,20 @@ def solve_nonneg(
     positive (DELTA0_USER), or, without Phase 1, the eigenvalue bound
     (DELTA0_SKIP). Phase 2 then iterates the Triangle Algorithm on
     conv({a_1, ..., a_n, -b}) against the origin; both phases take
-    pairwise steps (hull.apply_step), start per config's init rule and
-    stop at config.max_iterations steps when set. A user delta0' above rho
-    raises ValueError: no hull-to-origin distance exceeds ||b||. When
-    residual_first (the default), the solver recovers x0 and tests
-    ||A x0 - b|| <= epsilon0 * rho directly, returning early on success,
-    whenever the O(1) estimate gap / alpha_b of that residual comes within
-    PROXY_MARGIN of the target and, as a backstop, once every n steps: O(n)
-    a step amortised, and the exact residual stays the only stop test. The
-    theoretically selected inner epsilon governs the iteration cap
-    cap = ceil((48 / epsilon0^2) (rho / delta0')^2), DEFAULT_PHASE_CAP
-    without delta0'; a bound that is not finite raises ValueError. A
-    witness means no nonnegative solution exists.
+    pairwise steps (hull.apply_step) and stop at config.max_iterations
+    steps when set. Phase 2 starts per config's init rule over the n + 1
+    points under every policy (init_coeffs has n + 1 entries), and a
+    trace numbers its rows on from Phase 1's (alpha_b None). A user
+    delta0' above rho raises ValueError: no hull-to-origin distance
+    exceeds ||b||. When residual_first (the default), the solver recovers
+    x0 and tests ||A x0 - b|| <= epsilon0 * rho directly, returning early
+    on success, whenever the O(1) estimate gap / alpha_b of that residual
+    comes within PROXY_MARGIN of the target and, as a backstop, once every
+    n steps: O(n) a step amortised, and the exact residual stays the only
+    stop test. The theoretically selected inner epsilon governs the
+    iteration cap cap = ceil((48 / epsilon0^2) (rho / delta0')^2),
+    DEFAULT_PHASE_CAP without delta0'; a bound that is not finite raises
+    ValueError. A witness means no nonnegative solution exists.
     """
     rho = system.rho
     eps0 = config.epsilon0
@@ -237,8 +238,12 @@ def solve_nonneg(
     )
     phase1_steps = diagnostics["phase1_iterations"]
     inner_eps: float | None = None
-    trace: list[TraceRecord] | None = None
+    trace = ([] if phase1 is None else phase1.trace) if config.record_trace else None
     steps = 0
+
+    def record(value, alpha_b, pivot=None, witness=False):
+        if trace is not None:
+            trace.append(TraceRecord(phase1_steps + steps, 0.0, value, alpha_b, pivot, witness))
 
     def outcome(status, x=None, residual=None, witness=None):
         return SolveOutcome(
@@ -274,14 +279,8 @@ def solve_nonneg(
     # The Gram matrix of [A, -b] borders the A^T A Phase 1 computed, if it
     # did, with -A^T b and ||b||^2.
     instance = columns.with_point(-system.b, np.append(-system.at_b, system.b @ system.b))
-    if phase1 is not None:
-        # Embed the witness in the enlarged hull: coefficient of -b starts at 0.
-        iterate = make_iterate(instance, np.append(phase1.iterate.coeffs, 0.0))
-    else:
-        iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
+    iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
 
-    if config.record_trace:
-        trace = []
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
 
@@ -301,8 +300,7 @@ def solve_nonneg(
             x0 = recover_solution(iterate, system)
             residual = system.residual_norm(x0)
             if residual <= threshold:
-                if trace is not None:
-                    trace.append(TraceRecord(steps, 0.0, residual, alpha_b, None, False))
+                record(residual, alpha_b)
                 return outcome(CONVERGED, x0, residual)
             if at_target:
                 # Only reachable when the supplied delta0' overstated the
@@ -312,8 +310,7 @@ def solve_nonneg(
         j = find_pivot(instance, iterate)
         if j is None:
             witness = check_witness(instance, iterate)
-            if trace is not None:
-                trace.append(TraceRecord(steps, 0.0, iterate.gap, alpha_b, None, True))
+            record(iterate.gap, alpha_b, witness=True)
             return outcome(INFEASIBLE_NONNEG, witness=witness)
         if steps >= cap:
             diagnostics["last_gap"] = iterate.gap
@@ -321,7 +318,4 @@ def solve_nonneg(
         alpha = step_size(instance.target, iterate, instance.points[:, j])
         iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
         steps += 1
-        if trace is not None:
-            trace.append(
-                TraceRecord(steps, 0.0, iterate.gap, float(iterate.coeffs[-1]), j, False)
-            )
+        record(iterate.gap, float(iterate.coeffs[-1]), j)

@@ -175,12 +175,17 @@ def reference_find_pivot(instance, iterate):
 
 
 def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
-    """A plain Triangle loop that recomputes every margin from the points.
+    """A plain loop of better-of steps that recomputes everything from the
+    points.
 
-    It makes the same decisions, in the same order and with the same
-    arithmetic on the coefficients and the point, as run_hull, but keeps no
-    products between steps. Returns status, pivots, iterations, coeffs,
-    point, gap, certifying_vertex and witness_margins.
+    Each step is the better of the Triangle step toward the pivot j and the
+    pairwise step to j from the active point k of least margin, judged by
+    how far each lowers ||p - p'||^2 / 2, with every margin and
+    ||v_j - p'||^2 and ||v_j - v_k||^2 formed from the points and no
+    products kept between steps. It makes the same decisions, in the same
+    order, as run_hull, but its coefficients agree with run_hull's only up
+    to rounding. Returns status, pivots, iterations, coeffs,
+    certifying_vertex and witness_margins.
     """
     start = initial_iterate(instance, config.init_rule, config.init_coeffs)
     coeffs, point, gap = start.coeffs, start.point, start.gap
@@ -189,7 +194,7 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
 
     def result(status, vertex=None, witness=None):
         return dict(status=status, pivots=pivots, iterations=len(pivots), coeffs=coeffs,
-                    point=point, gap=gap, certifying_vertex=vertex, witness_margins=witness)
+                    certifying_vertex=vertex, witness_margins=witness)
 
     while True:
         margins = reference_margins(instance, point)
@@ -208,9 +213,28 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
             return result(CAP_EXCEEDED)
         pivot = instance.points[:, j]
         direction = pivot - point
-        alpha = float((instance.target - point) @ direction) / float(direction @ direction)
-        alpha = min(1.0, max(0.0, alpha))
-        if alpha == 1.0:
+        length_sq = float(direction @ direction)
+        toward = float((instance.target - point) @ direction)
+        alpha = min(1.0, max(0.0, toward / length_sq))
+        # (p - p')^T v_i as a difference of products, as run_hull forms it:
+        # after an unclamped transfer the margins of its two points tie, and
+        # the tie must break the same way.
+        along = instance.points.T @ instance.target - instance.points.T @ point
+        k = int(np.argmin(np.where(coeffs > 0.0, along, np.inf)))
+        rise = float(margins[j] - margins[k])
+        transfer = pivot - instance.points[:, k]
+        curvature = float(transfer @ transfer)
+        gamma = 0.0
+        if rise > 0.0 and curvature > 0.0:
+            gamma = min(rise / curvature, float(coeffs[k]))
+        if gamma * (rise - 0.5 * gamma * curvature) > alpha * (toward - 0.5 * alpha * length_sq):
+            coeffs = coeffs.copy()
+            coeffs[k] -= gamma
+            coeffs[j] += gamma
+            coeffs[np.abs(coeffs) < 1e-15] = 0.0
+            coeffs = coeffs / coeffs.sum()
+            point = point + gamma * transfer
+        elif alpha == 1.0:
             coeffs = np.zeros(instance.n_points)
             coeffs[j] = 1.0
             point = pivot.copy()

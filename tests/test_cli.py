@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import example2_system, inside_instance_2d, reference_run_hull
+from helpers import example2_system, inside_instance_2d, nonneg_system, reference_run_hull
 from hullsolve import SolveConfig, cli, matio, solve_incremental
 from hullsolve.cli import main
 from hullsolve.hull import (
@@ -264,22 +264,35 @@ class TestSolveCommand:
         assert report["status"] == "infeasible_nonneg"
         assert all(m < 0 for m in report["witness_margins"])
 
-    def test_trace_conservation(self, ex2_files, tmp_path):
-        matrix, rhs = ex2_files
+    @pytest.mark.parametrize("mode", ["incremental", "nonneg"])
+    def test_trace_conservation(self, tmp_path, mode):
+        # A positive solution, so both modes converge; in nonneg mode Phase 1
+        # takes 17 steps, and its rows come first, with alpha_b empty.
+        system, _ = nonneg_system(np.random.default_rng(3), 20, diag_boost=0.0)
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        np.savetxt(matrix, system.a, fmt="%.17g", header="20 20", comments="")
+        np.savetxt(rhs, system.b[:, None], fmt="%.17g", header="20 1", comments="")
         report_path = tmp_path / "report.json"
         trace_path = tmp_path / "trace.csv"
         code = main(
             [
-                "solve", "--matrix", matrix, "--rhs", rhs,
-                "--report", str(report_path), "--trace", str(trace_path),
+                "solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", mode,
+                "--epsilon0", "0.01", "--report", str(report_path), "--trace", str(trace_path),
             ]
         )
         assert code == 0
         lines = trace_path.read_text().strip().splitlines()
         assert lines[0] == TRACE_HEADER
-        final_value = float(lines[-1].split(",")[2])
+        rows = [line.split(",") for line in lines[1:]]
         report = json.loads(report_path.read_text())
-        assert final_value == report["residual_norm"]
+        assert float(rows[-1][2]) == report["residual_norm"]
+        assert int(rows[-1][0]) == report["iterations"]
+        iters = [int(r[0]) for r in rows]
+        assert iters == sorted(iters)
+        phase1 = report["diagnostics"].get("phase1_iterations", 0)
+        assert phase1 == (17 if mode == "nonneg" else 0)
+        assert [r[3] == "" for r in rows] == [i < phase1 for i in range(len(rows))]
+        assert iters[:phase1] == list(range(1, phase1 + 1))
 
     def test_reports_deterministic(self, ex2_files, tmp_path):
         matrix, rhs = ex2_files
@@ -325,6 +338,25 @@ class TestSolveCommand:
 
 
 class TestHullCommand:
+    def test_near_facet_query_ends_in_few_steps(self, tmp_path):
+        # The target lies 0.05 off the edge v_0 v_1 of ten points in 5-D.
+        # Triangle steps alone crawled toward a witness in 128 steps.
+        rng = np.random.default_rng(20261018)
+        points = rng.normal(size=(5, 10))
+        rng.uniform(0.5, 1.5, 10)  # two draws the query does not use
+        rng.normal(size=5)
+        target = (points[:, 0] + points[:, 1]) / 2 + 0.05 * rng.normal(size=5)
+        points_path, target_path = tmp_path / "pts.txt", tmp_path / "q.txt"
+        np.savetxt(points_path, points, fmt="%.17g", header="5 10", comments="")
+        np.savetxt(target_path, target[:, None], fmt="%.17g", header="5 1", comments="")
+        report_path = tmp_path / "hull.json"
+        code = main(["hull", "--points", str(points_path), "--target", str(target_path),
+                     "--report", str(report_path)])
+        assert code == 1
+        report = json.loads(report_path.read_text())
+        assert (report["status"], report["iterations"]) == ("not_in_hull", 9)
+        assert all(m < 0 for m in report["witness_margins"])
+
     def test_outside_point_witness_exit_one(self, tmp_path):
         points = tmp_path / "square.txt"
         points.write_text("2 4\n0 1 0 1\n0 0 1 1\n")

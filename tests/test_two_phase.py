@@ -255,10 +255,12 @@ class TestSolveNonneg:
         a = rng.normal(size=(20, 20))
         a /= np.sqrt(np.einsum("ij,ij->j", a, a))
         system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
-        config = SolveConfig(epsilon0=0.01, max_iterations=2)
+        config = SolveConfig(epsilon0=0.01, max_iterations=2, record_trace=True)
         outcome = solve_nonneg(system, config)
         assert outcome.status == SOLVE_CAP_EXCEEDED
         assert outcome.iterations == 2
+        # Phase 1's step rows, with no alpha_b.
+        assert [(r.iteration, r.alpha_b) for r in outcome.trace] == [(1, None), (2, None)]
         # The same diagnostics as every other outcome, and the cap message.
         assert outcome.diagnostics == {
             "phase1_iterations": 2,
@@ -280,6 +282,23 @@ class TestSolveNonneg:
         # The gap of the iterate the cap stopped, as its step row holds it.
         assert outcome.trace[-1].iteration == 3
         assert outcome.diagnostics["last_gap"] == outcome.trace[-1].value > 0.0
+
+    @pytest.mark.parametrize(
+        "solve, policy",
+        [(solve_nonneg, "phase1"), (solve_nonneg, "skip"), (solve_incremental, None)],
+    )
+    def test_given_coeffs_span_the_n_plus_one_points(self, solve, policy):
+        # Phase 2 and the incremental solve start over the columns and -b,
+        # whatever the delta0' policy.
+        system, _ = nonneg_system(np.random.default_rng(3), 20, diag_boost=0.0)
+        kwargs = {} if policy is None else {"delta0_policy": policy}
+
+        def given(n):
+            return SolveConfig(epsilon0=0.01, init_rule="given", init_coeffs=np.full(n, 1.0 / n))
+
+        assert solve(system, given(21), **kwargs).status == CONVERGED
+        with pytest.raises(ValueError, match="length must match the point count"):
+            solve(system, given(20), **kwargs)
 
     def test_skip_without_eigenvalue_bound(self):
         # A singular matrix gives no delta0': no epsilon', the default cap.
@@ -336,10 +355,10 @@ class TestPairwiseSteps:
     still decide every outcome."""
 
     def test_step_counts(self):
-        # (total steps, Phase 1 steps); the Triangle step alone took
-        # (2,304, 54) and (2,250, 67).
+        # (total steps, Phase 1 steps); the Triangle step alone takes
+        # (805, 54) and (5,063, 67).
         rng = np.random.default_rng(409)
-        for n, expected in ((20, (368, 33)), (40, (1198, 64))):
+        for n, expected in ((20, (197, 33)), (40, (720, 64))):
             system, _ = nonneg_system(rng, n, diag_boost=0.0)
             outcome = solve_nonneg(system, SolveConfig(epsilon0=3e-3))
             assert outcome.status == CONVERGED
@@ -347,8 +366,8 @@ class TestPairwiseSteps:
 
     def test_half_the_steps_at_n_600(self):
         # A column-normalised Gaussian system with a positive solution, as
-        # the nonneg_phases benchmark draws its n = 600 one: 2,292 steps,
-        # 1,155 of them in Phase 1, where the Triangle step alone took 5,269
+        # the nonneg_phases benchmark draws its n = 600 one: 2,058 steps,
+        # 1,155 of them in Phase 1, where the Triangle step alone takes 5,702
         # and 1,834. Bounded rather than pinned: at this size the count can
         # move with the BLAS build's rounding.
         rng = np.random.default_rng([0, 2, 1])
