@@ -70,7 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shift policy for incremental mode: quantized:N (default quantized:1) or double",
     )
-    solve.add_argument("--skip-phase1", action="store_true", help="nonneg mode only")
+    solve.add_argument(
+        "--phase1", action="store_true", help="nonneg mode: delta0 from Phase 1, as in the paper"
+    )
     solve.add_argument("--delta0", type=float, help="nonneg mode: user bound on hull distance")
     solve.add_argument("--init", choices=sorted(_INIT_CHOICES), default="nearest")
     solve.add_argument("--max-iters", type=int, default=None)
@@ -201,7 +203,7 @@ def _cmd_solve(args) -> int:
     nonneg = args.mode == "nonneg"
     for option, given, for_nonneg in (
         ("--delta0", args.delta0 is not None, True),
-        ("--skip-phase1", args.skip_phase1, True),
+        ("--phase1", args.phase1, True),
         ("--increment", args.increment is not None, False),
     ):
         if given and for_nonneg != nonneg:
@@ -218,10 +220,10 @@ def _cmd_solve(args) -> int:
     )
     if args.delta0 is not None:
         policy = DELTA0_USER
-    elif args.skip_phase1:
-        policy = DELTA0_SKIP
-    else:
+    elif args.phase1:
         policy = DELTA0_FROM_PHASE1
+    else:
+        policy = DELTA0_SKIP
     config_echo = {
         "mode": args.mode,
         "epsilon0": args.epsilon0,

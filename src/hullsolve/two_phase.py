@@ -1,28 +1,32 @@
 """Two-phase solver for A x = b when the solution is nonnegative.
 
+Phase 2 adjoins -b to the columns of A and drives an iterate toward the
+origin with the Triangle Algorithm; the convex coefficients of the iterate
+recover an approximate solution x0 = alpha / alpha_b, whose residual is
+A x0 - b = p' / alpha_b. The solver exits as soon as the recovered residual
+passes, computed exactly whenever its O(1) estimate gap / alpha_b comes
+within rounding of the target and at least once every n steps.
+
 Phase 1 runs the Triangle Algorithm on the columns of A against the origin
 to obtain a witness, whose distance to the origin yields a lower bound
-delta0' on the hull-to-origin distance. Phase 2 adjoins -b to the point set
-and drives an iterate of its own toward the origin; the convex coefficients
-of the iterate recover an approximate solution x0 = alpha / alpha_b, whose
-residual is A x0 - b = p' / alpha_b. The inner tolerance is chosen from
-delta0' so that reaching it guarantees the requested relative residual
-(sensitivity argument); in practice the solver exits as soon as the
-recovered residual passes, computed exactly whenever its O(1) estimate
-gap / alpha_b comes within rounding of the target and at least once every
-n steps.
+delta0' on the hull-to-origin distance, from which the paper chooses Phase
+2's inner tolerance so that reaching it guarantees the requested relative
+residual (sensitivity argument). It runs first only under the "phase1"
+delta0' policy. By default it runs only when Phase 2's iterate carries no
+weight on -b near the origin, where it tells whether A is singular.
 
 Both phases take pairwise steps: each step is the better of the Triangle
 step toward the pivot and a transfer of weight to the pivot from the active
 point of least margin (hull.apply_step with pairwise=True). Phase 2's Gram
-matrix borders the A^T A of Phase 1, when it ran, with -A^T b and ||b||^2.
+matrix borders the columns' A^T A with -A^T b and ||b||^2.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from . import bounds
 from .hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
@@ -96,16 +100,22 @@ def _phase1_outcome(columns: HullInstance, config: SolveConfig) -> HullOutcome:
     trace setting, with epsilon min(epsilon0, PHASE1_EPSILON_CEIL).
 
     A witness gives delta0' = gap / 2, a lower bound on the hull-to-origin
-    distance by the factor-two property of witnesses; an approximate
+    distance by the factor-two property of witnesses. An approximate
     membership means the origin is within epsilon of the column hull, so A
-    is singular or nearly so.
+    is singular or nearly so: SingularMatrixError.
     """
     hull_cfg = HullConfig(
         epsilon=min(config.epsilon0, PHASE1_EPSILON_CEIL),
         max_iterations=config.max_iterations or DEFAULT_PHASE_CAP,
         record_trace=config.record_trace,
     )
-    return run_hull(columns, hull_cfg)
+    phase1 = run_hull(columns, hull_cfg)
+    if phase1.status == IN_HULL_APPROX:
+        raise SingularMatrixError(
+            "origin lies in the convex hull of the columns to tolerance "
+            f"(gap {phase1.iterate.gap:.3e}); the matrix is singular"
+        )
+    return phase1
 
 
 def select_inner_epsilon(
@@ -153,7 +163,8 @@ def _resolve_delta0(
     system: LinearSystem, config: SolveConfig, columns: HullInstance, delta0_policy, delta0_user
 ) -> tuple[float | None, HullOutcome | None, dict]:
     """delta0' per policy, and Phase 1's outcome on columns when it ran;
-    no delta0' when Phase 1 reached its cap without a witness.
+    no delta0' under DELTA0_SKIP or when Phase 1 reached its cap without a
+    witness.
 
     Raises SingularMatrixError when Phase 1 ends in an approximate
     membership, and ValueError, before Phase 1, on an unknown policy, a
@@ -172,21 +183,12 @@ def _resolve_delta0(
         diagnostics["delta0_source"] = "user"
         return delta0_user, None, diagnostics
     if delta0_policy == DELTA0_SKIP:
-        eigen = bounds.analyze_system(system).delta0_lower
-        if eigen > 0.0:
-            diagnostics["delta0_source"] = "eigenvalue_bound"
-            return eigen, None, diagnostics
         diagnostics["delta0_source"] = "unavailable"
         diagnostics["guarantee"] = "direct residual check only"
         return None, None, diagnostics
     if delta0_policy != DELTA0_FROM_PHASE1:
         raise ValueError(f"unknown delta0 policy {delta0_policy!r}")
     phase1 = _phase1_outcome(columns, config)
-    if phase1.status == IN_HULL_APPROX:
-        raise SingularMatrixError(
-            "origin lies in the convex hull of the columns to tolerance "
-            f"(gap {phase1.iterate.gap:.3e}); the matrix is singular"
-        )
     diagnostics["phase1_iterations"] = phase1.iterations
     if phase1.status == CAP_EXCEEDED:
         diagnostics["delta0_source"] = "unavailable"
@@ -202,32 +204,44 @@ def solve_nonneg(
     system: LinearSystem,
     config: SolveConfig,
     *,
-    delta0_policy: str = DELTA0_FROM_PHASE1,
+    delta0_policy: str = DELTA0_SKIP,
     delta0_user: float | None = None,
     residual_first: bool = True,
 ) -> SolveOutcome:
     """Solve A x = b assuming x >= 0, to relative residual epsilon0.
 
-    delta0' bounds the hull-to-origin distance from below: Phase 1's
-    witness gives it (DELTA0_FROM_PHASE1), delta0_user, finite and
-    positive (DELTA0_USER), or, without Phase 1, the eigenvalue bound
-    (DELTA0_SKIP). Phase 2 then iterates the Triangle Algorithm on
-    conv({a_1, ..., a_n, -b}) against the origin; both phases take
-    pairwise steps (hull.apply_step) and stop at config.max_iterations
-    steps when set. Phase 2 starts per config's init rule over the n + 1
-    points under every policy (init_coeffs has n + 1 entries), and a
-    trace numbers its rows on from Phase 1's (alpha_b None). A user
-    delta0' above rho raises ValueError: no hull-to-origin distance
-    exceeds ||b||. When residual_first (the default), the solver recovers
-    x0 and tests ||A x0 - b|| <= epsilon0 * rho directly, returning early
-    on success, whenever the O(1) estimate gap / alpha_b of that residual
-    comes within PROXY_MARGIN of the target and, as a backstop, once every
-    n steps: O(n) a step amortised, and the exact residual stays the only
-    stop test. The theoretically selected inner epsilon governs the
-    iteration cap cap = ceil((48 / epsilon0^2) (rho / delta0')^2),
-    DEFAULT_PHASE_CAP without delta0'; a bound that is not finite raises
-    ValueError. A witness means no nonnegative solution exists.
+    Phase 2 iterates the Triangle Algorithm on conv({a_1, ..., a_n, -b})
+    against the origin, starting per config's init rule over the n + 1
+    points (init_coeffs has n + 1 entries). When residual_first (the
+    default), the solver recovers x0 and tests ||A x0 - b|| <= epsilon0 *
+    rho directly, returning early on success, whenever the O(1) estimate
+    gap / alpha_b of that residual comes within PROXY_MARGIN of the target
+    and, as a backstop, once every n steps: O(n) a step amortised, and the
+    exact residual stays the only stop test. A witness means no
+    nonnegative solution exists.
+
+    delta0' bounds the hull-to-origin distance from below: none under
+    DELTA0_SKIP, the default, Phase 1's witness under DELTA0_FROM_PHASE1
+    (the paper's path, Phase 1 first), delta0_user, finite, positive and
+    at most rho, under DELTA0_USER. The inner epsilon selected from it
+    governs the iteration cap ceil((48 / epsilon0^2) (rho / delta0')^2),
+    DEFAULT_PHASE_CAP without delta0', unless config.max_iterations caps
+    each phase; a bound that is not finite raises ValueError.
+    residual_first=False stops on the inner epsilon alone, so under
+    DELTA0_SKIP it raises ValueError.
+
+    When Phase 1 has not run and Phase 2's iterate loses its weight on -b
+    (alpha_b < ALPHA_FLOOR) within epsilon0 * rho of the origin, where no
+    residual can be checked, Phase 1 runs once: it raises
+    SingularMatrixError if the origin lies in the column hull, and Phase 2
+    goes on otherwise. Phase 1's steps count in iterations and
+    phase1_iterations, and its trace rows (alpha_b None) sit where it ran.
     """
+    if delta0_policy == DELTA0_SKIP and not residual_first:
+        raise ValueError(
+            "residual_first=False stops on the hull target, which needs delta0': "
+            "use delta0_policy 'phase1' or 'user'"
+        )
     rho = system.rho
     eps0 = config.epsilon0
     n = system.n
@@ -236,19 +250,19 @@ def solve_nonneg(
     delta0_prime, phase1, diagnostics = _resolve_delta0(
         system, config, columns, delta0_policy, delta0_user
     )
-    phase1_steps = diagnostics["phase1_iterations"]
     inner_eps: float | None = None
     trace = ([] if phase1 is None else phase1.trace) if config.record_trace else None
     steps = 0
 
     def record(value, alpha_b, pivot=None, witness=False):
         if trace is not None:
-            trace.append(TraceRecord(phase1_steps + steps, 0.0, value, alpha_b, pivot, witness))
+            iteration = diagnostics["phase1_iterations"] + steps
+            trace.append(TraceRecord(iteration, 0.0, value, alpha_b, pivot, witness))
 
     def outcome(status, x=None, residual=None, witness=None):
         return SolveOutcome(
             status=status,
-            iterations=phase1_steps + steps,
+            iterations=diagnostics["phase1_iterations"] + steps,
             x=x,
             residual_norm=residual,
             relative_residual=None if residual is None else residual / rho,
@@ -276,8 +290,10 @@ def solve_nonneg(
         cap = DEFAULT_PHASE_CAP
     diagnostics["phase2_cap"] = cap
 
-    # The Gram matrix of [A, -b] borders the A^T A Phase 1 computed, if it
-    # did, with -A^T b and ||b||^2.
+    # The Gram matrix of [A, -b] borders the columns' A^T A with -A^T b and
+    # ||b||^2, as after Phase 1: one product of [A, -b] rounds differently.
+    if phase1 is None:
+        columns.gram_column(0)
     instance = columns.with_point(-system.b, np.append(-system.at_b, system.b @ system.b))
     iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
 
@@ -290,6 +306,14 @@ def solve_nonneg(
         # recovered residual, provided delta0' really was a lower bound.
         at_target = inner_eps is not None and iterate.gap <= inner_eps * rho
         if alpha_b < ALPHA_FLOOR:
+            if phase1 is None and iterate.gap <= threshold:
+                # No residual can be checked, and the origin is within
+                # epsilon0 * rho of the column hull: Phase 1 raises if it
+                # lies in it. Steps from here may still restore alpha_b.
+                phase1 = _phase1_outcome(columns, config)
+                if trace is not None:
+                    trace.extend(replace(r, iteration=steps + r.iteration) for r in phase1.trace)
+                diagnostics["phase1_iterations"] = phase1.iterations
             if at_target:
                 diagnostics["alpha_b_vanished"] = True
                 return outcome(SOLVE_CAP_EXCEEDED)

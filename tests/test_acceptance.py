@@ -237,7 +237,9 @@ def test_criterion_6_sensitivity_theorem():
     for index in range(100):
         n = 5 if index % 2 == 0 else 20
         system, _ = nonneg_system(rng, n)
-        outcome = solve_nonneg(system, SolveConfig(epsilon0=epsilon0), residual_first=False)
+        outcome = solve_nonneg(
+            system, SolveConfig(epsilon0=epsilon0), delta0_policy="phase1", residual_first=False
+        )
         assert outcome.status == CONVERGED
         delta0p = outcome.phase1_delta0_prime
         epsilon = outcome.inner_epsilon

@@ -211,8 +211,7 @@ class TestExtremeScale:
             warnings.simplefilter("always")
             assert main(["analyze", *files]) == 0
             assert main(["solve", *files]) == 0
-            # delta0' from the eigenvalue bound, through analyze_system.
-            assert main(["solve", *files, "--mode", "nonneg", "--skip-phase1"]) == 0
+            assert main(["solve", *files, "--mode", "nonneg", "--phase1"]) == 0
         assert caught == []
 
 

@@ -226,7 +226,7 @@ class TestSolveCommand:
         code = main(
             [
                 "solve", "--matrix", str(matrix), "--rhs", str(rhs),
-                "--mode", "nonneg", "--epsilon0", "0.05",
+                "--mode", "nonneg", "--epsilon0", "0.05", "--phase1",
                 "--report", str(report_path),
             ]
         )
@@ -264,9 +264,16 @@ class TestSolveCommand:
         assert report["status"] == "infeasible_nonneg"
         assert all(m < 0 for m in report["witness_margins"])
 
-    @pytest.mark.parametrize("mode", ["incremental", "nonneg"])
-    def test_trace_conservation(self, tmp_path, mode):
-        # A positive solution, so both modes converge; in nonneg mode Phase 1
+    @pytest.mark.parametrize(
+        "mode, options, phase1",
+        [
+            pytest.param("incremental", [], 0, id="incremental"),
+            pytest.param("nonneg", [], 0, id="nonneg"),
+            pytest.param("nonneg", ["--phase1"], 17, id="nonneg-phase1"),
+        ],
+    )
+    def test_trace_conservation(self, tmp_path, mode, options, phase1):
+        # A positive solution, so both modes converge; with --phase1, Phase 1
         # takes 17 steps, and its rows come first, with alpha_b empty.
         system, _ = nonneg_system(np.random.default_rng(3), 20, diag_boost=0.0)
         matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
@@ -278,6 +285,7 @@ class TestSolveCommand:
             [
                 "solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", mode,
                 "--epsilon0", "0.01", "--report", str(report_path), "--trace", str(trace_path),
+                *options,
             ]
         )
         assert code == 0
@@ -289,8 +297,7 @@ class TestSolveCommand:
         assert int(rows[-1][0]) == report["iterations"]
         iters = [int(r[0]) for r in rows]
         assert iters == sorted(iters)
-        phase1 = report["diagnostics"].get("phase1_iterations", 0)
-        assert phase1 == (17 if mode == "nonneg" else 0)
+        assert report["diagnostics"].get("phase1_iterations", 0) == phase1
         assert [r[3] == "" for r in rows] == [i < phase1 for i in range(len(rows))]
         assert iters[:phase1] == list(range(1, phase1 + 1))
 
@@ -683,7 +690,7 @@ class TestNoTraceback:
         "mode, option",
         [
             ([], ["--delta0", "0.01"]),
-            ([], ["--skip-phase1"]),
+            ([], ["--phase1"]),
             (["--mode", "incremental"], ["--delta0", "nan"]),
             (["--mode", "nonneg"], ["--increment", "quantized:1"]),
         ],
@@ -764,7 +771,7 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize(
         "args",
-        [["--epsilon0", "1e-170"], ["--epsilon0", "0.01", "--delta0", "1e-160"]],
+        [["--epsilon0", "1e-170", "--phase1"], ["--epsilon0", "0.01", "--delta0", "1e-160"]],
         ids=["tiny_epsilon0", "tiny_delta0"],
     )
     @pytest.mark.parametrize("cap", [None, "2"], ids=["no_cap", "cap"])

@@ -41,6 +41,7 @@ from hullsolve import (
     solve_nonneg,
 )
 from hullsolve import hull, incremental, two_phase
+from hullsolve.oracles import hull_verdict, min_norm_point
 
 
 def _with_reference_pivots(monkeypatch, solve, *args, **kwargs):
@@ -127,6 +128,33 @@ class TestRunHull:
             )
             assert outcome.status == NOT_IN_HULL
 
+    def test_outside_instances_after_steps(self):
+        # The nearest vertex is already a witness for every target of the
+        # test above; these, near the middle of an edge, take 10 to 305
+        # steps. The plain loop reaches a witness too, but not along the
+        # same pivots: the two points of the last line-search move tie in
+        # margin, and rounding breaks the tie differently in each loop.
+        rng = np.random.default_rng(403)
+        outside = 0
+        for _ in range(11):
+            points = rng.normal(size=(5, 10))
+            target = 0.5 * (points[:, 0] + points[:, 1]) + 0.05 * rng.normal(size=5)
+            distance = min_norm_point(points, target)[0]
+            if hull_verdict(points, target, distance)[0]:
+                continue
+            outside += 1
+            instance = HullInstance(points, target)
+            config = HullConfig(epsilon=1e-4)
+            outcome = run_hull(instance, config)
+            assert outcome.status == NOT_IN_HULL == reference_run_hull(instance, config)["status"]
+            assert outcome.iterations >= 1
+            margins = reference_margins(instance, outcome.iterate.point)
+            assert np.array_equal(outcome.witness.margins, margins)
+            assert (margins < 0.0).all()
+            low, high = outcome.witness.distance_bracket
+            assert low <= distance * (1 + 1e-9) and distance <= high * (1 + 1e-9)
+        assert outside == 10
+
     def test_column_hull_phase1(self, monkeypatch):
         # Phase 1 of the nonnegative solver: columns against the origin.
         rng = np.random.default_rng(405)
@@ -152,8 +180,8 @@ class TestSolvers:
         rng = np.random.default_rng(409)
         for n in (20, 40):
             system, _ = nonneg_system(rng, n, diag_boost=0.0)
-            # These runs reach 3e-3 in 197 and 720 steps, and 5e-4 in 1,087
-            # and 7,496; 3.5e-4 keeps both runs long.
+            # These runs reach 3e-3 in 164 and 656 steps, and 5e-4 in 1,054
+            # and 7,432; 3.5e-4 keeps both runs long.
             config = SolveConfig(epsilon0=3.5e-4, record_trace=True)
             shipped, reference = _with_reference_pivots(
                 monkeypatch, solve_nonneg, system, config

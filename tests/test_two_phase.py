@@ -1,6 +1,7 @@
 """Two-phase solver: epsilon selection, recovery, end-to-end guarantees."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -232,7 +233,9 @@ class TestSolveNonneg:
         rng = np.random.default_rng(8)
         for _ in range(10):
             system, _ = nonneg_system(rng, 5)
-            outcome = solve_nonneg(system, SolveConfig(epsilon0=0.25), residual_first=False)
+            outcome = solve_nonneg(
+                system, SolveConfig(epsilon0=0.25), delta0_policy="phase1", residual_first=False
+            )
             assert outcome.status == CONVERGED
             delta0p = outcome.phase1_delta0_prime
             eps = outcome.inner_epsilon
@@ -256,7 +259,7 @@ class TestSolveNonneg:
         a /= np.sqrt(np.einsum("ij,ij->j", a, a))
         system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
         config = SolveConfig(epsilon0=0.01, max_iterations=2, record_trace=True)
-        outcome = solve_nonneg(system, config)
+        outcome = solve_nonneg(system, config, delta0_policy="phase1")
         assert outcome.status == SOLVE_CAP_EXCEEDED
         assert outcome.iterations == 2
         # Phase 1's step rows, with no alpha_b.
@@ -327,13 +330,16 @@ class TestSolveNonneg:
             ({"delta0_policy": "user"}, "requires a finite positive delta0_user"),
             ({"delta0_policy": "user", "delta0_user": np.nan}, "finite positive"),
             ({"delta0_policy": "user", "delta0_user": -1.0}, "finite positive"),
+            # No delta0', so no hull target to stop on.
+            ({"residual_first": False}, "delta0_policy 'phase1' or 'user'"),
         ],
     )
     def test_delta0_settings_checked_before_phase1(self, monkeypatch, settings, message):
-        def started(*args):
+        def started(*args, **kwargs):
             raise AssertionError("the solve started")
 
         monkeypatch.setattr(two_phase, "run_hull", started)
+        monkeypatch.setattr(two_phase, "apply_step", started)
         with pytest.raises(ValueError, match=message):
             solve_nonneg(example1_system(), SolveConfig(), **settings)
 
@@ -355,20 +361,21 @@ class TestPairwiseSteps:
     still decide every outcome."""
 
     def test_step_counts(self):
-        # (total steps, Phase 1 steps); the Triangle step alone takes
-        # (805, 54) and (5,063, 67).
+        # Phase 2 alone; with Phase 1 first the solves take 197 and 720
+        # steps, 33 and 64 of them in Phase 1, and the Triangle step alone
+        # takes 805 and 5,063.
         rng = np.random.default_rng(409)
-        for n, expected in ((20, (197, 33)), (40, (720, 64))):
+        for n, expected in ((20, 164), (40, 656)):
             system, _ = nonneg_system(rng, n, diag_boost=0.0)
             outcome = solve_nonneg(system, SolveConfig(epsilon0=3e-3))
             assert outcome.status == CONVERGED
-            assert (outcome.iterations, outcome.diagnostics["phase1_iterations"]) == expected
+            assert (outcome.iterations, outcome.diagnostics["phase1_iterations"]) == (expected, 0)
 
     def test_half_the_steps_at_n_600(self):
         # A column-normalised Gaussian system with a positive solution, as
-        # the nonneg_phases benchmark draws its n = 600 one: 2,058 steps,
-        # 1,155 of them in Phase 1, where the Triangle step alone takes 5,702
-        # and 1,834. Bounded rather than pinned: at this size the count can
+        # the nonneg_phases benchmark draws its n = 600 one: 903 steps, all in
+        # Phase 2, where Phase 1 first makes it 2,058 and the Triangle step
+        # alone 5,702. Bounded rather than pinned: at this size the count can
         # move with the BLAS build's rounding.
         rng = np.random.default_rng([0, 2, 1])
         a = rng.normal(size=(600, 600))
@@ -377,8 +384,8 @@ class TestPairwiseSteps:
         system = LinearSystem(a, a @ (x / x.sum()))
         outcome = solve_nonneg(system, SolveConfig(epsilon0=0.005))
         assert outcome.status == CONVERGED
-        assert outcome.iterations <= 5269 // 2
-        assert outcome.diagnostics["phase1_iterations"] < 1834
+        assert outcome.iterations <= 2058 // 2
+        assert outcome.diagnostics["phase1_iterations"] == 0
         assert np.linalg.norm(a @ outcome.x - system.b) <= 0.005 * system.rho
         assert (outcome.x >= 0.0).all()
 
@@ -395,3 +402,68 @@ class TestPairwiseSteps:
             )
             assert np.array_equal(outcome.witness.margins, margins)
             assert (margins < 0.0).all()
+
+
+class TestPhase2First:
+    """The default solve runs Phase 2 alone. Phase 1 first, the paper's
+    path, changes neither its steps nor its answer."""
+
+    @pytest.mark.parametrize("epsilon0", [0.05, 0.01, 0.002])
+    def test_same_answer_as_phase1_first(self, epsilon0):
+        config = SolveConfig(epsilon0=epsilon0)
+        for n in (5, 20, 60, 200):
+            for seed in range(2):
+                feasible, _ = nonneg_system(
+                    np.random.default_rng([613, n, seed]), n, diag_boost=1.5 * (seed == 0)
+                )
+                infeasible, _ = invertible_system(np.random.default_rng([613, n, seed]), n)
+                for system in (feasible, infeasible):
+                    ours = solve_nonneg(system, config)
+                    paper = solve_nonneg(system, config, delta0_policy="phase1")
+                    assert ours.status == paper.status
+                    assert ours.status in (CONVERGED, INFEASIBLE_NONNEG)
+                    if ours.x is not None:
+                        assert ours.x.tobytes() == paper.x.tobytes()
+                    else:
+                        assert ours.witness.margins.tobytes() == paper.witness.margins.tobytes()
+                    # Phase 1 runs by default only when Phase 2 loses -b near
+                    # the origin, as on some infeasible systems at 0.05.
+                    phase1 = paper.diagnostics["phase1_iterations"]
+                    assert ours.diagnostics["phase1_iterations"] in (0, phase1)
+                    assert (
+                        ours.iterations - ours.diagnostics["phase1_iterations"]
+                        == paper.iterations - phase1
+                    )
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[1.0, -1.0], [1.0, -1.0]], [1.0, 0.0]),
+            ([[1.0, -1.0], [1.0, -1.0]], [1.0, 1.0]),
+            ([[1.0, -1.0], [0.0, 0.0]], [1.0, 0.0]),
+        ],
+    )
+    def test_singular_systems_raise_at_once(self, a, b):
+        # The origin lies in the column hull. Phase 2 loses its weight on -b
+        # (after 101 steps, 1 and 1); without Phase 1 the solves would run
+        # to the cap.
+        system = LinearSystem(np.array(a), np.array(b))
+        started = time.perf_counter()
+        with pytest.raises(SingularMatrixError, match="the matrix is singular"):
+            solve_nonneg(system, SolveConfig(epsilon0=0.01))
+        assert time.perf_counter() - started < 1.0
+
+    def test_phase1_rows_follow_the_stalled_step(self):
+        # The columns pass 3e-5 from the origin. Phase 2's first step
+        # leaves no weight on -b, Phase 1 finds a witness in one step, and
+        # Phase 2 goes on to converge, as it does after Phase 1 first.
+        system = LinearSystem(np.array([[1e-5, 4e-5], [-1.5, 0.75]]), np.array([1.0, 0.0]))
+        config = SolveConfig(epsilon0=0.05, record_trace=True)
+        ours = solve_nonneg(system, config)
+        paper = solve_nonneg(system, config, delta0_policy="phase1")
+        assert ours.status == paper.status == CONVERGED
+        assert ours.x.tobytes() == paper.x.tobytes()
+        assert ours.diagnostics["phase1_iterations"] == 1
+        assert ours.iterations == paper.iterations == 3
+        rows = [(r.iteration, r.alpha_b is None, r.pivot is None) for r in ours.trace]
+        assert rows == [(1, False, False), (2, True, False), (3, False, False), (3, False, True)]
