@@ -30,7 +30,6 @@ from .hull import (
     run_hull,
 )
 from .system import CONVERGED, LinearSystem, SolveConfig
-from .two_phase import DELTA0_FROM_PHASE1, DELTA0_SKIP, DELTA0_USER
 
 __all__ = ["main"]
 
@@ -73,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--phase1", action="store_true", help="nonneg mode: delta0 from Phase 1, as in the paper"
     )
-    solve.add_argument("--delta0", type=float, help="nonneg mode: user bound on hull distance")
     solve.add_argument("--init", choices=sorted(_INIT_CHOICES), default="nearest")
     solve.add_argument("--max-iters", type=int, default=None)
     common_output(solve)
@@ -202,7 +200,6 @@ def _cmd_solve(args) -> int:
     started = time.perf_counter()
     nonneg = args.mode == "nonneg"
     for option, given, for_nonneg in (
-        ("--delta0", args.delta0 is not None, True),
         ("--phase1", args.phase1, True),
         ("--increment", args.increment is not None, False),
     ):
@@ -218,23 +215,15 @@ def _cmd_solve(args) -> int:
         init_rule=_INIT_CHOICES[args.init],
         record_trace=bool(args.trace),
     )
-    if args.delta0 is not None:
-        policy = DELTA0_USER
-    elif args.phase1:
-        policy = DELTA0_FROM_PHASE1
-    else:
-        policy = DELTA0_SKIP
     config_echo = {
         "mode": args.mode,
         "epsilon0": args.epsilon0,
-        "delta0_policy": policy,
+        "delta0_policy": "phase1" if args.phase1 else "skip",
         "init_rule": config.init_rule,
         "increment": increment,
     }
     if nonneg:
-        outcome = two_phase.solve_nonneg(
-            system, config, delta0_policy=policy, delta0_user=args.delta0
-        )
+        outcome = two_phase.solve_nonneg(system, config, phase1=args.phase1)
     else:
         policy_name, quantum = _parse_increment(increment)
         outcome = incremental.solve_incremental(

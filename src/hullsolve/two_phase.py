@@ -11,9 +11,11 @@ Phase 1 runs the Triangle Algorithm on the columns of A against the origin
 to obtain a witness, whose distance to the origin yields a lower bound
 delta0' on the hull-to-origin distance, from which the paper chooses Phase
 2's inner tolerance so that reaching it guarantees the requested relative
-residual (sensitivity argument). It runs first only under the "phase1"
-delta0' policy. By default it runs only when Phase 2's iterate carries no
-weight on -b near the origin, where it tells whether A is singular.
+residual (sensitivity argument). It runs first only when solve_nonneg is
+called with phase1=True, to report delta0' and what the paper derives
+from it; the exact residual decides the stop either way. Otherwise it runs
+only when Phase 2's iterate carries no weight on -b near the origin, where
+it tells whether A is singular.
 
 Both phases take pairwise steps: each step is the better of the Triangle
 step toward the pivot and a transfer of weight to the pivot from the active
@@ -55,19 +57,12 @@ from .system import (
 )
 
 __all__ = [
-    "DELTA0_FROM_PHASE1",
-    "DELTA0_USER",
-    "DELTA0_SKIP",
     "AlphaBVanishes",
     "select_inner_epsilon",
     "sensitivity_epsilon_prime",
     "recover_solution",
     "solve_nonneg",
 ]
-
-DELTA0_FROM_PHASE1 = "phase1"
-DELTA0_USER = "user"
-DELTA0_SKIP = "skip"
 
 # Fallback iteration cap for hull runs whose theoretical bound is unknown
 # or impractically large.
@@ -159,76 +154,27 @@ def recover_solution(iterate: Iterate, system: LinearSystem) -> np.ndarray:
     return iterate.coeffs[:-1] / alpha_b
 
 
-def _resolve_delta0(
-    system: LinearSystem, config: SolveConfig, columns: HullInstance, delta0_policy, delta0_user
-) -> tuple[float | None, HullOutcome | None, dict]:
-    """delta0' per policy, and Phase 1's outcome on columns when it ran;
-    no delta0' under DELTA0_SKIP or when Phase 1 reached its cap without a
-    witness.
-
-    Raises SingularMatrixError when Phase 1 ends in an approximate
-    membership, and ValueError, before Phase 1, on an unknown policy, a
-    user delta0' missing, not finite and positive, or above rho: the
-    hull-to-origin distance is at most ||b|| <= rho.
-    """
-    diagnostics: dict = {"phase1_iterations": 0}
-    if delta0_policy == DELTA0_USER:
-        if delta0_user is None or not 0.0 < delta0_user < np.inf:
-            raise ValueError("delta0_policy 'user' requires a finite positive delta0_user")
-        if delta0_user > system.rho:
-            raise ValueError(
-                f"delta0 {delta0_user!r} exceeds rho = {system.rho!r}, "
-                "an upper bound on the hull-to-origin distance"
-            )
-        diagnostics["delta0_source"] = "user"
-        return delta0_user, None, diagnostics
-    if delta0_policy == DELTA0_SKIP:
-        diagnostics["delta0_source"] = "unavailable"
-        diagnostics["guarantee"] = "direct residual check only"
-        return None, None, diagnostics
-    if delta0_policy != DELTA0_FROM_PHASE1:
-        raise ValueError(f"unknown delta0 policy {delta0_policy!r}")
-    phase1 = _phase1_outcome(columns, config)
-    diagnostics["phase1_iterations"] = phase1.iterations
-    if phase1.status == CAP_EXCEEDED:
-        diagnostics["delta0_source"] = "unavailable"
-        diagnostics["phase1"] = (
-            f"phase 1 exceeded {phase1.iterations} iterations without a verdict"
-        )
-        return None, phase1, diagnostics
-    diagnostics["delta0_source"] = "phase1_witness"
-    return 0.5 * phase1.iterate.gap, phase1, diagnostics
-
-
 def solve_nonneg(
-    system: LinearSystem,
-    config: SolveConfig,
-    *,
-    delta0_policy: str = DELTA0_SKIP,
-    delta0_user: float | None = None,
-    residual_first: bool = True,
+    system: LinearSystem, config: SolveConfig, *, phase1: bool = False
 ) -> SolveOutcome:
     """Solve A x = b assuming x >= 0, to relative residual epsilon0.
 
     Phase 2 iterates the Triangle Algorithm on conv({a_1, ..., a_n, -b})
     against the origin, starting per config's init rule over the n + 1
-    points (init_coeffs has n + 1 entries). When residual_first (the
-    default), the solver recovers x0 and tests ||A x0 - b|| <= epsilon0 *
-    rho directly, returning early on success, whenever the O(1) estimate
-    gap / alpha_b of that residual comes within PROXY_MARGIN of the target
-    and, as a backstop, once every n steps: O(n) a step amortised, and the
-    exact residual stays the only stop test. A witness means no
-    nonnegative solution exists.
+    points (init_coeffs has n + 1 entries). The solver recovers x0 and
+    tests ||A x0 - b|| <= epsilon0 * rho directly, returning on success,
+    whenever the O(1) estimate gap / alpha_b of that residual comes within
+    PROXY_MARGIN of the target and, as a backstop, once every n steps: O(n)
+    a step amortised, and the exact residual is the only stop test. A
+    witness means no nonnegative solution exists.
 
-    delta0' bounds the hull-to-origin distance from below: none under
-    DELTA0_SKIP, the default, Phase 1's witness under DELTA0_FROM_PHASE1
-    (the paper's path, Phase 1 first), delta0_user, finite, positive and
-    at most rho, under DELTA0_USER. The inner epsilon selected from it
-    governs the iteration cap ceil((48 / epsilon0^2) (rho / delta0')^2),
-    DEFAULT_PHASE_CAP without delta0', unless config.max_iterations caps
-    each phase; a bound that is not finite raises ValueError.
-    residual_first=False stops on the inner epsilon alone, so under
-    DELTA0_SKIP it raises ValueError.
+    phase1=True runs Phase 1 first, the paper's path. Its witness gives
+    delta0', a lower bound on the hull-to-origin distance, which is
+    reported with the inner epsilon the sensitivity theorem selects from
+    it, the relative residual epsilon_prime that epsilon guarantees, and
+    the iteration cap ceil((48 / epsilon0^2) (rho / delta0')^2); a bound
+    that is not finite raises ValueError. Without delta0' the cap is
+    DEFAULT_PHASE_CAP. config.max_iterations, when set, caps each phase.
 
     When Phase 1 has not run and Phase 2's iterate loses its weight on -b
     (alpha_b < ALPHA_FLOOR) within epsilon0 * rho of the origin, where no
@@ -237,21 +183,15 @@ def solve_nonneg(
     goes on otherwise. Phase 1's steps count in iterations and
     phase1_iterations, and its trace rows (alpha_b None) sit where it ran.
     """
-    if delta0_policy == DELTA0_SKIP and not residual_first:
-        raise ValueError(
-            "residual_first=False stops on the hull target, which needs delta0': "
-            "use delta0_policy 'phase1' or 'user'"
-        )
     rho = system.rho
     eps0 = config.epsilon0
     n = system.n
 
     columns = HullInstance(system.a, np.zeros(n))
-    delta0_prime, phase1, diagnostics = _resolve_delta0(
-        system, config, columns, delta0_policy, delta0_user
-    )
-    inner_eps: float | None = None
-    trace = ([] if phase1 is None else phase1.trace) if config.record_trace else None
+    phase1_run = _phase1_outcome(columns, config) if phase1 else None
+    diagnostics: dict = {"phase1_iterations": 0, "delta0_source": "unavailable"}
+    delta0_prime = inner_eps = None
+    trace = ([] if phase1_run is None else phase1_run.trace) if config.record_trace else None
     steps = 0
 
     def record(value, alpha_b, pivot=None, witness=False):
@@ -273,10 +213,17 @@ def solve_nonneg(
             diagnostics=diagnostics,
         )
 
-    if phase1 is not None and phase1.status == CAP_EXCEEDED:
-        return outcome(SOLVE_CAP_EXCEEDED)
-
-    if delta0_prime is not None:
+    if phase1_run is None:
+        diagnostics["guarantee"] = "direct residual check only"
+    else:
+        diagnostics["phase1_iterations"] = phase1_run.iterations
+        if phase1_run.status == CAP_EXCEEDED:
+            diagnostics["phase1"] = (
+                f"phase 1 exceeded {phase1_run.iterations} iterations without a verdict"
+            )
+            return outcome(SOLVE_CAP_EXCEEDED)
+        diagnostics["delta0_source"] = "phase1_witness"
+        delta0_prime = 0.5 * phase1_run.iterate.gap
         inner_eps = select_inner_epsilon(eps0, delta0_prime, system)
         diagnostics["epsilon_prime"] = sensitivity_epsilon_prime(
             inner_eps, delta0_prime, system.norm_b
@@ -292,7 +239,7 @@ def solve_nonneg(
 
     # The Gram matrix of [A, -b] borders the columns' A^T A with -A^T b and
     # ||b||^2, as after Phase 1: one product of [A, -b] rounds differently.
-    if phase1 is None:
+    if phase1_run is None:
         columns.gram_column(0)
     instance = columns.with_point(-system.b, np.append(-system.at_b, system.b @ system.b))
     iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
@@ -302,34 +249,23 @@ def solve_nonneg(
 
     while True:
         alpha_b = float(iterate.coeffs[-1])
-        # Theoretical target: the sensitivity bound now guarantees the
-        # recovered residual, provided delta0' really was a lower bound.
-        at_target = inner_eps is not None and iterate.gap <= inner_eps * rho
         if alpha_b < ALPHA_FLOOR:
-            if phase1 is None and iterate.gap <= threshold:
+            if phase1_run is None and iterate.gap <= threshold:
                 # No residual can be checked, and the origin is within
                 # epsilon0 * rho of the column hull: Phase 1 raises if it
                 # lies in it. Steps from here may still restore alpha_b.
-                phase1 = _phase1_outcome(columns, config)
+                phase1_run = _phase1_outcome(columns, config)
                 if trace is not None:
-                    trace.extend(replace(r, iteration=steps + r.iteration) for r in phase1.trace)
-                diagnostics["phase1_iterations"] = phase1.iterations
-            if at_target:
-                diagnostics["alpha_b_vanished"] = True
-                return outcome(SOLVE_CAP_EXCEEDED)
-        elif at_target or (
-            residual_first
-            and (iterate.gap / alpha_b <= proxy_gate or steps % n == 0)
-        ):
+                    trace.extend(
+                        replace(r, iteration=steps + r.iteration) for r in phase1_run.trace
+                    )
+                diagnostics["phase1_iterations"] = phase1_run.iterations
+        elif iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
             x0 = recover_solution(iterate, system)
             residual = system.residual_norm(x0)
             if residual <= threshold:
                 record(residual, alpha_b)
                 return outcome(CONVERGED, x0, residual)
-            if at_target:
-                # Only reachable when the supplied delta0' overstated the
-                # hull distance; keep iterating on the direct check instead.
-                diagnostics["hull_target_residual_miss"] = True
 
         j = find_pivot(instance, iterate)
         if j is None:

@@ -11,16 +11,20 @@ import math
 
 import numpy as np
 
-from hullsolve import LinearSystem
+from hullsolve import LinearSystem, SolveConfig, recover_solution, select_inner_epsilon
 from hullsolve.hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
     NOT_IN_HULL,
     HullConfig,
     HullInstance,
+    apply_step,
+    find_pivot,
     initial_iterate,
+    step_size,
 )
 from hullsolve.oracles import boundary_distance_2d, hull_membership_2d
+from hullsolve.two_phase import _phase1_outcome
 
 
 def relative_interior_margin(points: np.ndarray, weights: np.ndarray) -> float:
@@ -246,3 +250,33 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
             point = (1.0 - alpha) * point + alpha * pivot
         gap = math.sqrt((instance.target - point) @ (instance.target - point))
         pivots.append(j)
+
+
+def reference_hull_target(system: LinearSystem, epsilon0: float) -> dict:
+    """The paper's sensitivity path, which solve_nonneg does not stop on.
+
+    Phase 1's witness gives delta0' = gap / 2 and the inner epsilon
+    select_inner_epsilon chooses from it. Phase 2 then borders the columns'
+    Gram matrix with -b, as solve_nonneg does after Phase 1, and takes
+    better-of steps from the nearest vertex until gap <= inner_epsilon *
+    rho, checking no residual on the way. Returns delta0_prime,
+    inner_epsilon, steps (Phase 2's), x and residual_norm.
+    """
+    config = SolveConfig(epsilon0=epsilon0)
+    columns = HullInstance(system.a, np.zeros(system.n))
+    phase1 = _phase1_outcome(columns, config)
+    assert phase1.status == NOT_IN_HULL
+    delta0_prime = 0.5 * phase1.iterate.gap
+    inner_epsilon = select_inner_epsilon(epsilon0, delta0_prime, system)
+    instance = columns.with_point(-system.b, np.append(-system.at_b, system.b @ system.b))
+    iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
+    steps = 0
+    while iterate.gap > inner_epsilon * system.rho:
+        j = find_pivot(instance, iterate)
+        assert j is not None, "a witness: the system has no nonnegative solution"
+        alpha = step_size(instance.target, iterate, instance.points[:, j])
+        iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
+        steps += 1
+    x = recover_solution(iterate, system)
+    return dict(delta0_prime=delta0_prime, inner_epsilon=inner_epsilon, steps=steps, x=x,
+                residual_norm=system.residual_norm(x))

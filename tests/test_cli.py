@@ -689,10 +689,10 @@ class TestNoTraceback:
     @pytest.mark.parametrize(
         "mode, option",
         [
-            ([], ["--delta0", "0.01"]),
             ([], ["--phase1"]),
-            (["--mode", "incremental"], ["--delta0", "nan"]),
+            (["--mode", "incremental"], ["--phase1"]),
             (["--mode", "nonneg"], ["--increment", "quantized:1"]),
+            (["--mode", "nonneg"], ["--increment", "double"]),
         ],
     )
     def test_option_of_the_other_mode_exit_two(self, ex1_files, tmp_path, capsys, mode, option):
@@ -743,48 +743,43 @@ class TestNoTraceback:
         assert (report["status"], report["iterations"]) == ("cap_exceeded", 10)
         assert report["config"]["max_iterations"] == 10
 
-    @pytest.mark.parametrize("delta0", ["nan", "inf"])
-    def test_non_finite_delta0_exit_two(self, tmp_path, capsys, delta0):
-        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
-        matrix.write_text("2 2\n2 1\n1 3\n")
-        rhs.write_text("2 1\n1\n1\n")
-        argv = [
-            "solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", "nonneg",
-            "--epsilon0", "0.01", "--delta0", delta0,
-        ]
-        assert main(argv) == 2
-        assert "finite positive delta0_user" in capsys.readouterr().err
-
-    def test_delta0_above_rho_exit_two(self, tmp_path, capsys):
-        # rho = sqrt(10) bounds every hull-to-origin distance.
+    @pytest.mark.parametrize("delta0", ["nan", "inf", "1e300"])
+    def test_delta0_option_is_gone_exit_two(self, tmp_path, capsys, delta0):
+        # delta0' comes only from Phase 1 (--phase1); the values the option
+        # once refused, non-finite or above rho, now meet argparse's usage
+        # error.
         matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
         matrix.write_text("2 2\n2 1\n1 3\n")
         rhs.write_text("2 1\n1\n1\n")
         report_path = tmp_path / "report.json"
         argv = [
             "solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", "nonneg",
-            "--epsilon0", "0.01", "--delta0", "1e300", "--report", str(report_path),
+            "--epsilon0", "0.01", "--delta0", delta0, "--report", str(report_path),
         ]
-        assert main(argv) == 2
-        assert "exceeds rho = 3.16" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hullsolve") and "unrecognized arguments: --delta0" in err
         assert not report_path.exists()
 
     @pytest.mark.parametrize(
-        "args",
-        [["--epsilon0", "1e-170", "--phase1"], ["--epsilon0", "0.01", "--delta0", "1e-160"]],
+        "scale, epsilon0",
+        [("", "1e-170"), ("e-155", "0.01")],
         ids=["tiny_epsilon0", "tiny_delta0"],
     )
     @pytest.mark.parametrize("cap", [None, "2"], ids=["no_cap", "cap"])
-    def test_phase2_cap_bound_not_finite(self, tmp_path, capsys, args, cap):
+    def test_phase2_cap_bound_not_finite(self, tmp_path, capsys, scale, epsilon0, cap):
         # (48 / epsilon0^2) (rho / delta0')^2 divides by zero or overflows;
-        # a cap of one's own still runs.
+        # a cap of one's own still runs. Columns scaled by 1e-155 against
+        # b = (1, 1) give Phase 1 a delta0' near 1e-155.
         matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
-        matrix.write_text("2 2\n2 1\n1 3\n")
+        matrix.write_text(f"2 2\n2{scale} 1{scale}\n1{scale} 3{scale}\n")
         rhs.write_text("2 1\n1\n1\n")
         report_path = tmp_path / "report.json"
         argv = [
             "solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", "nonneg",
-            *args, "--report", str(report_path),
+            "--epsilon0", epsilon0, "--phase1", "--report", str(report_path),
         ]
         if cap is None:
             assert main(argv) == 2
@@ -795,6 +790,8 @@ class TestNoTraceback:
             assert main([*argv, "--max-iters", cap]) == 1
             report = json.loads(report_path.read_text())
             assert (report["status"], report["iterations"]) == ("cap_exceeded", 2)
+            if scale:
+                assert report["phase1_delta0_prime"] < 1e-150
 
 
 def _readme_synopsis_flags() -> dict[str, set[str]]:

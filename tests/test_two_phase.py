@@ -11,6 +11,7 @@ from helpers import (
     example2_system,
     invertible_system,
     nonneg_system,
+    reference_hull_target,
     reference_margins,
 )
 from hullsolve import (
@@ -194,7 +195,7 @@ class TestPhase1:
 class TestSolveNonneg:
     def test_example1_exact_in_one_step(self):
         config = SolveConfig(epsilon0=1e-10, init_rule="centroid")
-        outcome = solve_nonneg(example1_system(), config, delta0_policy="skip")
+        outcome = solve_nonneg(example1_system(), config)
         assert outcome.status == CONVERGED
         assert np.allclose(outcome.x, [1.0, 2.0], atol=1e-12)
         assert outcome.residual_norm <= 1e-12
@@ -233,15 +234,14 @@ class TestSolveNonneg:
         rng = np.random.default_rng(8)
         for _ in range(10):
             system, _ = nonneg_system(rng, 5)
-            outcome = solve_nonneg(
-                system, SolveConfig(epsilon0=0.25), delta0_policy="phase1", residual_first=False
-            )
-            assert outcome.status == CONVERGED
-            delta0p = outcome.phase1_delta0_prime
-            eps = outcome.inner_epsilon
+            run = reference_hull_target(system, 0.25)
+            delta0p = run["delta0_prime"]
+            eps = run["inner_epsilon"]
             eps_prime = sensitivity_epsilon_prime(eps, delta0p, system.norm_b)
-            assert outcome.residual_norm <= eps_prime * system.rho
-            assert (outcome.x >= 0.0).all()
+            assert run["residual_norm"] <= eps_prime * system.rho
+            assert (run["x"] >= 0.0).all()
+            outcome = solve_nonneg(system, SolveConfig(epsilon0=0.25), phase1=True)
+            assert (outcome.phase1_delta0_prime, outcome.inner_epsilon) == (delta0p, eps)
 
     def test_phase1_cost_below_phase2_cap(self):
         rng = np.random.default_rng(10)
@@ -259,7 +259,7 @@ class TestSolveNonneg:
         a /= np.sqrt(np.einsum("ij,ij->j", a, a))
         system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
         config = SolveConfig(epsilon0=0.01, max_iterations=2, record_trace=True)
-        outcome = solve_nonneg(system, config, delta0_policy="phase1")
+        outcome = solve_nonneg(system, config, phase1=True)
         assert outcome.status == SOLVE_CAP_EXCEEDED
         assert outcome.iterations == 2
         # Phase 1's step rows, with no alpha_b.
@@ -279,7 +279,7 @@ class TestSolveNonneg:
         a /= np.sqrt(np.einsum("ij,ij->j", a, a))
         system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
         config = SolveConfig(epsilon0=0.01, max_iterations=3, record_trace=True)
-        outcome = solve_nonneg(system, config, delta0_policy="skip")
+        outcome = solve_nonneg(system, config)
         assert (outcome.status, outcome.iterations) == (SOLVE_CAP_EXCEEDED, 3)
         assert outcome.diagnostics["phase2_cap"] == 3
         # The gap of the iterate the cap stopped, as its step row holds it.
@@ -287,14 +287,17 @@ class TestSolveNonneg:
         assert outcome.diagnostics["last_gap"] == outcome.trace[-1].value > 0.0
 
     @pytest.mark.parametrize(
-        "solve, policy",
-        [(solve_nonneg, "phase1"), (solve_nonneg, "skip"), (solve_incremental, None)],
+        "solve, kwargs",
+        [
+            pytest.param(solve_nonneg, {"phase1": True}, id="solve_nonneg-phase1"),
+            pytest.param(solve_nonneg, {}, id="solve_nonneg-skip"),
+            pytest.param(solve_incremental, {}, id="solve_incremental-None"),
+        ],
     )
-    def test_given_coeffs_span_the_n_plus_one_points(self, solve, policy):
+    def test_given_coeffs_span_the_n_plus_one_points(self, solve, kwargs):
         # Phase 2 and the incremental solve start over the columns and -b,
-        # whatever the delta0' policy.
+        # with or without Phase 1 first.
         system, _ = nonneg_system(np.random.default_rng(3), 20, diag_boost=0.0)
-        kwargs = {} if policy is None else {"delta0_policy": policy}
 
         def given(n):
             return SolveConfig(epsilon0=0.01, init_rule="given", init_coeffs=np.full(n, 1.0 / n))
@@ -306,7 +309,7 @@ class TestSolveNonneg:
     def test_skip_without_eigenvalue_bound(self):
         # A singular matrix gives no delta0': no epsilon', the default cap.
         system = LinearSystem(np.ones((2, 2)), np.ones(2))
-        outcome = solve_nonneg(system, SolveConfig(epsilon0=0.01), delta0_policy="skip")
+        outcome = solve_nonneg(system, SolveConfig(epsilon0=0.01))
         assert outcome.status == CONVERGED
         assert outcome.diagnostics["delta0_source"] == "unavailable"
         assert outcome.diagnostics["guarantee"] == "direct residual check only"
@@ -314,45 +317,29 @@ class TestSolveNonneg:
         assert outcome.diagnostics["phase2_cap"] == 10**6
         assert outcome.inner_epsilon is None and outcome.phase1_delta0_prime is None
 
-    def test_user_delta0_policy(self):
-        rng = np.random.default_rng(12)
-        system, _ = nonneg_system(rng, 6)
-        outcome = solve_nonneg(
-            system, SolveConfig(epsilon0=0.05), delta0_policy="user", delta0_user=0.05
-        )
-        assert outcome.status == CONVERGED
-        assert outcome.phase1_delta0_prime == 0.05
-
     @pytest.mark.parametrize(
-        "settings, message",
+        "settings, old_message",
         [
             ({"delta0_policy": "bogus"}, "unknown delta0 policy 'bogus'"),
             ({"delta0_policy": "user"}, "requires a finite positive delta0_user"),
             ({"delta0_policy": "user", "delta0_user": np.nan}, "finite positive"),
             ({"delta0_policy": "user", "delta0_user": -1.0}, "finite positive"),
-            # No delta0', so no hull target to stop on.
             ({"residual_first": False}, "delta0_policy 'phase1' or 'user'"),
         ],
     )
-    def test_delta0_settings_checked_before_phase1(self, monkeypatch, settings, message):
+    def test_delta0_settings_checked_before_phase1(self, monkeypatch, settings, old_message):
+        # The settings once refused with old_message are keywords no longer
+        # taken: phase1 is the one left, delta0' is only reported and the
+        # exact residual decides every stop. Each is still refused before
+        # any step.
         def started(*args, **kwargs):
             raise AssertionError("the solve started")
 
         monkeypatch.setattr(two_phase, "run_hull", started)
         monkeypatch.setattr(two_phase, "apply_step", started)
-        with pytest.raises(ValueError, match=message):
+        keyword = next(iter(settings))
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
             solve_nonneg(example1_system(), SolveConfig(), **settings)
-
-    def test_user_delta0_above_rho_is_refused(self):
-        # No hull-to-origin distance exceeds ||b|| <= rho (sqrt(10) here); a
-        # larger delta0' would make the Phase 2 cap (rho / delta0')^2 vanish.
-        system = LinearSystem(np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 1.0]))
-        config = SolveConfig(epsilon0=0.01)
-        for delta0 in (1e300, 100.0, np.nextafter(system.rho, np.inf)):
-            with pytest.raises(ValueError, match=r"exceeds rho = 3\.16"):
-                solve_nonneg(system, config, delta0_policy="user", delta0_user=delta0)
-        outcome = solve_nonneg(system, config, delta0_policy="user", delta0_user=system.rho)
-        assert outcome.status == CONVERGED
 
 
 class TestPairwiseSteps:
@@ -419,7 +406,7 @@ class TestPhase2First:
                 infeasible, _ = invertible_system(np.random.default_rng([613, n, seed]), n)
                 for system in (feasible, infeasible):
                     ours = solve_nonneg(system, config)
-                    paper = solve_nonneg(system, config, delta0_policy="phase1")
+                    paper = solve_nonneg(system, config, phase1=True)
                     assert ours.status == paper.status
                     assert ours.status in (CONVERGED, INFEASIBLE_NONNEG)
                     if ours.x is not None:
@@ -460,7 +447,7 @@ class TestPhase2First:
         system = LinearSystem(np.array([[1e-5, 4e-5], [-1.5, 0.75]]), np.array([1.0, 0.0]))
         config = SolveConfig(epsilon0=0.05, record_trace=True)
         ours = solve_nonneg(system, config)
-        paper = solve_nonneg(system, config, delta0_policy="phase1")
+        paper = solve_nonneg(system, config, phase1=True)
         assert ours.status == paper.status == CONVERGED
         assert ours.x.tobytes() == paper.x.tobytes()
         assert ours.diagnostics["phase1_iterations"] == 1
