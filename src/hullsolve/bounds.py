@@ -27,6 +27,9 @@ log = logging.getLogger(__name__)
 # lambda_min below this fraction of lambda_max is treated as numerically zero.
 NEAR_SINGULAR_RATIO = 1e-14
 
+# Unit roundoff of the eigenvalues' error bound n EPS lambda_max.
+EPS = float(np.finfo(float).eps)
+
 # exp() overflows just above 709; stay a little under.
 LINEAR_REPRESENTABLE_LOG = 700.0
 
@@ -45,7 +48,8 @@ class SystemAnalysis:
     sqrt(lambda_min / n), since ||A w|| >= sigma_min ||w||_2 >= sqrt(lambda_min)
     / sqrt(n) for every w in the simplex; it scales with A. delta0_lower_stated
     is the plain lambda_min / sqrt(n) form, which exceeds it exactly when
-    lambda_min > 1; the two are both reported and a discrepancy is flagged
+    lambda_min > 1; the two are both reported, and bound_discrepancy is set
+    when lambda_min exceeds 1 by more than its rounding, n eps lambda_max,
     rather than silently corrected. tau'_* divides by det(Q), tau_* by
     lambda_min^n, so log_tau_star >= log_tau_star_prime; tau_star and
     tau_star_prime are None where the linear value would overflow.
@@ -129,7 +133,10 @@ def analyze_system(system: LinearSystem) -> SystemAnalysis:
         log_tau_prime = log_num - log_det_scaled
         log_tau_star = log_num - n * math.log(lambda_min_scaled)
 
-    discrepancy = stated > safe
+    # stated > safe exactly when lambda_min > 1; flag only an excess over 1
+    # beyond the eigenvalues' rounding, compared at the scale of Q / 2^kq.
+    excess = lambda_min_scaled - n * EPS * float(eigenvalues[-1])
+    discrepancy = stated > safe and math.ldexp(excess, kq) > 1.0
     if discrepancy:
         log.info(
             "eigenvalue bound %.6g exceeds the provable form %.6g "

@@ -6,26 +6,32 @@ p, or halts with a witness: a point of conv(S) strictly closer to every v_i
 than p is, which certifies p is not in the hull (the orthogonal bisector of
 the segment p p' separates p from conv(S)).
 
-All pivot and witness tests are done in the square-root-free margin form
+A HullInstance translates its points by -p once, so every run targets the
+origin; below, v_i and p' are the translated points and iterate, and
+||p'|| is the gap. All pivot and witness tests are done in the
+square-root-free margin form
 
-    margin_i = (p - p')^T v_i - (||p||^2 - ||p'||^2) / 2
+    margin_i = ||p'||^2 / 2 - v_i^T p'
 
 where v_i is a pivot point iff margin_i >= 0, and p' is a witness iff every
 margin is strictly negative.
 
-Each iterate carries its products v_i^T p' with every point, kept up to date
-through the Gram column of each step's pivot, so a pivot search costs O(n)
-rather than the O(dim n) of recomputing V^T (p - p'). Only when those margins
-show no pivot are the margins recomputed from the points, and the
-recomputed ones decide; witness margins always come from the points. Gram
-columns come from one V^T V, or per visited pivot on a wide set (n > 2 dim).
+The iterate lives in coefficient space: its convex coefficients c, its
+products V^T p' with every point and ||p'||^2, never the point p' = V c.
+A step costs O(n): the margins, both step sizes and the new ||p'||^2 follow
+from those and the Gram columns of the pivots (one V^T V on a set of at
+most 2 dim points, else one column per visited pivot). p' itself is formed
+only where exact values decide: the witness margins, the gap that confirms
+an approximation, margins that show no pivot (recomputed ones decide), a
+step whose ||p'||^2 cancels, and a refresh every n steps that keeps the
+rounding of the recursions from piling up.
 
 A run_hull step is the better of two exact line-search steps for the
 pivot j: the Triangle step toward j, and a pairwise step that moves weight
 to j from the active point of least margin, as pairwise Frank-Wolfe does.
-Both decreases follow in O(1) from the products and the Gram columns, so a
-step stays O(n + dim). The better-of step lowers ||p - p'|| at least as
-much as the Triangle step, so the Triangle Algorithm's bounds still hold.
+Both decreases follow in O(1) from the products and the Gram columns. The
+better-of step lowers ||p - p'|| at least as much as the Triangle step, so
+the Triangle Algorithm's bounds still hold.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ __all__ = [
     "HullOutcome",
     "TraceRecord",
     "make_iterate",
+    "exact_iterate",
+    "recursed_iterate",
     "initial_iterate",
     "pivot_margins",
     "direct_margins",
@@ -72,6 +80,18 @@ CAP_EXCEEDED = "cap_exceeded"
 # Negative convex coefficients smaller than this in magnitude are rounding
 # dust and are clamped to zero before renormalizing.
 COEFF_DUST = 1e-15
+
+# A recursed ||p'||^2 below this fraction of the magnitudes it was summed
+# from (Iterate.point_sq_scale) may have lost more than half its digits to
+# cancellation, as when a step lands on the target or the gap has shrunk
+# a hundred-millionfold; the iterate is then formed again from V c.
+CANCELLATION = 2.0**-26
+
+TIE = 2.0**-40
+
+# A target within this relative distance of the iterate, eps ||p||, cannot
+# be told from it: the inputs carry that much rounding.
+ROUNDING = float(np.finfo(float).eps)
 
 # Largest squared norm of a point or target: below it ||p - v||^2 <= 4 max
 # and the other sums the solvers form stay finite.
@@ -110,11 +130,13 @@ def vector_norm(v: np.ndarray) -> float:
 
 
 class DegeneratePivot(ValueError):
-    """Pivot point coincides exactly with the current iterate.
+    """No step can move the iterate toward the target.
 
-    A pivot margin rules that out in exact arithmetic unless the iterate
-    already sits on the target, so it signals a stalled run, at any scale.
-    run_hull raises it only when no point certifies the iterate either.
+    Either a pivot coincides exactly with the iterate, which a pivot margin
+    rules out in exact arithmetic unless the iterate sits on the target, or
+    the iterate is a witness within rounding of the target (see ROUNDING).
+    Both signal a stalled run, at any scale. run_hull raises it only when
+    no point certifies the iterate either.
     """
 
 
@@ -127,18 +149,25 @@ class HullInstance:
         Columns are the points v_1 ... v_n.
     target : (m,) array
         The query point p.
+
+    The points are stored translated by -p, so that every run targets the
+    origin: points holds v_i - p (the array given, not a copy, when p = 0),
+    target holds p, and sq_norms the squared distances ||v_i - p||^2.
     """
 
     def __init__(self, points, target):
         points = np.ascontiguousarray(points, dtype=float)
         target = np.ascontiguousarray(target, dtype=float)
         check_query(points, target)
-        check_scale(points, "points")
-        check_scale(target[:, None], "target")
+        sq_norms = check_scale(points, "points")
+        target_sq = float(check_scale(target[:, None], "target")[0])
+        if target_sq > 0.0:
+            points = points - target[:, None]
+            sq_norms = np.einsum("ij,ij->j", points, points)
         self.points = points
         self.target = target
-        self.target_dots = points.T @ target  # p^T v_i, fixed for the run
-        self.target_sq = float(target @ target)
+        self.target_norm = math.sqrt(target_sq)
+        self.sq_norms = sq_norms
         # V^T V, computed whole at first use on a set of at most 2 dim points
         # (at most twice the points' memory); a wider set keeps one column
         # per visited pivot.
@@ -152,8 +181,7 @@ class HullInstance:
 
     def distance_to_point(self, j: int) -> float:
         """||p - v_j||."""
-        d = self.target - self.points[:, j]
-        return float(np.sqrt(d @ d))
+        return math.sqrt(self.sq_norms[j])
 
     def gram_column(self, j: int) -> np.ndarray:
         """v_i^T v_j for all i, stored at the first call that needs it: the
@@ -171,12 +199,14 @@ class HullInstance:
     def with_point(self, point: np.ndarray, products: np.ndarray) -> HullInstance:
         """A new instance: these points with point appended, same target.
 
-        products holds the point's inner products with every point, itself
-        last, as the caller computes them. A Gram matrix this instance has
-        computed is bordered with them, in O(n^2), instead of the O(dim n^2)
+        point is given translated, as the stored points are, and products
+        holds its inner products with every stored point, itself last, as
+        the caller computes them. A Gram matrix this instance has computed
+        is bordered with them, in O(n^2), instead of the O(dim n^2)
         product; otherwise the new instance computes its own at first use.
         """
-        grown = HullInstance(np.column_stack([self.points, point]), self.target)
+        grown = HullInstance(np.column_stack([self.points, point]), np.zeros_like(self.target))
+        grown.target, grown.target_norm = self.target, self.target_norm
         if self._gram is not None and grown._narrow:
             n = self.n_points
             gram = grown._gram = np.empty((n + 1, n + 1))
@@ -188,15 +218,16 @@ class HullInstance:
     def move_last_point(self, point: np.ndarray, products: np.ndarray) -> None:
         """Replace the last point in place.
 
-        products holds the new point's inner products with every point,
-        itself last, as the caller computes them. They become, bit for bit,
-        the last point's Gram column and the last entry of every other
-        stored one; a narrow set computes its Gram matrix first if no call
+        point is given translated, as the stored points are, and products
+        holds its inner products with every stored point, itself last, as
+        the caller computes them. They become, bit for bit, the last point's
+        Gram column, the last entry of every other stored one and its
+        squared norm; a narrow set computes its Gram matrix first if no call
         has. Iterates built on the old point are not updated.
         """
         last = self.n_points - 1
         self.points[:, last] = point
-        self.target_dots[last] = self.target.dot(point)
+        self.sq_norms[last] = products[last]
         if self._narrow:
             self.gram_column(last)
             self._gram[:, last] = products
@@ -209,17 +240,25 @@ class HullInstance:
 
 @dataclass
 class Iterate:
-    """A point of conv(S) with its explicit convex combination.
+    """A point p' of conv(S), in coefficient space.
 
-    coeffs is a probability vector over the columns, point equals
-    points @ coeffs up to roundoff, gap is ||target - point||, and
-    dot_cache holds v_i^T point for all i up to roundoff.
+    coeffs is a probability vector over the columns, and p' = points @
+    coeffs is not stored: dot_cache holds v_i^T p' for all i and point_sq
+    ||p'||^2, each up to the rounding of its updates (exact_iterate forms
+    them from p'). point_sq_scale is the sum of the magnitudes of the terms
+    point_sq was recursed from since it was last formed, so its rounding
+    error is a small multiple of eps * point_sq_scale. gap is ||p - p'||,
+    the square root of point_sq.
     """
 
     coeffs: np.ndarray
-    point: np.ndarray
-    gap: float
     dot_cache: np.ndarray
+    point_sq: float
+    point_sq_scale: float
+
+    @property
+    def gap(self) -> float:
+        return math.sqrt(self.point_sq)
 
 
 @dataclass
@@ -324,21 +363,15 @@ def make_iterate(instance: HullInstance, coeffs) -> Iterate:
     coeffs = _clean_coeffs(np.asarray(coeffs, dtype=float))
     if coeffs.shape != (instance.n_points,):
         raise ValueError("coefficient vector length must match the point count")
+    return exact_iterate(instance, coeffs)
+
+
+def exact_iterate(instance: HullInstance, coeffs: np.ndarray) -> Iterate:
+    """The iterate at these coefficients, taken as they are, with its
+    products and squared norm formed from p' = V c, in O(dim n)."""
     point = instance.points @ coeffs
-    gap = vector_norm(instance.target - point)
-    dots = instance.points.T @ point
-    return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
-
-
-def _sq_distances(instance: HullInstance) -> np.ndarray:
-    """||p - v_i||^2 for every point."""
-    diffs = instance.points - instance.target[:, None]
-    return np.einsum("ij,ij->j", diffs, diffs)
-
-
-def _nearest_vertex(instance: HullInstance) -> int:
-    """Index of the point nearest the target, ties to the lowest index."""
-    return int(np.argmin(_sq_distances(instance)))
+    point_sq = float(point.dot(point))
+    return Iterate(coeffs, instance.points.T @ point, point_sq, point_sq)
 
 
 def initial_iterate(instance: HullInstance, init_rule: str, init_coeffs=None) -> Iterate:
@@ -350,31 +383,25 @@ def initial_iterate(instance: HullInstance, init_rule: str, init_coeffs=None) ->
         coeffs = np.asarray(init_coeffs, dtype=float)
     else:  # nearest vertex: the cheapest start that is often already close
         coeffs = np.zeros(n)
-        coeffs[_nearest_vertex(instance)] = 1.0
+        coeffs[int(instance.sq_norms.argmin())] = 1.0
     return make_iterate(instance, coeffs)
 
 
-def _margin_shift(instance: HullInstance, iterate: Iterate) -> float:
-    return 0.5 * (instance.target_sq - float(iterate.point @ iterate.point))
-
-
-def pivot_margins(instance: HullInstance, iterate: Iterate) -> np.ndarray:
-    """Square-root-free pivot margins for every point, in O(n).
+def pivot_margins(iterate: Iterate) -> np.ndarray:
+    """Square-root-free pivot margins ||p'||^2 / 2 - v_i^T p' for every
+    point, in O(n).
 
     margin_i >= 0 means v_i is a pivot point (equivalently
     ||p' - v_i|| >= ||p - v_i||); all margins < 0 means the iterate is a
-    witness. Computed from the iterate's maintained products, so they
-    carry the rounding those products accumulated; see direct_margins.
+    witness. Computed from the iterate's maintained products and squared
+    norm, so they carry the rounding those accumulated; see direct_margins.
     """
-    return instance.target_dots - iterate.dot_cache - _margin_shift(instance, iterate)
+    return np.subtract(0.5 * iterate.point_sq, iterate.dot_cache)
 
 
 def direct_margins(instance: HullInstance, iterate: Iterate) -> np.ndarray:
-    """The pivot margins recomputed from the points, in O(dim n)."""
-    return (
-        instance.points.T @ (instance.target - iterate.point)
-        - _margin_shift(instance, iterate)
-    )
+    """The pivot margins recomputed from p' = V c, in O(dim n)."""
+    return pivot_margins(exact_iterate(instance, iterate.coeffs))
 
 
 def find_pivot(instance: HullInstance, iterate: Iterate) -> int | None:
@@ -385,36 +412,53 @@ def find_pivot(instance: HullInstance, iterate: Iterate) -> int | None:
     are computed and decide, so None always means the recomputed margins
     are all negative.
     """
-    for margins_of in (pivot_margins, direct_margins):
-        margins = margins_of(instance, iterate)
-        j = int(np.argmax(margins))
-        if margins[j] >= 0.0:
-            return j
-    return None
+    margins = pivot_margins(iterate)
+    j = int(margins.argmax())
+    if margins[j] < 0.0:
+        margins = direct_margins(instance, iterate)
+        j = int(margins.argmax())
+        if margins[j] < 0.0:
+            return None
+    return j
 
 
 def check_witness(instance: HullInstance, iterate: Iterate) -> Witness | None:
-    """Witness certificate when every direct margin is strictly negative."""
-    margins = direct_margins(instance, iterate)
+    """Witness certificate when every direct margin is strictly negative.
+
+    Its iterate, margins and distance bracket are formed from p' = V c.
+    """
+    exact = exact_iterate(instance, iterate.coeffs)
+    margins = pivot_margins(exact)
     if (margins < 0.0).all():
-        bracket = (0.5 * iterate.gap, iterate.gap)
-        return Witness(iterate=iterate, margins=margins, distance_bracket=bracket)
+        return Witness(iterate=exact, margins=margins, distance_bracket=(0.5 * exact.gap, exact.gap))
     return None
 
 
-def step_size(target: np.ndarray, iterate: Iterate, pivot: np.ndarray) -> float:
-    """Step size toward the pivot, clamped to [0, 1].
+def step_size(instance: HullInstance, iterate: Iterate, j: int) -> float:
+    """Step size toward pivot j, clamped to [0, 1], in O(1).
 
-    The unclamped value places the new iterate at the closest point to the
-    target on the line through p' and v_j; a returned value of 1 means jump
-    to the pivot vertex itself.
+    The unclamped value (q - d_j) / (G_jj - 2 d_j + q), with q = ||p'||^2,
+    d_j = v_j^T p' and G_jj = ||v_j||^2, places the new iterate at the point
+    closest to the target on the line through p' and v_j; a returned value
+    of 1 means jump to the pivot vertex itself. A denominator
+    ||v_j - p'||^2 <= 0 raises DegeneratePivot.
     """
-    direction = pivot - iterate.point
-    denom = float(direction @ direction)
-    if denom == 0.0:
+    q = iterate.point_sq
+    d_j = float(iterate.dot_cache[j])
+    denom = float(instance.gram_column(j)[j]) - 2.0 * d_j + q
+    if denom <= 0.0:
         raise DegeneratePivot("pivot coincides with the current iterate")
-    alpha = float((target - iterate.point) @ direction) / denom
-    return min(1.0, max(0.0, alpha))
+    return min(1.0, max(0.0, (q - d_j) / denom))
+
+
+def recursed_iterate(
+    instance: HullInstance, coeffs: np.ndarray, dots: np.ndarray, point_sq: float, scale: float
+) -> Iterate:
+    """The iterate with recursed products and squared norm, or, when
+    point_sq < CANCELLATION * scale, the one exact_iterate forms."""
+    if point_sq < CANCELLATION * scale:
+        return exact_iterate(instance, coeffs)
+    return Iterate(coeffs, dots, point_sq, scale)
 
 
 def _pairwise_step(
@@ -423,29 +467,28 @@ def _pairwise_step(
     """The pairwise step from k to j when it lowers ||p - p'||^2 more than
     the Triangle step toward j with alpha does, else None.
 
-    k is the point of positive coefficient with the least margin, and the
-    step moves weight gamma = min((margin_j - margin_k) / ||v_j - v_k||^2,
-    c_k) from k to j, all of it when clamped. Both decreases come in O(1)
-    from the maintained products and the Gram columns of j and k.
+    k is the point of positive coefficient with the least margin, that is
+    the largest product v_k^T p', and the step moves weight gamma =
+    min((margin_j - margin_k) / ||v_j - v_k||^2, c_k) from k to j, all of
+    it when clamped. Both decreases come in O(1) from the maintained
+    products and the Gram columns of j and k.
     """
-    coeffs, dots = iterate.coeffs, iterate.dot_cache
-    # (p - p')^T v_i: the margins up to a shift common to every point.
-    along = instance.target_dots - dots
-    along_j = float(along[j])
-    np.putmask(along, coeffs == 0.0, np.inf)
-    k = int(along.argmin())
+    coeffs, dots, q = iterate.coeffs, iterate.dot_cache, iterate.point_sq
+    active = np.where(coeffs > 0.0, dots, -np.inf)
+    top = float(active.max())
+    k = int((active >= top - TIE * (abs(top) + q)).argmax())
     column_k = instance.gram_column(k)
-    rise = along_j - float(along[k])
+    d_j, d_k = float(dots[j]), float(dots[k])
+    rise = d_k - d_j  # margin_j - margin_k
     curvature = float(column[j] - 2.0 * column[k] + column_k[k])
     if rise <= 0.0 or curvature <= 0.0:  # k = j gives rise 0
         return None
     gamma = min(rise / curvature, float(coeffs[k]))
-    # A step of length s along d lowers ||p - p'||^2 / 2 by
-    # s (p - p')^T d - s^2 ||d||^2 / 2: here d = v_j - v_k and s = gamma,
+    # A step of length s along d lowers ||p'||^2 / 2 by
+    # s (-p')^T d - s^2 ||d||^2 / 2: here d = v_j - v_k and s = gamma,
     # for the Triangle step d = v_j - p' and s = alpha.
-    point_sq = float(iterate.point @ iterate.point)
-    toward = along_j - float(instance.target @ iterate.point) + point_sq
-    length_sq = float(column[j]) - 2.0 * float(dots[j]) + point_sq
+    toward = q - d_j
+    length_sq = float(column[j]) - 2.0 * d_j + q
     if gamma * (rise - 0.5 * gamma * curvature) <= alpha * (toward - 0.5 * alpha * length_sq):
         return None
     # The sum stays 1 up to the rounding of two additions; only a clamp of
@@ -456,10 +499,11 @@ def _pairwise_step(
     if 0.0 < coeffs[k] < COEFF_DUST:
         coeffs[k] = 0.0
         coeffs /= coeffs.sum()
-    point = iterate.point + gamma * (instance.points[:, j] - instance.points[:, k])
     dots = dots + gamma * (column - column_k)
-    gap = vector_norm(instance.target - point)
-    return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
+    lift = 2.0 * gamma * (d_j - d_k)
+    square = gamma * gamma * curvature
+    scale = iterate.point_sq_scale + abs(lift) + square
+    return recursed_iterate(instance, coeffs, dots, q + lift + square, scale)
 
 
 def apply_step(
@@ -467,17 +511,18 @@ def apply_step(
 ) -> Iterate:
     """New iterate after pulling toward pivot j with step alpha in [0, 1].
 
-    The products move with the point, through the Gram column of j: O(n)
-    once that column is computed (see HullInstance.gram_column).
+    The products move with the point through the Gram column of j, and
+    ||p'||^2 by the recursion (1 - alpha)^2 q + 2 alpha (1 - alpha) d_j +
+    alpha^2 G_jj: O(n) once that column is computed (see
+    HullInstance.gram_column). A result that may have cancelled is formed
+    from V c (see recursed_iterate).
 
     With pairwise, the step is the better of two exact line-search steps,
     by how far each lowers ||p - p'||^2: this Triangle step, and a pairwise
     step that moves weight from the active point of least margin to j
-    (see _pairwise_step), which costs O(n + dim) as well. Either way j is
-    the point that gains weight. run_hull and solve_nonneg always pass it;
-    solve_incremental does not: on the 23 general_shift benchmark systems
-    at epsilon0 = 0.05, pairwise steps made its solves slower (3.83 ->
-    4.23 s, one BLAS thread on a 2-core machine).
+    (see _pairwise_step), which costs O(n) as well. Either way j is the
+    point that gains weight. run_hull and solve_nonneg always pass it;
+    solve_incremental does not (see README, "Cost per step").
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -488,15 +533,27 @@ def apply_step(
             return stepped
     # A fresh nonnegative array: clamp the dust and renormalise in place,
     # which is what _clean_coeffs returns for it, bit for bit. At alpha = 1
-    # the mixing gives e_j, the pivot and its Gram column exactly.
-    coeffs = (1.0 - alpha) * iterate.coeffs
+    # the mixing gives e_j, the pivot's Gram column and G_jj exactly.
+    keep = 1.0 - alpha
+    coeffs = keep * iterate.coeffs
     coeffs[j] += alpha
     coeffs[coeffs < COEFF_DUST] = 0.0
     coeffs /= coeffs.sum()
-    point = (1.0 - alpha) * iterate.point + alpha * instance.points[:, j]
-    dots = (1.0 - alpha) * iterate.dot_cache + alpha * column
-    gap = vector_norm(instance.target - point)
-    return Iterate(coeffs=coeffs, point=point, gap=gap, dot_cache=dots)
+    dots = keep * iterate.dot_cache + alpha * column
+    keep_sq = keep * keep
+    cross = 2.0 * alpha * keep * float(iterate.dot_cache[j])
+    square = alpha * alpha * float(column[j])
+    scale = keep_sq * iterate.point_sq_scale + abs(cross) + square
+    return recursed_iterate(instance, coeffs, dots, keep_sq * iterate.point_sq + cross + square, scale)
+
+
+def _far_certificate(instance: HullInstance, iterate: Iterate, epsilon: float) -> int:
+    """The point farthest from the target when it certifies the iterate,
+    gap <= epsilon ||p - v_far||; DegeneratePivot otherwise."""
+    far = int(instance.sq_norms.argmax())
+    if iterate.gap > epsilon * instance.distance_to_point(far):
+        raise DegeneratePivot("pivot coincides with the current iterate")
+    return far
 
 
 def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
@@ -509,39 +566,57 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     min_i ||p - v_i||), NOT_IN_HULL with a witness when no pivot exists and
     the approximation test fails, and CAP_EXCEEDED once max_iterations
     steps were taken without either. A pivot that coincides with the
-    iterate, as when the target is within rounding of a point, ends the
-    run IN_HULL_APPROX if gap <= epsilon * ||p - v_far|| for the point
-    v_far farthest from p, and raises DegeneratePivot otherwise.
-    Deterministic for a fixed configuration.
+    iterate, or a witness within rounding of the target (gap <= eps ||p||,
+    see ROUNDING), ends the run IN_HULL_APPROX if gap <= epsilon *
+    ||p - v_far|| for the point v_far farthest from p, and raises
+    DegeneratePivot otherwise. The gap of every verdict, and the outcome's
+    iterate, are formed from V c; the maintained ones are refreshed from it
+    every n steps. Deterministic for a fixed configuration.
     """
     iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
     delta0 = iterate.gap
     cap = config.resolved_cap()
+    n = instance.n_points
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     witness = certifying_vertex = None
     while True:
         j = find_pivot(instance, iterate)
-        reference_vertex = _nearest_vertex(instance) if j is None else j
-        if iterate.gap <= config.epsilon * instance.distance_to_point(reference_vertex):
-            status, certifying_vertex = IN_HULL_APPROX, reference_vertex
-            break
+        reference_vertex = int(instance.sq_norms.argmin()) if j is None else j
+        bound = config.epsilon * instance.distance_to_point(reference_vertex)
+        if iterate.gap <= bound:
+            exact = exact_iterate(instance, iterate.coeffs)
+            if exact.gap <= bound:
+                status, certifying_vertex, iterate = IN_HULL_APPROX, reference_vertex, exact
+                break
+            iterate = exact  # the maintained gap was off; search again
+            continue
         if j is None:
-            status, witness = NOT_IN_HULL, check_witness(instance, iterate)
+            witness = check_witness(instance, iterate)
+            iterate = witness.iterate
+            if iterate.gap > ROUNDING * instance.target_norm:
+                status = NOT_IN_HULL
+            else:
+                status, certifying_vertex = IN_HULL_APPROX, _far_certificate(
+                    instance, iterate, config.epsilon
+                )
+                witness = None
             break
         if steps >= cap:
-            status = CAP_EXCEEDED
+            status, iterate = CAP_EXCEEDED, exact_iterate(instance, iterate.coeffs)
             break
         try:
-            alpha = step_size(instance.target, iterate, instance.points[:, j])
+            alpha = step_size(instance, iterate, j)
         except DegeneratePivot:
-            far = int(np.argmax(_sq_distances(instance)))
-            if iterate.gap > config.epsilon * instance.distance_to_point(far):
-                raise
-            status, certifying_vertex = IN_HULL_APPROX, far
+            iterate = exact_iterate(instance, iterate.coeffs)
+            status, certifying_vertex = IN_HULL_APPROX, _far_certificate(
+                instance, iterate, config.epsilon
+            )
             break
         iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
         steps += 1
+        if steps % n == 0:
+            iterate = exact_iterate(instance, iterate.coeffs)
         if trace is not None:
             trace.append(TraceRecord(steps, 0.0, iterate.gap, None, j, False))
     return HullOutcome(status, iterate, steps, delta0, witness, certifying_vertex, trace)

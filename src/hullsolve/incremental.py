@@ -11,11 +11,13 @@ shift gives the next shift to try. The final answer is x = x0 - t e.
 
 A change of shift moves only the last point, -b(t), so the solver builds
 its hull instance once and carries it, and the iterate's maintained
-products, to each new shift in O(n) (move_shift). The shift re-optimisation
-is O(n) too: the iterate's point is p'(t) = alpha_b (A x0 - b(t)), so the
-best shift and its residual E follow from u^T p'(t) and the moved gap. That
-E is an estimate; the exact residual, computed only when the estimate nears
-the target and once every n steps, decides the stop.
+products and ||p'||^2, to each new shift in O(n) (move_shift). The shift
+re-optimisation is O(n) too: the iterate's point is p'(t) = alpha_b (A x0 -
+b(t)), so the best shift and its residual E follow from u^T p'(t) and the
+moved gap, read from the coefficients. That E is an estimate; the exact
+residual, computed only when the estimate nears the target and once every
+n steps, decides the stop, and the n-step check also forms the maintained
+products again from V c.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from .hull import (
     Iterate,
     TraceRecord,
     apply_step,
+    exact_iterate,
     find_pivot,
     initial_iterate,
     make_iterate,
+    recursed_iterate,
     step_size,
-    vector_norm,
 )
 from .system import (
     ALPHA_FLOOR,
@@ -100,9 +103,10 @@ def shifted_instance(system: LinearSystem, t0: float) -> HullInstance:
     return HullInstance(np.hstack([system.a, rhs[:, None]]), np.zeros(system.n))
 
 
-def _rebase(system: LinearSystem, iterate: Iterate, t0: float) -> np.ndarray:
-    """Shift-independent part of the iterate's point."""
-    return iterate.point + (t0 * float(iterate.coeffs[-1])) * system.u
+def _rebase(system: LinearSystem, iterate: Iterate) -> np.ndarray:
+    """Shift-independent part of the iterate's point, A alpha - alpha_b b:
+    at shift t the point is that less t alpha_b u."""
+    return system.a @ iterate.coeffs[:-1] - float(iterate.coeffs[-1]) * system.b
 
 
 def move_shift(
@@ -111,44 +115,45 @@ def move_shift(
     """Move a shifted hull and its iterate from shift t0 to t, in O(n).
 
     The instance, built by shifted_instance, gets -b(t) as its last point in
-    place. The iterate keeps its coefficients; its point becomes
-    p_base - t alpha_b u, so its products with the columns move by
-    (t0 - t) alpha_b A^T u, and its product with -b(t) is recomputed.
-    Each array is built in place, in the same arithmetic as
-    -system.rhs_shifted(t) and _rebase.
+    place, in the same arithmetic as -system.rhs_shifted(t). The iterate
+    keeps its coefficients c and forms no point: p'(t) = p_base - t alpha_b
+    u moves its products with the columns by (t0 - t) alpha_b A^T u, its
+    product with -b(t) is the new Gram column's products with c, and
+    ||p'||^2 = c^T (V^T p'), formed from V c if it cancels.
     """
-    u = system.u
     n = system.n
-    rhs = u * -t
+    rhs = system.u * -t
     rhs -= system.b
     products = np.empty(n + 1)  # -b(t)^T a_i = -(A^T b + t A^T u)_i
     np.multiply(system.at_u, -t, out=products[:n])
     products[:n] -= system.at_b
     products[n] = rhs.dot(rhs)
     instance.move_last_point(rhs, products)
-    alpha_b = float(iterate.coeffs[-1])
-    point = u * (t0 * alpha_b)
-    point += iterate.point
-    point -= u * (t * alpha_b)
+    coeffs = iterate.coeffs
     dots = np.empty(n + 1)
-    np.multiply(system.at_u, (t0 - t) * alpha_b, out=dots[:n])
+    np.multiply(system.at_u, (t0 - t) * float(coeffs[-1]), out=dots[:n])
     dots[:n] += iterate.dot_cache[:n]
-    dots[n] = rhs.dot(point)
-    return Iterate(coeffs=iterate.coeffs, point=point, gap=vector_norm(point), dot_cache=dots)
+    dots[n] = products.dot(coeffs)
+    point_sq = float(coeffs.dot(dots))
+    return recursed_iterate(instance, coeffs, dots, point_sq, float(coeffs.dot(np.abs(dots))))
 
 
 def _optimal_shift(
-    system: LinearSystem, iterate: Iterate, t0: float, u_sq: float
+    system: LinearSystem, iterate: Iterate, t0: float, u_sq: float, u_b: float
 ) -> float:
     """optimize_shift_tau0's tau0 for the iterate's x0, in O(n).
 
     The iterate's point at shift t0 is p' = alpha_b (A x0 - b(t0)), and
     b(t) = b(t0) + (t - t0) u, so E(t) is least at
-    t0 + u^T p' / (alpha_b ||u||^2), clamped below at t0.
+    t0 + u^T p' / (alpha_b ||u||^2), clamped below at t0. u^T p' is
+    (A^T u)^T alpha - alpha_b (u^T b + t0 ||u||^2), from the coefficients;
+    u_sq and u_b are ||u||^2 and u^T b.
     """
     if u_sq <= 0.0:
         return t0
-    lift = float(system.u.dot(iterate.point)) / (float(iterate.coeffs[-1]) * u_sq)
+    alpha_b = float(iterate.coeffs[-1])
+    u_point = float(system.at_u.dot(iterate.coeffs[:-1])) - alpha_b * (u_b + t0 * u_sq)
+    lift = u_point / (alpha_b * u_sq)
     return t0 + lift if lift > 0.0 else t0
 
 
@@ -170,20 +175,18 @@ def optimize_shift_tau0(
     return tau0, err
 
 
-def build_quadratics(
-    system: LinearSystem, iterate: Iterate, t0: float
-) -> list[ShiftQuadratic]:
-    """Shift quadratics g_i(t) for an iterate over the hull at shift t0.
+def build_quadratics(system: LinearSystem, iterate: Iterate) -> list[ShiftQuadratic]:
+    """Shift quadratics g_i(t) for an iterate over the shifted hull.
 
     The iterate's point is p'(t) = p' - t alpha_b u, with p' its
-    shift-independent base point. For a column a_i: c2 = alpha_b^2 ||u||^2,
+    shift-independent base point, formed from its coefficients. For a column a_i: c2 = alpha_b^2 ||u||^2,
     c1 = -2 alpha_b (p' - a_i)^T u, c0 = ||p'||^2 - 2 p'^T a_i. The
     right-hand-side entry expands ||p'(t)||^2 + 2 p'(t)^T (b + t u).
     """
     alpha_b = float(iterate.coeffs[-1])
     if alpha_b < ALPHA_FLOOR:
         raise AlphaBVanishes(f"coefficient of -b(t) is {alpha_b:.3e}")
-    base = _rebase(system, iterate, t0)
+    base = _rebase(system, iterate)
     u = system.u
     n = system.n
     u_sq = float(u @ u)
@@ -343,6 +346,7 @@ def solve_incremental(
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
     u_sq = float(system.u @ system.u)
+    u_b = float(system.u @ system.b)
 
     max_steps = config.max_iterations or DEFAULT_PHASE_CAP
 
@@ -383,12 +387,14 @@ def solve_incremental(
         alpha_b = float(iterate.coeffs[-1])
         t = t0
         near = tau_hook is None and iterate.gap / alpha_b <= proxy_gate
-        tau0 = _optimal_shift(system, iterate, t0, u_sq)
+        tau0 = _optimal_shift(system, iterate, t0, u_sq, u_b)
         if tau_hook is not None:
             tau0 = max(t0, float(tau_hook(tau0)))
         if tau0 != t0:
             iterate = move_shift(system, instance, iterate, t0, tau0)
             t0 = tau0
+        if steps % n == 0:  # the maintained products, refreshed with the backstop
+            iterate = exact_iterate(instance, iterate.coeffs)
         if near or iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
             # x = x0 - t0 e; the move kept the coefficients.
             x0 = recover_solution(iterate, system)
@@ -413,7 +419,7 @@ def solve_incremental(
                 new_t = 2.0 * t0 + 1.0
             else:
                 try:
-                    new_t = next_shift(build_quadratics(system, iterate, t0), t0, quantum)
+                    new_t = next_shift(build_quadratics(system, iterate), t0, quantum)
                 except NoPositiveQuadratic:
                     iterate = _reseed(instance, iterate)
                     reseeds += 1
@@ -435,7 +441,7 @@ def solve_incremental(
 
         if steps >= max_steps:
             return outcome(SOLVE_CAP_EXCEEDED)
-        alpha = step_size(instance.target, iterate, instance.points[:, j])
+        alpha = step_size(instance, iterate, j)
         iterate = apply_step(instance, iterate, j, alpha)
         steps += 1
         if trace is not None:

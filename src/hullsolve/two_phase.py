@@ -39,6 +39,7 @@ from .hull import (
     TraceRecord,
     apply_step,
     check_witness,
+    exact_iterate,
     find_pivot,
     initial_iterate,
     iteration_cap_from_bound,
@@ -165,8 +166,10 @@ def solve_nonneg(
     tests ||A x0 - b|| <= epsilon0 * rho directly, returning on success,
     whenever the O(1) estimate gap / alpha_b of that residual comes within
     PROXY_MARGIN of the target and, as a backstop, once every n steps: O(n)
-    a step amortised, and the exact residual is the only stop test. A
-    witness means no nonnegative solution exists.
+    a step amortised, and the exact residual is the only stop test. The
+    backstop also forms the iterate's products and ||p'||^2 again from
+    V c, which the steps maintain by recursion. A witness means no
+    nonnegative solution exists.
 
     phase1=True runs Phase 1 first, the paper's path. Its witness gives
     delta0', a lower bound on the hull-to-origin distance, which is
@@ -248,6 +251,8 @@ def solve_nonneg(
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
 
     while True:
+        if steps % n == 0:  # the maintained products, refreshed with the backstop
+            iterate = exact_iterate(instance, iterate.coeffs)
         alpha_b = float(iterate.coeffs[-1])
         if alpha_b < ALPHA_FLOOR:
             if phase1_run is None and iterate.gap <= threshold:
@@ -275,7 +280,7 @@ def solve_nonneg(
         if steps >= cap:
             diagnostics["last_gap"] = iterate.gap
             return outcome(SOLVE_CAP_EXCEEDED)
-        alpha = step_size(instance.target, iterate, instance.points[:, j])
+        alpha = step_size(instance, iterate, j)
         iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
         steps += 1
         record(iterate.gap, float(iterate.coeffs[-1]), j)

@@ -16,6 +16,7 @@ from hullsolve.hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
     NOT_IN_HULL,
+    TIE,
     HullConfig,
     HullInstance,
     apply_step,
@@ -158,14 +159,19 @@ def example2_system() -> LinearSystem:
 
 def radius_R(instance: HullInstance) -> float:
     """max_i ||p - v_i||, the R of the iteration bounds."""
-    diffs = instance.points - instance.target[:, None]
-    return float(np.sqrt(np.einsum("ij,ij->j", diffs, diffs).max()))
+    points = instance.points  # translated: v_i - p
+    return float(np.sqrt(np.einsum("ij,ij->j", points, points).max()))
+
+
+def iterate_point(instance: HullInstance, iterate) -> np.ndarray:
+    """The iterate's point p', formed from its coefficients."""
+    return instance.target + instance.points @ iterate.coeffs
 
 
 def reference_margins(instance: HullInstance, point: np.ndarray) -> np.ndarray:
-    """Pivot margins of the point, recomputed from the instance's points."""
-    shift = 0.5 * (instance.target_sq - float(point @ point))
-    return instance.points.T @ (instance.target - point) - shift
+    """Pivot margins of a point given relative to the target, as the
+    instance's points are, recomputed from those points."""
+    return 0.5 * float(point @ point) - instance.points.T @ point
 
 
 def _reference_pick(margins: np.ndarray) -> int | None:
@@ -175,7 +181,7 @@ def _reference_pick(margins: np.ndarray) -> int | None:
 
 def reference_find_pivot(instance, iterate):
     """Pivot search on margins recomputed from the points at every call."""
-    return _reference_pick(reference_margins(instance, iterate.point))
+    return _reference_pick(reference_margins(instance, instance.points @ iterate.coeffs))
 
 
 def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
@@ -186,13 +192,16 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
     pairwise step to j from the active point k of least margin, judged by
     how far each lowers ||p - p'||^2 / 2, with every margin and
     ||v_j - p'||^2 and ||v_j - v_k||^2 formed from the points and no
-    products kept between steps. It makes the same decisions, in the same
-    order, as run_hull, but its coefficients agree with run_hull's only up
-    to rounding. Returns status, pivots, iterations, coeffs,
-    certifying_vertex and witness_margins.
+    products kept between steps. Like run_hull it works on the instance's
+    points, translated so that the target is the origin. It makes the same
+    decisions, in the same order, as run_hull, but its coefficients agree
+    with run_hull's only up to rounding. Returns status, pivots,
+    iterations, coeffs, certifying_vertex and witness_margins.
     """
-    start = initial_iterate(instance, config.init_rule, config.init_coeffs)
-    coeffs, point, gap = start.coeffs, start.point, start.gap
+    points = instance.points
+    coeffs = initial_iterate(instance, config.init_rule, config.init_coeffs).coeffs
+    point = points @ coeffs
+    gap = math.sqrt(point @ point)
     cap = config.resolved_cap()
     pivots: list[int] = []
 
@@ -206,27 +215,27 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
         if j is not None:
             vertex = j
         else:
-            diffs = instance.points - instance.target[:, None]
-            vertex = int(np.argmin(np.einsum("ij,ij->j", diffs, diffs)))
-        to_vertex = instance.target - instance.points[:, vertex]
+            vertex = int(np.argmin(np.einsum("ij,ij->j", points, points)))
+        to_vertex = points[:, vertex]
         if gap <= config.epsilon * float(np.sqrt(to_vertex @ to_vertex)):
             return result(IN_HULL_APPROX, vertex=vertex)
         if j is None:
             return result(NOT_IN_HULL, witness=margins)
         if len(pivots) >= cap:
             return result(CAP_EXCEEDED)
-        pivot = instance.points[:, j]
+        pivot = points[:, j]
         direction = pivot - point
         length_sq = float(direction @ direction)
-        toward = float((instance.target - point) @ direction)
+        toward = float(-point @ direction)
         alpha = min(1.0, max(0.0, toward / length_sq))
-        # (p - p')^T v_i as a difference of products, as run_hull forms it:
-        # after an unclamped transfer the margins of its two points tie, and
-        # the tie must break the same way.
-        along = instance.points.T @ instance.target - instance.points.T @ point
-        k = int(np.argmin(np.where(coeffs > 0.0, along, np.inf)))
+        # The least margin is the largest product v_k^T p', up to run_hull's
+        # tie tolerance: after an unclamped transfer the margins of its two
+        # points tie, and the tie breaks to the lower index in both loops.
+        active = np.where(coeffs > 0.0, points.T @ point, -np.inf)
+        top = active.max()
+        k = int(np.argmax(active >= top - TIE * (abs(top) + point @ point)))
         rise = float(margins[j] - margins[k])
-        transfer = pivot - instance.points[:, k]
+        transfer = pivot - points[:, k]
         curvature = float(transfer @ transfer)
         gamma = 0.0
         if rise > 0.0 and curvature > 0.0:
@@ -248,7 +257,7 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
             coeffs[np.abs(coeffs) < 1e-15] = 0.0
             coeffs = coeffs / coeffs.sum()
             point = (1.0 - alpha) * point + alpha * pivot
-        gap = math.sqrt((instance.target - point) @ (instance.target - point))
+        gap = math.sqrt(point @ point)
         pivots.append(j)
 
 
@@ -274,7 +283,7 @@ def reference_hull_target(system: LinearSystem, epsilon0: float) -> dict:
     while iterate.gap > inner_epsilon * system.rho:
         j = find_pivot(instance, iterate)
         assert j is not None, "a witness: the system has no nonnegative solution"
-        alpha = step_size(instance.target, iterate, instance.points[:, j])
+        alpha = step_size(instance, iterate, j)
         iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
         steps += 1
     x = recover_solution(iterate, system)

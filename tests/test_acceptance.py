@@ -16,6 +16,7 @@ from helpers import (
     example2_system,
     inside_instance_2d,
     invertible_system,
+    iterate_point,
     membership_instance,
     nonneg_system,
     outside_instance_2d,
@@ -69,7 +70,7 @@ def test_criterion_1_example1_regression():
     def regression_sequence():
         iterate = make_iterate(instance, np.full(3, 1.0 / 3.0))
         pivot = find_pivot(instance, iterate)
-        alpha = step_size(instance.target, iterate, instance.points[:, pivot])
+        alpha = step_size(instance, iterate, pivot)
         stepped = apply_step(instance, iterate, pivot, alpha)
         x = recover_solution(stepped, system)
         return pivot, alpha, stepped, x, system.residual_norm(x)
@@ -111,10 +112,10 @@ def test_criterion_2_example2_regression():
 
     instance2 = shifted_instance(system, 2.0)
     iterate2 = make_iterate(instance2, coeffs)
-    assert np.abs(iterate2.point - [-0.5, 0.5]).max() <= tol
+    assert np.abs(instance2.points @ iterate2.coeffs - [-0.5, 0.5]).max() <= tol
     pivot = find_pivot(instance2, iterate2)
     assert pivot == 0
-    alpha = step_size(instance2.target, iterate2, instance2.points[:, 0])
+    alpha = step_size(instance2, iterate2, 0)
     assert abs(alpha - 2.0 / 13.0) <= tol
     stepped = apply_step(instance2, iterate2, 0, alpha)
     assert np.abs(
@@ -125,7 +126,7 @@ def test_criterion_2_example2_regression():
     e_at_2 = float(np.linalg.norm(system.a @ x1 - system.rhs_shifted(2.0)))
     assert abs(e_at_2 - math.sqrt(936.0) / 11.0) <= tol
 
-    quads = build_quadratics(system, iterate0, 0.0)
+    quads = build_quadratics(system, iterate0)
     expected = [
         (5.0 / 16.0, 0.5, -0.75),
         (5.0 / 16.0, -1.0, -0.75),
@@ -211,7 +212,7 @@ def test_criterion_5_witness_soundness_and_bracket():
         assert outcome.status == NOT_IN_HULL
         witness = outcome.witness
         assert (witness.margins < 0.0).all()
-        p_prime = witness.iterate.point
+        p_prime = iterate_point(instance, witness.iterate)
         for i in range(points.shape[1]):
             assert np.linalg.norm(p_prime - points[:, i]) < np.linalg.norm(
                 target - points[:, i]
@@ -351,13 +352,13 @@ def test_criterion_9_quadratic_consistency():
             if j is None:
                 if float(iterate.coeffs[-1]) >= 1e-12:
                     states.append((system, iterate, t0))
-                    quads = build_quadratics(system, iterate, t0)
+                    quads = build_quadratics(system, iterate)
                     new_t = next_shift(quads, t0, 1)
                     iterate = move_shift(system, instance, iterate, t0, new_t)
                     t0 = new_t
                     continue
                 break
-            alpha = step_size(instance.target, iterate, instance.points[:, j])
+            alpha = step_size(instance, iterate, j)
             iterate = apply_step(instance, iterate, j, alpha)
             alpha_b = iterate.coeffs[-1]
             if alpha_b > 1e-12 and iterate.gap / alpha_b < 1e-9 * system.rho:
@@ -365,9 +366,9 @@ def test_criterion_9_quadratic_consistency():
 
     violation = None
     for system, iterate, t0 in states:
-        quads = build_quadratics(system, iterate, t0)
+        quads = build_quadratics(system, iterate)
         alpha_b = float(iterate.coeffs[-1])
-        base = _rebase(system, iterate, t0)
+        base = _rebase(system, iterate)
         for t in rng.uniform(0.0, 5.0 + 2.0 * t0, 10):
             moved = base - t * alpha_b * system.u
             moved_sq = float(moved @ moved)

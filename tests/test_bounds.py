@@ -50,6 +50,14 @@ class TestDelta0LowerBound:
             25.0 / math.sqrt(2.0), rel=1e-9
         )
 
+    def test_lambda_min_one_within_rounding_not_flagged(self):
+        # A is symmetric with eigenvalues 1, 2 and 4, so lambda_min(A^T A)
+        # is exactly 1, which rounding computes a few ulps above 1.
+        a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        analysis = analyze_system(LinearSystem(a, np.ones(3)))
+        assert analysis.lambda_min == pytest.approx(1.0, rel=1e-12)
+        assert not analysis.bound_discrepancy
+
     @pytest.mark.parametrize("k", [-500, 0, 500])
     def test_scales_with_the_matrix(self, k):
         # sqrt(lambda_min / n) is linear in the scale of A, as the hull

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     inside_instance_2d,
     invertible_system,
+    iterate_point,
     membership_instance,
     nonneg_system,
     outside_instance_2d,
@@ -53,13 +54,13 @@ class TestFindPivot:
     def test_witness_state_has_no_pivot(self):
         instance = HullInstance(hull_points_example2(), np.zeros(2))
         iterate = make_iterate(instance, [0.25, 0.5, 0.25])
-        assert np.allclose(iterate.point, [0.0, 1.5])
+        assert np.allclose(iterate_point(instance, iterate), [0.0, 1.5])
         assert find_pivot(instance, iterate) is None
 
     def test_centroid_picks_second_column(self):
         instance = HullInstance(hull_points_example1(), np.zeros(2))
         iterate = make_iterate(instance, np.full(3, 1.0 / 3.0))
-        assert np.allclose(iterate.point, [2.0 / 3.0, -1.0 / 3.0])
+        assert np.allclose(iterate_point(instance, iterate), [2.0 / 3.0, -1.0 / 3.0])
         assert find_pivot(instance, iterate) == 1
 
     def test_zero_gap_every_index_is_pivot(self):
@@ -67,7 +68,7 @@ class TestFindPivot:
         target = points @ np.array([0.25, 0.25, 0.5])
         instance = HullInstance(points, target)
         iterate = make_iterate(instance, [0.25, 0.25, 0.5])
-        margins = pivot_margins(instance, iterate)
+        margins = pivot_margins(iterate)
         assert np.all(np.abs(margins) < 1e-12)
         assert find_pivot(instance, iterate) == 0
 
@@ -93,7 +94,7 @@ class TestCheckWitness:
         assert check_witness(instance, iterate) is None
         # Even at p' = p the margins vanish without turning negative.
         exact = make_iterate(instance, [0.5, 0.25, 0.25])
-        assert np.allclose(exact.point, target)
+        assert np.allclose(iterate_point(instance, exact), target)
         assert check_witness(instance, exact) is None
 
     def test_witness_separates_every_point(self):
@@ -104,7 +105,7 @@ class TestCheckWitness:
             outcome = run_hull(instance, HullConfig(epsilon=0.01))
             assert outcome.status == NOT_IN_HULL
             witness = outcome.witness
-            p_prime = witness.iterate.point
+            p_prime = iterate_point(instance, witness.iterate)
             for i in range(points.shape[1]):
                 assert np.linalg.norm(p_prime - points[:, i]) < np.linalg.norm(
                     target - points[:, i]
@@ -115,24 +116,26 @@ class TestStepSize:
     def test_example1_quarter(self):
         instance = HullInstance(hull_points_example1(), np.zeros(2))
         iterate = make_iterate(instance, np.full(3, 1.0 / 3.0))
-        alpha = step_size(instance.target, iterate, instance.points[:, 1])
+        alpha = step_size(instance, iterate, 1)
         assert alpha == pytest.approx(0.25, abs=1e-15)
 
     def test_example2_two_thirteenths(self):
-        instance = HullInstance(hull_points_example2(), np.zeros(2))
+        points = hull_points_example2().copy()
+        points[:, 2] = [-2.0, -1.0]  # -b(2): the iterate at shift 2 in the worked example
+        instance = HullInstance(points, np.zeros(2))
         iterate = make_iterate(instance, [0.25, 0.5, 0.25])
-        iterate.point[:] = [-0.5, 0.5]  # iterate at shift 2 in the worked example
-        alpha = step_size(instance.target, iterate, np.array([2.0, 1.0]))
+        assert np.array_equal(iterate_point(instance, iterate), [-0.5, 0.5])
+        alpha = step_size(instance, iterate, 0)
         assert alpha == pytest.approx(2.0 / 13.0, abs=1e-16)
 
     def test_collinear_lands_on_target(self):
         points = np.array([[0.0, 2.0], [0.0, 0.0]])
         instance = HullInstance(points, np.array([1.0, 0.0]))
         iterate = make_iterate(instance, [1.0, 0.0])
-        alpha = step_size(instance.target, iterate, points[:, 1])
+        alpha = step_size(instance, iterate, 1)
         assert alpha == 0.5
         stepped = apply_step(instance, iterate, 1, alpha)
-        assert np.allclose(stepped.point, instance.target)
+        assert np.allclose(iterate_point(instance, stepped), instance.target)
         assert stepped.gap == 0.0
 
     def test_degenerate_pivot_raises(self):
@@ -140,7 +143,7 @@ class TestStepSize:
         instance = HullInstance(points, np.array([0.0, 0.0]))
         iterate = make_iterate(instance, [1.0, 0.0])
         with pytest.raises(DegeneratePivot):
-            step_size(instance.target, iterate, points[:, 1])
+            step_size(instance, iterate, 1)
 
 
 def _run_at_scale(case: str, scale: float):
@@ -183,6 +186,16 @@ def test_power_of_two_scale_changes_nothing(case, scale):
     np.testing.assert_array_equal(values, expected[2])
 
 
+def _assert_tracks_fresh(instance, iterate, tolerance):
+    """The maintained products and squared norm are within tolerance, on
+    the scale of the products, of those formed from V c."""
+    point = instance.points @ iterate.coeffs
+    fresh = instance.points.T @ point
+    scale = np.abs(fresh).max() + 1e-30
+    assert np.abs(iterate.dot_cache - fresh).max() <= tolerance * scale
+    assert abs(iterate.point_sq - point @ point) <= tolerance * scale
+
+
 class TestApplyStep:
     def test_example1_coefficients(self):
         instance = HullInstance(hull_points_example1(), np.zeros(2))
@@ -205,18 +218,19 @@ class TestApplyStep:
         iterate = make_iterate(instance, [0.2, 0.3, 0.5])
         stepped = apply_step(instance, iterate, 0, 0.0)
         assert np.array_equal(stepped.coeffs, iterate.coeffs)
-        assert np.array_equal(stepped.point, iterate.point)
+        assert np.array_equal(iterate_point(instance, stepped), iterate_point(instance, iterate))
 
     def test_full_step_collapses_to_vertex(self):
         instance = HullInstance(hull_points_example1(), np.zeros(2))
         iterate = make_iterate(instance, [0.2, 0.3, 0.5])
         stepped = apply_step(instance, iterate, 2, 1.0)
         assert np.array_equal(stepped.coeffs, [0.0, 0.0, 1.0])
-        assert np.array_equal(stepped.point, instance.points[:, 2])
+        assert np.array_equal(iterate_point(instance, stepped), instance.points[:, 2])
 
     def test_dot_cache_tracks_fresh_products(self):
         # 10^4 steps toward random pivots with step lengths from 1e-6 to 1,
-        # so the rounding of the product updates has every chance to pile up.
+        # so the rounding of the product and squared-norm updates has every
+        # chance to pile up.
         rng = np.random.default_rng(3)
         points = rng.normal(size=(6, 12))
         target = points @ rng.dirichlet(np.ones(12))
@@ -226,9 +240,7 @@ class TestApplyStep:
             j = find_pivot(instance, iterate) if step < 50 else int(rng.integers(12))
             alpha = 1.0 if step % 997 == 0 else 10.0 ** rng.uniform(-6.0, 0.0)
             iterate = apply_step(instance, iterate, j, alpha)
-            fresh = instance.points.T @ iterate.point
-            scale = np.abs(fresh).max() + 1e-30
-            assert np.abs(iterate.dot_cache - fresh).max() <= 1e-10 * scale
+            _assert_tracks_fresh(instance, iterate, 1e-10)
 
     def test_dot_cache_tracks_fresh_products_across_shifts(self):
         # The shifted hull moved between shifts in place, against a rebuilt
@@ -247,7 +259,7 @@ class TestApplyStep:
                 t = new_t
                 rebuilt = shifted_instance(system, t)
                 assert np.array_equal(instance.points, rebuilt.points)
-                assert np.array_equal(instance.target_dots, rebuilt.target_dots)
+                assert np.allclose(instance.sq_norms, rebuilt.sq_norms, rtol=1e-15, atol=0.0)
                 j = int(rng.integers(n + 1))
                 assert np.allclose(
                     instance.gram_column(j), rebuilt.gram_column(j), rtol=1e-12, atol=1e-12
@@ -256,9 +268,7 @@ class TestApplyStep:
                 j = int(rng.integers(n + 1))
                 alpha = 1.0 if step % 997 == 0 else 10.0 ** rng.uniform(-6.0, 0.0)
                 iterate = apply_step(instance, iterate, j, alpha)
-            fresh = instance.points.T @ iterate.point
-            scale = np.abs(fresh).max() + 1e-30
-            assert np.abs(iterate.dot_cache - fresh).max() <= 1e-10 * scale
+            _assert_tracks_fresh(instance, iterate, 1e-10)
 
 
 class TestPairwiseStep:
@@ -273,15 +283,17 @@ class TestPairwiseStep:
         points = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 10.0]])
         instance = HullInstance(points, np.array([0.0, -1.0]))
         iterate = make_iterate(instance, [0.45, 0.45, 0.1])
-        alpha = step_size(instance.target, iterate, points[:, 0])
+        alpha = step_size(instance, iterate, 0)
         assert alpha == 1.0
         assert np.array_equal(apply_step(instance, iterate, 0, alpha).coeffs, [1.0, 0.0, 0.0])
         stepped = apply_step(instance, iterate, 0, alpha, pairwise=True)
         assert stepped.coeffs[2] == 0.0
         assert stepped.coeffs[1] == iterate.coeffs[1]
         assert stepped.coeffs[0] == pytest.approx(0.55, abs=1e-15)
-        assert np.allclose(stepped.point, [0.1, 0.0], rtol=0.0, atol=1e-15)
-        assert np.allclose(stepped.dot_cache, points.T @ stepped.point, rtol=0.0, atol=1e-14)
+        point = iterate_point(instance, stepped)
+        assert np.allclose(point, [0.1, 0.0], rtol=0.0, atol=1e-15)
+        fresh = instance.points.T @ (point - instance.target)
+        assert np.allclose(stepped.dot_cache, fresh, rtol=0.0, atol=1e-14)
         assert stepped.gap == pytest.approx(math.hypot(0.1, 1.0), rel=1e-15)
 
     def test_never_worse_than_the_triangle_step(self):
@@ -300,11 +312,11 @@ class TestPairwiseStep:
             j = find_pivot(instance, iterate)
             if j is None:
                 continue
-            alpha = step_size(instance.target, iterate, points[:, j])
+            alpha = step_size(instance, iterate, j)
             triangle = apply_step(instance, iterate, j, alpha)
             stepped = apply_step(instance, iterate, j, alpha, pairwise=True)
             if np.array_equal(stepped.coeffs, triangle.coeffs):
-                assert np.array_equal(stepped.point, triangle.point)
+                assert stepped.point_sq == triangle.point_sq
                 continue
             transfers += 1
             changed = np.flatnonzero(stepped.coeffs != iterate.coeffs)
@@ -334,12 +346,13 @@ class TestPairwiseStep:
             j = find_pivot(instance, iterate)
             if j is None or iterate.gap <= floor:
                 break
-            alpha = step_size(instance.target, iterate, instance.points[:, j])
+            alpha = step_size(instance, iterate, j)
             stepped = apply_step(instance, iterate, j, alpha, pairwise=True)
             assert (stepped.coeffs >= 0.0).all()
             assert abs(stepped.coeffs.sum() - 1.0) <= 1e-12
-            fresh = instance.points.T @ stepped.point
-            assert np.abs(stepped.dot_cache - fresh).max() <= 1e-12 * scale
+            point = instance.points @ stepped.coeffs
+            assert np.abs(stepped.dot_cache - instance.points.T @ point).max() <= 1e-12 * scale
+            assert abs(stepped.point_sq - point @ point) <= 1e-12 * scale
             assert stepped.gap <= iterate.gap
             iterate = stepped
         if kind == "phase1":
@@ -413,7 +426,7 @@ class TestGramMemo:
         grown = instance.with_point(point, products)
         assert np.array_equal(grown.points, np.column_stack([instance.points, point]))
         assert np.array_equal(grown.target, instance.target)
-        assert np.array_equal(grown.target_dots, grown.points.T @ grown.target)
+        assert np.array_equal(grown.sq_norms, np.einsum("ij,ij->j", grown.points, grown.points))
         self._assert_rows_are_products(grown, grown.points, range(n + 1))
         if computed:
             assert grown.gram_column(n).tobytes() == products.tobytes()
@@ -586,8 +599,8 @@ class TestInvariants:
                 j = find_pivot(instance, iterate)
                 if j is None:
                     break
-                margins = pivot_margins(instance, iterate)
-                alpha = step_size(instance.target, iterate, instance.points[:, j])
+                margins = pivot_margins(iterate)
+                alpha = step_size(instance, iterate, j)
                 stepped = apply_step(instance, iterate, j, alpha)
                 assert stepped.gap <= iterate.gap * (1 + 1e-12) + 1e-15
                 if margins[j] > 1e-12 and alpha > 0:
@@ -595,7 +608,7 @@ class TestInvariants:
                 assert abs(stepped.coeffs.sum() - 1.0) <= 1e-12
                 assert (stepped.coeffs >= 0.0).all()
                 recomputed = instance.points @ stepped.coeffs
-                assert np.allclose(recomputed, stepped.point, atol=1e-10)
+                assert np.allclose(recomputed @ recomputed, stepped.point_sq, atol=1e-10)
                 iterate = stepped
 
     def test_margin_test_matches_distance_test(self):
@@ -607,12 +620,12 @@ class TestInvariants:
             target = rng.normal(size=m)
             instance = HullInstance(points, target)
             iterate = make_iterate(instance, rng.dirichlet(np.ones(n)))
-            margins = pivot_margins(instance, iterate)
+            margins = pivot_margins(iterate)
             scale = max(1.0, np.abs(margins).max())
             for i in range(n):
                 if abs(margins[i]) < 1e-9 * scale:
                     continue  # below the resolution of the squared form
-                dist_iterate = np.linalg.norm(iterate.point - points[:, i])
+                dist_iterate = np.linalg.norm(iterate_point(instance, iterate) - points[:, i])
                 dist_target = np.linalg.norm(target - points[:, i])
                 assert (margins[i] >= 0.0) == (dist_iterate >= dist_target)
 

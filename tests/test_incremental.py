@@ -64,7 +64,7 @@ class TestBuildQuadratics:
     def test_example2_coefficients(self):
         system = example2_system()
         iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
-        quads = build_quadratics(system, iterate, 0.0)
+        quads = build_quadratics(system, iterate)
         g1, g2, g3 = quads
         assert (g1.c2, g1.c1, g1.c0) == pytest.approx(
             (5.0 / 16.0, 0.5, -0.75), abs=1e-14
@@ -80,7 +80,7 @@ class TestBuildQuadratics:
     def test_negative_at_current_shift(self):
         system = example2_system()
         iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
-        for quad in build_quadratics(system, iterate, 0.0):
+        for quad in build_quadratics(system, iterate):
             assert quad.value(0.0) < 0.0
 
     def test_vanishing_rhs_weight_raises(self):
@@ -88,7 +88,7 @@ class TestBuildQuadratics:
         instance = shifted_instance(system, 0.0)
         iterate = make_iterate(instance, np.array([0.5, 0.5, 0.0]))
         with pytest.raises(AlphaBVanishes):
-            build_quadratics(system, iterate, 0.0)
+            build_quadratics(system, iterate)
 
     def _random_witness(self, rng):
         """Witness iterates at shift 0 for systems with a negative solution."""
@@ -107,11 +107,12 @@ class TestBuildQuadratics:
         rng = np.random.default_rng(37)
         for _ in range(25):
             system, iterate = self._random_witness(rng)
-            quads = build_quadratics(system, iterate, 0.0)
+            quads = build_quadratics(system, iterate)
             alpha_b = float(iterate.coeffs[-1])
             for t in rng.uniform(0.0, 5.0, 10):
                 # At shift 0 the iterate's point is its shift-independent base.
-                moved = iterate.point - t * alpha_b * system.u
+                base = np.hstack([system.a, -system.b[:, None]]) @ iterate.coeffs
+                moved = base - t * alpha_b * system.u
                 moved_sq = float(moved @ moved)
                 for quad in quads:
                     if quad.is_rhs:
@@ -134,7 +135,7 @@ class TestBuildQuadratics:
         rng = np.random.default_rng(41)
         for _ in range(25):
             system, iterate = self._random_witness(rng)
-            quads = build_quadratics(system, iterate, 0.0)
+            quads = build_quadratics(system, iterate)
             t0 = 0.0
             for quad in quads[:-1]:
                 assert quad.c2 > 0.0
@@ -158,13 +159,13 @@ class TestNextShift:
     def test_example2_raw_root(self):
         system = example2_system()
         iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
-        raw = next_shift(build_quadratics(system, iterate, 0.0), t0=0.0, quantum=None)
+        raw = next_shift(build_quadratics(system, iterate), t0=0.0, quantum=None)
         assert raw == pytest.approx((-8.0 + math.sqrt(304.0)) / 10.0, abs=1e-12)
 
     def test_example2_quantized_to_one(self):
         system = example2_system()
         iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
-        assert next_shift(build_quadratics(system, iterate, 0.0), t0=0.0, quantum=1) == 1.0
+        assert next_shift(build_quadratics(system, iterate), t0=0.0, quantum=1) == 1.0
 
     def test_constructed_quadratics(self):
         quads = [

@@ -105,7 +105,9 @@ class TestRunHull:
         assert reference.status == outcome.status
         assert [r.pivot for r in reference.trace] == pivots
         assert np.array_equal(outcome.iterate.coeffs, reference.iterate.coeffs)
-        assert np.array_equal(outcome.iterate.point, reference.iterate.point)
+        assert np.array_equal(
+            instance.points @ outcome.iterate.coeffs, instance.points @ reference.iterate.coeffs
+        )
         assert outcome.iterate.gap == reference.iterate.gap
         assert outcome.certifying_vertex == reference.certifying_vertex
         if reference.witness is None:
@@ -152,7 +154,7 @@ class TestRunHull:
             outcome = run_hull(instance, config)
             assert outcome.status == NOT_IN_HULL == reference_run_hull(instance, config)["status"]
             assert outcome.iterations >= 1
-            margins = reference_margins(instance, outcome.iterate.point)
+            margins = reference_margins(instance, instance.points @ outcome.iterate.coeffs)
             assert np.array_equal(outcome.witness.margins, margins)
             assert (margins < 0.0).all()
             low, high = outcome.witness.distance_bracket
@@ -247,7 +249,7 @@ class TestCertificates:
             outcome = run_hull(instance, HullConfig(epsilon=1e-4))
             assert outcome.status == NOT_IN_HULL
             fresh = HullInstance(points.copy(), target.copy())
-            expected = reference_margins(fresh, outcome.witness.iterate.point)
+            expected = reference_margins(fresh, fresh.points @ outcome.witness.iterate.coeffs)
             assert np.array_equal(outcome.witness.margins, expected)
 
     def test_nonneg_witness_margins_are_direct(self):
@@ -257,7 +259,7 @@ class TestCertificates:
         assert outcome.status == INFEASIBLE_NONNEG
         points = np.hstack([system.a, -system.b[:, None]])
         expected = reference_margins(
-            HullInstance(points, np.zeros(15)), outcome.witness.iterate.point
+            HullInstance(points, np.zeros(15)), points @ outcome.witness.iterate.coeffs
         )
         assert np.array_equal(outcome.witness.margins, expected)
 
@@ -326,14 +328,8 @@ class TestGatedResidual:
         proxied = solve_nonneg(system, SolveConfig(epsilon0=eps0))
         # A cap, so that a missing backstop fails instead of running on.
         config = SolveConfig(epsilon0=eps0, max_iterations=20 * proxied.iterations)
-
-        def spoiled_step(instance, iterate, j, alpha, **kwargs):
-            # A gap no estimate can pass: only the backstop checks remain.
-            return dataclasses.replace(
-                hull.apply_step(instance, iterate, j, alpha, **kwargs), gap=np.inf
-            )
-
-        monkeypatch.setattr(two_phase, "apply_step", spoiled_step)
+        # A gate no estimate can pass: only the backstop checks remain.
+        monkeypatch.setattr(two_phase, "PROXY_MARGIN", -np.inf)
         spoiled = solve_nonneg(system, config)
         assert spoiled.status == CONVERGED
         phase2 = spoiled.iterations - spoiled.diagnostics["phase1_iterations"]
@@ -404,7 +400,8 @@ def test_linear_time_shift_matches_direct_optimum():
         u_norm = float(np.linalg.norm(system.u))
         x0 = iterate.coeffs[:-1] / iterate.coeffs[-1]
         expected_tau, expected_err = incremental.optimize_shift_tau0(system, x0, t0)
-        tau0 = incremental._optimal_shift(system, iterate, t0, u_norm * u_norm)
+        u_b = float(system.u @ system.b)
+        tau0 = incremental._optimal_shift(system, iterate, t0, u_norm * u_norm, u_b)
         if tau0 != t0:
             iterate = incremental.move_shift(system, instance, iterate, t0, tau0)
             moved += 1
@@ -455,13 +452,8 @@ class TestGatedIncrementalResidual:
         estimated = solve_incremental(system, SolveConfig(epsilon0=eps0))
         # A cap, so that a missing backstop fails instead of running on.
         config = SolveConfig(epsilon0=eps0, max_iterations=20 * estimated.iterations)
-
-        def spoiled(function):
-            # A gap no estimate can pass: only the backstop checks remain.
-            return lambda *args: dataclasses.replace(function(*args), gap=np.inf)
-
-        monkeypatch.setattr(incremental, "apply_step", spoiled(hull.apply_step))
-        monkeypatch.setattr(incremental, "move_shift", spoiled(incremental.move_shift))
+        # A gate no estimate can pass: only the backstop checks remain.
+        monkeypatch.setattr(incremental, "PROXY_MARGIN", -np.inf)
         outcome = solve_incremental(system, config)
         assert outcome.status == CONVERGED
         assert outcome.iterations % n == 0
@@ -514,3 +506,79 @@ def test_escalation_cap_computed_only_on_escalation(monkeypatch):
     assert outcome.diagnostics["max_escalations"] == (
         incremental._default_escalation_cap(system)
     )
+
+
+def _tracks_fresh(function, counts, name):
+    """function, which returns an iterate of the instance it takes (first,
+    or second for move_shift), checked at every call: the maintained
+    products and ||p'||^2 within 1e-10 of those formed from V c, on the
+    scale max_i ||v_i|| ||p'|| that bounds the products."""
+
+    def checked(*args, **kwargs):
+        stepped = function(*args, **kwargs)
+        instance = args[1] if name == "move_shift" else args[0]
+        point = instance.points @ stepped.coeffs
+        fresh = instance.points.T @ point
+        scale = np.sqrt(instance.sq_norms.max() * (point @ point))
+        assert np.abs(stepped.dot_cache - fresh).max() <= 1e-10 * scale
+        assert abs(stepped.point_sq - point @ point) <= 1e-10 * scale
+        counts[name] = counts.get(name, 0) + 1
+        return stepped
+
+    return checked
+
+
+class TestRecursedState:
+    """Each loop steps on V^T p' and ||p'||^2 kept by recursion; over 10^4
+    steps of each, and across the incremental solver's shift moves, they
+    track the values formed from V c."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {}
+        step = _tracks_fresh(hull.apply_step, counts, "step")
+        for module in (hull, two_phase, incremental):
+            monkeypatch.setattr(module, "apply_step", step)
+        monkeypatch.setattr(
+            incremental, "move_shift", _tracks_fresh(incremental.move_shift, counts, "move_shift")
+        )
+        return counts
+
+    def test_run_hull(self, counts):
+        rng = np.random.default_rng(447)
+        a = rng.normal(size=(40, 40))
+        a /= np.linalg.norm(a, axis=0)
+        instance = HullInstance(a, a @ rng.dirichlet(np.ones(40)))
+        outcome = run_hull(instance, HullConfig(epsilon=1e-9, max_iterations=10_000))
+        assert outcome.iterations == counts["step"] == 10_000
+
+    def test_solve_nonneg(self, counts):
+        system, _ = nonneg_system(np.random.default_rng(449), 40, diag_boost=0.0)
+        outcome = solve_nonneg(system, SolveConfig(epsilon0=1e-5, max_iterations=10_000))
+        assert outcome.iterations == counts["step"] == 10_000
+
+    def test_solve_incremental(self, counts):
+        system = _column_normalised_system(np.random.default_rng([0, 1, 1]), 50)
+        outcome = solve_incremental(system, SolveConfig(epsilon0=1e-3, max_iterations=10_000))
+        assert outcome.iterations == counts["step"] == 10_000
+        assert counts["move_shift"] >= 30
+
+
+def test_step_counts_match_the_maintained_point_kernel():
+    # Pinned from the kernel that kept the point p' and its products: the
+    # first 6 general_shift reference systems (n = 50, epsilon0 = 0.05) and
+    # 3 nonneg_phases-style systems at n = 200 (epsilon0 = 0.005), drawn as
+    # perfbench/workloads.py draws them.
+    rng = np.random.default_rng([0, 1, 1])
+    general = [solve_incremental(_column_normalised_system(rng, 50), SolveConfig(epsilon0=0.05))
+               for _ in range(6)]
+    assert [o.iterations for o in general] == [5025, 21012, 3422, 11478, 5767, 4988]
+    rng = np.random.default_rng([0, 2, 1])
+    nonneg = []
+    for _ in range(3):
+        a = rng.normal(size=(200, 200))
+        a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+        x = rng.uniform(0.5, 1.5, 200)
+        nonneg.append(solve_nonneg(LinearSystem(a, a @ (x / x.sum())), SolveConfig(epsilon0=0.005)))
+    assert [o.iterations for o in nonneg] == [619, 670, 613]
+    assert all(o.status == CONVERGED for o in general + nonneg)
