@@ -179,9 +179,10 @@ def build_quadratics(system: LinearSystem, iterate: Iterate) -> list[ShiftQuadra
     """Shift quadratics g_i(t) for an iterate over the shifted hull.
 
     The iterate's point is p'(t) = p' - t alpha_b u, with p' its
-    shift-independent base point, formed from its coefficients. For a column a_i: c2 = alpha_b^2 ||u||^2,
-    c1 = -2 alpha_b (p' - a_i)^T u, c0 = ||p'||^2 - 2 p'^T a_i. The
-    right-hand-side entry expands ||p'(t)||^2 + 2 p'(t)^T (b + t u).
+    shift-independent base point, formed from its coefficients. For a
+    column a_i: c2 = alpha_b^2 ||u||^2, c1 = -2 alpha_b (p' - a_i)^T u,
+    c0 = ||p'||^2 - 2 p'^T a_i. The right-hand-side entry expands
+    ||p'(t)||^2 + 2 p'(t)^T (b + t u).
     """
     alpha_b = float(iterate.coeffs[-1])
     if alpha_b < ALPHA_FLOOR:
