@@ -599,14 +599,14 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
             continue
         if j is None:
             witness = check_witness(instance, iterate)
-            iterate = witness.iterate
-            if iterate.gap > ROUNDING * instance.target_norm:
+            iterate = witness.iterate  # its gap, formed from V c, decides
+            if iterate.gap <= bound:
+                status, certifying_vertex, witness = IN_HULL_APPROX, reference_vertex, None
+            elif iterate.gap > ROUNDING * instance.target_norm:
                 status = NOT_IN_HULL
             else:
-                status, certifying_vertex = IN_HULL_APPROX, _far_certificate(
-                    instance, iterate, config.epsilon
-                )
-                witness = None
+                far = _far_certificate(instance, iterate, config.epsilon)
+                status, certifying_vertex, witness = IN_HULL_APPROX, far, None
             break
         if steps >= cap:
             status, iterate = CAP_EXCEEDED, exact_iterate(instance, iterate.coeffs)
