@@ -23,8 +23,8 @@ from those and the Gram columns of the pivots (one V^T V on a set of at
 most 2 dim points, else one column per visited pivot). p' itself is formed
 only where exact values decide: the witness margins, the gap that confirms
 an approximation, margins that show no pivot (recomputed ones decide), a
-step whose ||p'||^2 cancels, and a refresh every n steps that keeps the
-rounding of the recursions from piling up.
+step whose ||p'||^2 cancels, and every n-th step since it was last
+formed, which keeps the rounding of the recursions from piling up.
 
 A run_hull step is the better of two exact line-search steps for the
 pivot j: the Triangle step toward j, and a pairwise step that moves weight
@@ -60,9 +60,9 @@ __all__ = [
     "recursed_iterate",
     "initial_iterate",
     "pivot_margins",
-    "direct_margins",
     "find_pivot",
     "check_witness",
+    "witness_of",
     "step_size",
     "apply_step",
     "run_hull",
@@ -245,14 +245,17 @@ class Iterate:
     ||p'||^2, each up to the rounding of its updates (exact_iterate forms
     them from p'). point_sq_scale is the sum of the magnitudes of the terms
     point_sq was recursed from since it was last formed, so its rounding
-    error is a small multiple of eps * point_sq_scale. gap is ||p - p'||,
-    the square root of point_sq.
+    error is a small multiple of eps * point_sq_scale, and age counts the
+    steps since then: 0 means formed from p', and a step that would reach
+    age n forms the iterate again (see recursed_iterate). gap is
+    ||p - p'||, the square root of point_sq.
     """
 
     coeffs: np.ndarray
     dot_cache: np.ndarray
     point_sq: float
     point_sq_scale: float
+    age: int
 
     @property
     def gap(self) -> float:
@@ -370,7 +373,7 @@ def exact_iterate(instance: HullInstance, coeffs: np.ndarray) -> Iterate:
     products and squared norm formed from p' = V c, in O(dim n)."""
     point = instance.points @ coeffs
     point_sq = float(point.dot(point))
-    return Iterate(coeffs, instance.points.T @ point, point_sq, point_sq)
+    return Iterate(coeffs, instance.points.T @ point, point_sq, point_sq, 0)
 
 
 def initial_iterate(instance: HullInstance, init_rule: str, init_coeffs=None) -> Iterate:
@@ -393,32 +396,28 @@ def pivot_margins(iterate: Iterate) -> np.ndarray:
     margin_i >= 0 means v_i is a pivot point (equivalently
     ||p' - v_i|| >= ||p - v_i||); all margins < 0 means the iterate is a
     witness. Computed from the iterate's maintained products and squared
-    norm, so they carry the rounding those accumulated; see direct_margins.
+    norm, so they carry the rounding those accumulated; see find_pivot.
     """
     return np.subtract(0.5 * iterate.point_sq, iterate.dot_cache)
-
-
-def direct_margins(instance: HullInstance, iterate: Iterate) -> np.ndarray:
-    """The pivot margins recomputed from p' = V c, in O(dim n)."""
-    return pivot_margins(exact_iterate(instance, iterate.coeffs))
 
 
 def find_pivot(instance: HullInstance, iterate: Iterate) -> int | None:
     """Index of a pivot point, or None when the iterate is a witness.
 
     The pivot maximizes the margin, ties to the lowest index. The search
-    reads pivot_margins in O(n); when they show no pivot, direct_margins
-    are computed and decide, so None always means the recomputed margins
-    are all negative.
+    reads pivot_margins in O(n). When they show no pivot, the iterate is
+    formed again from V c in place (same coefficients) and its margins,
+    the direct ones, decide: None always means the direct margins are all
+    negative and leaves an iterate witness_of certifies as it is, and a
+    pivot found then is stepped toward from exact values.
     """
     margins = pivot_margins(iterate)
     j = int(margins.argmax())
     if margins[j] < 0.0:
-        margins = direct_margins(instance, iterate)
+        vars(iterate).update(vars(exact_iterate(instance, iterate.coeffs)))
+        margins = pivot_margins(iterate)
         j = int(margins.argmax())
-        if margins[j] < 0.0:
-            return None
-    return j
+    return None if margins[j] < 0.0 else j
 
 
 def check_witness(instance: HullInstance, iterate: Iterate) -> Witness | None:
@@ -426,11 +425,16 @@ def check_witness(instance: HullInstance, iterate: Iterate) -> Witness | None:
 
     Its iterate, margins and distance bracket are formed from p' = V c.
     """
-    exact = exact_iterate(instance, iterate.coeffs)
-    margins = pivot_margins(exact)
+    return witness_of(exact_iterate(instance, iterate.coeffs))
+
+
+def witness_of(iterate: Iterate) -> Witness | None:
+    """check_witness for an iterate already formed from V c, as find_pivot
+    leaves one it returns None for, in O(n)."""
+    margins = pivot_margins(iterate)
     if (margins < 0.0).all():
-        bracket = (0.5 * exact.gap, exact.gap)
-        return Witness(iterate=exact, margins=margins, distance_bracket=bracket)
+        bracket = (0.5 * iterate.gap, iterate.gap)
+        return Witness(iterate=iterate, margins=margins, distance_bracket=bracket)
     return None
 
 
@@ -452,13 +456,20 @@ def step_size(instance: HullInstance, iterate: Iterate, j: int) -> float:
 
 
 def recursed_iterate(
-    instance: HullInstance, coeffs: np.ndarray, dots: np.ndarray, point_sq: float, scale: float
+    instance: HullInstance,
+    coeffs: np.ndarray,
+    dots: np.ndarray,
+    point_sq: float,
+    scale: float,
+    age: int,
 ) -> Iterate:
-    """The iterate with recursed products and squared norm, or, when
-    point_sq < CANCELLATION * scale, the one exact_iterate forms."""
-    if point_sq < CANCELLATION * scale:
+    """The iterate with recursed products and squared norm, or the one
+    exact_iterate forms when age reaches n, which keeps the rounding of
+    the recursions from piling up, or when point_sq < CANCELLATION *
+    scale."""
+    if age >= instance.n_points or point_sq < CANCELLATION * scale:
         return exact_iterate(instance, coeffs)
-    return Iterate(coeffs, dots, point_sq, scale)
+    return Iterate(coeffs, dots, point_sq, scale, age)
 
 
 def _pairwise_step(
@@ -504,7 +515,7 @@ def _pairwise_step(
     lift = 2.0 * gamma * (d_j - d_k)
     square = gamma * gamma * curvature
     scale = iterate.point_sq_scale + abs(lift) + square
-    return recursed_iterate(instance, coeffs, dots, q + lift + square, scale)
+    return recursed_iterate(instance, coeffs, dots, q + lift + square, scale, iterate.age + 1)
 
 
 def apply_step(
@@ -550,7 +561,7 @@ def apply_step(
     square = alpha * alpha * float(column[j])
     point_sq = keep_sq * iterate.point_sq + cross + square
     scale = keep_sq * iterate.point_sq_scale + abs(cross) + square
-    return recursed_iterate(instance, coeffs, dots, point_sq, scale)
+    return recursed_iterate(instance, coeffs, dots, point_sq, scale, iterate.age + 1)
 
 
 def _far_certificate(instance: HullInstance, iterate: Iterate, epsilon: float) -> int:
@@ -576,13 +587,12 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     see ROUNDING), ends the run IN_HULL_APPROX if gap <= epsilon *
     ||p - v_far|| for the point v_far farthest from p, and raises
     DegeneratePivot otherwise. The gap of every verdict, and the outcome's
-    iterate, are formed from V c; the maintained ones are refreshed from it
-    every n steps. Deterministic for a fixed configuration.
+    iterate, are formed from V c, and the trace's last step row carries
+    that gap. Deterministic for a fixed configuration.
     """
     iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
     delta0 = iterate.gap
     cap = config.resolved_cap()
-    n = instance.n_points
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     witness = certifying_vertex = None
@@ -598,8 +608,7 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
             iterate = exact  # the maintained gap was off; search again
             continue
         if j is None:
-            witness = check_witness(instance, iterate)
-            iterate = witness.iterate  # its gap, formed from V c, decides
+            witness = witness_of(iterate)  # its gap, formed from V c, decides
             if iterate.gap <= bound:
                 status, certifying_vertex, witness = IN_HULL_APPROX, reference_vertex, None
             elif iterate.gap > ROUNDING * instance.target_norm:
@@ -621,10 +630,10 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
             break
         iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
         steps += 1
-        if steps % n == 0:
-            iterate = exact_iterate(instance, iterate.coeffs)
         if trace is not None:
             trace.append(TraceRecord(steps, 0.0, iterate.gap, None, j, False))
+    if trace:  # the last step's row carries the gap the verdict was formed from
+        trace[-1].value = iterate.gap
     return HullOutcome(status, iterate, steps, delta0, witness, certifying_vertex, trace)
 
 

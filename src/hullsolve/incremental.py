@@ -16,8 +16,7 @@ re-optimisation is O(n) too: the iterate's point is p'(t) = alpha_b (A x0 -
 b(t)), so the best shift and its residual E follow from u^T p'(t) and the
 moved gap, read from the coefficients. That E is an estimate; the exact
 residual, computed only when the estimate nears the target and once every
-n steps, decides the stop, and the n-step check also forms the maintained
-products again from V c.
+n steps, decides the stop.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .hull import (
     Iterate,
     TraceRecord,
     apply_step,
-    exact_iterate,
     find_pivot,
     initial_iterate,
     make_iterate,
@@ -119,7 +117,8 @@ def move_shift(
     keeps its coefficients c and forms no point: p'(t) = p_base - t alpha_b
     u moves its products with the columns by (t0 - t) alpha_b A^T u, its
     product with -b(t) is the new Gram column's products with c, and
-    ||p'||^2 = c^T (V^T p'), formed from V c if it cancels.
+    ||p'||^2 = c^T (V^T p'), formed from V c if it cancels. A move is
+    not a step: the iterate's age is kept.
     """
     n = system.n
     rhs = system.u * -t
@@ -135,7 +134,8 @@ def move_shift(
     dots[:n] += iterate.dot_cache[:n]
     dots[n] = products.dot(coeffs)
     point_sq = float(coeffs.dot(dots))
-    return recursed_iterate(instance, coeffs, dots, point_sq, float(coeffs.dot(np.abs(dots))))
+    scale = float(coeffs.dot(np.abs(dots)))
+    return recursed_iterate(instance, coeffs, dots, point_sq, scale, iterate.age)
 
 
 def _optimal_shift(
@@ -394,8 +394,6 @@ def solve_incremental(
         if tau0 != t0:
             iterate = move_shift(system, instance, iterate, t0, tau0)
             t0 = tau0
-        if steps % n == 0:  # the maintained products, refreshed with the backstop
-            iterate = exact_iterate(instance, iterate.coeffs)
         if near or iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
             # x = x0 - t0 e; the move kept the coefficients.
             x0 = recover_solution(iterate, system)

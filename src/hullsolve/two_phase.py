@@ -38,13 +38,12 @@ from .hull import (
     Iterate,
     TraceRecord,
     apply_step,
-    check_witness,
-    exact_iterate,
     find_pivot,
     initial_iterate,
     iteration_cap_from_bound,
     run_hull,
     step_size,
+    witness_of,
 )
 from .system import (
     ALPHA_FLOOR,
@@ -166,10 +165,8 @@ def solve_nonneg(
     tests ||A x0 - b|| <= epsilon0 * rho directly, returning on success,
     whenever the O(1) estimate gap / alpha_b of that residual comes within
     PROXY_MARGIN of the target and, as a backstop, once every n steps: O(n)
-    a step amortised, and the exact residual is the only stop test. The
-    backstop also forms the iterate's products and ||p'||^2 again from
-    V c, which the steps maintain by recursion. A witness means no
-    nonnegative solution exists.
+    a step amortised, and the exact residual is the only stop test. A
+    witness means no nonnegative solution exists.
 
     phase1=True runs Phase 1 first, the paper's path. Its witness gives
     delta0', a lower bound on the hull-to-origin distance, which is
@@ -251,8 +248,6 @@ def solve_nonneg(
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
 
     while True:
-        if steps % n == 0:  # the maintained products, refreshed with the backstop
-            iterate = exact_iterate(instance, iterate.coeffs)
         alpha_b = float(iterate.coeffs[-1])
         if alpha_b < ALPHA_FLOOR:
             if phase1_run is None and iterate.gap <= threshold:
@@ -274,7 +269,7 @@ def solve_nonneg(
 
         j = find_pivot(instance, iterate)
         if j is None:
-            witness = check_witness(instance, iterate)
+            witness = witness_of(iterate)
             record(iterate.gap, alpha_b, witness=True)
             return outcome(INFEASIBLE_NONNEG, witness=witness)
         if steps >= cap:

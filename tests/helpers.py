@@ -20,6 +20,7 @@ from hullsolve.hull import (
     HullConfig,
     HullInstance,
     apply_step,
+    exact_iterate,
     find_pivot,
     initial_iterate,
     step_size,
@@ -180,8 +181,13 @@ def _reference_pick(margins: np.ndarray) -> int | None:
 
 
 def reference_find_pivot(instance, iterate):
-    """Pivot search on margins recomputed from the points at every call."""
-    return _reference_pick(reference_margins(instance, instance.points @ iterate.coeffs))
+    """Pivot search on margins recomputed from the points at every call.
+    Like find_pivot, it forms an iterate it finds no pivot for again from
+    V c, in place."""
+    j = _reference_pick(reference_margins(instance, instance.points @ iterate.coeffs))
+    if j is None:
+        vars(iterate).update(vars(exact_iterate(instance, iterate.coeffs)))
+    return j
 
 
 def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:

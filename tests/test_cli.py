@@ -324,11 +324,8 @@ class TestSolveCommand:
         assert report["config"]["init_rule"] == INIT_CENTROID
         centroid = solve_incremental(example2_system(), SolveConfig(init_rule=INIT_CENTROID))
         nearest = solve_incremental(example2_system(), SolveConfig())
-        # The nearest vertex puts no weight on -b, so that start reseeds.
-        assert (report["status"], report["iterations"], report["diagnostics"]["reseeds"]) == (
-            centroid.status, centroid.iterations, centroid.diagnostics["reseeds"]
-        )
-        assert centroid.diagnostics["reseeds"] != nearest.diagnostics["reseeds"]
+        assert (report["status"], report["iterations"]) == (centroid.status, centroid.iterations)
+        assert centroid.iterations != nearest.iterations
 
     def test_bad_increment_spec_exit_two(self, ex2_files):
         matrix, rhs = ex2_files
@@ -445,9 +442,7 @@ class TestHullCommand:
         assert [int(r[4]) for r in steps] == reference_run_hull(instance, config)["pivots"]
         gaps = [float(r[2]) for r in steps]
         assert gaps == sorted(gaps, reverse=True)
-        # A step row holds the gap the steps maintain, the verdict row the
-        # one formed from the coefficients.
-        assert gaps[-1] == pytest.approx(outcome.iterate.gap, rel=1e-12)
+        assert gaps[-1] == outcome.iterate.gap
         assert verdict == [
             str(outcome.iterations), "0.0", repr(outcome.iterate.gap), "", "",
             "1" if outcome.status == NOT_IN_HULL else "0",

@@ -350,7 +350,11 @@ class TestPairwiseSteps:
     def test_step_counts(self):
         # Phase 2 alone; with Phase 1 first the solves take 197 and 710
         # steps, 33 and 64 of them in Phase 1, and the Triangle step alone
-        # takes 751 and 4,996.
+        # takes 805 and 5,063. n = 40 took 656 steps when the iterate kept
+        # its point: at step 462 the products of the active points 40 and
+        # 29 lie 2.8e-13 apart (relative to |v_k^T p'| + ||p'||^2), inside
+        # TIE, so the pairwise step's k is 29, whose transfer loses to the
+        # Triangle step, where the point kernel transferred from 40.
         rng = np.random.default_rng(409)
         for n, expected in ((20, 164), (40, 646)):
             system, _ = nonneg_system(rng, n, diag_boost=0.0)
