@@ -20,7 +20,6 @@ from .hull import (
     Iterate,
     Witness,
     apply_step,
-    check_witness,
     find_pivot,
     initial_iterate,
     iteration_cap_from_bound,
@@ -38,13 +37,7 @@ from .incremental import (
     optimize_shift_tau0,
     solve_incremental,
 )
-from .oracles import (
-    OracleResult,
-    hull_membership_2d,
-    linear_system_oracle,
-    min_norm_point,
-    solve_exact,
-)
+from .oracles import min_norm_point, solve_exact
 from .system import (
     CONVERGED,
     INFEASIBLE_NONNEG,

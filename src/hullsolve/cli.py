@@ -277,9 +277,9 @@ def _cmd_oracle(args) -> int:
     report: dict = {"command": "oracle"}
     if args.matrix and args.rhs:
         system = LinearSystem(matio.load_matrix(args.matrix), matio.load_vector(args.rhs))
-        result = oracles.linear_system_oracle(system)
-        report["x_star"] = result.x_star
-        report["t_star"] = result.t_star
+        x_star = oracles.solve_exact(system)
+        report["x_star"] = x_star
+        report["t_star"] = max(0.0, -float(x_star.min()))
     elif args.points and args.target:
         points = matio.load_matrix(args.points)
         target = matio.load_vector(args.target)

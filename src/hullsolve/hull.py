@@ -61,7 +61,6 @@ __all__ = [
     "initial_iterate",
     "pivot_margins",
     "find_pivot",
-    "check_witness",
     "witness_of",
     "step_size",
     "apply_step",
@@ -199,18 +198,21 @@ class HullInstance:
 
         point is given translated, as the stored points are, and products
         holds its inner products with every stored point, itself last, as
-        the caller computes them. A Gram matrix this instance has computed
-        is bordered with them, in O(n^2), instead of the O(dim n^2)
-        product; otherwise the new instance computes its own at first use.
+        the caller computes them. The new instance's Gram matrix is this
+        instance's, computed first if no call has, bordered with them, in
+        O(n^2) once this one is known. ValueError when the grown set has
+        more than 2 dim points, where no Gram matrix is kept.
         """
         grown = HullInstance(np.column_stack([self.points, point]), np.zeros_like(self.target))
+        if not grown._narrow:
+            raise ValueError("with_point needs a grown set of at most 2 dim points")
         grown.target, grown.target_norm = self.target, self.target_norm
-        if self._gram is not None and grown._narrow:
-            n = self.n_points
-            gram = grown._gram = np.empty((n + 1, n + 1))
-            gram[:n, :n] = self._gram
-            gram[n] = products
-            gram[:, n] = products
+        n = self.n_points
+        self.gram_column(0)
+        gram = grown._gram = np.empty((n + 1, n + 1))
+        gram[:n, :n] = self._gram
+        gram[n] = products
+        gram[:, n] = products
         return grown
 
     def move_last_point(self, point: np.ndarray, products: np.ndarray) -> None:
@@ -218,22 +220,20 @@ class HullInstance:
 
         point is given translated, as the stored points are, and products
         holds its inner products with every stored point, itself last, as
-        the caller computes them. They become, bit for bit, the last point's
-        Gram column, the last entry of every other stored one and its
-        squared norm; a narrow set computes its Gram matrix first if no call
-        has. Iterates built on the old point are not updated.
+        the caller computes them. They become, bit for bit, the last row and
+        column of the Gram matrix, computed first if no call has, and the
+        last squared norm. ValueError on a set of more than 2 dim points,
+        where no Gram matrix is kept. Iterates built on the old point are
+        not updated.
         """
+        if not self._narrow:
+            raise ValueError("move_last_point needs a set of at most 2 dim points")
         last = self.n_points - 1
         self.points[:, last] = point
         self.sq_norms[last] = products[last]
-        if self._narrow:
-            self.gram_column(last)
-            self._gram[:, last] = products
-            self._gram[last] = products
-        else:
-            for j, column in self._gram_cols.items():
-                column[last] = products[j]
-            self._gram_cols[last] = np.array(products, dtype=float)
+        self.gram_column(last)
+        self._gram[:, last] = products
+        self._gram[last] = products
 
 
 @dataclass
@@ -420,17 +420,13 @@ def find_pivot(instance: HullInstance, iterate: Iterate) -> int | None:
     return None if margins[j] < 0.0 else j
 
 
-def check_witness(instance: HullInstance, iterate: Iterate) -> Witness | None:
-    """Witness certificate when every direct margin is strictly negative.
-
-    Its iterate, margins and distance bracket are formed from p' = V c.
-    """
-    return witness_of(exact_iterate(instance, iterate.coeffs))
-
-
 def witness_of(iterate: Iterate) -> Witness | None:
-    """check_witness for an iterate already formed from V c, as find_pivot
-    leaves one it returns None for, in O(n)."""
+    """Witness certificate when every margin is strictly negative, in O(n).
+
+    Pass an iterate formed from V c, as find_pivot leaves one it returns
+    None for: the certificate's margins and distance bracket are then the
+    direct ones.
+    """
     margins = pivot_margins(iterate)
     if (margins < 0.0).all():
         bracket = (0.5 * iterate.gap, iterate.gap)
@@ -535,10 +531,10 @@ def apply_step(
     (see _pairwise_step), which costs O(n) as well. Either way j is the
     point that gains weight. run_hull and solve_nonneg always pass it;
     solve_incremental does not. On the 23 general_shift reference systems
-    at epsilon0 = 0.05 it would take 72,543 steps instead of 135,066, in
-    2.44 s instead of 3.35 (best of 3, one BLAS thread on a 2-core
+    at epsilon0 = 0.05 it would take 72,989 steps instead of 135,066, in
+    2.31 s instead of 3.17 (best of 3, one BLAS thread on a shared 2-core
     machine), but more on 3 of them (systems 3, 8 and 10 of the reference
-    stream: 11,478 -> 13,917, 4,490 -> 10,880 and 4,398 -> 10,537).
+    stream: 11,478 -> 13,917, 4,490 -> 11,131 and 4,398 -> 10,537).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
@@ -607,15 +603,12 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
                 break
             iterate = exact  # the maintained gap was off; search again
             continue
-        if j is None:
-            witness = witness_of(iterate)  # its gap, formed from V c, decides
-            if iterate.gap <= bound:
-                status, certifying_vertex, witness = IN_HULL_APPROX, reference_vertex, None
-            elif iterate.gap > ROUNDING * instance.target_norm:
-                status = NOT_IN_HULL
+        if j is None:  # find_pivot formed the iterate from V c, so the test above was exact
+            if iterate.gap > ROUNDING * instance.target_norm:
+                status, witness = NOT_IN_HULL, witness_of(iterate)
             else:
                 far = _far_certificate(instance, iterate, config.epsilon)
-                status, certifying_vertex, witness = IN_HULL_APPROX, far, None
+                status, certifying_vertex = IN_HULL_APPROX, far
             break
         if steps >= cap:
             status, iterate = CAP_EXCEEDED, exact_iterate(instance, iterate.coeffs)

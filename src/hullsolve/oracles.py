@@ -1,17 +1,15 @@
-"""Independent ground-truth generators used to validate the solvers.
+"""Independent ground truth used to validate the solvers.
 
 Nothing here shares logic with the Triangle Algorithm: the linear solve is
-plain Gaussian elimination with partial pivoting, 2-d membership and
-distances are computed geometrically from the exact convex hull, and the
-distance from a point to the hull of points in any dimension, with the
-weights of its nearest point, comes from Wolfe's finite minimum-norm-point
-algorithm. Only the input checks are shared.
+plain Gaussian elimination with partial pivoting, and the distance from a
+point to the hull of points in any dimension, with the weights of its
+nearest point, comes from Wolfe's finite minimum-norm-point algorithm, the
+one hull-distance oracle. Only the input checks are shared.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,14 +17,8 @@ from .hull import check_query, check_scale
 from .system import LinearSystem, SingularMatrixError
 
 __all__ = [
-    "OracleResult",
     "solve_exact",
-    "linear_system_oracle",
-    "convex_hull_2d",
-    "point_segment_distance",
     "hull_verdict",
-    "hull_membership_2d",
-    "boundary_distance_2d",
     "min_norm_point",
 ]
 
@@ -35,17 +27,6 @@ RESIDUAL_TOLERANCE = 1e-10
 GEOMETRY_TOL = 1e-12
 # Distance accuracy of min_norm_point, relative to the largest ||v_i - p||.
 MIN_NORM_TOL = 1e-13
-
-
-@dataclass
-class OracleResult:
-    """Ground truth for a linear system.
-
-    x_star and t_star = max(0, -min_i x*_i) come from exact elimination.
-    """
-
-    x_star: np.ndarray | None = None
-    t_star: float | None = None
 
 
 def solve_exact(system: LinearSystem) -> np.ndarray:
@@ -82,107 +63,14 @@ def solve_exact(system: LinearSystem) -> np.ndarray:
     return x
 
 
-def linear_system_oracle(system: LinearSystem) -> OracleResult:
-    """Exact solution plus the minimal shift making it nonnegative."""
-    x = solve_exact(system)
-    return OracleResult(x_star=x, t_star=max(0.0, -float(x.min())))
-
-
-def convex_hull_2d(points: np.ndarray) -> list[int]:
-    """Indices of the convex hull of 2-d column points, counter-clockwise.
-
-    Monotone chain; collinear points on the boundary are dropped. Returns
-    fewer than 3 indices for degenerate (point / segment) hulls.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[1]
-    order = sorted(range(n), key=lambda i: (pts[0, i], pts[1, i]))
-
-    def cross(o, a, b):
-        return (pts[0, a] - pts[0, o]) * (pts[1, b] - pts[1, o]) - (
-            pts[1, a] - pts[1, o]
-        ) * (pts[0, b] - pts[0, o])
-
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        hull = [order[0]]
-    # A fully collinear set leaves duplicated endpoints; reduce to extremes.
-    if len(hull) == 2 and hull[0] == hull[1]:
-        hull = hull[:1]
-    return hull
-
-
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance from p to the segment [a, b]."""
-    d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(np.linalg.norm(p - a))
-    s = float((p - a) @ d) / dd
-    s = min(1.0, max(0.0, s))
-    return float(np.linalg.norm(p - (a + s * d)))
-
-
 def hull_verdict(points: np.ndarray, target: np.ndarray, distance: float) -> tuple[bool, float]:
     """(inside, distance): target counts as in the hull of the column points
-    when distance <= GEOMETRY_TOL * max(1, largest |entry| of points and
-    target), and its distance is then reported as 0."""
-    scale = max(1.0, float(np.abs(points).max()), float(np.abs(target).max()))
+    when distance <= GEOMETRY_TOL * (largest |entry| of points and target),
+    a tolerance relative to the input's scale, and its distance is then
+    reported as 0."""
+    scale = max(float(np.abs(points).max()), float(np.abs(target).max()))
     inside = distance <= GEOMETRY_TOL * scale
     return inside, 0.0 if inside else distance
-
-
-def hull_membership_2d(points: np.ndarray, p: np.ndarray) -> tuple[bool, float]:
-    """(inside, distance) of p relative to the hull of 2-d column points.
-
-    distance is 0 when p lies in the hull (boundary included, to roundoff)
-    and the exact distance to the hull boundary otherwise.
-    """
-    pts = np.asarray(points, dtype=float)
-    p = np.asarray(p, dtype=float)
-    hull = convex_hull_2d(pts)
-    edges = [(pts[:, hull[i - 1]], pts[:, hull[i]]) for i in range(len(hull))]
-    inside = len(hull) > 2 and all(
-        (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0.0
-        for a, b in edges
-    )
-    dist = 0.0 if inside else boundary_distance_2d(pts, p, hull=hull)
-    return hull_verdict(pts, p, dist)
-
-
-def boundary_distance_2d(
-    points: np.ndarray, p: np.ndarray, hull: list[int] | None = None
-) -> float:
-    """Distance from p to the boundary of the hull of 2-d column points.
-
-    Defined for points on either side; used to exclude near-boundary
-    queries where an approximate membership answer is legitimately
-    inconclusive.
-    """
-    pts = np.asarray(points, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if hull is None:
-        hull = convex_hull_2d(pts)
-    if len(hull) == 1:
-        return float(np.linalg.norm(p - pts[:, hull[0]]))
-    best = math.inf
-    for i in range(len(hull)):
-        a = pts[:, hull[i]]
-        b = pts[:, hull[(i + 1) % len(hull)]]
-        best = min(best, point_segment_distance(p, a, b))
-        if len(hull) == 2:
-            break
-    return best
 
 
 def min_norm_point(points: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

@@ -237,10 +237,9 @@ def solve_nonneg(
         cap = DEFAULT_PHASE_CAP
     diagnostics["phase2_cap"] = cap
 
-    # The Gram matrix of [A, -b] borders the columns' A^T A with -A^T b and
-    # ||b||^2, as after Phase 1: one product of [A, -b] rounds differently.
-    if phase1_run is None:
-        columns.gram_column(0)
+    # Phase 2's Gram matrix is the columns' A^T A bordered with -A^T b and
+    # ||b||^2 whether or not Phase 1 ran (one product of [A, -b] would round
+    # differently), so Phase 2 takes the same steps either way.
     instance = columns.with_point(-system.b, np.append(-system.at_b, system.b @ system.b))
     iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
 

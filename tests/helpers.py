@@ -1,4 +1,5 @@
-"""Shared random instance generators for the test suite.
+"""Shared random instance generators and reference computations for the
+test suite.
 
 All generators take an explicit numpy Generator so tests stay
 deterministic; geometric claims (interior margins, outside distances) are
@@ -24,9 +25,110 @@ from hullsolve.hull import (
     find_pivot,
     initial_iterate,
     step_size,
+    witness_of,
 )
-from hullsolve.oracles import boundary_distance_2d, hull_membership_2d
+from hullsolve.oracles import hull_verdict
 from hullsolve.two_phase import _phase1_outcome
+
+
+def check_witness(instance: HullInstance, iterate):
+    """The witness certificate of the iterate's coefficients, its margins
+    and distance bracket formed from p' = V c, or None when some direct
+    margin is not strictly negative."""
+    return witness_of(exact_iterate(instance, iterate.coeffs))
+
+
+# The 2-d cross-check: membership and distances computed geometrically from
+# the exact convex hull, apart from hullsolve's solvers and its
+# minimum-norm-point oracle.
+
+
+def convex_hull_2d(points: np.ndarray) -> list[int]:
+    """Indices of the convex hull of 2-d column points, counter-clockwise.
+
+    Monotone chain; collinear points on the boundary are dropped. Returns
+    fewer than 3 indices for degenerate (point / segment) hulls.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[1]
+    order = sorted(range(n), key=lambda i: (pts[0, i], pts[1, i]))
+
+    def cross(o, a, b):
+        return (pts[0, a] - pts[0, o]) * (pts[1, b] - pts[1, o]) - (
+            pts[1, a] - pts[1, o]
+        ) * (pts[0, b] - pts[0, o])
+
+    lower: list[int] = []
+    for i in order:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
+            lower.pop()
+        lower.append(i)
+    upper: list[int] = []
+    for i in reversed(order):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
+            upper.pop()
+        upper.append(i)
+    hull = lower[:-1] + upper[:-1]
+    if not hull:
+        hull = [order[0]]
+    # A fully collinear set leaves duplicated endpoints; reduce to extremes.
+    if len(hull) == 2 and hull[0] == hull[1]:
+        hull = hull[:1]
+    return hull
+
+
+def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance from p to the segment [a, b]."""
+    d = b - a
+    dd = float(d @ d)
+    if dd == 0.0:
+        return float(np.linalg.norm(p - a))
+    s = float((p - a) @ d) / dd
+    s = min(1.0, max(0.0, s))
+    return float(np.linalg.norm(p - (a + s * d)))
+
+
+def hull_membership_2d(points: np.ndarray, p: np.ndarray) -> tuple[bool, float]:
+    """(inside, distance) of p relative to the hull of 2-d column points.
+
+    distance is 0 when p lies in the hull (boundary included, to roundoff)
+    and the exact distance to the hull boundary otherwise.
+    """
+    pts = np.asarray(points, dtype=float)
+    p = np.asarray(p, dtype=float)
+    hull = convex_hull_2d(pts)
+    edges = [(pts[:, hull[i - 1]], pts[:, hull[i]]) for i in range(len(hull))]
+    inside = len(hull) > 2 and all(
+        (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) >= 0.0
+        for a, b in edges
+    )
+    dist = 0.0 if inside else boundary_distance_2d(pts, p, hull=hull)
+    return hull_verdict(pts, p, dist)
+
+
+def boundary_distance_2d(
+    points: np.ndarray, p: np.ndarray, hull: list[int] | None = None
+) -> float:
+    """Distance from p to the boundary of the hull of 2-d column points.
+
+    Defined for points on either side; used to exclude near-boundary
+    queries where an approximate membership answer is legitimately
+    inconclusive.
+    """
+    pts = np.asarray(points, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if hull is None:
+        hull = convex_hull_2d(pts)
+    if len(hull) == 1:
+        return float(np.linalg.norm(p - pts[:, hull[0]]))
+    best = math.inf
+    for i in range(len(hull)):
+        a = pts[:, hull[i]]
+        b = pts[:, hull[(i + 1) % len(hull)]]
+        best = min(best, point_segment_distance(p, a, b))
+        if len(hull) == 2:
+            break
+    return best
 
 
 def relative_interior_margin(points: np.ndarray, weights: np.ndarray) -> float:
@@ -112,10 +214,6 @@ def inside_instance_2d(
     pts = rng.normal(size=(2, n_points)) * rng.uniform(0.5, 2.0)
     weights = rng.dirichlet(np.ones(n_points))
     return pts, pts @ weights
-
-
-def boundary_margin_2d(points: np.ndarray, target: np.ndarray) -> float:
-    return boundary_distance_2d(points, target)
 
 
 def nonneg_system(

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import example2_system, inside_instance_2d, nonneg_system, reference_run_hull
+from helpers import (
+    example2_system,
+    hull_membership_2d,
+    inside_instance_2d,
+    nonneg_system,
+    reference_run_hull,
+)
 from hullsolve import SolveConfig, cli, matio, solve_incremental
 from hullsolve.cli import main
 from hullsolve.hull import (
@@ -27,7 +33,6 @@ from hullsolve.matio import (
     load_matrix,
     load_vector,
 )
-from hullsolve.oracles import hull_membership_2d
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    check_witness,
+    hull_membership_2d,
     inside_instance_2d,
     invertible_system,
     iterate_point,
@@ -25,7 +27,6 @@ from hullsolve import (
     HullConfig,
     HullInstance,
     apply_step,
-    check_witness,
     find_pivot,
     initial_iterate,
     iteration_cap_from_bound,
@@ -37,7 +38,6 @@ from hullsolve import (
 )
 from hullsolve.hull import pivot_margins
 from hullsolve.incremental import move_shift, shifted_instance
-from hullsolve.oracles import hull_membership_2d
 
 
 def hull_points_example1():
@@ -389,14 +389,10 @@ class TestGramMemo:
             instance.move_last_point(point, products)
             self._assert_rows_are_products(instance, instance.points, range(n))
 
-    @pytest.mark.parametrize(
-        "dim, visits",
-        [(5, (0, 7, 21)), (30, (0, 7, 21)), (30, ())],
-        ids=["wide", "narrow", "narrow-move-first"],
-    )
-    def test_moved_row_and_column_are_the_products(self, dim, visits):
+    @pytest.mark.parametrize("visits", [(0, 7, 21), ()], ids=["narrow", "narrow-move-first"])
+    def test_moved_row_and_column_are_the_products(self, visits):
         rng = np.random.default_rng(63)
-        n = 40
+        dim, n = 30, 40
         instance = HullInstance(rng.normal(size=(dim, n)), rng.normal(size=dim))
         for j in visits:
             instance.gram_column(j)
@@ -413,9 +409,8 @@ class TestGramMemo:
 
     @pytest.mark.parametrize("computed", [True, False])
     def test_appended_point_borders_the_gram_matrix(self, computed):
-        # A Gram matrix computed on the smaller set is kept bit for bit and
-        # bordered with the given products; one not yet computed is
-        # computed whole on the grown set.
+        # The smaller set's Gram matrix, computed first if no call has, is
+        # kept bit for bit and bordered with the given products.
         rng = np.random.default_rng(73)
         dim, n = 12, 12
         instance = HullInstance(rng.normal(size=(dim, n)), np.zeros(dim))
@@ -428,10 +423,24 @@ class TestGramMemo:
         assert np.array_equal(grown.target, instance.target)
         assert np.array_equal(grown.sq_norms, np.einsum("ij,ij->j", grown.points, grown.points))
         self._assert_rows_are_products(grown, grown.points, range(n + 1))
-        if computed:
-            assert grown.gram_column(n).tobytes() == products.tobytes()
-            for j in range(n):
-                assert np.array_equal(grown.gram_column(j)[:n], instance.gram_column(j))
+        assert grown.gram_column(n).tobytes() == products.tobytes()
+        for j in range(n):
+            assert np.array_equal(grown.gram_column(j)[:n], instance.gram_column(j))
+
+    def test_wide_set_refuses_a_new_or_moved_point(self):
+        # A set of more than 2 dim points keeps no Gram matrix to border or
+        # to move a row of. 2 dim points are narrow, but one more is wide.
+        rng = np.random.default_rng(63)
+        dim = 5
+        point = rng.normal(size=dim)
+        narrow = HullInstance(rng.normal(size=(dim, 2 * dim)), rng.normal(size=dim))
+        with pytest.raises(ValueError, match="2 dim points"):
+            narrow.with_point(point, np.append(narrow.points.T @ point, point @ point))
+        wide = HullInstance(rng.normal(size=(dim, 2 * dim + 1)), rng.normal(size=dim))
+        original = wide.points.copy()
+        with pytest.raises(ValueError, match="2 dim points"):
+            wide.move_last_point(point, np.append(wide.points[:, :-1].T @ point, point @ point))
+        assert np.array_equal(wide.points, original)
 
     @pytest.mark.parametrize("dim", [3, 64])
     def test_wide_point_set_stores_visited_columns(self, dim):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import example1_system, example2_system, invertible_system
+from helpers import check_witness, example1_system, example2_system, invertible_system
 from hullsolve import (
     CONVERGED,
     SOLVE_CAP_EXCEEDED,
@@ -14,7 +14,6 @@ from hullsolve import (
     ShiftQuadratic,
     SolveConfig,
     build_quadratics,
-    check_witness,
     make_iterate,
     next_shift,
     optimize_shift_tau0,

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    check_witness,
     invertible_system,
     membership_instance,
     nonneg_system,
@@ -33,7 +34,6 @@ from hullsolve import (
     LinearSystem,
     SolveConfig,
     apply_step,
-    check_witness,
     find_pivot,
     make_iterate,
     run_hull,

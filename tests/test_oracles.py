@@ -1,19 +1,19 @@
-"""Ground-truth oracles: exact solve, 2-d geometry, minimum-norm point."""
+"""Ground-truth oracles: exact solve and minimum-norm point, and the 2-d
+geometry of the test helpers that cross-checks them."""
 
 import numpy as np
 import pytest
 
-from helpers import example1_system, example2_system, inside_instance_2d
-from hullsolve import LinearSystem, SingularMatrixError, oracles
-from hullsolve.oracles import (
+from helpers import (
     convex_hull_2d,
+    example1_system,
+    example2_system,
     hull_membership_2d,
-    hull_verdict,
-    linear_system_oracle,
-    min_norm_point,
+    inside_instance_2d,
     point_segment_distance,
-    solve_exact,
 )
+from hullsolve import LinearSystem, SingularMatrixError, oracles
+from hullsolve.oracles import hull_verdict, min_norm_point, solve_exact
 
 
 class TestSolveExact:
@@ -22,9 +22,9 @@ class TestSolveExact:
         assert np.allclose(x, [1.0, 2.0], atol=1e-12)
 
     def test_example2_and_t_star(self):
-        result = linear_system_oracle(example2_system())
-        assert np.allclose(result.x_star, [-1.0, -2.0], atol=1e-12)
-        assert result.t_star == pytest.approx(2.0, abs=1e-12)
+        x = solve_exact(example2_system())
+        assert np.allclose(x, [-1.0, -2.0], atol=1e-12)
+        assert max(0.0, -float(x.min())) == pytest.approx(2.0, abs=1e-12)
 
     def test_identity(self):
         rng = np.random.default_rng(0)
@@ -153,6 +153,18 @@ class TestMinNormPoint:
             assert hull_verdict(points, shifted, delta)[0] == inside
             if not inside:
                 assert delta == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-50, 2.0**-60], ids=["1", "2^-50", "2^-60"])
+    def test_verdict_does_not_depend_on_units(self, scale):
+        # The unit triangle and two targets, all scaled alike: (1/4, 1/4)
+        # is inside and (2, 2) lies 3 / sqrt(2) triangle sizes outside.
+        tri = scale * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for target, expected in (([0.25, 0.25], 0.0), ([2.0, 2.0], 1.5 * np.sqrt(2.0))):
+            target = scale * np.array(target)
+            delta = check_min_norm_point(tri, target)
+            inside, delta = hull_verdict(tri, target, delta)
+            assert inside == (expected == 0.0)
+            assert delta == pytest.approx(expected * scale, rel=1e-12)
 
     def test_thin_simplices(self):
         # A triangle and a tetrahedron 1e-6 thick along the last axis. The
