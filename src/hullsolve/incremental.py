@@ -11,12 +11,16 @@ shift gives the next shift to try. The final answer is x = x0 - t e.
 
 A change of shift moves only the last point, -b(t), so the solver builds
 its hull instance once and carries it, and the iterate's maintained
-products and ||p'||^2, to each new shift in O(n) (move_shift). The shift
-re-optimisation is O(n) too: the iterate's point is p'(t) = alpha_b (A x0 -
-b(t)), so the best shift and its residual E follow from u^T p'(t) and the
-moved gap, read from the coefficients. That E is an estimate; the exact
-residual, computed only when the estimate nears the target and once every
-n steps, decides the stop.
+products and ||p'||^2, to each new shift (move_shift): -b(t) is written
+into the instance in place, its Gram border comes from the products with
+b and u that LinearSystem caches, the iterate's products with the columns
+take one scaled add of A^T u, and its product with -b(t) and ||p'||^2
+follow in O(1) from u^T p'. The shift re-optimisation reads that same
+u^T p' from the coefficients in O(n): the iterate's point is p'(t) =
+alpha_b (A x0 - b(t)), so the best shift and its residual E follow from
+u^T p' and the moved gap. That E is an estimate; the exact residual,
+computed only when the estimate nears the target and once every n steps,
+decides the stop.
 """
 
 from __future__ import annotations
@@ -108,53 +112,80 @@ def _rebase(system: LinearSystem, iterate: Iterate) -> np.ndarray:
 
 
 def move_shift(
-    system: LinearSystem, instance: HullInstance, iterate: Iterate, t0: float, t: float
+    system: LinearSystem,
+    instance: HullInstance,
+    iterate: Iterate,
+    t0: float,
+    t: float,
+    u_point: float | None = None,
 ) -> Iterate:
     """Move a shifted hull and its iterate from shift t0 to t, in O(n).
 
-    The instance, built by shifted_instance, gets -b(t) as its last point in
-    place, in the same arithmetic as -system.rhs_shifted(t). The iterate
-    keeps its coefficients c and forms no point: p'(t) = p_base - t alpha_b
-    u moves its products with the columns by (t0 - t) alpha_b A^T u, its
-    product with -b(t) is the new Gram column's products with c, and
-    ||p'||^2 = c^T (V^T p'), formed from V c if it cancels. A move is
-    not a step: the iterate's age is kept.
+    The instance, built by shifted_instance, gets -b(t) written into its
+    last column in place, in the same arithmetic as -system.rhs_shifted(t),
+    with the Gram border -(A^T b + t A^T u) and ||b(t)||^2 = ||b||^2 +
+    2 t u^T b + t^2 ||u||^2. The iterate keeps its coefficients c and forms
+    no point: with drift = (t - t0) alpha_b, p'(t) = p'(t0) - drift u, so
+    its products with the columns move by -drift A^T u, and its product
+    with -b(t) and ||p'(t)||^2 = ||p'||^2 - 2 drift u^T p' + drift^2
+    ||u||^2 follow in O(1) from u_point, u^T p' at t0 (formed from c when
+    not given). point_sq_scale takes the magnitudes of both new terms, so
+    a move that cancels is formed again from V c. A move is not a step:
+    the iterate's age is kept.
     """
     n = system.n
-    rhs = system.u * -t
-    rhs -= system.b
+    coeffs = iterate.coeffs
+    if u_point is None:
+        u_point = _shift_product(system, coeffs, t0)
+    last = instance.points[:, n]
+    np.multiply(system.u, -t, out=last)
+    last -= system.b
     products = np.empty(n + 1)  # -b(t)^T a_i = -(A^T b + t A^T u)_i
     np.multiply(system.at_u, -t, out=products[:n])
     products[:n] -= system.at_b
-    products[n] = rhs.dot(rhs)
-    instance.move_last_point(rhs, products)
-    coeffs = iterate.coeffs
+    # Rounding can take this below 0 where b(t) nearly vanishes.
+    products[n] = max(0.0, system.b_sq + t * (2.0 * system.u_b + t * system.u_sq))
+    instance.move_last_point(None, products)
+    step = t - t0
+    drift = step * float(coeffs[-1])
     dots = np.empty(n + 1)
-    np.multiply(system.at_u, (t0 - t) * float(coeffs[-1]), out=dots[:n])
+    np.multiply(system.at_u, -drift, out=dots[:n])
     dots[:n] += iterate.dot_cache[:n]
-    dots[n] = products.dot(coeffs)
-    point_sq = float(coeffs.dot(dots))
-    scale = float(coeffs.dot(np.abs(dots)))
+    # -b(t)^T p'(t) = (-b(t0) - step u)^T (p'(t0) - drift u), with
+    # -b(t0)^T u = -(u^T b + t0 ||u||^2).
+    dots[n] = (
+        float(iterate.dot_cache[n])
+        + drift * (system.u_b + t * system.u_sq)
+        - step * u_point
+    )
+    lift = -2.0 * drift * u_point
+    square = drift * drift * system.u_sq
+    point_sq = iterate.point_sq + lift + square
+    scale = iterate.point_sq_scale + abs(lift) + square
     return recursed_iterate(instance, coeffs, dots, point_sq, scale, iterate.age)
 
 
-def _optimal_shift(
-    system: LinearSystem, iterate: Iterate, t0: float, u_sq: float, u_b: float
-) -> float:
-    """optimize_shift_tau0's tau0 for the iterate's x0, in O(n).
+def _shift_product(system: LinearSystem, coeffs: np.ndarray, t0: float) -> float:
+    """u^T p' for the iterate of these coefficients at shift t0, in O(n):
+    p' = A alpha - alpha_b b(t0), so u^T p' = (A^T u)^T alpha - alpha_b
+    (u^T b + t0 ||u||^2)."""
+    alpha_b = float(coeffs[-1])
+    return float(system.at_u.dot(coeffs[:-1])) - alpha_b * (system.u_b + t0 * system.u_sq)
+
+
+def _optimal_shift(system: LinearSystem, iterate: Iterate, t0: float) -> tuple[float, float]:
+    """(tau0, u^T p'): optimize_shift_tau0's tau0 for the iterate's x0, in
+    O(n), and the product it is read from, which move_shift takes.
 
     The iterate's point at shift t0 is p' = alpha_b (A x0 - b(t0)), and
     b(t) = b(t0) + (t - t0) u, so E(t) is least at
-    t0 + u^T p' / (alpha_b ||u||^2), clamped below at t0. u^T p' is
-    (A^T u)^T alpha - alpha_b (u^T b + t0 ||u||^2), from the coefficients;
-    u_sq and u_b are ||u||^2 and u^T b.
+    t0 + u^T p' / (alpha_b ||u||^2), clamped below at t0.
     """
-    if u_sq <= 0.0:
-        return t0
-    alpha_b = float(iterate.coeffs[-1])
-    u_point = float(system.at_u.dot(iterate.coeffs[:-1])) - alpha_b * (u_b + t0 * u_sq)
-    lift = u_point / (alpha_b * u_sq)
-    return t0 + lift if lift > 0.0 else t0
+    u_point = _shift_product(system, iterate.coeffs, t0)
+    if system.u_sq <= 0.0:
+        return t0, u_point
+    lift = u_point / (float(iterate.coeffs[-1]) * system.u_sq)
+    return (t0 + lift if lift > 0.0 else t0), u_point
 
 
 def optimize_shift_tau0(
@@ -190,7 +221,7 @@ def build_quadratics(system: LinearSystem, iterate: Iterate) -> list[ShiftQuadra
     base = _rebase(system, iterate)
     u = system.u
     n = system.n
-    u_sq = float(u @ u)
+    u_sq = system.u_sq
     base_sq = float(base @ base)
     base_u = float(base @ u)
     col_u = system.at_u
@@ -209,7 +240,7 @@ def build_quadratics(system: LinearSystem, iterate: Iterate) -> list[ShiftQuadra
         ShiftQuadratic(
             index=n,
             c2=alpha_b * (alpha_b - 2.0) * u_sq,
-            c1=2.0 * (1.0 - alpha_b) * base_u - 2.0 * alpha_b * float(u @ system.b),
+            c1=2.0 * (1.0 - alpha_b) * base_u - 2.0 * alpha_b * system.u_b,
             c0=base_sq + 2.0 * float(base @ system.b),
             is_rhs=True,
         )
@@ -346,8 +377,6 @@ def solve_incremental(
     eps0 = config.epsilon0
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
-    u_sq = float(system.u @ system.u)
-    u_b = float(system.u @ system.b)
 
     max_steps = config.max_iterations or DEFAULT_PHASE_CAP
 
@@ -388,11 +417,11 @@ def solve_incremental(
         alpha_b = float(iterate.coeffs[-1])
         t = t0
         near = tau_hook is None and iterate.gap / alpha_b <= proxy_gate
-        tau0 = _optimal_shift(system, iterate, t0, u_sq, u_b)
+        tau0, u_point = _optimal_shift(system, iterate, t0)
         if tau_hook is not None:
             tau0 = max(t0, float(tau_hook(tau0)))
         if tau0 != t0:
-            iterate = move_shift(system, instance, iterate, t0, tau0)
+            iterate = move_shift(system, instance, iterate, t0, tau0, u_point)
             t0 = tau0
         if near or iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
             # x = x0 - t0 e; the move kept the coefficients.

@@ -24,7 +24,14 @@ __all__ = [
 
 PIVOT_RATIO_FLOOR = 1e-13
 RESIDUAL_TOLERANCE = 1e-10
+# hull_verdict counts a distance as 0 below GEOMETRY_TOL times the largest
+# ||v_i - p|| plus TRANSLATION_ROUNDING times the largest |entry| of the
+# points and target. The second term is rounding: each entry is stored to
+# eps/2 of its magnitude and translating by -p rounds about as much again,
+# so an offset far larger than the hull blurs distances by a few eps of
+# the offset, whatever the hull's own size.
 GEOMETRY_TOL = 1e-12
+TRANSLATION_ROUNDING = 4.0 * float(np.finfo(float).eps)
 # Distance accuracy of min_norm_point, relative to the largest ||v_i - p||.
 MIN_NORM_TOL = 1e-13
 
@@ -65,11 +72,15 @@ def solve_exact(system: LinearSystem) -> np.ndarray:
 
 def hull_verdict(points: np.ndarray, target: np.ndarray, distance: float) -> tuple[bool, float]:
     """(inside, distance): target counts as in the hull of the column points
-    when distance <= GEOMETRY_TOL * (largest |entry| of points and target),
-    a tolerance relative to the input's scale, and its distance is then
-    reported as 0."""
+    when distance <= GEOMETRY_TOL * R + TRANSLATION_ROUNDING * (largest
+    |entry| of points and target), with R = max_i ||v_i - p||, and its
+    distance is then reported as 0. The tolerance follows the hull's size
+    around the target, not its offset from the origin, beyond the rounding
+    that offset brings."""
+    offsets = points - target[:, None]
+    radius = math.sqrt(float(np.einsum("ij,ij->j", offsets, offsets).max()))
     scale = max(float(np.abs(points).max()), float(np.abs(target).max()))
-    inside = distance <= GEOMETRY_TOL * scale
+    inside = distance <= GEOMETRY_TOL * radius + TRANSLATION_ROUNDING * scale
     return inside, 0.0 if inside else distance
 
 

@@ -42,10 +42,12 @@ class SingularMatrixError(ValueError):
 class LinearSystem:
     """Square system A x = b held in column view.
 
-    Exposes the column norms, rho = max(||a_1||, ..., ||a_n||, ||b||) and
-    the shift direction u = A e. A zero column is rejected outright since it
-    makes A singular; data whose squared norms overflow, or whose nonzero
-    columns' squared norms underflow, are rejected as out of scale.
+    Exposes the column norms, rho = max(||a_1||, ..., ||a_n||, ||b||), the
+    shift direction u = A e, and the scalars ||b||^2, u^T b and ||u||^2
+    that the shifted right-hand side b(t) = b + t u is priced from. A zero
+    column is rejected outright since it makes A singular; data whose
+    squared norms overflow, or whose nonzero columns' squared norms
+    underflow, are rejected as out of scale.
     """
 
     def __init__(self, a, b):
@@ -67,7 +69,10 @@ class LinearSystem:
         self.column_norms = column_norms
         self.norm_b = float(np.linalg.norm(b))
         self.rho = max(float(column_norms.max()), self.norm_b)
-        self.u = a @ np.ones(n)
+        self.u = u = a @ np.ones(n)
+        self.b_sq = float(b @ b)
+        self.u_b = float(u @ b)
+        self.u_sq = float(u @ u)
 
     @property
     def n(self) -> int:

@@ -240,7 +240,7 @@ def solve_nonneg(
     # Phase 2's Gram matrix is the columns' A^T A bordered with -A^T b and
     # ||b||^2 whether or not Phase 1 ran (one product of [A, -b] would round
     # differently), so Phase 2 takes the same steps either way.
-    instance = columns.with_point(-system.b, np.append(-system.at_b, system.b @ system.b))
+    instance = columns.with_point(-system.b, np.append(-system.at_b, system.b_sq))
     iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
 
     threshold = eps0 * rho

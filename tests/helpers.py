@@ -281,10 +281,11 @@ def _reference_pick(margins: np.ndarray) -> int | None:
 def reference_find_pivot(instance, iterate):
     """Pivot search on margins recomputed from the points at every call.
     Like find_pivot, it forms an iterate it finds no pivot for again from
-    V c, in place."""
+    V c, in place, at its coefficients divided by their sum."""
     j = _reference_pick(reference_margins(instance, instance.points @ iterate.coeffs))
     if j is None:
-        vars(iterate).update(vars(exact_iterate(instance, iterate.coeffs)))
+        coeffs = iterate.coeffs / iterate.coeffs.sum()
+        vars(iterate).update(vars(exact_iterate(instance, coeffs)))
     return j
 
 

@@ -10,6 +10,7 @@ products at all: the same status, pivots, iterations and certifying vertex.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -339,33 +340,49 @@ class TestGatedResidual:
         assert system.residual_norm(spoiled.x) == spoiled.residual_norm
 
 
-def test_step_coefficients_equal_clean_coeffs():
-    # apply_step clamps and renormalises the mixed coefficients in place;
-    # _clean_coeffs of the same update is the reference, bit for bit.
+def test_step_coefficients_stay_a_probability_vector():
+    # apply_step mixes c' = fl(1 - alpha) c, then adds alpha to c'_j, with
+    # no clamp and no renormalisation. Its weights stay nonnegative, and
+    # alpha = 1 gives e_j exactly (keep is 0, so every product is 0). The
+    # sum drifts by rounding alone. Let u = 2^-53 and e = |sum(c) - 1|,
+    # summed exactly (math.fsum). keep = (1 - alpha)(1 + d), each product
+    # keep c_i carries a factor (1 + h_i) and the add at j (1 + g), with
+    # |d|, |h_i|, |g| <= u, so
+    #   sum(c') - 1 = keep (sum(c) - 1) + (keep - (1 - alpha))
+    #                 + keep sum(c_i h_i) + g c'_j / (1 + g)
+    # and, with keep <= (1 - alpha)(1 + u) and sum(c), c'_j <= 1 + e,
+    #   e' <= (1 - alpha)(1 + u) e + u + 2 u (1 + u)^2 (1 + e),
+    # which is at most e + 4 u while e stays below 1/8. Over N steps from
+    # e_0 the drift is therefore at most e_0 + 4 u N; the adversarial
+    # alphas below (near 0, near 1 and 1 itself) reach no further.
     rng = np.random.default_rng(435)
     n = 25
     points = rng.normal(size=(8, n))
     instance = HullInstance(points, points @ rng.dirichlet(np.ones(n)))
     iterate = make_iterate(instance, rng.dirichlet(np.ones(n)))
-    clamped = 0
+    unit = 2.0**-53
+    drift, since, jumps = abs(math.fsum(iterate.coeffs) - 1.0), 0, 0
     for step in range(10_000):
         j = int(rng.integers(n))
         kind = step % 4
         if kind == 0:
             alpha = 10.0 ** rng.uniform(-6.0, 0.0)
         elif kind == 1:
-            alpha = 1.0 - 10.0 ** rng.uniform(-16.0, -10.0)  # leaves dust
+            alpha = 1.0 - 10.0 ** rng.uniform(-16.0, -10.0)  # leaves weights near 1e-16
         elif kind == 2:
             alpha = 10.0 ** rng.uniform(-18.0, -12.0)
         else:
             alpha = 1.0 if step % 400 == 3 else float(rng.uniform())
-        mixed = (1.0 - alpha) * iterate.coeffs
-        mixed[j] += alpha
-        expected = hull._clean_coeffs(mixed)
-        clamped += int(((mixed > 0.0) & (mixed < hull.COEFF_DUST)).any())
         iterate = apply_step(instance, iterate, j, alpha)
-        assert iterate.coeffs.tobytes() == expected.tobytes()
-    assert clamped >= 100
+        since += 1
+        assert (iterate.coeffs >= 0.0).all()
+        if alpha == 1.0:
+            jumps += 1
+            assert iterate.coeffs.tobytes() == np.eye(n)[j].tobytes()
+            drift, since = 0.0, 0
+        else:
+            assert abs(math.fsum(iterate.coeffs) - 1.0) <= drift + 4.0 * unit * since
+    assert jumps >= 20
 
 
 def _column_normalised_system(rng, n, offset=0.0):
@@ -400,8 +417,7 @@ def test_linear_time_shift_matches_direct_optimum():
         u_norm = float(np.linalg.norm(system.u))
         x0 = iterate.coeffs[:-1] / iterate.coeffs[-1]
         expected_tau, expected_err = incremental.optimize_shift_tau0(system, x0, t0)
-        u_b = float(system.u @ system.b)
-        tau0 = incremental._optimal_shift(system, iterate, t0, u_norm * u_norm, u_b)
+        tau0, _ = incremental._optimal_shift(system, iterate, t0)
         if tau0 != t0:
             iterate = incremental.move_shift(system, instance, iterate, t0, tau0)
             moved += 1
@@ -411,6 +427,61 @@ def test_linear_time_shift_matches_direct_optimum():
         assert abs(tau0 - expected_tau) * u_norm <= tol
         assert abs(iterate.gap / iterate.coeffs[-1] - expected_err) <= tol
     assert moved >= 50 and clamped >= 50
+
+
+def test_constant_time_move_tracks_the_formed_iterate():
+    # move_shift reads -b(t)^T p'(t) and ||p'(t)||^2 in O(1) from u^T p'
+    # and carries the rest of the products by one scaled add of A^T u.
+    # After random moves, and after moves to the shift that explains all
+    # but about 1e-2, 1e-6 or 1e-9 of the gap (x0 = x + t e + noise, so
+    # p'(t) = alpha_b A noise), the moved products and ||p'||^2 are within
+    # _tracks_fresh's bound of those formed from V c; a move whose
+    # ||p'||^2 cancels below CANCELLATION of its terms is formed again.
+    # Half the random moves go to the shift where b(t) = 0 (x = -t e),
+    # where ||b(t)||^2, priced from ||b||^2, u^T b and ||u||^2, must not
+    # round below 0.
+    rng = np.random.default_rng(451)
+    formed = kept = 0
+    for trial in range(240):
+        n = int(rng.integers(5, 41))
+        x = rng.normal(size=n) if trial % 8 else np.full(n, -rng.uniform(0.5, 5.0))
+        a = rng.normal(size=(n, n))
+        a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+        system = LinearSystem(a, a @ x)
+        t0 = rng.uniform(0.0, 3.0)
+        instance = incremental.shifted_instance(system, t0)
+        if trial % 4 == 0:
+            alpha_b = rng.uniform(0.05, 1.0)
+            coeffs = np.append((1.0 - alpha_b) * rng.dirichlet(np.ones(n)), alpha_b)
+            iterate = make_iterate(instance, coeffs)
+            t = t0 + rng.uniform(-t0, 5.0) if trial % 8 else -float(x[0])
+            u_point = None
+        else:
+            t = t0 + max(rng.uniform(0.5, 3.0), 0.1 - x.min() - t0)
+            noise = (0.0, 1e-2, 1e-6, 1e-9)[trial % 4] * rng.normal(size=n)
+            x0 = x + t + noise
+            iterate = make_iterate(instance, np.append(x0, 1.0) / (1.0 + x0.sum()))
+            t, u_point = incremental._optimal_shift(system, iterate, t0)
+        before = iterate.point_sq
+        moved = incremental.move_shift(system, instance, iterate, t0, t, u_point)
+        rebuilt = incremental.shifted_instance(system, t)
+        assert np.array_equal(instance.points, rebuilt.points)
+        assert instance.sq_norms[n] >= 0.0
+        point = instance.points @ moved.coeffs
+        fresh = instance.points.T @ point
+        scale = np.sqrt(instance.sq_norms.max() * (point @ point))
+        assert np.abs(moved.dot_cache - fresh).max() <= 1e-10 * scale
+        assert abs(moved.point_sq - point @ point) <= 1e-10 * scale
+        exact = hull.exact_iterate(instance, moved.coeffs)
+        if moved.point_sq < hull.CANCELLATION * before:
+            assert moved.dot_cache.tobytes() == exact.dot_cache.tobytes()
+            assert moved.point_sq == exact.point_sq == moved.point_sq_scale
+            formed += 1
+        elif trial % 4 == 1:
+            assert moved.point_sq < 1e-2 * before  # the shift explained most of the gap
+            assert moved.dot_cache.tobytes() != exact.dot_cache.tobytes()
+            kept += 1
+    assert formed >= 100 and kept >= 50
 
 
 class TestGatedIncrementalResidual:

@@ -166,6 +166,21 @@ class TestMinNormPoint:
             assert inside == (expected == 0.0)
             assert delta == pytest.approx(expected * scale, rel=1e-12)
 
+    def test_verdict_does_not_widen_with_an_offset(self):
+        # The unit triangle offset by up to 1e6: a target 1e-8 beyond the
+        # hypotenuse along (1, 1) lies 1.414e-8 outside, far above the
+        # 2e-10 that storing and translating by 1e6 rounds, and the
+        # centroid is inside at every offset.
+        tri = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        for offset in (0.0, 1e3, 1e6):
+            points = tri + offset
+            beyond = np.full(2, offset + 0.5 + 1e-8)
+            inside, delta = hull_verdict(points, beyond, check_min_norm_point(points, beyond))
+            assert not inside
+            assert delta == pytest.approx(np.sqrt(2.0) * 1e-8, rel=1e-2)
+            centroid = np.full(2, offset + 1.0 / 3.0)
+            assert hull_verdict(points, centroid, check_min_norm_point(points, centroid))[0]
+
     def test_thin_simplices(self):
         # A triangle and a tetrahedron 1e-6 thick along the last axis. The
         # apex is the nearest point to a target 5e-7 up the axis, which is
