@@ -219,23 +219,20 @@ class HullInstance:
         gram[:, n] = products
         return grown
 
-    def move_last_point(self, point: np.ndarray | None, products: np.ndarray) -> None:
-        """Replace the last point in place.
+    def move_last_point(self, products: np.ndarray) -> None:
+        """Record a last point that the caller has written, translated as
+        the stored points are, into points[:, -1] in place.
 
-        point is given translated, as the stored points are, or is None when
-        the caller has already written it into points[:, -1], which saves
-        forming it apart. products holds its inner products with every
-        stored point, itself last, as the caller computes them. They become,
-        bit for bit, the last row and column of the Gram matrix, computed
-        first if no call has, and the last squared norm. ValueError on a set
-        of more than 2 dim points, where no Gram matrix is kept. Iterates
-        built on the old point are not updated.
+        products holds its inner products with every stored point, itself
+        last, as the caller computes them. They become, bit for bit, the
+        last row and column of the Gram matrix, computed first if no call
+        has, and the last squared norm. ValueError on a set of more than
+        2 dim points, where no Gram matrix is kept. Iterates built on the
+        old point are not updated.
         """
         if not self._narrow:
             raise ValueError("move_last_point needs a set of at most 2 dim points")
         last = self.n_points - 1
-        if point is not None:
-            self.points[:, last] = point
         self.sq_norms[last] = products[last]
         self.gram_column(last)
         self._gram[:, last] = products

@@ -124,7 +124,9 @@ def move_shift(
     The instance, built by shifted_instance, gets -b(t) written into its
     last column in place, in the same arithmetic as -system.rhs_shifted(t),
     with the Gram border -(A^T b + t A^T u) and ||b(t)||^2 = ||b||^2 +
-    2 t u^T b + t^2 ||u||^2. The iterate keeps its coefficients c and forms
+    2 t u^T b + t^2 ||u||^2, clamped at 0. Like the border, that entry is
+    accurate to a few eps of its terms' magnitudes, not of its value,
+    which may cancel where b(t) nearly vanishes. The iterate keeps its coefficients c and forms
     no point: with drift = (t - t0) alpha_b, p'(t) = p'(t0) - drift u, so
     its products with the columns move by -drift A^T u, and its product
     with -b(t) and ||p'(t)||^2 = ||p'||^2 - 2 drift u^T p' + drift^2
@@ -145,7 +147,7 @@ def move_shift(
     products[:n] -= system.at_b
     # Rounding can take this below 0 where b(t) nearly vanishes.
     products[n] = max(0.0, system.b_sq + t * (2.0 * system.u_b + t * system.u_sq))
-    instance.move_last_point(None, products)
+    instance.move_last_point(products)
     step = t - t0
     drift = step * float(coeffs[-1])
     dots = np.empty(n + 1)

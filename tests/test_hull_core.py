@@ -386,7 +386,8 @@ class TestGramMemo:
         for step in range(30):
             point = rng.normal(size=dim)
             products = np.append(instance.points[:, :-1].T @ point, point @ point)
-            instance.move_last_point(point, products)
+            instance.points[:, -1] = point
+            instance.move_last_point(products)
             self._assert_rows_are_products(instance, instance.points, range(n))
 
     @pytest.mark.parametrize("visits", [(0, 7, 21), ()], ids=["narrow", "narrow-move-first"])
@@ -402,7 +403,8 @@ class TestGramMemo:
             # the fresh ones.
             products = instance.points.T @ point + rng.normal(size=n) * 1e-9
             products[-1] = point @ point
-            instance.move_last_point(point, products)
+            instance.points[:, -1] = point
+            instance.move_last_point(products)
             assert instance.gram_column(n - 1).tobytes() == products.tobytes()
             for j in visits:
                 assert instance.gram_column(j)[n - 1] == products[j]
@@ -439,7 +441,7 @@ class TestGramMemo:
         wide = HullInstance(rng.normal(size=(dim, 2 * dim + 1)), rng.normal(size=dim))
         original = wide.points.copy()
         with pytest.raises(ValueError, match="2 dim points"):
-            wide.move_last_point(point, np.append(wide.points[:, :-1].T @ point, point @ point))
+            wide.move_last_point(np.append(wide.points[:, :-1].T @ point, point @ point))
         assert np.array_equal(wide.points, original)
 
     @pytest.mark.parametrize("dim", [3, 64])
