@@ -77,10 +77,8 @@ def _exponent(values: np.ndarray) -> int:
 
 def analyze_system(system: LinearSystem) -> SystemAnalysis:
     """Full a-priori report: eigenvalue bound plus shift upper bounds."""
-    a = system.a
     n = system.n
-    q = a.T @ a
-    q = 0.5 * (q + q.T)  # symmetrize roundoff
+    q = 0.5 * (system.gram + system.gram.T)  # symmetrize roundoff
     # Everything is computed from Q / 2^kq and A^T b / 2^kw, scaled by
     # powers of two near their largest entries, so that no square
     # underflows or overflows at any representable scale of A and b. The

@@ -150,13 +150,16 @@ class HullInstance:
         Columns are the points v_1 ... v_n.
     target : (m,) array
         The query point p.
+    gram : (n, n) array, optional
+        V^T V of the translated points, kept as given (move_last_point
+        writes into it) in place of the product formed at first use.
 
     The points are stored translated by -p, so that every run targets the
     origin: points holds v_i - p (the array given, not a copy, when p = 0),
     target holds p, and sq_norms the squared distances ||v_i - p||^2.
     """
 
-    def __init__(self, points, target):
+    def __init__(self, points, target, gram=None):
         points = np.ascontiguousarray(points, dtype=float)
         target = np.ascontiguousarray(target, dtype=float)
         check_query(points, target)
@@ -169,11 +172,10 @@ class HullInstance:
         self.target = target
         self.target_norm = math.sqrt(target_sq)
         self.sq_norms = sq_norms
-        # V^T V, computed whole at first use on a set of at most 2 dim points
-        # (at most twice the points' memory); a wider set keeps one column
-        # per visited pivot.
-        self._narrow = points.shape[1] <= 2 * points.shape[0]
-        self._gram: np.ndarray | None = None
+        # V^T V, given or formed whole at first use on at most 2 dim points (at
+        # most twice their memory); a wider set keeps one column per pivot.
+        self._narrow = gram is not None or points.shape[1] <= 2 * points.shape[0]
+        self._gram: np.ndarray | None = gram
         self._gram_cols: dict[int, np.ndarray] = {}
 
     @property
@@ -185,9 +187,9 @@ class HullInstance:
         return math.sqrt(self.sq_norms[j])
 
     def gram_column(self, j: int) -> np.ndarray:
-        """v_i^T v_j for all i, stored at the first call that needs it: the
-        whole Gram matrix, in O(dim n^2), on a set of at most 2 dim points,
-        else column j, in O(dim n). Do not modify the returned array."""
+        """v_i^T v_j for all i, a row of the whole Gram matrix, given or
+        formed at the first call in O(dim n^2), on a set of at most 2 dim
+        points, else column j, in O(dim n). Do not modify the returned array."""
         if self._narrow:
             if self._gram is None:
                 self._gram = self.points.T @ self.points
@@ -196,28 +198,6 @@ class HullInstance:
         if column is None:
             column = self._gram_cols[j] = (self.points[:, [j]].T @ self.points)[0]
         return column
-
-    def with_point(self, point: np.ndarray, products: np.ndarray) -> HullInstance:
-        """A new instance: these points with point appended, same target.
-
-        point is given translated, as the stored points are, and products
-        holds its inner products with every stored point, itself last, as
-        the caller computes them. The new instance's Gram matrix is this
-        instance's, computed first if no call has, bordered with them, in
-        O(n^2) once this one is known. ValueError when the grown set has
-        more than 2 dim points, where no Gram matrix is kept.
-        """
-        grown = HullInstance(np.column_stack([self.points, point]), np.zeros_like(self.target))
-        if not grown._narrow:
-            raise ValueError("with_point needs a grown set of at most 2 dim points")
-        grown.target, grown.target_norm = self.target, self.target_norm
-        n = self.n_points
-        self.gram_column(0)
-        gram = grown._gram = np.empty((n + 1, n + 1))
-        gram[:n, :n] = self._gram
-        gram[n] = products
-        gram[:, n] = products
-        return grown
 
     def move_last_point(self, products: np.ndarray) -> None:
         """Record a last point that the caller has written, translated as

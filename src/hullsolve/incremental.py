@@ -10,10 +10,10 @@ iterate stays a witness at shift t; the smallest root beyond the current
 shift gives the next shift to try. The final answer is x = x0 - t e.
 
 A change of shift moves only the last point, -b(t), so the solver builds
-its hull instance once and carries it, and the iterate's maintained
-products and ||p'||^2, to each new shift (move_shift): -b(t) is written
-into the instance in place, its Gram border comes from the products with
-b and u that LinearSystem caches, the iterate's products with the columns
+its hull instance once (shifted_instance) and carries it, and the iterate's
+maintained products and ||p'||^2, to each new shift (move_shift): -b(t) is
+written into the instance in place with the Gram border a build writes,
+LinearSystem.shift_border(t), the iterate's products with the columns
 take one scaled add of A^T u, and its product with -b(t) and ||p'||^2
 follow in O(1) from u^T p'. The shift re-optimisation reads that same
 u^T p' from the coefficients in O(n): the iterate's point is p'(t) =
@@ -49,6 +49,7 @@ from .system import (
     LinearSystem,
     SolveConfig,
     SolveOutcome,
+    shifted_instance,
 )
 from .two_phase import DEFAULT_PHASE_CAP, PROXY_MARGIN, AlphaBVanishes, recover_solution
 
@@ -57,7 +58,6 @@ __all__ = [
     "POLICY_DOUBLE_PLUS_ONE",
     "NoPositiveQuadratic",
     "ShiftQuadratic",
-    "shifted_instance",
     "move_shift",
     "optimize_shift_tau0",
     "build_quadratics",
@@ -99,12 +99,6 @@ class ShiftQuadratic:
         return (self.c2 * t + self.c1) * t + self.c0
 
 
-def shifted_instance(system: LinearSystem, t0: float) -> HullInstance:
-    """Hull instance for conv({a_1, ..., a_n, -b(t0)}) against the origin."""
-    rhs = -system.rhs_shifted(t0)
-    return HullInstance(np.hstack([system.a, rhs[:, None]]), np.zeros(system.n))
-
-
 def _rebase(system: LinearSystem, iterate: Iterate) -> np.ndarray:
     """Shift-independent part of the iterate's point, A alpha - alpha_b b:
     at shift t the point is that less t alpha_b u."""
@@ -117,37 +111,28 @@ def move_shift(
     iterate: Iterate,
     t0: float,
     t: float,
-    u_point: float | None = None,
+    u_point: float,
 ) -> Iterate:
     """Move a shifted hull and its iterate from shift t0 to t, in O(n).
 
     The instance, built by shifted_instance, gets -b(t) written into its
     last column in place, in the same arithmetic as -system.rhs_shifted(t),
-    with the Gram border -(A^T b + t A^T u) and ||b(t)||^2 = ||b||^2 +
-    2 t u^T b + t^2 ||u||^2, clamped at 0. Like the border, that entry is
-    accurate to a few eps of its terms' magnitudes, not of its value,
-    which may cancel where b(t) nearly vanishes. The iterate keeps its coefficients c and forms
-    no point: with drift = (t - t0) alpha_b, p'(t) = p'(t0) - drift u, so
-    its products with the columns move by -drift A^T u, and its product
-    with -b(t) and ||p'(t)||^2 = ||p'||^2 - 2 drift u^T p' + drift^2
-    ||u||^2 follow in O(1) from u_point, u^T p' at t0 (formed from c when
-    not given). point_sq_scale takes the magnitudes of both new terms, so
-    a move that cancels is formed again from V c. A move is not a step:
-    the iterate's age is kept.
+    with the Gram border system.shift_border(t), so that it equals
+    shifted_instance(system, t) bit for bit. The iterate keeps its
+    coefficients c and forms no point: with drift = (t - t0) alpha_b,
+    p'(t) = p'(t0) - drift u, so its products with the columns move by
+    -drift A^T u, and its product with -b(t) and ||p'(t)||^2 = ||p'||^2 -
+    2 drift u^T p' + drift^2 ||u||^2 follow in O(1) from u_point, u^T p'
+    at t0 (_shift_product). point_sq_scale takes the magnitudes of both new
+    terms, so a move that cancels is formed again from V c. A move is not
+    a step: the iterate's age is kept.
     """
     n = system.n
     coeffs = iterate.coeffs
-    if u_point is None:
-        u_point = _shift_product(system, coeffs, t0)
     last = instance.points[:, n]
     np.multiply(system.u, -t, out=last)
     last -= system.b
-    products = np.empty(n + 1)  # -b(t)^T a_i = -(A^T b + t A^T u)_i
-    np.multiply(system.at_u, -t, out=products[:n])
-    products[:n] -= system.at_b
-    # Rounding can take this below 0 where b(t) nearly vanishes.
-    products[n] = max(0.0, system.b_sq + t * (2.0 * system.u_b + t * system.u_sq))
-    instance.move_last_point(products)
+    instance.move_last_point(system.shift_border(t))
     step = t - t0
     drift = step * float(coeffs[-1])
     dots = np.empty(n + 1)
@@ -460,7 +445,8 @@ def solve_incremental(
                 diagnostics["max_escalations"] = _default_escalation_cap(system)
             if escalations > diagnostics["max_escalations"]:
                 return outcome(SOLVE_CAP_EXCEEDED)
-            iterate = move_shift(system, instance, iterate, t0, new_t)
+            u_point = _shift_product(system, iterate.coeffs, t0)
+            iterate = move_shift(system, instance, iterate, t0, new_t, u_point)
             t0 = new_t
             shifts.append(t0)
             if trace is not None:

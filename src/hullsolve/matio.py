@@ -55,7 +55,7 @@ def detect_format(path: str) -> str:
 
 
 def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
-    """Load a dense matrix from a file; fmt None sniffs the header."""
+    """Load a dense matrix; fmt None sniffs it. Only perfbench/tracing.py passes fmt."""
     if fmt is None:
         fmt = detect_format(path)
     if fmt == FORMAT_MATRIX_MARKET:
@@ -65,9 +65,9 @@ def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def load_vector(path: str, fmt: str | None = None) -> np.ndarray:
+def load_vector(path: str) -> np.ndarray:
     """Load a vector: any matrix file with a single row or column."""
-    m = load_matrix(path, fmt)
+    m = load_matrix(path)
     if m.shape[0] == 1 or m.shape[1] == 1:
         return m.reshape(-1)
     raise DimensionMismatch(

@@ -13,11 +13,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .hull import INIT_NEAREST_VERTEX, TraceRecord, Witness, check_run_settings, check_scale
+from .hull import (
+    INIT_NEAREST_VERTEX,
+    HullInstance,
+    TraceRecord,
+    Witness,
+    check_run_settings,
+    check_scale,
+)
 
 __all__ = [
     "SingularMatrixError",
     "LinearSystem",
+    "shifted_instance",
     "SolveConfig",
     "SolveOutcome",
     "CONVERGED",
@@ -44,7 +52,8 @@ class LinearSystem:
 
     Exposes the column norms, rho = max(||a_1||, ..., ||a_n||, ||b||), the
     shift direction u = A e, and the scalars ||b||^2, u^T b and ||u||^2
-    that the shifted right-hand side b(t) = b + t u is priced from. A zero
+    that the shifted right-hand side b(t) = b + t u is priced from; A^T A,
+    A^T b and A^T u are formed once, at first use, for every reader. A zero
     column is rejected outright since it makes A singular; data whose
     squared norms overflow, or whose nonzero columns' squared norms
     underflow, are rejected as out of scale.
@@ -79,6 +88,11 @@ class LinearSystem:
         return self.a.shape[0]
 
     @cached_property
+    def gram(self) -> np.ndarray:
+        """A^T A, the columns' Gram matrix. Do not modify it."""
+        return self.a.T @ self.a
+
+    @cached_property
     def at_u(self) -> np.ndarray:
         """A^T u, the columns' products with the shift direction."""
         return self.a.T @ self.u
@@ -92,9 +106,32 @@ class LinearSystem:
         """b(t) = b + t u."""
         return self.b + t * self.u
 
+    def shift_border(self, t: float) -> np.ndarray:
+        """-b(t)'s products with the columns and itself, in O(n): -(A^T b +
+        t A^T u) and ||b(t)||^2 = ||b||^2 + 2 t u^T b + t^2 ||u||^2, clamped
+        at 0. Each is accurate to a few eps of its terms' magnitudes, not of
+        its value, which cancels where b(t) nearly vanishes."""
+        border = np.empty(self.b.size + 1)
+        head = border[:-1]
+        np.multiply(self.at_u, -t, out=head)
+        head -= self.at_b
+        border[-1] = max(0.0, self.b_sq + t * (2.0 * self.u_b + t * self.u_sq))
+        return border
+
     def residual_norm(self, x: np.ndarray) -> float:
         """||A x - b||."""
         return float(np.linalg.norm(self.a @ x - self.b))
+
+
+def shifted_instance(system: LinearSystem, t: float) -> HullInstance:
+    """Hull instance for conv({a_1, ..., a_n, -b(t)}) against the origin,
+    its Gram matrix a copy of system.gram bordered with shift_border(t)
+    through move_last_point, as incremental.move_shift borders it."""
+    points = np.hstack([system.a, -system.rhs_shifted(t)[:, None]])
+    gram = np.pad(system.gram, (0, 1))
+    instance = HullInstance(points, np.zeros(system.n), gram=gram)
+    instance.move_last_point(system.shift_border(t))
+    return instance
 
 
 @dataclass

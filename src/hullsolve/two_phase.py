@@ -19,8 +19,9 @@ it tells whether A is singular.
 
 Both phases take pairwise steps: each step is the better of the Triangle
 step toward the pivot and a transfer of weight to the pivot from the active
-point of least margin (hull.apply_step with pairwise=True). Phase 2's Gram
-matrix borders the columns' A^T A with -A^T b and ||b||^2.
+point of least margin (hull.apply_step with pairwise=True). Both read the
+system's one A^T A (LinearSystem.gram): Phase 1 as it is, Phase 2 bordered
+with -b's products by shifted_instance at t = 0.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .system import (
     SingularMatrixError,
     SolveConfig,
     SolveOutcome,
+    shifted_instance,
 )
 
 __all__ = [
@@ -88,11 +90,11 @@ class AlphaBVanishes(ValueError):
     """The iterate places (numerically) no weight on -b; x0 is unrecoverable."""
 
 
-def _phase1_outcome(columns: HullInstance, config: SolveConfig) -> HullOutcome:
-    """Phase 1's hull run on columns, the columns of A against the origin,
-    from the nearest column (init_rule and init_coeffs start Phase 2),
-    under the user's iteration cap (DEFAULT_PHASE_CAP when unset) and
-    trace setting, with epsilon min(epsilon0, PHASE1_EPSILON_CEIL).
+def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
+    """Phase 1's hull run on the columns of A, Gram matrix system.gram,
+    against the origin from the nearest column (init_rule and init_coeffs
+    start Phase 2), under the user's iteration cap (DEFAULT_PHASE_CAP when
+    unset) and trace setting, with epsilon min(epsilon0, PHASE1_EPSILON_CEIL).
 
     A witness gives delta0' = gap / 2, a lower bound on the hull-to-origin
     distance by the factor-two property of witnesses. An approximate
@@ -104,6 +106,7 @@ def _phase1_outcome(columns: HullInstance, config: SolveConfig) -> HullOutcome:
         max_iterations=config.max_iterations or DEFAULT_PHASE_CAP,
         record_trace=config.record_trace,
     )
+    columns = HullInstance(system.a, np.zeros(system.n), gram=system.gram)
     phase1 = run_hull(columns, hull_cfg)
     if phase1.status == IN_HULL_APPROX:
         raise SingularMatrixError(
@@ -185,10 +188,8 @@ def solve_nonneg(
     """
     rho = system.rho
     eps0 = config.epsilon0
-    n = system.n
 
-    columns = HullInstance(system.a, np.zeros(n))
-    phase1_run = _phase1_outcome(columns, config) if phase1 else None
+    phase1_run = _phase1_outcome(system, config) if phase1 else None
     diagnostics: dict = {"phase1_iterations": 0, "delta0_source": "unavailable"}
     delta0_prime = inner_eps = None
     trace = ([] if phase1_run is None else phase1_run.trace) if config.record_trace else None
@@ -237,10 +238,7 @@ def solve_nonneg(
         cap = DEFAULT_PHASE_CAP
     diagnostics["phase2_cap"] = cap
 
-    # Phase 2's Gram matrix is the columns' A^T A bordered with -A^T b and
-    # ||b||^2 whether or not Phase 1 ran (one product of [A, -b] would round
-    # differently), so Phase 2 takes the same steps either way.
-    instance = columns.with_point(-system.b, np.append(-system.at_b, system.b_sq))
+    instance = shifted_instance(system, 0.0)
     iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
 
     threshold = eps0 * rho
@@ -253,13 +251,13 @@ def solve_nonneg(
                 # No residual can be checked, and the origin is within
                 # epsilon0 * rho of the column hull: Phase 1 raises if it
                 # lies in it. Steps from here may still restore alpha_b.
-                phase1_run = _phase1_outcome(columns, config)
+                phase1_run = _phase1_outcome(system, config)
                 if trace is not None:
                     trace.extend(
                         replace(r, iteration=steps + r.iteration) for r in phase1_run.trace
                     )
                 diagnostics["phase1_iterations"] = phase1_run.iterations
-        elif iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
+        elif iterate.gap / alpha_b <= proxy_gate or steps % system.n == 0:
             x0 = recover_solution(iterate, system)
             residual = system.residual_norm(x0)
             if residual <= threshold:

@@ -28,6 +28,7 @@ from hullsolve.hull import (
     witness_of,
 )
 from hullsolve.oracles import hull_verdict
+from hullsolve.system import shifted_instance
 from hullsolve.two_phase import _phase1_outcome
 
 
@@ -370,19 +371,18 @@ def reference_hull_target(system: LinearSystem, epsilon0: float) -> dict:
     """The paper's sensitivity path, which solve_nonneg does not stop on.
 
     Phase 1's witness gives delta0' = gap / 2 and the inner epsilon
-    select_inner_epsilon chooses from it. Phase 2 then borders the columns'
-    Gram matrix with -b, as solve_nonneg does after Phase 1, and takes
+    select_inner_epsilon chooses from it. Phase 2 then runs on the hull
+    shifted_instance builds at t = 0, as solve_nonneg's does, and takes
     better-of steps from the nearest vertex until gap <= inner_epsilon *
     rho, checking no residual on the way. Returns delta0_prime,
     inner_epsilon, steps (Phase 2's), x and residual_norm.
     """
     config = SolveConfig(epsilon0=epsilon0)
-    columns = HullInstance(system.a, np.zeros(system.n))
-    phase1 = _phase1_outcome(columns, config)
+    phase1 = _phase1_outcome(system, config)
     assert phase1.status == NOT_IN_HULL
     delta0_prime = 0.5 * phase1.iterate.gap
     inner_epsilon = select_inner_epsilon(epsilon0, delta0_prime, system)
-    instance = columns.with_point(-system.b, np.append(-system.at_b, system.b @ system.b))
+    instance = shifted_instance(system, 0.0)
     iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
     steps = 0
     while iterate.gap > inner_epsilon * system.rho:

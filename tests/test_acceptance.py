@@ -50,6 +50,7 @@ from hullsolve import (
 from hullsolve.incremental import (
     POLICY_DOUBLE_PLUS_ONE,
     _rebase,
+    _shift_product,
     move_shift,
     shifted_instance,
 )
@@ -354,7 +355,8 @@ def test_criterion_9_quadratic_consistency():
                     states.append((system, iterate, t0))
                     quads = build_quadratics(system, iterate)
                     new_t = next_shift(quads, t0, 1)
-                    iterate = move_shift(system, instance, iterate, t0, new_t)
+                    u_point = _shift_product(system, iterate.coeffs, t0)
+                    iterate = move_shift(system, instance, iterate, t0, new_t, u_point)
                     t0 = new_t
                     continue
                 break

@@ -12,7 +12,7 @@ import pytest
 
 import hullsolve
 from helpers import example1_system, example2_system, invertible_system
-from hullsolve import HullInstance, LinearSystem, SolveConfig, analyze_system
+from hullsolve import LinearSystem, SolveConfig, analyze_system
 from hullsolve.oracles import min_norm_point, solve_exact
 from hullsolve.two_phase import _phase1_outcome
 
@@ -76,8 +76,7 @@ class TestDelta0LowerBound:
         for n in (5, 20, 50):
             a = rng.normal(size=(n, n))
             system = LinearSystem(a / np.sqrt(np.einsum("ij,ij->j", a, a)), np.ones(n))
-            columns = HullInstance(system.a, np.zeros(n))
-            outcome = _phase1_outcome(columns, SolveConfig(epsilon0=1e-3))
+            outcome = _phase1_outcome(system, SolveConfig(epsilon0=1e-3))
             assert outcome.witness is not None
             assert 0.0 < analyze_system(system).delta0_lower <= outcome.iterate.gap
 

@@ -37,7 +37,7 @@ from hullsolve import (
     step_size,
 )
 from hullsolve.hull import pivot_margins
-from hullsolve.incremental import move_shift, shifted_instance
+from hullsolve.incremental import _shift_product, move_shift, shifted_instance
 
 
 def hull_points_example1():
@@ -255,7 +255,8 @@ class TestApplyStep:
         for step in range(10_000):
             if step % 3 == 0:
                 new_t = min(10.0, max(0.0, t + rng.uniform(-1.0, 1.5)))
-                iterate = move_shift(system, instance, iterate, t, new_t)
+                u_point = _shift_product(system, iterate.coeffs, t)
+                iterate = move_shift(system, instance, iterate, t, new_t, u_point)
                 t = new_t
                 rebuilt = shifted_instance(system, t)
                 assert np.array_equal(instance.points, rebuilt.points)
@@ -409,35 +410,33 @@ class TestGramMemo:
             for j in visits:
                 assert instance.gram_column(j)[n - 1] == products[j]
 
-    @pytest.mark.parametrize("computed", [True, False])
-    def test_appended_point_borders_the_gram_matrix(self, computed):
-        # The smaller set's Gram matrix, computed first if no call has, is
-        # kept bit for bit and bordered with the given products.
+    def test_given_gram_matrix_is_served_and_moved_in_place(self):
+        # A Gram matrix the caller gives is neither copied nor formed
+        # again: its rows are the columns served, and a moved last point
+        # writes its products into it.
         rng = np.random.default_rng(73)
-        dim, n = 12, 12
-        instance = HullInstance(rng.normal(size=(dim, n)), np.zeros(dim))
-        if computed:
-            instance.gram_column(0)
-        point = rng.normal(size=dim)
-        products = np.append(instance.points.T @ point, point @ point)
-        grown = instance.with_point(point, products)
-        assert np.array_equal(grown.points, np.column_stack([instance.points, point]))
-        assert np.array_equal(grown.target, instance.target)
-        assert np.array_equal(grown.sq_norms, np.einsum("ij,ij->j", grown.points, grown.points))
-        self._assert_rows_are_products(grown, grown.points, range(n + 1))
-        assert grown.gram_column(n).tobytes() == products.tobytes()
+        dim, n = 12, 13
+        points = rng.normal(size=(dim, n))
+        gram = points.T @ points
+        instance = HullInstance(points, np.zeros(dim), gram=gram)
         for j in range(n):
-            assert np.array_equal(grown.gram_column(j)[:n], instance.gram_column(j))
+            column = instance.gram_column(j)
+            assert np.shares_memory(column, gram)
+            assert column.tobytes() == gram[j].tobytes()
+        point = rng.normal(size=dim)
+        products = np.append(points[:, :-1].T @ point, point @ point)
+        instance.points[:, -1] = point
+        instance.move_last_point(products)
+        assert gram[n - 1].tobytes() == gram[:, n - 1].tobytes() == products.tobytes()
+        assert instance.sq_norms[n - 1] == products[n - 1]
+        self._assert_rows_are_products(instance, instance.points, range(n))
 
-    def test_wide_set_refuses_a_new_or_moved_point(self):
-        # A set of more than 2 dim points keeps no Gram matrix to border or
-        # to move a row of. 2 dim points are narrow, but one more is wide.
+    def test_wide_set_refuses_a_moved_point(self):
+        # A set of more than 2 dim points keeps no Gram matrix to move a
+        # row of.
         rng = np.random.default_rng(63)
         dim = 5
         point = rng.normal(size=dim)
-        narrow = HullInstance(rng.normal(size=(dim, 2 * dim)), rng.normal(size=dim))
-        with pytest.raises(ValueError, match="2 dim points"):
-            narrow.with_point(point, np.append(narrow.points.T @ point, point @ point))
         wide = HullInstance(rng.normal(size=(dim, 2 * dim + 1)), rng.normal(size=dim))
         original = wide.points.copy()
         with pytest.raises(ValueError, match="2 dim points"):

@@ -1,11 +1,18 @@
 """Incremental shift solver: worked example, quadratics, shift policies."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import check_witness, example1_system, example2_system, invertible_system
+from helpers import (
+    check_witness,
+    example1_system,
+    example2_system,
+    invertible_system,
+    nonneg_system,
+)
 from hullsolve import (
     CONVERGED,
     SOLVE_CAP_EXCEEDED,
@@ -13,13 +20,15 @@ from hullsolve import (
     NoPositiveQuadratic,
     ShiftQuadratic,
     SolveConfig,
+    analyze_system,
     build_quadratics,
     make_iterate,
     next_shift,
     optimize_shift_tau0,
     solve_incremental,
+    solve_nonneg,
 )
-from hullsolve import incremental
+from hullsolve import incremental, two_phase
 from hullsolve.incremental import POLICY_DOUBLE_PLUS_ONE, shifted_instance
 from hullsolve.oracles import solve_exact
 from hullsolve.two_phase import AlphaBVanishes
@@ -407,3 +416,82 @@ class TestSolveIncremental:
             shifts = outcome.diagnostics["shifts"]
             assert all(b > a for a, b in zip(shifts, shifts[1:]))
             assert outcome.status == CONVERGED
+
+
+class TestOneGramMatrix:
+    """Both solvers and analyze_system read the system's one A^T A, and a
+    move of the shift leaves the hull a build at the new shift gives."""
+
+    def test_moved_instance_is_the_built_one(self):
+        # move_shift and shifted_instance write -b(t) and its Gram border
+        # the same way: after moves from shift to shift, the instance
+        # holds the points, squared norms and Gram matrix of one built at
+        # the last shift, bit for bit.
+        rng = np.random.default_rng(67)
+        for n in (3, 10, 40):
+            a = rng.normal(size=(n, n))
+            system = LinearSystem(a, a @ rng.normal(size=n))
+            t = rng.uniform(0.0, 3.0)
+            instance = shifted_instance(system, t)
+            iterate = make_iterate(instance, rng.dirichlet(np.ones(n + 1)))
+            for new_t in rng.uniform(0.0, 10.0, size=5):
+                u_point = incremental._shift_product(system, iterate.coeffs, t)
+                iterate = incremental.move_shift(system, instance, iterate, t, new_t, u_point)
+                t = new_t
+                built = shifted_instance(system, t)
+                assert instance.points.tobytes() == built.points.tobytes()
+                assert instance.sq_norms.tobytes() == built.sq_norms.tobytes()
+                for j in range(n + 1):
+                    assert instance.gram_column(j).tobytes() == built.gram_column(j).tobytes()
+
+    def test_one_system_forms_its_gram_matrix_once(self, monkeypatch):
+        # analyze_system, the two-phase solve with Phase 1 first and the
+        # shift solve, on one system: A^T A is formed once, by
+        # LinearSystem.gram, and left as it was, and each hull's column
+        # block is that matrix bit for bit.
+        formed = []
+        form = LinearSystem.__dict__["gram"].func
+
+        def counted(system):
+            formed.append(system)
+            return form(system)
+
+        gram_property = functools.cached_property(counted)
+        gram_property.__set_name__(LinearSystem, "gram")
+        monkeypatch.setattr(LinearSystem, "gram", gram_property)
+        hulls = []
+
+        def record_built(build):
+            def wrapper(system, t):
+                hulls.append(build(system, t))
+                return hulls[-1]
+
+            return wrapper
+
+        def record_run(run):
+            def wrapper(instance, config):
+                hulls.append(instance)
+                return run(instance, config)
+
+            return wrapper
+
+        for module in (incremental, two_phase):
+            monkeypatch.setattr(module, "shifted_instance", record_built(module.shifted_instance))
+        monkeypatch.setattr(two_phase, "run_hull", record_run(two_phase.run_hull))
+
+        system, _ = nonneg_system(np.random.default_rng(7), 20)
+        analyze_system(system)
+        assert len(formed) == 1
+        gram = system.gram.copy()
+        config = SolveConfig(epsilon0=0.01)
+        nonneg = solve_nonneg(system, config, phase1=True)
+        general = solve_incremental(system, config)
+        assert nonneg.status == general.status == CONVERGED
+        assert nonneg.diagnostics["phase1_iterations"] > 0
+        assert len(formed) == 1
+        assert system.gram.tobytes() == gram.tobytes()
+        assert len(hulls) == 3  # Phase 1's columns, Phase 2's and the shift solve's hulls
+        n = system.n
+        for hull in hulls:
+            block = np.array([hull.gram_column(j)[:n] for j in range(n)])
+            assert block.tobytes() == gram.tobytes()

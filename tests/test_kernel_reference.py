@@ -410,16 +410,17 @@ def test_linear_time_shift_matches_direct_optimum():
         coeffs = np.append((1.0 - alpha_b) * rng.dirichlet(np.ones(n)), alpha_b)
         iterate = make_iterate(instance, coeffs)
         t0 = rng.uniform(0.0, 10.0)
-        iterate = incremental.move_shift(system, instance, iterate, 0.0, t0)
+        u_point = incremental._shift_product(system, iterate.coeffs, 0.0)
+        iterate = incremental.move_shift(system, instance, iterate, 0.0, t0, u_point)
         for _ in range(int(rng.integers(0, 20))):
             j = int(rng.integers(n + 1))
             iterate = apply_step(instance, iterate, j, float(rng.uniform(0.0, 0.2)))
         u_norm = float(np.linalg.norm(system.u))
         x0 = iterate.coeffs[:-1] / iterate.coeffs[-1]
         expected_tau, expected_err = incremental.optimize_shift_tau0(system, x0, t0)
-        tau0, _ = incremental._optimal_shift(system, iterate, t0)
+        tau0, u_point = incremental._optimal_shift(system, iterate, t0)
         if tau0 != t0:
-            iterate = incremental.move_shift(system, instance, iterate, t0, tau0)
+            iterate = incremental.move_shift(system, instance, iterate, t0, tau0, u_point)
             moved += 1
         else:
             clamped += 1
@@ -455,7 +456,7 @@ def test_constant_time_move_tracks_the_formed_iterate():
             coeffs = np.append((1.0 - alpha_b) * rng.dirichlet(np.ones(n)), alpha_b)
             iterate = make_iterate(instance, coeffs)
             t = t0 + rng.uniform(-t0, 5.0) if trial % 8 else -float(x[0])
-            u_point = None
+            u_point = incremental._shift_product(system, coeffs, t0)
         else:
             t = t0 + max(rng.uniform(0.5, 3.0), 0.1 - x.min() - t0)
             noise = (0.0, 1e-2, 1e-6, 1e-9)[trial % 4] * rng.normal(size=n)

@@ -154,7 +154,7 @@ class TestRecoverSolution:
 
 def _phase1_witness(system, config):
     """Phase 1's witness and delta0' = gap / 2."""
-    outcome = _phase1_outcome(HullInstance(system.a, np.zeros(system.n)), config)
+    outcome = _phase1_outcome(system, config)
     assert outcome.witness is not None
     return outcome.witness, 0.5 * outcome.iterate.gap
 
@@ -248,7 +248,7 @@ class TestSolveNonneg:
         for n in (5, 20):
             system, _ = nonneg_system(rng, n)
             config = SolveConfig(epsilon0=0.1)
-            outcome1 = _phase1_outcome(HullInstance(system.a, np.zeros(n)), config)
+            outcome1 = _phase1_outcome(system, config)
             delta0p = 0.5 * outcome1.iterate.gap
             cap = math.ceil((48.0 / 0.1**2) * (system.rho / delta0p) ** 2)
             assert outcome1.iterations <= cap
