@@ -431,6 +431,29 @@ class TestGramMemo:
         assert instance.sq_norms[n - 1] == products[n - 1]
         self._assert_rows_are_products(instance, instance.points, range(n))
 
+    @pytest.mark.parametrize("computed", [False, True])
+    def test_appended_point_borders_the_gram_matrix(self, computed):
+        # The columns' Gram matrix A^T A, formed first if no reader has, is
+        # kept bit for bit and bordered with -b(t)'s priced products; the
+        # system's own copy is left as it was.
+        rng = np.random.default_rng(73)
+        n, t = 12, 0.75
+        system = LinearSystem(rng.normal(size=(n, n)), rng.normal(size=n))
+        if computed:
+            system.gram
+        instance = shifted_instance(system, t)
+        gram = system.gram.copy()
+        border = system.shift_border(t)
+        assert np.array_equal(instance.points, np.column_stack([system.a, -system.rhs_shifted(t)]))
+        assert not instance.target.any()
+        assert np.array_equal(instance.sq_norms[:n], np.einsum("ij,ij->j", system.a, system.a))
+        assert instance.sq_norms[n] == border[n]
+        self._assert_rows_are_products(instance, instance.points, range(n + 1))
+        assert instance.gram_column(n).tobytes() == border.tobytes()
+        for j in range(n):
+            assert np.array_equal(instance.gram_column(j)[:n], gram[j])
+        assert np.array_equal(system.gram, system.a.T @ system.a)
+
     def test_wide_set_refuses_a_moved_point(self):
         # A set of more than 2 dim points keeps no Gram matrix to move a
         # row of.
