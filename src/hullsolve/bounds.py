@@ -78,7 +78,7 @@ def _exponent(values: np.ndarray) -> int:
 def analyze_system(system: LinearSystem) -> SystemAnalysis:
     """Full a-priori report: eigenvalue bound plus shift upper bounds."""
     n = system.n
-    q = 0.5 * (system.gram + system.gram.T)  # symmetrize roundoff
+    q = system.gram  # symmetric bit for bit, as numpy forms A^T A
     # Everything is computed from Q / 2^kq and A^T b / 2^kw, scaled by
     # powers of two near their largest entries, so that no square
     # underflows or overflows at any representable scale of A and b. The

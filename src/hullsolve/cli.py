@@ -2,12 +2,15 @@
 
 Subcommands: hull (membership query), solve (linear system, nonneg or
 incremental mode), analyze (a-priori bounds), oracle (ground-truth
-utilities), bench (random instance suites). Exit codes: 0 on success, 1
-when the run ended without convergence (witness or cap, certificate in the
-report), 2 on an input error: a ValueError, MemoryError or OSError. Every
-exception hullsolve raises is a ValueError: unreadable or malformed files,
-mismatched shapes, a singular matrix, a degenerate pivot that no point
-certifies.
+utilities), bench (random instance suites). Each computes its result and
+returns (report, trace, exit code); main then has the one output path:
+it stamps wall_time_s, writes --report, then --trace, and only then
+prints a summary read from the report, so a failed write exits 2 with
+nothing printed. Exit codes: 0 on success, 1 when the run ended without
+convergence (witness or cap, certificate in the report), 2 on an input
+error: a ValueError, MemoryError or OSError. Every exception hullsolve
+raises is a ValueError: unreadable or malformed files, mismatched
+shapes, a singular matrix, a degenerate pivot that no point certifies.
 """
 
 from __future__ import annotations
@@ -117,24 +120,21 @@ def _round_trippable(value):
     return value
 
 
-def _emit(report: dict, args, started: float) -> dict:
-    """Stamp wall_time_s, write the report when --report asks for it, and
-    return it in JSON-native types."""
-    report["wall_time_s"] = time.perf_counter() - started
-    report = _round_trippable(report)
-    if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(matio.report_to_json(report) + "\n")
-    return report
+def _witness_fields(outcome) -> dict:
+    witness = outcome.witness
+    if witness is None:
+        return {}
+    return {
+        "witness_margins": witness.margins,
+        "distance_bracket": list(witness.distance_bracket),
+    }
 
 
-def _emit_trace(records, args) -> None:
-    if getattr(args, "trace", None) and records is not None:
-        matio.write_trace_csv(records, args.trace)
+def _system(args) -> LinearSystem:
+    return LinearSystem(matio.load_matrix(args.matrix), matio.load_vector(args.rhs))
 
 
-def _cmd_hull(args) -> int:
-    started = time.perf_counter()
+def _cmd_hull(args) -> tuple[dict, list | None, int]:
     points = matio.load_matrix(args.points)
     target = matio.load_vector(args.target)
     config = HullConfig(
@@ -157,47 +157,20 @@ def _cmd_hull(args) -> int:
         "gap": outcome.iterate.gap,
         "initial_gap_delta0": outcome.initial_gap_delta0,
         "coeffs": outcome.iterate.coeffs,
+        **_witness_fields(outcome),
     }
-    if outcome.witness is not None:
-        report["witness_margins"] = outcome.witness.margins
-        report["distance_bracket"] = list(outcome.witness.distance_bracket)
     if outcome.certifying_vertex is not None:
         report["certifying_vertex"] = outcome.certifying_vertex
-    _emit(report, args, started)
-    if outcome.trace is not None:
-        verdict = TraceRecord(
+    trace = outcome.trace
+    if trace is not None:
+        trace = trace + [TraceRecord(
             outcome.iterations, 0.0, outcome.iterate.gap, None, None,
             outcome.status == NOT_IN_HULL,
-        )
-        _emit_trace(outcome.trace + [verdict], args)
-    print(f"hull: {outcome.status} gap={outcome.iterate.gap:.6e} "
-          f"iterations={outcome.iterations}")
-    return 0 if outcome.status == IN_HULL_APPROX else 1
+        )]
+    return report, trace, 0 if outcome.status == IN_HULL_APPROX else 1
 
 
-def _solve_outcome_report(command: str, config_echo: dict, outcome) -> dict:
-    report = {
-        "command": command,
-        "config": config_echo,
-        "status": outcome.status,
-        "iterations": outcome.iterations,
-        "shift_t": outcome.shift_t,
-        "residual_norm": outcome.residual_norm,
-        "relative_residual": outcome.relative_residual,
-        "phase1_delta0_prime": outcome.phase1_delta0_prime,
-        "inner_epsilon": outcome.inner_epsilon,
-        "diagnostics": outcome.diagnostics,
-    }
-    if outcome.x is not None:
-        report["x"] = outcome.x
-    if outcome.witness is not None:
-        report["witness_margins"] = outcome.witness.margins
-        report["distance_bracket"] = list(outcome.witness.distance_bracket)
-    return report
-
-
-def _cmd_solve(args) -> int:
-    started = time.perf_counter()
+def _cmd_solve(args) -> tuple[dict, list | None, int]:
     nonneg = args.mode == "nonneg"
     for option, given, for_nonneg in (
         ("--phase1", args.phase1, True),
@@ -206,22 +179,13 @@ def _cmd_solve(args) -> int:
         if given and for_nonneg != nonneg:
             raise ValueError(f"{option} does not apply to --mode {args.mode}")
     increment = "quantized:1" if args.increment is None else args.increment
-    a = matio.load_matrix(args.matrix)
-    b = matio.load_vector(args.rhs)
-    system = LinearSystem(a, b)
+    system = _system(args)
     config = SolveConfig(
         epsilon0=args.epsilon0,
         max_iterations=args.max_iters,
         init_rule=_INIT_CHOICES[args.init],
         record_trace=bool(args.trace),
     )
-    config_echo = {
-        "mode": args.mode,
-        "epsilon0": args.epsilon0,
-        "delta0_policy": "phase1" if args.phase1 else "skip",
-        "init_rule": config.init_rule,
-        "increment": increment,
-    }
     if nonneg:
         outcome = two_phase.solve_nonneg(system, config, phase1=args.phase1)
     else:
@@ -229,16 +193,28 @@ def _cmd_solve(args) -> int:
         outcome = incremental.solve_incremental(
             system, config, policy=policy_name, quantum=quantum
         )
-    _emit(_solve_outcome_report("solve", config_echo, outcome), args, started)
-    _emit_trace(outcome.trace, args)
-    if outcome.status == CONVERGED:
-        print(
-            f"solve: converged residual={outcome.residual_norm:.6e} "
-            f"shift={outcome.shift_t:.6g} iterations={outcome.iterations}"
-        )
-        return 0
-    print(f"solve: {outcome.status} iterations={outcome.iterations}")
-    return 1
+    report = {
+        "command": "solve",
+        "config": {
+            "mode": args.mode,
+            "epsilon0": args.epsilon0,
+            "delta0_policy": "phase1" if args.phase1 else "skip",
+            "init_rule": config.init_rule,
+            "increment": increment,
+        },
+        "status": outcome.status,
+        "iterations": outcome.iterations,
+        "shift_t": outcome.shift_t,
+        "residual_norm": outcome.residual_norm,
+        "relative_residual": outcome.relative_residual,
+        "phase1_delta0_prime": outcome.phase1_delta0_prime,
+        "inner_epsilon": outcome.inner_epsilon,
+        "diagnostics": outcome.diagnostics,
+        **_witness_fields(outcome),
+    }
+    if outcome.x is not None:
+        report["x"] = outcome.x
+    return report, outcome.trace, 0 if outcome.status == CONVERGED else 1
 
 
 def _parse_increment(spec: str) -> tuple[str, int | None]:
@@ -255,29 +231,16 @@ def _parse_increment(spec: str) -> tuple[str, int | None]:
     raise ValueError(f"bad increment spec {spec!r}; use quantized:N or double")
 
 
-def _cmd_analyze(args) -> int:
-    started = time.perf_counter()
-    a = matio.load_matrix(args.matrix)
-    b = matio.load_vector(args.rhs)
-    system = LinearSystem(a, b)
+def _cmd_analyze(args) -> tuple[dict, list | None, int]:
+    system = _system(args)
     analysis = bounds.analyze_system(system)
-    report = _emit(
-        {"command": "analyze", "n": system.n, "rho": system.rho, **vars(analysis)},
-        args,
-        started,
-    )
-    for key, value in report.items():
-        if key not in ("command", "wall_time_s"):
-            print(f"{key} = {value}")
-    return 0
+    return {"command": "analyze", "n": system.n, "rho": system.rho, **vars(analysis)}, None, 0
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
+def _cmd_oracle(args) -> tuple[dict, list | None, int]:
     report: dict = {"command": "oracle"}
     if args.matrix and args.rhs:
-        system = LinearSystem(matio.load_matrix(args.matrix), matio.load_vector(args.rhs))
-        x_star = oracles.solve_exact(system)
+        x_star = oracles.solve_exact(_system(args))
         report["x_star"] = x_star
         report["t_star"] = max(0.0, -float(x_star.min()))
     elif args.points and args.target:
@@ -288,11 +251,7 @@ def _cmd_oracle(args) -> int:
         report["coeffs"] = weights
     else:
         raise ValueError("oracle needs --matrix/--rhs or --points/--target")
-    report = _emit(report, args, started)
-    for key, value in report.items():
-        if key not in ("command", "wall_time_s"):
-            print(f"{key} = {value}")
-    return 0
+    return report, None, 0
 
 
 def _bench_instance(suite: str, size: int, index: int, seed: int, epsilon0: float) -> dict:
@@ -333,32 +292,21 @@ def _bench_instance(suite: str, size: int, index: int, seed: int, epsilon0: floa
     }
 
 
-def _cmd_bench(args) -> int:
-    started = time.perf_counter()
+def _cmd_bench(args) -> tuple[dict, list | None, int]:
     sizes = [size for size in args.sizes for _ in range(args.count)]
-    rows = [
-        _bench_instance(args.suite, size, index, args.seed, args.epsilon0)
-        for index, size in enumerate(sizes)
-    ]
-    report = _emit(
-        {
-            "command": "bench",
-            "suite": args.suite,
-            "sizes": list(args.sizes),
-            "count": args.count,
-            "seed": args.seed,
-            "epsilon0": args.epsilon0,
-            "rows": rows,
-        },
-        args,
-        started,
-    )
-    for row in report["rows"]:
-        print(
-            f"bench[{row['id']}] n={row['n']} {row['status']} "
-            f"iterations={row['iterations']} seconds={row['seconds']:.4f}"
-        )
-    return 0
+    report = {
+        "command": "bench",
+        "suite": args.suite,
+        "sizes": list(args.sizes),
+        "count": args.count,
+        "seed": args.seed,
+        "epsilon0": args.epsilon0,
+        "rows": [
+            _bench_instance(args.suite, size, index, args.seed, args.epsilon0)
+            for index, size in enumerate(sizes)
+        ],
+    }
+    return report, None, 0
 
 
 _COMMANDS = {
@@ -370,14 +318,45 @@ _COMMANDS = {
 }
 
 
+def _summary(report: dict) -> list[str]:
+    """The lines a run prints, read from its JSON-native report."""
+    command = report["command"]
+    if command == "hull":
+        return [f"hull: {report['status']} gap={report['gap']:.6e} "
+                f"iterations={report['iterations']}"]
+    if command == "solve" and report["status"] == CONVERGED:
+        return [f"solve: converged residual={report['residual_norm']:.6e} "
+                f"shift={report['shift_t']:.6g} iterations={report['iterations']}"]
+    if command == "solve":
+        return [f"solve: {report['status']} iterations={report['iterations']}"]
+    if command == "bench":
+        return [
+            f"bench[{row['id']}] n={row['n']} {row['status']} "
+            f"iterations={row['iterations']} seconds={row['seconds']:.4f}"
+            for row in report["rows"]
+        ]
+    return [f"{key} = {value}" for key, value in report.items()
+            if key not in ("command", "wall_time_s")]
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args)
+        report, trace, code = _COMMANDS[args.command](args)
+        report["wall_time_s"] = time.perf_counter() - started
+        report = _round_trippable(report)
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(matio.report_to_json(report) + "\n")
+        if trace is not None:
+            matio.write_trace_csv(trace, args.trace)
     except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    for line in _summary(report):
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

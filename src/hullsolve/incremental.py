@@ -47,6 +47,7 @@ from .system import (
     CONVERGED,
     SOLVE_CAP_EXCEEDED,
     LinearSystem,
+    SingularMatrixError,
     SolveConfig,
     SolveOutcome,
     shifted_instance,
@@ -349,16 +350,19 @@ def solve_incremental(
     exists to reproduce hand-worked shift sequences in tests.
 
     Another policy, or a quantum below 1, raises ValueError before the
-    first step. Steps are capped by config.max_iterations
-    (DEFAULT_PHASE_CAP when unset), escalations by a cap from the a-priori
-    shift bound tau'_*, computed at the first escalation;
-    diagnostics["max_escalations"] stays None in a solve that never
-    escalates.
+    first step, and A e = 0 SingularMatrixError: then b(t) = b for every
+    t, and e is a null vector of A. Steps are capped by
+    config.max_iterations (DEFAULT_PHASE_CAP when unset), escalations by
+    a cap from the a-priori shift bound tau'_*, computed at the first
+    escalation; diagnostics["max_escalations"] stays None in a solve that
+    never escalates.
     """
     if policy not in (POLICY_QUANTIZED, POLICY_DOUBLE_PLUS_ONE):
         raise ValueError(f"unknown increment policy {policy!r}")
     if quantum is not None and quantum < 1:
         raise ValueError("quantum must be a positive integer")
+    if not system.u.any():
+        raise SingularMatrixError("A e = 0: the all-ones vector is a null vector; A is singular")
     n = system.n
     rho = system.rho
     eps0 = config.epsilon0

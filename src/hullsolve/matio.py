@@ -4,11 +4,18 @@ Two matrix formats are accepted: Matrix Market (coordinate and array,
 real/integer, general or symmetric) and DenseText, a header line "n m"
 followed by n rows of m whitespace-separated decimals. Columns of the
 loaded matrix are what the hull machinery consumes.
+
+A Matrix Market file is read as its header line, its size line, then its
+body in one read(). An array body is converted as one token list and is
+split into lines only to name the line of a bad value; a coordinate body
+is split into its entry lines. Errors name lines as readlines() numbers
+them, at line ends only: a form feed, U+0085 or U+2028 starts no line.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 
@@ -118,16 +125,26 @@ def _load_dense_text(path: str) -> np.ndarray:
     return out
 
 
+# A comment line's text: "%" after only whitespace (str.isspace(), which
+# \s follows in a str pattern), up to the next "\n".
+_COMMENT_LINE = re.compile(r"^[^\S\n]*%.*", re.MULTILINE)
+
+
 def _is_data(raw: str) -> bool:
     return bool(raw.strip()) and not raw.lstrip().startswith("%")
 
 
 def _load_matrix_market(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    if not lines:
+        first = handle.readline()
+        size_line, raw = 1, ""
+        for size_line, raw in enumerate(handle, start=2):
+            if _is_data(raw):
+                break
+        body = handle.read()
+    if not first:
         raise ParseError("empty file, expected a MatrixMarket header", line=1)
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
         raise ParseError("malformed MatrixMarket header", line=1)
     layout, field, symmetry = (token.lower() for token in header[2:5])
@@ -138,31 +155,35 @@ def _load_matrix_market(path: str) -> np.ndarray:
     if symmetry not in ("general", "symmetric"):
         raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
     symmetric = symmetry == "symmetric"
+    if not _is_data(raw):
+        raise ParseError("missing size line", line=size_line)
+    sizes = raw.split()
+    coordinate = layout == "coordinate"
+    if len(sizes) != 2 + coordinate:
+        form = "rows cols nnz" if coordinate else "rows cols"
+        raise ParseError(f"{layout} size line must be '{form}'", line=size_line)
+    try:
+        counts = [int(s) for s in sizes]
+    except ValueError:
+        raise ParseError(f"{layout} size line must be integers", line=size_line)
+    rows, cols = counts[:2]
+    if symmetric and rows != cols:
+        raise ParseError("a symmetric matrix must be square", line=size_line)
+    # The file's last line as readlines() numbers it: text mode has made
+    # every line end "\n", and str.splitlines() would split at more.
+    last_line = size_line + body.count("\n") + (bool(body) and not body.endswith("\n"))
 
-    size_at = next((k for k in range(1, len(lines)) if _is_data(lines[k])), None)
-    if size_at is None:
-        raise ParseError("missing size line", line=len(lines))
-    size_line, sizes = size_at + 1, lines[size_at].split()
-    body = lines[size_line:]
-
-    if layout == "coordinate":
-        if len(sizes) != 3:
-            raise ParseError("coordinate size line must be 'rows cols nnz'", line=size_line)
-        try:
-            rows, cols, nnz = (int(s) for s in sizes)
-        except ValueError:
-            raise ParseError("coordinate size line must be integers", line=size_line)
-        if symmetric and rows != cols:
-            raise ParseError("a symmetric matrix must be square", line=size_line)
+    if coordinate:
+        nnz = counts[2]
         out = np.zeros((rows, cols))
         entries = [
-            (idx, raw) for idx, raw in enumerate(body, start=size_line + 1) if _is_data(raw)
+            (idx, raw)
+            for idx, raw in enumerate(body.split("\n"), start=size_line + 1)
+            if _is_data(raw)
         ]
         if len(entries) != nnz:
-            where = entries[nnz][0] if len(entries) > nnz else len(lines)
-            raise ParseError(
-                f"declared {nnz} entries, found {len(entries)}", line=where
-            )
+            where = entries[nnz][0] if len(entries) > nnz else last_line
+            raise ParseError(f"declared {nnz} entries, found {len(entries)}", line=where)
         for lineno, raw in entries:
             fields = raw.split()
             if len(fields) != 3:
@@ -179,33 +200,22 @@ def _load_matrix_market(path: str) -> np.ndarray:
                 out[j - 1, i - 1] = value
         return out
 
-    if len(sizes) != 2:
-        raise ParseError("array size line must be 'rows cols'", line=size_line)
-    try:
-        rows, cols = int(sizes[0]), int(sizes[1])
-    except ValueError:
-        raise ParseError("array size line must be integers", line=size_line)
-    if symmetric and rows != cols:
-        raise ParseError("a symmetric matrix must be square", line=size_line)
-    # The body as one token list: every line ends in a line break, so no
-    # token spans two lines, and comment lines are dropped only if any.
-    text = "".join(body)
-    if "%" in text:
-        text = "".join(raw for raw in body if not raw.lstrip().startswith("%"))
+    # The body as one token list, comment lines blanked only if any: "\n"
+    # is whitespace to split(), so no token spans two lines.
+    text = _COMMENT_LINE.sub("", body) if "%" in body else body
     tokens = text.split()
     try:
         values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
     except ValueError:
-        # The line number of the first line holding a bad value.
-        lineno = next(
-            idx
-            for idx, raw in enumerate(body, start=size_line + 1)
-            if _is_data(raw) and not _all_floats(raw)
-        )
-        raise ParseError("could not parse a numeric value", line=lineno) from None
+        # Name the first line holding a bad value.
+        for lineno, raw in enumerate(text.split("\n"), start=size_line + 1):
+            try:
+                [float(f) for f in raw.split()]
+            except ValueError:
+                raise ParseError("could not parse a numeric value", line=lineno) from None
     expected = rows * cols if not symmetric else rows * (rows + 1) // 2
     if values.size != expected:
-        raise ParseError(f"expected {expected} values, found {values.size}", line=len(lines))
+        raise ParseError(f"expected {expected} values, found {values.size}", line=last_line)
     if not symmetric:
         # Array format is column-major.
         return values.reshape((cols, rows)).T
@@ -218,27 +228,11 @@ def _load_matrix_market(path: str) -> np.ndarray:
     return out
 
 
-def _all_floats(raw: str) -> bool:
-    try:
-        [float(fld) for fld in raw.split()]
-    except ValueError:
-        return False
-    return True
-
-
 def _trace_row(record) -> str:
     pivot = "" if record.pivot is None else str(int(record.pivot))
     alpha = "" if record.alpha_b is None else repr(float(record.alpha_b))
-    return ",".join(
-        [
-            str(int(record.iteration)),
-            repr(float(record.t)),
-            repr(float(record.value)),
-            alpha,
-            pivot,
-            "1" if record.witness else "0",
-        ]
-    )
+    return (f"{int(record.iteration)},{float(record.t)!r},{float(record.value)!r},"
+            f"{alpha},{pivot},{1 if record.witness else 0}")
 
 
 def write_trace_csv(records, path: str) -> None:

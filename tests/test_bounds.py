@@ -251,6 +251,18 @@ class TestAnalysisInvariants:
         expected = np.linalg.eigvalsh(a.T @ a)[-1]
         assert analysis.lambda_max == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 50, 400, 800])
+    def test_gram_symmetric_bit_for_bit(self, n, seed):
+        # analyze_system reads system.gram as it is, and
+        # HullInstance.gram_column serves row j as column j: both rely on
+        # numpy forming A^T A symmetric to the last bit.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n))
+        a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+        gram = LinearSystem(a, a @ np.ones(n)).gram
+        assert np.array_equal(gram, gram.T)
+
 
 class TestSpectralExtremes:
     @pytest.mark.parametrize(

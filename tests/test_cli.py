@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,59 @@ class TestLoadMatrix:
         with pytest.raises(ParseError) as info:
             load_matrix(str(path))
         assert str(info.value) == "line 2: a symmetric matrix must be square"
+
+    @pytest.mark.parametrize(
+        "layout, body, message",
+        [
+            ("array", "2 2\n1\n2\n3", "expected 4 values, found 3"),
+            ("coordinate", "2 2 2\n1 1 1", "declared 2 entries, found 1"),
+        ],
+    )
+    def test_short_body_without_final_newline_names_its_last_line(
+        self, tmp_path, layout, body, message
+    ):
+        path = tmp_path / "short.mtx"
+        path.write_text(f"%%MatrixMarket matrix {layout} real general\n{body}")
+        with pytest.raises(ParseError) as info:
+            load_matrix(str(path))
+        last = 1 + body.count("\n") + 1
+        assert str(info.value) == f"line {last}: {message}"
+
+    @pytest.mark.parametrize(
+        "layout, body, line, message",
+        [
+            ("array", "2 2\n1\n% a\x0cb\u2028c\n2\nx\n3\n", 6, "could not parse a numeric value"),
+            ("coordinate", "2 2 2\n1 1 1\n% a\x0cb\x85c\n2 x 1\n", 5, "could not parse entry"),
+        ],
+    )
+    def test_form_feed_in_a_comment_starts_no_line(self, tmp_path, layout, body, line, message):
+        # Only a line end starts a line, as readlines() numbers them;
+        # str.splitlines() would also break at the form feed, U+0085 and
+        # U+2028.
+        path = tmp_path / "bad.mtx"
+        path.write_text(f"%%MatrixMarket matrix {layout} real general\n{body}", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_matrix(str(path))
+        assert str(info.value) == f"line {line}: {message}"
+
+    def test_array_body_held_once(self, tmp_path):
+        # The file's text, its token list and the values: a copy of the
+        # text as a list of lines, or joined again, would add about 80
+        # bytes a value.
+        values = np.random.default_rng(29).normal(size=100_000)
+        path = tmp_path / "column.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix array real general\n{values.size} 1\n"
+            + "".join(f"{v!r}\n" for v in values.tolist())
+        )
+        tracemalloc.start()
+        try:
+            loaded = load_matrix(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded[:, 0], values)
+        assert peak / values.size < 150
 
     def test_empty_file_errors_line_one(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -573,6 +627,83 @@ class TestotherCommands:
         assert all(row["status"] == "converged" for row in report["rows"])
 
 
+class TestOutputPath:
+    """Every subcommand's summary, printed after its report and trace."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        texts = {
+            "square": "2 4\n0 1 0 1\n0 0 1 1\n",
+            "inside": "2 1\n0.25\n0.5\n",
+            "outside": "2 1\n2\n0.5\n",
+            "identity": "2 2\n1 0\n0 1\n",
+            "diagonal": "2 2\n2 0\n0 1\n",
+            "ones": "2 1\n1\n1\n",
+            "quarters": "2 1\n0.25\n0.75\n",
+            "mixed": "2 1\n1\n-1\n",
+            "flipped": "2 1\n-1\n1\n",
+        }
+        for name, text in texts.items():
+            (tmp_path / name).write_text(text)
+        return tmp_path
+
+    @staticmethod
+    def _argv(files, command):
+        return [str(files / w) if (files / w).is_file() else w for w in command.split()]
+
+    @pytest.mark.parametrize(
+        "command, code, stdout",
+        [
+            ("hull --points square --target inside", 0,
+             "hull: in_hull_approx gap=3.231258e-03 iterations=4\n"),
+            ("hull --points square --target outside", 1,
+             "hull: not_in_hull gap=1.118034e+00 iterations=0\n"),
+            ("solve --matrix diagonal --rhs ones", 0,
+             "solve: converged residual=0.000000e+00 shift=0 iterations=1\n"),
+            ("solve --matrix identity --rhs flipped --epsilon0 0.1", 0,
+             "solve: converged residual=1.317688e-01 shift=1.90683 iterations=3\n"),
+            ("solve --matrix identity --rhs quarters --epsilon0 1e-12 --max-iters 1", 1,
+             "solve: cap_exceeded iterations=1\n"),
+            ("analyze --matrix diagonal --rhs mixed", 0,
+             "n = 2\nrho = 2.0\nlambda_min = 1.0\nlambda_max = 4.0\n"
+             "log_det_q = 1.3862943611198904\nq_min = 1.0\nw_norm = 2.23606797749979\n"
+             "delta0_lower = 0.7071067811865475\ndelta0_lower_stated = 0.7071067811865475\n"
+             "bound_discrepancy = False\nlog_tau_star = 2.19101331733694\n"
+             "log_tau_star_prime = 0.8047189562170498\ntau_star = 8.944271909999152\n"
+             "tau_star_prime = 2.236067977499789\nnear_singular = False\n"),
+            ("oracle --matrix diagonal --rhs mixed", 0, "x_star = [0.5, -1.0]\nt_star = 1.0\n"),
+            ("oracle --points square --target outside", 0,
+             "membership = False\ndelta_exact = 1.0\ncoeffs = [0.0, 0.5, 0.0, 0.5]\n"),
+            ("bench --suite nonneg --sizes 3 --count 2", 0,
+             "bench[0] n=3 converged iterations=2 seconds=S\n"
+             "bench[1] n=3 converged iterations=4 seconds=S\n"),
+        ],
+    )
+    def test_stdout(self, files, capsys, command, code, stdout):
+        argv = self._argv(files, command)
+        report_path = files / "report.json"
+        assert main([*argv, "--report", str(report_path)]) == code
+        out = capsys.readouterr().out
+        assert re.sub(r"seconds=\d+\.\d{4}\n", "seconds=S\n", out) == stdout
+        assert json.loads(report_path.read_text())["command"] == argv[0]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["hull --points square --target inside", "solve --matrix diagonal --rhs ones"],
+    )
+    def test_failed_trace_write_prints_nothing(self, files, capsys, command):
+        # The report is written first, then the trace; the summary is
+        # printed only after both.
+        argv = self._argv(files, command)
+        report_path, trace_path = files / "report.json", files / "missing" / "trace.csv"
+        assert main([*argv, "--report", str(report_path), "--trace", str(trace_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2]")
+        assert json.loads(report_path.read_text())["command"] == argv[0]
+        assert not trace_path.parent.exists()
+
+
 class TestNoTraceback:
     @pytest.fixture
     def ones_in_null_space_files(self, tmp_path):
@@ -593,17 +724,15 @@ class TestNoTraceback:
         assert report["lambda_max"] == pytest.approx(4.0, rel=1e-12)
         assert report["near_singular"] is True
 
-    def test_solve_ones_in_null_space(self, ones_in_null_space_files, tmp_path):
+    def test_solve_ones_in_null_space(self, ones_in_null_space_files, tmp_path, capsys):
+        # Both modes refuse the singular matrix before their first step.
         matrix, rhs = ones_in_null_space_files
         report_path = tmp_path / "report.json"
-        code = main(
-            [
-                "solve", "--matrix", matrix, "--rhs", rhs, "--max-iters", "100",
-                "--report", str(report_path),
-            ]
-        )
-        assert code == 1
-        assert json.loads(report_path.read_text())["status"] == "cap_exceeded"
+        for mode in ("incremental", "nonneg"):
+            argv = ["solve", "--matrix", matrix, "--rhs", rhs, "--mode", mode]
+            assert main([*argv, "--report", str(report_path)]) == 2
+            assert "singular" in capsys.readouterr().err
+            assert not report_path.exists()
 
     def test_header_larger_than_data(self, tmp_path, capsys):
         # The header declares 7.28 TiB; the rows present are checked first.

@@ -19,6 +19,7 @@ from hullsolve import (
     LinearSystem,
     NoPositiveQuadratic,
     ShiftQuadratic,
+    SingularMatrixError,
     SolveConfig,
     analyze_system,
     build_quadratics,
@@ -265,6 +266,19 @@ class TestSolveIncremental:
         monkeypatch.setattr(incremental, "shifted_instance", started)
         with pytest.raises(ValueError, match="quantum must be a positive integer"):
             solve_incremental(example2_system(), SolveConfig(), quantum=quantum)
+
+    @pytest.mark.parametrize(
+        "a", [[[1.0, -1.0], [1.0, -1.0]], [[1.0, -1.0, -1.0, 1.0]] * 4]
+    )
+    def test_ones_in_null_space_raises_before_the_first_step(self, monkeypatch, a):
+        # A e = 0 leaves b(t) = b at every shift: no shift can help.
+        def started(*args):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(incremental, "shifted_instance", started)
+        system = LinearSystem(np.array(a), np.eye(len(a))[0])
+        with pytest.raises(SingularMatrixError, match="A e = 0"):
+            solve_incremental(system, SolveConfig())
 
     def test_example2_double_plus_one_escalations(self):
         system = example2_system()
