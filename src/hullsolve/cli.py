@@ -24,8 +24,6 @@ import numpy as np
 from . import bounds, incremental, matio, oracles, two_phase
 from .hull import (
     IN_HULL_APPROX,
-    INIT_CENTROID,
-    INIT_NEAREST_VERTEX,
     NOT_IN_HULL,
     HullConfig,
     HullInstance,
@@ -36,10 +34,8 @@ from .system import CONVERGED, LinearSystem, SolveConfig
 
 __all__ = ["main"]
 
-_INIT_CHOICES = {
-    "nearest": INIT_NEAREST_VERTEX,
-    "centroid": INIT_CENTROID,
-}
+# --init choices and the start name each report echoes.
+_STARTS = {"nearest": "nearest_vertex", "centroid": "centroid"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hull.add_argument("--points", required=True, help="matrix file; columns are points")
     hull.add_argument("--target", required=True, help="vector file; the query point")
     hull.add_argument("--epsilon", type=float, default=1e-2)
-    hull.add_argument("--init", choices=sorted(_INIT_CHOICES), default="nearest")
+    hull.add_argument("--init", choices=sorted(_STARTS), default="nearest")
     hull.add_argument("--max-iters", type=int, default=None)
     common_output(hull)
 
@@ -70,12 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--increment",
         default=None,
-        help="shift policy for incremental mode: quantized:N (default quantized:1) or double",
+        help="shift policy for incremental mode: quantized:N (default quantized:1; "
+        "bare quantized is quantized:1) or double",
     )
     solve.add_argument(
         "--phase1", action="store_true", help="nonneg mode: delta0 from Phase 1, as in the paper"
     )
-    solve.add_argument("--init", choices=sorted(_INIT_CHOICES), default="nearest")
+    solve.add_argument("--init", choices=sorted(_STARTS), default="nearest")
     solve.add_argument("--max-iters", type=int, default=None)
     common_output(solve)
 
@@ -134,13 +131,18 @@ def _system(args) -> LinearSystem:
     return LinearSystem(matio.load_matrix(args.matrix), matio.load_vector(args.rhs))
 
 
+def _init_coeffs(args, k: int) -> np.ndarray | None:
+    """--init's start over k points: None (the nearest) or equal weights."""
+    return np.full(k, 1.0 / k) if args.init == "centroid" else None
+
+
 def _cmd_hull(args) -> tuple[dict, list | None, int]:
     points = matio.load_matrix(args.points)
     target = matio.load_vector(args.target)
     config = HullConfig(
         epsilon=args.epsilon,
         max_iterations=args.max_iters,
-        init_rule=_INIT_CHOICES[args.init],
+        init_coeffs=_init_coeffs(args, points.shape[1]),
         record_trace=bool(args.trace),
     )
     instance = HullInstance(points, target)
@@ -149,7 +151,7 @@ def _cmd_hull(args) -> tuple[dict, list | None, int]:
         "command": "hull",
         "config": {
             "epsilon": args.epsilon,
-            "init_rule": config.init_rule,
+            "init_rule": _STARTS[args.init],
             "max_iterations": config.resolved_cap(),
         },
         "status": outcome.status,
@@ -183,7 +185,7 @@ def _cmd_solve(args) -> tuple[dict, list | None, int]:
     config = SolveConfig(
         epsilon0=args.epsilon0,
         max_iterations=args.max_iters,
-        init_rule=_INIT_CHOICES[args.init],
+        init_coeffs=_init_coeffs(args, system.n + 1),
         record_trace=bool(args.trace),
     )
     if nonneg:
@@ -199,7 +201,7 @@ def _cmd_solve(args) -> tuple[dict, list | None, int]:
             "mode": args.mode,
             "epsilon0": args.epsilon0,
             "delta0_policy": "phase1" if args.phase1 else "skip",
-            "init_rule": config.init_rule,
+            "init_rule": _STARTS[args.init],
             "increment": increment,
         },
         "status": outcome.status,

@@ -42,9 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "INIT_NEAREST_VERTEX",
-    "INIT_CENTROID",
-    "INIT_GIVEN",
     "IN_HULL_APPROX",
     "NOT_IN_HULL",
     "CAP_EXCEEDED",
@@ -67,10 +64,6 @@ __all__ = [
     "run_hull",
     "iteration_cap_from_bound",
 ]
-
-INIT_NEAREST_VERTEX = "nearest_vertex"
-INIT_CENTROID = "centroid"
-INIT_GIVEN = "given"
 
 IN_HULL_APPROX = "in_hull_approx"
 NOT_IN_HULL = "not_in_hull"
@@ -283,12 +276,13 @@ class HullConfig:
     """Settings for a Triangle Algorithm run.
 
     max_iterations defaults to the worst-case membership bound
-    ceil(48 / epsilon^2) when left as None.
+    ceil(48 / epsilon^2) when left as None. init_coeffs are convex
+    weights over the points to start from; None starts at the point
+    nearest the target (see initial_iterate).
     """
 
     epsilon: float = 1e-4
     max_iterations: int | None = None
-    init_rule: str = INIT_NEAREST_VERTEX
     init_coeffs: np.ndarray | None = None
     record_trace: bool = False
 
@@ -304,14 +298,9 @@ class HullConfig:
 
 
 def check_run_settings(config) -> None:
-    """HullConfig's and SolveConfig's common checks: max_iterations is None
-    or positive, and init_rule known, with init_coeffs if INIT_GIVEN."""
+    """HullConfig's and SolveConfig's common check: max_iterations None or positive."""
     if config.max_iterations is not None and config.max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    if config.init_rule not in (INIT_NEAREST_VERTEX, INIT_CENTROID, INIT_GIVEN):
-        raise ValueError(f"unknown init rule {config.init_rule!r}")
-    if config.init_rule == INIT_GIVEN and config.init_coeffs is None:
-        raise ValueError("init_rule 'given' requires init_coeffs")
 
 
 @dataclass
@@ -369,17 +358,14 @@ def _settled_iterate(instance: HullInstance, coeffs: np.ndarray) -> Iterate:
     return exact_iterate(instance, coeffs / coeffs.sum())
 
 
-def initial_iterate(instance: HullInstance, init_rule: str, init_coeffs=None) -> Iterate:
-    """Starting iterate per an init rule of a HullConfig or a SolveConfig."""
-    n = instance.n_points
-    if init_rule == INIT_CENTROID:
-        coeffs = np.full(n, 1.0 / n)
-    elif init_rule == INIT_GIVEN:
-        coeffs = np.asarray(init_coeffs, dtype=float)
-    else:  # nearest vertex: the cheapest start that is often already close
-        coeffs = np.zeros(n)
-        coeffs[int(instance.sq_norms.argmin())] = 1.0
-    return make_iterate(instance, coeffs)
+def initial_iterate(instance: HullInstance, init_coeffs=None) -> Iterate:
+    """Starting iterate at the convex weights init_coeffs (see make_iterate),
+    or at the point nearest the target when None: the cheapest start that
+    is often already close."""
+    if init_coeffs is None:
+        init_coeffs = np.zeros(instance.n_points)
+        init_coeffs[int(instance.sq_norms.argmin())] = 1.0
+    return make_iterate(instance, init_coeffs)
 
 
 def pivot_margins(iterate: Iterate) -> np.ndarray:
@@ -580,7 +566,7 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     iterate, are formed from V c, and the trace's last step row carries
     that gap. Deterministic for a fixed configuration.
     """
-    iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
+    iterate = initial_iterate(instance, config.init_coeffs)
     delta0 = iterate.gap
     cap = config.resolved_cap()
     trace: list[TraceRecord] | None = [] if config.record_trace else None

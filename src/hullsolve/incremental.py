@@ -373,7 +373,7 @@ def solve_incremental(
 
     t0 = 0.0
     instance = shifted_instance(system, t0)
-    iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
+    iterate = initial_iterate(instance, config.init_coeffs)
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     escalations = 0

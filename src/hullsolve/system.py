@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .hull import (
-    INIT_NEAREST_VERTEX,
     HullInstance,
     TraceRecord,
     Witness,
@@ -140,17 +139,16 @@ class SolveConfig:
 
     epsilon0 is the target relative residual: the solvers stop once
     ||A x - b|| <= epsilon0 * rho. max_iterations caps the Triangle steps
-    (solve_nonneg: each phase; solve_incremental: all of them), init_rule
-    and init_coeffs choose the starting iterate over the n + 1 points
-    a_1, ..., a_n, -b as in HullConfig (init_coeffs has n + 1 entries; the
-    nonneg Phase 1 always starts from the nearest column), and record_trace
-    keeps the per-step rows. The settings of one solver alone are its
-    keyword arguments.
+    (solve_nonneg: each phase; solve_incremental: all of them),
+    init_coeffs are convex weights over the n + 1 points a_1, ..., a_n, -b
+    to start from, None for the point nearest the origin, as in HullConfig
+    (the nonneg Phase 1 always starts from the nearest column), and
+    record_trace keeps the per-step rows. The settings of one solver alone
+    are its keyword arguments.
     """
 
     epsilon0: float = 1e-8
     max_iterations: int | None = None
-    init_rule: str = INIT_NEAREST_VERTEX
     init_coeffs: np.ndarray | None = None
     record_trace: bool = False
 

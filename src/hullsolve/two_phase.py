@@ -92,8 +92,8 @@ class AlphaBVanishes(ValueError):
 
 def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
     """Phase 1's hull run on the columns of A, Gram matrix system.gram,
-    against the origin from the nearest column (init_rule and init_coeffs
-    start Phase 2), under the user's iteration cap (DEFAULT_PHASE_CAP when
+    against the origin from the nearest column (config.init_coeffs starts
+    Phase 2 only), under the user's iteration cap (DEFAULT_PHASE_CAP when
     unset) and trace setting, with epsilon min(epsilon0, PHASE1_EPSILON_CEIL).
 
     A witness gives delta0' = gap / 2, a lower bound on the hull-to-origin
@@ -163,8 +163,8 @@ def solve_nonneg(
     """Solve A x = b assuming x >= 0, to relative residual epsilon0.
 
     Phase 2 iterates the Triangle Algorithm on conv({a_1, ..., a_n, -b})
-    against the origin, starting per config's init rule over the n + 1
-    points (init_coeffs has n + 1 entries). The solver recovers x0 and
+    against the origin, starting from config.init_coeffs over the n + 1
+    points, or from the nearest one when None. The solver recovers x0 and
     tests ||A x0 - b|| <= epsilon0 * rho directly, returning on success,
     whenever the O(1) estimate gap / alpha_b of that residual comes within
     PROXY_MARGIN of the target and, as a backstop, once every n steps: O(n)
@@ -239,7 +239,7 @@ def solve_nonneg(
     diagnostics["phase2_cap"] = cap
 
     instance = shifted_instance(system, 0.0)
-    iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
+    iterate = initial_iterate(instance, config.init_coeffs)
 
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)

@@ -32,6 +32,12 @@ from hullsolve.system import shifted_instance
 from hullsolve.two_phase import _phase1_outcome
 
 
+def centroid_coeffs(k: int) -> np.ndarray:
+    """Equal convex weights over k points: init_coeffs that start a run at
+    their centroid."""
+    return np.full(k, 1.0 / k)
+
+
 def check_witness(instance: HullInstance, iterate):
     """The witness certificate of the iterate's coefficients, its margins
     and distance bracket formed from p' = V c, or None when some direct
@@ -305,7 +311,7 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
     iterations, coeffs, certifying_vertex and witness_margins.
     """
     points = instance.points
-    coeffs = initial_iterate(instance, config.init_rule, config.init_coeffs).coeffs
+    coeffs = initial_iterate(instance, config.init_coeffs).coeffs
     point = points @ coeffs
     gap = math.sqrt(point @ point)
     cap = config.resolved_cap()
@@ -383,7 +389,7 @@ def reference_hull_target(system: LinearSystem, epsilon0: float) -> dict:
     delta0_prime = 0.5 * phase1.iterate.gap
     inner_epsilon = select_inner_epsilon(epsilon0, delta0_prime, system)
     instance = shifted_instance(system, 0.0)
-    iterate = initial_iterate(instance, config.init_rule, config.init_coeffs)
+    iterate = initial_iterate(instance, config.init_coeffs)
     steps = 0
     while iterate.gap > inner_epsilon * system.rho:
         j = find_pivot(instance, iterate)

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     boundary_distance_2d,
+    centroid_coeffs,
     example1_system,
     example2_system,
     hull_membership_2d,
@@ -347,7 +348,7 @@ def test_criterion_9_quadratic_consistency():
             continue
         t0 = 0.0
         instance = shifted_instance(system, t0)
-        iterate = initial_iterate(instance, "centroid")
+        iterate = initial_iterate(instance, centroid_coeffs(instance.n_points))
         for _ in range(2000):
             j = find_pivot(instance, iterate)
             if j is None:

@@ -10,16 +10,23 @@ import numpy as np
 import pytest
 
 from helpers import (
+    centroid_coeffs,
     example2_system,
     hull_membership_2d,
     inside_instance_2d,
     nonneg_system,
     reference_run_hull,
 )
-from hullsolve import SolveConfig, cli, matio, solve_incremental
+from hullsolve import (
+    POLICY_DOUBLE_PLUS_ONE,
+    POLICY_QUANTIZED,
+    SolveConfig,
+    cli,
+    matio,
+    solve_incremental,
+)
 from hullsolve.cli import main
 from hullsolve.hull import (
-    INIT_CENTROID,
     NOT_IN_HULL,
     DegeneratePivot,
     HullConfig,
@@ -375,16 +382,26 @@ class TestSolveCommand:
         assert blobs[0] == blobs[1]
 
     def test_init_centroid_matches_library(self, ex2_files, tmp_path):
+        # --init centroid starts from equal weights on the n + 1 = 3 points.
         matrix, rhs = ex2_files
-        report_path = tmp_path / "report.json"
-        main(["solve", "--matrix", matrix, "--rhs", rhs, "--init", "centroid",
-              "--report", str(report_path)])
-        report = json.loads(report_path.read_text())
-        assert report["config"]["init_rule"] == INIT_CENTROID
-        centroid = solve_incremental(example2_system(), SolveConfig(init_rule=INIT_CENTROID))
-        nearest = solve_incremental(example2_system(), SolveConfig())
-        assert (report["status"], report["iterations"]) == (centroid.status, centroid.iterations)
-        assert centroid.iterations != nearest.iterations
+        first_rows = {}
+        for init in ("centroid", "nearest"):
+            report_path, trace_path = tmp_path / f"{init}.json", tmp_path / f"{init}.csv"
+            main(["solve", "--matrix", matrix, "--rhs", rhs, "--init", init,
+                  "--report", str(report_path), "--trace", str(trace_path)])
+            first_rows[init] = trace_path.read_text().splitlines()[1].split(",")
+        report = json.loads((tmp_path / "centroid.json").read_text())
+        assert report["config"]["init_rule"] == "centroid"
+        library = solve_incremental(example2_system(), SolveConfig(init_coeffs=centroid_coeffs(3)))
+        assert (report["status"], report["iterations"], report["x"]) == (
+            library.status, library.iterations, library.x.tolist()
+        )
+        # The first step tells the starts apart, far from any tie: it ends
+        # at residual 1.084 with t = 2.2 from the centroid, at 2.276 with
+        # t = 1.4 from the nearest point.
+        for init, t, value in (("centroid", 2.2, 1.084), ("nearest", 1.4, 2.276)):
+            assert float(first_rows[init][1]) == pytest.approx(t, abs=1e-12)
+            assert float(first_rows[init][2]) == pytest.approx(value, abs=1e-3)
 
     def test_bad_increment_spec_exit_two(self, ex2_files):
         matrix, rhs = ex2_files
@@ -459,16 +476,27 @@ class TestHullCommand:
         points_path, target_path = tmp_path / "pts.txt", tmp_path / "q.txt"
         np.savetxt(points_path, points, fmt="%.17g", header="3 8", comments="")
         np.savetxt(target_path, target[:, None], fmt="%.17g", header="3 1", comments="")
-        report_path = tmp_path / "hull.json"
-        main(["hull", "--points", str(points_path), "--target", str(target_path),
-              "--init", "centroid", "--report", str(report_path)])
-        report = json.loads(report_path.read_text())
-        assert report["config"]["init_rule"] == INIT_CENTROID
-        instance = HullInstance(points, target)
-        centroid = run_hull(instance, HullConfig(epsilon=1e-2, init_rule=INIT_CENTROID))
-        nearest = run_hull(instance, HullConfig(epsilon=1e-2))
-        assert (report["status"], report["iterations"]) == (centroid.status, centroid.iterations)
-        assert centroid.iterations != nearest.iterations
+        first_rows = {}
+        for init in ("centroid", "nearest"):
+            report_path, trace_path = tmp_path / f"{init}.json", tmp_path / f"{init}.csv"
+            main(["hull", "--points", str(points_path), "--target", str(target_path),
+                  "--init", init, "--report", str(report_path), "--trace", str(trace_path)])
+            first_rows[init] = trace_path.read_text().splitlines()[1].split(",")
+        report = json.loads((tmp_path / "centroid.json").read_text())
+        assert report["config"]["init_rule"] == "centroid"
+        library = run_hull(
+            HullInstance(points, target), HullConfig(epsilon=1e-2, init_coeffs=centroid_coeffs(8))
+        )
+        assert (report["status"], report["iterations"], report["coeffs"]) == (
+            library.status, library.iterations, library.iterate.coeffs.tolist()
+        )
+        # The target is as far from the centroid as from its nearest point,
+        # so delta0 cannot tell the starts apart; the first step can: it
+        # pivots on point 5 to gap 0.177 from the centroid, on point 1 to
+        # gap 0.048 from the nearest point.
+        for init, pivot, gap in (("centroid", "5", 0.177), ("nearest", "1", 0.048)):
+            assert first_rows[init][4] == pivot
+            assert float(first_rows[init][2]) == pytest.approx(gap, abs=1e-3)
 
     @pytest.mark.parametrize(
         "spread, max_iters, status",
@@ -852,6 +880,26 @@ class TestNoTraceback:
         argv = ["solve", "--matrix", matrix, "--rhs", rhs, "--increment", f"quantized:{quantum}"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: quantum must be a positive integer\n"
+
+    @pytest.mark.parametrize(
+        "spec, policy, quantum",
+        [("double", POLICY_DOUBLE_PLUS_ONE, None), ("quantized", POLICY_QUANTIZED, 1)],
+    )
+    def test_increment_spelling_matches_library(self, ex2_files, tmp_path, spec, policy, quantum):
+        # Bare "quantized" is "quantized:1".
+        matrix, rhs = ex2_files
+        report_path = tmp_path / "report.json"
+        argv = ["solve", "--matrix", matrix, "--rhs", rhs, "--increment", spec]
+        assert main([*argv, "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["config"]["increment"] == spec
+        library = solve_incremental(
+            example2_system(), SolveConfig(), policy=policy, quantum=quantum
+        )
+        assert report["diagnostics"]["policy"] == library.diagnostics["policy"] == policy
+        assert (report["status"], report["iterations"], report["shift_t"], report["x"]) == (
+            library.status, library.iterations, library.shift_t, library.x.tolist()
+        )
 
     @pytest.mark.parametrize("epsilon", ["1e-200", "1e-160"])
     def test_tiny_epsilon_exit_two(self, tmp_path, capsys, epsilon):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    centroid_coeffs,
     check_witness,
+    example1_system,
     hull_membership_2d,
     inside_instance_2d,
     invertible_system,
@@ -38,6 +40,7 @@ from hullsolve import (
 )
 from hullsolve.hull import pivot_margins
 from hullsolve.incremental import _shift_product, move_shift, shifted_instance
+from hullsolve.system import CONVERGED
 
 
 def hull_points_example1():
@@ -159,7 +162,7 @@ def _run_at_scale(case: str, scale: float):
             far = int(np.argmax(np.einsum("ij,ij->j", offsets, offsets)))
             target = centroid + 1.05 * offsets[:, far]
         instance = HullInstance(scale * points, scale * target)
-        config = HullConfig(epsilon=1e-3, init_rule="centroid")
+        config = HullConfig(epsilon=1e-3, init_coeffs=centroid_coeffs(points.shape[1]))
         outcome = run_hull(instance, config)
         return outcome.status, outcome.iterations, outcome.iterate.coeffs, 0.0
     if case == "nonneg":
@@ -341,7 +344,7 @@ class TestPairwiseStep:
             instance = HullInstance(*membership_instance(rng, 8))
         # The product updates round on the scale of the Gram entries.
         scale = np.einsum("ij,ij->j", instance.points, instance.points).max()
-        iterate = initial_iterate(instance, "centroid")
+        iterate = initial_iterate(instance, centroid_coeffs(instance.n_points))
         floor = 1e-9 * iterate.gap
         for _ in range(3000):
             j = find_pivot(instance, iterate)
@@ -477,7 +480,7 @@ class TestGramMemo:
         direction = rng.normal(size=dim)
         target = (0.99 if dim == 3 else 0.5) * direction / np.linalg.norm(direction)
         instance = HullInstance(points, target)
-        config = HullConfig(epsilon=1e-4, init_rule="centroid", record_trace=True)
+        config = HullConfig(epsilon=1e-4, init_coeffs=centroid_coeffs(n), record_trace=True)
         tracemalloc.start()
         try:
             outcome = run_hull(instance, config)
@@ -503,8 +506,6 @@ class TestGramMemo:
     "settings, message",
     [
         ({"max_iterations": 0}, "max_iterations must be at least 1"),
-        ({"init_rule": "farthest"}, "unknown init rule 'farthest'"),
-        ({"init_rule": "given"}, "init_rule 'given' requires init_coeffs"),
     ],
 )
 def test_configs_share_their_run_checks(config_type, settings, message):
@@ -512,10 +513,27 @@ def test_configs_share_their_run_checks(config_type, settings, message):
         config_type(**settings)
 
 
+def test_given_init_coeffs_start_every_run():
+    # The weights (1, 2, 1) / 4 on a1, a2, -b give example 1's solution
+    # x = (1, 2), so a run that starts from them stops at once; from the
+    # nearest point run_hull, solve_nonneg and solve_incremental take 10, 9
+    # and 32 steps.
+    coeffs = [0.25, 0.5, 0.25]
+    instance = HullInstance(hull_points_example1(), np.zeros(2))
+    outcome = run_hull(instance, HullConfig(epsilon=1e-12, init_coeffs=coeffs))
+    assert (outcome.status, outcome.iterations, outcome.initial_gap_delta0) == (
+        IN_HULL_APPROX, 0, 0.0
+    )
+    for solve in (solve_nonneg, solve_incremental):
+        outcome = solve(example1_system(), SolveConfig(epsilon0=1e-10, init_coeffs=coeffs))
+        assert (outcome.status, outcome.iterations) == (CONVERGED, 0)
+        assert np.array_equal(outcome.x, [1.0, 2.0])
+
+
 class TestRunHull:
     def test_example1_one_step_exact(self):
         instance = HullInstance(hull_points_example1(), np.zeros(2))
-        config = HullConfig(epsilon=1e-12, init_rule="centroid")
+        config = HullConfig(epsilon=1e-12, init_coeffs=centroid_coeffs(3))
         outcome = run_hull(instance, config)
         assert outcome.status == IN_HULL_APPROX
         assert outcome.iterations == 1
@@ -549,7 +567,7 @@ class TestRunHull:
 
     def test_trace_records_steps(self):
         instance = HullInstance(hull_points_example1(), np.zeros(2))
-        config = HullConfig(epsilon=1e-12, init_rule="centroid", record_trace=True)
+        config = HullConfig(epsilon=1e-12, init_coeffs=centroid_coeffs(3), record_trace=True)
         outcome = run_hull(instance, config)
         assert len(outcome.trace) == outcome.iterations
         assert outcome.trace[0].pivot == 1

@@ -271,7 +271,7 @@ def test_check_finds_stray_fields():
 
 def test_solve_config_holds_what_both_solvers_read():
     fields = config_fields((PACKAGE / "system.py").read_text(encoding="utf-8"), "SolveConfig")
-    assert fields == ["epsilon0", "max_iterations", "init_rule", "init_coeffs", "record_trace"]
+    assert fields == ["epsilon0", "max_iterations", "init_coeffs", "record_trace"]
     solvers = {m: (PACKAGE / f"{m}.py").read_text(encoding="utf-8") for m in ("two_phase", "incremental")}
     assert unread_fields(fields, solvers) == []
 

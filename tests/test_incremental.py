@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    centroid_coeffs,
     check_witness,
     example1_system,
     example2_system,
@@ -298,9 +299,7 @@ class TestSolveIncremental:
         system = LinearSystem(
             np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
         )
-        config = SolveConfig(
-            epsilon0=1e-6, init_rule="given", init_coeffs=EXAMPLE2_COEFFS
-        )
+        config = SolveConfig(epsilon0=1e-6, init_coeffs=EXAMPLE2_COEFFS)
         outcome = solve_incremental(
             system, config, tau_hook=lambda tau: 0.0, quantum=1
         )
@@ -318,7 +317,6 @@ class TestSolveIncremental:
         config = SolveConfig(
             epsilon0=1e-10,
             max_iterations=1,
-            init_rule="given",
             init_coeffs=EXAMPLE2_COEFFS,
             record_trace=True,
         )
@@ -357,7 +355,7 @@ class TestSolveIncremental:
 
     def test_nonnegative_solution_never_escalates(self):
         system = example1_system()
-        config = SolveConfig(epsilon0=1e-10, init_rule="centroid")
+        config = SolveConfig(epsilon0=1e-10, init_coeffs=centroid_coeffs(3))
         outcome = solve_incremental(system, config)
         assert outcome.status == CONVERGED
         assert outcome.shift_t == 0.0
@@ -382,9 +380,7 @@ class TestSolveIncremental:
         system = LinearSystem(
             np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
         )
-        config = SolveConfig(
-            epsilon0=1e-6, init_rule="given", init_coeffs=EXAMPLE2_COEFFS
-        )
+        config = SolveConfig(epsilon0=1e-6, init_coeffs=EXAMPLE2_COEFFS)
         outcome = solve_incremental(
             system, config, policy=POLICY_DOUBLE_PLUS_ONE, tau_hook=lambda tau: 0.0
         )
@@ -412,9 +408,7 @@ class TestSolveIncremental:
         system = LinearSystem(
             np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
         )
-        config = SolveConfig(
-            epsilon0=1e-6, init_rule="given", init_coeffs=EXAMPLE2_COEFFS
-        )
+        config = SolveConfig(epsilon0=1e-6, init_coeffs=EXAMPLE2_COEFFS)
         outcome = solve_incremental(system, config, tau_hook=lambda tau: 0.0)
         assert outcome.status == SOLVE_CAP_EXCEEDED
         assert outcome.x is None

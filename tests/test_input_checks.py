@@ -1,0 +1,111 @@
+"""Input checks: each raise of a check on files, points, weights or
+settings, one case per check, with its exact message and, for a parse
+error, the line it names."""
+
+import numpy as np
+import pytest
+
+from hullsolve import HullConfig, HullInstance, LinearSystem, SolveConfig, solve_incremental
+from hullsolve.hull import apply_step, make_iterate
+from hullsolve.matio import FORMAT_MATRIX_MARKET, ParseError, load_matrix
+
+_MM_ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize(
+    "text, fmt, message, line",
+    [
+        pytest.param("1 1\n1\n", "csv", "unknown format 'csv'", None, id="unknown-format"),
+        pytest.param("3\n1 2 3\n", None, "header must be two integers 'rows cols'", 1,
+                     id="dense-header-one-token"),
+        pytest.param("\n2 x\n1 2\n3 4\n", None, "header must be two integers 'rows cols'", 2,
+                     id="dense-header-not-integers"),
+        pytest.param("0 2\n", None, "matrix dimensions must be positive", 1,
+                     id="dense-non-positive-dimensions"),
+        pytest.param("1 2\n1 2\n3 4\n", None, "expected only 1 data rows", 3,
+                     id="dense-extra-row"),
+        pytest.param("2 2\n1 2\n3\n", None, "expected 2 values, found 1", 3,
+                     id="dense-row-count"),
+        # An empty file sniffs as DenseText; only a given format reads it
+        # as Matrix Market.
+        pytest.param("", FORMAT_MATRIX_MARKET, "empty file, expected a MatrixMarket header", 1,
+                     id="mm-empty"),
+        pytest.param("%%MatrixMarket matrix array real\n2 2\n", None,
+                     "malformed MatrixMarket header", 1, id="mm-malformed-header"),
+        pytest.param("%%MatrixMarket matrix dense real general\n", None,
+                     "unsupported layout 'dense'", 1, id="mm-layout"),
+        pytest.param("%%MatrixMarket matrix array complex general\n", None,
+                     "unsupported field type 'complex'", 1, id="mm-field"),
+        pytest.param("%%MatrixMarket matrix array real hermitian\n", None,
+                     "unsupported symmetry 'hermitian'", 1, id="mm-symmetry"),
+        pytest.param(_MM_ARRAY + "% a comment and no size line\n", None, "missing size line", 2,
+                     id="mm-missing-size-line"),
+        pytest.param(_MM_ARRAY + "% comment\n2 2 4\n", None,
+                     "array size line must be 'rows cols'", 3, id="mm-size-line-form"),
+        pytest.param(_MM_ARRAY + "2 x\n", None, "array size line must be integers", 2,
+                     id="mm-size-line-not-integers"),
+    ],
+)
+def test_malformed_file_is_refused(tmp_path, text, fmt, message, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as caught:
+        load_matrix(str(path), fmt)
+    if line is None:
+        assert str(caught.value) == message
+    else:
+        assert isinstance(caught.value, ParseError)
+        assert str(caught.value) == f"line {line}: {message}"
+        assert caught.value.line == line
+
+
+def test_dense_text_skips_a_blank_line_between_rows(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_text("2 2\n1 2\n\n3 4\n")
+    assert np.array_equal(load_matrix(str(path)), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def _triangle():
+    return HullInstance(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.2, 0.2]))
+
+
+def _step(alpha):
+    instance = _triangle()
+    return apply_step(instance, make_iterate(instance, [1.0, 0.0, 0.0]), 1, alpha)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: HullInstance(np.ones(3), np.ones(3)),
+                     "points must be a 2-d array, one column per point, and target 1-d",
+                     id="points-not-2d"),
+        pytest.param(lambda: HullInstance(np.ones((2, 0)), np.ones(2)),
+                     "need at least one point in at least one dimension", id="no-points"),
+        pytest.param(lambda: HullConfig(epsilon=0.0),
+                     "epsilon must lie strictly between 0 and 1", id="epsilon-zero"),
+        pytest.param(lambda: HullConfig(epsilon=1.0),
+                     "epsilon must lie strictly between 0 and 1", id="epsilon-one"),
+        pytest.param(lambda: make_iterate(_triangle(), [-0.5, 1.0, 0.5]),
+                     "convex coefficients must be nonnegative", id="negative-weight"),
+        pytest.param(lambda: make_iterate(_triangle(), [0.0, 0.0, 0.0]),
+                     "convex coefficients must have positive sum", id="zero-sum"),
+        pytest.param(lambda: _step(1.5),
+                     "alpha must lie in [0, 1]", id="alpha-above-one"),
+        pytest.param(lambda: _step(-0.5),
+                     "alpha must lie in [0, 1]", id="alpha-below-zero"),
+        pytest.param(lambda: LinearSystem(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
+                     "matrix and right-hand side must be finite", id="system-not-finite"),
+        pytest.param(lambda: SolveConfig(epsilon0=0.0),
+                     "epsilon0 must lie strictly between 0 and 1", id="epsilon0-zero"),
+        pytest.param(lambda: SolveConfig(epsilon0=1.0),
+                     "epsilon0 must lie strictly between 0 and 1", id="epsilon0-one"),
+        pytest.param(lambda: solve_incremental(LinearSystem(np.eye(2), np.ones(2)), SolveConfig(),
+                                               policy="halving"),
+                     "unknown increment policy 'halving'", id="unknown-policy"),
+    ],
+)
+def test_bad_argument_is_refused(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert str(caught.value) == message

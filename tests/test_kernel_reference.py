@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    centroid_coeffs,
     check_witness,
     invertible_system,
     membership_instance,
@@ -229,7 +230,9 @@ class TestSolvers:
         escalations = 0
         for n in (4, 8):
             system, _ = invertible_system(rng, n)
-            config = SolveConfig(epsilon0=1e-2, init_rule="centroid", record_trace=True)
+            config = SolveConfig(
+                epsilon0=1e-2, init_coeffs=centroid_coeffs(n + 1), record_trace=True
+            )
             shipped, reference = _with_reference_pivots(
                 monkeypatch, solve_incremental, system, config,
                 policy=policy, tau_hook=lambda tau: 0.0,
@@ -576,7 +579,7 @@ def test_escalation_cap_computed_only_on_escalation(monkeypatch):
     system, _ = invertible_system(np.random.default_rng(445), 6)
     outcome = solve_incremental(
         system,
-        SolveConfig(epsilon0=1e-2, init_rule="centroid"),
+        SolveConfig(epsilon0=1e-2, init_coeffs=centroid_coeffs(7)),
         tau_hook=lambda tau: 0.0,
     )
     assert outcome.diagnostics["escalations"] >= 1

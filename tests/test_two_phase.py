@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    centroid_coeffs,
     example1_system,
     example2_system,
     invertible_system,
@@ -194,7 +195,7 @@ class TestPhase1:
 
 class TestSolveNonneg:
     def test_example1_exact_in_one_step(self):
-        config = SolveConfig(epsilon0=1e-10, init_rule="centroid")
+        config = SolveConfig(epsilon0=1e-10, init_coeffs=centroid_coeffs(3))
         outcome = solve_nonneg(example1_system(), config)
         assert outcome.status == CONVERGED
         assert np.allclose(outcome.x, [1.0, 2.0], atol=1e-12)
@@ -300,7 +301,7 @@ class TestSolveNonneg:
         system, _ = nonneg_system(np.random.default_rng(3), 20, diag_boost=0.0)
 
         def given(n):
-            return SolveConfig(epsilon0=0.01, init_rule="given", init_coeffs=np.full(n, 1.0 / n))
+            return SolveConfig(epsilon0=0.01, init_coeffs=centroid_coeffs(n))
 
         assert solve(system, given(21), **kwargs).status == CONVERGED
         with pytest.raises(ValueError, match="length must match the point count"):
