@@ -28,8 +28,6 @@ from .hull import (
     step_size,
 )
 from .incremental import (
-    POLICY_DOUBLE_PLUS_ONE,
-    POLICY_QUANTIZED,
     NoPositiveQuadratic,
     ShiftQuadratic,
     build_quadratics,

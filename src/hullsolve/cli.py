@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--increment",
         default=None,
-        help="shift policy for incremental mode: quantized:N (default quantized:1; "
+        help="shift rule for incremental mode: quantized:N (default quantized:1; "
         "bare quantized is quantized:1) or double",
     )
     solve.add_argument(
@@ -191,10 +191,7 @@ def _cmd_solve(args) -> tuple[dict, list | None, int]:
     if nonneg:
         outcome = two_phase.solve_nonneg(system, config, phase1=args.phase1)
     else:
-        policy_name, quantum = _parse_increment(increment)
-        outcome = incremental.solve_incremental(
-            system, config, policy=policy_name, quantum=quantum
-        )
+        outcome = incremental.solve_incremental(system, config, increment=increment)
     report = {
         "command": "solve",
         "config": {
@@ -217,20 +214,6 @@ def _cmd_solve(args) -> tuple[dict, list | None, int]:
     if outcome.x is not None:
         report["x"] = outcome.x
     return report, outcome.trace, 0 if outcome.status == CONVERGED else 1
-
-
-def _parse_increment(spec: str) -> tuple[str, int | None]:
-    if spec == "double":
-        return incremental.POLICY_DOUBLE_PLUS_ONE, None
-    if spec == "quantized":
-        return incremental.POLICY_QUANTIZED, 1
-    if spec.startswith("quantized:"):
-        try:
-            quantum = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad increment spec {spec!r}")
-        return incremental.POLICY_QUANTIZED, quantum
-    raise ValueError(f"bad increment spec {spec!r}; use quantized:N or double")
 
 
 def _cmd_analyze(args) -> tuple[dict, list | None, int]:

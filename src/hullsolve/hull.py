@@ -323,8 +323,11 @@ class HullOutcome:
 
 
 def _clean_coeffs(coeffs: np.ndarray) -> np.ndarray:
-    """Clamp rounding dust at zero and renormalize to sum exactly one."""
+    """Clamp rounding dust at zero and renormalize to sum exactly one;
+    ValueError on a non-finite or negative weight or a zero sum."""
     coeffs = np.array(coeffs, dtype=float)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("convex coefficients must be finite")
     if (coeffs < -COEFF_DUST).any():
         raise ValueError("convex coefficients must be nonnegative")
     coeffs[np.abs(coeffs) < COEFF_DUST] = 0.0

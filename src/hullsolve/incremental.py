@@ -55,8 +55,6 @@ from .system import (
 from .two_phase import DEFAULT_PHASE_CAP, PROXY_MARGIN, AlphaBVanishes, recover_solution
 
 __all__ = [
-    "POLICY_QUANTIZED",
-    "POLICY_DOUBLE_PLUS_ONE",
     "NoPositiveQuadratic",
     "ShiftQuadratic",
     "move_shift",
@@ -65,9 +63,6 @@ __all__ = [
     "next_shift",
     "solve_incremental",
 ]
-
-POLICY_QUANTIZED = "quantized"
-POLICY_DOUBLE_PLUS_ONE = "double_plus_one"
 
 # Floor on the shift increase per escalation, guarding against a root that
 # lands on the current shift through roundoff.
@@ -170,8 +165,6 @@ def _optimal_shift(system: LinearSystem, iterate: Iterate, t0: float) -> tuple[f
     t0 + u^T p' / (alpha_b ||u||^2), clamped below at t0.
     """
     u_point = _shift_product(system, iterate.coeffs, t0)
-    if system.u_sq <= 0.0:
-        return t0, u_point
     lift = u_point / (float(iterate.coeffs[-1]) * system.u_sq)
     return (t0 + lift if lift > 0.0 else t0), u_point
 
@@ -321,12 +314,29 @@ def _default_escalation_cap(system: LinearSystem) -> int:
     return DEFAULT_PHASE_CAP
 
 
+def _parse_increment(spec: str) -> int | None:
+    """The quantum of an increment rule: N for "quantized:N" (bare
+    "quantized" is N = 1), None for "double" (t -> 2 t + 1)."""
+    if spec == "double":
+        return None
+    if spec == "quantized":
+        return 1
+    if not spec.startswith("quantized:"):
+        raise ValueError(f"bad increment spec {spec!r}; use quantized:N or double")
+    try:
+        quantum = int(spec.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"bad increment spec {spec!r}")
+    if quantum < 1:
+        raise ValueError("quantum must be a positive integer")
+    return quantum
+
+
 def solve_incremental(
     system: LinearSystem,
     config: SolveConfig,
     *,
-    policy: str = POLICY_QUANTIZED,
-    quantum: int | None = 1,
+    increment: str = "quantized:1",
     tau_hook=None,
 ) -> SolveOutcome:
     """Solve A x = b with no sign assumption, to relative residual epsilon0.
@@ -340,16 +350,17 @@ def solve_incremental(
     test. When the estimate at t was near and tau0 != t, the residual
     at t is computed too, and t is kept when it passes and tau0's residual
     is not smaller. Otherwise take one Triangle step at tau0, or, when the
-    iterate is a witness, raise the shift to the next quadratic root
-    (policy "quantized", increase rounded up to a multiple of quantum) or
-    to 2 t + 1 (policy "double_plus_one") and warm-start from the same
-    coefficients.
+    iterate is a witness, raise the shift by the increment rule and
+    warm-start from the same coefficients: "quantized:N" (bare
+    "quantized" is N = 1) moves to the next quadratic root, its increase
+    rounded up to a multiple of N, and "double" to 2 t + 1. The report's
+    diagnostics["policy"] names the rule: "quantized" or "double_plus_one".
 
     tau_hook, when given, post-processes that same tau0 (clamped below by
     the current shift) and skips the estimate at the current shift; it
     exists to reproduce hand-worked shift sequences in tests.
 
-    Another policy, or a quantum below 1, raises ValueError before the
+    Another increment spec, or an N below 1, raises ValueError before the
     first step, and A e = 0 SingularMatrixError: then b(t) = b for every
     t, and e is a null vector of A. Steps are capped by
     config.max_iterations (DEFAULT_PHASE_CAP when unset), escalations by
@@ -357,10 +368,7 @@ def solve_incremental(
     escalation; diagnostics["max_escalations"] stays None in a solve that
     never escalates.
     """
-    if policy not in (POLICY_QUANTIZED, POLICY_DOUBLE_PLUS_ONE):
-        raise ValueError(f"unknown increment policy {policy!r}")
-    if quantum is not None and quantum < 1:
-        raise ValueError("quantum must be a positive integer")
+    quantum = _parse_increment(increment)
     if not system.u.any():
         raise SingularMatrixError("A e = 0: the all-ones vector is a null vector; A is singular")
     n = system.n
@@ -380,7 +388,7 @@ def solve_incremental(
     reseeds = 0
     shifts = [t0]
     diagnostics: dict = {
-        "policy": policy,
+        "policy": "double_plus_one" if quantum is None else "quantized",
         "max_escalations": None,
         "max_steps": max_steps,
     }
@@ -434,7 +442,7 @@ def solve_incremental(
         # Step 2: witness check via pivot search; Step 3: shift escalation.
         j = find_pivot(instance, iterate)
         while j is None:
-            if policy == POLICY_DOUBLE_PLUS_ONE:
+            if quantum is None:
                 new_t = 2.0 * t0 + 1.0
             else:
                 try:

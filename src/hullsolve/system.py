@@ -55,7 +55,8 @@ class LinearSystem:
     A^T b and A^T u are formed once, at first use, for every reader. A zero
     column is rejected outright since it makes A singular; data whose
     squared norms overflow, or whose nonzero columns' squared norms
-    underflow, are rejected as out of scale.
+    underflow, are rejected as out of scale, and so is a shift direction
+    u = A e whose squared norm overflows or, with u nonzero, underflows.
     """
 
     def __init__(self, a, b):
@@ -78,6 +79,7 @@ class LinearSystem:
         self.norm_b = float(np.linalg.norm(b))
         self.rho = max(float(column_norms.max()), self.norm_b)
         self.u = u = a @ np.ones(n)
+        check_scale(u[:, None], "A e")
         self.b_sq = float(b @ b)
         self.u_b = float(u @ b)
         self.u_sq = float(u @ u)

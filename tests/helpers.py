@@ -31,6 +31,10 @@ from hullsolve.oracles import hull_verdict
 from hullsolve.system import shifted_instance
 from hullsolve.two_phase import _phase1_outcome
 
+# An increment spec for solve_incremental for each rule name its
+# diagnostics["policy"] reports.
+INCREMENTS = {"quantized": "quantized", "double_plus_one": "double"}
+
 
 def centroid_coeffs(k: int) -> np.ndarray:
     """Equal convex weights over k points: init_coeffs that start a run at

@@ -49,7 +49,6 @@ from hullsolve import (
     step_size,
 )
 from hullsolve.incremental import (
-    POLICY_DOUBLE_PLUS_ONE,
     _rebase,
     _shift_product,
     move_shift,
@@ -154,7 +153,7 @@ def test_criterion_3_example2_end_to_end():
         and np.linalg.norm(outcome.x - [-1.0, -2.0]) <= 1e-6
     )
     doubled = solve_incremental(
-        system, SolveConfig(epsilon0=1e-8), policy=POLICY_DOUBLE_PLUS_ONE
+        system, SolveConfig(epsilon0=1e-8), increment="double"
     )
     escalations = doubled.diagnostics["escalations"]
     ok = ok and doubled.status == CONVERGED and escalations <= 2

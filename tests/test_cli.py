@@ -18,8 +18,6 @@ from helpers import (
     reference_run_hull,
 )
 from hullsolve import (
-    POLICY_DOUBLE_PLUS_ONE,
-    POLICY_QUANTIZED,
     SolveConfig,
     cli,
     matio,
@@ -640,19 +638,21 @@ class TestotherCommands:
 
     def test_bench_rows_sorted(self, tmp_path):
         report_path = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench", "--suite", "nonneg", "--sizes", "3", "5",
-                "--count", "2", "--epsilon0", "0.1", "--seed", "7",
-                "--report", str(report_path),
-            ]
-        )
-        assert code == 0
-        report = json.loads(report_path.read_text())
-        ids = [row["id"] for row in report["rows"]]
-        assert ids == sorted(ids)
-        assert len(ids) == 4
-        assert all(row["status"] == "converged" for row in report["rows"])
+        wanted = {"nonneg": "converged", "membership": "in_hull_approx", "general": "converged"}
+        for suite, status in wanted.items():
+            code = main(
+                [
+                    "bench", "--suite", suite, "--sizes", "3", "5",
+                    "--count", "2", "--epsilon0", "0.1", "--seed", "7",
+                    "--report", str(report_path),
+                ]
+            )
+            assert code == 0
+            report = json.loads(report_path.read_text())
+            ids = [row["id"] for row in report["rows"]]
+            assert ids == sorted(ids)
+            assert len(ids) == 4
+            assert [row["status"] for row in report["rows"]] == [status] * 4
 
 
 class TestOutputPath:
@@ -883,7 +883,7 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize(
         "spec, policy, quantum",
-        [("double", POLICY_DOUBLE_PLUS_ONE, None), ("quantized", POLICY_QUANTIZED, 1)],
+        [("double", "double_plus_one", None), ("quantized", "quantized", 1)],
     )
     def test_increment_spelling_matches_library(self, ex2_files, tmp_path, spec, policy, quantum):
         # Bare "quantized" is "quantized:1".
@@ -893,13 +893,57 @@ class TestNoTraceback:
         assert main([*argv, "--report", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["config"]["increment"] == spec
-        library = solve_incremental(
-            example2_system(), SolveConfig(), policy=policy, quantum=quantum
-        )
+        increment = "double" if quantum is None else f"quantized:{quantum}"
+        library = solve_incremental(example2_system(), SolveConfig(), increment=increment)
         assert report["diagnostics"]["policy"] == library.diagnostics["policy"] == policy
         assert (report["status"], report["iterations"], report["shift_t"], report["x"]) == (
             library.status, library.iterations, library.shift_t, library.x.tolist()
         )
+
+    @pytest.mark.parametrize("spec", ["quantized:2", "double"])
+    def test_increment_spec_matches_library(self, ex2_files, tmp_path, spec):
+        # solve passes its --increment spec to solve_incremental as it is.
+        matrix, rhs = ex2_files
+        report_path = tmp_path / "report.json"
+        argv = ["solve", "--matrix", matrix, "--rhs", rhs, "--increment", spec]
+        assert main([*argv, "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        library = solve_incremental(example2_system(), SolveConfig(), increment=spec)
+        assert report["config"]["increment"] == spec
+        assert (
+            report["status"], report["iterations"], report["shift_t"], report["x"],
+            report["diagnostics"],
+        ) == (
+            library.status, library.iterations, library.shift_t, library.x.tolist(),
+            library.diagnostics,
+        )
+
+    @pytest.mark.parametrize("mode", ["incremental", "nonneg"])
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            # Every column's and b's squared norm fits, but ||A e||^2
+            # overflows, and ||b(t)||^2 would be priced from an inf.
+            (5e153 * np.array([[1.0, 1.0, 1.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]]),
+             5e152 * np.array([3.0, 0.1, 0.1]),
+             "A e too large: a squared norm overflows; rescale the input"),
+            # A e is nonzero, but its squared norm underflows to 0.
+            (1e-147 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]]),
+             1e-147 * np.array([-1.0, 2.0]),
+             "A e too small: a squared norm underflows to 0; rescale the input"),
+        ],
+        ids=["ones-image-overflows", "ones-image-underflows"],
+    )
+    def test_out_of_scale_ones_image_exit_two(self, tmp_path, capsys, a, b, message, mode):
+        n = len(b)
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        matrix.write_text(f"{n} {n}\n" + "".join(
+            " ".join(f"{v!r}" for v in row) + "\n" for row in a.tolist()
+        ))
+        rhs.write_text(f"{n} 1\n" + "".join(f"{v!r}\n" for v in b.tolist()))
+        argv = ["solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", mode]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("epsilon", ["1e-200", "1e-160"])
     def test_tiny_epsilon_exit_two(self, tmp_path, capsys, epsilon):

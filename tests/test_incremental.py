@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    INCREMENTS,
     centroid_coeffs,
     check_witness,
     example1_system,
@@ -31,7 +32,7 @@ from hullsolve import (
     solve_nonneg,
 )
 from hullsolve import incremental, two_phase
-from hullsolve.incremental import POLICY_DOUBLE_PLUS_ONE, shifted_instance
+from hullsolve.incremental import shifted_instance
 from hullsolve.oracles import solve_exact
 from hullsolve.two_phase import AlphaBVanishes
 
@@ -260,13 +261,13 @@ class TestSolveIncremental:
 
     @pytest.mark.parametrize("quantum", [0, -5])
     def test_bad_quantum_raises_before_the_first_step(self, monkeypatch, quantum):
-        # A solve that never escalates would otherwise not look at quantum.
+        # A solve that never escalates would otherwise not look at the rule.
         def started(*args):
             raise AssertionError("the solve started")
 
         monkeypatch.setattr(incremental, "shifted_instance", started)
         with pytest.raises(ValueError, match="quantum must be a positive integer"):
-            solve_incremental(example2_system(), SolveConfig(), quantum=quantum)
+            solve_incremental(example2_system(), SolveConfig(), increment=f"quantized:{quantum}")
 
     @pytest.mark.parametrize(
         "a", [[[1.0, -1.0], [1.0, -1.0]], [[1.0, -1.0, -1.0, 1.0]] * 4]
@@ -284,7 +285,7 @@ class TestSolveIncremental:
     def test_example2_double_plus_one_escalations(self):
         system = example2_system()
         outcome = solve_incremental(
-            system, SolveConfig(epsilon0=1e-8), policy=POLICY_DOUBLE_PLUS_ONE
+            system, SolveConfig(epsilon0=1e-8), increment="double"
         )
         assert outcome.status == CONVERGED
         assert np.linalg.norm(outcome.x - np.array([-1.0, -2.0])) <= 1e-6
@@ -301,7 +302,7 @@ class TestSolveIncremental:
         )
         config = SolveConfig(epsilon0=1e-6, init_coeffs=EXAMPLE2_COEFFS)
         outcome = solve_incremental(
-            system, config, tau_hook=lambda tau: 0.0, quantum=1
+            system, config, tau_hook=lambda tau: 0.0, increment="quantized:1"
         )
         assert outcome.status == CONVERGED
         assert outcome.diagnostics["escalations"] >= 1
@@ -333,9 +334,9 @@ class TestSolveIncremental:
              [(215, [0.0, 1.0]), (129, [0.0, 1.0, 2.0]), (613, [0.0, 2.0, 3.0])]),
             ("quantized", lambda tau: 0.0,
              [(215, [0.0, 1.0]), (129, [0.0, 1.0, 2.0]), (689, [0.0, 1.0, 2.0, 3.0])]),
-            (POLICY_DOUBLE_PLUS_ONE, math.floor,
+            ("double_plus_one", math.floor,
              [(215, [0.0, 1.0]), (297, [0.0, 1.0, 3.0]), (567, [0.0, 3.0])]),
-            (POLICY_DOUBLE_PLUS_ONE, lambda tau: 0.0,
+            ("double_plus_one", lambda tau: 0.0,
              [(215, [0.0, 1.0]), (297, [0.0, 1.0, 3.0]), (526, [0.0, 1.0, 3.0])]),
         ],
     )
@@ -346,8 +347,9 @@ class TestSolveIncremental:
         systems = [invertible_system(rng, n)[0] for n in (4, 7, 10)]
         for system, (iterations, shifts) in zip(systems, expected):
             outcome = solve_incremental(
-                system, SolveConfig(epsilon0=0.05), policy=policy, tau_hook=hook
+                system, SolveConfig(epsilon0=0.05), increment=INCREMENTS[policy], tau_hook=hook
             )
+            assert outcome.diagnostics["policy"] == policy
             assert outcome.status == CONVERGED
             assert outcome.iterations == iterations
             assert outcome.diagnostics["shifts"] == shifts
@@ -382,12 +384,31 @@ class TestSolveIncremental:
         )
         config = SolveConfig(epsilon0=1e-6, init_coeffs=EXAMPLE2_COEFFS)
         outcome = solve_incremental(
-            system, config, policy=POLICY_DOUBLE_PLUS_ONE, tau_hook=lambda tau: 0.0
+            system, config, increment="double", tau_hook=lambda tau: 0.0
         )
         assert outcome.status == CONVERGED
         shifts = outcome.diagnostics["shifts"]
         assert shifts[:3] == [0.0, 1.0, 3.0]
         assert outcome.diagnostics["escalations"] == 2
+
+    @pytest.mark.parametrize(
+        "increment, shifts",
+        [("quantized", [0.0, 1.0, 2.0]), ("quantized:2", [0.0, 2.0]), ("quantized:3", [0.0, 3.0])],
+    )
+    def test_increment_spec_picks_the_rule(self, increment, shifts):
+        # Witness-driven shifts of the system above (t_* = 1.5): each raise
+        # is the next root rounded up to a multiple of N (bare "quantized"
+        # is N = 1; "double" is test_double_plus_one_witness_driven_sequence).
+        system = LinearSystem(
+            np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
+        )
+        config = SolveConfig(epsilon0=1e-6, init_coeffs=EXAMPLE2_COEFFS)
+        outcome = solve_incremental(
+            system, config, increment=increment, tau_hook=lambda tau: 0.0
+        )
+        assert outcome.status == CONVERGED
+        assert outcome.diagnostics["policy"] == "quantized"
+        assert outcome.diagnostics["shifts"] == shifts
 
     def test_no_witness_beyond_t_star(self):
         # Once the shift makes the solution nonnegative the origin is in

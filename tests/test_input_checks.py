@@ -5,7 +5,15 @@ error, the line it names."""
 import numpy as np
 import pytest
 
-from hullsolve import HullConfig, HullInstance, LinearSystem, SolveConfig, solve_incremental
+from hullsolve import (
+    HullConfig,
+    HullInstance,
+    LinearSystem,
+    SolveConfig,
+    run_hull,
+    solve_incremental,
+    solve_nonneg,
+)
 from hullsolve.hull import apply_step, make_iterate
 from hullsolve.matio import FORMAT_MATRIX_MARKET, ParseError, load_matrix
 
@@ -74,6 +82,14 @@ def _step(alpha):
     return apply_step(instance, make_iterate(instance, [1.0, 0.0, 0.0]), 1, alpha)
 
 
+def _capped_start(config_type, init_coeffs):
+    return config_type(max_iterations=1000, init_coeffs=np.array(init_coeffs))
+
+
+_BIG = 5e153 * np.array([[1.0, 1.0, 1.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
+_TINY = 1e-147 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -101,8 +117,31 @@ def _step(alpha):
         pytest.param(lambda: SolveConfig(epsilon0=1.0),
                      "epsilon0 must lie strictly between 0 and 1", id="epsilon0-one"),
         pytest.param(lambda: solve_incremental(LinearSystem(np.eye(2), np.ones(2)), SolveConfig(),
-                                               policy="halving"),
-                     "unknown increment policy 'halving'", id="unknown-policy"),
+                                               increment="halving"),
+                     "bad increment spec 'halving'; use quantized:N or double",
+                     id="unknown-increment"),
+        pytest.param(lambda: solve_incremental(LinearSystem(np.eye(2), np.ones(2)), SolveConfig(),
+                                               increment="quantized:x"),
+                     "bad increment spec 'quantized:x'", id="increment-not-integer"),
+        # Every column's and b's squared norm fits, but ||A e||^2 overflows.
+        pytest.param(lambda: LinearSystem(_BIG, _BIG @ np.full(3, 0.1)),
+                     "A e too large: a squared norm overflows; rescale the input",
+                     id="ones-image-overflows"),
+        # A e is nonzero, but its squared norm underflows to 0.
+        pytest.param(lambda: LinearSystem(_TINY, 1e-147 * np.array([1.0, 0.0])),
+                     "A e too small: a squared norm underflows to 0; rescale the input",
+                     id="ones-image-underflows"),
+        # Each run would start from NaN weights and run its step cap.
+        pytest.param(lambda: run_hull(_triangle(), _capped_start(HullConfig, [np.nan, 1.0, 0.0])),
+                     "convex coefficients must be finite", id="nan-weight-hull"),
+        pytest.param(lambda: run_hull(_triangle(), _capped_start(HullConfig, [np.inf, 1.0, 0.0])),
+                     "convex coefficients must be finite", id="inf-weight-hull"),
+        pytest.param(lambda: solve_nonneg(LinearSystem(np.eye(2), np.ones(2)),
+                                          _capped_start(SolveConfig, [np.nan, 1.0, 1.0])),
+                     "convex coefficients must be finite", id="nan-weight-nonneg"),
+        pytest.param(lambda: solve_incremental(LinearSystem(np.eye(2), np.ones(2)),
+                                               _capped_start(SolveConfig, [np.nan, 1.0, 1.0])),
+                     "convex coefficients must be finite", id="nan-weight-incremental"),
     ],
 )
 def test_bad_argument_is_refused(call, message):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    INCREMENTS,
     centroid_coeffs,
     check_witness,
     invertible_system,
@@ -235,7 +236,7 @@ class TestSolvers:
             )
             shipped, reference = _with_reference_pivots(
                 monkeypatch, solve_incremental, system, config,
-                policy=policy, tau_hook=lambda tau: 0.0,
+                increment=INCREMENTS[policy], tau_hook=lambda tau: 0.0,
             )
             _assert_same_solve(shipped, reference)
             escalations += shipped.diagnostics["escalations"]
