@@ -26,12 +26,13 @@ an approximation, margins that show no pivot (recomputed ones decide), a
 step whose ||p'||^2 cancels, and every n-th step since it was last
 formed, which keeps the rounding of the recursions from piling up.
 
-A run_hull step is the better of two exact line-search steps for the
-pivot j: the Triangle step toward j, and a pairwise step that moves weight
-to j from the active point of least margin, as pairwise Frank-Wolfe does.
-Both decreases follow in O(1) from the products and the Gram columns. The
-better-of step lowers ||p - p'|| at least as much as the Triangle step, so
-the Triangle Algorithm's bounds still hold.
+A step is the better of two exact line-search steps for the pivot j: the
+Triangle step toward j, and a pairwise step that moves weight to j from
+the active donor of least margin, as pairwise Frank-Wolfe does. run_hull
+lets every point give weight; a caller may let only the leading points
+(see apply_step). Both decreases follow in O(1) from the products and the
+Gram columns. The better-of step lowers ||p - p'|| at least as much as the
+Triangle step, so the Triangle Algorithm's bounds still hold.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ CAP_EXCEEDED = "cap_exceeded"
 # _clean_coeffs clamps them to zero in the coefficients a caller gives, and
 # a pairwise step clears a weight it leaves that small. The Triangle step
 # clamps nothing: it only scales nonnegative weights by 1 - alpha, and no
-# weight fell in (0, COEFF_DUST) on any of the 135,066 steps of the 23
-# general_shift reference systems.
+# weight fell in (0, COEFF_DUST) on any step of the 23 general_shift
+# reference systems, 135,066 Triangle steps alone or 14,052 better-of
+# steps (7,040 of them Triangle steps).
 COEFF_DUST = 1e-15
 
 # A recursed ||p'||^2 below this fraction of the magnitudes it was summed
@@ -87,6 +89,8 @@ CANCELLATION = 2.0**-26
 # of the largest tie for the pairwise step's k, and the tie goes to the
 # lowest index: after a line-search move between two points their margins
 # are equal in exact arithmetic, and rounding must not choose between them.
+# find_pivot breaks the same tie between the two points of the last
+# unclamped transfer, by margins within this fraction of margin_j + ||p'||^2.
 TIE = 2.0**-40
 
 # A target within this relative distance of the iterate, eps ||p||, cannot
@@ -98,13 +102,14 @@ ROUNDING = float(np.finfo(float).eps)
 SQ_NORM_MAX = np.finfo(float).max / 4.0
 
 
-def check_scale(columns: np.ndarray, what: str) -> np.ndarray:
+def check_scale(columns: np.ndarray, what: str, floor: float = 0.0) -> np.ndarray:
     """Squared norms of the columns; ValueError when one exceeds SQ_NORM_MAX
-    or a nonzero column's underflows to 0, a scale doubles cannot square."""
+    or a nonzero column's underflows to 0 or below floor, a scale doubles
+    cannot square."""
     sq = np.einsum("ij,ij->j", columns, columns)
     if not (sq <= SQ_NORM_MAX).all():
         raise ValueError(f"{what} too large: a squared norm overflows; rescale the input")
-    if ((sq == 0.0) & columns.any(axis=0)).any():
+    if (((sq == 0.0) | (sq < floor)) & columns.any(axis=0)).any():
         raise ValueError(f"{what} too small: a squared norm underflows to 0; rescale the input")
     return sq
 
@@ -226,7 +231,9 @@ class Iterate:
     point_sq_scale, and age counts the steps since then: 0 means formed
     from p', and a step that would reach age n forms the iterate again
     (see recursed_iterate). gap is ||p - p'||, the square root of
-    point_sq.
+    point_sq. tie holds the two points, lower index first, whose margins
+    the unclamped pairwise step that made this iterate left equal in
+    exact arithmetic, else None; find_pivot breaks that tie to the lower.
     """
 
     coeffs: np.ndarray
@@ -234,6 +241,7 @@ class Iterate:
     point_sq: float
     point_sq_scale: float
     age: int
+    tie: tuple[int, int] | None = None
 
     @property
     def gap(self) -> float:
@@ -353,12 +361,15 @@ def exact_iterate(instance: HullInstance, coeffs: np.ndarray) -> Iterate:
     return Iterate(coeffs, instance.points.T @ point, point_sq, point_sq, 0)
 
 
-def _settled_iterate(instance: HullInstance, coeffs: np.ndarray) -> Iterate:
-    """exact_iterate at the coefficients divided by their sum: an iterate
-    whose coefficients leave the kernel, as a verdict or a witness, sums to
-    1 up to the rounding of that one division, whatever the Triangle steps
-    before it left."""
-    return exact_iterate(instance, coeffs / coeffs.sum())
+def _settled_iterate(instance: HullInstance, iterate: Iterate) -> Iterate:
+    """exact_iterate at the iterate's coefficients divided by their sum: an
+    iterate whose coefficients leave the kernel, as a verdict or a witness,
+    sums to 1 up to the rounding of that one division, whatever the
+    Triangle steps before it left. The point moves by that rounding alone,
+    so the tie is kept."""
+    settled = exact_iterate(instance, iterate.coeffs / iterate.coeffs.sum())
+    settled.tie = iterate.tie
+    return settled
 
 
 def initial_iterate(instance: HullInstance, init_coeffs=None) -> Iterate:
@@ -391,15 +402,26 @@ def find_pivot(instance: HullInstance, iterate: Iterate) -> int | None:
     formed again from V c in place (see _settled_iterate) and its margins,
     the direct ones, decide: None always means the direct margins are all
     negative and leaves an iterate witness_of certifies as it is, and a
-    pivot found then is stepped toward from exact values.
+    pivot found then is stepped toward from exact values. When the pivot
+    is the higher point of the iterate's tie, the lower one is taken if
+    its margin is nonnegative and within TIE of the pivot's, in O(1), so
+    that rounding does not choose between two margins equal in exact
+    arithmetic.
     """
     margins = pivot_margins(iterate)
     j = int(margins.argmax())
     if margins[j] < 0.0:
-        vars(iterate).update(vars(_settled_iterate(instance, iterate.coeffs)))
+        vars(iterate).update(vars(_settled_iterate(instance, iterate)))
         margins = pivot_margins(iterate)
         j = int(margins.argmax())
-    return None if margins[j] < 0.0 else j
+    if margins[j] < 0.0:
+        return None
+    tie = iterate.tie
+    if tie is not None and j == tie[1]:
+        top = float(margins[j])
+        if margins[tie[0]] >= max(0.0, top - TIE * (top + iterate.point_sq)):
+            return tie[0]
+    return j
 
 
 def witness_of(iterate: Iterate) -> Witness | None:
@@ -451,21 +473,31 @@ def recursed_iterate(
 
 
 def _pairwise_step(
-    instance: HullInstance, iterate: Iterate, j: int, alpha: float, column: np.ndarray
+    instance: HullInstance,
+    iterate: Iterate,
+    j: int,
+    alpha: float,
+    column: np.ndarray,
+    donors: int,
 ) -> Iterate | None:
     """The pairwise step from k to j when it lowers ||p - p'||^2 more than
     the Triangle step toward j with alpha does, else None.
 
-    k is the point of positive coefficient with the least margin, that is
-    the largest product v_k^T p' (ties within TIE to the lowest index), and
-    the step moves weight gamma = min((margin_j - margin_k) /
-    ||v_j - v_k||^2, c_k) from k to j, all of it when clamped. Both
-    decreases come in O(1) from the maintained products and the Gram
-    columns of j and k.
+    k is the point of positive coefficient among the first donors with the
+    least margin, that is the largest product v_k^T p' (ties within TIE to
+    the lowest index), and the step moves weight gamma = min((margin_j -
+    margin_k) / ||v_j - v_k||^2, c_k) from k to j, all of it when clamped.
+    Both decreases come in O(1) from the maintained products and the Gram
+    columns of j and k. An unclamped step leaves the margins of j and k
+    equal in exact arithmetic, and the new iterate's tie names them.
     """
     coeffs, dots, q = iterate.coeffs, iterate.dot_cache, iterate.point_sq
     active = np.where(coeffs > 0.0, dots, -np.inf)
+    if donors < active.size:
+        active[donors:] = -np.inf
     top = float(active.max())
+    if top == -math.inf:  # no donor holds weight
+        return None
     k = int((active >= top - TIE * (abs(top) + q)).argmax())
     column_k = instance.gram_column(k)
     d_j, d_k = float(dots[j]), float(dots[k])
@@ -473,7 +505,8 @@ def _pairwise_step(
     curvature = float(column[j] - 2.0 * column[k] + column_k[k])
     if rise <= 0.0 or curvature <= 0.0:  # k = j gives rise 0
         return None
-    gamma = min(rise / curvature, float(coeffs[k]))
+    c_k = float(coeffs[k])
+    gamma = min(rise / curvature, c_k)
     # A step of length s along d lowers ||p'||^2 / 2 by
     # s (-p')^T d - s^2 ||d||^2 / 2: here d = v_j - v_k and s = gamma,
     # for the Triangle step d = v_j - p' and s = alpha.
@@ -493,11 +526,14 @@ def _pairwise_step(
     lift = 2.0 * gamma * (d_j - d_k)
     square = gamma * gamma * curvature
     scale = iterate.point_sq_scale + abs(lift) + square
-    return recursed_iterate(instance, coeffs, dots, q + lift + square, scale, iterate.age + 1)
+    stepped = recursed_iterate(instance, coeffs, dots, q + lift + square, scale, iterate.age + 1)
+    if gamma < c_k:
+        stepped.tie = (j, k) if j < k else (k, j)
+    return stepped
 
 
 def apply_step(
-    instance: HullInstance, iterate: Iterate, j: int, alpha: float, pairwise: bool = False
+    instance: HullInstance, iterate: Iterate, j: int, alpha: float, donors: int = 0
 ) -> Iterate:
     """New iterate after pulling toward pivot j with step alpha in [0, 1].
 
@@ -510,22 +546,26 @@ def apply_step(
     that column is computed (see HullInstance.gram_column). A result that
     may have cancelled is formed from V c (see recursed_iterate).
 
-    With pairwise, the step is the better of two exact line-search steps,
-    by how far each lowers ||p - p'||^2: this Triangle step, and a pairwise
-    step that moves weight from the active point of least margin to j
-    (see _pairwise_step), which costs O(n) as well. Either way j is the
-    point that gains weight. run_hull and solve_nonneg always pass it;
-    solve_incremental does not. On the 23 general_shift reference systems
-    at epsilon0 = 0.05 it would take 72,989 steps instead of 135,066, in
-    2.31 s instead of 3.17 (best of 3, one BLAS thread on a shared 2-core
-    machine), but more on 3 of them (systems 3, 8 and 10 of the reference
-    stream: 11,478 -> 13,917, 4,490 -> 11,131 and 4,398 -> 10,537).
+    With donors > 0, the step is the better of two exact line-search
+    steps, by how far each lowers ||p - p'||^2: this Triangle step, and a
+    pairwise step that moves weight to j from the active point of least
+    margin among the first donors points (see _pairwise_step), which costs
+    O(n) as well. Either way j is the point that gains weight. run_hull
+    and solve_nonneg let every point give weight. solve_incremental lets
+    only the n columns give it, never -b(t): a transfer then never lowers
+    alpha_b, which x0 = alpha / alpha_b and the estimate gap / alpha_b
+    divide by. On the 23 general_shift reference systems at epsilon0 =
+    0.05 that rule takes 14,052 steps instead of the Triangle steps'
+    135,066, fewer on every system (the largest count falls from 21,012 to
+    1,408). With -b(t) a donor too they took 72,727, and more than the
+    Triangle steps on 3 systems (systems 3, 8 and 10 of the reference
+    stream: 11,478 -> 13,917, 4,490 -> 10,777 and 4,398 -> 10,537).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     column = instance.gram_column(j)
-    if pairwise:
-        stepped = _pairwise_step(instance, iterate, j, alpha, column)
+    if donors:
+        stepped = _pairwise_step(instance, iterate, j, alpha, column, donors)
         if stepped is not None:
             return stepped
     # x0 = alpha / alpha_b does not depend on the sum of the weights, so a
@@ -570,6 +610,7 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     that gap. Deterministic for a fixed configuration.
     """
     iterate = initial_iterate(instance, config.init_coeffs)
+    donors = instance.n_points
     delta0 = iterate.gap
     cap = config.resolved_cap()
     trace: list[TraceRecord] | None = [] if config.record_trace else None
@@ -580,7 +621,7 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
         reference_vertex = int(instance.sq_norms.argmin()) if j is None else j
         bound = config.epsilon * instance.distance_to_point(reference_vertex)
         if iterate.gap <= bound:
-            exact = _settled_iterate(instance, iterate.coeffs)
+            exact = _settled_iterate(instance, iterate)
             if exact.gap <= bound:
                 status, certifying_vertex, iterate = IN_HULL_APPROX, reference_vertex, exact
                 break
@@ -594,17 +635,17 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
                 status, certifying_vertex = IN_HULL_APPROX, far
             break
         if steps >= cap:
-            status, iterate = CAP_EXCEEDED, _settled_iterate(instance, iterate.coeffs)
+            status, iterate = CAP_EXCEEDED, _settled_iterate(instance, iterate)
             break
         try:
             alpha = step_size(instance, iterate, j)
         except DegeneratePivot:
-            iterate = _settled_iterate(instance, iterate.coeffs)
+            iterate = _settled_iterate(instance, iterate)
             status, certifying_vertex = IN_HULL_APPROX, _far_certificate(
                 instance, iterate, config.epsilon
             )
             break
-        iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
+        iterate = apply_step(instance, iterate, j, alpha, donors)
         steps += 1
         if trace is not None:
             trace.append(TraceRecord(steps, 0.0, iterate.gap, None, j, False))

@@ -4,6 +4,11 @@ No sign information about the solution is needed: the system is replaced by
 A x = b + t u with u = A e, whose solution is nonnegative once t is large
 enough. Starting from t = 0, the solver alternates Triangle Algorithm steps
 on conv({a_1, ..., a_n, -b(t)}) with shift increases driven by witnesses.
+Each step is the better of the Triangle step and a pairwise transfer of
+weight to the pivot from a column (hull.apply_step with the n columns as
+donors): -b(t) never gives weight, so a transfer never lowers alpha_b,
+which x0 = alpha / alpha_b and the residual estimate gap / alpha_b divide
+by.
 When the iterate is a witness at the current shift, each point of the set
 induces a quadratic g_i(t) in the shift whose sign tells whether the same
 iterate stays a witness at shift t; the smallest root beyond the current
@@ -36,6 +41,7 @@ from .hull import (
     Iterate,
     TraceRecord,
     apply_step,
+    check_scale,
     find_pivot,
     initial_iterate,
     make_iterate,
@@ -349,8 +355,9 @@ def solve_incremental(
     tau0 and, as a backstop, once every n steps; it is the only stop
     test. When the estimate at t was near and tau0 != t, the residual
     at t is computed too, and t is kept when it passes and tau0's residual
-    is not smaller. Otherwise take one Triangle step at tau0, or, when the
-    iterate is a witness, raise the shift by the increment rule and
+    is not smaller. Otherwise take one step at tau0, the better of the
+    Triangle step and a transfer from a column (see hull.apply_step), or,
+    when the iterate is a witness, raise the shift by the increment rule and
     warm-start from the same coefficients: "quantized:N" (bare
     "quantized" is N = 1) moves to the next quadratic root, its increase
     rounded up to a multiple of N, and "double" to 2 t + 1. The report's
@@ -361,7 +368,8 @@ def solve_incremental(
     exists to reproduce hand-worked shift sequences in tests.
 
     Another increment spec, or an N below 1, raises ValueError before the
-    first step, and A e = 0 SingularMatrixError: then b(t) = b for every
+    first step, and so does a nonzero ||A e||^2 below the smallest normal
+    double; A e = 0 raises SingularMatrixError: then b(t) = b for every
     t, and e is a null vector of A. Steps are capped by
     config.max_iterations (DEFAULT_PHASE_CAP when unset), escalations by
     a cap from the a-priori shift bound tau'_*, computed at the first
@@ -371,6 +379,9 @@ def solve_incremental(
     quantum = _parse_increment(increment)
     if not system.u.any():
         raise SingularMatrixError("A e = 0: the all-ones vector is a null vector; A is singular")
+    # The shift re-optimisation divides by alpha_b ||u||^2, which a
+    # subnormal ||u||^2 rounds to 0 for some alpha_b >= ALPHA_FLOOR.
+    check_scale(system.u[:, None], "A e", floor=np.finfo(float).tiny)
     n = system.n
     rho = system.rho
     eps0 = config.epsilon0
@@ -470,7 +481,7 @@ def solve_incremental(
         if steps >= max_steps:
             return outcome(SOLVE_CAP_EXCEEDED)
         alpha = step_size(instance, iterate, j)
-        iterate = apply_step(instance, iterate, j, alpha)
+        iterate = apply_step(instance, iterate, j, alpha, donors=n)
         steps += 1
         if trace is not None:
             # ||p'(t)|| / alpha_b equals the residual of the recovered x0.

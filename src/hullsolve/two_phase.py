@@ -19,9 +19,9 @@ it tells whether A is singular.
 
 Both phases take pairwise steps: each step is the better of the Triangle
 step toward the pivot and a transfer of weight to the pivot from the active
-point of least margin (hull.apply_step with pairwise=True). Both read the
-system's one A^T A (LinearSystem.gram): Phase 1 as it is, Phase 2 bordered
-with -b's products by shifted_instance at t = 0.
+point of least margin, -b included (hull.apply_step with every point a
+donor). Both read the system's one A^T A (LinearSystem.gram): Phase 1 as
+it is, Phase 2 bordered with -b's products by shifted_instance at t = 0.
 """
 
 from __future__ import annotations
@@ -240,6 +240,7 @@ def solve_nonneg(
 
     instance = shifted_instance(system, 0.0)
     iterate = initial_iterate(instance, config.init_coeffs)
+    donors = instance.n_points  # -b gives weight as the columns do
 
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
@@ -273,6 +274,6 @@ def solve_nonneg(
             diagnostics["last_gap"] = iterate.gap
             return outcome(SOLVE_CAP_EXCEEDED)
         alpha = step_size(instance, iterate, j)
-        iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
+        iterate = apply_step(instance, iterate, j, alpha, donors)
         steps += 1
         record(iterate.gap, float(iterate.coeffs[-1]), j)

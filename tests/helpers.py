@@ -284,16 +284,23 @@ def reference_margins(instance: HullInstance, point: np.ndarray) -> np.ndarray:
     return 0.5 * float(point @ point) - instance.points.T @ point
 
 
-def _reference_pick(margins: np.ndarray) -> int | None:
-    j = int(np.argmax(margins))
-    return j if margins[j] >= 0.0 else None
+def _reference_pick(margins: np.ndarray, point_sq: float) -> int | None:
+    """The pivot of largest margin, or None when every margin is negative.
+    Any nonnegative margin within hull.TIE of the largest ties with it, and
+    the tie goes to the lowest index: find_pivot's rule for the two points
+    of an unclamped transfer, applied to every point."""
+    top = float(margins.max())
+    if top < 0.0:
+        return None
+    return int(np.argmax(margins >= max(0.0, top - TIE * (top + point_sq))))
 
 
 def reference_find_pivot(instance, iterate):
     """Pivot search on margins recomputed from the points at every call.
     Like find_pivot, it forms an iterate it finds no pivot for again from
     V c, in place, at its coefficients divided by their sum."""
-    j = _reference_pick(reference_margins(instance, instance.points @ iterate.coeffs))
+    point = instance.points @ iterate.coeffs
+    j = _reference_pick(reference_margins(instance, point), float(point @ point))
     if j is None:
         coeffs = iterate.coeffs / iterate.coeffs.sum()
         vars(iterate).update(vars(exact_iterate(instance, coeffs)))
@@ -327,7 +334,7 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
 
     while True:
         margins = reference_margins(instance, point)
-        j = _reference_pick(margins)
+        j = _reference_pick(margins, gap * gap)
         if j is not None:
             vertex = j
         else:
@@ -399,7 +406,7 @@ def reference_hull_target(system: LinearSystem, epsilon0: float) -> dict:
         j = find_pivot(instance, iterate)
         assert j is not None, "a witness: the system has no nonnegative solution"
         alpha = step_size(instance, iterate, j)
-        iterate = apply_step(instance, iterate, j, alpha, pairwise=True)
+        iterate = apply_step(instance, iterate, j, alpha, donors=instance.n_points)
         steps += 1
     x = recover_solution(iterate, system)
     return dict(delta0_prime=delta0_prime, inner_epsilon=inner_epsilon, steps=steps, x=x,

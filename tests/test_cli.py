@@ -395,9 +395,9 @@ class TestSolveCommand:
             library.status, library.iterations, library.x.tolist()
         )
         # The first step tells the starts apart, far from any tie: it ends
-        # at residual 1.084 with t = 2.2 from the centroid, at 2.276 with
+        # at residual 0.6 with t = 2.2 from the centroid, at 1.2 with
         # t = 1.4 from the nearest point.
-        for init, t, value in (("centroid", 2.2, 1.084), ("nearest", 1.4, 2.276)):
+        for init, t, value in (("centroid", 2.2, 0.6), ("nearest", 1.4, 1.2)):
             assert float(first_rows[init][1]) == pytest.approx(t, abs=1e-12)
             assert float(first_rows[init][2]) == pytest.approx(value, abs=1e-3)
 
@@ -689,7 +689,7 @@ class TestOutputPath:
             ("solve --matrix diagonal --rhs ones", 0,
              "solve: converged residual=0.000000e+00 shift=0 iterations=1\n"),
             ("solve --matrix identity --rhs flipped --epsilon0 0.1", 0,
-             "solve: converged residual=1.317688e-01 shift=1.90683 iterations=3\n"),
+             "solve: converged residual=1.313198e-01 shift=0.907143 iterations=3\n"),
             ("solve --matrix identity --rhs quarters --epsilon0 1e-12 --max-iters 1", 1,
              "solve: cap_exceeded iterations=1\n"),
             ("analyze --matrix diagonal --rhs mixed", 0,
@@ -944,6 +944,19 @@ class TestNoTraceback:
         argv = ["solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", mode]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_subnormal_ones_image_exit_two(self, tmp_path, capsys):
+        # ||A e||^2 is 5e-324, subnormal: the incremental solve divided by
+        # alpha_b ||A e||^2, which rounds to 0, and ended in a traceback.
+        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
+        a = 1e-146 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
+        rows = (" ".join(f"{v!r}" for v in row) for row in a.tolist())
+        matrix.write_text("2 2\n" + "".join(row + "\n" for row in rows))
+        rhs.write_text("2 1\n1e-146\n0\n")
+        assert main(["solve", "--matrix", str(matrix), "--rhs", str(rhs)]) == 2
+        assert capsys.readouterr().err == (
+            "error: A e too small: a squared norm underflows to 0; rescale the input\n"
+        )
 
     @pytest.mark.parametrize("epsilon", ["1e-200", "1e-160"])
     def test_tiny_epsilon_exit_two(self, tmp_path, capsys, epsilon):

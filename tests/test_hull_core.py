@@ -1,5 +1,6 @@
 """Triangle Algorithm core: worked examples, invariants, properties."""
 
+import copy
 import math
 import tracemalloc
 
@@ -18,6 +19,7 @@ from helpers import (
     nonneg_system,
     outside_instance_2d,
     radius_R,
+    reference_find_pivot,
 )
 from hullsolve import (
     CAP_EXCEEDED,
@@ -276,8 +278,8 @@ class TestApplyStep:
 
 
 class TestPairwiseStep:
-    """apply_step(pairwise=True): the better of the Triangle step and a
-    transfer of weight to the pivot from the active point of least margin."""
+    """apply_step with donors: the better of the Triangle step and a
+    transfer of weight to the pivot from the donor of least margin."""
 
     def test_clamped_transfer_empties_the_point(self):
         # From p' = (0, 1) toward p = (0, -1): the Triangle step jumps to
@@ -290,7 +292,7 @@ class TestPairwiseStep:
         alpha = step_size(instance, iterate, 0)
         assert alpha == 1.0
         assert np.array_equal(apply_step(instance, iterate, 0, alpha).coeffs, [1.0, 0.0, 0.0])
-        stepped = apply_step(instance, iterate, 0, alpha, pairwise=True)
+        stepped = apply_step(instance, iterate, 0, alpha, donors=instance.n_points)
         assert stepped.coeffs[2] == 0.0
         assert stepped.coeffs[1] == iterate.coeffs[1]
         assert stepped.coeffs[0] == pytest.approx(0.55, abs=1e-15)
@@ -318,7 +320,7 @@ class TestPairwiseStep:
                 continue
             alpha = step_size(instance, iterate, j)
             triangle = apply_step(instance, iterate, j, alpha)
-            stepped = apply_step(instance, iterate, j, alpha, pairwise=True)
+            stepped = apply_step(instance, iterate, j, alpha, donors=instance.n_points)
             if np.array_equal(stepped.coeffs, triangle.coeffs):
                 assert stepped.point_sq == triangle.point_sq
                 continue
@@ -328,6 +330,73 @@ class TestPairwiseStep:
             assert stepped.coeffs[j] > iterate.coeffs[j]
             assert stepped.gap <= triangle.gap * (1.0 + 1e-12)
         assert 50 <= transfers <= 450
+
+    def test_donors_limit_the_points_that_give_weight(self):
+        # States of a shifted hull where -b(t), the last point, is the
+        # active point of least margin. With every point a donor, as
+        # solve_nonneg steps, a transfer draws from -b(t); with the n
+        # columns alone, as solve_incremental steps, it draws from a
+        # column, and -b(t) keeps its weight.
+        rng = np.random.default_rng(74)
+        system, _ = invertible_system(rng, 8)
+        instance = shifted_instance(system, 0.0)
+        n = system.n
+        from_rhs = from_column = 0
+        for _ in range(400):
+            coeffs = rng.dirichlet(np.ones(n + 1)) * (rng.random(n + 1) < 0.6)
+            coeffs[n] = rng.uniform(0.05, 0.3)
+            iterate = make_iterate(instance, coeffs)
+            active = np.where(iterate.coeffs > 0.0, iterate.dot_cache, -np.inf)
+            j = find_pivot(instance, iterate)
+            if j is None or int(active.argmax()) != n:
+                continue
+            alpha = step_size(instance, iterate, j)
+            triangle = apply_step(instance, iterate, j, alpha)
+            for donors in (n + 1, n):
+                stepped = apply_step(instance, iterate, j, alpha, donors=donors)
+                if np.array_equal(stepped.coeffs, triangle.coeffs):
+                    continue
+                changed = set(np.flatnonzero(stepped.coeffs != iterate.coeffs))
+                if donors == n + 1:
+                    assert changed == {j, n}
+                    from_rhs += 1
+                else:
+                    assert len(changed) == 2 and j in changed
+                    assert stepped.coeffs[n] == iterate.coeffs[n]
+                    from_column += 1
+        assert from_rhs >= 50 and from_column >= 30
+
+    def test_tie_after_a_transfer_goes_to_the_lower_index(self):
+        # An unclamped transfer leaves its two points' margins equal in
+        # exact arithmetic. Where they are the largest, the maintained
+        # margins and those recomputed from the points may rank them
+        # apart by rounding; find_pivot and reference_find_pivot both
+        # take the lower index.
+        rng = np.random.default_rng(79)
+        decided = 0
+        for _ in range(100):
+            points = rng.normal(size=(5, 10))
+            target = 0.5 * (points[:, 0] + points[:, 1]) + 0.05 * rng.normal(size=5)
+            instance = HullInstance(points, target)
+            iterate = make_iterate(instance, rng.dirichlet(np.ones(10)))
+            for _ in range(30):
+                j = find_pivot(instance, iterate)
+                if j is None:
+                    break
+                alpha = step_size(instance, iterate, j)
+                iterate = apply_step(instance, iterate, j, alpha, donors=10)
+                if iterate.tie is None:
+                    continue
+                low, high = iterate.tie
+                margins = pivot_margins(iterate)
+                top = int(margins.argmax())
+                if top not in iterate.tie or margins[top] < 0.0:
+                    continue
+                shipped = find_pivot(instance, copy.deepcopy(iterate))
+                assert shipped == reference_find_pivot(instance, copy.deepcopy(iterate))
+                if top == high and shipped == low:
+                    decided += 1
+        assert decided >= 20
 
     @pytest.mark.parametrize("kind", ["phase2", "phase1", "membership"])
     @pytest.mark.parametrize("seed", range(3))
@@ -351,7 +420,7 @@ class TestPairwiseStep:
             if j is None or iterate.gap <= floor:
                 break
             alpha = step_size(instance, iterate, j)
-            stepped = apply_step(instance, iterate, j, alpha, pairwise=True)
+            stepped = apply_step(instance, iterate, j, alpha, donors=instance.n_points)
             assert (stepped.coeffs >= 0.0).all()
             assert abs(stepped.coeffs.sum() - 1.0) <= 1e-12
             point = instance.points @ stepped.coeffs

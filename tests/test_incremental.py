@@ -24,14 +24,17 @@ from hullsolve import (
     SingularMatrixError,
     SolveConfig,
     analyze_system,
+    apply_step,
     build_quadratics,
+    find_pivot,
     make_iterate,
     next_shift,
     optimize_shift_tau0,
     solve_incremental,
     solve_nonneg,
+    step_size,
 )
-from hullsolve import incremental, two_phase
+from hullsolve import hull, incremental, two_phase
 from hullsolve.incremental import shifted_instance
 from hullsolve.oracles import solve_exact
 from hullsolve.two_phase import AlphaBVanishes
@@ -312,9 +315,19 @@ class TestSolveIncremental:
         assert np.linalg.norm(outcome.x - np.array([-0.5, -1.5])) <= 1e-4
 
     def test_rounding_hook_replays_paper_iteration(self):
-        # tau0 = 12/5 rounded down to 2: pivot on the first column with
-        # step 2/13 and the documented coefficients.
+        # tau0 = 12/5 rounded down to 2: pivot on the first column. The
+        # paper's Triangle step there has step 2/13 and alpha_b = 11/52.
         system = example2_system()
+        instance = shifted_instance(system, 2.0)
+        iterate = make_iterate(instance, EXAMPLE2_COEFFS)
+        assert find_pivot(instance, iterate) == 0
+        alpha = step_size(instance, iterate, 0)
+        assert alpha == pytest.approx(2.0 / 13.0, abs=1e-14)
+        triangle = apply_step(instance, iterate, 0, alpha)
+        assert triangle.coeffs[-1] == pytest.approx(11.0 / 52.0, abs=1e-14)
+        # The solver takes the better pairwise step instead: weight 1/6
+        # moves from the second column to the first, to (5/12, 1/3, 1/4),
+        # x0 = (5/3, 4/3) and gap 1/2; alpha_b stays 1/4.
         config = SolveConfig(
             epsilon0=1e-10,
             max_iterations=1,
@@ -325,19 +338,21 @@ class TestSolveIncremental:
         first_step = next(r for r in outcome.trace if r.pivot is not None)
         assert first_step.t == 2.0
         assert first_step.pivot == 0
-        assert first_step.alpha_b == pytest.approx(11.0 / 52.0, abs=1e-14)
+        assert first_step.alpha_b == 0.25
+        assert first_step.value == pytest.approx(2.0, abs=1e-14)
+        assert triangle.gap == pytest.approx(0.58835, abs=1e-5)  # the transfer's 1/2 is nearer
 
     @pytest.mark.parametrize(
         "policy, hook, expected",
         [
             ("quantized", math.floor,
-             [(215, [0.0, 1.0]), (129, [0.0, 1.0, 2.0]), (613, [0.0, 2.0, 3.0])]),
+             [(12, [0.0, 1.0]), (39, [0.0, 1.0, 2.0]), (126, [0.0, 2.0, 3.0])]),
             ("quantized", lambda tau: 0.0,
-             [(215, [0.0, 1.0]), (129, [0.0, 1.0, 2.0]), (689, [0.0, 1.0, 2.0, 3.0])]),
+             [(12, [0.0, 1.0]), (39, [0.0, 1.0, 2.0]), (142, [0.0, 1.0, 2.0, 3.0])]),
             ("double_plus_one", math.floor,
-             [(215, [0.0, 1.0]), (297, [0.0, 1.0, 3.0]), (567, [0.0, 3.0])]),
+             [(12, [0.0, 1.0]), (38, [0.0, 1.0, 3.0]), (35, [0.0, 3.0])]),
             ("double_plus_one", lambda tau: 0.0,
-             [(215, [0.0, 1.0]), (297, [0.0, 1.0, 3.0]), (526, [0.0, 1.0, 3.0])]),
+             [(12, [0.0, 1.0]), (38, [0.0, 1.0, 3.0]), (40, [0.0, 1.0, 3.0])]),
         ],
     )
     def test_tau_hook_runs_repeat(self, policy, hook, expected):
@@ -445,6 +460,40 @@ class TestSolveIncremental:
             shifts = outcome.diagnostics["shifts"]
             assert all(b > a for a, b in zip(shifts, shifts[1:]))
             assert outcome.status == CONVERGED
+
+
+def test_only_columns_give_weight(monkeypatch):
+    # -b(t) is the active point of least margin on nearly every step of
+    # this solve, so a transfer from it would lower alpha_b, which x0 and
+    # the estimate gap / alpha_b divide by. solve_incremental lets the n
+    # columns alone give weight: its transfers leave alpha_b as it was.
+    # solve_nonneg lets every point give it.
+    calls = []
+
+    def step(instance, iterate, j, alpha, donors=0):
+        stepped = hull.apply_step(instance, iterate, j, alpha, donors)
+        triangle = hull.apply_step(instance, iterate, j, alpha)
+        active = np.where(iterate.coeffs > 0.0, iterate.dot_cache, -np.inf)
+        last = instance.n_points - 1
+        transfer = not np.array_equal(stepped.coeffs, triangle.coeffs)
+        calls.append((donors, last, transfer, int(active.argmax()) == last,
+                      stepped.coeffs[last] - iterate.coeffs[last]))
+        return stepped
+
+    monkeypatch.setattr(incremental, "apply_step", step)
+    monkeypatch.setattr(two_phase, "apply_step", step)
+    system, _ = invertible_system(np.random.default_rng(5), 10)
+    assert solve_incremental(system, SolveConfig(epsilon0=1e-3)).status == CONVERGED
+    assert {donors for donors, *_ in calls} == {10}
+    assert sum(rhs_least for *_, rhs_least, _ in calls) >= 0.9 * len(calls)
+    transfers = [rise for _, _, transfer, _, rise in calls if transfer]
+    assert len(transfers) >= 20 and all(rise == 0.0 for rise in transfers)
+    calls.clear()
+    system, _ = nonneg_system(np.random.default_rng(5), 10, diag_boost=0.0)
+    assert solve_nonneg(system, SolveConfig(epsilon0=1e-3)).status == CONVERGED
+    assert {donors for donors, *_ in calls} == {11}
+    assert any(transfer and rhs_least and rise < 0.0
+               for _, _, transfer, rhs_least, rise in calls)
 
 
 class TestOneGramMatrix:

@@ -88,6 +88,7 @@ def _capped_start(config_type, init_coeffs):
 
 _BIG = 5e153 * np.array([[1.0, 1.0, 1.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
 _TINY = 1e-147 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
+_SUBNORMAL = 1e-146 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
 
 
 @pytest.mark.parametrize(
@@ -131,6 +132,11 @@ _TINY = 1e-147 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
         pytest.param(lambda: LinearSystem(_TINY, 1e-147 * np.array([1.0, 0.0])),
                      "A e too small: a squared norm underflows to 0; rescale the input",
                      id="ones-image-underflows"),
+        # ||A e||^2 is 5e-324, subnormal: alpha_b ||A e||^2 rounds to 0.
+        pytest.param(lambda: solve_incremental(
+                         LinearSystem(_SUBNORMAL, 1e-146 * np.array([1.0, 0.0])), SolveConfig()),
+                     "A e too small: a squared norm underflows to 0; rescale the input",
+                     id="ones-image-subnormal"),
         # Each run would start from NaN weights and run its step cap.
         pytest.param(lambda: run_hull(_triangle(), _capped_start(HullConfig, [np.nan, 1.0, 0.0])),
                      "convex coefficients must be finite", id="nan-weight-hull"),
