@@ -16,16 +16,16 @@ shift gives the next shift to try. The final answer is x = x0 - t e.
 
 A change of shift moves only the last point, -b(t), so the solver builds
 its hull instance once (shifted_instance) and carries it, and the iterate's
-maintained products and ||p'||^2, to each new shift (move_shift): -b(t) is
-written into the instance in place with the Gram border a build writes,
-LinearSystem.shift_border(t), the iterate's products with the columns
-take one scaled add of A^T u, and its product with -b(t) and ||p'||^2
-follow in O(1) from u^T p'. The shift re-optimisation reads that same
+maintained products and ||p'||^2, to each new shift (move_shift): -b(t)
+and its Gram border are written in place by system.place_shift, the
+writer that finishes every build too, the iterate's products with the
+columns take one scaled add of A^T u, and its product with -b(t) and
+||p'||^2 follow in O(1) from u^T p'. The shift re-optimisation reads that same
 u^T p' from the coefficients in O(n): the iterate's point is p'(t) =
 alpha_b (A x0 - b(t)), so the best shift and its residual E follow from
-u^T p' and the moved gap. That E is an estimate; the exact residual,
-computed only when the estimate nears the target and once every n steps,
-decides the stop.
+u^T p' and the moved gap. That E is an estimate; the exact residual at
+the shift moved to, computed only when the estimate nears the target and
+once every n steps, decides the stop.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .system import (
     SingularMatrixError,
     SolveConfig,
     SolveOutcome,
+    place_shift,
     shifted_instance,
 )
 from .two_phase import DEFAULT_PHASE_CAP, PROXY_MARGIN, AlphaBVanishes, recover_solution
@@ -117,11 +118,10 @@ def move_shift(
 ) -> Iterate:
     """Move a shifted hull and its iterate from shift t0 to t, in O(n).
 
-    The instance, built by shifted_instance, gets -b(t) written into its
-    last column in place, in the same arithmetic as -system.rhs_shifted(t),
-    with the Gram border system.shift_border(t), so that it equals
-    shifted_instance(system, t) bit for bit. The iterate keeps its
-    coefficients c and forms no point: with drift = (t - t0) alpha_b,
+    The instance, built by shifted_instance, gets -b(t) and its Gram
+    border from place_shift, the writer that finishes a build, so it
+    equals shifted_instance(system, t) by construction. The iterate keeps
+    its coefficients c and forms no point: with drift = (t - t0) alpha_b,
     p'(t) = p'(t0) - drift u, so its products with the columns move by
     -drift A^T u, and its product with -b(t) and ||p'(t)||^2 = ||p'||^2 -
     2 drift u^T p' + drift^2 ||u||^2 follow in O(1) from u_point, u^T p'
@@ -131,10 +131,7 @@ def move_shift(
     """
     n = system.n
     coeffs = iterate.coeffs
-    last = instance.points[:, n]
-    np.multiply(system.u, -t, out=last)
-    last -= system.b
-    instance.move_last_point(system.shift_border(t))
+    place_shift(system, instance, t)
     step = t - t0
     drift = step * float(coeffs[-1])
     dots = np.empty(n + 1)
@@ -350,12 +347,10 @@ def solve_incremental(
     The loop per pass: recover x0 from the iterate, move the shift t to the
     tau0 >= t minimizing E(t) = ||A x0 - (b + t u)||, in O(n) from the
     iterate, and stop with x = x0 - tau0 e once ||A x - b|| <= epsilon0 * rho.
-    That residual costs O(n^2), so it is computed only when the estimate
-    E = gap / alpha_b comes within PROXY_MARGIN of the target at t or at
-    tau0 and, as a backstop, once every n steps; it is the only stop
-    test. When the estimate at t was near and tau0 != t, the residual
-    at t is computed too, and t is kept when it passes and tau0's residual
-    is not smaller. Otherwise take one step at tau0, the better of the
+    That residual costs O(n^2), so it is computed, once, only when the
+    estimate E = gap / alpha_b at tau0 comes within PROXY_MARGIN of the
+    target or, as a backstop, every n steps; it is the only stop test.
+    Otherwise take one step at tau0, the better of the
     Triangle step and a transfer from a column (see hull.apply_step), or,
     when the iterate is a witness, raise the shift by the increment rule and
     warm-start from the same coefficients: "quantized:N" (bare
@@ -364,8 +359,9 @@ def solve_incremental(
     diagnostics["policy"] names the rule: "quantized" or "double_plus_one".
 
     tau_hook, when given, post-processes that same tau0 (clamped below by
-    the current shift) and skips the estimate at the current shift; it
-    exists to reproduce hand-worked shift sequences in tests.
+    the current shift), and the pass stops by the same test at the shift
+    it returns; it exists to reproduce hand-worked shift sequences in
+    tests.
 
     Another increment spec, or an N below 1, raises ValueError before the
     first step, and so does a nonzero ||A e||^2 below the smallest normal
@@ -425,26 +421,16 @@ def solve_incremental(
             iterate = _reseed(instance, iterate)
             reseeds += 1
         alpha_b = float(iterate.coeffs[-1])
-        t = t0
-        near = tau_hook is None and iterate.gap / alpha_b <= proxy_gate
         tau0, u_point = _optimal_shift(system, iterate, t0)
         if tau_hook is not None:
             tau0 = max(t0, float(tau_hook(tau0)))
         if tau0 != t0:
             iterate = move_shift(system, instance, iterate, t0, tau0, u_point)
             t0 = tau0
-        if near or iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
+        if iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
             # x = x0 - t0 e; the move kept the coefficients.
-            x0 = recover_solution(iterate, system)
-            x = x0 - t0
+            x = recover_solution(iterate, system) - t0
             residual = system.residual_norm(x)
-            if near and t != t0:
-                # Once x0 solves the system, u^T p' is rounding noise, so
-                # tau0 replaces a passing shift t only with a smaller residual.
-                x_t = x0 - t
-                residual_t = system.residual_norm(x_t)
-                if residual_t <= min(residual, threshold):
-                    x, residual, t0 = x_t, residual_t, t
             if residual <= threshold:
                 if trace is not None:
                     trace.append(TraceRecord(steps, t0, residual, alpha_b, None, False))

@@ -167,6 +167,10 @@ def _load_matrix_market(path: str) -> np.ndarray:
     except ValueError:
         raise ParseError(f"{layout} size line must be integers", line=size_line)
     rows, cols = counts[:2]
+    if rows < 1 or cols < 1:
+        raise ParseError("matrix dimensions must be positive", line=size_line)
+    if coordinate and counts[2] < 0:
+        raise ParseError("entry count must not be negative", line=size_line)
     if symmetric and rows != cols:
         raise ParseError("a symmetric matrix must be square", line=size_line)
     # The file's last line as readlines() numbers it: text mode has made

@@ -25,6 +25,7 @@ __all__ = [
     "SingularMatrixError",
     "LinearSystem",
     "shifted_instance",
+    "place_shift",
     "SolveConfig",
     "SolveOutcome",
     "CONVERGED",
@@ -52,8 +53,9 @@ class LinearSystem:
     Exposes the column norms, rho = max(||a_1||, ..., ||a_n||, ||b||), the
     shift direction u = A e, and the scalars ||b||^2, u^T b and ||u||^2
     that the shifted right-hand side b(t) = b + t u is priced from; A^T A,
-    A^T b and A^T u are formed once, at first use, for every reader. A zero
-    column is rejected outright since it makes A singular; data whose
+    A^T b and A^T u are formed once, at first use, for every reader. A
+    system with no unknowns is refused, and a zero column is rejected
+    outright since it makes A singular; data whose
     squared norms overflow, or whose nonzero columns' squared norms
     underflow, are rejected as out of scale, and so is a shift direction
     u = A e whose squared norm overflows or, with u nonzero, underflows.
@@ -65,6 +67,8 @@ class LinearSystem:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 1:
             raise ValueError("matrix must be square and right-hand side 1-d")
         n = a.shape[0]
+        if n == 0:
+            raise ValueError("system must have at least one unknown")
         if b.size != n:
             raise ValueError(f"matrix is {n}x{n}, right-hand side has length {b.size}")
         if not np.isfinite(a).all() or not np.isfinite(b).all():
@@ -103,10 +107,6 @@ class LinearSystem:
         """A^T b, the columns' products with the right-hand side."""
         return self.a.T @ self.b
 
-    def rhs_shifted(self, t: float) -> np.ndarray:
-        """b(t) = b + t u."""
-        return self.b + t * self.u
-
     def shift_border(self, t: float) -> np.ndarray:
         """-b(t)'s products with the columns and itself, in O(n): -(A^T b +
         t A^T u) and ||b(t)||^2 = ||b||^2 + 2 t u^T b + t^2 ||u||^2, clamped
@@ -125,14 +125,24 @@ class LinearSystem:
 
 
 def shifted_instance(system: LinearSystem, t: float) -> HullInstance:
-    """Hull instance for conv({a_1, ..., a_n, -b(t)}) against the origin,
-    its Gram matrix a copy of system.gram bordered with shift_border(t)
-    through move_last_point, as incremental.move_shift borders it."""
-    points = np.hstack([system.a, -system.rhs_shifted(t)[:, None]])
+    """Hull instance for conv({a_1, ..., a_n, -b(t)}) against the origin:
+    [A | 0] with a copy of system.gram padded by a zero border, into
+    which place_shift writes -b(t) and its border."""
+    points = np.hstack([system.a, np.zeros((system.n, 1))])
     gram = np.pad(system.gram, (0, 1))
     instance = HullInstance(points, np.zeros(system.n), gram=gram)
-    instance.move_last_point(system.shift_border(t))
+    place_shift(system, instance, t)
     return instance
+
+
+def place_shift(system: LinearSystem, instance: HullInstance, t: float) -> None:
+    """Write -b(t) = -t u - b into the instance's last point in place, and
+    its Gram border shift_border(t) through move_last_point: the one
+    writer of -b(t), for a build and for every shift move alike."""
+    last = instance.points[:, -1]
+    np.multiply(system.u, -t, out=last)
+    last -= system.b
+    instance.move_last_point(system.shift_border(t))
 
 
 @dataclass

@@ -109,6 +109,12 @@ class TestTauStarBounds:
         )
         assert not analysis.near_singular
 
+    def test_zero_rhs(self):
+        # x = 0 needs no shift: both bounds are 0 and their logarithms -inf.
+        analysis = analyze_system(LinearSystem(np.eye(2), np.zeros(2)))
+        assert analysis.tau_star == analysis.tau_star_prime == 0.0
+        assert analysis.log_tau_star == analysis.log_tau_star_prime == -math.inf
+
     def test_example2_dominates_t_star(self):
         system = example2_system()
         analysis = analyze_system(system)

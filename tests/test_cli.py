@@ -770,6 +770,14 @@ class TestNoTraceback:
         assert code == 2
         assert "expected 1000000 data rows, found 1" in capsys.readouterr().err
 
+    def test_negative_entry_count_exit_two(self, ex1_files, tmp_path, capsys):
+        # The count once indexed past the entries found, an IndexError.
+        _, rhs = ex1_files
+        path = tmp_path / "neg.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 -1\n")
+        assert main(["analyze", "--matrix", str(path), "--rhs", rhs]) == 2
+        assert capsys.readouterr().err == "error: line 2: entry count must not be negative\n"
+
     def test_memory_error_exit_two(self, ex1_files, monkeypatch, capsys):
         def load_matrix(path, fmt=None):
             raise MemoryError("Unable to allocate 7.28 TiB")

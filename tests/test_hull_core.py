@@ -516,7 +516,8 @@ class TestGramMemo:
         instance = shifted_instance(system, t)
         gram = system.gram.copy()
         border = system.shift_border(t)
-        assert np.array_equal(instance.points, np.column_stack([system.a, -system.rhs_shifted(t)]))
+        b_t = system.b + t * system.u
+        assert np.array_equal(instance.points, np.column_stack([system.a, -b_t]))
         assert not instance.target.any()
         assert np.array_equal(instance.sq_norms[:n], np.einsum("ij,ij->j", system.a, system.a))
         assert instance.sq_norms[n] == border[n]

@@ -70,7 +70,7 @@ class TestOptimizeShift:
             floor = rng.uniform(0.0, 2.0)
             tau0, err = optimize_shift_tau0(system, x0, t_floor=floor)
             for t in np.arange(floor, floor + 5.0, 0.1):
-                sampled = np.linalg.norm(system.a @ x0 - system.rhs_shifted(t))
+                sampled = np.linalg.norm(system.a @ x0 - (system.b + t * system.u))
                 assert err <= sampled + 1e-12
 
 
@@ -131,7 +131,7 @@ class TestBuildQuadratics:
                 for quad in quads:
                     if quad.is_rhs:
                         direct = moved_sq + 2.0 * float(
-                            moved @ system.rhs_shifted(t)
+                            moved @ (system.b + t * system.u)
                         )
                     else:
                         direct = moved_sq - 2.0 * float(
@@ -219,6 +219,11 @@ class TestNextShift:
     def test_no_upward_quadratic_raises(self):
         with pytest.raises(NoPositiveQuadratic):
             next_shift([ShiftQuadratic(0, 0.0, 1.0, -1.0)], t0=0.0)
+
+    def test_double_root_gives_the_cauchy_bound(self):
+        # (t - 1)^2: the discriminant is 0, so the root 1 is bounded above
+        # by 1 + max(|c1|, |c0|) / c2 = 3 rather than solved for.
+        assert next_shift([ShiftQuadratic(0, 1.0, -2.0, 1.0)], t0=0.0, quantum=None) == 3.0
 
     def test_quantized_increase_is_multiple(self):
         rng = np.random.default_rng(43)
@@ -502,9 +507,9 @@ class TestOneGramMatrix:
 
     def test_moved_instance_is_the_built_one(self):
         # move_shift and shifted_instance write -b(t) and its Gram border
-        # the same way: after moves from shift to shift, the instance
-        # holds the points, squared norms and Gram matrix of one built at
-        # the last shift, bit for bit.
+        # through one writer, place_shift: after moves from shift to
+        # shift, the instance holds the points, squared norms and Gram
+        # matrix of one built at the last shift, bit for bit.
         rng = np.random.default_rng(67)
         for n in (3, 10, 40):
             a = rng.normal(size=(n, n))

@@ -15,7 +15,9 @@ from hullsolve import (
     solve_nonneg,
 )
 from hullsolve.hull import apply_step, make_iterate
+from hullsolve.incremental import ShiftQuadratic, next_shift
 from hullsolve.matio import FORMAT_MATRIX_MARKET, ParseError, load_matrix
+from hullsolve.oracles import solve_exact
 
 _MM_ARRAY = "%%MatrixMarket matrix array real general\n"
 
@@ -52,6 +54,12 @@ _MM_ARRAY = "%%MatrixMarket matrix array real general\n"
                      "array size line must be 'rows cols'", 3, id="mm-size-line-form"),
         pytest.param(_MM_ARRAY + "2 x\n", None, "array size line must be integers", 2,
                      id="mm-size-line-not-integers"),
+        pytest.param(_MM_ARRAY + "0 0\n", None, "matrix dimensions must be positive", 2,
+                     id="mm-zero-dimensions"),
+        pytest.param(_MM_ARRAY + "% comment\n-2 3\n", None, "matrix dimensions must be positive",
+                     3, id="mm-negative-dimension"),
+        pytest.param("%%MatrixMarket matrix coordinate real general\n2 2 -1\n", None,
+                     "entry count must not be negative", 2, id="mm-negative-entry-count"),
     ],
 )
 def test_malformed_file_is_refused(tmp_path, text, fmt, message, line):
@@ -89,6 +97,7 @@ def _capped_start(config_type, init_coeffs):
 _BIG = 5e153 * np.array([[1.0, 1.0, 1.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
 _TINY = 1e-147 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
 _SUBNORMAL = 1e-146 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
+_NO_SECOND_PIVOT = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize(
@@ -113,6 +122,8 @@ _SUBNORMAL = 1e-146 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
                      "alpha must lie in [0, 1]", id="alpha-below-zero"),
         pytest.param(lambda: LinearSystem(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
                      "matrix and right-hand side must be finite", id="system-not-finite"),
+        pytest.param(lambda: LinearSystem(np.zeros((0, 0)), np.zeros(0)),
+                     "system must have at least one unknown", id="system-empty"),
         pytest.param(lambda: SolveConfig(epsilon0=0.0),
                      "epsilon0 must lie strictly between 0 and 1", id="epsilon0-zero"),
         pytest.param(lambda: SolveConfig(epsilon0=1.0),
@@ -124,6 +135,11 @@ _SUBNORMAL = 1e-146 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
         pytest.param(lambda: solve_incremental(LinearSystem(np.eye(2), np.ones(2)), SolveConfig(),
                                                increment="quantized:x"),
                      "bad increment spec 'quantized:x'", id="increment-not-integer"),
+        pytest.param(lambda: next_shift([ShiftQuadratic(0, 1.0, 0.0, -1.0)], 0.0, quantum=0),
+                     "quantum must be a positive integer", id="next-shift-quantum"),
+        # Column 2 has no pivot left after the first elimination step.
+        pytest.param(lambda: solve_exact(LinearSystem(_NO_SECOND_PIVOT, np.ones(3))),
+                     "pivot 0.000e+00 below threshold", id="exact-solve-pivot"),
         # Every column's and b's squared norm fits, but ||A e||^2 overflows.
         pytest.param(lambda: LinearSystem(_BIG, _BIG @ np.full(3, 0.1)),
                      "A e too large: a squared norm overflows; rescale the input",
