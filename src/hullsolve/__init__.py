@@ -22,7 +22,6 @@ from .hull import (
     apply_step,
     find_pivot,
     initial_iterate,
-    iteration_cap_from_bound,
     make_iterate,
     run_hull,
     step_size,

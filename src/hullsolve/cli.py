@@ -24,6 +24,7 @@ import numpy as np
 from . import bounds, incremental, matio, oracles, two_phase
 from .hull import (
     IN_HULL_APPROX,
+    MAX_ITERATIONS,
     NOT_IN_HULL,
     HullConfig,
     HullInstance,
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hull.add_argument("--target", required=True, help="vector file; the query point")
     hull.add_argument("--epsilon", type=float, default=1e-2)
     hull.add_argument("--init", choices=sorted(_STARTS), default="nearest")
-    hull.add_argument("--max-iters", type=int, default=None)
+    hull.add_argument("--max-iters", type=int, default=MAX_ITERATIONS)
     common_output(hull)
 
     solve = sub.add_parser("solve", help="solve a square system A x = b")
@@ -73,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--phase1", action="store_true", help="nonneg mode: delta0 from Phase 1, as in the paper"
     )
     solve.add_argument("--init", choices=sorted(_STARTS), default="nearest")
-    solve.add_argument("--max-iters", type=int, default=None)
+    solve.add_argument("--max-iters", type=int, default=MAX_ITERATIONS)
     common_output(solve)
 
     analyze = sub.add_parser("analyze", help="a-priori bounds for a system")
@@ -152,7 +153,7 @@ def _cmd_hull(args) -> tuple[dict, list | None, int]:
         "config": {
             "epsilon": args.epsilon,
             "init_rule": _STARTS[args.init],
-            "max_iterations": config.resolved_cap(),
+            "max_iterations": config.max_iterations,
         },
         "status": outcome.status,
         "iterations": outcome.iterations,
@@ -188,19 +189,21 @@ def _cmd_solve(args) -> tuple[dict, list | None, int]:
         init_coeffs=_init_coeffs(args, system.n + 1),
         record_trace=bool(args.trace),
     )
+    echo = {
+        "mode": args.mode,
+        "epsilon0": args.epsilon0,
+        "init_rule": _STARTS[args.init],
+        "max_iterations": config.max_iterations,
+    }
     if nonneg:
         outcome = two_phase.solve_nonneg(system, config, phase1=args.phase1)
+        echo["delta0_policy"] = "phase1" if args.phase1 else "skip"
     else:
         outcome = incremental.solve_incremental(system, config, increment=increment)
+        echo["increment"] = increment
     report = {
         "command": "solve",
-        "config": {
-            "mode": args.mode,
-            "epsilon0": args.epsilon0,
-            "delta0_policy": "phase1" if args.phase1 else "skip",
-            "init_rule": _STARTS[args.init],
-            "increment": increment,
-        },
+        "config": echo,
         "status": outcome.status,
         "iterations": outcome.iterations,
         "shift_t": outcome.shift_t,
@@ -278,6 +281,8 @@ def _bench_instance(suite: str, size: int, index: int, seed: int, epsilon0: floa
 
 
 def _cmd_bench(args) -> tuple[dict, list | None, int]:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     sizes = [size for size in args.sizes for _ in range(args.count)]
     report = {
         "command": "bench",

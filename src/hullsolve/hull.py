@@ -46,6 +46,7 @@ __all__ = [
     "IN_HULL_APPROX",
     "NOT_IN_HULL",
     "CAP_EXCEEDED",
+    "MAX_ITERATIONS",
     "DegeneratePivot",
     "HullInstance",
     "Iterate",
@@ -63,12 +64,16 @@ __all__ = [
     "step_size",
     "apply_step",
     "run_hull",
-    "iteration_cap_from_bound",
 ]
 
 IN_HULL_APPROX = "in_hull_approx"
 NOT_IN_HULL = "not_in_hull"
 CAP_EXCEEDED = "cap_exceeded"
+
+# The step cap of every run unless a caller sets max_iterations: the
+# paper's bounds, 48 / epsilon^2 and the like, are worst cases that reach
+# 10^300 at tight tolerances, where no run would end at them.
+MAX_ITERATIONS = 10**6
 
 # Convex coefficients smaller than this in magnitude are rounding dust:
 # _clean_coeffs clamps them to zero in the coefficients a caller gives, and
@@ -283,14 +288,13 @@ class TraceRecord:
 class HullConfig:
     """Settings for a Triangle Algorithm run.
 
-    max_iterations defaults to the worst-case membership bound
-    ceil(48 / epsilon^2) when left as None. init_coeffs are convex
-    weights over the points to start from; None starts at the point
-    nearest the target (see initial_iterate).
+    max_iterations caps the Triangle steps, MAX_ITERATIONS unless set.
+    init_coeffs are convex weights over the points to start from; None
+    starts at the point nearest the target (see initial_iterate).
     """
 
     epsilon: float = 1e-4
-    max_iterations: int | None = None
+    max_iterations: int = MAX_ITERATIONS
     init_coeffs: np.ndarray | None = None
     record_trace: bool = False
 
@@ -299,16 +303,11 @@ class HullConfig:
             raise ValueError("epsilon must lie strictly between 0 and 1")
         check_run_settings(self)
 
-    def resolved_cap(self) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return iteration_cap_from_bound(self.epsilon)
-
 
 def check_run_settings(config) -> None:
-    """HullConfig's and SolveConfig's common check: max_iterations None or positive."""
-    if config.max_iterations is not None and config.max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
+    """HullConfig's and SolveConfig's common check: max_iterations at least 1."""
+    if config.max_iterations is None or config.max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, not {config.max_iterations!r}")
 
 
 @dataclass
@@ -612,7 +611,6 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     iterate = initial_iterate(instance, config.init_coeffs)
     donors = instance.n_points
     delta0 = iterate.gap
-    cap = config.resolved_cap()
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     witness = certifying_vertex = None
@@ -634,7 +632,7 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
                 far = _far_certificate(instance, iterate, config.epsilon)
                 status, certifying_vertex = IN_HULL_APPROX, far
             break
-        if steps >= cap:
+        if steps >= config.max_iterations:
             status, iterate = CAP_EXCEEDED, _settled_iterate(instance, iterate)
             break
         try:
@@ -652,18 +650,3 @@ def run_hull(instance: HullInstance, config: HullConfig) -> HullOutcome:
     if trace:  # the last step's row carries the gap the verdict was formed from
         trace[-1].value = iterate.gap
     return HullOutcome(status, iterate, steps, delta0, witness, certifying_vertex, trace)
-
-
-def iteration_cap_from_bound(epsilon: float, ratio: float = 1.0) -> int:
-    """Worst-case iteration count ceil((48 / epsilon^2) ratio^2): the
-    membership bound at ratio 1, Phase 2's at ratio rho / delta0'."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    eps_sq = epsilon * epsilon
-    bound = (48.0 / eps_sq) * (ratio * ratio) if eps_sq > 0.0 else math.inf
-    if not math.isfinite(bound):
-        raise ValueError(
-            f"epsilon {epsilon!r} is too small for the iteration bound (48 / epsilon^2) "
-            f"{ratio!r}^2; set max_iterations (--max-iters)"
-        )
-    return math.ceil(bound)

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds
 from .hull import (
     HullInstance,
     Iterate,
@@ -59,7 +58,7 @@ from .system import (
     place_shift,
     shifted_instance,
 )
-from .two_phase import DEFAULT_PHASE_CAP, PROXY_MARGIN, AlphaBVanishes, recover_solution
+from .two_phase import PROXY_MARGIN, AlphaBVanishes, recover_solution
 
 __all__ = [
     "NoPositiveQuadratic",
@@ -307,16 +306,6 @@ def _reseed(instance: HullInstance, iterate: Iterate) -> Iterate:
     return make_iterate(instance, coeffs)
 
 
-def _default_escalation_cap(system: LinearSystem) -> int:
-    analysis = bounds.analyze_system(system)
-    log_prime = analysis.log_tau_star_prime
-    if analysis.near_singular or not math.isfinite(log_prime):
-        return DEFAULT_PHASE_CAP
-    if log_prime < math.log(DEFAULT_PHASE_CAP / 10.0):
-        return math.ceil(10.0 * max(math.exp(log_prime), 1.0))
-    return DEFAULT_PHASE_CAP
-
-
 def _parse_increment(spec: str) -> int | None:
     """The quantum of an increment rule: N for "quantized:N" (bare
     "quantized" is N = 1), None for "double" (t -> 2 t + 1)."""
@@ -366,11 +355,9 @@ def solve_incremental(
     Another increment spec, or an N below 1, raises ValueError before the
     first step, and so does a nonzero ||A e||^2 below the smallest normal
     double; A e = 0 raises SingularMatrixError: then b(t) = b for every
-    t, and e is a null vector of A. Steps are capped by
-    config.max_iterations (DEFAULT_PHASE_CAP when unset), escalations by
-    a cap from the a-priori shift bound tau'_*, computed at the first
-    escalation; diagnostics["max_escalations"] stays None in a solve that
-    never escalates.
+    t, and e is a null vector of A. config.max_iterations caps the steps
+    and, separately, the escalations: the a-priori shift bound tau'_* is
+    a worst case, not a cap.
     """
     quantum = _parse_increment(increment)
     if not system.u.any():
@@ -384,8 +371,6 @@ def solve_incremental(
     threshold = eps0 * rho
     proxy_gate = threshold * (1.0 + PROXY_MARGIN)
 
-    max_steps = config.max_iterations or DEFAULT_PHASE_CAP
-
     t0 = 0.0
     instance = shifted_instance(system, t0)
     iterate = initial_iterate(instance, config.init_coeffs)
@@ -394,11 +379,7 @@ def solve_incremental(
     escalations = 0
     reseeds = 0
     shifts = [t0]
-    diagnostics: dict = {
-        "policy": "double_plus_one" if quantum is None else "quantized",
-        "max_escalations": None,
-        "max_steps": max_steps,
-    }
+    diagnostics: dict = {"policy": "double_plus_one" if quantum is None else "quantized"}
 
     def outcome(status, x=None, residual=None):
         diagnostics.update(escalations=escalations, reseeds=reseeds, shifts=shifts)
@@ -450,9 +431,7 @@ def solve_incremental(
                     j = find_pivot(instance, iterate)
                     continue
             escalations += 1
-            if diagnostics["max_escalations"] is None:
-                diagnostics["max_escalations"] = _default_escalation_cap(system)
-            if escalations > diagnostics["max_escalations"]:
+            if escalations > config.max_iterations:
                 return outcome(SOLVE_CAP_EXCEEDED)
             u_point = _shift_product(system, iterate.coeffs, t0)
             iterate = move_shift(system, instance, iterate, t0, new_t, u_point)
@@ -464,7 +443,7 @@ def solve_incremental(
                 )
             j = find_pivot(instance, iterate)
 
-        if steps >= max_steps:
+        if steps >= config.max_iterations:
             return outcome(SOLVE_CAP_EXCEEDED)
         alpha = step_size(instance, iterate, j)
         iterate = apply_step(instance, iterate, j, alpha, donors=n)

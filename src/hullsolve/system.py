@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .hull import (
+    MAX_ITERATIONS,
     HullInstance,
     TraceRecord,
     Witness,
@@ -150,8 +151,9 @@ class SolveConfig:
     """Settings both solvers read.
 
     epsilon0 is the target relative residual: the solvers stop once
-    ||A x - b|| <= epsilon0 * rho. max_iterations caps the Triangle steps
-    (solve_nonneg: each phase; solve_incremental: all of them),
+    ||A x - b|| <= epsilon0 * rho. max_iterations, MAX_ITERATIONS unless
+    set, caps the Triangle steps (solve_nonneg: each phase;
+    solve_incremental: all of them, and separately its escalations).
     init_coeffs are convex weights over the n + 1 points a_1, ..., a_n, -b
     to start from, None for the point nearest the origin, as in HullConfig
     (the nonneg Phase 1 always starts from the nearest column), and
@@ -160,7 +162,7 @@ class SolveConfig:
     """
 
     epsilon0: float = 1e-8
-    max_iterations: int | None = None
+    max_iterations: int = MAX_ITERATIONS
     init_coeffs: np.ndarray | None = None
     record_trace: bool = False
 

@@ -17,6 +17,9 @@ from it; the exact residual decides the stop either way. Otherwise it runs
 only when Phase 2's iterate carries no weight on -b near the origin, where
 it tells whether A is singular.
 
+Each phase takes at most config.max_iterations steps: the paper's Phase 2
+bound (48 / epsilon0^2) (rho / delta0')^2 is a worst case, not a cap.
+
 Both phases take pairwise steps: each step is the better of the Triangle
 step toward the pivot and a transfer of weight to the pivot from the active
 point of least margin, -b included (hull.apply_step with every point a
@@ -41,7 +44,6 @@ from .hull import (
     apply_step,
     find_pivot,
     initial_iterate,
-    iteration_cap_from_bound,
     run_hull,
     step_size,
     witness_of,
@@ -66,10 +68,6 @@ __all__ = [
     "solve_nonneg",
 ]
 
-# Fallback iteration cap for hull runs whose theoretical bound is unknown
-# or impractically large.
-DEFAULT_PHASE_CAP = 10**6
-
 # Phase 1 only needs its epsilon as a near-singularity threshold: the
 # approximate-membership exit can never fire while epsilon * rho stays
 # below the hull-to-origin distance, so it is kept well under any
@@ -93,8 +91,8 @@ class AlphaBVanishes(ValueError):
 def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
     """Phase 1's hull run on the columns of A, Gram matrix system.gram,
     against the origin from the nearest column (config.init_coeffs starts
-    Phase 2 only), under the user's iteration cap (DEFAULT_PHASE_CAP when
-    unset) and trace setting, with epsilon min(epsilon0, PHASE1_EPSILON_CEIL).
+    Phase 2 only), under config's step cap and trace setting, with epsilon
+    min(epsilon0, PHASE1_EPSILON_CEIL).
 
     A witness gives delta0' = gap / 2, a lower bound on the hull-to-origin
     distance by the factor-two property of witnesses. An approximate
@@ -103,7 +101,7 @@ def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
     """
     hull_cfg = HullConfig(
         epsilon=min(config.epsilon0, PHASE1_EPSILON_CEIL),
-        max_iterations=config.max_iterations or DEFAULT_PHASE_CAP,
+        max_iterations=config.max_iterations,
         record_trace=config.record_trace,
     )
     columns = HullInstance(system.a, np.zeros(system.n), gram=system.gram)
@@ -174,10 +172,8 @@ def solve_nonneg(
     phase1=True runs Phase 1 first, the paper's path. Its witness gives
     delta0', a lower bound on the hull-to-origin distance, which is
     reported with the inner epsilon the sensitivity theorem selects from
-    it, the relative residual epsilon_prime that epsilon guarantees, and
-    the iteration cap ceil((48 / epsilon0^2) (rho / delta0')^2); a bound
-    that is not finite raises ValueError. Without delta0' the cap is
-    DEFAULT_PHASE_CAP. config.max_iterations, when set, caps each phase.
+    it and the relative residual epsilon_prime that epsilon guarantees.
+    config.max_iterations caps each phase.
 
     When Phase 1 has not run and Phase 2's iterate loses its weight on -b
     (alpha_b < ALPHA_FLOOR) within epsilon0 * rho of the origin, where no
@@ -230,14 +226,6 @@ def solve_nonneg(
             inner_eps, delta0_prime, system.norm_b
         )
 
-    if config.max_iterations is not None:
-        cap = config.max_iterations
-    elif delta0_prime is not None:
-        cap = iteration_cap_from_bound(eps0, rho / delta0_prime)
-    else:
-        cap = DEFAULT_PHASE_CAP
-    diagnostics["phase2_cap"] = cap
-
     instance = shifted_instance(system, 0.0)
     iterate = initial_iterate(instance, config.init_coeffs)
     donors = instance.n_points  # -b gives weight as the columns do
@@ -270,7 +258,7 @@ def solve_nonneg(
             witness = witness_of(iterate)
             record(iterate.gap, alpha_b, witness=True)
             return outcome(INFEASIBLE_NONNEG, witness=witness)
-        if steps >= cap:
+        if steps >= config.max_iterations:
             diagnostics["last_gap"] = iterate.gap
             return outcome(SOLVE_CAP_EXCEEDED)
         alpha = step_size(instance, iterate, j)

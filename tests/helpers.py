@@ -325,7 +325,7 @@ def reference_run_hull(instance: HullInstance, config: HullConfig) -> dict:
     coeffs = initial_iterate(instance, config.init_coeffs).coeffs
     point = points @ coeffs
     gap = math.sqrt(point @ point)
-    cap = config.resolved_cap()
+    cap = config.max_iterations
     pivots: list[int] = []
 
     def result(status, vertex=None, witness=None):

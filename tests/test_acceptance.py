@@ -417,13 +417,15 @@ def test_criterion_10_desk_scale_performance():
     rng = np.random.default_rng(2030)
     system, _ = nonneg_system(rng, 200)
     started = time.perf_counter()
-    outcome = solve_nonneg(system, SolveConfig(epsilon0=0.05))
+    outcome = solve_nonneg(system, SolveConfig(epsilon0=0.05), phase1=True)
     elapsed = time.perf_counter() - started
+    # Phase 2 within the paper's bound (48 / eps0^2) (rho / delta0')^2.
+    ratio = system.rho / outcome.phase1_delta0_prime
     ok = (
         outcome.status == CONVERGED
         and outcome.relative_residual <= 0.05
         and outcome.iterations - outcome.diagnostics["phase1_iterations"]
-        <= outcome.diagnostics["phase2_cap"]
+        <= math.ceil((48.0 / 0.05**2) * ratio**2)
         and elapsed < 60.0
     )
     report(

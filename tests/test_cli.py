@@ -25,6 +25,7 @@ from hullsolve import (
 )
 from hullsolve.cli import main
 from hullsolve.hull import (
+    MAX_ITERATIONS,
     NOT_IN_HULL,
     DegeneratePivot,
     HullConfig,
@@ -516,7 +517,7 @@ class TestHullCommand:
             argv += ["--max-iters", str(max_iters)]
         main(argv)
         instance = HullInstance(points, target)
-        config = HullConfig(epsilon=1e-2, max_iterations=max_iters)
+        config = HullConfig(epsilon=1e-2, max_iterations=max_iters or MAX_ITERATIONS)
         outcome = run_hull(instance, config)
         assert outcome.status == status and outcome.iterations > 0
         rows = [line.split(",") for line in trace_path.read_text().splitlines()]
@@ -876,11 +877,20 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize("mode", ["incremental", "nonneg"])
     def test_increment_echo_without_the_option(self, ex1_files, tmp_path, mode):
+        # The config echoes what the mode reads: the shift rule in
+        # incremental mode, the delta0 policy in nonneg mode, the cap in both.
         matrix, rhs = ex1_files
         report_path = tmp_path / "report.json"
         argv = ["solve", "--matrix", matrix, "--rhs", rhs, "--mode", mode]
         assert main([*argv, "--report", str(report_path)]) == 0
-        assert json.loads(report_path.read_text())["config"]["increment"] == "quantized:1"
+        own = {"incremental": {"increment": "quantized:1"}, "nonneg": {"delta0_policy": "skip"}}
+        assert json.loads(report_path.read_text())["config"] == {
+            "mode": mode,
+            "epsilon0": 1e-8,
+            "init_rule": "nearest_vertex",
+            "max_iterations": 10**6,
+            **own[mode],
+        }
 
     @pytest.mark.parametrize("quantum", ["0", "-5"])
     def test_bad_quantum_exit_two(self, ex2_files, capsys, quantum):
@@ -966,15 +976,34 @@ class TestNoTraceback:
             "error: A e too small: a squared norm underflows to 0; rescale the input\n"
         )
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_bench_count_below_one_exit_two(self, tmp_path, capsys, count):
+        # A bench of no instances is an input error, not an empty report.
+        report_path = tmp_path / "bench.json"
+        argv = [
+            "bench", "--suite", "membership", "--sizes", "3", "--count", count,
+            "--report", str(report_path),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: --count must be at least 1, not {count}\n")
+        assert not report_path.exists()
+
     @pytest.mark.parametrize("epsilon", ["1e-200", "1e-160"])
-    def test_tiny_epsilon_exit_two(self, tmp_path, capsys, epsilon):
-        # 48 / epsilon^2, the default cap, divides by zero or overflows.
+    def test_tiny_epsilon_answers(self, tmp_path, epsilon):
+        # 48 / epsilon^2 divides by zero or overflows, and caps nothing: the
+        # query answers well inside the default cap.
         points, target = tmp_path / "square.txt", tmp_path / "p.txt"
         points.write_text("2 4\n0 1 0 1\n0 0 1 1\n")
         target.write_text("2 1\n0.3\n0.6\n")
-        argv = ["hull", "--points", str(points), "--target", str(target), "--epsilon", epsilon]
-        assert main(argv) == 2
-        assert f"epsilon {float(epsilon)!r} is too small" in capsys.readouterr().err
+        report_path = tmp_path / "hull.json"
+        argv = [
+            "hull", "--points", str(points), "--target", str(target), "--epsilon", epsilon,
+            "--report", str(report_path),
+        ]
+        assert main(argv) == 0
+        report = json.loads(report_path.read_text())
+        assert (report["status"], report["iterations"]) == ("in_hull_approx", 32)
+        assert report["config"]["max_iterations"] == 10**6
 
     def test_tiny_epsilon_with_a_cap_runs(self, tmp_path):
         points, target = tmp_path / "square.txt", tmp_path / "p.txt"
@@ -1011,15 +1040,18 @@ class TestNoTraceback:
         assert not report_path.exists()
 
     @pytest.mark.parametrize(
-        "scale, epsilon0",
-        [("", "1e-170"), ("e-155", "0.01")],
-        ids=["tiny_epsilon0", "tiny_delta0"],
+        "scale, epsilon0, cap",
+        [
+            pytest.param("", "1e-170", None, id="no_cap-tiny_epsilon0"),
+            pytest.param("", "1e-170", "2", id="cap-tiny_epsilon0"),
+            pytest.param("e-155", "0.01", "2", id="cap-tiny_delta0"),
+        ],
     )
-    @pytest.mark.parametrize("cap", [None, "2"], ids=["no_cap", "cap"])
-    def test_phase2_cap_bound_not_finite(self, tmp_path, capsys, scale, epsilon0, cap):
-        # (48 / epsilon0^2) (rho / delta0')^2 divides by zero or overflows;
-        # a cap of one's own still runs. Columns scaled by 1e-155 against
-        # b = (1, 1) give Phase 1 a delta0' near 1e-155.
+    def test_phase2_cap_bound_not_finite(self, tmp_path, scale, epsilon0, cap):
+        # (48 / epsilon0^2) (rho / delta0')^2 divides by zero or overflows,
+        # and caps nothing: the solve converges in 4 steps, and a cap of
+        # one's own ends it. Columns scaled by 1e-155 against b = (1, 1)
+        # give Phase 1 a delta0' near 1e-155.
         matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
         matrix.write_text(f"2 2\n2{scale} 1{scale}\n1{scale} 3{scale}\n")
         rhs.write_text("2 1\n1\n1\n")
@@ -1028,17 +1060,12 @@ class TestNoTraceback:
             "solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", "nonneg",
             "--epsilon0", epsilon0, "--phase1", "--report", str(report_path),
         ]
-        if cap is None:
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert "too small for the iteration bound" in err and "--max-iters" in err
-            assert not report_path.exists()
-        else:
-            assert main([*argv, "--max-iters", cap]) == 1
-            report = json.loads(report_path.read_text())
-            assert (report["status"], report["iterations"]) == ("cap_exceeded", 2)
-            if scale:
-                assert report["phase1_delta0_prime"] < 1e-150
+        code = main(argv if cap is None else [*argv, "--max-iters", cap])
+        report = json.loads(report_path.read_text())
+        expected = (0, "converged", 4) if cap is None else (1, "cap_exceeded", 2)
+        assert (code, report["status"], report["iterations"]) == expected
+        if scale:
+            assert report["phase1_delta0_prime"] < 1e-150
 
 
 def _readme_synopsis_flags() -> dict[str, set[str]]:

@@ -33,7 +33,6 @@ from hullsolve import (
     apply_step,
     find_pivot,
     initial_iterate,
-    iteration_cap_from_bound,
     make_iterate,
     run_hull,
     solve_incremental,
@@ -753,7 +752,7 @@ class TestInvariants:
     def test_membership_iteration_bound(self):
         rng = np.random.default_rng(19)
         epsilon = 0.2
-        cap = iteration_cap_from_bound(epsilon)
+        cap = math.ceil(48.0 / epsilon**2)  # the paper's membership bound
         for dim in (2, 5, 10):
             for _ in range(10):
                 points, target = membership_instance(rng, dim)
@@ -775,16 +774,3 @@ class TestInvariants:
                 HullConfig(epsilon=0.05, max_iterations=3000),
             )
             assert outcome.status != NOT_IN_HULL
-
-
-class TestIterationCap:
-    def test_values(self):
-        assert iteration_cap_from_bound(0.5) == 192
-        assert iteration_cap_from_bound(0.1) == 4800
-        assert iteration_cap_from_bound(1.0 / np.sqrt(48.0)) == 2304
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            iteration_cap_from_bound(0.0)
-        with pytest.raises(ValueError):
-            iteration_cap_from_bound(1.0)

@@ -442,20 +442,20 @@ class TestSolveIncremental:
             coeffs = rng.dirichlet(np.ones(3))
             assert check_witness(instance, make_iterate(instance, coeffs)) is None
 
-    def test_escalation_cap_ends_the_solve(self, monkeypatch):
-        # The initial iterate is a witness at t = 0; with the shift
-        # optimisation suppressed, the first escalation exceeds a cap of 0.
-        monkeypatch.setattr(incremental, "_default_escalation_cap", lambda system: 0)
+    def test_escalation_cap_ends_the_solve(self):
+        # The centroid is a witness at t = 0 and, with the shift
+        # optimisation suppressed, again at t = 1 under "double": the
+        # second escalation exceeds a cap of 1 before any step.
         system = LinearSystem(
             np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
         )
-        config = SolveConfig(epsilon0=1e-6, init_coeffs=EXAMPLE2_COEFFS)
-        outcome = solve_incremental(system, config, tau_hook=lambda tau: 0.0)
-        assert outcome.status == SOLVE_CAP_EXCEEDED
+        config = SolveConfig(epsilon0=1e-6, max_iterations=1, init_coeffs=centroid_coeffs(3))
+        outcome = solve_incremental(system, config, increment="double", tau_hook=lambda tau: 0.0)
+        assert (outcome.status, outcome.iterations) == (SOLVE_CAP_EXCEEDED, 0)
         assert outcome.x is None
-        assert outcome.diagnostics["escalations"] == 1
-        assert outcome.diagnostics["shifts"] == [0.0]
-        assert outcome.diagnostics["last_t"] == outcome.shift_t == 0.0
+        assert outcome.diagnostics["escalations"] == 2
+        assert outcome.diagnostics["shifts"] == [0.0, 1.0]
+        assert outcome.diagnostics["last_t"] == outcome.shift_t == 1.0
 
     def test_shift_sequence_monotone(self):
         rng = np.random.default_rng(53)

@@ -128,6 +128,11 @@ _NO_SECOND_PIVOT = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
                      "epsilon0 must lie strictly between 0 and 1", id="epsilon0-zero"),
         pytest.param(lambda: SolveConfig(epsilon0=1.0),
                      "epsilon0 must lie strictly between 0 and 1", id="epsilon0-one"),
+        # Every run has a step cap; none comes from the paper's bounds.
+        pytest.param(lambda: HullConfig(max_iterations=None),
+                     "max_iterations must be at least 1, not None", id="no-cap-hull"),
+        pytest.param(lambda: SolveConfig(max_iterations=None),
+                     "max_iterations must be at least 1, not None", id="no-cap-solve"),
         pytest.param(lambda: solve_incremental(LinearSystem(np.eye(2), np.ones(2)), SolveConfig(),
                                                increment="halving"),
                      "bad increment spec 'halving'; use quantized:N or double",

@@ -566,33 +566,6 @@ def test_converged_incremental_residuals_meet_the_target():
         assert outcome.residual_norm <= best + 1e-12 * system.rho
 
 
-def test_escalation_cap_computed_only_on_escalation(monkeypatch):
-    rng = np.random.default_rng(443)
-    system = _column_normalised_system(rng, 20)
-
-    def refuse(system):
-        raise AssertionError("analyze_system ran in a solve without escalations")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(incremental.bounds, "analyze_system", refuse)
-        outcome = solve_incremental(system, SolveConfig(epsilon0=0.05))
-    assert outcome.status == CONVERGED
-    assert outcome.diagnostics["escalations"] == 0
-    assert outcome.diagnostics["max_escalations"] is None
-    # With the shift optimisation suppressed, witnesses raise the shift;
-    # the cap is then the one the a-priori bound gives.
-    system, _ = invertible_system(np.random.default_rng(445), 6)
-    outcome = solve_incremental(
-        system,
-        SolveConfig(epsilon0=1e-2, init_coeffs=centroid_coeffs(7)),
-        tau_hook=lambda tau: 0.0,
-    )
-    assert outcome.diagnostics["escalations"] >= 1
-    assert outcome.diagnostics["max_escalations"] == (
-        incremental._default_escalation_cap(system)
-    )
-
-
 def _tracks_fresh(function, counts, name):
     """function, which returns an iterate of the instance it takes (first,
     or second for move_shift), checked at every call: the maintained

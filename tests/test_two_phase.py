@@ -207,10 +207,13 @@ class TestSolveNonneg:
         for _ in range(5):
             system, _ = nonneg_system(rng, 20)
             config = SolveConfig(epsilon0=0.01)
-            outcome = solve_nonneg(system, config)
+            outcome = solve_nonneg(system, config, phase1=True)
             assert outcome.status == CONVERGED
             assert outcome.relative_residual <= 0.01
-            assert outcome.iterations <= outcome.diagnostics["phase2_cap"]
+            # Phase 2 within the paper's bound (48 / eps0^2) (rho / delta0')^2.
+            ratio = system.rho / outcome.phase1_delta0_prime
+            phase2 = outcome.iterations - outcome.diagnostics["phase1_iterations"]
+            assert phase2 <= math.ceil((48.0 / 0.01**2) * ratio**2)
             # Independent residual recomputation backs the early exit.
             assert np.linalg.norm(system.a @ outcome.x - system.b) <= (
                 0.01 * system.rho
@@ -282,7 +285,6 @@ class TestSolveNonneg:
         config = SolveConfig(epsilon0=0.01, max_iterations=3, record_trace=True)
         outcome = solve_nonneg(system, config)
         assert (outcome.status, outcome.iterations) == (SOLVE_CAP_EXCEEDED, 3)
-        assert outcome.diagnostics["phase2_cap"] == 3
         # The gap of the iterate the cap stopped, as its step row holds it.
         assert outcome.trace[-1].iteration == 3
         assert outcome.diagnostics["last_gap"] == outcome.trace[-1].value > 0.0
@@ -308,14 +310,13 @@ class TestSolveNonneg:
             solve(system, given(20), **kwargs)
 
     def test_skip_without_eigenvalue_bound(self):
-        # A singular matrix gives no delta0': no epsilon', the default cap.
+        # A singular matrix gives no delta0' and no epsilon'.
         system = LinearSystem(np.ones((2, 2)), np.ones(2))
         outcome = solve_nonneg(system, SolveConfig(epsilon0=0.01))
         assert outcome.status == CONVERGED
         assert outcome.diagnostics["delta0_source"] == "unavailable"
         assert outcome.diagnostics["guarantee"] == "direct residual check only"
         assert "epsilon_prime" not in outcome.diagnostics
-        assert outcome.diagnostics["phase2_cap"] == 10**6
         assert outcome.inner_epsilon is None and outcome.phase1_delta0_prime is None
 
     @pytest.mark.parametrize(
