@@ -6,9 +6,10 @@ utilities), bench (random instance suites). Each computes its result and
 returns (report, trace, exit code); main then has the one output path:
 it stamps wall_time_s, writes --report, then --trace, and only then
 prints a summary read from the report, so a failed write exits 2 with
-nothing printed. Exit codes: 0 on success, 1 when the run ended without
-convergence (witness or cap, certificate in the report), 2 on an input
-error: a ValueError, MemoryError or OSError. Every exception hullsolve
+nothing printed, and so does a stdout its reader closed. Exit codes: 0 on
+success, 1 when the run ended without convergence (witness or cap,
+certificate in the report), 2 on an input error: a ValueError,
+MemoryError or OSError. Every exception hullsolve
 raises is a ValueError: unreadable or malformed files, mismatched
 shapes, a singular matrix, a degenerate pivot that no point certifies.
 """
@@ -16,6 +17,7 @@ shapes, a singular matrix, a degenerate pivot that no point certifies.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -344,8 +346,14 @@ def main(argv=None) -> int:
     except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    for line in _summary(report):
-        print(line)
+    try:
+        print("\n".join(_summary(report)), flush=True)
+    except OSError as exc:
+        # The reader closed stdout. Point it at devnull, so that the flush
+        # at interpreter exit has nowhere left to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the summary to stdout: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

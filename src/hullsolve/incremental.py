@@ -12,7 +12,14 @@ by.
 When the iterate is a witness at the current shift, each point of the set
 induces a quadratic g_i(t) in the shift whose sign tells whether the same
 iterate stays a witness at shift t; the smallest root beyond the current
-shift gives the next shift to try. The final answer is x = x0 - t e.
+shift gives the next shift to try. That holds at alpha_b = 0 too: the
+iterate's point then does not move with t, the column quadratics are
+negative constants, and -b(t)'s is a line that rises, since u^T p' is the
+sum of the columns' products a_i^T p' > ||p'||^2 / 2 at a witness; its
+root is the next shift. The solver starts half on the point nearest the
+origin and half on -b(0), and while alpha_b < ALPHA_FLOOR, where no x0
+can be recovered, a pass takes its step without the shift
+re-optimisation or the residual check. The final answer is x = x0 - t e.
 
 A change of shift moves only the last point, -b(t), so the solver builds
 its hull instance once (shifted_instance) and carries it, and the iterate's
@@ -43,7 +50,6 @@ from .hull import (
     check_scale,
     find_pivot,
     initial_iterate,
-    make_iterate,
     recursed_iterate,
     step_size,
 )
@@ -58,7 +64,7 @@ from .system import (
     place_shift,
     shifted_instance,
 )
-from .two_phase import PROXY_MARGIN, AlphaBVanishes, recover_solution
+from .two_phase import PROXY_MARGIN, recover_solution
 
 __all__ = [
     "NoPositiveQuadratic",
@@ -76,7 +82,9 @@ ROOT_TINY = 1e-12
 
 
 class NoPositiveQuadratic(ValueError):
-    """No column quadratic opens upward (the -b coefficient vanished)."""
+    """No shift quadratic has a root beyond the current shift. At a
+    witness one always has in exact arithmetic, so only rounding can
+    raise this."""
 
 
 @dataclass
@@ -86,9 +94,11 @@ class ShiftQuadratic:
     g_i(t) is twice the pivot margin of point i at shift t for a fixed
     iterate, so the iterate stays a witness while every g_i is negative.
     Column quadratics (is_rhs False) open upward whenever the -b(t)
-    coefficient is positive. The right-hand-side quadratic opens downward
-    and is negative at a witness's own shift, but it is positive between
-    its real roots when it has any: there -b(t) is a pivot.
+    coefficient is positive and are constant when it is 0. The
+    right-hand-side quadratic opens downward, or is a line when the -b(t)
+    coefficient is 0, and is negative at a witness's own shift, but it is
+    positive between its real roots when it has any: there -b(t) is a
+    pivot.
     """
 
     index: int
@@ -196,11 +206,11 @@ def build_quadratics(system: LinearSystem, iterate: Iterate) -> list[ShiftQuadra
     shift-independent base point, formed from its coefficients. For a
     column a_i: c2 = alpha_b^2 ||u||^2, c1 = -2 alpha_b (p' - a_i)^T u,
     c0 = ||p'||^2 - 2 p'^T a_i. The right-hand-side entry expands
-    ||p'(t)||^2 + 2 p'(t)^T (b + t u).
+    ||p'(t)||^2 + 2 p'(t)^T (b + t u). Any alpha_b is taken: at 0 the
+    column entries are the constants c0 and the right-hand side is the
+    line 2 u^T p' t + c0, twice -b(t)'s margin.
     """
     alpha_b = float(iterate.coeffs[-1])
-    if alpha_b < ALPHA_FLOOR:
-        raise AlphaBVanishes(f"coefficient of -b(t) is {alpha_b:.3e}")
     base = _rebase(system, iterate)
     u = system.u
     n = system.n
@@ -252,9 +262,12 @@ def _smaller_root(c2: float, c1: float, c0: float) -> float | None:
     """Smaller real root of a downward quadratic, or None without one.
 
     Works on the negated, upward quadratic and uses the sign of its linear
-    coefficient to pick the cancellation-free form.
+    coefficient to pick the cancellation-free form. A line (c2 = 0) has
+    its root when it rises and none otherwise.
     """
     c2, c1, c0 = -c2, -c1, -c0
+    if c2 == 0.0 and c1 >= 0.0:
+        return None
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc < 0.0:
         return None
@@ -269,41 +282,32 @@ def next_shift(
 ) -> float:
     """Smallest shift beyond t0 at which some quadratic becomes nonnegative.
 
-    Each column quadratic contributes its larger root. The downward
-    right-hand-side quadratic, negative at t0, contributes its smaller
-    root when that root lies beyond t0: there -b(t) becomes a pivot.
+    Each upward column quadratic contributes its larger root; constant
+    ones (alpha_b = 0) contribute none. The right-hand-side quadratic,
+    downward or a line and negative at t0, contributes its smaller root
+    when that root lies beyond t0: there -b(t) becomes a pivot.
+    NoPositiveQuadratic is raised when no quadratic has a root beyond t0.
     quantum = None returns the raw minimal root; otherwise the increase
     over t0 is rounded up to a positive multiple of quantum so that
     consecutive shifts differ by a natural number.
     """
-    upward = [q for q in quadratics if not q.is_rhs and q.c2 > 0.0]
-    if not upward:
-        raise NoPositiveQuadratic(
-            "no column quadratic opens upward; the -b(t) coefficient is zero"
-        )
-    raw = min(_larger_root(q.c2, q.c1, q.c0) for q in upward)
+    raw = min(
+        (_larger_root(q.c2, q.c1, q.c0) for q in quadratics if not q.is_rhs and q.c2 > 0.0),
+        default=math.inf,
+    )
     for q in quadratics:
-        if q.is_rhs and q.c2 < 0.0:
+        if q.is_rhs and q.c2 <= 0.0:
             root = _smaller_root(q.c2, q.c1, q.c0)
             if root is not None and t0 < root < raw:
                 raw = root
+    if raw == math.inf:
+        raise NoPositiveQuadratic(f"no shift quadratic has a root beyond t = {t0!r}")
     if quantum is None:
         return raw
     if quantum < 1:
         raise ValueError("quantum must be a positive integer")
     excess = max(raw - t0, ROOT_TINY)
     return t0 + quantum * math.ceil(excess / quantum)
-
-
-def _reseed(instance: HullInstance, iterate: Iterate) -> Iterate:
-    """Move half the mass onto -b(t0) when its coefficient vanished.
-
-    Keeps the point inside the hull while restoring a positive -b(t)
-    coefficient, which the shift quadratics need.
-    """
-    coeffs = 0.5 * iterate.coeffs
-    coeffs[-1] += 0.5
-    return make_iterate(instance, coeffs)
 
 
 def _parse_increment(spec: str) -> int | None:
@@ -333,18 +337,22 @@ def solve_incremental(
 ) -> SolveOutcome:
     """Solve A x = b with no sign assumption, to relative residual epsilon0.
 
-    The loop per pass: recover x0 from the iterate, move the shift t to the
-    tau0 >= t minimizing E(t) = ||A x0 - (b + t u)||, in O(n) from the
-    iterate, and stop with x = x0 - tau0 e once ||A x - b|| <= epsilon0 * rho.
-    That residual costs O(n^2), so it is computed, once, only when the
-    estimate E = gap / alpha_b at tau0 comes within PROXY_MARGIN of the
-    target or, as a backstop, every n steps; it is the only stop test.
-    Otherwise take one step at tau0, the better of the
-    Triangle step and a transfer from a column (see hull.apply_step), or,
-    when the iterate is a witness, raise the shift by the increment rule and
-    warm-start from the same coefficients: "quantized:N" (bare
-    "quantized" is N = 1) moves to the next quadratic root, its increase
-    rounded up to a multiple of N, and "double" to 2 t + 1. The report's
+    The run starts from config.init_coeffs as given, or, when None, from
+    weight 1/2 on the point nearest the origin and 1/2 on -b(0). The loop
+    per pass, while alpha_b >= ALPHA_FLOOR: recover x0 from the iterate,
+    move the shift t to the tau0 >= t minimizing E(t) = ||A x0 - (b + t u)||,
+    in O(n) from the iterate, and stop with x = x0 - tau0 e once
+    ||A x - b|| <= epsilon0 * rho. That residual costs O(n^2), so it is
+    computed, once, only when the estimate E = gap / alpha_b at tau0 comes
+    within PROXY_MARGIN of the target or, as a backstop, every n steps; it
+    is the only stop test. While alpha_b < ALPHA_FLOOR there is no x0, and
+    a pass skips all of this. Then it takes one step at the shift it holds,
+    the better of the Triangle step and a transfer from a column (see
+    hull.apply_step), or, when the iterate is a witness, whatever its
+    alpha_b, raises the shift by the increment rule and warm-starts from
+    the same coefficients: "quantized:N" (bare "quantized" is N = 1) moves
+    to the next quadratic root (see next_shift), its increase rounded up to
+    a multiple of N, and "double" to 2 t + 1. The report's
     diagnostics["policy"] names the rule: "quantized" or "double_plus_one".
 
     tau_hook, when given, post-processes that same tau0 (clamped below by
@@ -373,16 +381,24 @@ def solve_incremental(
 
     t0 = 0.0
     instance = shifted_instance(system, t0)
-    iterate = initial_iterate(instance, config.init_coeffs)
+    init_coeffs = config.init_coeffs
+    if init_coeffs is None:
+        # Half on the nearest point and half on -b(0): the first pass has
+        # an x0 to re-optimise the shift for.
+        init_coeffs = np.zeros(n + 1)
+        init_coeffs[int(instance.sq_norms.argmin())] = 0.5
+        init_coeffs[n] += 0.5
+    iterate = initial_iterate(instance, init_coeffs)
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     escalations = 0
-    reseeds = 0
     shifts = [t0]
     diagnostics: dict = {"policy": "double_plus_one" if quantum is None else "quantized"}
 
     def outcome(status, x=None, residual=None):
-        diagnostics.update(escalations=escalations, reseeds=reseeds, shifts=shifts)
+        # reseeds is always 0 and kept because perfbench's workloads read
+        # it; it goes with the benchmark change of ROADMAP item 6.
+        diagnostics.update(escalations=escalations, reseeds=0, shifts=shifts)
         if status == SOLVE_CAP_EXCEEDED:
             diagnostics["last_t"] = t0
         return SolveOutcome(
@@ -397,25 +413,24 @@ def solve_incremental(
         )
 
     while True:
-        # Step 1: re-optimize the shift for the current x0, test the stop rule.
-        if float(iterate.coeffs[-1]) < ALPHA_FLOOR:
-            iterate = _reseed(instance, iterate)
-            reseeds += 1
+        # Step 1: re-optimize the shift for the current x0, test the stop
+        # rule; with no weight on -b(t) there is no x0, and the pass steps.
         alpha_b = float(iterate.coeffs[-1])
-        tau0, u_point = _optimal_shift(system, iterate, t0)
-        if tau_hook is not None:
-            tau0 = max(t0, float(tau_hook(tau0)))
-        if tau0 != t0:
-            iterate = move_shift(system, instance, iterate, t0, tau0, u_point)
-            t0 = tau0
-        if iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
-            # x = x0 - t0 e; the move kept the coefficients.
-            x = recover_solution(iterate, system) - t0
-            residual = system.residual_norm(x)
-            if residual <= threshold:
-                if trace is not None:
-                    trace.append(TraceRecord(steps, t0, residual, alpha_b, None, False))
-                return outcome(CONVERGED, x, residual)
+        if alpha_b >= ALPHA_FLOOR:
+            tau0, u_point = _optimal_shift(system, iterate, t0)
+            if tau_hook is not None:
+                tau0 = max(t0, float(tau_hook(tau0)))
+            if tau0 != t0:
+                iterate = move_shift(system, instance, iterate, t0, tau0, u_point)
+                t0 = tau0
+            if iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
+                # x = x0 - t0 e; the move kept the coefficients.
+                x = recover_solution(iterate, system) - t0
+                residual = system.residual_norm(x)
+                if residual <= threshold:
+                    if trace is not None:
+                        trace.append(TraceRecord(steps, t0, residual, alpha_b, None, False))
+                    return outcome(CONVERGED, x, residual)
 
         # Step 2: witness check via pivot search; Step 3: shift escalation.
         j = find_pivot(instance, iterate)
@@ -423,13 +438,7 @@ def solve_incremental(
             if quantum is None:
                 new_t = 2.0 * t0 + 1.0
             else:
-                try:
-                    new_t = next_shift(build_quadratics(system, iterate), t0, quantum)
-                except NoPositiveQuadratic:
-                    iterate = _reseed(instance, iterate)
-                    reseeds += 1
-                    j = find_pivot(instance, iterate)
-                    continue
+                new_t = next_shift(build_quadratics(system, iterate), t0, quantum)
             escalations += 1
             if escalations > config.max_iterations:
                 return outcome(SOLVE_CAP_EXCEEDED)

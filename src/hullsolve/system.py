@@ -155,10 +155,11 @@ class SolveConfig:
     set, caps the Triangle steps (solve_nonneg: each phase;
     solve_incremental: all of them, and separately its escalations).
     init_coeffs are convex weights over the n + 1 points a_1, ..., a_n, -b
-    to start from, None for the point nearest the origin, as in HullConfig
-    (the nonneg Phase 1 always starts from the nearest column), and
-    record_trace keeps the per-step rows. The settings of one solver alone
-    are its keyword arguments.
+    to start from, used as they are; None starts solve_nonneg at the point
+    nearest the origin, as in HullConfig, and solve_incremental half on
+    that point and half on -b(0) (the nonneg Phase 1 always starts from
+    the nearest column). record_trace keeps the per-step rows. The
+    settings of one solver alone are its keyword arguments.
     """
 
     epsilon0: float = 1e-8

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -741,6 +744,28 @@ class TestNoTraceback:
         matrix.write_text("2 2\n1 -1\n1 -1\n")
         rhs.write_text("2 1\n1\n0\n")
         return str(matrix), str(rhs)
+
+    def test_closed_stdout_exit_two(self, tmp_path):
+        # A reader that stops early, as grep -q does, closes the pipe
+        # before the summary is written.
+        points, target = tmp_path / "tiny_points.txt", tmp_path / "tiny_target.txt"
+        points.write_text("2 3\n0 1e-15 0\n0 0 1e-15\n")
+        target.write_text("2 1\n2e-15\n2e-15\n")
+        package_root = Path(cli.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        argv = ["oracle", "--points", str(points), "--target", str(target)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hullsolve", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        lines = err.decode().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error: cannot write the summary to stdout: ")
 
     def test_analyze_ones_in_null_space(self, ones_in_null_space_files, tmp_path):
         matrix, rhs = ones_in_null_space_files

@@ -37,7 +37,6 @@ from hullsolve import (
 from hullsolve import hull, incremental, two_phase
 from hullsolve.incremental import shifted_instance
 from hullsolve.oracles import solve_exact
-from hullsolve.two_phase import AlphaBVanishes
 
 EXAMPLE2_COEFFS = np.array([0.25, 0.5, 0.25])
 
@@ -97,12 +96,20 @@ class TestBuildQuadratics:
         for quad in build_quadratics(system, iterate):
             assert quad.value(0.0) < 0.0
 
-    def test_vanishing_rhs_weight_raises(self):
+    def test_vanishing_rhs_weight_escalates_to_the_linear_root(self):
+        # p' = (a_1 + 2 a_2) / 3 = (0, 1) puts no weight on -b(t) and is a
+        # witness up to t = 1.25: the column margins do not move with t, and
+        # -b(t)'s margin is the line margin_n(t0) + (t - t0) u^T p'.
         system = example2_system()
-        instance = shifted_instance(system, 0.0)
-        iterate = make_iterate(instance, np.array([0.5, 0.5, 0.0]))
-        with pytest.raises(AlphaBVanishes):
-            build_quadratics(system, iterate)
+        for t0 in (0.0, 0.5, 1.0):
+            instance = shifted_instance(system, t0)
+            iterate = make_iterate(instance, np.array([1.0, 2.0, 0.0]) / 3.0)
+            assert check_witness(instance, iterate) is not None
+            margin_n = float(hull.pivot_margins(iterate)[-1])
+            u_point = float(system.u @ (instance.points @ iterate.coeffs))
+            raw = next_shift(build_quadratics(system, iterate), t0, None)
+            assert raw == pytest.approx(t0 - margin_n / u_point, rel=1e-14)
+            assert raw == pytest.approx(1.25, rel=1e-14)
 
     def _random_witness(self, rng):
         """Witness iterates at shift 0 for systems with a negative solution."""
@@ -215,6 +222,22 @@ class TestNextShift:
         assert next_shift(quads, t0=0.0, quantum=None) == pytest.approx(
             1e-8, rel=1e-12
         )
+
+    def test_rising_rhs_line_gives_its_root(self):
+        # At alpha_b = 0 the columns' quadratics are constants and -b(t)'s a
+        # line; 2 t - 5 turns nonnegative at 2.5.
+        quads = [
+            ShiftQuadratic(0, 0.0, 0.0, -1.0),
+            ShiftQuadratic(1, 0.0, 2.0, -5.0, is_rhs=True),
+        ]
+        assert next_shift(quads, t0=0.0, quantum=None) == 2.5
+        assert next_shift(quads, t0=0.0, quantum=1) == 3.0
+
+    def test_falling_rhs_line_gives_no_root(self):
+        falling = ShiftQuadratic(1, 0.0, -2.0, -5.0, is_rhs=True)
+        assert next_shift([ShiftQuadratic(0, 1.0, 0.0, -4.0), falling], 0.0, None) == 2.0
+        with pytest.raises(NoPositiveQuadratic):
+            next_shift([ShiftQuadratic(0, 0.0, 0.0, -1.0), falling], t0=0.0)
 
     def test_no_upward_quadratic_raises(self):
         with pytest.raises(NoPositiveQuadratic):
@@ -441,6 +464,22 @@ class TestSolveIncremental:
         for _ in range(200):
             coeffs = rng.dirichlet(np.ones(3))
             assert check_witness(instance, make_iterate(instance, coeffs)) is None
+
+    @pytest.mark.parametrize("seed", [42, 134, 161, 259, 273, 302, 322])
+    def test_forced_witness_without_rhs_weight_escalates(self, seed):
+        # With the shift pinned at its floor, an alpha = 1 step lands on a
+        # column that is a witness with alpha_b = 0; the shift must rise
+        # from there, by the linear root of -b(t)'s margin or 2 t + 1.
+        system, _ = invertible_system(np.random.default_rng(seed), 2 + seed % 7)
+        for init in (None, centroid_coeffs(system.n + 1)):
+            config = SolveConfig(epsilon0=1e-6, max_iterations=1_000, init_coeffs=init)
+            for increment in ("quantized:1", "quantized:2", "double"):
+                outcome = solve_incremental(
+                    system, config, increment=increment, tau_hook=lambda tau: 0.0
+                )
+                assert outcome.status == CONVERGED, (init, increment)
+                assert outcome.diagnostics["escalations"] >= 1
+                assert outcome.residual_norm <= 1e-6 * system.rho
 
     def test_escalation_cap_ends_the_solve(self):
         # The centroid is a witness at t = 0 and, with the shift
