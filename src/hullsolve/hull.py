@@ -491,9 +491,7 @@ def _pairwise_step(
     equal in exact arithmetic, and the new iterate's tie names them.
     """
     coeffs, dots, q = iterate.coeffs, iterate.dot_cache, iterate.point_sq
-    active = np.where(coeffs > 0.0, dots, -np.inf)
-    if donors < active.size:
-        active[donors:] = -np.inf
+    active = np.where(coeffs[:donors] > 0.0, dots[:donors], -np.inf)
     top = float(active.max())
     if top == -math.inf:  # no donor holds weight
         return None

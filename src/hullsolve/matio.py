@@ -5,17 +5,22 @@ real/integer, general or symmetric) and DenseText, a header line "n m"
 followed by n rows of m whitespace-separated decimals. Columns of the
 loaded matrix are what the hull machinery consumes.
 
+Dense values, a DenseText row or a Matrix Market array body, are converted
+by numpy in C (_numbers), in one call per row or per body; only a text it
+refuses is split into lines, and halved until the same conversion names
+the first line it refuses.
 A Matrix Market file is read as its header line, its size line, then its
-body in one read(). An array body is converted as one token list and is
-split into lines only to name the line of a bad value; a coordinate body
-is split into its entry lines. Errors name lines as readlines() numbers
-them, at line ends only: a form feed, U+0085 or U+2028 starts no line.
+body in one read(); a coordinate body is split into its entry lines. Both
+formats read their size line with _sizes. Errors name lines as
+readlines() numbers them, at line ends only: a form feed, U+0085 or U+2028
+starts no line.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import warnings
 
 import numpy as np
 
@@ -62,7 +67,7 @@ def detect_format(path: str) -> str:
 
 
 def load_matrix(path: str, fmt: str | None = None) -> np.ndarray:
-    """Load a dense matrix; fmt None sniffs it. Only perfbench/tracing.py passes fmt."""
+    """Load a dense matrix; fmt None sniffs it from the first line."""
     if fmt is None:
         fmt = detect_format(path)
     if fmt == FORMAT_MATRIX_MARKET:
@@ -82,25 +87,60 @@ def load_vector(path: str) -> np.ndarray:
     )
 
 
+def _numbers(text: str, first_line: int) -> np.ndarray:
+    """The whitespace-separated decimals of text, converted by numpy in C.
+
+    A text it refuses is a ParseError naming the first line that the same
+    conversion refuses alone, text's lines numbered from first_line. The
+    text is halved at a line end until one line is left, so a 640,000-line
+    body takes some 40 conversions, not one a line.
+    """
+    with warnings.catch_warnings():
+        # numpy 1.x warns on a value it cannot convert and returns the
+        # values before it; numpy 2.x raises.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            # numpy converts ASCII whitespace alone to [-1.0], and refuses
+            # other whitespace as it refuses any non-ASCII character.
+            if text.isascii() and text.isspace():
+                return np.zeros(0)
+            return np.fromstring(text, sep=" ")
+        except (ValueError, DeprecationWarning):
+            lines = text.split("\n")
+            if len(lines) == 1:
+                raise ParseError("could not parse a numeric value", line=first_line) from None
+            # No value spans a line end, so one half is refused: the first
+            # refused line is in the first half that is.
+            half = (len(lines) + 1) // 2
+            _numbers("\n".join(lines[:half]), first_line)
+            _numbers("\n".join(lines[half:]), first_line + half)
+            raise
+
+
+def _sizes(raw: str, count: int, line: int, form: str, integers: str) -> list[int]:
+    """The count integers of a size line, of which rows and cols, the first
+    two, must be positive; form and integers are the messages for a wrong
+    count and for a field that is not an integer."""
+    fields = raw.split()
+    if len(fields) != count:
+        raise ParseError(form, line=line)
+    try:
+        sizes = [int(f) for f in fields]
+    except ValueError:
+        raise ParseError(integers, line=line) from None
+    if min(sizes[:2]) < 1:
+        raise ParseError("matrix dimensions must be positive", line=line)
+    return sizes
+
+
 def _load_dense_text(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
-    lineno = 0
-    header = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip():
-            header = raw.split()
-            break
-    if header is None:
+    lineno = next((k for k, raw in enumerate(lines, start=1) if raw.strip()), None)
+    if lineno is None:
         raise ParseError("empty file, expected a 'rows cols' header", line=1)
-    if len(header) != 2:
-        raise ParseError("header must be two integers 'rows cols'", line=lineno)
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError("header must be two integers 'rows cols'", line=lineno)
-    if rows < 1 or cols < 1:
-        raise ParseError("matrix dimensions must be positive", line=lineno)
+    form = "header must be two integers 'rows cols'"
+    rows, cols = _sizes(lines[lineno - 1], 2, lineno, form, form)
     # Count the data rows before allocating what the header declares.
     found = sum(1 for raw in lines[lineno:] if raw.strip())
     if found < rows:
@@ -112,15 +152,10 @@ def _load_dense_text(path: str) -> np.ndarray:
             continue
         if filled >= rows:
             raise ParseError(f"expected only {rows} data rows", line=offset)
-        fields = raw.split()
-        if len(fields) != cols:
-            raise ParseError(
-                f"expected {cols} values, found {len(fields)}", line=offset
-            )
-        try:
-            out[filled] = [float(f) for f in fields]
-        except ValueError:
-            raise ParseError("could not parse a numeric value", line=offset)
+        values = _numbers(raw, offset)
+        if values.size != cols:
+            raise ParseError(f"expected {cols} values, found {values.size}", line=offset)
+        out[filled] = values
         filled += 1
     return out
 
@@ -157,18 +192,11 @@ def _load_matrix_market(path: str) -> np.ndarray:
     symmetric = symmetry == "symmetric"
     if not _is_data(raw):
         raise ParseError("missing size line", line=size_line)
-    sizes = raw.split()
     coordinate = layout == "coordinate"
-    if len(sizes) != 2 + coordinate:
-        form = "rows cols nnz" if coordinate else "rows cols"
-        raise ParseError(f"{layout} size line must be '{form}'", line=size_line)
-    try:
-        counts = [int(s) for s in sizes]
-    except ValueError:
-        raise ParseError(f"{layout} size line must be integers", line=size_line)
+    form = "rows cols nnz" if coordinate else "rows cols"
+    counts = _sizes(raw, 2 + coordinate, size_line, f"{layout} size line must be '{form}'",
+                    f"{layout} size line must be integers")
     rows, cols = counts[:2]
-    if rows < 1 or cols < 1:
-        raise ParseError("matrix dimensions must be positive", line=size_line)
     if coordinate and counts[2] < 0:
         raise ParseError("entry count must not be negative", line=size_line)
     if symmetric and rows != cols:
@@ -204,19 +232,8 @@ def _load_matrix_market(path: str) -> np.ndarray:
                 out[j - 1, i - 1] = value
         return out
 
-    # The body as one token list, comment lines blanked only if any: "\n"
-    # is whitespace to split(), so no token spans two lines.
-    text = _COMMENT_LINE.sub("", body) if "%" in body else body
-    tokens = text.split()
-    try:
-        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-    except ValueError:
-        # Name the first line holding a bad value.
-        for lineno, raw in enumerate(text.split("\n"), start=size_line + 1):
-            try:
-                [float(f) for f in raw.split()]
-            except ValueError:
-                raise ParseError("could not parse a numeric value", line=lineno) from None
+    # Comment lines blanked only if any: the body keeps its line ends.
+    values = _numbers(_COMMENT_LINE.sub("", body) if "%" in body else body, size_line + 1)
     expected = rows * cols if not symmetric else rows * (rows + 1) // 2
     if values.size != expected:
         raise ParseError(f"expected {expected} values, found {values.size}", line=last_line)

@@ -157,6 +157,8 @@ class TestLoadMatrix:
         [
             ("array", "2 2\n1\n% c\n\n2 x\n3\n", 7, "could not parse a numeric value"),
             ("array", "2 2\n1\n2\n3\n\n", 7, "expected 4 values, found 3"),
+            # numpy converts whitespace alone to [-1.0].
+            ("array", "1 1\n \n", 4, "expected 1 values, found 0"),
             ("coordinate", "2 2 2\n1 1 1\n", 4, "declared 2 entries, found 1"),
             ("coordinate", "2 2 1\n1 1 1\n\n2 2 2\n", 6, "declared 1 entries, found 2"),
             ("coordinate", "2 2 2\n1 1 1\n% c\n2 2\n", 6, "entry must be 'i j value'"),
@@ -216,23 +218,61 @@ class TestLoadMatrix:
         assert str(info.value) == f"line {line}: {message}"
 
     def test_array_body_held_once(self, tmp_path):
-        # The file's text, its token list and the values: a copy of the
-        # text as a list of lines, or joined again, would add about 80
-        # bytes a value.
+        # A Matrix Market array file peaks at its text and the values,
+        # DenseText at its lines and the values: a second copy of the text,
+        # or a token list, would add about 20 or 60 bytes a value.
         values = np.random.default_rng(29).normal(size=100_000)
-        path = tmp_path / "column.mtx"
-        path.write_text(
-            f"%%MatrixMarket matrix array real general\n{values.size} 1\n"
-            + "".join(f"{v!r}\n" for v in values.tolist())
-        )
-        tracemalloc.start()
-        try:
-            loaded = load_matrix(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(loaded[:, 0], values)
-        assert peak / values.size < 150
+        body = f"{values.size} 1\n" + "".join(f"{v!r}\n" for v in values.tolist())
+        for name, head, bound in [
+            ("column.mtx", "%%MatrixMarket matrix array real general\n", 60),
+            ("column.txt", "", 150),
+        ]:
+            path = tmp_path / name
+            path.write_text(head + body)
+            tracemalloc.start()
+            try:
+                loaded = load_matrix(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(loaded[:, 0], values)
+            assert peak / values.size < bound, name
+
+    @pytest.mark.parametrize(
+        "head, line",
+        [pytest.param("", 2, id="dense"),
+         pytest.param("%%MatrixMarket matrix array real general\n", 3, id="array")],
+    )
+    @pytest.mark.parametrize(
+        "sizes, data, expected",
+        [pytest.param("1 2", f"{token} 7", [[float(token), 7.0]], id=token)
+         for token in ["nan", "inf", "Infinity", "-0", "1e999", "+1.5", ".5", "5."]]
+        + [
+            pytest.param("1 2", "1\x0b7", [[1.0, 7.0]], id="vertical-tab"),
+            pytest.param("1 2", "1\x0c7", [[1.0, 7.0]], id="form-feed"),
+            # Text mode reads "\r" as a line end, so it parts two rows.
+            pytest.param("2 1", "1\r7", [[1.0], [7.0]], id="carriage-return"),
+        ]
+        + [pytest.param("1 2", data, None, id=name) for name, data in [
+            ("underscore", "1_0 7"),
+            ("arabic-indic-digit", "\u0663 7"),
+            ("fullwidth-digit", "\uff11 7"),
+            ("line-separator", "1\u20287"),
+            ("next-line", "1\x857"),
+            ("percent-after-a-value", "1 7 % note"),
+        ]],
+    )
+    def test_number_syntax(self, tmp_path, head, line, sizes, data, expected):
+        # numpy's C conversion reads both formats' values. Python's float
+        # accepts every refused case here but the last.
+        path = tmp_path / "m.txt"
+        path.write_text(f"{head}{sizes}\n{data}\n", encoding="utf-8")
+        if expected is not None:
+            assert load_matrix(str(path)).tobytes() == np.array(expected).tobytes()
+            return
+        with pytest.raises(ParseError) as info:
+            load_matrix(str(path))
+        assert str(info.value) == f"line {line}: could not parse a numeric value"
 
     def test_empty_file_errors_line_one(self, tmp_path):
         path = tmp_path / "empty.txt"
