@@ -154,8 +154,8 @@ class HullInstance:
     target : (m,) array
         The query point p.
     gram : (n, n) array, optional
-        V^T V of the translated points, kept as given (move_last_point
-        writes into it) in place of the product formed at first use.
+        V^T V of the translated points, kept as given, not copied, in
+        place of the product formed at first use.
 
     The points are stored translated by -p, so that every run targets the
     origin: points holds v_i - p (the array given, not a copy, when p = 0),
@@ -201,25 +201,6 @@ class HullInstance:
         if column is None:
             column = self._gram_cols[j] = (self.points[:, [j]].T @ self.points)[0]
         return column
-
-    def move_last_point(self, products: np.ndarray) -> None:
-        """Record a last point that the caller has written, translated as
-        the stored points are, into points[:, -1] in place.
-
-        products holds its inner products with every stored point, itself
-        last, as the caller computes them. They become, bit for bit, the
-        last row and column of the Gram matrix, computed first if no call
-        has, and the last squared norm. ValueError on a set of more than
-        2 dim points, where no Gram matrix is kept. Iterates built on the
-        old point are not updated.
-        """
-        if not self._narrow:
-            raise ValueError("move_last_point needs a set of at most 2 dim points")
-        last = self.n_points - 1
-        self.sq_norms[last] = products[last]
-        self.gram_column(last)
-        self._gram[:, last] = products
-        self._gram[last] = products
 
 
 @dataclass

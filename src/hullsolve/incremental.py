@@ -21,18 +21,19 @@ origin and half on -b(0), and while alpha_b < ALPHA_FLOOR, where no x0
 can be recovered, a pass takes its step without the shift
 re-optimisation or the residual check. The final answer is x = x0 - t e.
 
-A change of shift moves only the last point, -b(t), so the solver builds
-its hull instance once (shifted_instance) and carries it, and the iterate's
-maintained products and ||p'||^2, to each new shift (move_shift): -b(t)
-and its Gram border are written in place by system.place_shift, the
-writer that finishes every build too, the iterate's products with the
-columns take one scaled add of A^T u, and its product with -b(t) and
-||p'||^2 follow in O(1) from u^T p'. The shift re-optimisation reads that same
-u^T p' from the coefficients in O(n): the iterate's point is p'(t) =
-alpha_b (A x0 - b(t)), so the best shift and its residual E follow from
-u^T p' and the moved gap. That E is an estimate; the exact residual at
-the shift moved to, computed only when the estimate nears the target and
-once every n steps, decides the stop.
+A change of shift moves only the last point, -b(t), so the solver runs on
+the system's one shifted hull (shifted_instance returns system.hull with
+-b(0) placed) and carries it, and the iterate's maintained products and
+||p'||^2, to each new shift (move_shift): -b(t) and its Gram border are
+written in place by system.place_shift, which places -b(0) too, the
+iterate's products with the columns take one scaled add of A^T u, and
+its product with -b(t) and ||p'||^2 follow in O(1) from u^T p'. The
+shift re-optimisation reads that same u^T p' from the coefficients in
+O(n): the iterate's point is p'(t) = alpha_b (A x0 - b(t)), so the best
+shift and its residual E follow from u^T p' and the moved gap. That E is
+an estimate; the exact residual at the shift moved to, computed only
+when the estimate nears the target and once every n steps, decides the
+stop.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hull import (
-    HullInstance,
     Iterate,
     TraceRecord,
     apply_step,
@@ -118,19 +118,14 @@ def _rebase(system: LinearSystem, iterate: Iterate) -> np.ndarray:
 
 
 def move_shift(
-    system: LinearSystem,
-    instance: HullInstance,
-    iterate: Iterate,
-    t0: float,
-    t: float,
-    u_point: float,
+    system: LinearSystem, iterate: Iterate, t0: float, t: float, u_point: float
 ) -> Iterate:
-    """Move a shifted hull and its iterate from shift t0 to t, in O(n).
+    """Move the system's shifted hull and an iterate on it from shift t0
+    to t, in O(n).
 
-    The instance, built by shifted_instance, gets -b(t) and its Gram
-    border from place_shift, the writer that finishes a build, so it
-    equals shifted_instance(system, t) by construction. The iterate keeps
-    its coefficients c and forms no point: with drift = (t - t0) alpha_b,
+    place_shift writes -b(t) and its Gram border into system.hull, as it
+    does for shifted_instance(system, t). The iterate keeps its
+    coefficients c and forms no point: with drift = (t - t0) alpha_b,
     p'(t) = p'(t0) - drift u, so its products with the columns move by
     -drift A^T u, and its product with -b(t) and ||p'(t)||^2 = ||p'||^2 -
     2 drift u^T p' + drift^2 ||u||^2 follow in O(1) from u_point, u^T p'
@@ -140,7 +135,7 @@ def move_shift(
     """
     n = system.n
     coeffs = iterate.coeffs
-    place_shift(system, instance, t)
+    place_shift(system, t)
     step = t - t0
     drift = step * float(coeffs[-1])
     dots = np.empty(n + 1)
@@ -157,7 +152,7 @@ def move_shift(
     square = drift * drift * system.u_sq
     point_sq = iterate.point_sq + lift + square
     scale = iterate.point_sq_scale + abs(lift) + square
-    return recursed_iterate(instance, coeffs, dots, point_sq, scale, iterate.age)
+    return recursed_iterate(system.hull, coeffs, dots, point_sq, scale, iterate.age)
 
 
 def _shift_product(system: LinearSystem, coeffs: np.ndarray, t0: float) -> float:
@@ -421,7 +416,7 @@ def solve_incremental(
             if tau_hook is not None:
                 tau0 = max(t0, float(tau_hook(tau0)))
             if tau0 != t0:
-                iterate = move_shift(system, instance, iterate, t0, tau0, u_point)
+                iterate = move_shift(system, iterate, t0, tau0, u_point)
                 t0 = tau0
             if iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
                 # x = x0 - t0 e; the move kept the coefficients.
@@ -443,7 +438,7 @@ def solve_incremental(
             if escalations > config.max_iterations:
                 return outcome(SOLVE_CAP_EXCEEDED)
             u_point = _shift_product(system, iterate.coeffs, t0)
-            iterate = move_shift(system, instance, iterate, t0, new_t, u_point)
+            iterate = move_shift(system, iterate, t0, new_t, u_point)
             t0 = new_t
             shifts.append(t0)
             if trace is not None:

@@ -13,7 +13,9 @@ A Matrix Market file is read as its header line, its size line, then its
 body in one read(); a coordinate body is split into its entry lines. Both
 formats read their size line with _sizes. Errors name lines as
 readlines() numbers them, at line ends only: a form feed, U+0085 or U+2028
-starts no line.
+starts no line. A line is blank, and skipped, only if it holds nothing but
+the ASCII whitespace numpy's conversion skips (_blank); any other line is
+read, so a line of U+001C or U+2028 alone is refused with its number.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ FORMAT_DENSE_TEXT = "dense_text"
 
 # Fixed column set; benchmark tooling depends on this exact header.
 TRACE_HEADER = "iter,t,gap_or_E,alpha_b,pivot,witness"
+
+
+# The whitespace numpy's conversion skips between values, C's isspace().
+_WHITESPACE = " \t\n\r\x0b\x0c"
+
+
+def _blank(text: str) -> bool:
+    return not text.strip(_WHITESPACE)
 
 
 class ParseError(ValueError):
@@ -100,9 +110,8 @@ def _numbers(text: str, first_line: int) -> np.ndarray:
         # values before it; numpy 2.x raises.
         warnings.simplefilter("error", DeprecationWarning)
         try:
-            # numpy converts ASCII whitespace alone to [-1.0], and refuses
-            # other whitespace as it refuses any non-ASCII character.
-            if text.isascii() and text.isspace():
+            # numpy converts a blank text to [-1.0].
+            if _blank(text):
                 return np.zeros(0)
             return np.fromstring(text, sep=" ")
         except (ValueError, DeprecationWarning):
@@ -136,19 +145,19 @@ def _sizes(raw: str, count: int, line: int, form: str, integers: str) -> list[in
 def _load_dense_text(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
-    lineno = next((k for k, raw in enumerate(lines, start=1) if raw.strip()), None)
+    lineno = next((k for k, raw in enumerate(lines, start=1) if not _blank(raw)), None)
     if lineno is None:
         raise ParseError("empty file, expected a 'rows cols' header", line=1)
     form = "header must be two integers 'rows cols'"
     rows, cols = _sizes(lines[lineno - 1], 2, lineno, form, form)
     # Count the data rows before allocating what the header declares.
-    found = sum(1 for raw in lines[lineno:] if raw.strip())
+    found = sum(1 for raw in lines[lineno:] if not _blank(raw))
     if found < rows:
         raise ParseError(f"expected {rows} data rows, found {found}", line=len(lines))
     out = np.zeros((rows, cols))
     filled = 0
     for offset, raw in enumerate(lines[lineno:], start=lineno + 1):
-        if not raw.strip():
+        if _blank(raw):
             continue
         if filled >= rows:
             raise ParseError(f"expected only {rows} data rows", line=offset)
@@ -166,7 +175,7 @@ _COMMENT_LINE = re.compile(r"^[^\S\n]*%.*", re.MULTILINE)
 
 
 def _is_data(raw: str) -> bool:
-    return bool(raw.strip()) and not raw.lstrip().startswith("%")
+    return not _blank(raw) and not raw.lstrip().startswith("%")
 
 
 def _load_matrix_market(path: str) -> np.ndarray:

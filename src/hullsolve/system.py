@@ -43,6 +43,14 @@ SOLVE_CAP_EXCEEDED = "cap_exceeded"
 # is then unrecoverable and the shift quadratics degenerate.
 ALPHA_FLOOR = 1e-12
 
+# Below this, ||r|| = sqrt(sum_i r_i^2) may have lost digits to underflow:
+# a square below 2^-1022 is subnormal and rounds by up to 2^-1075. Above
+# it the sum is at least 2^-800, so n such errors are at most n 2^-275 of
+# it, far below eps for any n that fits in memory, and the plain norm
+# stands. Below it the norm is formed from r / max |r_i|, whose largest
+# square is 1.
+NORM_FLOOR = 2.0**-400
+
 
 class SingularMatrixError(ValueError):
     """The coefficient matrix is singular (or numerically indistinguishable)."""
@@ -60,10 +68,19 @@ class LinearSystem:
     squared norms overflow, or whose nonzero columns' squared norms
     underflow, are rejected as out of scale, and so is a shift direction
     u = A e whose squared norm overflows or, with u nonzero, underflows.
+
+    The system copies A once, into the first n columns of an n x (n + 1)
+    array whose last column holds -b(t), and forms A^T A into the leading
+    block of an (n + 1) x (n + 1) array whose last row and column hold
+    -b(t)'s products: a and gram are views of them, and hull is the one
+    HullInstance on both, conv({a_1, ..., a_n, -b(t)}) against the origin,
+    which place_shift moves from shift to shift in place. So two solves on
+    one system must not run at the same time, as in two threads; solves
+    one after another are safe, since each places -b(t) for itself.
     """
 
     def __init__(self, a, b):
-        a = np.ascontiguousarray(a, dtype=float)
+        a = np.asarray(a, dtype=float)
         b = np.ascontiguousarray(b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 1:
             raise ValueError("matrix must be square and right-hand side 1-d")
@@ -78,12 +95,14 @@ class LinearSystem:
             raise SingularMatrixError("matrix has a zero column")
         column_norms = np.sqrt(check_scale(a, "matrix"))
         check_scale(b[:, None], "right-hand side")
-        self.a = a
+        points = np.zeros((n, n + 1))
+        points[:, :n] = a
+        self.a = points[:, :n]
         self.b = b
         self.column_norms = column_norms
         self.norm_b = float(np.linalg.norm(b))
         self.rho = max(float(column_norms.max()), self.norm_b)
-        self.u = u = a @ np.ones(n)
+        self.u = u = self.a @ np.ones(n)
         check_scale(u[:, None], "A e")
         self.b_sq = float(b @ b)
         self.u_b = float(u @ b)
@@ -95,8 +114,17 @@ class LinearSystem:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """A^T A, the columns' Gram matrix. Do not modify it."""
-        return self.a.T @ self.a
+        """A^T A, the columns' Gram matrix: the leading block of hull's
+        Gram matrix. Do not modify it."""
+        n = self.n
+        return np.matmul(self.a.T, self.a, out=np.zeros((n + 1, n + 1))[:n, :n])
+
+    @cached_property
+    def hull(self) -> HullInstance:
+        """The system's one shifted hull, its last point -b(t) where
+        place_shift last put it (0 before the first); shifted_instance
+        places it."""
+        return HullInstance(self.a.base, np.zeros(self.n), gram=self.gram.base)
 
     @cached_property
     def at_u(self) -> np.ndarray:
@@ -108,42 +136,43 @@ class LinearSystem:
         """A^T b, the columns' products with the right-hand side."""
         return self.a.T @ self.b
 
-    def shift_border(self, t: float) -> np.ndarray:
-        """-b(t)'s products with the columns and itself, in O(n): -(A^T b +
-        t A^T u) and ||b(t)||^2 = ||b||^2 + 2 t u^T b + t^2 ||u||^2, clamped
-        at 0. Each is accurate to a few eps of its terms' magnitudes, not of
-        its value, which cancels where b(t) nearly vanishes."""
-        border = np.empty(self.b.size + 1)
-        head = border[:-1]
-        np.multiply(self.at_u, -t, out=head)
-        head -= self.at_b
-        border[-1] = max(0.0, self.b_sq + t * (2.0 * self.u_b + t * self.u_sq))
-        return border
-
     def residual_norm(self, x: np.ndarray) -> float:
-        """||A x - b||."""
-        return float(np.linalg.norm(self.a @ x - self.b))
+        """||A x - b||, formed from the residual scaled by its largest entry
+        when it falls below NORM_FLOOR."""
+        r = self.a @ x - self.b
+        norm = float(np.linalg.norm(r))
+        if norm < NORM_FLOOR and r.any():
+            scale = np.abs(r).max()
+            norm = float(scale * np.linalg.norm(r / scale))
+        return norm
 
 
 def shifted_instance(system: LinearSystem, t: float) -> HullInstance:
-    """Hull instance for conv({a_1, ..., a_n, -b(t)}) against the origin:
-    [A | 0] with a copy of system.gram padded by a zero border, into
-    which place_shift writes -b(t) and its border."""
-    points = np.hstack([system.a, np.zeros((system.n, 1))])
-    gram = np.pad(system.gram, (0, 1))
-    instance = HullInstance(points, np.zeros(system.n), gram=gram)
-    place_shift(system, instance, t)
-    return instance
+    """system.hull, conv({a_1, ..., a_n, -b(t)}) against the origin, with
+    -b(t) placed by place_shift. Allocates nothing after the first call."""
+    place_shift(system, t)
+    return system.hull
 
 
-def place_shift(system: LinearSystem, instance: HullInstance, t: float) -> None:
-    """Write -b(t) = -t u - b into the instance's last point in place, and
-    its Gram border shift_border(t) through move_last_point: the one
-    writer of -b(t), for a build and for every shift move alike."""
-    last = instance.points[:, -1]
+def place_shift(system: LinearSystem, t: float) -> None:
+    """Write -b(t) = -t u - b into system.hull in place: its last point,
+    its squared norm, and the last row and column of the Gram matrix,
+    -(A^T b + t A^T u) and ||b(t)||^2 = ||b||^2 + 2 t u^T b + t^2 ||u||^2
+    clamped at 0, in O(n). The one writer of -b(t), for a build and for
+    every shift move alike. Each product is accurate to a few eps of its
+    terms' magnitudes, not of its value, which cancels where b(t) nearly
+    vanishes."""
+    hull = system.hull
+    last = hull.points[:, -1]
     np.multiply(system.u, -t, out=last)
     last -= system.b
-    instance.move_last_point(system.shift_border(t))
+    gram = system.gram.base
+    border = gram[-1]
+    np.multiply(system.at_u, -t, out=border[:-1])
+    border[:-1] -= system.at_b
+    b_t_sq = max(0.0, system.b_sq + t * (2.0 * system.u_b + t * system.u_sq))
+    border[-1] = hull.sq_norms[-1] = b_t_sq
+    gram[:-1, -1] = border[:-1]
 
 
 @dataclass

@@ -24,7 +24,9 @@ Both phases take pairwise steps: each step is the better of the Triangle
 step toward the pivot and a transfer of weight to the pivot from the active
 point of least margin, -b included (hull.apply_step with every point a
 donor). Both read the system's one A^T A (LinearSystem.gram): Phase 1 as
-it is, Phase 2 bordered with -b's products by shifted_instance at t = 0.
+it is, on a copy of A its hull instance makes, and Phase 2 through the
+system's one shifted hull (system.hull), the block of its Gram matrix
+that -b's products border, with -b(0) placed by shifted_instance.
 """
 
 from __future__ import annotations

@@ -356,7 +356,7 @@ def test_criterion_9_quadratic_consistency():
                     quads = build_quadratics(system, iterate)
                     new_t = next_shift(quads, t0, 1)
                     u_point = _shift_product(system, iterate.coeffs, t0)
-                    iterate = move_shift(system, instance, iterate, t0, new_t, u_point)
+                    iterate = move_shift(system, iterate, t0, new_t, u_point)
                     t0 = new_t
                     continue
                 break

@@ -260,11 +260,19 @@ class TestLoadMatrix:
             ("line-separator", "1\u20287"),
             ("next-line", "1\x857"),
             ("percent-after-a-value", "1 7 % note"),
+        ]]
+        # A line of whitespace that numpy does not skip is no blank line:
+        # it is read, and refused, before the row after it.
+        + [pytest.param("1 2", f"{space}\n1 7", None, id=f"{name}-line") for name, space in [
+            ("file-separator", "\x1c"),
+            ("line-separator", "\u2028"),
+            ("no-break-space", "\xa0"),
         ]],
     )
     def test_number_syntax(self, tmp_path, head, line, sizes, data, expected):
         # numpy's C conversion reads both formats' values. Python's float
-        # accepts every refused case here but the last.
+        # accepts every refused case here but the percent sign and the
+        # whitespace lines.
         path = tmp_path / "m.txt"
         path.write_text(f"{head}{sizes}\n{data}\n", encoding="utf-8")
         if expected is not None:
@@ -273,6 +281,29 @@ class TestLoadMatrix:
         with pytest.raises(ParseError) as info:
             load_matrix(str(path))
         assert str(info.value) == f"line {line}: could not parse a numeric value"
+
+    @pytest.mark.parametrize("space", ["\x1c", "\u2028", "\xa0"],
+                             ids=["file-separator", "line-separator", "no-break-space"])
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            pytest.param("%%MatrixMarket matrix coordinate real general\n1 2 3\n1 1 7\n{}\n"
+                         "1 2 8\n", 4, "entry must be 'i j value'", id="coordinate-entry"),
+            pytest.param("%%MatrixMarket matrix array real general\n{}\n1 1\n7\n", 2,
+                         "array size line must be 'rows cols'", id="size-line"),
+            pytest.param("{}\n1 1\n7\n", 1, "header must be two integers 'rows cols'",
+                         id="dense-header"),
+        ],
+    )
+    def test_whitespace_numpy_reads_is_no_blank_line(self, tmp_path, text, line, message, space):
+        # The one blank-line rule of every layout: only the whitespace
+        # numpy's conversion skips makes a line blank. Another line is
+        # read where it stands, as an entry, a size line or a header.
+        path = tmp_path / "m.txt"
+        path.write_text(text.format(space), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_matrix(str(path))
+        assert str(info.value) == f"line {line}: {message}"
 
     def test_empty_file_errors_line_one(self, tmp_path):
         path = tmp_path / "empty.txt"

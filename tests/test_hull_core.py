@@ -41,7 +41,7 @@ from hullsolve import (
 )
 from hullsolve.hull import pivot_margins
 from hullsolve.incremental import _shift_product, move_shift, shifted_instance
-from hullsolve.system import CONVERGED
+from hullsolve.system import CONVERGED, place_shift
 
 
 def hull_points_example1():
@@ -247,11 +247,14 @@ class TestApplyStep:
             _assert_tracks_fresh(instance, iterate, 1e-10)
 
     def test_dot_cache_tracks_fresh_products_across_shifts(self):
-        # The shifted hull moved between shifts in place, against a rebuilt
-        # one: the same points bit for bit, and products that track.
+        # The shifted hull moved between shifts in place, against one built
+        # apart from the system at each shift: the same points and A^T A
+        # bit for bit, -b(t)'s priced products within rounding of the
+        # formed ones, and products that track.
         rng = np.random.default_rng(5)
         n = 6
         a = rng.normal(size=(n, n))
+        gram = a.T @ a
         system = LinearSystem(a, a @ rng.normal(size=n))
         t = 0.0
         instance = shifted_instance(system, t)
@@ -260,15 +263,16 @@ class TestApplyStep:
             if step % 3 == 0:
                 new_t = min(10.0, max(0.0, t + rng.uniform(-1.0, 1.5)))
                 u_point = _shift_product(system, iterate.coeffs, t)
-                iterate = move_shift(system, instance, iterate, t, new_t, u_point)
+                iterate = move_shift(system, iterate, t, new_t, u_point)
                 t = new_t
-                rebuilt = shifted_instance(system, t)
-                assert np.array_equal(instance.points, rebuilt.points)
-                assert np.allclose(instance.sq_norms, rebuilt.sq_norms, rtol=1e-15, atol=0.0)
-                j = int(rng.integers(n + 1))
-                assert np.allclose(
-                    instance.gram_column(j), rebuilt.gram_column(j), rtol=1e-12, atol=1e-12
-                )
+                built = HullInstance(np.column_stack([a, -(system.b + t * system.u)]), np.zeros(n))
+                assert instance.points.tobytes() == built.points.tobytes()
+                magnitude = system.b_sq + t * t * system.u_sq
+                tol = 8 * np.finfo(float).eps * magnitude
+                assert np.abs(instance.sq_norms - built.sq_norms).max() <= tol
+                for j in range(n):
+                    assert instance.gram_column(j)[:n].tobytes() == gram[j].tobytes()
+                assert np.abs(instance.gram_column(n) - built.gram_column(n)).max() <= tol
             else:
                 j = int(rng.integers(n + 1))
                 alpha = 1.0 if step % 997 == 0 else 10.0 ** rng.uniform(-6.0, 0.0)
@@ -433,9 +437,16 @@ class TestPairwiseStep:
             assert iterate.gap <= floor
 
 
+def _priced_border(system, t):
+    """-b(t)'s products with the columns and itself, priced as place_shift
+    documents them: -(A^T b + t A^T u) and the clamped ||b(t)||^2."""
+    last = max(0.0, system.b_sq + t * (2.0 * system.u_b + t * system.u_sq))
+    return np.append(system.at_u * -t - system.at_b, last)
+
+
 class TestGramMemo:
-    """Gram columns are stored at their first request and move with the
-    last point."""
+    """Gram columns are stored at their first request, and place_shift
+    moves the last row and column of a system's hull."""
 
     @staticmethod
     def _assert_rows_are_products(instance, points, columns):
@@ -454,37 +465,28 @@ class TestGramMemo:
         # have come from the first request.
         instance.points[:] = 0.0
         self._assert_rows_are_products(instance, original, range(n))
-        instance.points[:] = original
-        for step in range(30):
-            point = rng.normal(size=dim)
-            products = np.append(instance.points[:, :-1].T @ point, point @ point)
-            instance.points[:, -1] = point
-            instance.move_last_point(products)
-            self._assert_rows_are_products(instance, instance.points, range(n))
 
     @pytest.mark.parametrize("visits", [(0, 7, 21), ()], ids=["narrow", "narrow-move-first"])
     def test_moved_row_and_column_are_the_products(self, visits):
+        # -b(t)'s priced products become the last row and column bit for
+        # bit, and rows served before a move read them too.
         rng = np.random.default_rng(63)
-        dim, n = 30, 40
-        instance = HullInstance(rng.normal(size=(dim, n)), rng.normal(size=dim))
-        for j in visits:
-            instance.gram_column(j)
-        for _ in range(3):
-            point = rng.normal(size=dim)
-            # Any products are stored as given, whether or not they are
-            # the fresh ones.
-            products = instance.points.T @ point + rng.normal(size=n) * 1e-9
-            products[-1] = point @ point
-            instance.points[:, -1] = point
-            instance.move_last_point(products)
-            assert instance.gram_column(n - 1).tobytes() == products.tobytes()
-            for j in visits:
-                assert instance.gram_column(j)[n - 1] == products[j]
+        n = 30
+        system = LinearSystem(rng.normal(size=(n, n)), rng.normal(size=n))
+        rows = [system.hull.gram_column(j) for j in visits]
+        for t in (0.0, 0.5, 2.0):
+            place_shift(system, t)
+            border = _priced_border(system, t)
+            assert system.hull.gram_column(n).tobytes() == border.tobytes()
+            assert system.hull.sq_norms[n] == border[n]
+            for j, row in zip(visits, rows):
+                assert row[n] == border[j]
 
     def test_given_gram_matrix_is_served_and_moved_in_place(self):
         # A Gram matrix the caller gives is neither copied nor formed
-        # again: its rows are the columns served, and a moved last point
-        # writes its products into it.
+        # again: its rows are the columns served. A system's hull is given
+        # the system's bordered A^T A, and place_shift writes -b(t)'s
+        # products into that same array.
         rng = np.random.default_rng(73)
         dim, n = 12, 13
         points = rng.normal(size=(dim, n))
@@ -494,19 +496,22 @@ class TestGramMemo:
             column = instance.gram_column(j)
             assert np.shares_memory(column, gram)
             assert column.tobytes() == gram[j].tobytes()
-        point = rng.normal(size=dim)
-        products = np.append(points[:, :-1].T @ point, point @ point)
-        instance.points[:, -1] = point
-        instance.move_last_point(products)
-        assert gram[n - 1].tobytes() == gram[:, n - 1].tobytes() == products.tobytes()
-        assert instance.sq_norms[n - 1] == products[n - 1]
-        self._assert_rows_are_products(instance, instance.points, range(n))
+        system = LinearSystem(points[:, :dim], rng.normal(size=dim))
+        instance = shifted_instance(system, 0.5)
+        gram = system.gram.base
+        for j in range(dim + 1):
+            assert np.shares_memory(instance.gram_column(j), gram)
+        place_shift(system, 1.5)
+        border = _priced_border(system, 1.5)
+        assert gram[dim].tobytes() == gram[:, dim].tobytes() == border.tobytes()
+        assert instance.sq_norms[dim] == border[dim]
+        self._assert_rows_are_products(instance, instance.points, range(dim + 1))
 
     @pytest.mark.parametrize("computed", [False, True])
     def test_appended_point_borders_the_gram_matrix(self, computed):
         # The columns' Gram matrix A^T A, formed first if no reader has, is
-        # kept bit for bit and bordered with -b(t)'s priced products; the
-        # system's own copy is left as it was.
+        # the leading block of the hull's, bit for bit, bordered with
+        # -b(t)'s priced products.
         rng = np.random.default_rng(73)
         n, t = 12, 0.75
         system = LinearSystem(rng.normal(size=(n, n)), rng.normal(size=n))
@@ -514,7 +519,7 @@ class TestGramMemo:
             system.gram
         instance = shifted_instance(system, t)
         gram = system.gram.copy()
-        border = system.shift_border(t)
+        border = _priced_border(system, t)
         b_t = system.b + t * system.u
         assert np.array_equal(instance.points, np.column_stack([system.a, -b_t]))
         assert not instance.target.any()
@@ -525,18 +530,6 @@ class TestGramMemo:
         for j in range(n):
             assert np.array_equal(instance.gram_column(j)[:n], gram[j])
         assert np.array_equal(system.gram, system.a.T @ system.a)
-
-    def test_wide_set_refuses_a_moved_point(self):
-        # A set of more than 2 dim points keeps no Gram matrix to move a
-        # row of.
-        rng = np.random.default_rng(63)
-        dim = 5
-        point = rng.normal(size=dim)
-        wide = HullInstance(rng.normal(size=(dim, 2 * dim + 1)), rng.normal(size=dim))
-        original = wide.points.copy()
-        with pytest.raises(ValueError, match="2 dim points"):
-            wide.move_last_point(np.append(wide.points[:, :-1].T @ point, point @ point))
-        assert np.array_equal(wide.points, original)
 
     @pytest.mark.parametrize("dim", [3, 64])
     def test_wide_point_set_stores_visited_columns(self, dim):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from helpers import (
 from hullsolve import (
     CONVERGED,
     SOLVE_CAP_EXCEEDED,
+    HullInstance,
     LinearSystem,
     NoPositiveQuadratic,
     ShiftQuadratic,
@@ -547,24 +549,104 @@ class TestOneGramMatrix:
     def test_moved_instance_is_the_built_one(self):
         # move_shift and shifted_instance write -b(t) and its Gram border
         # through one writer, place_shift: after moves from shift to
-        # shift, the instance holds the points, squared norms and Gram
-        # matrix of one built at the last shift, bit for bit.
+        # shift, the hull holds the points and A^T A of one built apart
+        # from the system at the last shift, bit for bit, and -b(t)'s
+        # products and squared norm within rounding of the formed ones.
         rng = np.random.default_rng(67)
         for n in (3, 10, 40):
             a = rng.normal(size=(n, n))
+            gram = a.T @ a
             system = LinearSystem(a, a @ rng.normal(size=n))
             t = rng.uniform(0.0, 3.0)
             instance = shifted_instance(system, t)
             iterate = make_iterate(instance, rng.dirichlet(np.ones(n + 1)))
             for new_t in rng.uniform(0.0, 10.0, size=5):
                 u_point = incremental._shift_product(system, iterate.coeffs, t)
-                iterate = incremental.move_shift(system, instance, iterate, t, new_t, u_point)
+                iterate = incremental.move_shift(system, iterate, t, new_t, u_point)
                 t = new_t
-                built = shifted_instance(system, t)
+                b_t = system.b + t * system.u
+                built = HullInstance(np.column_stack([a, -b_t]), np.zeros(n))
                 assert instance.points.tobytes() == built.points.tobytes()
-                assert instance.sq_norms.tobytes() == built.sq_norms.tobytes()
-                for j in range(n + 1):
-                    assert instance.gram_column(j).tobytes() == built.gram_column(j).tobytes()
+                assert instance.sq_norms[:n].tobytes() == built.sq_norms[:n].tobytes()
+                for j in range(n):
+                    assert instance.gram_column(j)[:n].tobytes() == gram[j].tobytes()
+                scale = np.sqrt(built.sq_norms.max()) * (system.norm_b + t * np.sqrt(system.u_sq))
+                tol = 4 * n * np.finfo(float).eps * scale
+                assert np.abs(instance.gram_column(n) - built.gram_column(n)).max() <= tol
+                assert abs(instance.sq_norms[n] - built.sq_norms[n]) <= tol
+
+    def test_one_shifted_hull_per_system(self):
+        system, _ = invertible_system(np.random.default_rng(71), 5)
+        first = shifted_instance(system, 0.0)
+        assert shifted_instance(system, 2.5) is first is system.hull
+        assert np.shares_memory(first.points, system.a)
+
+    def test_solves_in_sequence_match_solves_on_fresh_systems(self):
+        # Each solve places -b(t) on the system's one hull for itself, so
+        # solves one after another on one system give the bytes of the
+        # same solves on fresh systems: status, steps, x, witness, shifts
+        # and trace.
+        def digest(outcome):
+            return (
+                outcome.status,
+                outcome.iterations,
+                outcome.shift_t,
+                None if outcome.x is None else outcome.x.tobytes(),
+                None if outcome.witness is None else outcome.witness.margins.tobytes(),
+                repr(outcome.diagnostics),
+                repr(outcome.trace),
+            )
+
+        solves = [
+            lambda s, c: solve_nonneg(s, c),
+            lambda s, c: solve_incremental(s, c),
+            lambda s, c: solve_nonneg(s, c, phase1=True),
+            lambda s, c: solve_incremental(s, c, increment="double"),
+        ]
+        config = SolveConfig(epsilon0=1e-6, record_trace=True)
+        rng = np.random.default_rng(79)
+        for n in (3, 8):
+            for system, _ in (nonneg_system(rng, n), invertible_system(rng, n)):
+                shared = [digest(solve(system, config)) for solve in solves]
+                fresh = [
+                    digest(solve(LinearSystem(system.a, system.b), config)) for solve in solves
+                ]
+                assert shared == fresh
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 16, 33, 64, 100, 257])
+    def test_views_give_the_products_of_a_contiguous_copy(self, n):
+        # system.a and system.gram are views into the hull's arrays; the
+        # BLAS must give them the bytes it gives contiguous arrays, which
+        # the solvers' bytes rest on.
+        rng = np.random.default_rng([89, n])
+        system = LinearSystem(rng.normal(size=(n, n)), rng.normal(size=n))
+        a = np.ascontiguousarray(system.a)
+        x = rng.normal(size=n)
+        assert (system.a @ x).tobytes() == (a @ x).tobytes()
+        assert (system.a.T @ x).tobytes() == (a.T @ x).tobytes()
+        assert system.gram.tobytes() == (a.T @ a).tobytes()
+
+    def test_system_and_nonneg_solve_hold_two_arrays(self):
+        # A caller that keeps no A: the system's [A | -b(t)] and its
+        # bordered Gram matrix are the solve's only n^2 arrays, so the
+        # traced peak stays below 2.5 x 8 n^2 bytes, the caller's A
+        # included while the system copies it. With a copy of each per
+        # solve it was 4.1 x.
+        n = 300
+        rng = np.random.default_rng(97)
+        x = rng.uniform(0.5, 1.5, n)
+        tracemalloc.start()
+        try:
+            a = rng.normal(size=(n, n))
+            a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+            system = LinearSystem(a, a @ (x / x.sum()))
+            del a
+            outcome = solve_nonneg(system, SolveConfig(epsilon0=0.005))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.status == CONVERGED
+        assert peak < 2.5 * 8 * n * n
 
     def test_one_system_forms_its_gram_matrix_once(self, monkeypatch):
         # analyze_system, the two-phase solve with Phase 1 first and the

@@ -418,7 +418,7 @@ def test_linear_time_shift_matches_direct_optimum():
         iterate = make_iterate(instance, coeffs)
         t0 = rng.uniform(0.0, 10.0)
         u_point = incremental._shift_product(system, iterate.coeffs, 0.0)
-        iterate = incremental.move_shift(system, instance, iterate, 0.0, t0, u_point)
+        iterate = incremental.move_shift(system, iterate, 0.0, t0, u_point)
         for _ in range(int(rng.integers(0, 20))):
             j = int(rng.integers(n + 1))
             iterate = apply_step(instance, iterate, j, float(rng.uniform(0.0, 0.2)))
@@ -427,7 +427,7 @@ def test_linear_time_shift_matches_direct_optimum():
         expected_tau, expected_err = incremental.optimize_shift_tau0(system, x0, t0)
         tau0, u_point = incremental._optimal_shift(system, iterate, t0)
         if tau0 != t0:
-            iterate = incremental.move_shift(system, instance, iterate, t0, tau0, u_point)
+            iterate = incremental.move_shift(system, iterate, t0, tau0, u_point)
             moved += 1
         else:
             clamped += 1
@@ -471,9 +471,8 @@ def test_constant_time_move_tracks_the_formed_iterate():
             iterate = make_iterate(instance, np.append(x0, 1.0) / (1.0 + x0.sum()))
             t, u_point = incremental._optimal_shift(system, iterate, t0)
         before = iterate.point_sq
-        moved = incremental.move_shift(system, instance, iterate, t0, t, u_point)
-        rebuilt = incremental.shifted_instance(system, t)
-        assert np.array_equal(instance.points, rebuilt.points)
+        moved = incremental.move_shift(system, iterate, t0, t, u_point)
+        assert np.array_equal(instance.points, np.column_stack([a, -(system.b + t * system.u)]))
         # ||b(t)||^2 is exact only to a few eps of its terms' magnitudes,
         # not of its value, but never below 0.
         column = instance.points[:, n]
@@ -567,14 +566,14 @@ def test_converged_incremental_residuals_meet_the_target():
 
 
 def _tracks_fresh(function, counts, name):
-    """function, which returns an iterate of the instance it takes (first,
-    or second for move_shift), checked at every call: the maintained
-    products and ||p'||^2 within 1e-10 of those formed from V c, on the
-    scale max_i ||v_i|| ||p'|| that bounds the products."""
+    """function, which returns an iterate of the instance it takes (the
+    first argument, or the system's hull for move_shift), checked at every
+    call: the maintained products and ||p'||^2 within 1e-10 of those formed
+    from V c, on the scale max_i ||v_i|| ||p'|| that bounds the products."""
 
     def checked(*args, **kwargs):
         stepped = function(*args, **kwargs)
-        instance = args[1] if name == "move_shift" else args[0]
+        instance = args[0].hull if name == "move_shift" else args[0]
         point = instance.points @ stepped.coeffs
         fresh = instance.points.T @ point
         scale = np.sqrt(instance.sq_norms.max() * (point @ point))

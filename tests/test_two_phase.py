@@ -75,6 +75,26 @@ class TestLinearSystem:
                 SolveConfig(),
             )
 
+    @pytest.mark.parametrize("epsilon0", [1e-13, 1e-12])
+    @pytest.mark.parametrize("solve", [solve_nonneg, solve_incremental])
+    def test_tiny_scale_residual_does_not_underflow(self, solve, epsilon0):
+        # At scale 1e-150 the squares of a residual near 1e-163 underflow:
+        # a plain norm read 0 there, and both solvers stopped converged at
+        # a true relative residual of 4.6e-13 > 1e-13. The residual is
+        # checked at 2^500 times the data, where no square underflows and
+        # the scaling is exact.
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(6, 6)) * 1e-150
+        b = a @ rng.uniform(0.5, 1.5, 6)
+        config = SolveConfig(epsilon0=epsilon0, max_iterations=50_000)
+        outcome = solve(LinearSystem(a, b), config)
+        assert outcome.status == CONVERGED
+        a, b = np.ldexp(a, 500), np.ldexp(b, 500)
+        rho = max(np.sqrt(np.einsum("ij,ij->j", a, a)).max(), np.linalg.norm(b))
+        residual = np.linalg.norm(a @ outcome.x - b)
+        assert residual <= epsilon0 * rho
+        assert np.ldexp(outcome.residual_norm, 500) == pytest.approx(residual, rel=1e-12)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LinearSystem(np.ones((2, 3)), np.ones(2))
