@@ -39,14 +39,14 @@ from .system import (
     CONVERGED,
     INFEASIBLE_NONNEG,
     SOLVE_CAP_EXCEEDED,
+    AlphaBVanishes,
     LinearSystem,
     SingularMatrixError,
     SolveConfig,
     SolveOutcome,
+    recover_solution,
 )
 from .two_phase import (
-    AlphaBVanishes,
-    recover_solution,
     select_inner_epsilon,
     sensitivity_epsilon_prime,
     solve_nonneg,

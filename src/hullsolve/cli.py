@@ -120,14 +120,17 @@ def _round_trippable(value):
     return value
 
 
-def _witness_fields(outcome) -> dict:
+def _outcome_fields(outcome) -> dict:
+    """An outcome's own fields, for its report: all but the iterate, the
+    trace and the witness; x and certifying_vertex only when set; and a
+    witness as its margins and distance bracket."""
+    fields = {key: value for key, value in vars(outcome).items()
+              if key not in ("iterate", "trace", "witness")
+              and (value is not None or key not in ("x", "certifying_vertex"))}
     witness = outcome.witness
-    if witness is None:
-        return {}
-    return {
-        "witness_margins": witness.margins,
-        "distance_bracket": list(witness.distance_bracket),
-    }
+    if witness is not None:
+        fields.update(witness_margins=witness.margins, distance_bracket=witness.distance_bracket)
+    return fields
 
 
 def _system(args) -> LinearSystem:
@@ -157,15 +160,10 @@ def _cmd_hull(args) -> tuple[dict, list | None, int]:
             "init_rule": _STARTS[args.init],
             "max_iterations": config.max_iterations,
         },
-        "status": outcome.status,
-        "iterations": outcome.iterations,
         "gap": outcome.iterate.gap,
-        "initial_gap_delta0": outcome.initial_gap_delta0,
         "coeffs": outcome.iterate.coeffs,
-        **_witness_fields(outcome),
+        **_outcome_fields(outcome),
     }
-    if outcome.certifying_vertex is not None:
-        report["certifying_vertex"] = outcome.certifying_vertex
     trace = outcome.trace
     if trace is not None:
         trace = trace + [TraceRecord(
@@ -203,21 +201,7 @@ def _cmd_solve(args) -> tuple[dict, list | None, int]:
     else:
         outcome = incremental.solve_incremental(system, config, increment=increment)
         echo["increment"] = increment
-    report = {
-        "command": "solve",
-        "config": echo,
-        "status": outcome.status,
-        "iterations": outcome.iterations,
-        "shift_t": outcome.shift_t,
-        "residual_norm": outcome.residual_norm,
-        "relative_residual": outcome.relative_residual,
-        "phase1_delta0_prime": outcome.phase1_delta0_prime,
-        "inner_epsilon": outcome.inner_epsilon,
-        "diagnostics": outcome.diagnostics,
-        **_witness_fields(outcome),
-    }
-    if outcome.x is not None:
-        report["x"] = outcome.x
+    report = {"command": "solve", "config": echo, **_outcome_fields(outcome)}
     return report, outcome.trace, 0 if outcome.status == CONVERGED else 1
 
 

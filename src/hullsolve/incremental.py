@@ -31,9 +31,9 @@ its product with -b(t) and ||p'||^2 follow in O(1) from u^T p'. The
 shift re-optimisation reads that same u^T p' from the coefficients in
 O(n): the iterate's point is p'(t) = alpha_b (A x0 - b(t)), so the best
 shift and its residual E follow from u^T p' and the moved gap. That E is
-an estimate; the exact residual at the shift moved to, computed only
-when the estimate nears the target and once every n steps, decides the
-stop.
+an estimate; the exact residual at the shift moved to decides the stop,
+by the rule both solvers share (system.checked_solution), which forms it
+only when the estimate nears the target and once every n steps.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ from .system import (
     SingularMatrixError,
     SolveConfig,
     SolveOutcome,
+    checked_solution,
     place_shift,
     shifted_instance,
 )
-from .two_phase import PROXY_MARGIN, recover_solution
 
 __all__ = [
     "NoPositiveQuadratic",
@@ -337,10 +337,10 @@ def solve_incremental(
     per pass, while alpha_b >= ALPHA_FLOOR: recover x0 from the iterate,
     move the shift t to the tau0 >= t minimizing E(t) = ||A x0 - (b + t u)||,
     in O(n) from the iterate, and stop with x = x0 - tau0 e once
-    ||A x - b|| <= epsilon0 * rho. That residual costs O(n^2), so it is
-    computed, once, only when the estimate E = gap / alpha_b at tau0 comes
-    within PROXY_MARGIN of the target or, as a backstop, every n steps; it
-    is the only stop test. While alpha_b < ALPHA_FLOOR there is no x0, and
+    ||A x - b|| <= epsilon0 * rho, by system.checked_solution: that
+    residual is formed, once, only when the estimate E = gap / alpha_b at
+    tau0 nears the target or, as a backstop, every n steps; it is the only
+    stop test. While alpha_b < ALPHA_FLOOR there is no x0, and
     a pass skips all of this. Then it takes one step at the shift it holds,
     the better of the Triangle step and a transfer from a column (see
     hull.apply_step), or, when the iterate is a witness, whatever its
@@ -370,9 +370,6 @@ def solve_incremental(
     check_scale(system.u[:, None], "A e", floor=np.finfo(float).tiny)
     n = system.n
     rho = system.rho
-    eps0 = config.epsilon0
-    threshold = eps0 * rho
-    proxy_gate = threshold * (1.0 + PROXY_MARGIN)
 
     t0 = 0.0
     instance = shifted_instance(system, t0)
@@ -418,14 +415,12 @@ def solve_incremental(
             if tau0 != t0:
                 iterate = move_shift(system, iterate, t0, tau0, u_point)
                 t0 = tau0
-            if iterate.gap / alpha_b <= proxy_gate or steps % n == 0:
-                # x = x0 - t0 e; the move kept the coefficients.
-                x = recover_solution(iterate, system) - t0
-                residual = system.residual_norm(x)
-                if residual <= threshold:
-                    if trace is not None:
-                        trace.append(TraceRecord(steps, t0, residual, alpha_b, None, False))
-                    return outcome(CONVERGED, x, residual)
+            # x = x0 - t0 e; the move kept the coefficients.
+            stop = checked_solution(system, iterate, config.epsilon0, steps, t0)
+            if stop is not None:
+                if trace is not None:
+                    trace.append(TraceRecord(steps, t0, stop[1], alpha_b, None, False))
+                return outcome(CONVERGED, *stop)
 
         # Step 2: witness check via pivot search; Step 3: shift escalation.
         j = find_pivot(instance, iterate)

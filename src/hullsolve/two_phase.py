@@ -4,8 +4,7 @@ Phase 2 adjoins -b to the columns of A and drives an iterate toward the
 origin with the Triangle Algorithm; the convex coefficients of the iterate
 recover an approximate solution x0 = alpha / alpha_b, whose residual is
 A x0 - b = p' / alpha_b. The solver exits as soon as the recovered residual
-passes, computed exactly whenever its O(1) estimate gap / alpha_b comes
-within rounding of the target and at least once every n steps.
+passes, by the stop rule both solvers share (system.checked_solution).
 
 Phase 1 runs the Triangle Algorithm on the columns of A against the origin
 to obtain a witness, whose distance to the origin yields a lower bound
@@ -41,7 +40,6 @@ from .hull import (
     HullConfig,
     HullInstance,
     HullOutcome,
-    Iterate,
     TraceRecord,
     apply_step,
     find_pivot,
@@ -59,14 +57,13 @@ from .system import (
     SingularMatrixError,
     SolveConfig,
     SolveOutcome,
+    checked_solution,
     shifted_instance,
 )
 
 __all__ = [
-    "AlphaBVanishes",
     "select_inner_epsilon",
     "sensitivity_epsilon_prime",
-    "recover_solution",
     "solve_nonneg",
 ]
 
@@ -75,19 +72,6 @@ __all__ = [
 # below the hull-to-origin distance, so it is kept well under any
 # realistic conditioning rather than tied to the residual target.
 PHASE1_EPSILON_CEIL = 1e-6
-
-# The exact residual ||A x0 - b|| costs O(n^2), its estimate gap / alpha_b
-# O(1). They are equal in exact arithmetic; on column-normalised Gaussian
-# systems of n = 12 to 800 at epsilon0 = 0.001 to 0.005 they differed by at
-# most 7.5e-13 of the target epsilon0 * rho over every Phase 2 step. An
-# estimate above the target by more than this relative margin therefore
-# hides no passing residual; one that did would only delay the stop to the
-# next backstop check.
-PROXY_MARGIN = 1e-6
-
-
-class AlphaBVanishes(ValueError):
-    """The iterate places (numerically) no weight on -b; x0 is unrecoverable."""
 
 
 def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
@@ -143,20 +127,6 @@ def sensitivity_epsilon_prime(
     return 2.0 * (1.0 + b_norm / delta0_prime) * epsilon
 
 
-def recover_solution(iterate: Iterate, system: LinearSystem) -> np.ndarray:
-    """x0 = (alpha_1, ..., alpha_n) / alpha_b from an iterate over
-    conv({a_1, ..., a_n, -b}), where alpha_b is the coefficient of -b.
-
-    Raises AlphaBVanishes when alpha_b < ALPHA_FLOOR: the hull
-    approximation then carries no usable weight on -b and the residual
-    guarantee is unavailable.
-    """
-    alpha_b = float(iterate.coeffs[-1])
-    if alpha_b < ALPHA_FLOOR:
-        raise AlphaBVanishes(f"coefficient of -b is {alpha_b:.3e}")
-    return iterate.coeffs[:-1] / alpha_b
-
-
 def solve_nonneg(
     system: LinearSystem, config: SolveConfig, *, phase1: bool = False
 ) -> SolveOutcome:
@@ -164,12 +134,11 @@ def solve_nonneg(
 
     Phase 2 iterates the Triangle Algorithm on conv({a_1, ..., a_n, -b})
     against the origin, starting from config.init_coeffs over the n + 1
-    points, or from the nearest one when None. The solver recovers x0 and
-    tests ||A x0 - b|| <= epsilon0 * rho directly, returning on success,
-    whenever the O(1) estimate gap / alpha_b of that residual comes within
-    PROXY_MARGIN of the target and, as a backstop, once every n steps: O(n)
-    a step amortised, and the exact residual is the only stop test. A
-    witness means no nonnegative solution exists.
+    points, or from the nearest one when None. It stops with x0 once
+    ||A x0 - b|| <= epsilon0 * rho, by system.checked_solution, which forms
+    that residual only when its estimate gap / alpha_b nears the target
+    and once every n steps. A witness means no nonnegative solution
+    exists.
 
     phase1=True runs Phase 1 first, the paper's path. Its witness gives
     delta0', a lower bound on the hull-to-origin distance, which is
@@ -232,13 +201,10 @@ def solve_nonneg(
     iterate = initial_iterate(instance, config.init_coeffs)
     donors = instance.n_points  # -b gives weight as the columns do
 
-    threshold = eps0 * rho
-    proxy_gate = threshold * (1.0 + PROXY_MARGIN)
-
     while True:
         alpha_b = float(iterate.coeffs[-1])
         if alpha_b < ALPHA_FLOOR:
-            if phase1_run is None and iterate.gap <= threshold:
+            if phase1_run is None and iterate.gap <= eps0 * rho:
                 # No residual can be checked, and the origin is within
                 # epsilon0 * rho of the column hull: Phase 1 raises if it
                 # lies in it. Steps from here may still restore alpha_b.
@@ -248,12 +214,9 @@ def solve_nonneg(
                         replace(r, iteration=steps + r.iteration) for r in phase1_run.trace
                     )
                 diagnostics["phase1_iterations"] = phase1_run.iterations
-        elif iterate.gap / alpha_b <= proxy_gate or steps % system.n == 0:
-            x0 = recover_solution(iterate, system)
-            residual = system.residual_norm(x0)
-            if residual <= threshold:
-                record(residual, alpha_b)
-                return outcome(CONVERGED, x0, residual)
+        elif (stop := checked_solution(system, iterate, eps0, steps)) is not None:
+            record(stop[1], alpha_b)
+            return outcome(CONVERGED, *stop)
 
         j = find_pivot(instance, iterate)
         if j is None:

@@ -22,11 +22,16 @@ does. The inputs:
   default start and from the centroid;
 - the CLI commands of the CI workflow's installed-package step, run
   in-process on the files it writes (reports without wall_time_s, and
-  bench rows without their seconds).
+  bench rows without their seconds);
+- the cli_files inputs: the five commands of perfbench's CliFiles on the
+  n = 800 files its set-up writes for seeds 1-3;
+- the headline system: a column-normalised 30 x 30 Gaussian A and a
+  normal x* from default_rng(3), solved by solve_incremental at
+  epsilon0 = 1e-3 (179,156 steps).
 
 The bytes of x depend on the BLAS, so compare digests written on one
-machine. A full run takes about two and a half minutes on a 2-core
-machine. pytest does not collect this file.
+machine. A full run takes about three minutes on a 2-core machine.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -202,6 +207,15 @@ def _untimed(report):
     return report
 
 
+def _outputs(code: int, report: Path, trace: Path) -> dict:
+    """The exit code, and the report and trace a command wrote, if any."""
+    return {
+        "exit": code,
+        "report": _untimed(json.loads(report.read_text())) if report.exists() else None,
+        "trace": _hash(trace.read_text()) if trace.exists() else None,
+    }
+
+
 def cli_inputs(records: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -216,17 +230,33 @@ def cli_inputs(records: dict) -> None:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
             records[f"cli/{command}"] = {
-                "exit": code,
+                **_outputs(code, report, trace),
                 "stdout": re.sub(r" seconds=\S+", "", out.getvalue()),
                 "stderr": err.getvalue().replace(str(work), "DIR"),
-                "report": _untimed(json.loads(report.read_text())) if report.exists() else None,
-                "trace": _hash(trace.read_text()) if trace.exists() else None,
             }
+
+
+def cli_files_inputs(records: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            workload = workloads.CliFiles(seed, tiny=False)
+            workload.setup(hullsolve, Path(tmp) / f"seed{seed}")
+            for operation in workload.operations():
+                code, kind, report, trace = operation()
+                records[f"cli_files/seed{seed}/{kind}"] = _outputs(code, Path(report), Path(trace))
+
+
+def headline_input(records: dict) -> None:
+    rng = np.random.default_rng(3)
+    a = workloads.column_normalised_gaussian(rng, 30)
+    system = LinearSystem(a, a @ rng.normal(size=30))
+    records["headline"] = digest(solve_incremental(system, SolveConfig(epsilon0=1e-3)))
 
 
 def write(path: str) -> None:
     records: dict = {}
-    for inputs in (workload_inputs, sequence_inputs, forced_inputs, cli_inputs):
+    for inputs in (workload_inputs, sequence_inputs, forced_inputs, cli_inputs,
+                   cli_files_inputs, headline_input):
         inputs(records)
     Path(path).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
     print(f"{len(records)} inputs written to {path}")

@@ -493,6 +493,52 @@ class TestSolveCommand:
         assert main(["solve", "--matrix", matrix, "--rhs", str(bad_rhs)]) == 2
 
 
+SOLVE_KEYS = {
+    "command", "config", "status", "iterations", "shift_t", "residual_norm",
+    "relative_residual", "phase1_delta0_prime", "inner_epsilon", "diagnostics", "wall_time_s",
+}
+HULL_KEYS = {
+    "command", "config", "status", "iterations", "gap", "initial_gap_delta0", "coeffs",
+    "wall_time_s",
+}
+WITNESS_KEYS = {"witness_margins", "distance_bracket"}
+
+
+@pytest.mark.parametrize(
+    "data, argv, status, keys",
+    [
+        pytest.param("ex1", ["solve", "--mode", "nonneg"], "converged", SOLVE_KEYS | {"x"},
+                     id="solve-converged-nonneg"),
+        pytest.param("ex2", ["solve"], "converged", SOLVE_KEYS | {"x"},
+                     id="solve-converged-incremental"),
+        pytest.param("ex2", ["solve", "--mode", "nonneg"], "infeasible_nonneg",
+                     SOLVE_KEYS | WITNESS_KEYS, id="solve-infeasible"),
+        pytest.param("ex1", ["solve", "--max-iters", "1"], "cap_exceeded", SOLVE_KEYS,
+                     id="solve-cap"),
+        pytest.param("0.5", ["hull", "--epsilon", "0.05"], "in_hull_approx",
+                     HULL_KEYS | {"certifying_vertex"}, id="hull-in"),
+        pytest.param("10", ["hull"], "not_in_hull", HULL_KEYS | WITNESS_KEYS, id="hull-out"),
+    ],
+)
+def test_report_keys(ex1_files, ex2_files, tmp_path, data, argv, status, keys):
+    # A report takes an outcome's fields as they are, so a field added to
+    # or dropped from an outcome shows here. data names a solve's files, or
+    # gives both coordinates of a hull query's target on the unit square.
+    if argv[0] == "solve":
+        matrix, rhs = ex1_files if data == "ex1" else ex2_files
+        argv = argv + ["--matrix", matrix, "--rhs", rhs]
+    else:
+        points, target = tmp_path / "square.txt", tmp_path / "p.txt"
+        points.write_text("2 4\n0 1 0 1\n0 0 1 1\n")
+        target.write_text(f"2 1\n{data}\n{data}\n")
+        argv = argv + ["--points", str(points), "--target", str(target)]
+    report_path = tmp_path / "report.json"
+    main(argv + ["--report", str(report_path)])
+    report = json.loads(report_path.read_text())
+    assert report["status"] == status
+    assert set(report) == keys
+
+
 class TestHullCommand:
     def test_near_facet_query_ends_in_few_steps(self, tmp_path):
         # The target lies 0.05 off the edge v_0 v_1 of ten points in 5-D.
@@ -1188,3 +1234,53 @@ def test_readme_synopsis_lists_every_option():
         for name, sub in subparsers.choices.items()
     }
     assert _readme_synopsis_flags() == parsed
+
+
+def _command_key(line: str) -> tuple[str, frozenset]:
+    """A hullsolve command line as its subcommand and its set of options,
+    each with its values ("" for a flag), R and T standing in for the
+    --report and --trace paths."""
+    subcommand, *tokens = line.split()
+    options: dict[str, list[str]] = {}
+    for token in tokens:
+        if token.startswith("--"):
+            values = options.setdefault(token, [])
+        else:
+            values.append(token)
+    paths = {"--report": ["R"], "--trace": ["T"]}
+    return subcommand, frozenset(
+        (option, " ".join(paths.get(option, values))) for option, values in options.items()
+    )
+
+
+def _workflow_commands() -> list[str]:
+    """The hullsolve command lines of the CI workflow's installed-package
+    step, without the hullsolve, a timeout 10 prefix or the 2>, || and |
+    that follow, and with the step's for-mode loop expanded."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    step = workflow.read_text(encoding="utf-8").split("- name: Installed package", 1)[1]
+    commands, modes = [], [""]
+    for line in step.split("\n      - name:", 1)[0].splitlines():
+        line = line.strip()
+        if loop := re.fullmatch(r"for mode in (.*); do", line):
+            modes = loop.group(1).split()
+        elif line == "done":
+            modes = [""]
+        line = re.sub(r"^timeout 10 ", "", line)
+        if line.startswith("hullsolve "):
+            line = re.split(r" (?:2>|\|)", line, maxsplit=1)[0]
+            commands.extend(
+                line.removeprefix("hullsolve ").replace("$mode", mode) for mode in modes
+            )
+    return commands
+
+
+def test_parity_runs_the_workflow_commands(monkeypatch):
+    # tests/parity.py replays the workflow's commands from its own copy of
+    # them; a command added to the workflow alone would escape its diffs.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # parity.py adds to it
+    import parity
+
+    assert [_command_key(c) for c in parity.CI_COMMANDS] == [
+        _command_key(c) for c in _workflow_commands()
+    ]

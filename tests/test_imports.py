@@ -18,6 +18,8 @@
   hull reads every HullConfig field. Reads in __post_init__ and in the
   check_run_settings the two configs share are validation, not use, and
   do not count.
+- No solver module imports another: two_phase and incremental import
+  from hull and system alone, where the stop rule they share lives.
 """
 
 import ast
@@ -279,3 +281,40 @@ def test_solve_config_holds_what_both_solvers_read():
 def test_hull_reads_every_hull_config_field():
     source = (PACKAGE / "hull.py").read_text(encoding="utf-8")
     assert unread_fields(config_fields(source, "HullConfig"), {"hull": source}) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The hullsolve modules a module imports from, by relative or
+    absolute import."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                modules.update(
+                    [node.module] if node.module else [alias.name for alias in node.names]
+                )
+            elif node.module and node.module.split(".")[0] == "hullsolve":
+                modules.add(node.module.partition(".")[2] or "hullsolve")
+        elif isinstance(node, ast.Import):
+            modules.update(
+                alias.name.partition(".")[2] or "hullsolve"
+                for alias in node.names
+                if alias.name.split(".")[0] == "hullsolve"
+            )
+    return modules
+
+
+def test_check_finds_package_imports():
+    source = (
+        "import numpy as np\nfrom .hull import find_pivot\nfrom . import system\n"
+        "import hullsolve.matio\nfrom hullsolve.two_phase import solve_nonneg\n"
+    )
+    assert package_imports(source) == {"hull", "system", "matio", "two_phase"}
+
+
+@pytest.mark.parametrize("solver", ["two_phase", "incremental"])
+def test_no_solver_imports_another(solver):
+    # Both solvers stop by the one rule in system; neither reaches into
+    # the other for it.
+    source = (PACKAGE / f"{solver}.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= {"hull", "system"}

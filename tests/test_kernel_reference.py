@@ -316,7 +316,7 @@ class TestGatedResidual:
         gated_checks = len(calls)
         with monkeypatch.context() as patch:
             # An infinite margin lets the proxy pass on every step.
-            patch.setattr(two_phase, "PROXY_MARGIN", np.inf)
+            patch.setattr("hullsolve.system.PROXY_MARGIN", np.inf)
             every_step = solve_nonneg(system, config)
         assert gated.status == every_step.status == CONVERGED
         assert gated.iterations == every_step.iterations
@@ -337,7 +337,7 @@ class TestGatedResidual:
         # A cap, so that a missing backstop fails instead of running on.
         config = SolveConfig(epsilon0=eps0, max_iterations=20 * proxied.iterations)
         # A gate no estimate can pass: only the backstop checks remain.
-        monkeypatch.setattr(two_phase, "PROXY_MARGIN", -np.inf)
+        monkeypatch.setattr("hullsolve.system.PROXY_MARGIN", -np.inf)
         spoiled = solve_nonneg(system, config)
         assert spoiled.status == CONVERGED
         phase2 = spoiled.iterations - spoiled.diagnostics["phase1_iterations"]
@@ -518,7 +518,7 @@ class TestGatedIncrementalResidual:
         gated_checks = len(calls)
         with monkeypatch.context() as patch:
             # An infinite margin lets the estimate pass on every pass.
-            patch.setattr(incremental, "PROXY_MARGIN", np.inf)
+            patch.setattr("hullsolve.system.PROXY_MARGIN", np.inf)
             every_pass = solve_incremental(system, config)
         assert gated.status == every_pass.status == CONVERGED
         assert gated.iterations == every_pass.iterations
@@ -537,7 +537,7 @@ class TestGatedIncrementalResidual:
         # A cap, so that a missing backstop fails instead of running on.
         config = SolveConfig(epsilon0=eps0, max_iterations=20 * estimated.iterations)
         # A gate no estimate can pass: only the backstop checks remain.
-        monkeypatch.setattr(incremental, "PROXY_MARGIN", -np.inf)
+        monkeypatch.setattr("hullsolve.system.PROXY_MARGIN", -np.inf)
         outcome = solve_incremental(system, config)
         assert outcome.status == CONVERGED
         assert outcome.iterations % n == 0

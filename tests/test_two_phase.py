@@ -32,7 +32,8 @@ from hullsolve import (
 )
 from hullsolve import two_phase
 from hullsolve.oracles import min_norm_point
-from hullsolve.two_phase import AlphaBVanishes, _phase1_outcome
+from hullsolve.system import AlphaBVanishes
+from hullsolve.two_phase import _phase1_outcome
 
 
 class TestLinearSystem:
@@ -94,6 +95,24 @@ class TestLinearSystem:
         residual = np.linalg.norm(a @ outcome.x - b)
         assert residual <= epsilon0 * rho
         assert np.ldexp(outcome.residual_norm, 500) == pytest.approx(residual, rel=1e-12)
+
+    @pytest.mark.parametrize("exponent", [-520, -530, -535])
+    def test_tiny_scale_norms_do_not_underflow(self, exponent):
+        # Below 2^-511 the squares of the entries go subnormal: norms
+        # formed from them were off by up to 3.3e-3 (a column at 2^-535)
+        # and rho by 3.3e-4. Scaling by a power of two is exact, so the
+        # norms must be those of the unscaled system, scaled.
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(6, 6))
+        b = a @ rng.normal(size=6)
+        unscaled = LinearSystem(a, b)
+        system = LinearSystem(np.ldexp(a, exponent), np.ldexp(b, exponent))
+        for tiny, plain in (
+            (system.rho, unscaled.rho),
+            (system.norm_b, unscaled.norm_b),
+            *zip(system.column_norms, unscaled.column_norms),
+        ):
+            assert tiny == pytest.approx(np.ldexp(plain, exponent), rel=1e-14, abs=0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
