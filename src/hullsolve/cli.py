@@ -335,7 +335,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         # The reader closed stdout. Point it at devnull, so that the flush
         # at interpreter exit has nowhere left to fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print(f"error: cannot write the summary to stdout: {exc}", file=sys.stderr)
         return 2
     return code

@@ -175,15 +175,12 @@ class HullInstance:
         self.target = target
         self.target_norm = math.sqrt(target_sq)
         self.sq_norms = sq_norms
+        self.n_points = points.shape[1]
         # V^T V, given or formed whole at first use on at most 2 dim points (at
         # most twice their memory); a wider set keeps one column per pivot.
-        self._narrow = gram is not None or points.shape[1] <= 2 * points.shape[0]
+        self._narrow = points.shape[1] <= 2 * points.shape[0]
         self._gram: np.ndarray | None = gram
         self._gram_cols: dict[int, np.ndarray] = {}
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[1]
 
     def distance_to_point(self, j: int) -> float:
         """||p - v_j||."""
@@ -193,9 +190,10 @@ class HullInstance:
         """v_i^T v_j for all i, a row of the whole Gram matrix, given or
         formed at the first call in O(dim n^2), on a set of at most 2 dim
         points, else column j, in O(dim n). Do not modify the returned array."""
+        if self._gram is not None:
+            return self._gram[j]
         if self._narrow:
-            if self._gram is None:
-                self._gram = self.points.T @ self.points
+            self._gram = self.points.T @ self.points
             return self._gram[j]
         column = self._gram_cols.get(j)
         if column is None:
@@ -390,16 +388,16 @@ def find_pivot(instance: HullInstance, iterate: Iterate) -> int | None:
     """
     margins = pivot_margins(iterate)
     j = int(margins.argmax())
-    if margins[j] < 0.0:
+    if margins.item(j) < 0.0:
         vars(iterate).update(vars(_settled_iterate(instance, iterate)))
         margins = pivot_margins(iterate)
         j = int(margins.argmax())
-    if margins[j] < 0.0:
+    if margins.item(j) < 0.0:
         return None
     tie = iterate.tie
     if tie is not None and j == tie[1]:
-        top = float(margins[j])
-        if margins[tie[0]] >= max(0.0, top - TIE * (top + iterate.point_sq)):
+        top = margins.item(j)
+        if margins.item(tie[0]) >= max(0.0, top - TIE * (top + iterate.point_sq)):
             return tie[0]
     return j
 
@@ -428,8 +426,8 @@ def step_size(instance: HullInstance, iterate: Iterate, j: int) -> float:
     ||v_j - p'||^2 <= 0 raises DegeneratePivot.
     """
     q = iterate.point_sq
-    d_j = float(iterate.dot_cache[j])
-    denom = float(instance.gram_column(j)[j]) - 2.0 * d_j + q
+    d_j = iterate.dot_cache.item(j)
+    denom = instance.gram_column(j).item(j) - 2.0 * d_j + q
     if denom <= 0.0:
         raise DegeneratePivot("pivot coincides with the current iterate")
     return min(1.0, max(0.0, (q - d_j) / denom))
@@ -452,64 +450,6 @@ def recursed_iterate(
     return Iterate(coeffs, dots, point_sq, scale, age)
 
 
-def _pairwise_step(
-    instance: HullInstance,
-    iterate: Iterate,
-    j: int,
-    alpha: float,
-    column: np.ndarray,
-    donors: int,
-) -> Iterate | None:
-    """The pairwise step from k to j when it lowers ||p - p'||^2 more than
-    the Triangle step toward j with alpha does, else None.
-
-    k is the point of positive coefficient among the first donors with the
-    least margin, that is the largest product v_k^T p' (ties within TIE to
-    the lowest index), and the step moves weight gamma = min((margin_j -
-    margin_k) / ||v_j - v_k||^2, c_k) from k to j, all of it when clamped.
-    Both decreases come in O(1) from the maintained products and the Gram
-    columns of j and k. An unclamped step leaves the margins of j and k
-    equal in exact arithmetic, and the new iterate's tie names them.
-    """
-    coeffs, dots, q = iterate.coeffs, iterate.dot_cache, iterate.point_sq
-    active = np.where(coeffs[:donors] > 0.0, dots[:donors], -np.inf)
-    top = float(active.max())
-    if top == -math.inf:  # no donor holds weight
-        return None
-    k = int((active >= top - TIE * (abs(top) + q)).argmax())
-    column_k = instance.gram_column(k)
-    d_j, d_k = float(dots[j]), float(dots[k])
-    rise = d_k - d_j  # margin_j - margin_k
-    curvature = float(column[j] - 2.0 * column[k] + column_k[k])
-    if rise <= 0.0 or curvature <= 0.0:  # k = j gives rise 0
-        return None
-    c_k = float(coeffs[k])
-    gamma = min(rise / curvature, c_k)
-    # A step of length s along d lowers ||p'||^2 / 2 by
-    # s (-p')^T d - s^2 ||d||^2 / 2: here d = v_j - v_k and s = gamma,
-    # for the Triangle step d = v_j - p' and s = alpha.
-    toward = q - d_j
-    length_sq = float(column[j]) - 2.0 * d_j + q
-    if gamma * (rise - 0.5 * gamma * curvature) <= alpha * (toward - 0.5 * alpha * length_sq):
-        return None
-    # The sum stays 1 up to the rounding of two additions; only a clamp of
-    # dust changes it and renormalises.
-    coeffs = coeffs.copy()
-    coeffs[k] -= gamma  # exactly 0 when gamma is clamped at c_k
-    coeffs[j] += gamma
-    if 0.0 < coeffs[k] < COEFF_DUST:
-        coeffs[k] = 0.0
-        coeffs /= coeffs.sum()
-    dots = dots + gamma * (column - column_k)
-    lift = 2.0 * gamma * (d_j - d_k)
-    square = gamma * gamma * curvature
-    scale = iterate.point_sq_scale + abs(lift) + square
-    stepped = recursed_iterate(instance, coeffs, dots, q + lift + square, scale, iterate.age + 1)
-    if gamma < c_k:
-        stepped.tie = (j, k) if j < k else (k, j)
-    return stepped
-
-
 def apply_step(
     instance: HullInstance, iterate: Iterate, j: int, alpha: float, donors: int = 0
 ) -> Iterate:
@@ -526,37 +466,86 @@ def apply_step(
 
     With donors > 0, the step is the better of two exact line-search
     steps, by how far each lowers ||p - p'||^2: this Triangle step, and a
-    pairwise step that moves weight to j from the active point of least
-    margin among the first donors points (see _pairwise_step), which costs
-    O(n) as well. Either way j is the point that gains weight. run_hull
-    and solve_nonneg let every point give weight. solve_incremental lets
-    only the n columns give it, never -b(t): a transfer then never lowers
-    alpha_b, which x0 = alpha / alpha_b and the estimate gap / alpha_b
-    divide by. On the 23 general_shift reference systems at epsilon0 =
-    0.05 that rule takes 14,052 steps instead of the Triangle steps'
-    135,066, fewer on every system (the largest count falls from 21,012 to
-    1,408). With -b(t) a donor too they took 72,727, and more than the
-    Triangle steps on 3 systems (systems 3, 8 and 10 of the reference
-    stream: 11,478 -> 13,917, 4,490 -> 10,777 and 4,398 -> 10,537).
+    pairwise step from k to j, which costs O(n) as well. k is the point of
+    positive coefficient among the first donors with the least margin,
+    that is the largest product v_k^T p' (ties within TIE to the lowest
+    index), and the step moves weight gamma = min((margin_j - margin_k) /
+    ||v_j - v_k||^2, c_k) from k to j, all of it when clamped. Both
+    decreases come in O(1) from the maintained products and the Gram
+    columns of j and k. An unclamped pairwise step leaves the margins of j
+    and k equal in exact arithmetic, and the new iterate's tie names them.
+    Either way j is the point that gains weight, and the given iterate is
+    left as it was.
+
+    run_hull and solve_nonneg let every point give weight.
+    solve_incremental lets only the n columns give it, never -b(t): a
+    transfer then never lowers alpha_b, which x0 = alpha / alpha_b and the
+    estimate gap / alpha_b divide by. On the 23 general_shift reference
+    systems at epsilon0 = 0.05 that rule takes 14,052 steps instead of the
+    Triangle steps' 135,066, fewer on every system (the largest count
+    falls from 21,012 to 1,408). With -b(t) a donor too they took 72,727,
+    and more than the Triangle steps on 3 systems (systems 3, 8 and 10 of
+    the reference stream: 11,478 -> 13,917, 4,490 -> 10,777 and 4,398 ->
+    10,537).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    coeffs, dots, q = iterate.coeffs, iterate.dot_cache, iterate.point_sq
     column = instance.gram_column(j)
+    d_j, g_jj = dots.item(j), column.item(j)
     if donors:
-        stepped = _pairwise_step(instance, iterate, j, alpha, column, donors)
-        if stepped is not None:
-            return stepped
+        # The products of the donors with weight: weights are nonnegative,
+        # so the nonzero ones are the positive ones.
+        active = np.where(coeffs, dots, -np.inf)
+        if donors < active.size:
+            active[donors:] = -np.inf
+        top = active.item(active.argmax())
+        if top > -math.inf:  # some donor holds weight
+            k = int((active >= top - TIE * (abs(top) + q)).argmax())
+            column_k = instance.gram_column(k)
+            d_k, c_k = dots.item(k), coeffs.item(k)
+            rise = d_k - d_j  # margin_j - margin_k
+            curvature = g_jj - 2.0 * column.item(k) + column_k.item(k)
+            # A step of length s along d lowers ||p'||^2 / 2 by
+            # s (-p')^T d - s^2 ||d||^2 / 2: here d = v_j - v_k and s = gamma,
+            # for the Triangle step d = v_j - p' and s = alpha. There is no
+            # pairwise step without a rise (k = j has none) and a curvature.
+            gamma = min(rise / curvature, c_k) if rise > 0.0 and curvature > 0.0 else None
+            if gamma is not None and gamma * (rise - 0.5 * gamma * curvature) > alpha * (
+                q - d_j - 0.5 * alpha * (g_jj - 2.0 * d_j + q)
+            ):
+                # The sum stays 1 up to the rounding of two additions; only
+                # a clamp of dust changes it and renormalises.
+                coeffs = coeffs.copy()
+                coeffs[k] = rest = c_k - gamma  # exactly 0 when gamma is clamped at c_k
+                coeffs[j] += gamma
+                if 0.0 < rest < COEFF_DUST:
+                    coeffs[k] = 0.0
+                    coeffs /= coeffs.sum()
+                moved = np.subtract(column, column_k)
+                moved *= gamma
+                moved += dots
+                lift = 2.0 * gamma * (d_j - d_k)
+                square = gamma * gamma * curvature
+                scale = iterate.point_sq_scale + abs(lift) + square
+                stepped = recursed_iterate(
+                    instance, coeffs, moved, q + lift + square, scale, iterate.age + 1
+                )
+                if gamma < c_k:
+                    stepped.tie = (j, k) if j < k else (k, j)
+                return stepped
     # x0 = alpha / alpha_b does not depend on the sum of the weights, so a
     # step leaves its drift in place. At alpha = 1 the mixing gives e_j,
     # the pivot's Gram column and G_jj exactly.
     keep = 1.0 - alpha
-    coeffs = keep * iterate.coeffs
+    coeffs = keep * coeffs
     coeffs[j] += alpha
-    dots = keep * iterate.dot_cache + alpha * column
+    dots = keep * dots
+    dots += alpha * column
     keep_sq = keep * keep
-    cross = 2.0 * alpha * keep * float(iterate.dot_cache[j])
-    square = alpha * alpha * float(column[j])
-    point_sq = keep_sq * iterate.point_sq + cross + square
+    cross = 2.0 * alpha * keep * d_j
+    square = alpha * alpha * g_jj
+    point_sq = keep_sq * q + cross + square
     scale = keep_sq * iterate.point_sq_scale + abs(cross) + square
     return recursed_iterate(instance, coeffs, dots, point_sq, scale, iterate.age + 1)
 

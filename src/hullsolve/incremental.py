@@ -133,33 +133,27 @@ def move_shift(
     terms, so a move that cancels is formed again from V c. A move is not
     a step: the iterate's age is kept.
     """
-    n = system.n
-    coeffs = iterate.coeffs
+    coeffs, dots = iterate.coeffs, iterate.dot_cache
     place_shift(system, t)
     step = t - t0
-    drift = step * float(coeffs[-1])
-    dots = np.empty(n + 1)
-    np.multiply(system.at_u, -drift, out=dots[:n])
-    dots[:n] += iterate.dot_cache[:n]
+    drift = step * coeffs.item(-1)
+    moved = system.at_u.base * -drift  # A^T u and a trailing 0
+    moved += dots
     # -b(t)^T p'(t) = (-b(t0) - step u)^T (p'(t0) - drift u), with
     # -b(t0)^T u = -(u^T b + t0 ||u||^2).
-    dots[n] = (
-        float(iterate.dot_cache[n])
-        + drift * (system.u_b + t * system.u_sq)
-        - step * u_point
-    )
+    moved[-1] = dots.item(-1) + drift * (system.u_b + t * system.u_sq) - step * u_point
     lift = -2.0 * drift * u_point
     square = drift * drift * system.u_sq
     point_sq = iterate.point_sq + lift + square
     scale = iterate.point_sq_scale + abs(lift) + square
-    return recursed_iterate(system.hull, coeffs, dots, point_sq, scale, iterate.age)
+    return recursed_iterate(system.hull, coeffs, moved, point_sq, scale, iterate.age)
 
 
 def _shift_product(system: LinearSystem, coeffs: np.ndarray, t0: float) -> float:
     """u^T p' for the iterate of these coefficients at shift t0, in O(n):
     p' = A alpha - alpha_b b(t0), so u^T p' = (A^T u)^T alpha - alpha_b
     (u^T b + t0 ||u||^2)."""
-    alpha_b = float(coeffs[-1])
+    alpha_b = coeffs.item(-1)
     return float(system.at_u.dot(coeffs[:-1])) - alpha_b * (system.u_b + t0 * system.u_sq)
 
 
@@ -172,7 +166,7 @@ def _optimal_shift(system: LinearSystem, iterate: Iterate, t0: float) -> tuple[f
     t0 + u^T p' / (alpha_b ||u||^2), clamped below at t0.
     """
     u_point = _shift_product(system, iterate.coeffs, t0)
-    lift = u_point / (float(iterate.coeffs[-1]) * system.u_sq)
+    lift = u_point / (iterate.coeffs.item(-1) * system.u_sq)
     return (t0 + lift if lift > 0.0 else t0), u_point
 
 
@@ -407,7 +401,7 @@ def solve_incremental(
     while True:
         # Step 1: re-optimize the shift for the current x0, test the stop
         # rule; with no weight on -b(t) there is no x0, and the pass steps.
-        alpha_b = float(iterate.coeffs[-1])
+        alpha_b = iterate.coeffs.item(-1)
         if alpha_b >= ALPHA_FLOOR:
             tau0, u_point = _optimal_shift(system, iterate, t0)
             if tau_hook is not None:

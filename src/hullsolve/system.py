@@ -107,9 +107,12 @@ class LinearSystem:
     block of an (n + 1) x (n + 1) array whose last row and column hold
     -b(t)'s products: a and gram are views of them, and hull is the one
     HullInstance on both, conv({a_1, ..., a_n, -b(t)}) against the origin,
-    which place_shift moves from shift to shift in place. So two solves on
-    one system must not run at the same time, as in two threads; solves
-    one after another are safe, since each places -b(t) for itself.
+    which place_shift moves from shift to shift in place. at_u and at_b
+    are the first n entries of (n + 1)-long arrays whose last entry is 0,
+    so that a shift writes the Gram border, and moves an iterate's
+    products, as whole rows. So two solves on one system must not run at
+    the same time, as in two threads; solves one after another are safe,
+    since each places -b(t) for itself.
     """
 
     def __init__(self, a, b):
@@ -161,12 +164,19 @@ class LinearSystem:
     @cached_property
     def at_u(self) -> np.ndarray:
         """A^T u, the columns' products with the shift direction."""
-        return self.a.T @ self.u
+        return np.matmul(self.a.T, self.u, out=np.zeros(self.n + 1)[: self.n])
 
     @cached_property
     def at_b(self) -> np.ndarray:
         """A^T b, the columns' products with the right-hand side."""
-        return self.a.T @ self.b
+        return np.matmul(self.a.T, self.b, out=np.zeros(self.n + 1)[: self.n])
+
+    @cached_property
+    def _border(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where place_shift writes -b(t): hull's last point, and the last
+        row and column of its Gram matrix."""
+        gram = self.gram.base
+        return self.hull.points[:, -1], gram[-1], gram[:, -1]
 
     def residual_norm(self, x: np.ndarray) -> float:
         """||A x - b||, formed by rescaled_norm."""
@@ -202,7 +212,7 @@ def checked_solution(
     step amortised.
     """
     threshold = epsilon0 * system.rho
-    estimate = iterate.gap / float(iterate.coeffs[-1])
+    estimate = iterate.gap / iterate.coeffs.item(-1)
     if estimate <= threshold * (1.0 + PROXY_MARGIN) or steps % system.n == 0:
         x = recover_solution(iterate, system) - t
         residual = system.residual_norm(x)
@@ -226,17 +236,14 @@ def place_shift(system: LinearSystem, t: float) -> None:
     every shift move alike. Each product is accurate to a few eps of its
     terms' magnitudes, not of its value, which cancels where b(t) nearly
     vanishes."""
-    hull = system.hull
-    last = hull.points[:, -1]
-    np.multiply(system.u, -t, out=last)
+    last, row, column = system._border
+    np.multiply(system.u, -t, last)
     last -= system.b
-    gram = system.gram.base
-    border = gram[-1]
-    np.multiply(system.at_u, -t, out=border[:-1])
-    border[:-1] -= system.at_b
+    np.multiply(system.at_u.base, -t, row)  # A^T u and A^T b with their trailing 0
+    row -= system.at_b.base
     b_t_sq = max(0.0, system.b_sq + t * (2.0 * system.u_b + t * system.u_sq))
-    border[-1] = hull.sq_norms[-1] = b_t_sq
-    gram[:-1, -1] = border[:-1]
+    row[-1] = system.hull.sq_norms[-1] = b_t_sq
+    column[:] = row
 
 
 @dataclass

@@ -202,7 +202,7 @@ def solve_nonneg(
     donors = instance.n_points  # -b gives weight as the columns do
 
     while True:
-        alpha_b = float(iterate.coeffs[-1])
+        alpha_b = iterate.coeffs.item(-1)
         if alpha_b < ALPHA_FLOOR:
             if phase1_run is None and iterate.gap <= eps0 * rho:
                 # No residual can be checked, and the origin is within
@@ -229,4 +229,4 @@ def solve_nonneg(
         alpha = step_size(instance, iterate, j)
         iterate = apply_step(instance, iterate, j, alpha, donors)
         steps += 1
-        record(iterate.gap, float(iterate.coeffs[-1]), j)
+        record(iterate.gap, iterate.coeffs.item(-1), j)

@@ -1,6 +1,7 @@
 """File formats, CLI subcommands, reports, and traces."""
 
 import argparse
+import io
 import json
 import os
 import re
@@ -883,6 +884,33 @@ class TestNoTraceback:
         lines = err.decode().splitlines()
         assert len(lines) == 1, lines
         assert lines[0].startswith("error: cannot write the summary to stdout: ")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_stdout_leaks_no_descriptor(self, tmp_path, monkeypatch, capsys):
+        # In process, stdout is a stream whose writes fail as on a closed
+        # pipe; its descriptor is a scratch file that dup2 may overwrite.
+        points, target = tmp_path / "tiny_points.txt", tmp_path / "tiny_target.txt"
+        points.write_text("2 3\n0 1e-15 0\n0 0 1e-15\n")
+        target.write_text("2 1\n2e-15\n2e-15\n")
+        scratch = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return scratch
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            code = main(["oracle", "--points", str(points), "--target", str(target)])
+            after = len(os.listdir("/proc/self/fd"))
+        finally:
+            os.close(scratch)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write the summary to stdout: ")
+        assert after == before
 
     def test_analyze_ones_in_null_space(self, ones_in_null_space_files, tmp_path):
         matrix, rhs = ones_in_null_space_files

@@ -30,6 +30,7 @@ from hullsolve import (
     DegeneratePivot,
     HullConfig,
     HullInstance,
+    Iterate,
     apply_step,
     find_pivot,
     initial_iterate,
@@ -435,6 +436,86 @@ class TestPairwiseStep:
             assert j is None and check_witness(instance, iterate) is not None
         elif kind == "membership":
             assert iterate.gap <= floor
+
+
+class TestKernelLeavesItsInput:
+    """apply_step and move_shift build new iterates: the one given keeps its
+    coefficient and product bytes, whichever path the step takes, and no
+    array returned shares memory with them."""
+
+    POINTS = np.random.default_rng(83).normal(size=(3, 4))
+    COEFFS = np.array([0.3, 0.2, 0.4, 0.1])
+
+    @classmethod
+    def _crafted(cls, gamma, age=0):
+        """An iterate over four points whose pairwise step from k = 2 to
+        j = 0 has the unclamped length gamma: every product -1 but d_j = 0
+        and d_k = gamma ||v_j - v_k||^2, the largest, and ||p'||^2 = 100,
+        which no step here brings near cancellation."""
+        instance = HullInstance(cls.POINTS, np.zeros(3))
+        gram = cls.POINTS.T @ cls.POINTS
+        dots = np.full(4, -1.0)
+        dots[0] = 0.0
+        dots[2] = gamma * (gram[0, 0] - 2.0 * gram[0, 2] + gram[2, 2])
+        return instance, Iterate(cls.COEFFS.copy(), dots, 100.0, 100.0, age)
+
+    @staticmethod
+    def _assert_untouched(iterate, before, stepped):
+        assert (iterate.coeffs.tobytes(), iterate.dot_cache.tobytes()) == before
+        for returned in (stepped.coeffs, stepped.dot_cache):
+            assert not np.shares_memory(returned, iterate.coeffs)
+            assert not np.shares_memory(returned, iterate.dot_cache)
+
+    @pytest.mark.parametrize(
+        "path", ["triangle", "unclamped", "clamped", "dust", "refresh", "refresh-pairwise"]
+    )
+    def test_apply_step_on_every_path(self, path):
+        c_k = self.COEFFS[2]
+        gamma = {"clamped": 2.0 * c_k, "dust": c_k - 5e-16}.get(path, 0.5 * c_k)
+        instance, iterate = self._crafted(gamma, age=3 if path.startswith("refresh") else 0)
+        # At alpha = 0 the Triangle step lowers nothing, so a pairwise
+        # step is taken whenever donors are given.
+        donors, alpha = (0, 0.25) if path in ("triangle", "refresh") else (4, 0.0)
+        before = (iterate.coeffs.tobytes(), iterate.dot_cache.tobytes())
+        stepped = apply_step(instance, iterate, 0, alpha, donors)
+        self._assert_untouched(iterate, before, stepped)
+        again = apply_step(instance, iterate, 0, alpha, donors)
+        assert again.coeffs.tobytes() == stepped.coeffs.tobytes()
+        assert again.dot_cache.tobytes() == stepped.dot_cache.tobytes()
+        if path in ("triangle", "refresh"):
+            assert np.array_equal(stepped.coeffs, 0.75 * self.COEFFS + [0.25, 0.0, 0.0, 0.0])
+        elif path == "unclamped":
+            assert stepped.tie == (0, 2) and stepped.coeffs[2] > 0.0
+        elif path == "clamped":
+            assert stepped.tie is None and stepped.coeffs[2] == 0.0
+        else:  # the dust clamp, or the refresh after a pairwise step
+            assert stepped.tie == (0, 2)
+            assert (stepped.coeffs[2] == 0.0) == (path == "dust")
+        assert stepped.age == (0 if path.startswith("refresh") else 1)
+
+    def test_move_shift_and_place_shift(self):
+        rng = np.random.default_rng(85)
+        system, _ = invertible_system(rng, 6)
+        n = system.n
+        instance = shifted_instance(system, 0.0)
+        kept = [(v.tobytes(), v.shape) for v in (system.at_u, system.at_b)]
+        iterate = make_iterate(instance, rng.dirichlet(np.ones(n + 1)))
+        t0 = 0.0
+        for t in (0.5, 2.0, 1.25, 7.0):
+            before = (iterate.coeffs.tobytes(), iterate.dot_cache.tobytes())
+            moved = move_shift(system, iterate, t0, t, _shift_product(system, iterate.coeffs, t0))
+            # A move keeps the coefficients, the same array, which no
+            # kernel function writes into; the products are new.
+            assert moved.coeffs is iterate.coeffs
+            assert (iterate.coeffs.tobytes(), iterate.dot_cache.tobytes()) == before
+            assert not np.shares_memory(moved.dot_cache, iterate.dot_cache)
+            assert not np.shares_memory(moved.dot_cache, iterate.coeffs)
+            iterate, t0 = moved, t
+        assert [(v.tobytes(), v.shape) for v in (system.at_u, system.at_b)] == kept
+        assert kept[0][1] == (n,)
+        gram = system.gram.base
+        assert gram[:, -1].tobytes() == gram[-1].tobytes()
+        assert instance.gram_column(n).tobytes() == _priced_border(system, 7.0).tobytes()
 
 
 def _priced_border(system, t):

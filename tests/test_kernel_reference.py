@@ -10,7 +10,10 @@ products at all: the same status, pivots, iterations and certifying vertex.
 """
 
 import dataclasses
+import functools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -639,3 +642,58 @@ def test_step_counts_match_the_maintained_point_kernel():
         nonneg.append(solve_nonneg(LinearSystem(a, a @ (x / x.sum())), SolveConfig(epsilon0=0.005)))
     assert [o.iterations for o in nonneg] == [619, 670, 613]
     assert all(o.status == CONVERGED for o in general + nonneg)
+
+
+def _frames_per_step(run):
+    """run()'s outcome, and the Python frames entered in the hullsolve
+    package per step of it, counted by sys.setprofile's "call" events."""
+    package = os.path.dirname(hull.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        outcome = run()
+    finally:
+        sys.setprofile(None)
+    return outcome, calls / outcome.iterations
+
+
+def _simplex_solution_system(rng, n):
+    """Column-normalised Gaussian A, solution uniform on [0.5, 1.5] scaled
+    to sum 1."""
+    a = rng.normal(size=(n, n))
+    a /= np.sqrt(np.einsum("ij,ij->j", a, a))
+    x = rng.uniform(0.5, 1.5, n)
+    return LinearSystem(a, a @ (x / x.sum()))
+
+
+@pytest.mark.parametrize(
+    "kind, budget",
+    # The counts are 13.7, 12.1 and 10.2 frames a step; each budget leaves
+    # a margin below half a frame.
+    [("incremental", 14.0), ("nonneg", 12.4), ("run_hull", 10.5)],
+)
+def test_frame_budget_per_step(kind, budget):
+    # A step costs Python calls more than arithmetic at these sizes, so the
+    # count of frames entered is the budget: a count, not a timing, the same
+    # on every machine.
+    if kind == "incremental":
+        system = _column_normalised_system(np.random.default_rng(0), 50)
+        run = functools.partial(solve_incremental, system, SolveConfig(epsilon0=0.05))
+    elif kind == "nonneg":
+        system = _simplex_solution_system(np.random.default_rng(1), 50)
+        run = functools.partial(solve_nonneg, system, SolveConfig(epsilon0=1e-3))
+    else:
+        rng = np.random.default_rng(2)
+        points = rng.normal(size=(20, 60))
+        instance = HullInstance(points, 0.5 * points.mean(axis=1))
+        run = functools.partial(run_hull, instance, HullConfig(epsilon=1e-4))
+    outcome, frames = _frames_per_step(run)
+    assert outcome.status in (CONVERGED, IN_HULL_APPROX)
+    assert outcome.iterations >= 100
+    assert frames <= budget
