@@ -7,7 +7,8 @@ hull of the columns of A, and overflow-safe upper bounds on the shift
 needed to make the solution of the shifted system nonnegative (Hadamard /
 Cramer determinant bounds). Products of n column norms overflow doubles for
 modest n, so the shift bounds are evaluated in log space and only
-materialized linearly when representable.
+materialized linearly when representable. Q is the stored system's (see
+LinearSystem), so no square leaves double range at any scale of A and b.
 """
 
 from __future__ import annotations
@@ -70,71 +71,52 @@ class SystemAnalysis:
     near_singular: bool
 
 
-def _exponent(values: np.ndarray) -> int:
-    """k with 2^k within a factor of two of max |values| (0 for all zeros)."""
-    return math.frexp(float(np.abs(values).max()))[1]
-
-
 def analyze_system(system: LinearSystem) -> SystemAnalysis:
-    """Full a-priori report: eigenvalue bound plus shift upper bounds."""
+    """Full a-priori report: eigenvalue bound plus shift upper bounds.
+
+    Everything is computed from the stored system's Q and A^T b (see
+    LinearSystem), which a scale of A and b leaves as they are, so that no
+    square underflows or overflows at any scale; only a column or b some
+    2^511 or more below the largest entry leaves squares subnormal, as it
+    does in the solvers. The log bounds are ratios of like powers of the
+    scale and do not depend on it; the other values are taken back to the
+    units of A and b by ldexp, and log det(Q) by 2 exponent n log 2, at
+    the end."""
     n = system.n
     q = system.gram  # symmetric bit for bit, as numpy forms A^T A
-    # Everything is computed from Q / 2^kq and A^T b / 2^kw, scaled by
-    # powers of two near their largest entries, so that no square
-    # underflows or overflows at any representable scale of A and b. The
-    # scaling is exact, and the bounds' factors 2^kq and 2^kw cancel to
-    # (kw - kq) log 2: the log bounds do not depend on the scale.
-    kq = _exponent(q)
-    q_scaled = np.ldexp(q, -kq)
-    eigenvalues = np.linalg.eigvalsh(q_scaled)
-    lambda_max = math.ldexp(float(eigenvalues[-1]), kq)
+    eigenvalues = np.linalg.eigvalsh(q)
+    lambda_max = float(eigenvalues[-1])
     # Q is positive semidefinite; a negative eigenvalue is rounding.
-    lambda_min_scaled = max(float(eigenvalues[0]), 0.0)
-    lambda_min = math.ldexp(lambda_min_scaled, kq)
-    scaled_norms = np.sqrt(np.einsum("ij,ij->j", q_scaled, q_scaled))
-    q_min = math.ldexp(float(scaled_norms.min()), kq)
-    w = system.at_b
-    kw = _exponent(w)
-    w_scaled = np.ldexp(w, -kw)
-    w_norm_scaled = math.sqrt(float(w_scaled.dot(w_scaled)))
-    w_norm = math.ldexp(w_norm_scaled, kw)
+    lambda_min = max(float(eigenvalues[0]), 0.0)
+    column_norms = np.sqrt(np.einsum("ij,ij->j", q, q))
+    q_min = float(column_norms.min())
+    w_norm = float(np.linalg.norm(system.at_b))
 
-    near_singular = lambda_min_scaled < NEAR_SINGULAR_RATIO * float(eigenvalues[-1])
+    near_singular = lambda_min < NEAR_SINGULAR_RATIO * lambda_max
 
     if near_singular:
-        log_det = -math.inf
-        stated = 0.0
-        safe = 0.0
-        log_tau_star = math.inf
-        log_tau_prime = math.inf
+        log_det, stated, safe, log_tau_star, log_tau_prime = -math.inf, 0.0, 0.0, math.inf, math.inf
     else:
-        log_det_scaled = float(np.log(eigenvalues).sum())
-        log_det = log_det_scaled + n * kq * math.log(2.0)
+        log_det = float(np.log(eigenvalues).sum())
         # Rounding in the sum can leave n*log(lambda_min) a hair above
         # log det(Q); capping lambda_min by the geometric mean of the
         # eigenvalues keeps tau_* from falling below tau'_*.
-        lambda_min_scaled = min(lambda_min_scaled, math.exp(log_det_scaled / n))
-        lambda_min = math.ldexp(lambda_min_scaled, kq)
-        stated = lambda_min / math.sqrt(n)
-        # sqrt(lambda_min) from the scaled value, halving an even exponent,
-        # so that it neither underflows nor overflows.
-        half, odd = divmod(kq, 2)
-        root = math.ldexp(math.sqrt(math.ldexp(lambda_min_scaled, odd)), half)
-        safe = root / math.sqrt(n)
-        # log(prod_i ||q_i|| * ||w|| / q_min), less its n factors 2^kq.
+        lambda_min = min(lambda_min, math.exp(log_det / n))
+        stated = system.unscaled(lambda_min / math.sqrt(n), 2)
+        safe = system.unscaled(math.sqrt(lambda_min) / math.sqrt(n))
+        # log(prod_i ||q_i|| * ||w|| / q_min).
         log_num = (
-            float(np.log(scaled_norms).sum())
-            + (math.log(w_norm_scaled) if w_norm > 0.0 else -math.inf)
-            - math.log(float(scaled_norms.min()))
-            + (kw - kq) * math.log(2.0)
+            float(np.log(column_norms).sum())
+            + (math.log(w_norm) if w_norm > 0.0 else -math.inf)
+            - math.log(q_min)
         )
-        log_tau_prime = log_num - log_det_scaled
-        log_tau_star = log_num - n * math.log(lambda_min_scaled)
+        log_tau_prime = log_num - log_det
+        log_tau_star = log_num - n * math.log(lambda_min)
 
     # stated > safe exactly when lambda_min > 1; flag only an excess over 1
-    # beyond the eigenvalues' rounding, compared at the scale of Q / 2^kq.
-    excess = lambda_min_scaled - n * EPS * float(eigenvalues[-1])
-    discrepancy = stated > safe and math.ldexp(excess, kq) > 1.0
+    # beyond the eigenvalues' rounding.
+    excess = lambda_min - n * EPS * lambda_max
+    discrepancy = stated > safe and system.unscaled(excess, 2) > 1.0
     if discrepancy:
         log.info(
             "eigenvalue bound %.6g exceeds the provable form %.6g "
@@ -151,17 +133,17 @@ def analyze_system(system: LinearSystem) -> SystemAnalysis:
         return None
 
     return SystemAnalysis(
-        lambda_min=lambda_min,
-        lambda_max=lambda_max,
-        log_det_q=log_det,
-        q_min=q_min,
-        w_norm=w_norm,
+        lambda_min=system.unscaled(lambda_min, 2),
+        lambda_max=system.unscaled(lambda_max, 2),
+        log_det_q=log_det - 2 * system.exponent * n * math.log(2.0),
+        q_min=system.unscaled(q_min, 2),
+        w_norm=system.unscaled(w_norm, 2),
         delta0_lower=safe,
         delta0_lower_stated=stated,
         bound_discrepancy=discrepancy,
         log_tau_star=log_tau_star,
         log_tau_star_prime=log_tau_prime,
-        tau_star=materialize(log_tau_star) if not near_singular else None,
-        tau_star_prime=materialize(log_tau_prime) if not near_singular else None,
+        tau_star=materialize(log_tau_star),
+        tau_star_prime=materialize(log_tau_prime),
         near_singular=near_singular,
     )

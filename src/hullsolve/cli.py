@@ -208,7 +208,8 @@ def _cmd_solve(args) -> tuple[dict, list | None, int]:
 def _cmd_analyze(args) -> tuple[dict, list | None, int]:
     system = _system(args)
     analysis = bounds.analyze_system(system)
-    return {"command": "analyze", "n": system.n, "rho": system.rho, **vars(analysis)}, None, 0
+    rho = system.unscaled(system.rho)
+    return {"command": "analyze", "n": system.n, "rho": rho, **vars(analysis)}, None, 0
 
 
 def _cmd_oracle(args) -> tuple[dict, list | None, int]:

@@ -107,14 +107,17 @@ ROUNDING = float(np.finfo(float).eps)
 SQ_NORM_MAX = np.finfo(float).max / 4.0
 
 
-def check_scale(columns: np.ndarray, what: str, floor: float = 0.0) -> np.ndarray:
+def check_scale(columns: np.ndarray, what: str) -> np.ndarray:
     """Squared norms of the columns; ValueError when one exceeds SQ_NORM_MAX
-    or a nonzero column's underflows to 0 or below floor, a scale doubles
-    cannot square."""
+    or a nonzero column's underflows to 0, a scale doubles cannot square.
+    A hull query's points and target are checked so. A LinearSystem checks
+    its columns, b and A e so after scaling them by a power of two to a
+    largest entry in [1/2, 1), where only an underflow, a spread of about
+    2^537 or more, can fail."""
     sq = np.einsum("ij,ij->j", columns, columns)
     if not (sq <= SQ_NORM_MAX).all():
         raise ValueError(f"{what} too large: a squared norm overflows; rescale the input")
-    if (((sq == 0.0) | (sq < floor)) & columns.any(axis=0)).any():
+    if ((sq == 0.0) & columns.any(axis=0)).any():
         raise ValueError(f"{what} too small: a squared norm underflows to 0; rescale the input")
     return sq
 

@@ -47,7 +47,6 @@ from .hull import (
     Iterate,
     TraceRecord,
     apply_step,
-    check_scale,
     find_pivot,
     initial_iterate,
     recursed_iterate,
@@ -64,6 +63,7 @@ from .system import (
     checked_solution,
     place_shift,
     shifted_instance,
+    solve_outcome,
 )
 
 __all__ = [
@@ -350,20 +350,20 @@ def solve_incremental(
     tests.
 
     Another increment spec, or an N below 1, raises ValueError before the
-    first step, and so does a nonzero ||A e||^2 below the smallest normal
-    double; A e = 0 raises SingularMatrixError: then b(t) = b for every
-    t, and e is a null vector of A. config.max_iterations caps the steps
+    first step. A e = 0 raises SingularMatrixError: then b(t) = b for every
+    t, and e is a null vector of A. So does A e = 0 to working precision,
+    2^511 or more below the largest entry, where ||A e||^2 is subnormal in
+    stored units. config.max_iterations caps the steps
     and, separately, the escalations: the a-priori shift bound tau'_* is
     a worst case, not a cap.
     """
     quantum = _parse_increment(increment)
-    if not system.u.any():
+    # A ||u||^2 below the smallest normal double puts A e 2^511 or more
+    # below the largest stored entry: A e = 0 to working precision. The
+    # shift re-optimisation's alpha_b ||u||^2 would round to 0 there.
+    if system.u_sq < np.finfo(float).tiny:
         raise SingularMatrixError("A e = 0: the all-ones vector is a null vector; A is singular")
-    # The shift re-optimisation divides by alpha_b ||u||^2, which a
-    # subnormal ||u||^2 rounds to 0 for some alpha_b >= ALPHA_FLOOR.
-    check_scale(system.u[:, None], "A e", floor=np.finfo(float).tiny)
     n = system.n
-    rho = system.rho
 
     t0 = 0.0
     instance = shifted_instance(system, t0)
@@ -387,15 +387,8 @@ def solve_incremental(
         diagnostics.update(escalations=escalations, reseeds=0, shifts=shifts)
         if status == SOLVE_CAP_EXCEEDED:
             diagnostics["last_t"] = t0
-        return SolveOutcome(
-            status=status,
-            iterations=steps,
-            x=x,
-            residual_norm=residual,
-            relative_residual=None if residual is None else residual / rho,
-            shift_t=t0,
-            trace=trace,
-            diagnostics=diagnostics,
+        return solve_outcome(
+            system, status, steps, residual, x=x, shift_t=t0, trace=trace, diagnostics=diagnostics
         )
 
     while True:

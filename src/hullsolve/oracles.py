@@ -50,7 +50,7 @@ def solve_exact(system: LinearSystem) -> np.ndarray:
     for k in range(n - 1):
         p = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[p, k]) < pivot_floor:
-            raise SingularMatrixError(f"pivot {a[p, k]:.3e} below threshold")
+            raise SingularMatrixError(f"pivot {system.unscaled(a[p, k]):.3e} below threshold")
         if p != k:
             a[[k, p]] = a[[p, k]]
             b[[k, p]] = b[[p, k]]
@@ -65,7 +65,7 @@ def solve_exact(system: LinearSystem) -> np.ndarray:
     residual = system.residual_norm(x)
     if residual > RESIDUAL_TOLERANCE * system.rho * n:
         raise SingularMatrixError(
-            f"residual {residual:.3e} too large; matrix is ill-conditioned"
+            f"residual {system.unscaled(residual):.3e} too large; matrix is ill-conditioned"
         )
     return x
 

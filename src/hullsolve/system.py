@@ -1,4 +1,5 @@
-"""Shared types for the linear system solvers, and their one stop rule.
+"""Shared types for the linear system solvers, their one stop rule and
+their one scale rule.
 
 A square system A x = b is viewed through its columns: solving it reduces to
 asking whether the origin lies in conv({a_1, ..., a_n, -b}) (after a shift of
@@ -10,10 +11,17 @@ from an iterate's convex coefficients (recover_solution) and stops once
 ||A x - b|| <= epsilon0 * rho, forming that O(n^2) residual only when its
 O(1) estimate gap / alpha_b comes within PROXY_MARGIN of the target and,
 as a backstop, once every n steps.
+
+A LinearSystem stores A and b times the power of two that puts their
+largest |entry| in [1/2, 1). That scaling is exact and changes no decision
+of either solver, so both run on the stored system, and both build their
+outcome by solve_outcome, which takes each value with units back to the
+units of A and b, once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,6 +47,7 @@ __all__ = [
     "SolveOutcome",
     "recover_solution",
     "checked_solution",
+    "solve_outcome",
     "CONVERGED",
     "INFEASIBLE_NONNEG",
     "SOLVE_CAP_EXCEEDED",
@@ -52,14 +61,6 @@ SOLVE_CAP_EXCEEDED = "cap_exceeded"
 # A coefficient of -b below this carries no usable weight: x0 = alpha / alpha_b
 # is then unrecoverable and the shift quadratics degenerate.
 ALPHA_FLOOR = 1e-12
-
-# Below this, ||v|| = sqrt(sum_i v_i^2) may have lost digits to underflow:
-# a square below 2^-1022 is subnormal and rounds by up to 2^-1075. Above
-# it the sum is at least 2^-800, so n such errors are at most n 2^-275 of
-# it, far below eps for any n that fits in memory, and the plain norm
-# stands. Below it rescaled_norm forms the norm from v / max |v_i|, whose
-# largest square is 1.
-NORM_FLOOR = 2.0**-400
 
 # The exact residual ||A x0 - b|| costs O(n^2), its estimate gap / alpha_b
 # O(1). They are equal in exact arithmetic; on column-normalised Gaussian
@@ -79,37 +80,39 @@ class AlphaBVanishes(ValueError):
     """The iterate places (numerically) no weight on -b; x0 is unrecoverable."""
 
 
-def rescaled_norm(v: np.ndarray, norm: float) -> float:
-    """norm, the 2-norm of the vector v as formed from its squares, or,
-    when it falls below NORM_FLOOR and v is nonzero, ||v|| formed again
-    from v / max |v_i|."""
-    if norm < NORM_FLOOR and v.any():
-        scale = np.abs(v).max()
-        norm = float(scale * np.linalg.norm(v / scale))
-    return norm
-
-
 class LinearSystem:
-    """Square system A x = b held in column view.
+    """Square system A x = b held in column view, stored times one power
+    of two.
 
-    Exposes the column norms and ||b||, both formed by rescaled_norm, rho =
-    max(||a_1||, ..., ||a_n||, ||b||), the shift direction u = A e, and the scalars ||b||^2, u^T b and ||u||^2
-    that the shifted right-hand side b(t) = b + t u is priced from; A^T A,
-    A^T b and A^T u are formed once, at first use, for every reader. A
-    system with no unknowns is refused, and a zero column is rejected
-    outright since it makes A singular; data whose
-    squared norms overflow, or whose nonzero columns' squared norms
-    underflow, are rejected as out of scale, and so is a shift direction
-    u = A e whose squared norm overflows or, with u nonzero, underflows.
+    exponent is the k that puts the largest |entry| of A and b in [1/2, 1)
+    once multiplied by 2^k (from math.frexp), and a and b hold 2^k A and
+    2^k b, scaled by np.ldexp: exactly, all-subnormal data included, for
+    every entry that stays a normal number. x, the shift t, alpha_b and
+    every decision of the Triangle Algorithm, the stop test ||A x - b||
+    <= epsilon0 * rho included, are the same for the stored system as for
+    A and b, so the solvers and the kernel run on it as it is, and no
+    square of an entry overflows. Everything below is in stored units;
+    unscaled takes a norm or a square back to the units of A and b, as
+    each outcome (solve_outcome) and report does once, on the way out.
 
-    The system copies A once, into the first n columns of an n x (n + 1)
-    array whose last column holds -b(t), and forms A^T A into the leading
-    block of an (n + 1) x (n + 1) array whose last row and column hold
-    -b(t)'s products: a and gram are views of them, and hull is the one
-    HullInstance on both, conv({a_1, ..., a_n, -b(t)}) against the origin,
-    which place_shift moves from shift to shift in place. at_u and at_b
-    are the first n entries of (n + 1)-long arrays whose last entry is 0,
-    so that a shift writes the Gram border, and moves an iterate's
+    Exposes ||b||, rho = max(||a_1||, ..., ||a_n||, ||b||), the shift
+    direction u = A e, and the scalars ||b||^2, u^T b and ||u||^2 that the
+    shifted right-hand side b(t) = b + t u is priced from; A^T A, A^T b
+    and A^T u are formed once, at first use, for every reader. A system
+    with no unknowns or with an entry that is not finite is refused, and a
+    zero column of the stored A is rejected outright since it makes A
+    singular. What stays of scale is one spread check: a nonzero column, b
+    or A e whose squared norm underflows to 0 in stored units, about 2^537
+    or more below the largest entry, is refused as "too small".
+
+    The system writes 2^k A once, into the first n columns of an n x (n +
+    1) array whose last column holds -b(t), and forms A^T A into the
+    leading block of an (n + 1) x (n + 1) array whose last row and column
+    hold -b(t)'s products: a and gram are views of them, and hull is the
+    one HullInstance on both, conv({a_1, ..., a_n, -b(t)}) against the
+    origin, which place_shift moves from shift to shift in place. at_u and
+    at_b are the first n entries of (n + 1)-long arrays whose last entry is
+    0, so that a shift writes the Gram border, and moves an iterate's
     products, as whole rows. So two solves on one system must not run at
     the same time, as in two threads; solves one after another are safe,
     since each places -b(t) for itself.
@@ -117,7 +120,7 @@ class LinearSystem:
 
     def __init__(self, a, b):
         a = np.asarray(a, dtype=float)
-        b = np.ascontiguousarray(b, dtype=float)
+        b = np.asarray(b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 1:
             raise ValueError("matrix must be square and right-hand side 1-d")
         n = a.shape[0]
@@ -125,27 +128,35 @@ class LinearSystem:
             raise ValueError("system must have at least one unknown")
         if b.size != n:
             raise ValueError(f"matrix is {n}x{n}, right-hand side has length {b.size}")
-        if not np.isfinite(a).all() or not np.isfinite(b).all():
+        # NaN and inf carry into the largest |entry|.
+        top = float(np.max([a.max(), -a.min(), b.max(), -b.min()]))
+        if not math.isfinite(top):
             raise ValueError("matrix and right-hand side must be finite")
-        if not a.any(axis=0).all():
-            raise SingularMatrixError("matrix has a zero column")
-        column_norms = np.sqrt(check_scale(a, "matrix"))
-        for j in np.flatnonzero(column_norms < NORM_FLOOR):
-            column_norms[j] = rescaled_norm(a[:, j], column_norms[j])
-        check_scale(b[:, None], "right-hand side")
-        points = np.zeros((n, n + 1))
-        points[:, :n] = a
         self.n = n
-        self.a = points[:, :n]
-        self.b = b
-        self.column_norms = column_norms
-        self.norm_b = rescaled_norm(b, float(np.linalg.norm(b)))
-        self.rho = max(float(column_norms.max()), self.norm_b)
+        self.exponent = k = -math.frexp(top)[1]
+        self.a = np.ldexp(a, k, out=np.zeros((n, n + 1))[:, :n])
+        self.b = b = np.ldexp(b, k)
+        if not self.a.any(axis=0).all():
+            raise SingularMatrixError("matrix has a zero column")
+        # The spread check: in stored units no square overflows, and one
+        # that underflows to 0 lies next to a largest entry in [1/2, 1).
+        column_sq = check_scale(self.a, "matrix")
+        check_scale(b[:, None], "right-hand side")
         self.u = u = self.a @ np.ones(n)
         check_scale(u[:, None], "A e")
         self.b_sq = float(b @ b)
         self.u_b = float(u @ b)
         self.u_sq = float(u @ u)
+        self.norm_b = math.sqrt(self.b_sq)
+        self.rho = max(math.sqrt(float(column_sq.max())), self.norm_b)
+
+    def unscaled(self, value, power: int = 1):
+        """value, a norm (power 1) or a square (power 2) formed on the
+        stored system, or an array of them, in the units of A and b: exact
+        wherever it is representable, and inf beyond double range."""
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(value, -power * self.exponent)
+        return scaled if isinstance(value, np.ndarray) else float(scaled)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -179,9 +190,8 @@ class LinearSystem:
         return self.hull.points[:, -1], gram[-1], gram[:, -1]
 
     def residual_norm(self, x: np.ndarray) -> float:
-        """||A x - b||, formed by rescaled_norm."""
-        r = self.a @ x - self.b
-        return rescaled_norm(r, float(np.linalg.norm(r)))
+        """||A x - b||."""
+        return float(np.linalg.norm(self.a @ x - self.b))
 
 
 def recover_solution(iterate: Iterate, system: LinearSystem) -> np.ndarray:
@@ -294,3 +304,36 @@ class SolveOutcome:
     witness: Witness | None = None
     trace: list[TraceRecord] | None = None
     diagnostics: dict = field(default_factory=dict)
+
+
+def solve_outcome(
+    system: LinearSystem, status: str, iterations: int, residual: float | None = None, **fields
+) -> SolveOutcome:
+    """The SolveOutcome of a solve on system, from values formed in stored
+    units: relative_residual = residual / rho, and every value with units
+    taken back to those of A and b by system.unscaled, here and nowhere
+    else. These are the residual, phase1_delta0_prime, diagnostics'
+    last_gap, the trace's values, and the witness: its margins and its
+    iterate's products and squared norm as squares, its distance bracket.
+    x, the shift, alpha_b, the counts and the relative values have none."""
+    unscaled = system.unscaled
+    outcome = SolveOutcome(status, iterations, **fields)
+    if residual is not None:
+        outcome.residual_norm = unscaled(residual)
+        outcome.relative_residual = residual / system.rho
+    if outcome.phase1_delta0_prime is not None:
+        outcome.phase1_delta0_prime = unscaled(outcome.phase1_delta0_prime)
+    if "last_gap" in outcome.diagnostics:
+        outcome.diagnostics["last_gap"] = unscaled(outcome.diagnostics["last_gap"])
+    if outcome.trace:
+        values = unscaled(np.array([record.value for record in outcome.trace]))
+        for record, value in zip(outcome.trace, values.tolist()):
+            record.value = value
+    if (witness := outcome.witness) is not None:
+        witness.margins = unscaled(witness.margins, 2)
+        witness.distance_bracket = tuple(unscaled(d) for d in witness.distance_bracket)
+        iterate = witness.iterate
+        iterate.dot_cache = unscaled(iterate.dot_cache, 2)
+        iterate.point_sq = unscaled(iterate.point_sq, 2)
+        iterate.point_sq_scale = unscaled(iterate.point_sq_scale, 2)
+    return outcome

@@ -59,6 +59,7 @@ from .system import (
     SolveOutcome,
     checked_solution,
     shifted_instance,
+    solve_outcome,
 )
 
 __all__ = [
@@ -95,7 +96,7 @@ def _phase1_outcome(system: LinearSystem, config: SolveConfig) -> HullOutcome:
     if phase1.status == IN_HULL_APPROX:
         raise SingularMatrixError(
             "origin lies in the convex hull of the columns to tolerance "
-            f"(gap {phase1.iterate.gap:.3e}); the matrix is singular"
+            f"(gap {system.unscaled(phase1.iterate.gap):.3e}); the matrix is singular"
         )
     return phase1
 
@@ -105,7 +106,8 @@ def select_inner_epsilon(
 ) -> float:
     """Inner hull tolerance guaranteeing an epsilon0-approximate solution.
 
-    Returns (delta0' / 2) * min(1 / rho, epsilon0 / (delta0' + ||b||)).
+    Returns (delta0' / 2) * min(1 / rho, epsilon0 / (delta0' + ||b||)),
+    with delta0' in the system's stored units, as rho and ||b|| are.
     By construction the result is at most delta0' / (2 rho), which is the
     precondition of the sensitivity guarantee.
     """
@@ -153,7 +155,6 @@ def solve_nonneg(
     goes on otherwise. Phase 1's steps count in iterations and
     phase1_iterations, and its trace rows (alpha_b None) sit where it ran.
     """
-    rho = system.rho
     eps0 = config.epsilon0
 
     phase1_run = _phase1_outcome(system, config) if phase1 else None
@@ -163,22 +164,14 @@ def solve_nonneg(
     steps = 0
 
     def record(value, alpha_b, pivot=None, witness=False):
-        if trace is not None:
-            iteration = diagnostics["phase1_iterations"] + steps
-            trace.append(TraceRecord(iteration, 0.0, value, alpha_b, pivot, witness))
+        iteration = diagnostics["phase1_iterations"] + steps
+        trace.append(TraceRecord(iteration, 0.0, value, alpha_b, pivot, witness))
 
     def outcome(status, x=None, residual=None, witness=None):
-        return SolveOutcome(
-            status=status,
-            iterations=diagnostics["phase1_iterations"] + steps,
-            x=x,
-            residual_norm=residual,
-            relative_residual=None if residual is None else residual / rho,
-            phase1_delta0_prime=delta0_prime,
-            inner_epsilon=inner_eps,
-            witness=witness,
-            trace=trace,
-            diagnostics=diagnostics,
+        return solve_outcome(
+            system, status, diagnostics["phase1_iterations"] + steps, residual, x=x,
+            phase1_delta0_prime=delta0_prime, inner_epsilon=inner_eps, witness=witness,
+            trace=trace, diagnostics=diagnostics,
         )
 
     if phase1_run is None:
@@ -204,7 +197,7 @@ def solve_nonneg(
     while True:
         alpha_b = iterate.coeffs.item(-1)
         if alpha_b < ALPHA_FLOOR:
-            if phase1_run is None and iterate.gap <= eps0 * rho:
+            if phase1_run is None and iterate.gap <= eps0 * system.rho:
                 # No residual can be checked, and the origin is within
                 # epsilon0 * rho of the column hull: Phase 1 raises if it
                 # lies in it. Steps from here may still restore alpha_b.
@@ -215,13 +208,15 @@ def solve_nonneg(
                     )
                 diagnostics["phase1_iterations"] = phase1_run.iterations
         elif (stop := checked_solution(system, iterate, eps0, steps)) is not None:
-            record(stop[1], alpha_b)
+            if trace is not None:
+                record(stop[1], alpha_b)
             return outcome(CONVERGED, *stop)
 
         j = find_pivot(instance, iterate)
         if j is None:
             witness = witness_of(iterate)
-            record(iterate.gap, alpha_b, witness=True)
+            if trace is not None:
+                record(iterate.gap, alpha_b, witness=True)
             return outcome(INFEASIBLE_NONNEG, witness=witness)
         if steps >= config.max_iterations:
             diagnostics["last_gap"] = iterate.gap
@@ -229,4 +224,5 @@ def solve_nonneg(
         alpha = step_size(instance, iterate, j)
         iterate = apply_step(instance, iterate, j, alpha, donors)
         steps += 1
-        record(iterate.gap, iterate.coeffs.item(-1), j)
+        if trace is not None:
+            record(iterate.gap, iterate.coeffs.item(-1), j)

@@ -267,6 +267,17 @@ def example2_system() -> LinearSystem:
     return LinearSystem(np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.0, -3.0]))
 
 
+def given_units(system: LinearSystem, value, power: int = 1):
+    """value, formed on the stored system as a norm (power 1) or a square
+    (power 2), in the units of the A and b the system was built from."""
+    return np.ldexp(value, -power * system.exponent)
+
+
+def given_arrays(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The A and b the system was built from."""
+    return given_units(system, system.a), given_units(system, system.b)
+
+
 def radius_R(instance: HullInstance) -> float:
     """max_i ||p - v_i||, the R of the iteration bounds."""
     points = instance.points  # translated: v_i - p

@@ -179,8 +179,8 @@ CI_COMMANDS = [
     "solve --matrix nonneg_coordinate.mtx --rhs nonneg_rhs.mtx --mode nonneg --epsilon0 1e-6"
     " --report R",
     "solve --matrix null_matrix.txt --rhs null_rhs.txt",
-    "solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode incremental",
-    "solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode nonneg",
+    "solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode incremental --report R",
+    "solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode nonneg --report R",
     "analyze --matrix negative_count.mtx --rhs null_rhs.txt",
     "analyze --matrix bad_value.mtx --rhs nonneg_rhs.txt",
     "analyze --matrix separator_line.mtx --rhs nonneg_rhs.txt",

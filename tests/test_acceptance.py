@@ -15,6 +15,7 @@ from helpers import (
     centroid_coeffs,
     example1_system,
     example2_system,
+    given_units,
     hull_membership_2d,
     inside_instance_2d,
     invertible_system,
@@ -103,17 +104,20 @@ def test_criterion_2_example2_regression():
 
     iterate0 = make_iterate(shifted_instance(system, 0.0), coeffs)
     x0 = iterate0.coeffs[:2] / iterate0.coeffs[2]
-    e_at_0 = float(np.linalg.norm(system.a @ x0 - system.b))
+    # The system stores A and b times 2^exponent; the worked values are in
+    # the units of Example 2 itself.
+    e_at_0 = given_units(system, np.linalg.norm(system.a @ x0 - system.b))
     assert np.abs(x0 - [1.0, 2.0]).max() <= tol
     assert abs(e_at_0 - 6.0) <= tol
 
     tau0, err = optimize_shift_tau0(system, x0, t_floor=0.0)
     assert abs(tau0 - 12.0 / 5.0) <= tol
-    assert abs(err - 6.0 / math.sqrt(5.0)) <= tol
+    assert abs(given_units(system, err) - 6.0 / math.sqrt(5.0)) <= tol
 
     instance2 = shifted_instance(system, 2.0)
     iterate2 = make_iterate(instance2, coeffs)
-    assert np.abs(instance2.points @ iterate2.coeffs - [-0.5, 0.5]).max() <= tol
+    point2 = given_units(system, instance2.points @ iterate2.coeffs)
+    assert np.abs(point2 - [-0.5, 0.5]).max() <= tol
     pivot = find_pivot(instance2, iterate2)
     assert pivot == 0
     alpha = step_size(instance2, iterate2, 0)
@@ -124,7 +128,7 @@ def test_criterion_2_example2_regression():
     ).max() <= tol
     x1 = stepped.coeffs[:2] / stepped.coeffs[2]
     assert np.abs(x1 - [19.0 / 11.0, 2.0]).max() <= tol
-    e_at_2 = float(np.linalg.norm(system.a @ x1 - (system.b + 2.0 * system.u)))
+    e_at_2 = given_units(system, np.linalg.norm(system.a @ x1 - (system.b + 2.0 * system.u)))
     assert abs(e_at_2 - math.sqrt(936.0) / 11.0) <= tol
 
     quads = build_quadratics(system, iterate0)
@@ -134,9 +138,9 @@ def test_criterion_2_example2_regression():
         (-35.0 / 16.0, 7.5, -27.0 / 4.0),
     ]
     for quad, (c2, c1, c0) in zip(quads, expected):
-        assert abs(quad.c2 - c2) <= tol
-        assert abs(quad.c1 - c1) <= tol
-        assert abs(quad.c0 - c0) <= tol
+        assert abs(given_units(system, quad.c2, 2) - c2) <= tol
+        assert abs(given_units(system, quad.c1, 2) - c1) <= tol
+        assert abs(given_units(system, quad.c0, 2) - c0) <= tol
 
     raw = next_shift(quads, t0=0.0, quantum=None)
     assert abs(raw - (-8.0 + math.sqrt(304.0)) / 10.0) <= tol
@@ -149,7 +153,7 @@ def test_criterion_3_example2_end_to_end():
     outcome = solve_incremental(system, SolveConfig(epsilon0=1e-8))
     ok = (
         outcome.status == CONVERGED
-        and outcome.residual_norm <= 1e-8 * system.rho
+        and outcome.residual_norm <= 1e-8 * given_units(system, system.rho)
         and np.linalg.norm(outcome.x - [-1.0, -2.0]) <= 1e-6
     )
     doubled = solve_incremental(
@@ -250,7 +254,9 @@ def test_criterion_6_sensitivity_theorem():
         assert run["steps"] <= cap
         # The solver reports the same delta0' and inner epsilon.
         shipped = solve_nonneg(system, SolveConfig(epsilon0=epsilon0), phase1=True)
-        assert (shipped.phase1_delta0_prime, shipped.inner_epsilon) == (delta0p, epsilon)
+        assert (shipped.phase1_delta0_prime, shipped.inner_epsilon) == (
+            given_units(system, delta0p), epsilon
+        )
     report(6, True, "100 systems: residual within eps' rho, cap respected")
 
 
@@ -272,6 +278,7 @@ def test_criterion_7_bounds_chain():
             assert analysis.log_tau_star_prime >= math.log(t_star) - slack
         if n == 3:
             delta0, _ = min_norm_point(system.a, np.zeros(n))
+            delta0 = given_units(system, delta0)
             assert analysis.delta0_lower <= delta0 * (1 + 1e-6) + 1e-12
     report(7, True, "100 systems: bound chain and eigenvalue bound hold")
 
@@ -420,7 +427,7 @@ def test_criterion_10_desk_scale_performance():
     outcome = solve_nonneg(system, SolveConfig(epsilon0=0.05), phase1=True)
     elapsed = time.perf_counter() - started
     # Phase 2 within the paper's bound (48 / eps0^2) (rho / delta0')^2.
-    ratio = system.rho / outcome.phase1_delta0_prime
+    ratio = given_units(system, system.rho) / outcome.phase1_delta0_prime
     ok = (
         outcome.status == CONVERGED
         and outcome.relative_residual <= 0.05

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import hullsolve
-from helpers import example1_system, example2_system, invertible_system
+from helpers import (
+    example1_system,
+    example2_system,
+    given_arrays,
+    given_units,
+    invertible_system,
+)
 from hullsolve import LinearSystem, SolveConfig, analyze_system
 from hullsolve.oracles import min_norm_point, solve_exact
 from hullsolve.two_phase import _phase1_outcome
@@ -34,7 +40,7 @@ class TestDelta0LowerBound:
     def test_example1_below_exact_distance(self):
         system = example1_system()
         bound = analyze_system(system).delta0_lower
-        delta0, _ = min_norm_point(system.a, np.zeros(2))
+        delta0, _ = min_norm_point(given_arrays(system)[0], np.zeros(2))
         assert 0.0 < bound <= delta0 * (1 + 1e-6)
 
     def test_scaled_identity_uses_provable_form(self):
@@ -63,10 +69,10 @@ class TestDelta0LowerBound:
         # sqrt(lambda_min / n) is linear in the scale of A, as the hull
         # distance it bounds is. Example 1: Q = [[13, -4], [-4, 5]],
         # lambda_min = 9 - 4 sqrt(2), rho = ||b|| = sqrt(17).
-        base = example1_system()
-        system = LinearSystem(np.ldexp(base.a, k), np.ldexp(base.b, k))
+        a, b = given_arrays(example1_system())
+        system = LinearSystem(np.ldexp(a, k), np.ldexp(b, k))
         expected = math.sqrt((9.0 - 4.0 * math.sqrt(2.0)) / 2.0) / math.sqrt(17.0)
-        ratio = analyze_system(system).delta0_lower / system.rho
+        ratio = analyze_system(system).delta0_lower / given_units(system, system.rho)
         assert ratio == pytest.approx(expected, rel=1e-12)
 
     def test_below_phase1_witness_gap(self):
@@ -78,7 +84,8 @@ class TestDelta0LowerBound:
             system = LinearSystem(a / np.sqrt(np.einsum("ij,ij->j", a, a)), np.ones(n))
             outcome = _phase1_outcome(system, SolveConfig(epsilon0=1e-3))
             assert outcome.witness is not None
-            assert 0.0 < analyze_system(system).delta0_lower <= outcome.iterate.gap
+            gap = given_units(system, outcome.iterate.gap)
+            assert 0.0 < analyze_system(system).delta0_lower <= gap
 
     def test_min_eigenvector_orthogonal_to_ones(self):
         # Q = [[2,1],[1,2]] has lambda_min = 1 with eigenvector (1,-1),
@@ -161,7 +168,7 @@ class TestTauStarBounds:
         a = rng.normal(size=(n, n)) * 1e9 + 1e10 * np.eye(n)
         system = LinearSystem(a, rng.normal(size=n) * 1e9)
         analysis = analyze_system(system)
-        q = system.a.T @ system.a
+        q = a.T @ a
         assert float(np.log(np.linalg.norm(q, axis=0)).sum()) > 709.0
         assert math.isfinite(analysis.log_tau_star)
         assert math.isfinite(analysis.log_tau_star_prime)
@@ -214,8 +221,7 @@ class TestExtremeScale:
     def test_cli_commands_run(self, tmp_path, k):
         from hullsolve.cli import main
 
-        system = example1_system()
-        a, b = np.ldexp(system.a, k), np.ldexp(system.b, k)
+        a, b = (np.ldexp(v, k) for v in given_arrays(example1_system()))
         matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
         matrix.write_text("2 2\n%.17g %.17g\n%.17g %.17g\n" % tuple(a.ravel()))
         rhs.write_text("2 1\n%.17g\n%.17g\n" % tuple(b))
@@ -244,7 +250,8 @@ class TestAnalysisInvariants:
             system, _ = invertible_system(rng, 6)
             analysis = analyze_system(system)
             assert 0.0 < analysis.lambda_min <= analysis.lambda_max * (1 + 1e-9)
-            reference = np.linalg.eigvalsh(system.a.T @ system.a)
+            a, _ = given_arrays(system)
+            reference = np.linalg.eigvalsh(a.T @ a)
             assert analysis.lambda_min == pytest.approx(reference[0], rel=1e-6)
             assert analysis.lambda_max == pytest.approx(reference[-1], rel=1e-12)
 

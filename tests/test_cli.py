@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 from helpers import (
     centroid_coeffs,
     example2_system,
+    given_arrays,
     hull_membership_2d,
     inside_instance_2d,
     nonneg_system,
@@ -816,11 +818,11 @@ class TestOutputPath:
              "solve: cap_exceeded iterations=1\n"),
             ("analyze --matrix diagonal --rhs mixed", 0,
              "n = 2\nrho = 2.0\nlambda_min = 1.0\nlambda_max = 4.0\n"
-             "log_det_q = 1.3862943611198904\nq_min = 1.0\nw_norm = 2.23606797749979\n"
+             "log_det_q = 1.3862943611198908\nq_min = 1.0\nw_norm = 2.23606797749979\n"
              "delta0_lower = 0.7071067811865475\ndelta0_lower_stated = 0.7071067811865475\n"
-             "bound_discrepancy = False\nlog_tau_star = 2.19101331733694\n"
-             "log_tau_star_prime = 0.8047189562170498\ntau_star = 8.944271909999152\n"
-             "tau_star_prime = 2.236067977499789\nnear_singular = False\n"),
+             "bound_discrepancy = False\nlog_tau_star = 2.191013317336941\n"
+             "log_tau_star_prime = 0.8047189562170503\ntau_star = 8.944271909999161\n"
+             "tau_star_prime = 2.23606797749979\nnear_singular = False\n"),
             ("oracle --matrix diagonal --rhs mixed", 0, "x_star = [0.5, -1.0]\nt_star = 1.0\n"),
             ("oracle --points square --target outside", 0,
              "membership = False\ndelta_exact = 1.0\ncoeffs = [0.0, 0.5, 0.0, 0.5]\n"),
@@ -959,17 +961,26 @@ class TestNoTraceback:
         assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
 
     def test_underflowing_matrix_exit_two(self, tmp_path, capsys):
-        # Example 2 at 2^-540: the squares of every entry underflow to 0,
-        # although no column is zero.
-        system = example2_system()
-        a, b = np.ldexp(system.a, -540), np.ldexp(system.b, -540)
-        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
-        matrix.write_text("2 2\n%.17g %.17g\n%.17g %.17g\n" % tuple(a.ravel()))
-        rhs.write_text("2 1\n%.17g\n%.17g\n" % tuple(b))
-        assert main(["solve", "--matrix", str(matrix), "--rhs", str(rhs)]) == 2
+        # Example 2 with its second column 2^-600 below the first: no
+        # column is zero, but that column's squared norm underflows to 0
+        # at any scale that keeps the largest entry a double.
+        a, b = given_arrays(example2_system())
+        a[:, 1] = np.ldexp(a[:, 1], -600)
+        assert _solve_files(tmp_path, a, b) == (2, None)
         assert capsys.readouterr().err == (
             "error: matrix too small: a squared norm underflows to 0; rescale the input\n"
         )
+
+    def test_tiny_matrix_solves_as_unscaled(self, tmp_path):
+        # Example 2 at 2^-540, where every square of an entry underflows,
+        # is stored as Example 2 is: the same solve, its residual 2^-540
+        # times Example 2's.
+        a, b = given_arrays(example2_system())
+        code, report = _solve_files(tmp_path, a, b)
+        tiny_code, tiny = _solve_files(tmp_path, np.ldexp(a, -540), np.ldexp(b, -540))
+        assert (code, report["status"]) == (0, "converged")
+        assert (tiny_code, *_same_run(tiny)) == (code, *_same_run(report))
+        assert tiny["residual_norm"] == math.ldexp(report["residual_norm"], -540)
 
     def test_degenerate_pivot_exit_two(self, tmp_path, monkeypatch, capsys):
         def run_hull(instance, config):
@@ -1110,40 +1121,62 @@ class TestNoTraceback:
     @pytest.mark.parametrize(
         "a, b, message",
         [
-            # Every column's and b's squared norm fits, but ||A e||^2
-            # overflows, and ||b(t)||^2 would be priced from an inf.
-            (5e153 * np.array([[1.0, 1.0, 1.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]]),
-             5e152 * np.array([3.0, 0.1, 0.1]),
-             "A e too large: a squared norm overflows; rescale the input"),
-            # A e is nonzero, but its squared norm underflows to 0.
-            (1e-147 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]]),
-             1e-147 * np.array([-1.0, 2.0]),
+            # A e is nonzero, but 2^-600 below the largest entry: its
+            # squared norm underflows to 0 at any scale that keeps that
+            # entry a double.
+            (np.array([[1.0, -1.0], [2.0**-600, 0.0]]), np.array([1.0, 0.0]),
              "A e too small: a squared norm underflows to 0; rescale the input"),
         ],
-        ids=["ones-image-overflows", "ones-image-underflows"],
+        ids=["ones-image-underflows"],
     )
     def test_out_of_scale_ones_image_exit_two(self, tmp_path, capsys, a, b, message, mode):
-        n = len(b)
-        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
-        matrix.write_text(f"{n} {n}\n" + "".join(
-            " ".join(f"{v!r}" for v in row) + "\n" for row in a.tolist()
-        ))
-        rhs.write_text(f"{n} 1\n" + "".join(f"{v!r}\n" for v in b.tolist()))
-        argv = ["solve", "--matrix", str(matrix), "--rhs", str(rhs), "--mode", mode]
-        assert main(argv) == 2
+        assert _solve_files(tmp_path, a, b, "--mode", mode) == (2, None)
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_subnormal_ones_image_exit_two(self, tmp_path, capsys):
-        # ||A e||^2 is 5e-324, subnormal: the incremental solve divided by
-        # alpha_b ||A e||^2, which rounds to 0, and ended in a traceback.
-        matrix, rhs = tmp_path / "A.txt", tmp_path / "b.txt"
-        a = 1e-146 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
-        rows = (" ".join(f"{v!r}" for v in row) for row in a.tolist())
-        matrix.write_text("2 2\n" + "".join(row + "\n" for row in rows))
-        rhs.write_text("2 1\n1e-146\n0\n")
-        assert main(["solve", "--matrix", str(matrix), "--rhs", str(rhs)]) == 2
+        # ||A e||^2 is subnormal next to the largest entry: A e = 0 to
+        # working precision, and the incremental solve would divide by
+        # alpha_b ||A e||^2, which may round to 0.
+        a = np.array([[1.0, -1.0], [2.0**-520, 0.0]])
+        assert _solve_files(tmp_path, a, np.array([1.0, 0.0])) == (2, None)
         assert capsys.readouterr().err == (
-            "error: A e too small: a squared norm underflows to 0; rescale the input\n"
+            "error: A e = 0: the all-ones vector is a null vector; A is singular\n"
+        )
+
+    @pytest.mark.parametrize("mode, steps", [("incremental", 5), ("nonneg", 116)])
+    def test_ones_image_past_double_range_solves_as_unscaled(self, tmp_path, mode, steps):
+        # Every column's and b's squared norm fits, but ||A e||^2 overflows
+        # a double. The system is stored times a power of two, as it is
+        # 2^-510 times smaller: the same solve, its residual 2^510 times.
+        a = 5e153 * np.array([[1.0, 1.0, 1.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
+        b = 5e152 * np.array([3.0, 0.1, 0.1])
+        code, report = _solve_files(tmp_path, a, b, "--mode", mode)
+        small_code, small = _solve_files(
+            tmp_path, np.ldexp(a, -510), np.ldexp(b, -510), "--mode", mode
+        )
+        assert (code, report["status"], report["iterations"]) == (0, "converged", steps)
+        assert (code, *_same_run(report)) == (small_code, *_same_run(small))
+        assert report["residual_norm"] == math.ldexp(small["residual_norm"], 510)
+        assert report["relative_residual"] <= 1e-8
+
+    def test_nearly_singular_tiny_system_runs_as_unscaled(self, tmp_path, capsys):
+        # A e is nonzero, but its squared norm underflowed to 0 when the
+        # solvers ran on A and b as given. The matrix is singular to within
+        # 2^-52: the incremental solve runs to its cap as the system 2^480
+        # times larger does, and the nonneg solve finds the origin in the
+        # hull of the columns.
+        a = 1e-147 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
+        b = 1e-147 * np.array([-1.0, 2.0])
+        code, report = _solve_files(tmp_path, a, b, "--max-iters", "2000")
+        big_code, big = _solve_files(
+            tmp_path, np.ldexp(a, 480), np.ldexp(b, 480), "--max-iters", "2000"
+        )
+        assert (code, report["status"], report["iterations"]) == (1, "cap_exceeded", 2000)
+        assert (code, *_same_run(report)) == (big_code, *_same_run(big))
+        capsys.readouterr()
+        assert _solve_files(tmp_path, a, b, "--mode", "nonneg") == (2, None)
+        assert capsys.readouterr().err.startswith(
+            "error: origin lies in the convex hull of the columns to tolerance"
         )
 
     @pytest.mark.parametrize("count", ["0", "-1"])
@@ -1236,6 +1269,29 @@ class TestNoTraceback:
         assert (code, report["status"], report["iterations"]) == expected
         if scale:
             assert report["phase1_delta0_prime"] < 1e-150
+
+
+def _solve_files(tmp_path, a, b, *options) -> tuple[int, dict | None]:
+    """The exit code and report of hullsolve solve on A and b, written to
+    files with every digit."""
+    n = len(b)
+    matrix, rhs, report = tmp_path / "A.txt", tmp_path / "b.txt", tmp_path / "report.json"
+    matrix.write_text(f"{n} {n}\n" + "".join(
+        " ".join(f"{v!r}" for v in row) + "\n" for row in a.tolist()
+    ))
+    rhs.write_text(f"{n} 1\n" + "".join(f"{v!r}\n" for v in b.tolist()))
+    report.unlink(missing_ok=True)
+    argv = ["solve", "--matrix", str(matrix), "--rhs", str(rhs), "--report", str(report)]
+    code = main([*argv, *options])
+    return code, json.loads(report.read_text()) if report.exists() else None
+
+
+def _same_run(report: dict) -> tuple:
+    """What a solve's report holds that does not depend on the scale of A
+    and b: status, steps, x, shift, relative residual and diagnostics."""
+    return tuple(report.get(key) for key in (
+        "status", "iterations", "x", "shift_t", "relative_residual", "diagnostics"
+    ))
 
 
 def _readme_synopsis_flags() -> dict[str, set[str]]:

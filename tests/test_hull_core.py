@@ -255,8 +255,9 @@ class TestApplyStep:
         rng = np.random.default_rng(5)
         n = 6
         a = rng.normal(size=(n, n))
-        gram = a.T @ a
         system = LinearSystem(a, a @ rng.normal(size=n))
+        a = np.ascontiguousarray(system.a)  # the stored A
+        gram = a.T @ a
         t = 0.0
         instance = shifted_instance(system, t)
         iterate = make_iterate(instance, rng.dirichlet(np.ones(n + 1)))

@@ -13,6 +13,8 @@ from helpers import (
     check_witness,
     example1_system,
     example2_system,
+    given_arrays,
+    given_units,
     invertible_system,
     nonneg_system,
 )
@@ -48,14 +50,15 @@ class TestOptimizeShift:
         system = example2_system()
         tau0, err = optimize_shift_tau0(system, np.array([1.0, 2.0]), t_floor=0.0)
         assert tau0 == pytest.approx(12.0 / 5.0, abs=1e-14)
-        assert err == pytest.approx(6.0 / np.sqrt(5.0), abs=1e-12)
+        # E is a norm of the stored system; the worked value is Example 2's.
+        assert given_units(system, err) == pytest.approx(6.0 / np.sqrt(5.0), abs=1e-12)
 
     def test_example2_floor_binds_later_iterate(self):
         system = example2_system()
         x0 = np.array([19.0 / 11.0, 2.0])
         tau0, err = optimize_shift_tau0(system, x0, t_floor=2.0)
         assert tau0 == pytest.approx(164.0 / 55.0, abs=1e-12)
-        assert err == pytest.approx(42.0 * np.sqrt(5.0) / 55.0, abs=1e-12)
+        assert given_units(system, err) == pytest.approx(42.0 * np.sqrt(5.0) / 55.0, abs=1e-12)
 
     def test_zero_residual_stays_at_floor(self):
         system = example1_system()
@@ -79,18 +82,17 @@ class TestBuildQuadratics:
     def test_example2_coefficients(self):
         system = example2_system()
         iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
-        quads = build_quadratics(system, iterate)
+        # The coefficients are squares of the stored system's units.
+        quads = [
+            given_units(system, [q.c2, q.c1, q.c0], 2) for q in build_quadratics(system, iterate)
+        ]
         g1, g2, g3 = quads
-        assert (g1.c2, g1.c1, g1.c0) == pytest.approx(
+        assert tuple(g1) == pytest.approx(
             (5.0 / 16.0, 0.5, -0.75), abs=1e-14
         )
-        assert (g2.c2, g2.c1, g2.c0) == pytest.approx(
-            (5.0 / 16.0, -1.0, -0.75), abs=1e-14
-        )
-        assert (g3.c2, g3.c1, g3.c0) == pytest.approx(
-            (-35.0 / 16.0, 7.5, -27.0 / 4.0), abs=1e-14
-        )
-        assert g3.is_rhs
+        assert tuple(g2) == pytest.approx((5.0 / 16.0, -1.0, -0.75), abs=1e-14)
+        assert tuple(g3) == pytest.approx((-35.0 / 16.0, 7.5, -27.0 / 4.0), abs=1e-14)
+        assert build_quadratics(system, iterate)[2].is_rhs
 
     def test_negative_at_current_shift(self):
         system = example2_system()
@@ -274,7 +276,8 @@ class TestCertificate:
         instance = shifted_instance(system, 0.0)
         witness = check_witness(instance, make_iterate(instance, EXAMPLE2_COEFFS))
         expanded = np.array([-0.75, -0.75, -27.0 / 4.0])
-        assert np.allclose(witness.margins, 0.5 * expanded, atol=1e-14)
+        margins = given_units(system, witness.margins, 2)
+        assert np.allclose(margins, 0.5 * expanded, atol=1e-14)
 
     def test_rejects_non_witness(self):
         system = example1_system()
@@ -287,7 +290,7 @@ class TestSolveIncremental:
         system = example2_system()
         outcome = solve_incremental(system, SolveConfig(epsilon0=1e-8))
         assert outcome.status == CONVERGED
-        assert outcome.residual_norm <= 1e-8 * system.rho
+        assert outcome.residual_norm <= 1e-8 * given_units(system, system.rho)
         assert np.linalg.norm(outcome.x - np.array([-1.0, -2.0])) <= 1e-6
         # Final shift is large enough that x0 = x + t e is nonnegative.
         assert (outcome.x + outcome.shift_t * np.ones(2) >= -1e-9).all()
@@ -370,7 +373,8 @@ class TestSolveIncremental:
         assert first_step.pivot == 0
         assert first_step.alpha_b == 0.25
         assert first_step.value == pytest.approx(2.0, abs=1e-14)
-        assert triangle.gap == pytest.approx(0.58835, abs=1e-5)  # the transfer's 1/2 is nearer
+        gap = given_units(system, triangle.gap)
+        assert gap == pytest.approx(0.58835, abs=1e-5)  # the transfer's 1/2 is nearer
 
     @pytest.mark.parametrize(
         "policy, hook, expected",
@@ -415,7 +419,7 @@ class TestSolveIncremental:
             system, x_star = invertible_system(rng, n)
             outcome = solve_incremental(system, SolveConfig(epsilon0=1e-6))
             assert outcome.status == CONVERGED
-            assert outcome.residual_norm <= 1e-6 * system.rho
+            assert outcome.residual_norm <= 1e-6 * given_units(system, system.rho)
             sigma_min = np.linalg.svd(system.a, compute_uv=False).min()
             bound = 1e-6 * system.rho / sigma_min
             assert np.linalg.norm(outcome.x - x_star) <= bound * (1 + 1e-9)
@@ -481,7 +485,7 @@ class TestSolveIncremental:
                 )
                 assert outcome.status == CONVERGED, (init, increment)
                 assert outcome.diagnostics["escalations"] >= 1
-                assert outcome.residual_norm <= 1e-6 * system.rho
+                assert outcome.residual_norm <= 1e-6 * given_units(system, system.rho)
 
     def test_escalation_cap_ends_the_solve(self):
         # The centroid is a witness at t = 0 and, with the shift
@@ -555,8 +559,9 @@ class TestOneGramMatrix:
         rng = np.random.default_rng(67)
         for n in (3, 10, 40):
             a = rng.normal(size=(n, n))
-            gram = a.T @ a
             system = LinearSystem(a, a @ rng.normal(size=n))
+            a = np.ascontiguousarray(system.a)  # the stored A
+            gram = a.T @ a
             t = rng.uniform(0.0, 3.0)
             instance = shifted_instance(system, t)
             iterate = make_iterate(instance, rng.dirichlet(np.ones(n + 1)))
@@ -609,7 +614,7 @@ class TestOneGramMatrix:
             for system, _ in (nonneg_system(rng, n), invertible_system(rng, n)):
                 shared = [digest(solve(system, config)) for solve in solves]
                 fresh = [
-                    digest(solve(LinearSystem(system.a, system.b), config)) for solve in solves
+                    digest(solve(LinearSystem(*given_arrays(system)), config)) for solve in solves
                 ]
                 assert shared == fresh
 

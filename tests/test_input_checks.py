@@ -2,6 +2,8 @@
 settings, one case per check, with its exact message and, for a parse
 error, the line it names."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -94,9 +96,8 @@ def _capped_start(config_type, init_coeffs):
     return config_type(max_iterations=1000, init_coeffs=np.array(init_coeffs))
 
 
-_BIG = 5e153 * np.array([[1.0, 1.0, 1.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
-_TINY = 1e-147 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
-_SUBNORMAL = 1e-146 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
+_ONES_IMAGE_2_600 = np.array([[1.0, -1.0], [2.0**-600, 0.0]])
+_ONES_IMAGE_2_520 = np.array([[1.0, -1.0], [2.0**-520, 0.0]])
 _NO_SECOND_PIVOT = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
 
 
@@ -145,19 +146,27 @@ _NO_SECOND_PIVOT = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
         # Column 2 has no pivot left after the first elimination step.
         pytest.param(lambda: solve_exact(LinearSystem(_NO_SECOND_PIVOT, np.ones(3))),
                      "pivot 0.000e+00 below threshold", id="exact-solve-pivot"),
-        # Every column's and b's squared norm fits, but ||A e||^2 overflows.
-        pytest.param(lambda: LinearSystem(_BIG, _BIG @ np.full(3, 0.1)),
-                     "A e too large: a squared norm overflows; rescale the input",
-                     id="ones-image-overflows"),
-        # A e is nonzero, but its squared norm underflows to 0.
-        pytest.param(lambda: LinearSystem(_TINY, 1e-147 * np.array([1.0, 0.0])),
+        # A e is nonzero, but 2^-600 below the largest entry: its squared
+        # norm underflows to 0 at any scale that keeps that entry a double.
+        pytest.param(lambda: LinearSystem(_ONES_IMAGE_2_600, np.ones(2)),
                      "A e too small: a squared norm underflows to 0; rescale the input",
                      id="ones-image-underflows"),
-        # ||A e||^2 is 5e-324, subnormal: alpha_b ||A e||^2 rounds to 0.
+        # ||A e||^2 is subnormal next to the largest entry: A e = 0 to
+        # working precision, and alpha_b ||A e||^2, which the incremental
+        # solve divides by, may round to 0.
         pytest.param(lambda: solve_incremental(
-                         LinearSystem(_SUBNORMAL, 1e-146 * np.array([1.0, 0.0])), SolveConfig()),
-                     "A e too small: a squared norm underflows to 0; rescale the input",
+                         LinearSystem(_ONES_IMAGE_2_520, np.ones(2)), SolveConfig()),
+                     "A e = 0: the all-ones vector is a null vector; A is singular",
                      id="ones-image-subnormal"),
+        # A column 2^-600 below b: its squared norm underflows to 0.
+        pytest.param(lambda: LinearSystem(np.diag([1.0, 2.0**-600]), np.ones(2)),
+                     "matrix too small: a squared norm underflows to 0; rescale the input",
+                     id="column-underflows"),
+        # b 2^-600 below the columns: its squared norm underflows to 0.
+        pytest.param(lambda: LinearSystem(np.eye(2), np.array([2.0**-600, 0.0])),
+                     "right-hand side too small: a squared norm underflows to 0; "
+                     "rescale the input",
+                     id="rhs-underflows"),
         # Each run would start from NaN weights and run its step cap.
         pytest.param(lambda: run_hull(_triangle(), _capped_start(HullConfig, [np.nan, 1.0, 0.0])),
                      "convex coefficients must be finite", id="nan-weight-hull"),
@@ -175,3 +184,43 @@ def test_bad_argument_is_refused(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+# Systems that each scale of A and b refused when the solvers ran on A and
+# b as given. A system is stored times a power of two that puts its
+# largest entry in [1/2, 1), so each runs as A and b scaled into the
+# middle of double range do: same status, steps and bytes of x, and the
+# residual times the power of two.
+_BIG = 5e153 * np.array([[1.0, 1.0, 1.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
+_TINY = 1e-147 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
+_SUBNORMAL = 1e-146 * np.array([[1.0, -1.0], [1.0, -1.0 + 2.0**-52]])
+
+
+@pytest.mark.parametrize(
+    "a, b, exponent, status",
+    [
+        # ||A e||^2 overflowed, though every column's and b's squared norm
+        # fits.
+        pytest.param(_BIG, _BIG @ np.full(3, 0.1), -510, "converged", id="ones-image-overflows"),
+        # A e is nonzero, but its squared norm underflowed to 0, or to the
+        # subnormal 5e-324. Both matrices are singular to within 2^-52, so
+        # the incremental solve runs to its cap: a certificate for an
+        # inconsistent system is what would end it.
+        pytest.param(_TINY, 1e-147 * np.array([1.0, 0.0]), 480, "cap_exceeded",
+                     id="ones-image-underflows"),
+        pytest.param(_SUBNORMAL, 1e-146 * np.array([1.0, 0.0]), 480, "cap_exceeded",
+                     id="ones-image-subnormal"),
+    ],
+)
+def test_ones_image_past_double_range_solves_as_scaled(a, b, exponent, status):
+    config = SolveConfig(epsilon0=1e-8, max_iterations=2_000)
+    scaled = solve_incremental(LinearSystem(np.ldexp(a, exponent), np.ldexp(b, exponent)), config)
+    given = solve_incremental(LinearSystem(a, b), config)
+    assert (given.status, given.iterations, given.shift_t) == (
+        status, scaled.iterations, scaled.shift_t
+    )
+    if status == "converged":
+        assert given.x.tobytes() == scaled.x.tobytes()
+        assert given.residual_norm == math.ldexp(scaled.residual_norm, -exponent)
+    else:
+        assert given.diagnostics == scaled.diagnostics

@@ -22,6 +22,7 @@ from helpers import (
     INCREMENTS,
     centroid_coeffs,
     check_witness,
+    given_units,
     invertible_system,
     membership_instance,
     nonneg_system,
@@ -272,7 +273,8 @@ class TestCertificates:
         expected = reference_margins(
             HullInstance(points, np.zeros(15)), points @ outcome.witness.iterate.coeffs
         )
-        assert np.array_equal(outcome.witness.margins, expected)
+        # The outcome's margins are in the squared units of A and b.
+        assert np.array_equal(outcome.witness.margins, given_units(system, expected, 2))
 
     def test_witness_ignores_drifted_products(self):
         rng = np.random.default_rng(419)
@@ -346,8 +348,8 @@ class TestGatedResidual:
         phase2 = spoiled.iterations - spoiled.diagnostics["phase1_iterations"]
         assert phase2 % n == 0
         assert spoiled.iterations >= proxied.iterations
-        assert spoiled.residual_norm <= eps0 * system.rho
-        assert system.residual_norm(spoiled.x) == spoiled.residual_norm
+        assert spoiled.residual_norm <= eps0 * given_units(system, system.rho)
+        assert given_units(system, system.residual_norm(spoiled.x)) == spoiled.residual_norm
 
 
 def test_step_coefficients_stay_a_probability_vector():
@@ -475,7 +477,9 @@ def test_constant_time_move_tracks_the_formed_iterate():
             t, u_point = incremental._optimal_shift(system, iterate, t0)
         before = iterate.point_sq
         moved = incremental.move_shift(system, iterate, t0, t, u_point)
-        assert np.array_equal(instance.points, np.column_stack([a, -(system.b + t * system.u)]))
+        assert np.array_equal(
+            instance.points, np.column_stack([system.a, -(system.b + t * system.u)])
+        )
         # ||b(t)||^2 is exact only to a few eps of its terms' magnitudes,
         # not of its value, but never below 0.
         column = instance.points[:, n]
@@ -545,8 +549,8 @@ class TestGatedIncrementalResidual:
         assert outcome.status == CONVERGED
         assert outcome.iterations % n == 0
         assert outcome.iterations >= estimated.iterations
-        assert outcome.residual_norm <= eps0 * system.rho
-        assert system.residual_norm(outcome.x) == outcome.residual_norm
+        assert outcome.residual_norm <= eps0 * given_units(system, system.rho)
+        assert given_units(system, system.residual_norm(outcome.x)) == outcome.residual_norm
 
 
 def test_converged_incremental_residuals_meet_the_target():
@@ -565,7 +569,9 @@ def test_converged_incremental_residuals_meet_the_target():
         assert np.sqrt(r @ r) <= eps0 * system.rho
         x0 = outcome.x + outcome.shift_t
         _, best = incremental.optimize_shift_tau0(system, x0, outcome.shift_t)
-        assert outcome.residual_norm <= best + 1e-12 * system.rho
+        residual = system.residual_norm(outcome.x)
+        assert given_units(system, residual) == outcome.residual_norm
+        assert residual <= best + 1e-12 * system.rho
 
 
 def _tracks_fresh(function, counts, name):
@@ -674,9 +680,9 @@ def _simplex_solution_system(rng, n):
 
 @pytest.mark.parametrize(
     "kind, budget",
-    # The counts are 13.7, 12.1 and 10.2 frames a step; each budget leaves
+    # The counts are 13.7, 10.1 and 10.1 frames a step; each budget leaves
     # a margin below half a frame.
-    [("incremental", 14.0), ("nonneg", 12.4), ("run_hull", 10.5)],
+    [("incremental", 14.0), ("nonneg", 10.4), ("run_hull", 10.5)],
 )
 def test_frame_budget_per_step(kind, budget):
     # A step costs Python calls more than arithmetic at these sizes, so the

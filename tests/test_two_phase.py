@@ -10,6 +10,8 @@ from helpers import (
     centroid_coeffs,
     example1_system,
     example2_system,
+    given_arrays,
+    given_units,
     invertible_system,
     nonneg_system,
     reference_hull_target,
@@ -38,8 +40,13 @@ from hullsolve.two_phase import _phase1_outcome
 
 class TestLinearSystem:
     def test_scale_and_shift_direction(self):
+        # Example 2's largest |entry| is 3, so it is stored times 2^-2, its
+        # largest stored entry in [1/2, 1).
         system = example2_system()
-        assert system.rho == 3.0  # max(sqrt5, sqrt2, ||b||=3)
+        assert system.exponent == -2
+        assert np.array_equal(system.a, [[0.5, -0.25], [0.25, 0.25]])
+        assert np.array_equal(system.b, [0.0, -0.75])
+        assert given_units(system, system.rho) == 3.0  # max(sqrt5, sqrt2, ||b||=3)
         assert system.rho >= system.norm_b
         assert np.array_equal(system.u, system.a @ np.ones(2))
 
@@ -50,40 +57,49 @@ class TestLinearSystem:
             LinearSystem(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1.0, 1.0]))
 
     def test_underflowing_columns_rejected_as_out_of_scale(self):
-        # No column of Example 2 at 2^-540 is zero, but every square of an
-        # entry underflows.
-        system = example2_system()
-        with pytest.raises(ValueError, match="too small"):
-            LinearSystem(np.ldexp(system.a, -540), np.ldexp(system.b, -540))
+        # Example 2 with its second column 2^-600 below the first: no
+        # column is zero, but that column's squared norm underflows to 0
+        # at any scale that keeps the largest entry a double.
+        a, b = given_arrays(example2_system())
+        a[:, 1] = np.ldexp(a[:, 1], -600)
+        with pytest.raises(ValueError) as caught:
+            LinearSystem(a, b)
+        assert str(caught.value) == (
+            "matrix too small: a squared norm underflows to 0; rescale the input"
+        )
 
-    def test_overflowing_rhs_rejected_before_incremental_solve(self):
-        # ||b||^2 of Example 2 at 2^511 overflows: rho would be inf and any
-        # x would pass the residual test.
-        system = example2_system()
-        with pytest.raises(ValueError, match="too large"):
-            solve_incremental(
-                LinearSystem(np.ldexp(system.a, 511), np.ldexp(system.b, 511)),
-                SolveConfig(),
-            )
+    @staticmethod
+    def _same_solve(solve, a, b, exponent):
+        """solve on A and b times 2^exponent reaches what it reaches on A
+        and b: status, steps, bytes of x, shift, and the residual times
+        2^exponent."""
+        config = SolveConfig(epsilon0=1e-8)
+        plain = solve(LinearSystem(a, b), config)
+        scaled = solve(LinearSystem(np.ldexp(a, exponent), np.ldexp(b, exponent)), config)
+        assert plain.status == CONVERGED
+        assert (scaled.status, scaled.iterations, scaled.shift_t, scaled.x.tobytes()) == (
+            plain.status, plain.iterations, plain.shift_t, plain.x.tobytes()
+        )
+        assert scaled.residual_norm == math.ldexp(plain.residual_norm, exponent)
 
-    def test_overflowing_columns_rejected_before_nonneg_solve(self):
+    def test_overflowing_rhs_solves_as_unscaled(self):
+        # ||b||^2 of Example 2 at 2^511 overflows a double, as ||b||^2 and
+        # rho did before b was stored scaled; it now solves as Example 2.
+        self._same_solve(solve_incremental, *given_arrays(example2_system()), 511)
+
+    def test_overflowing_columns_solve_as_unscaled(self):
         # A column of Example 1 at 2^511 has a squared norm past double
-        # range; Phase 1 would report the origin in the hull at gap inf.
-        system = example1_system()
-        with pytest.raises(ValueError, match="too large"):
-            solve_nonneg(
-                LinearSystem(np.ldexp(system.a, 511), np.ldexp(system.b, 511)),
-                SolveConfig(),
-            )
+        # range; the system now solves as Example 1.
+        self._same_solve(solve_nonneg, *given_arrays(example1_system()), 511)
 
     @pytest.mark.parametrize("epsilon0", [1e-13, 1e-12])
     @pytest.mark.parametrize("solve", [solve_nonneg, solve_incremental])
     def test_tiny_scale_residual_does_not_underflow(self, solve, epsilon0):
         # At scale 1e-150 the squares of a residual near 1e-163 underflow:
         # a plain norm read 0 there, and both solvers stopped converged at
-        # a true relative residual of 4.6e-13 > 1e-13. The residual is
-        # checked at 2^500 times the data, where no square underflows and
-        # the scaling is exact.
+        # a true relative residual of 4.6e-13 > 1e-13. The system is stored
+        # times a power of two that puts its largest entry in [1/2, 1),
+        # where no square underflows and the scaling is exact.
         rng = np.random.default_rng(2)
         a = rng.normal(size=(6, 6)) * 1e-150
         b = a @ rng.uniform(0.5, 1.5, 6)
@@ -101,18 +117,19 @@ class TestLinearSystem:
         # Below 2^-511 the squares of the entries go subnormal: norms
         # formed from them were off by up to 3.3e-3 (a column at 2^-535)
         # and rho by 3.3e-4. Scaling by a power of two is exact, so the
-        # norms must be those of the unscaled system, scaled.
+        # system is stored as the unscaled one is, bit for bit, and its
+        # norms in the units of A and b are the unscaled ones, scaled.
         rng = np.random.default_rng(2)
         a = rng.normal(size=(6, 6))
         b = a @ rng.normal(size=6)
         unscaled = LinearSystem(a, b)
         system = LinearSystem(np.ldexp(a, exponent), np.ldexp(b, exponent))
-        for tiny, plain in (
-            (system.rho, unscaled.rho),
-            (system.norm_b, unscaled.norm_b),
-            *zip(system.column_norms, unscaled.column_norms),
-        ):
-            assert tiny == pytest.approx(np.ldexp(plain, exponent), rel=1e-14, abs=0.0)
+        assert system.exponent == unscaled.exponent - exponent
+        assert system.a.tobytes() == unscaled.a.tobytes()
+        assert system.b.tobytes() == unscaled.b.tobytes()
+        for tiny, plain in ((system.rho, unscaled.rho), (system.norm_b, unscaled.norm_b)):
+            assert tiny == plain
+            assert given_units(system, tiny) == np.ldexp(given_units(unscaled, plain), exponent)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -122,18 +139,23 @@ class TestLinearSystem:
 
 
 class TestSelectInnerEpsilon:
+    # delta0' is given in stored units, as the solver forms it.
     def test_symmetric_case(self):
         system = LinearSystem(np.eye(2), np.array([1.0, 0.0]))
-        assert system.rho == 1.0 and system.norm_b == 1.0
-        eps = select_inner_epsilon(1.0, delta0_prime=1.0, system=system)
+        assert given_units(system, system.rho) == 1.0
+        assert given_units(system, system.norm_b) == 1.0
+        delta0_prime = np.ldexp(1.0, system.exponent)
+        eps = select_inner_epsilon(1.0, delta0_prime=delta0_prime, system=system)
         assert eps == pytest.approx(0.25, abs=1e-15)
 
     def test_mixed_case(self):
         system = LinearSystem(
             np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.0, 2.0])
         )
-        assert system.rho == 2.0 and system.norm_b == 2.0
-        eps = select_inner_epsilon(0.1, delta0_prime=1.0, system=system)
+        assert given_units(system, system.rho) == 2.0
+        assert given_units(system, system.norm_b) == 2.0
+        delta0_prime = np.ldexp(1.0, system.exponent)
+        eps = select_inner_epsilon(0.1, delta0_prime=delta0_prime, system=system)
         assert eps == pytest.approx(1.0 / 60.0, abs=1e-15)
 
     def test_always_below_sensitivity_precondition(self):
@@ -250,7 +272,7 @@ class TestSolveNonneg:
             assert outcome.status == CONVERGED
             assert outcome.relative_residual <= 0.01
             # Phase 2 within the paper's bound (48 / eps0^2) (rho / delta0')^2.
-            ratio = system.rho / outcome.phase1_delta0_prime
+            ratio = given_units(system, system.rho) / outcome.phase1_delta0_prime
             phase2 = outcome.iterations - outcome.diagnostics["phase1_iterations"]
             assert phase2 <= math.ceil((48.0 / 0.01**2) * ratio**2)
             # Independent residual recomputation backs the early exit.
@@ -284,7 +306,9 @@ class TestSolveNonneg:
             assert run["residual_norm"] <= eps_prime * system.rho
             assert (run["x"] >= 0.0).all()
             outcome = solve_nonneg(system, SolveConfig(epsilon0=0.25), phase1=True)
-            assert (outcome.phase1_delta0_prime, outcome.inner_epsilon) == (delta0p, eps)
+            assert (outcome.phase1_delta0_prime, outcome.inner_epsilon) == (
+                given_units(system, delta0p), eps
+            )
 
     def test_phase1_cost_below_phase2_cap(self):
         rng = np.random.default_rng(10)
@@ -413,12 +437,13 @@ class TestPairwiseSteps:
         a = rng.normal(size=(600, 600))
         a /= np.sqrt(np.einsum("ij,ij->j", a, a))
         x = rng.uniform(0.5, 1.5, 600)
-        system = LinearSystem(a, a @ (x / x.sum()))
+        b = a @ (x / x.sum())
+        system = LinearSystem(a, b)
         outcome = solve_nonneg(system, SolveConfig(epsilon0=0.005))
         assert outcome.status == CONVERGED
         assert outcome.iterations <= 2058 // 2
         assert outcome.diagnostics["phase1_iterations"] == 0
-        assert np.linalg.norm(a @ outcome.x - system.b) <= 0.005 * system.rho
+        assert np.linalg.norm(a @ outcome.x - b) <= 0.005 * given_units(system, system.rho)
         assert (outcome.x >= 0.0).all()
 
     @pytest.mark.parametrize("n", [10, 25, 50])
@@ -432,7 +457,7 @@ class TestPairwiseSteps:
             margins = reference_margins(
                 HullInstance(points, np.zeros(n)), points @ outcome.witness.iterate.coeffs
             )
-            assert np.array_equal(outcome.witness.margins, margins)
+            assert np.array_equal(outcome.witness.margins, given_units(system, margins, 2))
             assert (margins < 0.0).all()
 
 
