@@ -32,7 +32,10 @@ the active donor of least margin, as pairwise Frank-Wolfe does. run_hull
 lets every point give weight; a caller may let only the leading points
 (see apply_step). Both decreases follow in O(1) from the products and the
 Gram columns. The better-of step lowers ||p - p'|| at least as much as the
-Triangle step, so the Triangle Algorithm's bounds still hold.
+Triangle step, so the Triangle Algorithm's bounds still hold. The donor
+search reads which donors hold weight from a floor the iterate carries
+from step to step (Iterate.floor), so a step rebuilds no mask that the
+step before it already knew.
 """
 
 from __future__ import annotations
@@ -204,7 +207,7 @@ class HullInstance:
         return column
 
 
-@dataclass
+@dataclass(slots=True)
 class Iterate:
     """A point p' of conv(S), in coefficient space.
 
@@ -221,6 +224,15 @@ class Iterate:
     point_sq. tie holds the two points, lower index first, whose margins
     the unclamped pairwise step that made this iterate left equal in
     exact arithmetic, else None; find_pivot breaks that tie to the lower.
+
+    floor, when not None, is what apply_step's donor search adds to the
+    products: 0.0 at each of the first donors points that holds weight,
+    -inf at every other point, and least is a positive lower bound on
+    those weights (inf when none holds any). apply_step carries them from
+    step to step, or leaves floor None where a weight may have vanished
+    (see apply_step), and a shift move and the age-n refresh keep them;
+    an iterate formed otherwise has floor None. No function writes into a
+    floor it was given.
     """
 
     coeffs: np.ndarray
@@ -229,6 +241,9 @@ class Iterate:
     point_sq_scale: float
     age: int
     tie: tuple[int, int] | None = None
+    floor: np.ndarray | None = None
+    donors: int = 0
+    least: float = math.inf
 
     @property
     def gap(self) -> float:
@@ -337,9 +352,10 @@ def make_iterate(instance: HullInstance, coeffs) -> Iterate:
 def exact_iterate(instance: HullInstance, coeffs: np.ndarray) -> Iterate:
     """The iterate at these coefficients, taken as they are, with its
     products and squared norm formed from p' = V c, in O(dim n)."""
-    point = instance.points @ coeffs
+    points = instance.points
+    point = points @ coeffs
     point_sq = float(point.dot(point))
-    return Iterate(coeffs, instance.points.T @ point, point_sq, point_sq, 0)
+    return Iterate(coeffs, points.T @ point, point_sq, point_sq, 0)
 
 
 def _settled_iterate(instance: HullInstance, iterate: Iterate) -> Iterate:
@@ -379,21 +395,23 @@ def find_pivot(instance: HullInstance, iterate: Iterate) -> int | None:
     """Index of a pivot point, or None when the iterate is a witness.
 
     The pivot maximizes the margin, ties to the lowest index. The search
-    reads pivot_margins in O(n). When they show no pivot, the iterate is
-    formed again from V c in place (see _settled_iterate) and its margins,
-    the direct ones, decide: None always means the direct margins are all
-    negative and leaves an iterate witness_of certifies as it is, and a
-    pivot found then is stepped toward from exact values. When the pivot
-    is the higher point of the iterate's tie, the lower one is taken if
-    its margin is nonnegative and within TIE of the pivot's, in O(1), so
-    that rounding does not choose between two margins equal in exact
-    arithmetic.
+    forms the margins as pivot_margins does, inline, in O(n). When they
+    show no pivot, the iterate is formed again from V c in place, every
+    field copied from _settled_iterate's, and its margins, the direct
+    ones, decide: None always means the direct margins are all negative
+    and leaves an iterate witness_of certifies as it is, and a pivot found
+    then is stepped toward from exact values. When the pivot is the higher
+    point of the iterate's tie, the lower one is taken if its margin is
+    nonnegative and within TIE of the pivot's, in O(1), so that rounding
+    does not choose between two margins equal in exact arithmetic.
     """
-    margins = pivot_margins(iterate)
+    margins = np.subtract(0.5 * iterate.point_sq, iterate.dot_cache)
     j = int(margins.argmax())
     if margins.item(j) < 0.0:
-        vars(iterate).update(vars(_settled_iterate(instance, iterate)))
-        margins = pivot_margins(iterate)
+        settled = _settled_iterate(instance, iterate)
+        for name in Iterate.__slots__:
+            setattr(iterate, name, getattr(settled, name))
+        margins = np.subtract(0.5 * iterate.point_sq, iterate.dot_cache)
         j = int(margins.argmax())
     if margins.item(j) < 0.0:
         return None
@@ -443,14 +461,33 @@ def recursed_iterate(
     point_sq: float,
     scale: float,
     age: int,
+    floor: np.ndarray | None = None,
+    donors: int = 0,
+    least: float = math.inf,
 ) -> Iterate:
     """The iterate with recursed products and squared norm, or the one
     exact_iterate forms when age reaches n, which keeps the rounding of
     the recursions from piling up, or when point_sq < CANCELLATION *
-    scale."""
+    scale. Either way it carries the donor floor given (see Iterate),
+    which the weights decide and the products do not."""
     if age >= instance.n_points or point_sq < CANCELLATION * scale:
-        return exact_iterate(instance, coeffs)
-    return Iterate(coeffs, dots, point_sq, scale, age)
+        iterate = exact_iterate(instance, coeffs)
+        iterate.floor, iterate.donors, iterate.least = floor, donors, least
+        return iterate
+    return Iterate(coeffs, dots, point_sq, scale, age, None, floor, donors, least)
+
+
+def _donor_floor(coeffs: np.ndarray, donors: int) -> tuple[np.ndarray | None, float]:
+    """Iterate.floor and Iterate.least formed from the weights: 0.0 at each
+    of the first donors points with a nonzero weight and -inf elsewhere,
+    and the least of those weights (inf when there is none); no floor
+    without donors."""
+    if not donors:
+        return None, math.inf
+    floor = np.where(coeffs, 0.0, -np.inf)
+    floor[donors:] = -np.inf
+    held = coeffs[:donors]
+    return floor, float(np.min(held, where=held != 0.0, initial=math.inf))
 
 
 def apply_step(
@@ -480,6 +517,18 @@ def apply_step(
     Either way j is the point that gains weight, and the given iterate is
     left as it was.
 
+    The search for k adds the iterate's floor to the products, one argmax
+    (see Iterate): d + 0.0 differs from d only in the sign of a zero,
+    which no comparison sees. The floor is carried, and copied only where
+    it changes. A Triangle step keeps it while keep * least > 0, since no
+    weight then rounds to 0, and j joins it; a pairwise step takes k out
+    when its weight is cleared and puts j in. It is formed again from the
+    weights at the next step with donors after alpha = 1, a keep * least
+    that underflows, the dust clamp, or an iterate whose coefficients
+    were divided by their sum, and when donors differs from the count it
+    was formed for. A move and the age-n refresh keep the weights, and so
+    the floor.
+
     run_hull and solve_nonneg let every point give weight.
     solve_incremental lets only the n columns give it, never -b(t): a
     transfer then never lowers alpha_b, which x0 = alpha / alpha_b and the
@@ -496,12 +545,11 @@ def apply_step(
     coeffs, dots, q = iterate.coeffs, iterate.dot_cache, iterate.point_sq
     column = instance.gram_column(j)
     d_j, g_jj = dots.item(j), column.item(j)
-    if donors:
-        # The products of the donors with weight: weights are nonnegative,
-        # so the nonzero ones are the positive ones.
-        active = np.where(coeffs, dots, -np.inf)
-        if donors < active.size:
-            active[donors:] = -np.inf
+    floor, least = iterate.floor, iterate.least
+    if floor is None or iterate.donors != donors:
+        floor, least = _donor_floor(coeffs, donors)
+    if floor is not None:
+        active = dots + floor  # the donors' products where they hold weight, else -inf
         top = active.item(active.argmax())
         if top > -math.inf:  # some donor holds weight
             k = int((active >= top - TIE * (abs(top) + q)).argmax())
@@ -525,6 +573,14 @@ def apply_step(
                 if 0.0 < rest < COEFF_DUST:
                     coeffs[k] = 0.0
                     coeffs /= coeffs.sum()
+                    floor = None
+                elif rest == 0.0 or j < donors and floor.item(j) < 0.0:
+                    # k's weight was cleared or j's is new: the given floor stays.
+                    floor = floor.copy()
+                    floor[k] = 0.0 if rest else -math.inf
+                    floor[j] = 0.0 if j < donors else -math.inf
+                # k keeps rest, and j at least gamma.
+                least = min(least, gamma, rest or gamma)
                 moved = np.subtract(column, column_k)
                 moved *= gamma
                 moved += dots
@@ -532,7 +588,8 @@ def apply_step(
                 square = gamma * gamma * curvature
                 scale = iterate.point_sq_scale + abs(lift) + square
                 stepped = recursed_iterate(
-                    instance, coeffs, moved, q + lift + square, scale, iterate.age + 1
+                    instance, coeffs, moved, q + lift + square, scale, iterate.age + 1,
+                    floor, donors, least,
                 )
                 if gamma < c_k:
                     stepped.tie = (j, k) if j < k else (k, j)
@@ -550,7 +607,18 @@ def apply_step(
     square = alpha * alpha * g_jj
     point_sq = keep_sq * q + cross + square
     scale = keep_sq * iterate.point_sq_scale + abs(cross) + square
-    return recursed_iterate(instance, coeffs, dots, point_sq, scale, iterate.age + 1)
+    # Rounding is monotone: while keep * least > 0 no weight rounds to 0.
+    # At alpha = 1 it is 0, or nan from an inf least.
+    least *= keep
+    if not least > 0.0:
+        floor = None
+    elif floor is not None and alpha and j < donors and floor.item(j) < 0.0:
+        floor = floor.copy()
+        floor[j] = 0.0
+        least = min(least, alpha)  # j's weight, keep * 0 + alpha
+    return recursed_iterate(
+        instance, coeffs, dots, point_sq, scale, iterate.age + 1, floor, donors, least
+    )
 
 
 def _far_certificate(instance: HullInstance, iterate: Iterate, epsilon: float) -> int:

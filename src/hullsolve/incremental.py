@@ -131,7 +131,9 @@ def move_shift(
     2 drift u^T p' + drift^2 ||u||^2 follow in O(1) from u_point, u^T p'
     at t0 (_shift_product). point_sq_scale takes the magnitudes of both new
     terms, so a move that cancels is formed again from V c. A move is not
-    a step: the iterate's age is kept.
+    a step: the iterate's age is kept, and so is its donor floor, the same
+    array, which the kept weights decide. -b(t)'s point is written only
+    when the hull's points are next read (see place_shift).
     """
     coeffs, dots = iterate.coeffs, iterate.dot_cache
     place_shift(system, t)
@@ -146,7 +148,10 @@ def move_shift(
     square = drift * drift * system.u_sq
     point_sq = iterate.point_sq + lift + square
     scale = iterate.point_sq_scale + abs(lift) + square
-    return recursed_iterate(system.hull, coeffs, moved, point_sq, scale, iterate.age)
+    return recursed_iterate(
+        system.hull, coeffs, moved, point_sq, scale, iterate.age,
+        iterate.floor, iterate.donors, iterate.least,
+    )
 
 
 def _shift_product(system: LinearSystem, coeffs: np.ndarray, t0: float) -> float:

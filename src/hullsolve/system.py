@@ -166,11 +166,11 @@ class LinearSystem:
         return np.matmul(self.a.T, self.a, out=np.zeros((n + 1, n + 1))[:n, :n])
 
     @cached_property
-    def hull(self) -> HullInstance:
+    def hull(self) -> ShiftedHull:
         """The system's one shifted hull, its last point -b(t) where
         place_shift last put it (0 before the first); shifted_instance
         places it."""
-        return HullInstance(self.a.base, np.zeros(self.n), gram=self.gram.base)
+        return ShiftedHull(self)
 
     @cached_property
     def at_u(self) -> np.ndarray:
@@ -182,16 +182,41 @@ class LinearSystem:
         """A^T b, the columns' products with the right-hand side."""
         return np.matmul(self.a.T, self.b, out=np.zeros(self.n + 1)[: self.n])
 
-    @cached_property
-    def _border(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where place_shift writes -b(t): hull's last point, and the last
-        row and column of its Gram matrix."""
-        gram = self.gram.base
-        return self.hull.points[:, -1], gram[-1], gram[:, -1]
-
     def residual_norm(self, x: np.ndarray) -> float:
         """||A x - b||."""
         return float(np.linalg.norm(self.a @ x - self.b))
+
+
+class ShiftedHull(HullInstance):
+    """A LinearSystem's one hull, conv({a_1, ..., a_n, -b(t)}) against the
+    origin, on the system's [2^k A | -b(t)] and bordered Gram matrix.
+
+    row and column are the views of the Gram matrix's last row and column
+    that place_shift writes -b(t)'s products into. shift is the t whose
+    point place_shift has placed and not yet written: points writes it,
+    -t u - b into its last column, when it is next read, so a shift move,
+    which reads no point, does not write one.
+    """
+
+    def __init__(self, system: LinearSystem):
+        gram = system.gram.base
+        super().__init__(system.a.base, np.zeros(system.n), gram=gram)
+        self.u, self.b = system.u, system.b
+        self.row, self.column = gram[-1], gram[:, -1]
+        self.shift: float | None = None
+
+    @property
+    def points(self) -> np.ndarray:
+        if self.shift is not None:
+            last = self._points[:, -1]
+            np.multiply(self.u, -self.shift, last)
+            last -= self.b
+            self.shift = None
+        return self._points
+
+    @points.setter
+    def points(self, points: np.ndarray) -> None:
+        self._points = points
 
 
 def recover_solution(iterate: Iterate, system: LinearSystem) -> np.ndarray:
@@ -222,7 +247,7 @@ def checked_solution(
     step amortised.
     """
     threshold = epsilon0 * system.rho
-    estimate = iterate.gap / iterate.coeffs.item(-1)
+    estimate = math.sqrt(iterate.point_sq) / iterate.coeffs.item(-1)
     if estimate <= threshold * (1.0 + PROXY_MARGIN) or steps % system.n == 0:
         x = recover_solution(iterate, system) - t
         residual = system.residual_norm(x)
@@ -239,21 +264,23 @@ def shifted_instance(system: LinearSystem, t: float) -> HullInstance:
 
 
 def place_shift(system: LinearSystem, t: float) -> None:
-    """Write -b(t) = -t u - b into system.hull in place: its last point,
-    its squared norm, and the last row and column of the Gram matrix,
-    -(A^T b + t A^T u) and ||b(t)||^2 = ||b||^2 + 2 t u^T b + t^2 ||u||^2
-    clamped at 0, in O(n). The one writer of -b(t), for a build and for
-    every shift move alike. Each product is accurate to a few eps of its
-    terms' magnitudes, not of its value, which cancels where b(t) nearly
-    vanishes."""
-    last, row, column = system._border
-    np.multiply(system.u, -t, last)
-    last -= system.b
+    """Move system.hull to shift t in place, in O(n): -b(t)'s squared norm
+    and the last row and column of the Gram matrix now, -(A^T b + t A^T u)
+    and ||b(t)||^2 = ||b||^2 + 2 t u^T b + t^2 ||u||^2 clamped at 0, and
+    its point -b(t) = -t u - b, from the t it records, at the next read of
+    the hull's points (see ShiftedHull), which only an iterate formed from
+    V c or a certificate makes. The one function that places -b(t), for a
+    build and for every shift move alike. Each product is accurate to a
+    few eps of its terms' magnitudes, not of its value, which cancels
+    where b(t) nearly vanishes."""
+    hull = system.hull
+    row = hull.row
     np.multiply(system.at_u.base, -t, row)  # A^T u and A^T b with their trailing 0
     row -= system.at_b.base
     b_t_sq = max(0.0, system.b_sq + t * (2.0 * system.u_b + t * system.u_sq))
-    row[-1] = system.hull.sq_norms[-1] = b_t_sq
-    column[:] = row
+    row[-1] = hull.sq_norms[-1] = b_t_sq
+    hull.column[:] = row
+    hull.shift = t
 
 
 @dataclass

@@ -20,6 +20,7 @@ from hullsolve.hull import (
     TIE,
     HullConfig,
     HullInstance,
+    Iterate,
     apply_step,
     exact_iterate,
     find_pivot,
@@ -313,8 +314,9 @@ def reference_find_pivot(instance, iterate):
     point = instance.points @ iterate.coeffs
     j = _reference_pick(reference_margins(instance, point), float(point @ point))
     if j is None:
-        coeffs = iterate.coeffs / iterate.coeffs.sum()
-        vars(iterate).update(vars(exact_iterate(instance, coeffs)))
+        settled = exact_iterate(instance, iterate.coeffs / iterate.coeffs.sum())
+        for name in Iterate.__slots__:
+            setattr(iterate, name, getattr(settled, name))
     return j
 
 

@@ -11,6 +11,7 @@ from helpers import (
     centroid_coeffs,
     check_witness,
     example1_system,
+    given_arrays,
     hull_membership_2d,
     inside_instance_2d,
     invertible_system,
@@ -40,7 +41,8 @@ from hullsolve import (
     solve_nonneg,
     step_size,
 )
-from hullsolve.hull import pivot_margins
+from hullsolve import hull, incremental, two_phase
+from hullsolve.hull import TIE, exact_iterate, pivot_margins
 from hullsolve.incremental import _shift_product, move_shift, shifted_instance
 from hullsolve.system import CONVERGED, place_shift
 
@@ -441,8 +443,9 @@ class TestPairwiseStep:
 
 class TestKernelLeavesItsInput:
     """apply_step and move_shift build new iterates: the one given keeps its
-    coefficient and product bytes, whichever path the step takes, and no
-    array returned shares memory with them."""
+    coefficient, product and donor floor bytes, whichever path the step
+    takes, and no coefficients or products returned share memory with
+    them. A floor is shared until it changes, and then copied."""
 
     POINTS = np.random.default_rng(83).normal(size=(3, 4))
     COEFFS = np.array([0.3, 0.2, 0.4, 0.1])
@@ -461,11 +464,17 @@ class TestKernelLeavesItsInput:
         return instance, Iterate(cls.COEFFS.copy(), dots, 100.0, 100.0, age)
 
     @staticmethod
-    def _assert_untouched(iterate, before, stepped):
-        assert (iterate.coeffs.tobytes(), iterate.dot_cache.tobytes()) == before
+    def _bytes(iterate):
+        return iterate.coeffs.tobytes(), iterate.dot_cache.tobytes(), iterate.floor.tobytes()
+
+    @classmethod
+    def _assert_untouched(cls, iterate, before, stepped):
+        assert cls._bytes(iterate) == before
         for returned in (stepped.coeffs, stepped.dot_cache):
-            assert not np.shares_memory(returned, iterate.coeffs)
-            assert not np.shares_memory(returned, iterate.dot_cache)
+            for given in (iterate.coeffs, iterate.dot_cache, iterate.floor):
+                assert not np.shares_memory(returned, given)
+        if stepped.floor is not None and stepped.floor is not iterate.floor:
+            assert not np.shares_memory(stepped.floor, iterate.floor)
 
     @pytest.mark.parametrize(
         "path", ["triangle", "unclamped", "clamped", "dust", "refresh", "refresh-pairwise"]
@@ -477,7 +486,9 @@ class TestKernelLeavesItsInput:
         # At alpha = 0 the Triangle step lowers nothing, so a pairwise
         # step is taken whenever donors are given.
         donors, alpha = (0, 0.25) if path in ("triangle", "refresh") else (4, 0.0)
-        before = (iterate.coeffs.tobytes(), iterate.dot_cache.tobytes())
+        # A floor carried from an earlier step with every point a donor.
+        iterate.floor, iterate.donors, iterate.least = np.zeros(4), 4, 0.1
+        before = self._bytes(iterate)
         stepped = apply_step(instance, iterate, 0, alpha, donors)
         self._assert_untouched(iterate, before, stepped)
         again = apply_step(instance, iterate, 0, alpha, donors)
@@ -501,14 +512,19 @@ class TestKernelLeavesItsInput:
         instance = shifted_instance(system, 0.0)
         kept = [(v.tobytes(), v.shape) for v in (system.at_u, system.at_b)]
         iterate = make_iterate(instance, rng.dirichlet(np.ones(n + 1)))
+        iterate = apply_step(instance, iterate, 0, 0.5, donors=n)
+        assert iterate.floor is not None
         t0 = 0.0
         for t in (0.5, 2.0, 1.25, 7.0):
-            before = (iterate.coeffs.tobytes(), iterate.dot_cache.tobytes())
+            before = self._bytes(iterate)
             moved = move_shift(system, iterate, t0, t, _shift_product(system, iterate.coeffs, t0))
-            # A move keeps the coefficients, the same array, which no
-            # kernel function writes into; the products are new.
+            # A move keeps the coefficients and the donor floor, the same
+            # arrays, which no kernel function writes into; the products
+            # are new.
             assert moved.coeffs is iterate.coeffs
-            assert (iterate.coeffs.tobytes(), iterate.dot_cache.tobytes()) == before
+            assert moved.floor is iterate.floor
+            assert (moved.donors, moved.least) == (iterate.donors, iterate.least)
+            assert self._bytes(iterate) == before
             assert not np.shares_memory(moved.dot_cache, iterate.dot_cache)
             assert not np.shares_memory(moved.dot_cache, iterate.coeffs)
             iterate, t0 = moved, t
@@ -517,6 +533,206 @@ class TestKernelLeavesItsInput:
         gram = system.gram.base
         assert gram[:, -1].tobytes() == gram[-1].tobytes()
         assert instance.gram_column(n).tobytes() == _priced_border(system, 7.0).tobytes()
+
+
+def _reference_floor(coeffs, donors):
+    """The donor floor rebuilt from the weights: 0.0 where one of the first
+    donors points holds weight, -inf elsewhere."""
+    floor = np.full(coeffs.size, -np.inf)
+    floor[:donors] = np.where(coeffs[:donors] != 0, 0.0, -np.inf)
+    return floor
+
+
+def _reference_donor(iterate, donors):
+    """The pairwise step's k from the products masked by the weights, as
+    the kernel chose it before the floor was carried, or None."""
+    active = np.where(iterate.coeffs != 0, iterate.dot_cache, -np.inf)
+    active[donors:] = -np.inf
+    top = active.max()
+    if top == -np.inf:
+        return None
+    return int(np.argmax(active >= top - TIE * (abs(top) + iterate.point_sq)))
+
+
+def _assert_floor(iterate, donors):
+    """A carried floor equals the one rebuilt from the weights, its least
+    bounds every positive donor weight from below, and the donor its
+    search picks is the masked search's."""
+    if iterate.floor is None:
+        return False
+    assert iterate.donors == donors
+    assert iterate.floor.tobytes() == _reference_floor(iterate.coeffs, donors).tobytes()
+    held = iterate.coeffs[:donors][iterate.coeffs[:donors] != 0]
+    assert 0.0 < iterate.least <= held.min(initial=math.inf)
+    active = iterate.dot_cache + iterate.floor
+    top = active.max()
+    k = None if top == -np.inf else int(
+        np.argmax(active >= top - TIE * (abs(top) + iterate.point_sq))
+    )
+    assert k == _reference_donor(iterate, donors)
+    return True
+
+
+class TestCarriedDonorFloor:
+    """apply_step carries the donor floor from step to step and forms it
+    again from the weights only where a weight may have vanished: every
+    floor it carries is the rebuilt one, and every step is the step that
+    a rebuilt floor gives, byte for byte."""
+
+    POINTS = np.random.default_rng(89).normal(size=(3, 5))
+
+    @classmethod
+    def _crafted(cls, coeffs, dots):
+        """An iterate over five points at these weights and products, with
+        ||p'||^2 = 100, and the floor a step with every point a donor
+        carries: the products need not be those of the points."""
+        instance = HullInstance(cls.POINTS, np.zeros(3))
+        iterate = Iterate(np.array(coeffs, dtype=float), np.array(dots, dtype=float), 100.0,
+                          100.0, 0)
+        iterate.floor = _reference_floor(iterate.coeffs, 5)
+        held = iterate.coeffs[iterate.coeffs != 0]
+        iterate.donors, iterate.least = 5, float(held.min())
+        return instance, iterate
+
+    @staticmethod
+    def _step(instance, iterate, j, alpha, donors):
+        """The step, checked against the step from a floor rebuilt from
+        the weights: the same bytes, a carried floor that is the rebuilt
+        one, and the given floor as it was."""
+        given = None if iterate.floor is None else iterate.floor.tobytes()
+        stepped = apply_step(instance, iterate, j, alpha, donors)
+        assert given is None or iterate.floor.tobytes() == given
+        rebuilt = copy.copy(iterate)
+        rebuilt.floor = None
+        again = apply_step(instance, rebuilt, j, alpha, donors)
+        for field in ("coeffs", "dot_cache"):
+            assert getattr(stepped, field).tobytes() == getattr(again, field).tobytes()
+        assert (stepped.point_sq, stepped.tie) == (again.point_sq, again.tie)
+        _assert_floor(stepped, donors)
+        return stepped
+
+    def _pairwise(self, gamma, c_j=0.0):
+        """A pairwise step from k = 2 to j = 0 of unclamped length gamma:
+        every product -1 but d_j = 0 and the largest, d_k = gamma
+        ||v_j - v_k||^2, at alpha = 0, where the Triangle step lowers
+        nothing."""
+        gram = self.POINTS.T @ self.POINTS
+        d_k = gamma * (gram[0, 0] - 2.0 * gram[0, 2] + gram[2, 2])
+        coeffs = [c_j, 0.3, 0.4, 0.3 - c_j, 0.0]
+        instance, iterate = self._crafted(coeffs, [0.0, -1.0, d_k, -1.0, -1.0])
+        return self._step(instance, iterate, 0, 0.0, 5)
+
+    def test_alpha_one_forms_it_again(self):
+        instance, iterate = self._crafted([0.5, 0.5, 0, 0, 0], [-1.0, -2.0, -3, -3, -3])
+        # j = 0 is the donor of least margin itself: no pairwise step.
+        stepped = self._step(instance, iterate, 0, 1.0, 5)
+        assert stepped.floor is None and stepped.coeffs.tolist() == [1, 0, 0, 0, 0]
+
+    def test_clamped_transfer_takes_k_out_and_puts_j_in(self):
+        stepped = self._pairwise(0.8)
+        assert stepped.coeffs[2] == 0.0 and stepped.coeffs[0] == 0.4
+        assert stepped.floor.tolist() == [0.0, 0.0, -np.inf, 0.0, -np.inf]
+        assert stepped.least == 0.3
+
+    def test_unclamped_transfer_keeps_k(self):
+        stepped = self._pairwise(0.25, c_j=0.1)
+        assert stepped.tie == (0, 2)
+        assert stepped.floor.tolist() == [0.0, 0.0, 0.0, 0.0, -np.inf]
+        # k keeps 0.4 - 0.25, above the least weight, 0.1, which stays the
+        # bound: j's weight only grew.
+        assert stepped.least == 0.1
+
+    def test_dust_clamp_forms_it_again(self):
+        stepped = self._pairwise(0.4 - 5e-16)
+        assert stepped.coeffs[2] == 0.0 and stepped.floor is None
+
+    def test_weight_that_underflows_forms_it_again(self):
+        # keep = 2^-10 takes a weight of 2^-1070 below the least subnormal
+        # to 0: the floor must lose it. A weight of 2^-1060 stays 2^-1070.
+        for tiny, carried in ((2.0**-1070, False), (2.0**-1060, True)):
+            instance, iterate = self._crafted([1.0, tiny, 0, 0, 0], [-1.0, -2.0, -3, -3, -3])
+            stepped = self._step(instance, iterate, 0, 1.0 - 2.0**-10, 5)
+            assert (stepped.coeffs[1] > 0.0) == carried
+            assert (stepped.floor is not None) == carried
+
+    @pytest.mark.parametrize("path", ["triangle", "pairwise"])
+    def test_pivot_past_the_donors_stays_out(self, path):
+        # Point 4 plays -b(t): with donors = 4 it gains weight and never
+        # gives any, so the floor keeps -inf there.
+        dots = [-1.0, -2.0, 5.0, -3.0, 0.0] if path == "pairwise" else [-1.0, -2, -3, -3, 0.0]
+        instance, iterate = self._crafted([0.5, 0.25, 0.25, 0, 0], dots)
+        iterate.floor[4] = -np.inf  # carried for donors = 4 (point 4 holds no weight)
+        iterate.donors = 4
+        alpha = 0.0 if path == "pairwise" else 0.5
+        stepped = self._step(instance, iterate, 4, alpha, 4)
+        assert stepped.coeffs[4] > 0.0 and stepped.floor[4] == -np.inf
+        assert (stepped.coeffs[0] == 0.5) == (path == "pairwise")
+
+    def test_donor_counts(self):
+        # One iterate over n + 1 = 5 points, its floor carried for n
+        # donors, stepped to the new point 2 with donors 0, n and n + 1:
+        # 0 gives no floor, n keeps the last point out although it holds
+        # weight, and n + 1 forms the floor again and lets it in.
+        instance, iterate = self._crafted([0.5, 0.25, 0.0, 0, 0.25], [-1.0, -2, -3, -3, -4])
+        iterate.floor[4] = -np.inf
+        iterate.donors = 4
+        floors = [self._step(instance, iterate, 2, 0.5, donors).floor for donors in (0, 4, 5)]
+        assert floors[0] is None
+        assert floors[1].tolist() == [0, 0, 0, -np.inf, -np.inf]
+        assert floors[2].tolist() == [0, 0, 0, -np.inf, 0]
+
+    @pytest.mark.parametrize("kind", ["run_hull", "nonneg", "incremental"])
+    def test_every_step_of_a_solve(self, kind, monkeypatch):
+        # Every step of seeded solves on small systems: the floor each one
+        # is given and the one it returns are the rebuilt ones, the donor
+        # they pick is the masked search's, and the step is the one a
+        # rebuilt floor gives.
+        counts = {"steps": 0, "carried": 0}
+
+        def checked(instance, iterate, j, alpha, donors=0):
+            counts["steps"] += 1
+            if iterate.floor is not None and iterate.donors == donors:
+                counts["carried"] += _assert_floor(iterate, donors)
+            return self._step(instance, iterate, j, alpha, donors)
+
+        for module in (hull, two_phase, incremental):
+            monkeypatch.setattr(module, "apply_step", checked)
+        for seed in range(4):
+            rng = np.random.default_rng([91, seed])
+            if kind == "run_hull":
+                points = rng.normal(size=(6, 14))
+                run_hull(HullInstance(points, 0.3 * points.mean(axis=1)), HullConfig(epsilon=1e-3))
+            elif kind == "nonneg":
+                solve_nonneg(nonneg_system(rng, 8)[0], SolveConfig(epsilon0=1e-3))
+            else:
+                solve_incremental(invertible_system(rng, 8)[0], SolveConfig(epsilon0=1e-3))
+        assert counts["carried"] >= 0.5 * counts["steps"] > 0
+
+
+def test_moves_defer_the_point():
+    # place_shift writes -b(t)'s Gram border at every move and its point at
+    # the next read of the hull's points: the moves below leave the slot
+    # as the first placement wrote it, and the read writes -(t u) - b,
+    # byte for byte. The iterate formed then is the one a hull placed
+    # fresh at t forms.
+    rng = np.random.default_rng(87)
+    system, _ = invertible_system(rng, 7)
+    fresh = LinearSystem(*given_arrays(system))
+    instance = shifted_instance(system, 0.25)
+    first = instance.points[:, -1].copy()
+    iterate = make_iterate(instance, rng.dirichlet(np.ones(system.n + 1)))
+    t0 = 0.25
+    for t in (0.5, 3.0, 1.75):
+        iterate = move_shift(system, iterate, t0, t, _shift_product(system, iterate.coeffs, t0))
+        t0 = t
+    assert instance.shift == t0
+    assert instance._points[:, -1].tobytes() == first.tobytes()
+    assert instance.points[:, -1].tobytes() == (-(t0 * system.u) - system.b).tobytes()
+    assert instance.shift is None
+    formed = exact_iterate(instance, iterate.coeffs)
+    placed = exact_iterate(shifted_instance(fresh, t0), iterate.coeffs)
+    assert formed.dot_cache.tobytes() == placed.dot_cache.tobytes()
+    assert formed.point_sq == placed.point_sq
 
 
 def _priced_border(system, t):

@@ -680,9 +680,9 @@ def _simplex_solution_system(rng, n):
 
 @pytest.mark.parametrize(
     "kind, budget",
-    # The counts are 13.7, 10.1 and 10.1 frames a step; each budget leaves
+    # The counts are 11.7, 8.1 and 9.1 frames a step; each budget leaves
     # a margin below half a frame.
-    [("incremental", 14.0), ("nonneg", 10.4), ("run_hull", 10.5)],
+    [("incremental", 12.0), ("nonneg", 8.4), ("run_hull", 9.4)],
 )
 def test_frame_budget_per_step(kind, budget):
     # A step costs Python calls more than arithmetic at these sizes, so the
