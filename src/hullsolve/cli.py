@@ -75,7 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--phase1", action="store_true", help="nonneg mode: delta0 from Phase 1, as in the paper"
     )
-    solve.add_argument("--init", choices=sorted(_STARTS), default="nearest")
+    solve.add_argument(
+        "--init", choices=sorted(_STARTS),
+        help="centroid (incremental mode's default and only start) or nearest (nonneg mode's)",
+    )
     solve.add_argument("--max-iters", type=int, default=MAX_ITERATIONS)
     common_output(solve)
 
@@ -137,9 +140,9 @@ def _system(args) -> LinearSystem:
     return LinearSystem(matio.load_matrix(args.matrix), matio.load_vector(args.rhs))
 
 
-def _init_coeffs(args, k: int) -> np.ndarray | None:
-    """--init's start over k points: None (the nearest) or equal weights."""
-    return np.full(k, 1.0 / k) if args.init == "centroid" else None
+def _init_coeffs(init: str, k: int) -> np.ndarray | None:
+    """An --init start over k points: None (the nearest) or equal weights."""
+    return np.full(k, 1.0 / k) if init == "centroid" else None
 
 
 def _cmd_hull(args) -> tuple[dict, list | None, int]:
@@ -148,7 +151,7 @@ def _cmd_hull(args) -> tuple[dict, list | None, int]:
     config = HullConfig(
         epsilon=args.epsilon,
         max_iterations=args.max_iters,
-        init_coeffs=_init_coeffs(args, points.shape[1]),
+        init_coeffs=_init_coeffs(args.init, points.shape[1]),
         record_trace=bool(args.trace),
     )
     instance = HullInstance(points, target)
@@ -178,21 +181,23 @@ def _cmd_solve(args) -> tuple[dict, list | None, int]:
     for option, given, for_nonneg in (
         ("--phase1", args.phase1, True),
         ("--increment", args.increment is not None, False),
+        ("--init nearest", args.init == "nearest", True),
     ):
         if given and for_nonneg != nonneg:
             raise ValueError(f"{option} does not apply to --mode {args.mode}")
     increment = "quantized:1" if args.increment is None else args.increment
+    init = args.init or ("nearest" if nonneg else "centroid")
     system = _system(args)
     config = SolveConfig(
         epsilon0=args.epsilon0,
         max_iterations=args.max_iters,
-        init_coeffs=_init_coeffs(args, system.n + 1),
+        init_coeffs=_init_coeffs(init, system.n + 1),
         record_trace=bool(args.trace),
     )
     echo = {
         "mode": args.mode,
         "epsilon0": args.epsilon0,
-        "init_rule": _STARTS[args.init],
+        "init_rule": _STARTS[init],
         "max_iterations": config.max_iterations,
     }
     if nonneg:

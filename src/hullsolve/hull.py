@@ -83,8 +83,9 @@ MAX_ITERATIONS = 10**6
 # a pairwise step clears a weight it leaves that small. The Triangle step
 # clamps nothing: it only scales nonnegative weights by 1 - alpha, and no
 # weight fell in (0, COEFF_DUST) on any step of the 23 general_shift
-# reference systems, 135,066 Triangle steps alone or 14,052 better-of
-# steps (7,040 of them Triangle steps).
+# reference systems: from the centroid, 26,983 Triangle steps alone or
+# 9,020 better-of steps (5,804 of them Triangle steps), and from half on
+# the nearest point and half on -b(0), 135,066 or 14,052 (7,040).
 COEFF_DUST = 1e-15
 
 # A recursed ||p'||^2 below this fraction of the magnitudes it was summed
@@ -533,12 +534,11 @@ def apply_step(
     solve_incremental lets only the n columns give it, never -b(t): a
     transfer then never lowers alpha_b, which x0 = alpha / alpha_b and the
     estimate gap / alpha_b divide by. On the 23 general_shift reference
-    systems at epsilon0 = 0.05 that rule takes 14,052 steps instead of the
-    Triangle steps' 135,066, fewer on every system (the largest count
-    falls from 21,012 to 1,408). With -b(t) a donor too they took 72,727,
-    and more than the Triangle steps on 3 systems (systems 3, 8 and 10 of
-    the reference stream: 11,478 -> 13,917, 4,490 -> 10,777 and 4,398 ->
-    10,537).
+    systems at epsilon0 = 0.05, from the centroid, that rule takes 9,020
+    steps instead of the Triangle steps' 26,983, fewer on every system
+    (the largest count falls from 3,043 to 1,096). With -b(t) a donor too
+    they take 22,675, more than the Triangle steps on 9 systems, up to
+    1.66 times (system 20 of the reference stream: 1,169 -> 1,937).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")

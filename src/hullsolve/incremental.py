@@ -16,9 +16,11 @@ shift gives the next shift to try. That holds at alpha_b = 0 too: the
 iterate's point then does not move with t, the column quadratics are
 negative constants, and -b(t)'s is a line that rises, since u^T p' is the
 sum of the columns' products a_i^T p' > ||p'||^2 / 2 at a witness; its
-root is the next shift. The solver starts half on the point nearest the
-origin and half on -b(0), and while alpha_b < ALPHA_FLOOR, where no x0
-can be recovered, a pass takes its step without the shift
+root is the next shift. The solver starts at the centroid, weight
+1 / (n + 1) on each point: A y = b + t u is solved by y = x* + t e, so
+once t > t* the origin's weights over the set are (x* + t e, 1) / Z,
+which tend to equal weights as t grows. While alpha_b < ALPHA_FLOOR,
+where no x0 can be recovered, a pass takes its step without the shift
 re-optimisation or the residual check. The final answer is x = x0 - t e.
 
 A change of shift moves only the last point, -b(t), so the solver runs on
@@ -331,8 +333,8 @@ def solve_incremental(
 ) -> SolveOutcome:
     """Solve A x = b with no sign assumption, to relative residual epsilon0.
 
-    The run starts from config.init_coeffs as given, or, when None, from
-    weight 1/2 on the point nearest the origin and 1/2 on -b(0). The loop
+    The run starts from config.init_coeffs as given, or, when None, at
+    the centroid: weight 1/(n + 1) on each column and on -b(0). The loop
     per pass, while alpha_b >= ALPHA_FLOOR: recover x0 from the iterate,
     move the shift t to the tau0 >= t minimizing E(t) = ||A x0 - (b + t u)||,
     in O(n) from the iterate, and stop with x = x0 - tau0 e once
@@ -374,11 +376,7 @@ def solve_incremental(
     instance = shifted_instance(system, t0)
     init_coeffs = config.init_coeffs
     if init_coeffs is None:
-        # Half on the nearest point and half on -b(0): the first pass has
-        # an x0 to re-optimise the shift for.
-        init_coeffs = np.zeros(n + 1)
-        init_coeffs[int(instance.sq_norms.argmin())] = 0.5
-        init_coeffs[n] += 0.5
+        init_coeffs = np.full(n + 1, 1.0 / (n + 1))
     iterate = initial_iterate(instance, init_coeffs)
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0

@@ -178,6 +178,13 @@ def _is_data(raw: str) -> bool:
     return not _blank(raw) and not raw.lstrip().startswith("%")
 
 
+def _last_line(size_line: int, body: str) -> int:
+    """The file's last line as readlines() numbers it, for a count error:
+    text mode has made every line end "\n", and str.splitlines() would
+    split at more."""
+    return size_line + body.count("\n") + (bool(body) and not body.endswith("\n"))
+
+
 def _load_matrix_market(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
@@ -210,9 +217,6 @@ def _load_matrix_market(path: str) -> np.ndarray:
         raise ParseError("entry count must not be negative", line=size_line)
     if symmetric and rows != cols:
         raise ParseError("a symmetric matrix must be square", line=size_line)
-    # The file's last line as readlines() numbers it: text mode has made
-    # every line end "\n", and str.splitlines() would split at more.
-    last_line = size_line + body.count("\n") + (bool(body) and not body.endswith("\n"))
 
     if coordinate:
         nnz = counts[2]
@@ -223,7 +227,7 @@ def _load_matrix_market(path: str) -> np.ndarray:
             if _is_data(raw)
         ]
         if len(entries) != nnz:
-            where = entries[nnz][0] if len(entries) > nnz else last_line
+            where = entries[nnz][0] if len(entries) > nnz else _last_line(size_line, body)
             raise ParseError(f"declared {nnz} entries, found {len(entries)}", line=where)
         for lineno, raw in entries:
             fields = raw.split()
@@ -245,7 +249,8 @@ def _load_matrix_market(path: str) -> np.ndarray:
     values = _numbers(_COMMENT_LINE.sub("", body) if "%" in body else body, size_line + 1)
     expected = rows * cols if not symmetric else rows * (rows + 1) // 2
     if values.size != expected:
-        raise ParseError(f"expected {expected} values, found {values.size}", line=last_line)
+        where = _last_line(size_line, body)
+        raise ParseError(f"expected {expected} values, found {values.size}", line=where)
     if not symmetric:
         # Array format is column-major.
         return values.reshape((cols, rows)).T

@@ -293,9 +293,9 @@ class SolveConfig:
     solve_incremental: all of them, and separately its escalations).
     init_coeffs are convex weights over the n + 1 points a_1, ..., a_n, -b
     to start from, used as they are; None starts solve_nonneg at the point
-    nearest the origin, as in HullConfig, and solve_incremental half on
-    that point and half on -b(0) (the nonneg Phase 1 always starts from
-    the nearest column). record_trace keeps the per-step rows. The
+    nearest the origin, as in HullConfig, and solve_incremental at their
+    centroid, weight 1/(n + 1) on each (the nonneg Phase 1 always starts
+    from the nearest column). record_trace keeps the per-step rows. The
     settings of one solver alone are its keyword arguments.
     """
 

@@ -43,6 +43,16 @@ def centroid_coeffs(k: int) -> np.ndarray:
     return np.full(k, 1.0 / k)
 
 
+def nearest_half_coeffs(system: LinearSystem) -> np.ndarray:
+    """init_coeffs for solve_incremental with weight 1/2 on the point of
+    {a_1, ..., a_n, -b(0)} nearest the origin and 1/2 on -b(0), for tests
+    that pin a path or a step sequence taken from that start."""
+    coeffs = np.zeros(system.n + 1)
+    coeffs[int(shifted_instance(system, 0.0).sq_norms.argmin())] = 0.5
+    coeffs[-1] += 0.5
+    return coeffs
+
+
 def check_witness(instance: HullInstance, iterate):
     """The witness certificate of the iterate's coefficients, its margins
     and distance bracket formed from p' = V c, or None when some direct

@@ -8,8 +8,9 @@ write runs every input with the hullsolve on the path and records, per
 input: status, steps, shift_t, hashes of the bytes of x and of the witness
 coefficients and margins, the diagnostics, and a hash of the trace; for a
 command line, its exit code, output, report and trace. diff prints each
-input whose record differs, with the fields that do, and exits 1 if any
-does. The inputs:
+input whose record differs, with the fields that do, then how many differ
+in each group of inputs (a key's first path segment: forced, cli, ...),
+and exits 1 if any does. The inputs:
 
 - the general_shift and nonneg_phases systems of perfbench/workloads.py,
   the fixed reference ones and those of seeds 1-3, each solved twice on
@@ -27,7 +28,7 @@ does. The inputs:
   n = 800 files its set-up writes for seeds 1-3;
 - the headline system: a column-normalised 30 x 30 Gaussian A and a
   normal x* from default_rng(3), solved by solve_incremental at
-  epsilon0 = 1e-3 (179,156 steps).
+  epsilon0 = 1e-3 (121,630 steps).
 
 The bytes of x depend on the BLAS, so compare digests written on one
 machine. A full run takes about three minutes on a 2-core machine.
@@ -43,6 +44,7 @@ import json
 import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +191,7 @@ CI_COMMANDS = [
     f"{_SOLVE} --rhs general_rhs.txt --increment quantized:2 --report R",
     f"{_SOLVE} --rhs nonneg_rhs.txt --mode nonneg --init centroid --report R",
     f"{_SOLVE} --rhs general_rhs.txt --init centroid --report R",
+    f"{_SOLVE} --rhs general_rhs.txt --init nearest",
     "analyze --matrix nonneg_matrix.txt --rhs general_rhs.txt --report R",
     "oracle --matrix nonneg_matrix.txt --rhs general_rhs.txt",
     "oracle --points tiny_points.txt --target tiny_target.txt",
@@ -265,18 +268,23 @@ def write(path: str) -> None:
 def diff(before_path: str, after_path: str) -> int:
     before = json.loads(Path(before_path).read_text())
     after = json.loads(Path(after_path).read_text())
-    changed = 0
-    for key in sorted(before.keys() | after.keys()):
+    keys = sorted(before.keys() | after.keys())
+    groups = Counter(key.split("/", 1)[0] for key in keys)
+    moved: Counter = Counter()
+    for key in keys:
         old, new = before.get(key), after.get(key)
         if old == new:
             continue
-        changed += 1
+        moved[key.split("/", 1)[0]] += 1
         if old is None or new is None:
             print(f"{key}: only in {before_path if new is None else after_path}")
             continue
         fields = [f for f in sorted(old.keys() | new.keys()) if old.get(f) != new.get(f)]
         print(f"{key}: " + "; ".join(f"{f} {old.get(f)!r} -> {new.get(f)!r}" for f in fields))
-    print(f"{changed} of {len(before.keys() | after.keys())} inputs differ")
+    for group, count in sorted(groups.items()):
+        print(f"group {group}: {moved[group]} of {count} inputs differ")
+    changed = sum(moved.values())
+    print(f"{changed} of {len(keys)} inputs differ")
     return 1 if changed else 0
 
 

@@ -20,6 +20,7 @@ from helpers import (
     given_arrays,
     hull_membership_2d,
     inside_instance_2d,
+    nearest_half_coeffs,
     nonneg_system,
     reference_run_hull,
 )
@@ -460,24 +461,42 @@ class TestSolveCommand:
     def test_init_centroid_matches_library(self, ex2_files, tmp_path):
         # --init centroid starts from equal weights on the n + 1 = 3 points.
         matrix, rhs = ex2_files
-        first_rows = {}
-        for init in ("centroid", "nearest"):
-            report_path, trace_path = tmp_path / f"{init}.json", tmp_path / f"{init}.csv"
-            main(["solve", "--matrix", matrix, "--rhs", rhs, "--init", init,
-                  "--report", str(report_path), "--trace", str(trace_path)])
-            first_rows[init] = trace_path.read_text().splitlines()[1].split(",")
-        report = json.loads((tmp_path / "centroid.json").read_text())
+        report_path, trace_path = tmp_path / "centroid.json", tmp_path / "centroid.csv"
+        main(["solve", "--matrix", matrix, "--rhs", rhs, "--init", "centroid",
+              "--report", str(report_path), "--trace", str(trace_path)])
+        first_row = trace_path.read_text().splitlines()[1].split(",")
+        report = json.loads(report_path.read_text())
         assert report["config"]["init_rule"] == "centroid"
         library = solve_incremental(example2_system(), SolveConfig(init_coeffs=centroid_coeffs(3)))
         assert (report["status"], report["iterations"], report["x"]) == (
             library.status, library.iterations, library.x.tolist()
         )
-        # The first step tells the starts apart, far from any tie: it ends
-        # at residual 0.6 with t = 2.2 from the centroid, at 1.2 with
-        # t = 1.4 from the nearest point.
-        for init, t, value in (("centroid", 2.2, 0.6), ("nearest", 1.4, 1.2)):
-            assert float(first_rows[init][1]) == pytest.approx(t, abs=1e-12)
-            assert float(first_rows[init][2]) == pytest.approx(value, abs=1e-3)
+        # The first step tells it apart from the start half on the nearest
+        # point and half on -b(0), far from any tie: it ends at residual
+        # 0.6 with t = 2.2 from the centroid, at 1.2 with t = 1.4 from that
+        # start.
+        assert float(first_row[1]) == pytest.approx(2.2, abs=1e-12)
+        assert float(first_row[2]) == pytest.approx(0.6, abs=1e-3)
+        system = example2_system()
+        config = SolveConfig(init_coeffs=nearest_half_coeffs(system), record_trace=True)
+        other = solve_incremental(system, config).trace[0]
+        assert other.t == pytest.approx(1.4, abs=1e-12)
+        assert other.value == pytest.approx(1.2, abs=1e-3)
+
+    def test_default_start_is_the_centroid(self, ex2_files, tmp_path):
+        # In incremental mode the report and trace without --init are those
+        # of --init centroid, apart from the wall time.
+        matrix, rhs = ex2_files
+        outputs = []
+        for init in ([], ["--init", "centroid"]):
+            report_path, trace_path = tmp_path / "report.json", tmp_path / "trace.csv"
+            assert main(["solve", "--matrix", matrix, "--rhs", rhs, *init,
+                         "--report", str(report_path), "--trace", str(trace_path)]) == 0
+            report = json.loads(report_path.read_text())
+            report.pop("wall_time_s")
+            outputs.append((report, trace_path.read_text()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]["config"]["init_rule"] == "centroid"
 
     def test_bad_increment_spec_exit_two(self, ex2_files):
         matrix, rhs = ex2_files
@@ -516,7 +535,7 @@ WITNESS_KEYS = {"witness_margins", "distance_bracket"}
                      id="solve-converged-incremental"),
         pytest.param("ex2", ["solve", "--mode", "nonneg"], "infeasible_nonneg",
                      SOLVE_KEYS | WITNESS_KEYS, id="solve-infeasible"),
-        pytest.param("ex1", ["solve", "--max-iters", "1"], "cap_exceeded", SOLVE_KEYS,
+        pytest.param("ex2", ["solve", "--max-iters", "1"], "cap_exceeded", SOLVE_KEYS,
                      id="solve-cap"),
         pytest.param("0.5", ["hull", "--epsilon", "0.05"], "in_hull_approx",
                      HULL_KEYS | {"certifying_vertex"}, id="hull-in"),
@@ -811,10 +830,12 @@ class TestOutputPath:
             ("hull --points square --target outside", 1,
              "hull: not_in_hull gap=1.118034e+00 iterations=0\n"),
             ("solve --matrix diagonal --rhs ones", 0,
-             "solve: converged residual=0.000000e+00 shift=0 iterations=1\n"),
+             "solve: converged residual=7.878521e-09 shift=0.5 iterations=11\n"),
             ("solve --matrix identity --rhs flipped --epsilon0 0.1", 0,
-             "solve: converged residual=1.313198e-01 shift=0.907143 iterations=3\n"),
-            ("solve --matrix identity --rhs quarters --epsilon0 1e-12 --max-iters 1", 1,
+             "solve: converged residual=0.000000e+00 shift=1 iterations=1\n"),
+            ("solve --matrix identity --rhs quarters --epsilon0 1e-12 --max-iters 1", 0,
+             "solve: converged residual=0.000000e+00 shift=0.5 iterations=1\n"),
+            ("solve --matrix diagonal --rhs ones --max-iters 1", 1,
              "solve: cap_exceeded iterations=1\n"),
             ("analyze --matrix diagonal --rhs mixed", 0,
              "n = 2\nrho = 2.0\nlambda_min = 1.0\nlambda_max = 4.0\n"
@@ -1045,6 +1066,9 @@ class TestNoTraceback:
             (["--mode", "incremental"], ["--phase1"]),
             (["--mode", "nonneg"], ["--increment", "quantized:1"]),
             (["--mode", "nonneg"], ["--increment", "double"]),
+            # Incremental mode starts at the centroid only.
+            ([], ["--init", "nearest"]),
+            (["--mode", "incremental"], ["--init", "nearest"]),
         ],
     )
     def test_option_of_the_other_mode_exit_two(self, ex1_files, tmp_path, capsys, mode, option):
@@ -1052,8 +1076,9 @@ class TestNoTraceback:
         report_path = tmp_path / "report.json"
         argv = ["solve", "--matrix", matrix, "--rhs", rhs, *mode, *option]
         assert main([*argv, "--report", str(report_path)]) == 2
+        refused = " ".join(option) if option[0] == "--init" else option[0]
         other = "nonneg" if option[0] == "--increment" else "incremental"
-        assert capsys.readouterr().err == f"error: {option[0]} does not apply to --mode {other}\n"
+        assert capsys.readouterr() == ("", f"error: {refused} does not apply to --mode {other}\n")
         assert not report_path.exists()
 
     @pytest.mark.parametrize("mode", ["incremental", "nonneg"])
@@ -1064,11 +1089,13 @@ class TestNoTraceback:
         report_path = tmp_path / "report.json"
         argv = ["solve", "--matrix", matrix, "--rhs", rhs, "--mode", mode]
         assert main([*argv, "--report", str(report_path)]) == 0
-        own = {"incremental": {"increment": "quantized:1"}, "nonneg": {"delta0_policy": "skip"}}
+        own = {
+            "incremental": {"increment": "quantized:1", "init_rule": "centroid"},
+            "nonneg": {"delta0_policy": "skip", "init_rule": "nearest_vertex"},
+        }
         assert json.loads(report_path.read_text())["config"] == {
             "mode": mode,
             "epsilon0": 1e-8,
-            "init_rule": "nearest_vertex",
             "max_iterations": 10**6,
             **own[mode],
         }
@@ -1143,7 +1170,7 @@ class TestNoTraceback:
             "error: A e = 0: the all-ones vector is a null vector; A is singular\n"
         )
 
-    @pytest.mark.parametrize("mode, steps", [("incremental", 5), ("nonneg", 116)])
+    @pytest.mark.parametrize("mode, steps", [("incremental", 0), ("nonneg", 116)])
     def test_ones_image_past_double_range_solves_as_unscaled(self, tmp_path, mode, steps):
         # Every column's and b's squared norm fits, but ||A e||^2 overflows
         # a double. The system is stored times a power of two, as it is

@@ -16,6 +16,7 @@ from helpers import (
     given_arrays,
     given_units,
     invertible_system,
+    nearest_half_coeffs,
     nonneg_system,
 )
 from hullsolve import (
@@ -295,6 +296,34 @@ class TestSolveIncremental:
         # Final shift is large enough that x0 = x + t e is nonnegative.
         assert (outcome.x + outcome.shift_t * np.ones(2) >= -1e-9).all()
 
+    @pytest.mark.parametrize("increment", ["quantized:1", "double"])
+    def test_default_start_is_the_centroid(self, increment):
+        # Without init_coeffs the run starts at equal weights 1/(n + 1) on
+        # the n columns and -b(0): the same run, byte for byte, with the
+        # shift re-optimised and with it pinned, which forces escalations.
+        rng = np.random.default_rng(67)
+        escalations = 0
+        for n in (3, 6, 9):
+            system, _ = invertible_system(rng, n)
+            for hook in (None, lambda tau: 0.0):
+                runs = [
+                    solve_incremental(
+                        system,
+                        SolveConfig(epsilon0=1e-4, init_coeffs=coeffs, record_trace=True),
+                        increment=increment,
+                        tau_hook=hook,
+                    )
+                    for coeffs in (None, centroid_coeffs(n + 1))
+                ]
+                default, centroid = (
+                    (o.status, o.iterations, o.shift_t, o.x.tobytes(), repr(o.trace))
+                    for o in runs
+                )
+                assert default == centroid
+                assert runs[0].status == CONVERGED
+                escalations += runs[0].diagnostics["escalations"]
+        assert escalations >= 5
+
     @pytest.mark.parametrize("quantum", [0, -5])
     def test_bad_quantum_raises_before_the_first_step(self, monkeypatch, quantum):
         # A solve that never escalates would otherwise not look at the rule.
@@ -395,9 +424,8 @@ class TestSolveIncremental:
         rng = np.random.default_rng(61)
         systems = [invertible_system(rng, n)[0] for n in (4, 7, 10)]
         for system, (iterations, shifts) in zip(systems, expected):
-            outcome = solve_incremental(
-                system, SolveConfig(epsilon0=0.05), increment=INCREMENTS[policy], tau_hook=hook
-            )
+            config = SolveConfig(epsilon0=0.05, init_coeffs=nearest_half_coeffs(system))
+            outcome = solve_incremental(system, config, increment=INCREMENTS[policy], tau_hook=hook)
             assert outcome.diagnostics["policy"] == policy
             assert outcome.status == CONVERGED
             assert outcome.iterations == iterations
@@ -533,7 +561,8 @@ def test_only_columns_give_weight(monkeypatch):
     monkeypatch.setattr(incremental, "apply_step", step)
     monkeypatch.setattr(two_phase, "apply_step", step)
     system, _ = invertible_system(np.random.default_rng(5), 10)
-    assert solve_incremental(system, SolveConfig(epsilon0=1e-3)).status == CONVERGED
+    config = SolveConfig(epsilon0=1e-3, init_coeffs=nearest_half_coeffs(system))
+    assert solve_incremental(system, config).status == CONVERGED
     assert {donors for donors, *_ in calls} == {10}
     assert sum(rhs_least for *_, rhs_least, _ in calls) >= 0.9 * len(calls)
     transfers = [rise for _, _, transfer, _, rise in calls if transfer]
