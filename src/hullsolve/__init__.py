@@ -34,7 +34,6 @@ from .incremental import (
     optimize_shift_tau0,
     solve_incremental,
 )
-from .oracles import min_norm_point, solve_exact
 from .system import (
     CONVERGED,
     INFEASIBLE_NONNEG,

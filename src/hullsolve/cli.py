@@ -1,17 +1,21 @@
 """Command-line interface.
 
 Subcommands: hull (membership query), solve (linear system, nonneg or
-incremental mode), analyze (a-priori bounds), oracle (ground-truth
-utilities), bench (random instance suites). Each computes its result and
-returns (report, trace, exit code); main then has the one output path:
-it stamps wall_time_s, writes --report, then --trace, and only then
-prints a summary read from the report, so a failed write exits 2 with
-nothing printed, and so does a stdout its reader closed. Exit codes: 0 on
-success, 1 when the run ended without convergence (witness or cap,
-certificate in the report), 2 on an input error: a ValueError,
-MemoryError or OSError. Every exception hullsolve
-raises is a ValueError: unreadable or malformed files, mismatched
-shapes, a singular matrix, a degenerate pivot that no point certifies.
+incremental mode), analyze (a-priori bounds), bench (random instance
+suites). Each run starts where its solver starts with no weights given:
+hull and nonneg mode at the point nearest the target, incremental mode at
+the centroid, and its report's init_rule names that start.
+
+Each command computes its result and returns (report, trace, exit code);
+main then has the one output path: it stamps wall_time_s, writes
+--report, then --trace, and only then prints a summary read from the
+report, so a failed write exits 2 with nothing printed, and so does a
+stdout its reader closed. Exit codes: 0 on success, 1 when the run ended
+without convergence (witness or cap, certificate in the report), 2 on an
+input error: a ValueError, MemoryError or OSError. Every exception
+hullsolve raises is a ValueError: unreadable or malformed files,
+mismatched shapes, a singular matrix, a degenerate pivot that no point
+certifies.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import time
 
 import numpy as np
 
-from . import bounds, incremental, matio, oracles, two_phase
+from . import bounds, incremental, matio, two_phase
 from .hull import (
     IN_HULL_APPROX,
     MAX_ITERATIONS,
@@ -36,9 +40,6 @@ from .hull import (
 from .system import CONVERGED, LinearSystem, SolveConfig
 
 __all__ = ["main"]
-
-# --init choices and the start name each report echoes.
-_STARTS = {"nearest": "nearest_vertex", "centroid": "centroid"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hull.add_argument("--points", required=True, help="matrix file; columns are points")
     hull.add_argument("--target", required=True, help="vector file; the query point")
     hull.add_argument("--epsilon", type=float, default=1e-2)
-    hull.add_argument("--init", choices=sorted(_STARTS), default="nearest")
     hull.add_argument("--max-iters", type=int, default=MAX_ITERATIONS)
     common_output(hull)
 
@@ -75,10 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--phase1", action="store_true", help="nonneg mode: delta0 from Phase 1, as in the paper"
     )
-    solve.add_argument(
-        "--init", choices=sorted(_STARTS),
-        help="centroid (incremental mode's default and only start) or nearest (nonneg mode's)",
-    )
     solve.add_argument("--max-iters", type=int, default=MAX_ITERATIONS)
     common_output(solve)
 
@@ -86,13 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--matrix", required=True)
     analyze.add_argument("--rhs", required=True)
     analyze.add_argument("--report", metavar="OUT.json")
-
-    oracle = sub.add_parser("oracle", help="ground-truth utilities (debugging)")
-    oracle.add_argument("--matrix")
-    oracle.add_argument("--rhs")
-    oracle.add_argument("--points")
-    oracle.add_argument("--target")
-    oracle.add_argument("--report", metavar="OUT.json")
 
     bench = sub.add_parser("bench", help="random instance benchmark suites")
     bench.add_argument("--suite", choices=["membership", "nonneg", "general"], required=True)
@@ -140,18 +129,12 @@ def _system(args) -> LinearSystem:
     return LinearSystem(matio.load_matrix(args.matrix), matio.load_vector(args.rhs))
 
 
-def _init_coeffs(init: str, k: int) -> np.ndarray | None:
-    """An --init start over k points: None (the nearest) or equal weights."""
-    return np.full(k, 1.0 / k) if init == "centroid" else None
-
-
 def _cmd_hull(args) -> tuple[dict, list | None, int]:
     points = matio.load_matrix(args.points)
     target = matio.load_vector(args.target)
     config = HullConfig(
         epsilon=args.epsilon,
         max_iterations=args.max_iters,
-        init_coeffs=_init_coeffs(args.init, points.shape[1]),
         record_trace=bool(args.trace),
     )
     instance = HullInstance(points, target)
@@ -160,7 +143,7 @@ def _cmd_hull(args) -> tuple[dict, list | None, int]:
         "command": "hull",
         "config": {
             "epsilon": args.epsilon,
-            "init_rule": _STARTS[args.init],
+            "init_rule": "nearest_vertex",
             "max_iterations": config.max_iterations,
         },
         "gap": outcome.iterate.gap,
@@ -178,26 +161,19 @@ def _cmd_hull(args) -> tuple[dict, list | None, int]:
 
 def _cmd_solve(args) -> tuple[dict, list | None, int]:
     nonneg = args.mode == "nonneg"
-    for option, given, for_nonneg in (
-        ("--phase1", args.phase1, True),
-        ("--increment", args.increment is not None, False),
-        ("--init nearest", args.init == "nearest", True),
-    ):
-        if given and for_nonneg != nonneg:
-            raise ValueError(f"{option} does not apply to --mode {args.mode}")
+    if args.phase1 and not nonneg:
+        raise ValueError("--phase1 does not apply to --mode incremental")
+    if args.increment is not None and nonneg:
+        raise ValueError("--increment does not apply to --mode nonneg")
     increment = "quantized:1" if args.increment is None else args.increment
-    init = args.init or ("nearest" if nonneg else "centroid")
     system = _system(args)
     config = SolveConfig(
-        epsilon0=args.epsilon0,
-        max_iterations=args.max_iters,
-        init_coeffs=_init_coeffs(init, system.n + 1),
-        record_trace=bool(args.trace),
+        epsilon0=args.epsilon0, max_iterations=args.max_iters, record_trace=bool(args.trace)
     )
     echo = {
         "mode": args.mode,
         "epsilon0": args.epsilon0,
-        "init_rule": _STARTS[init],
+        "init_rule": "nearest_vertex" if nonneg else "centroid",
         "max_iterations": config.max_iterations,
     }
     if nonneg:
@@ -215,23 +191,6 @@ def _cmd_analyze(args) -> tuple[dict, list | None, int]:
     analysis = bounds.analyze_system(system)
     rho = system.unscaled(system.rho)
     return {"command": "analyze", "n": system.n, "rho": rho, **vars(analysis)}, None, 0
-
-
-def _cmd_oracle(args) -> tuple[dict, list | None, int]:
-    report: dict = {"command": "oracle"}
-    if args.matrix and args.rhs:
-        x_star = oracles.solve_exact(_system(args))
-        report["x_star"] = x_star
-        report["t_star"] = max(0.0, -float(x_star.min()))
-    elif args.points and args.target:
-        points = matio.load_matrix(args.points)
-        target = matio.load_vector(args.target)
-        delta, weights = oracles.min_norm_point(points, target)
-        report["membership"], report["delta_exact"] = oracles.hull_verdict(points, target, delta)
-        report["coeffs"] = weights
-    else:
-        raise ValueError("oracle needs --matrix/--rhs or --points/--target")
-    return report, None, 0
 
 
 def _bench_instance(suite: str, size: int, index: int, seed: int, epsilon0: float) -> dict:
@@ -295,7 +254,6 @@ _COMMANDS = {
     "hull": _cmd_hull,
     "solve": _cmd_solve,
     "analyze": _cmd_analyze,
-    "oracle": _cmd_oracle,
     "bench": _cmd_bench,
 }
 

@@ -82,10 +82,9 @@ MAX_ITERATIONS = 10**6
 # _clean_coeffs clamps them to zero in the coefficients a caller gives, and
 # a pairwise step clears a weight it leaves that small. The Triangle step
 # clamps nothing: it only scales nonnegative weights by 1 - alpha, and no
-# weight fell in (0, COEFF_DUST) on any step of the 23 general_shift
-# reference systems: from the centroid, 26,983 Triangle steps alone or
-# 9,020 better-of steps (5,804 of them Triangle steps), and from half on
-# the nearest point and half on -b(0), 135,066 or 14,052 (7,040).
+# weight fell in (0, COEFF_DUST) on any step of the general_shift
+# reference systems, from either start (CHANGES.md has the counts, in the
+# entry on the centroid start of solve_incremental).
 COEFF_DUST = 1e-15
 
 # A recursed ||p'||^2 below this fraction of the magnitudes it was summed
@@ -533,12 +532,11 @@ def apply_step(
     run_hull and solve_nonneg let every point give weight.
     solve_incremental lets only the n columns give it, never -b(t): a
     transfer then never lowers alpha_b, which x0 = alpha / alpha_b and the
-    estimate gap / alpha_b divide by. On the 23 general_shift reference
-    systems at epsilon0 = 0.05, from the centroid, that rule takes 9,020
-    steps instead of the Triangle steps' 26,983, fewer on every system
-    (the largest count falls from 3,043 to 1,096). With -b(t) a donor too
-    they take 22,675, more than the Triangle steps on 9 systems, up to
-    1.66 times (system 20 of the reference stream: 1,169 -> 1,937).
+    estimate gap / alpha_b divide by. On the general_shift reference
+    systems that rule takes fewer steps than Triangle steps alone, on every
+    system; with -b(t) a donor too it takes more than them on some
+    (CHANGES.md has the counts, in the entry on the centroid start of
+    solve_incremental).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")

@@ -388,8 +388,6 @@ def solve_incremental(
         # reseeds is always 0 and kept because perfbench's workloads read
         # it; it goes with the benchmark change of ROADMAP item 6.
         diagnostics.update(escalations=escalations, reseeds=0, shifts=shifts)
-        if status == SOLVE_CAP_EXCEEDED:
-            diagnostics["last_t"] = t0
         return solve_outcome(
             system, status, steps, residual, x=x, shift_t=t0, trace=trace, diagnostics=diagnostics
         )

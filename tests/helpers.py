@@ -28,9 +28,9 @@ from hullsolve.hull import (
     step_size,
     witness_of,
 )
-from hullsolve.oracles import hull_verdict
 from hullsolve.system import shifted_instance
 from hullsolve.two_phase import _phase1_outcome
+from oracles import hull_verdict
 
 # An increment spec for solve_incremental for each rule name its
 # diagnostics["policy"] reports.

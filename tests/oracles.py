@@ -1,10 +1,11 @@
-"""Independent ground truth used to validate the solvers.
+"""Independent ground truth the tests validate the solvers against.
 
 Nothing here shares logic with the Triangle Algorithm: the linear solve is
 plain Gaussian elimination with partial pivoting, and the distance from a
 point to the hull of points in any dimension, with the weights of its
 nearest point, comes from Wolfe's finite minimum-norm-point algorithm, the
-one hull-distance oracle. Only the input checks are shared.
+one hull-distance oracle. Only the input checks of hullsolve are shared.
+The tests import it as a top-level module: pytest puts tests/ on the path.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 
 import numpy as np
 
-from .hull import check_query, check_scale
-from .system import LinearSystem, SingularMatrixError
+from hullsolve.hull import check_query, check_scale
+from hullsolve.system import LinearSystem, SingularMatrixError
 
 __all__ = [
     "solve_exact",

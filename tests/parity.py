@@ -30,9 +30,12 @@ and exits 1 if any does. The inputs:
   normal x* from default_rng(3), solved by solve_incremental at
   epsilon0 = 1e-3 (121,630 steps).
 
-The bytes of x depend on the BLAS, so compare digests written on one
-machine. A full run takes about three minutes on a 2-core machine.
-pytest does not collect this file.
+The bytes of x depend on the BLAS, and at n = 800 on its thread count
+too, so the BLAS runs one thread: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS are set to 1 before numpy loads, as in
+perfbench/run.py. Compare digests written on one machine. A full run
+takes about three minutes on a 2-core machine. pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -41,13 +44,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
@@ -140,7 +147,6 @@ def forced_inputs(records: dict) -> None:
 # The files and commands of the CI workflow's installed-package step.
 CI_FILES = {
     "oracle_points.txt": "3 5\n1 0 0 1 2\n0 1 0 1 2\n0 0 1 1 3\n",
-    "oracle_target.txt": "3 1\n0\n0\n0\n",
     "hull_target.txt": "3 1\n0.4\n0.4\n0.4\n",
     "far_points.txt": "3 5\n1001 1000 1000 1001 1002\n1000 1001 1000 1001 1002\n"
     "1000 1000 1001 1001 1003\n",
@@ -169,9 +175,7 @@ CI_FILES = {
 
 _SOLVE = "solve --matrix nonneg_matrix.txt --epsilon0 1e-6"
 CI_COMMANDS = [
-    "oracle --points oracle_points.txt --target oracle_target.txt",
     "hull --points oracle_points.txt --target hull_target.txt --trace T --report R",
-    "hull --points oracle_points.txt --target hull_target.txt --init centroid --report R",
     "hull --points far_points.txt --target far_target.txt --epsilon 1e-6",
     "hull --points square_points.txt --target square_target.txt --epsilon 1e-200",
     f"{_SOLVE} --rhs nonneg_rhs.txt --mode nonneg --trace T --report R",
@@ -189,12 +193,8 @@ CI_COMMANDS = [
     f"{_SOLVE} --rhs general_rhs.txt --trace T --report R",
     f"{_SOLVE} --rhs general_rhs.txt --increment double --report R",
     f"{_SOLVE} --rhs general_rhs.txt --increment quantized:2 --report R",
-    f"{_SOLVE} --rhs nonneg_rhs.txt --mode nonneg --init centroid --report R",
-    f"{_SOLVE} --rhs general_rhs.txt --init centroid --report R",
-    f"{_SOLVE} --rhs general_rhs.txt --init nearest",
     "analyze --matrix nonneg_matrix.txt --rhs general_rhs.txt --report R",
-    "oracle --matrix nonneg_matrix.txt --rhs general_rhs.txt",
-    "oracle --points tiny_points.txt --target tiny_target.txt",
+    "hull --points tiny_points.txt --target tiny_target.txt",
     "bench --suite nonneg --sizes 30 --count 2 --epsilon0 0.01 --report R",
     "bench --suite membership --sizes 10 30 --count 2 --epsilon0 0.05 --report R",
     "bench --suite general --sizes 10 30 50 --count 2 --epsilon0 0.05 --report R",

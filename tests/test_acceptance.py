@@ -56,7 +56,7 @@ from hullsolve.incremental import (
     shifted_instance,
 )
 from hullsolve.hull import initial_iterate
-from hullsolve.oracles import min_norm_point, solve_exact
+from oracles import min_norm_point, solve_exact
 
 
 def report(number: int, ok: bool, detail: str) -> None:

@@ -19,8 +19,8 @@ from helpers import (
     invertible_system,
 )
 from hullsolve import LinearSystem, SolveConfig, analyze_system
-from hullsolve.oracles import min_norm_point, solve_exact
 from hullsolve.two_phase import _phase1_outcome
+from oracles import min_norm_point, solve_exact
 
 
 class TestDelta0LowerBound:

@@ -18,8 +18,6 @@ from helpers import (
     centroid_coeffs,
     example2_system,
     given_arrays,
-    hull_membership_2d,
-    inside_instance_2d,
     nearest_half_coeffs,
     nonneg_system,
     reference_run_hull,
@@ -47,6 +45,7 @@ from hullsolve.matio import (
     load_matrix,
     load_vector,
 )
+from oracles import min_norm_point
 
 
 @pytest.fixture
@@ -459,22 +458,28 @@ class TestSolveCommand:
         assert blobs[0] == blobs[1]
 
     def test_init_centroid_matches_library(self, ex2_files, tmp_path):
-        # --init centroid starts from equal weights on the n + 1 = 3 points.
+        # An incremental solve ends as solve_incremental does from explicit
+        # equal weights on the n + 1 = 3 points.
         matrix, rhs = ex2_files
-        report_path, trace_path = tmp_path / "centroid.json", tmp_path / "centroid.csv"
-        main(["solve", "--matrix", matrix, "--rhs", rhs, "--init", "centroid",
-              "--report", str(report_path), "--trace", str(trace_path)])
-        first_row = trace_path.read_text().splitlines()[1].split(",")
+        report_path = tmp_path / "report.json"
+        assert main(["solve", "--matrix", matrix, "--rhs", rhs, "--report", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
-        assert report["config"]["init_rule"] == "centroid"
         library = solve_incremental(example2_system(), SolveConfig(init_coeffs=centroid_coeffs(3)))
-        assert (report["status"], report["iterations"], report["x"]) == (
-            library.status, library.iterations, library.x.tolist()
+        assert (report["status"], report["iterations"], report["x"], report["shift_t"]) == (
+            library.status, library.iterations, library.x.tolist(), library.shift_t
         )
-        # The first step tells it apart from the start half on the nearest
-        # point and half on -b(0), far from any tie: it ends at residual
-        # 0.6 with t = 2.2 from the centroid, at 1.2 with t = 1.4 from that
-        # start.
+
+    def test_default_start_is_the_centroid(self, ex2_files, tmp_path):
+        # The report names the centroid start, and the first step tells it
+        # apart from the start half on the nearest point and half on -b(0),
+        # far from any tie: it ends at residual 0.6 with t = 2.2 from the
+        # centroid, at 1.2 with t = 1.4 from that start.
+        matrix, rhs = ex2_files
+        report_path, trace_path = tmp_path / "report.json", tmp_path / "trace.csv"
+        assert main(["solve", "--matrix", matrix, "--rhs", rhs,
+                     "--report", str(report_path), "--trace", str(trace_path)]) == 0
+        first_row = trace_path.read_text().splitlines()[1].split(",")
+        assert json.loads(report_path.read_text())["config"]["init_rule"] == "centroid"
         assert float(first_row[1]) == pytest.approx(2.2, abs=1e-12)
         assert float(first_row[2]) == pytest.approx(0.6, abs=1e-3)
         system = example2_system()
@@ -482,21 +487,6 @@ class TestSolveCommand:
         other = solve_incremental(system, config).trace[0]
         assert other.t == pytest.approx(1.4, abs=1e-12)
         assert other.value == pytest.approx(1.2, abs=1e-3)
-
-    def test_default_start_is_the_centroid(self, ex2_files, tmp_path):
-        # In incremental mode the report and trace without --init are those
-        # of --init centroid, apart from the wall time.
-        matrix, rhs = ex2_files
-        outputs = []
-        for init in ([], ["--init", "centroid"]):
-            report_path, trace_path = tmp_path / "report.json", tmp_path / "trace.csv"
-            assert main(["solve", "--matrix", matrix, "--rhs", rhs, *init,
-                         "--report", str(report_path), "--trace", str(trace_path)]) == 0
-            report = json.loads(report_path.read_text())
-            report.pop("wall_time_s")
-            outputs.append((report, trace_path.read_text()))
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0]["config"]["init_rule"] == "centroid"
 
     def test_bad_increment_spec_exit_two(self, ex2_files):
         matrix, rhs = ex2_files
@@ -609,52 +599,23 @@ class TestHullCommand:
         )
         assert code == 0
 
-    def test_init_centroid_matches_library(self, tmp_path):
-        rng = np.random.default_rng(19)
-        points = rng.normal(size=(3, 8))
-        center = points.mean(axis=1)
-        target = center + 0.5 * (points[:, 3] - center)
-        points_path, target_path = tmp_path / "pts.txt", tmp_path / "q.txt"
-        np.savetxt(points_path, points, fmt="%.17g", header="3 8", comments="")
-        np.savetxt(target_path, target[:, None], fmt="%.17g", header="3 1", comments="")
-        first_rows = {}
-        for init in ("centroid", "nearest"):
-            report_path, trace_path = tmp_path / f"{init}.json", tmp_path / f"{init}.csv"
-            main(["hull", "--points", str(points_path), "--target", str(target_path),
-                  "--init", init, "--report", str(report_path), "--trace", str(trace_path)])
-            first_rows[init] = trace_path.read_text().splitlines()[1].split(",")
-        report = json.loads((tmp_path / "centroid.json").read_text())
-        assert report["config"]["init_rule"] == "centroid"
-        library = run_hull(
-            HullInstance(points, target), HullConfig(epsilon=1e-2, init_coeffs=centroid_coeffs(8))
-        )
-        assert (report["status"], report["iterations"], report["coeffs"]) == (
-            library.status, library.iterations, library.iterate.coeffs.tolist()
-        )
-        # The target is as far from the centroid as from its nearest point,
-        # so delta0 cannot tell the starts apart; the first step can: it
-        # pivots on point 5 to gap 0.177 from the centroid, on point 1 to
-        # gap 0.048 from the nearest point.
-        for init, pivot, gap in (("centroid", "5", 0.177), ("nearest", "1", 0.048)):
-            assert first_rows[init][4] == pivot
-            assert float(first_rows[init][2]) == pytest.approx(gap, abs=1e-3)
-
     @pytest.mark.parametrize(
         "spread, max_iters, status",
         [(0.0, None, "in_hull_approx"), (1.5, None, "not_in_hull"), (0.0, 3, "cap_exceeded")],
     )
     def test_trace_rows_match_run_hull(self, tmp_path, spread, max_iters, status):
-        # One row per step, i,0.0,gap,,pivot,0, then the verdict row.
+        # One row per step, i,0.0,gap,,pivot,0, then the verdict row; the
+        # run starts at the nearest point, as run_hull does with no weights.
         rng = np.random.default_rng(19)
         points = rng.normal(size=(3, 8))
         center = points.mean(axis=1)
         target = center + spread * (points[:, 3] - center)
         points_path, target_path = tmp_path / "pts.txt", tmp_path / "q.txt"
-        trace_path = tmp_path / "trace.csv"
+        trace_path, report_path = tmp_path / "trace.csv", tmp_path / "report.json"
         points_path.write_text("3 8\n" + "\n".join(" ".join("%.17g" % v for v in row) for row in points))
         target_path.write_text("3 1\n" + "\n".join("%.17g" % v for v in target))
         argv = ["hull", "--points", str(points_path), "--target", str(target_path),
-                "--trace", str(trace_path)]
+                "--trace", str(trace_path), "--report", str(report_path)]
         if max_iters is not None:
             argv += ["--max-iters", str(max_iters)]
         main(argv)
@@ -662,6 +623,9 @@ class TestHullCommand:
         config = HullConfig(epsilon=1e-2, max_iterations=max_iters or MAX_ITERATIONS)
         outcome = run_hull(instance, config)
         assert outcome.status == status and outcome.iterations > 0
+        assert json.loads(report_path.read_text())["config"] == {
+            "epsilon": 1e-2, "init_rule": "nearest_vertex", "max_iterations": config.max_iterations
+        }
         rows = [line.split(",") for line in trace_path.read_text().splitlines()]
         assert rows[0] == TRACE_HEADER.split(",")
         steps, verdict = rows[1:-1], rows[-1]
@@ -689,77 +653,6 @@ class TestotherCommands:
         assert report["log_tau_star"] >= report["log_tau_star_prime"]
         assert report["delta0_lower"] > 0.0
 
-    def test_oracle_linear(self, ex2_files, tmp_path):
-        matrix, rhs = ex2_files
-        report_path = tmp_path / "oracle.json"
-        code = main(
-            ["oracle", "--matrix", matrix, "--rhs", rhs, "--report", str(report_path)]
-        )
-        assert code == 0
-        report = json.loads(report_path.read_text())
-        assert np.allclose(report["x_star"], [-1.0, -2.0], atol=1e-12)
-        assert report["t_star"] == pytest.approx(2.0)
-
-    def test_oracle_membership(self, tmp_path):
-        points = tmp_path / "pts.txt"
-        points.write_text("2 3\n0 2 0\n0 0 2\n")
-        target = tmp_path / "q.txt"
-        target.write_text("2 1\n0.5\n0.5\n")
-        assert main(["oracle", "--points", str(points), "--target", str(target)]) == 0
-
-    def test_oracle_requires_inputs(self):
-        assert main(["oracle"]) == 2
-
-    def test_oracle_has_no_grid_option(self, tmp_path):
-        points = tmp_path / "pts.txt"
-        points.write_text("3 4\n1 0 0 1\n0 1 0 1\n0 0 1 1\n")
-        target = tmp_path / "q.txt"
-        target.write_text("3 1\n0\n0\n0\n")
-        argv = ["oracle", "--points", str(points), "--target", str(target)]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--grid-k", "1"])
-        assert exc.value.code == 2
-
-    def test_oracle_points_in_3d(self, tmp_path, capsys):
-        # The hull's nearest point to the origin is the centroid of the
-        # three unit vectors, at distance 1/sqrt(3).
-        points = tmp_path / "pts.txt"
-        points.write_text("3 5\n1 0 0 1 2\n0 1 0 1 2\n0 0 1 1 3\n")
-        target = tmp_path / "q.txt"
-        target.write_text("3 1\n0\n0\n0\n")
-        report_path = tmp_path / "oracle.json"
-        argv = ["oracle", "--points", str(points), "--target", str(target)]
-        assert main(argv + ["--report", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
-        assert report["membership"] is False
-        assert report["delta_exact"] == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
-        coeffs = np.array(report["coeffs"])
-        assert np.allclose(coeffs, [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
-        assert "delta_exact = 0.577350269189625" in capsys.readouterr().out
-
-    def test_oracle_membership_matches_2d_geometry(self, tmp_path):
-        points = tmp_path / "pts.txt"
-        target = tmp_path / "q.txt"
-        report_path = tmp_path / "oracle.json"
-        rng = np.random.default_rng(12)
-        queries = []
-        for _ in range(10):
-            pts, p = inside_instance_2d(rng, n_points=5)
-            queries.append((pts, p + rng.normal(size=2)))
-        # A triangle 1e-6 thick and a target inside it, 5e-7 from its apex.
-        queries.append((np.array([[-1.0, 1.0, 0.0], [0.0, 0.0, 1e-6]]), np.array([0.0, 5e-7])))
-        for pts, p in queries:
-            rows = "".join(" ".join(map(repr, r)) + "\n" for r in pts.tolist())
-            points.write_text(f"2 {pts.shape[1]}\n{rows}")
-            target.write_text("2 1\n" + "".join(f"{v!r}\n" for v in p.tolist()))
-            argv = ["oracle", "--points", str(points), "--target", str(target)]
-            assert main(argv + ["--report", str(report_path)]) == 0
-            report = json.loads(report_path.read_text())
-            inside, delta = hull_membership_2d(pts, p)
-            assert report["membership"] is inside
-            assert report["delta_exact"] == pytest.approx(delta, rel=1e-12)
-            assert np.linalg.norm(pts @ report["coeffs"] - p) == pytest.approx(delta, abs=1e-12)
-
     @pytest.mark.parametrize(
         "points_text, target_text, message",
         [
@@ -772,12 +665,15 @@ class TestotherCommands:
     def test_oracle_refuses_what_hull_refuses(
         self, tmp_path, capsys, points_text, target_text, message
     ):
+        # The ground truth of tests/oracles.py checks its input as hull does.
         points, target = tmp_path / "pts.txt", tmp_path / "q.txt"
         points.write_text(points_text)
         target.write_text(target_text)
-        for command in ("oracle", "hull"):
-            assert main([command, "--points", str(points), "--target", str(target)]) == 2
-            assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert main(["hull", "--points", str(points), "--target", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        with pytest.raises(ValueError) as refused:
+            min_norm_point(load_matrix(str(points)), load_vector(str(target)))
+        assert f"{refused.value}\n".startswith(message)
 
     def test_bench_rows_sorted(self, tmp_path):
         report_path = tmp_path / "bench.json"
@@ -844,9 +740,6 @@ class TestOutputPath:
              "bound_discrepancy = False\nlog_tau_star = 2.191013317336941\n"
              "log_tau_star_prime = 0.8047189562170503\ntau_star = 8.944271909999161\n"
              "tau_star_prime = 2.23606797749979\nnear_singular = False\n"),
-            ("oracle --matrix diagonal --rhs mixed", 0, "x_star = [0.5, -1.0]\nt_star = 1.0\n"),
-            ("oracle --points square --target outside", 0,
-             "membership = False\ndelta_exact = 1.0\ncoeffs = [0.0, 0.5, 0.0, 0.5]\n"),
             ("bench --suite nonneg --sizes 3 --count 2", 0,
              "bench[0] n=3 converged iterations=2 seconds=S\n"
              "bench[1] n=3 converged iterations=4 seconds=S\n"),
@@ -894,7 +787,7 @@ class TestNoTraceback:
         target.write_text("2 1\n2e-15\n2e-15\n")
         package_root = Path(cli.__file__).parents[1]
         env = {**os.environ, "PYTHONPATH": str(package_root)}
-        argv = ["oracle", "--points", str(points), "--target", str(target)]
+        argv = ["hull", "--points", str(points), "--target", str(target)]
         proc = subprocess.Popen(
             [sys.executable, "-m", "hullsolve", *argv],
             stdout=subprocess.PIPE,
@@ -927,7 +820,7 @@ class TestNoTraceback:
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         try:
             before = len(os.listdir("/proc/self/fd"))
-            code = main(["oracle", "--points", str(points), "--target", str(target)])
+            code = main(["hull", "--points", str(points), "--target", str(target)])
             after = len(os.listdir("/proc/self/fd"))
         finally:
             os.close(scratch)
@@ -1039,23 +932,14 @@ class TestNoTraceback:
         matrix, rhs2 = ex1_files
         rhs = tmp_path / "b3.txt"
         rhs.write_text("3 1\n1\n2\n3\n")
-        for command in (["solve"], ["solve", "--mode", "nonneg"], ["analyze"], ["oracle"]):
+        for command in (["solve"], ["solve", "--mode", "nonneg"], ["analyze"]):
             assert main(command + ["--matrix", matrix, "--rhs", str(rhs)]) == 2
             err = capsys.readouterr().err
             assert err == "error: matrix is 2x2, right-hand side has length 3\n"
-        # oracle --points on 2-d points (the exact 2-d oracle) and 3-d ones;
-        # the triangle's oracle once answered for (0.5, 0.5) instead.
-        triangle, points3, target3 = tmp_path / "t.txt", tmp_path / "p3.txt", tmp_path / "q3.txt"
-        triangle.write_text("2 3\n0 2 0\n0 0 2\n")
+        points3 = tmp_path / "p3.txt"
         points3.write_text("3 2\n1 0\n0 1\n0 0\n")
-        target3.write_text("3 1\n0.5\n0.5\n1\n")
-        for command, points, target, dims in (
-            ("hull", matrix, rhs, (2, 3)),
-            ("oracle", matrix, rhs, (2, 3)),
-            ("oracle", triangle, target3, (2, 3)),
-            ("oracle", points3, rhs2, (3, 2)),
-        ):
-            assert main([command, "--points", str(points), "--target", str(target)]) == 2
+        for points, target, dims in ((matrix, rhs, (2, 3)), (points3, rhs2, (3, 2))):
+            assert main(["hull", "--points", str(points), "--target", str(target)]) == 2
             err = capsys.readouterr().err
             assert err == "error: points live in dimension %d, target in %d\n" % dims
 
@@ -1066,9 +950,6 @@ class TestNoTraceback:
             (["--mode", "incremental"], ["--phase1"]),
             (["--mode", "nonneg"], ["--increment", "quantized:1"]),
             (["--mode", "nonneg"], ["--increment", "double"]),
-            # Incremental mode starts at the centroid only.
-            ([], ["--init", "nearest"]),
-            (["--mode", "incremental"], ["--init", "nearest"]),
         ],
     )
     def test_option_of_the_other_mode_exit_two(self, ex1_files, tmp_path, capsys, mode, option):
@@ -1076,9 +957,8 @@ class TestNoTraceback:
         report_path = tmp_path / "report.json"
         argv = ["solve", "--matrix", matrix, "--rhs", rhs, *mode, *option]
         assert main([*argv, "--report", str(report_path)]) == 2
-        refused = " ".join(option) if option[0] == "--init" else option[0]
         other = "nonneg" if option[0] == "--increment" else "incremental"
-        assert capsys.readouterr() == ("", f"error: {refused} does not apply to --mode {other}\n")
+        assert capsys.readouterr() == ("", f"error: {option[0]} does not apply to --mode {other}\n")
         assert not report_path.exists()
 
     @pytest.mark.parametrize("mode", ["incremental", "nonneg"])
@@ -1270,6 +1150,37 @@ class TestNoTraceback:
         assert not report_path.exists()
 
     @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            pytest.param(["oracle", "--points", "P", "--target", "Q"],
+                         "invalid choice: 'oracle'", id="oracle"),
+            pytest.param(["hull", "--points", "P", "--target", "Q", "--init", "centroid"],
+                         "unrecognized arguments: --init centroid", id="hull-init"),
+            pytest.param(["solve", "--matrix", "A", "--rhs", "B", "--init", "centroid"],
+                         "unrecognized arguments: --init centroid", id="solve-init"),
+            pytest.param(["solve", "--matrix", "A", "--rhs", "B", "--mode", "nonneg",
+                          "--init", "centroid"],
+                         "unrecognized arguments: --init centroid", id="solve-nonneg-init"),
+        ],
+    )
+    def test_removed_invocations_exit_two(self, tmp_path, capsys, argv, refusal):
+        # The oracle left for tests/oracles.py, and --init for the one start
+        # each solver has: both meet argparse's usage error, on input files
+        # the commands read without them, before any report is written.
+        files = {"P": "2 3\n0 1e-15 0\n0 0 1e-15\n", "Q": "2 1\n2e-15\n2e-15\n",
+                 "A": "2 2\n2 1\n1 3\n", "B": "2 1\n1\n1\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        report_path = tmp_path / "report.json"
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--report", str(report_path)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hullsolve") and refusal in err
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize(
         "scale, epsilon0, cap",
         [
             pytest.param("", "1e-170", None, id="no_cap-tiny_epsilon0"),
@@ -1390,6 +1301,7 @@ def test_parity_runs_the_workflow_commands(monkeypatch):
     # tests/parity.py replays the workflow's commands from its own copy of
     # them; a command added to the workflow alone would escape its diffs.
     monkeypatch.setattr(sys, "path", list(sys.path))  # parity.py adds to it
+    monkeypatch.setattr(os, "environ", dict(os.environ))  # and pins BLAS threads
     import parity
 
     assert [_command_key(c) for c in parity.CI_COMMANDS] == [

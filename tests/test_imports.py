@@ -6,6 +6,8 @@
 - Every name a module lists in __all__ is defined at its module level.
 - No module but cli calls print: the library reports through its return
   values and logging.
+- These three checks also cover tests/oracles.py, the ground truth the
+  tests use, which is a module of the same kind.
 - Every module-level UPPER_CASE constant is read somewhere in the package,
   by name or as a module attribute; an __all__ entry or an import alone
   does not count, so a constant whose last reader is gone shows up.
@@ -32,6 +34,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hullsolve"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -88,7 +91,7 @@ def test_check_finds_unused_names():
     assert unused_imports(source) == ["os", "pi"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, ORACLES], ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -99,13 +102,13 @@ def test_checks_find_undefined_exports_and_prints():
     assert print_calls(source) == [5]
 
 
-@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*ALL_MODULES, ORACLES], ids=lambda p: p.name)
 def test_module_defines_its_exports(path):
     assert undefined_exports(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in ALL_MODULES if p.name != "cli.py"], ids=lambda p: p.name
+    "path", [p for p in [*ALL_MODULES, ORACLES] if p.name != "cli.py"], ids=lambda p: p.name
 )
 def test_library_module_does_not_print(path):
     assert print_calls(path.read_text(encoding="utf-8")) == []

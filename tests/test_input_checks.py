@@ -19,7 +19,7 @@ from hullsolve import (
 from hullsolve.hull import apply_step, make_iterate
 from hullsolve.incremental import ShiftQuadratic, next_shift
 from hullsolve.matio import FORMAT_MATRIX_MARKET, ParseError, load_matrix
-from hullsolve.oracles import solve_exact
+from oracles import solve_exact
 
 _MM_ARRAY = "%%MatrixMarket matrix array real general\n"
 

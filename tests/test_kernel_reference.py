@@ -49,7 +49,7 @@ from hullsolve import (
     solve_nonneg,
 )
 from hullsolve import hull, incremental, two_phase
-from hullsolve.oracles import hull_verdict, min_norm_point
+from oracles import hull_verdict, min_norm_point
 
 
 def _with_reference_pivots(monkeypatch, solve, *args, **kwargs):

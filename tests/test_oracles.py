@@ -12,8 +12,8 @@ from helpers import (
     inside_instance_2d,
     point_segment_distance,
 )
-from hullsolve import LinearSystem, SingularMatrixError, oracles
-from hullsolve.oracles import hull_verdict, min_norm_point, solve_exact
+from hullsolve import LinearSystem, SingularMatrixError
+from oracles import MIN_NORM_TOL, hull_verdict, min_norm_point, solve_exact
 
 
 class TestSolveExact:
@@ -102,7 +102,7 @@ def check_min_norm_point(points, target):
         # eps * radius, which moves each q_i^T x by up to about eps * radius^2.
         radius = np.sqrt(np.einsum("ij,ij->j", q, q).max())
         rounding = 16.0 * np.finfo(float).eps * radius**2
-        slack = oracles.MIN_NORM_TOL * radius * np.linalg.norm(x) + rounding
+        slack = MIN_NORM_TOL * radius * np.linalg.norm(x) + rounding
         assert (q.T @ x).min() >= x @ x - slack
     return delta
 
@@ -199,6 +199,17 @@ class TestMinNormPoint:
             target = np.array(target)
             delta = check_min_norm_point(tri, target)
             assert hull_verdict(tri, target, delta) == hull_membership_2d(tri, target)
+
+    def test_points_in_3d(self):
+        # The hull's nearest point to the origin is the centroid of the
+        # three unit vectors, at distance 1/sqrt(3).
+        points = np.array([[1.0, 0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0, 2.0],
+                           [0.0, 0.0, 1.0, 1.0, 3.0]])
+        delta = check_min_norm_point(points, np.zeros(3))
+        assert hull_verdict(points, np.zeros(3), delta) == (False, delta)
+        assert delta == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-12)
+        _, weights = min_norm_point(points, np.zeros(3))
+        assert np.allclose(weights, [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0], atol=1e-12)
 
     def test_many_points_far_target(self):
         rng = np.random.default_rng(6)

@@ -33,9 +33,9 @@ from hullsolve import (
     solve_nonneg,
 )
 from hullsolve import two_phase
-from hullsolve.oracles import min_norm_point
 from hullsolve.system import AlphaBVanishes
 from hullsolve.two_phase import _phase1_outcome
+from oracles import min_norm_point
 
 
 class TestLinearSystem:
