@@ -8,11 +8,15 @@ verified at construction time, never assumed.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from hullsolve import LinearSystem, SolveConfig, recover_solution, select_inner_epsilon
+from hullsolve import LinearSystem, SolveConfig, cli, recover_solution, select_inner_epsilon
 from hullsolve.hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
@@ -434,3 +438,104 @@ def reference_hull_target(system: LinearSystem, epsilon0: float) -> dict:
     x = recover_solution(iterate, system)
     return dict(delta0_prime=delta0_prime, inner_epsilon=inner_epsilon, steps=steps, x=x,
                 residual_norm=system.residual_norm(x))
+
+
+# hullsolve's command lines on small files: test_cli.py's test_cli_case runs
+# each in-process (and the installed-package CI step runs test_cli.py), and
+# tests/parity.py records their outputs under cli/<command>.
+CLI_FILES = {
+    "oracle_points.txt": "3 5\n1 0 0 1 2\n0 1 0 1 2\n0 0 1 1 3\n",
+    "hull_target.txt": "3 1\n0.4\n0.4\n0.4\n",
+    "far_points.txt": "3 5\n1001 1000 1000 1001 1002\n1000 1001 1000 1001 1002\n"
+    "1000 1000 1001 1001 1003\n",
+    "far_target.txt": "3 1\n1000.4\n1000.4\n1000.4\n",
+    "square_points.txt": "2 4\n0 1 0 1\n0 0 1 1\n",
+    "square_target.txt": "2 1\n0.3\n0.6\n",
+    "nonneg_matrix.txt": "3 3\n2 1 0\n1 3 1\n0 1 2\n",
+    "nonneg_rhs.txt": "3 1\n3\n5\n3\n",
+    "nonneg_array.mtx": "%%MatrixMarket matrix array real general\n% column-major\n3 3\n"
+    "2\n1\n0\n1\n3\n1\n0\n1\n2\n",
+    "nonneg_coordinate.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 7\n"
+    "1 1 2\n2 1 1\n1 2 1\n2 2 3\n3 2 1\n2 3 1\n3 3 2\n",
+    "nonneg_rhs.mtx": "%%MatrixMarket matrix array real general\n3 1\n3\n5\n3\n",
+    "null_matrix.txt": "2 2\n1 -1\n1 -1\n",
+    "null_rhs.txt": "2 1\n1\n0\n",
+    "wide_matrix.txt": "3 3\n5e153 5e153 5e153\n0 5e152 0\n0 0 5e152\n",
+    "wide_rhs.txt": "3 1\n1.5e153\n5e151\n5e151\n",
+    "negative_count.mtx": "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+    "bad_value.mtx": "%%MatrixMarket matrix array real general\n3 3\n2\n1\n0\n1\nx\n1\n0\n1\n2\n",
+    "separator_line.mtx": "%%MatrixMarket matrix array real general\n3 3\n2\n1\n\x1c\n"
+    "0\n1\n3\n1\n0\n1\n2\n",
+    "general_rhs.txt": "3 1\n1\n-2\n3\n",
+    "tiny_points.txt": "2 3\n0 1e-15 0\n0 0 1e-15\n",
+    "tiny_target.txt": "2 1\n2e-15\n2e-15\n",
+}
+
+
+class CliCase(NamedTuple):
+    """A command line, with R and T standing for its report and trace
+    paths; its exit code; the status each line of its summary names, and
+    its whole stderr but the final newline, where these are pinned."""
+
+    command: str
+    code: int
+    status: str | None = None
+    stderr: str | None = None
+
+
+_SOLVE = "solve --matrix nonneg_matrix.txt --epsilon0 1e-6"
+# One nonneg system four ways: from DenseText files, with --phase1, and
+# from Matrix Market array and coordinate copies. All give one x, in the
+# same Phase 2 steps.
+NONNEG_COPIES = [
+    f"{_SOLVE} --rhs nonneg_rhs.txt --mode nonneg --trace T --report R",
+    f"{_SOLVE} --rhs nonneg_rhs.txt --mode nonneg --phase1 --report R",
+    "solve --matrix nonneg_array.mtx --rhs nonneg_rhs.mtx --mode nonneg --epsilon0 1e-6"
+    " --report R",
+    "solve --matrix nonneg_coordinate.mtx --rhs nonneg_rhs.mtx --mode nonneg --epsilon0 1e-6"
+    " --report R",
+]
+CLI_CASES = [
+    CliCase("hull --points oracle_points.txt --target hull_target.txt --trace T --report R", 0),
+    CliCase("hull --points far_points.txt --target far_target.txt --epsilon 1e-6", 0),
+    CliCase("hull --points square_points.txt --target square_target.txt --epsilon 1e-200", 0),
+    *(CliCase(command, 0) for command in NONNEG_COPIES),
+    CliCase("solve --matrix null_matrix.txt --rhs null_rhs.txt", 2),
+    CliCase("solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode incremental --report R", 0),
+    CliCase("solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode nonneg --report R", 0),
+    CliCase("analyze --matrix negative_count.mtx --rhs null_rhs.txt", 2),
+    CliCase("analyze --matrix bad_value.mtx --rhs nonneg_rhs.txt", 2,
+            stderr="error: line 7: could not parse a numeric value"),
+    CliCase("analyze --matrix separator_line.mtx --rhs nonneg_rhs.txt", 2,
+            stderr="error: line 5: could not parse a numeric value"),
+    CliCase(f"{_SOLVE} --rhs general_rhs.txt --trace T --report R", 0),
+    CliCase(f"{_SOLVE} --rhs general_rhs.txt --increment double --report R", 0, "converged"),
+    CliCase(f"{_SOLVE} --rhs general_rhs.txt --increment quantized:2 --report R", 0,
+            "converged"),
+    CliCase("analyze --matrix nonneg_matrix.txt --rhs general_rhs.txt --report R", 0),
+    CliCase("hull --points tiny_points.txt --target tiny_target.txt", 1, "not_in_hull"),
+    CliCase("bench --suite nonneg --sizes 30 --count 2 --epsilon0 0.01 --report R", 0,
+            "converged"),
+    CliCase("bench --suite membership --sizes 10 30 --count 2 --epsilon0 0.05 --report R", 0,
+            "in_hull_approx"),
+    CliCase("bench --suite general --sizes 10 30 50 --count 2 --epsilon0 0.05 --report R", 0,
+            "converged"),
+]
+
+
+def write_cli_files(directory: Path) -> None:
+    for name, text in CLI_FILES.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
+def run_cli(directory: Path, command: str, report: Path, trace: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of cli.main on a command line whose
+    file names are read in directory, with R and T standing for the report
+    and trace paths."""
+    argv = [str(report) if token == "R" else str(trace) if token == "T"
+            else str(directory / token) if (directory / token).is_file() else token
+            for token in command.split()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()

@@ -21,14 +21,13 @@ and exits 1 if any does. The inputs:
   s < FORCED_SYSTEMS, epsilon0 = 1e-6, a 20,000-step cap and the shift
   re-optimisation pinned (tau_hook), under each increment rule, from the
   default start and from the centroid;
-- the CLI commands of the CI workflow's installed-package step, run
-  in-process on the files it writes (reports without wall_time_s, and
-  bench rows without their seconds);
+- the CLI cases of helpers.CLI_CASES, run in-process on helpers.CLI_FILES
+  (reports without wall_time_s, and bench rows without their seconds);
 - the cli_files inputs: the five commands of perfbench's CliFiles on the
   n = 800 files its set-up writes for seeds 1-3;
 - the headline system: a column-normalised 30 x 30 Gaussian A and a
   normal x* from default_rng(3), solved by solve_incremental at
-  epsilon0 = 1e-3 (121,630 steps).
+  epsilon0 = 1e-3.
 
 The bytes of x depend on the BLAS, and at n = 800 on its thread count
 too, so the BLAS runs one thread: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
@@ -40,9 +39,7 @@ this file.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import re
@@ -60,10 +57,10 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
 import hullsolve  # noqa: E402
-from hullsolve import LinearSystem, SolveConfig, cli, solve_incremental, solve_nonneg  # noqa: E402
+from hullsolve import LinearSystem, SolveConfig, solve_incremental, solve_nonneg  # noqa: E402
 
 import workloads  # noqa: E402
-from helpers import invertible_system  # noqa: E402
+from helpers import CLI_CASES, invertible_system, run_cli, write_cli_files  # noqa: E402
 
 SEEDS = (1, 2, 3)
 FORCED_SYSTEMS = 400
@@ -144,63 +141,6 @@ def forced_inputs(records: dict) -> None:
                 records[f"forced/{s}/{increment}/{start}"] = digest(outcome)
 
 
-# The files and commands of the CI workflow's installed-package step.
-CI_FILES = {
-    "oracle_points.txt": "3 5\n1 0 0 1 2\n0 1 0 1 2\n0 0 1 1 3\n",
-    "hull_target.txt": "3 1\n0.4\n0.4\n0.4\n",
-    "far_points.txt": "3 5\n1001 1000 1000 1001 1002\n1000 1001 1000 1001 1002\n"
-    "1000 1000 1001 1001 1003\n",
-    "far_target.txt": "3 1\n1000.4\n1000.4\n1000.4\n",
-    "square_points.txt": "2 4\n0 1 0 1\n0 0 1 1\n",
-    "square_target.txt": "2 1\n0.3\n0.6\n",
-    "nonneg_matrix.txt": "3 3\n2 1 0\n1 3 1\n0 1 2\n",
-    "nonneg_rhs.txt": "3 1\n3\n5\n3\n",
-    "nonneg_array.mtx": "%%MatrixMarket matrix array real general\n% column-major\n3 3\n"
-    "2\n1\n0\n1\n3\n1\n0\n1\n2\n",
-    "nonneg_coordinate.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 7\n"
-    "1 1 2\n2 1 1\n1 2 1\n2 2 3\n3 2 1\n2 3 1\n3 3 2\n",
-    "nonneg_rhs.mtx": "%%MatrixMarket matrix array real general\n3 1\n3\n5\n3\n",
-    "null_matrix.txt": "2 2\n1 -1\n1 -1\n",
-    "null_rhs.txt": "2 1\n1\n0\n",
-    "wide_matrix.txt": "3 3\n5e153 5e153 5e153\n0 5e152 0\n0 0 5e152\n",
-    "wide_rhs.txt": "3 1\n1.5e153\n5e151\n5e151\n",
-    "negative_count.mtx": "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
-    "bad_value.mtx": "%%MatrixMarket matrix array real general\n3 3\n2\n1\n0\n1\nx\n1\n0\n1\n2\n",
-    "separator_line.mtx": "%%MatrixMarket matrix array real general\n3 3\n2\n1\n\x1c\n"
-    "0\n1\n3\n1\n0\n1\n2\n",
-    "general_rhs.txt": "3 1\n1\n-2\n3\n",
-    "tiny_points.txt": "2 3\n0 1e-15 0\n0 0 1e-15\n",
-    "tiny_target.txt": "2 1\n2e-15\n2e-15\n",
-}
-
-_SOLVE = "solve --matrix nonneg_matrix.txt --epsilon0 1e-6"
-CI_COMMANDS = [
-    "hull --points oracle_points.txt --target hull_target.txt --trace T --report R",
-    "hull --points far_points.txt --target far_target.txt --epsilon 1e-6",
-    "hull --points square_points.txt --target square_target.txt --epsilon 1e-200",
-    f"{_SOLVE} --rhs nonneg_rhs.txt --mode nonneg --trace T --report R",
-    f"{_SOLVE} --rhs nonneg_rhs.txt --mode nonneg --phase1 --report R",
-    "solve --matrix nonneg_array.mtx --rhs nonneg_rhs.mtx --mode nonneg --epsilon0 1e-6"
-    " --report R",
-    "solve --matrix nonneg_coordinate.mtx --rhs nonneg_rhs.mtx --mode nonneg --epsilon0 1e-6"
-    " --report R",
-    "solve --matrix null_matrix.txt --rhs null_rhs.txt",
-    "solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode incremental --report R",
-    "solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode nonneg --report R",
-    "analyze --matrix negative_count.mtx --rhs null_rhs.txt",
-    "analyze --matrix bad_value.mtx --rhs nonneg_rhs.txt",
-    "analyze --matrix separator_line.mtx --rhs nonneg_rhs.txt",
-    f"{_SOLVE} --rhs general_rhs.txt --trace T --report R",
-    f"{_SOLVE} --rhs general_rhs.txt --increment double --report R",
-    f"{_SOLVE} --rhs general_rhs.txt --increment quantized:2 --report R",
-    "analyze --matrix nonneg_matrix.txt --rhs general_rhs.txt --report R",
-    "hull --points tiny_points.txt --target tiny_target.txt",
-    "bench --suite nonneg --sizes 30 --count 2 --epsilon0 0.01 --report R",
-    "bench --suite membership --sizes 10 30 --count 2 --epsilon0 0.05 --report R",
-    "bench --suite general --sizes 10 30 50 --count 2 --epsilon0 0.05 --report R",
-]
-
-
 def _untimed(report):
     """The report without its timings: wall_time_s, and bench rows' seconds."""
     if isinstance(report, dict):
@@ -222,20 +162,14 @@ def _outputs(code: int, report: Path, trace: Path) -> dict:
 def cli_inputs(records: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for name, text in CI_FILES.items():
-            (work / name).write_text(text, encoding="utf-8")
-        for k, command in enumerate(CI_COMMANDS):
+        write_cli_files(work)
+        for k, case in enumerate(CLI_CASES):
             report, trace = work / f"report{k}.json", work / f"trace{k}.csv"
-            argv = [str(report) if token == "R" else str(trace) if token == "T"
-                    else str(work / token) if (work / token).is_file() else token
-                    for token in command.split()]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-            records[f"cli/{command}"] = {
+            code, out, err = run_cli(work, case.command, report, trace)
+            records[f"cli/{case.command}"] = {
                 **_outputs(code, report, trace),
-                "stdout": re.sub(r" seconds=\S+", "", out.getvalue()),
-                "stderr": err.getvalue().replace(str(work), "DIR"),
+                "stdout": re.sub(r" seconds=\S+", "", out),
+                "stderr": err.replace(str(work), "DIR"),
             }
 
 

@@ -15,12 +15,16 @@ import numpy as np
 import pytest
 
 from helpers import (
+    CLI_CASES,
+    NONNEG_COPIES,
     centroid_coeffs,
     example2_system,
     given_arrays,
     nearest_half_coeffs,
     nonneg_system,
     reference_run_hull,
+    run_cli,
+    write_cli_files,
 )
 from hullsolve import (
     SolveConfig,
@@ -68,6 +72,32 @@ def ex2_files(tmp_path):
     )
     rhs.write_text("2 1\n0\n-3\n")
     return str(matrix), str(rhs)
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[case.command for case in CLI_CASES])
+def test_cli_case(tmp_path, case):
+    write_cli_files(tmp_path)
+    code, out, err = run_cli(tmp_path, case.command, tmp_path / "report.json",
+                             tmp_path / "trace.csv")
+    assert code == case.code, err
+    if case.status is not None:
+        lines = out.splitlines()
+        assert lines and all(case.status in line.split() for line in lines), out
+    if case.stderr is not None:
+        assert err == case.stderr + "\n"
+
+
+def test_nonneg_copies_give_one_x(tmp_path):
+    write_cli_files(tmp_path)
+    reports = []
+    for k, command in enumerate(NONNEG_COPIES):
+        report = tmp_path / f"report{k}.json"
+        assert run_cli(tmp_path, command, report, tmp_path / "trace.csv")[0] == 0
+        reports.append(json.loads(report.read_text()))
+    phase2 = [r["iterations"] - r["diagnostics"]["phase1_iterations"] for r in reports]
+    assert [r["x"] for r in reports] == [reports[0]["x"]] * len(reports)
+    assert phase2 == [phase2[0]] * len(reports)
+    assert reports[1]["diagnostics"]["phase1_iterations"] > 0
 
 
 class TestLoadMatrix:
@@ -782,9 +812,8 @@ class TestNoTraceback:
     def test_closed_stdout_exit_two(self, tmp_path):
         # A reader that stops early, as grep -q does, closes the pipe
         # before the summary is written.
+        write_cli_files(tmp_path)
         points, target = tmp_path / "tiny_points.txt", tmp_path / "tiny_target.txt"
-        points.write_text("2 3\n0 1e-15 0\n0 0 1e-15\n")
-        target.write_text("2 1\n2e-15\n2e-15\n")
         package_root = Path(cli.__file__).parents[1]
         env = {**os.environ, "PYTHONPATH": str(package_root)}
         argv = ["hull", "--points", str(points), "--target", str(target)]
@@ -805,9 +834,8 @@ class TestNoTraceback:
     def test_closed_stdout_leaks_no_descriptor(self, tmp_path, monkeypatch, capsys):
         # In process, stdout is a stream whose writes fail as on a closed
         # pipe; its descriptor is a scratch file that dup2 may overwrite.
+        write_cli_files(tmp_path)
         points, target = tmp_path / "tiny_points.txt", tmp_path / "tiny_target.txt"
-        points.write_text("2 3\n0 1e-15 0\n0 0 1e-15\n")
-        target.write_text("2 1\n2e-15\n2e-15\n")
         scratch = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
 
         class ClosedPipe(io.StringIO):
@@ -1256,54 +1284,3 @@ def test_readme_synopsis_lists_every_option():
         for name, sub in subparsers.choices.items()
     }
     assert _readme_synopsis_flags() == parsed
-
-
-def _command_key(line: str) -> tuple[str, frozenset]:
-    """A hullsolve command line as its subcommand and its set of options,
-    each with its values ("" for a flag), R and T standing in for the
-    --report and --trace paths."""
-    subcommand, *tokens = line.split()
-    options: dict[str, list[str]] = {}
-    for token in tokens:
-        if token.startswith("--"):
-            values = options.setdefault(token, [])
-        else:
-            values.append(token)
-    paths = {"--report": ["R"], "--trace": ["T"]}
-    return subcommand, frozenset(
-        (option, " ".join(paths.get(option, values))) for option, values in options.items()
-    )
-
-
-def _workflow_commands() -> list[str]:
-    """The hullsolve command lines of the CI workflow's installed-package
-    step, without the hullsolve, a timeout 10 prefix or the 2>, || and |
-    that follow, and with the step's for-mode loop expanded."""
-    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-    step = workflow.read_text(encoding="utf-8").split("- name: Installed package", 1)[1]
-    commands, modes = [], [""]
-    for line in step.split("\n      - name:", 1)[0].splitlines():
-        line = line.strip()
-        if loop := re.fullmatch(r"for mode in (.*); do", line):
-            modes = loop.group(1).split()
-        elif line == "done":
-            modes = [""]
-        line = re.sub(r"^timeout 10 ", "", line)
-        if line.startswith("hullsolve "):
-            line = re.split(r" (?:2>|\|)", line, maxsplit=1)[0]
-            commands.extend(
-                line.removeprefix("hullsolve ").replace("$mode", mode) for mode in modes
-            )
-    return commands
-
-
-def test_parity_runs_the_workflow_commands(monkeypatch):
-    # tests/parity.py replays the workflow's commands from its own copy of
-    # them; a command added to the workflow alone would escape its diffs.
-    monkeypatch.setattr(sys, "path", list(sys.path))  # parity.py adds to it
-    monkeypatch.setattr(os, "environ", dict(os.environ))  # and pins BLAS threads
-    import parity
-
-    assert [_command_key(c) for c in parity.CI_COMMANDS] == [
-        _command_key(c) for c in _workflow_commands()
-    ]
