@@ -28,7 +28,6 @@ from .hull import (
 )
 from .incremental import (
     NoPositiveQuadratic,
-    ShiftQuadratic,
     build_quadratics,
     next_shift,
     optimize_shift_tau0,

@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--increment",
         default=None,
-        help="shift rule for incremental mode: quantized:N (default quantized:1; "
-        "bare quantized is quantized:1) or double",
+        help="shift rule for incremental mode: quantized|double (default quantized, "
+        "which the report echoes as quantized:1)",
     )
     solve.add_argument(
         "--phase1", action="store_true", help="nonneg mode: delta0 from Phase 1, as in the paper"

@@ -11,8 +11,10 @@ which x0 = alpha / alpha_b and the residual estimate gap / alpha_b divide
 by.
 When the iterate is a witness at the current shift, each point of the set
 induces a quadratic g_i(t) in the shift whose sign tells whether the same
-iterate stays a witness at shift t; the smallest root beyond the current
-shift gives the next shift to try. That holds at alpha_b = 0 too: the
+iterate stays a witness at shift t; build_quadratics gives their
+coefficients as three arrays, one entry per point, and the smallest root
+beyond the current shift (next_shift), its increase rounded up to a whole
+number, gives the next shift to try. That holds at alpha_b = 0 too: the
 iterate's point then does not move with t, the column quadratics are
 negative constants, and -b(t)'s is a line that rises, since u^T p' is the
 sum of the columns' products a_i^T p' > ||p'||^2 / 2 at a witness; its
@@ -41,7 +43,6 @@ only when the estimate nears the target and once every n steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +71,6 @@ from .system import (
 
 __all__ = [
     "NoPositiveQuadratic",
-    "ShiftQuadratic",
     "move_shift",
     "optimize_shift_tau0",
     "build_quadratics",
@@ -87,36 +87,6 @@ class NoPositiveQuadratic(ValueError):
     """No shift quadratic has a root beyond the current shift. At a
     witness one always has in exact arithmetic, so only rounding can
     raise this."""
-
-
-@dataclass
-class ShiftQuadratic:
-    """g_i(t) = c2 t^2 + c1 t + c0 for one point of the shifted hull.
-
-    g_i(t) is twice the pivot margin of point i at shift t for a fixed
-    iterate, so the iterate stays a witness while every g_i is negative.
-    Column quadratics (is_rhs False) open upward whenever the -b(t)
-    coefficient is positive and are constant when it is 0. The
-    right-hand-side quadratic opens downward, or is a line when the -b(t)
-    coefficient is 0, and is negative at a witness's own shift, but it is
-    positive between its real roots when it has any: there -b(t) is a
-    pivot.
-    """
-
-    index: int
-    c2: float
-    c1: float
-    c0: float
-    is_rhs: bool = False
-
-    def value(self, t: float) -> float:
-        return (self.c2 * t + self.c1) * t + self.c0
-
-
-def _rebase(system: LinearSystem, iterate: Iterate) -> np.ndarray:
-    """Shift-independent part of the iterate's point, A alpha - alpha_b b:
-    at shift t the point is that less t alpha_b u."""
-    return system.a @ iterate.coeffs[:-1] - float(iterate.coeffs[-1]) * system.b
 
 
 def move_shift(
@@ -195,133 +165,72 @@ def optimize_shift_tau0(
     return tau0, err
 
 
-def build_quadratics(system: LinearSystem, iterate: Iterate) -> list[ShiftQuadratic]:
-    """Shift quadratics g_i(t) for an iterate over the shifted hull.
+def build_quadratics(
+    system: LinearSystem, iterate: Iterate
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients (c2, c1, c0) of the shift quadratics
+    g_i(t) = (c2[i] t + c1[i]) t + c0[i], one entry per point of the
+    shifted hull, -b(t)'s last.
 
-    The iterate's point is p'(t) = p' - t alpha_b u, with p' its
-    shift-independent base point, formed from its coefficients. For a
+    g_i(t) is twice the pivot margin of point i at shift t for a fixed
+    iterate, so the iterate stays a witness while every g_i is negative.
+    The iterate's point is p'(t) = p' - t alpha_b u, with
+    p' = A alpha - alpha_b b its shift-independent base point. For a
     column a_i: c2 = alpha_b^2 ||u||^2, c1 = -2 alpha_b (p' - a_i)^T u,
-    c0 = ||p'||^2 - 2 p'^T a_i. The right-hand-side entry expands
-    ||p'(t)||^2 + 2 p'(t)^T (b + t u). Any alpha_b is taken: at 0 the
-    column entries are the constants c0 and the right-hand side is the
-    line 2 u^T p' t + c0, twice -b(t)'s margin.
+    c0 = ||p'||^2 - 2 p'^T a_i, so a column opens upward, or is constant
+    at alpha_b = 0. The right-hand-side entry expands
+    ||p'(t)||^2 + 2 p'(t)^T (b + t u): it opens downward, or is the line
+    2 u^T p' t + c0 at alpha_b = 0, and is positive between its real
+    roots, where -b(t) is a pivot.
     """
-    alpha_b = float(iterate.coeffs[-1])
-    base = _rebase(system, iterate)
-    u = system.u
-    n = system.n
-    u_sq = system.u_sq
+    alpha_b = iterate.coeffs.item(-1)
+    base = system.a @ iterate.coeffs[:-1] - alpha_b * system.b
     base_sq = float(base @ base)
-    base_u = float(base @ u)
-    col_u = system.at_u
-    col_base = system.a.T @ base
-    c2 = alpha_b * alpha_b * u_sq
-    quads = [
-        ShiftQuadratic(
-            index=i,
-            c2=c2,
-            c1=-2.0 * alpha_b * (base_u - float(col_u[i])),
-            c0=base_sq - 2.0 * float(col_base[i]),
-        )
-        for i in range(n)
-    ]
-    quads.append(
-        ShiftQuadratic(
-            index=n,
-            c2=alpha_b * (alpha_b - 2.0) * u_sq,
-            c1=2.0 * (1.0 - alpha_b) * base_u - 2.0 * alpha_b * system.u_b,
-            c0=base_sq + 2.0 * float(base @ system.b),
-            is_rhs=True,
-        )
-    )
-    return quads
+    base_u = float(base @ system.u)
+    c2 = np.full(system.n + 1, alpha_b * alpha_b * system.u_sq)
+    c2[-1] = alpha_b * (alpha_b - 2.0) * system.u_sq
+    rhs_c1 = 2.0 * (1.0 - alpha_b) * base_u - 2.0 * alpha_b * system.u_b
+    c1 = np.append(-2.0 * alpha_b * (base_u - system.at_u), rhs_c1)
+    c0 = np.append(base_sq - 2.0 * (system.a.T @ base), base_sq + 2.0 * float(base @ system.b))
+    return c2, c1, c0
 
 
-def _larger_root(c2: float, c1: float, c0: float) -> float:
-    """Larger real root of an upward quadratic known to dip negative.
+def next_shift(c2: np.ndarray, c1: np.ndarray, c0: np.ndarray, t0: float) -> float:
+    """Smallest shift beyond t0 >= 0 at which some quadratic of
+    build_quadratics becomes nonnegative.
 
-    Uses the sign of c1 to pick the cancellation-free form; when the
-    discriminant sits within roundoff of zero, falls back to the Cauchy
-    upper bound 1 + max(|c1|, |c0|) / c2 on the roots.
-    """
-    disc = c1 * c1 - 4.0 * c2 * c0
-    scale = max(c1 * c1, abs(4.0 * c2 * c0), 1e-300)
-    if disc <= 1e-12 * scale:
-        return 1.0 + max(abs(c1), abs(c0)) / c2
-    s = math.sqrt(disc)
-    if c1 >= 0.0:
-        return -2.0 * c0 / (c1 + s)
-    return (s - c1) / (2.0 * c2)
-
-
-def _smaller_root(c2: float, c1: float, c0: float) -> float | None:
-    """Smaller real root of a downward quadratic, or None without one.
-
-    Works on the negated, upward quadratic and uses the sign of its linear
-    coefficient to pick the cancellation-free form. A line (c2 = 0) has
-    its root when it rises and none otherwise.
-    """
-    c2, c1, c0 = -c2, -c1, -c0
-    if c2 == 0.0 and c1 >= 0.0:
-        return None
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return None
-    s = math.sqrt(disc)
-    if c1 >= 0.0:
-        return -(c1 + s) / (2.0 * c2)
-    return 2.0 * c0 / (s - c1)
-
-
-def next_shift(
-    quadratics: list[ShiftQuadratic], t0: float, quantum: int | None = 1
-) -> float:
-    """Smallest shift beyond t0 at which some quadratic becomes nonnegative.
-
-    Each upward column quadratic contributes its larger root; constant
-    ones (alpha_b = 0) contribute none. The right-hand-side quadratic,
-    downward or a line and negative at t0, contributes its smaller root
-    when that root lies beyond t0: there -b(t) becomes a pivot.
+    Each upward column contributes its larger root, in the
+    cancellation-free form the sign of c1 picks, or, where the
+    discriminant sits within roundoff of zero, the Cauchy upper bound
+    1 + max(|c1|, |c0|) / c2 on its roots; constant columns
+    (alpha_b = 0) contribute none. The right-hand side, downward or a
+    line and negative at t0, contributes its smaller root when that lies
+    beyond t0: there -b(t) becomes a pivot. Its slope 2 c2 t + c1 is at
+    most c1 for t >= 0, so it has such a root only when c1 > 0.
     NoPositiveQuadratic is raised when no quadratic has a root beyond t0.
-    quantum = None returns the raw minimal root; otherwise the increase
-    over t0 is rounded up to a positive multiple of quantum so that
-    consecutive shifts differ by a natural number.
     """
-    raw = min(
-        (_larger_root(q.c2, q.c1, q.c0) for q in quadratics if not q.is_rhs and q.c2 > 0.0),
-        default=math.inf,
-    )
-    for q in quadratics:
-        if q.is_rhs and q.c2 <= 0.0:
-            root = _smaller_root(q.c2, q.c1, q.c0)
-            if root is not None and t0 < root < raw:
-                raw = root
+    a, b, c = c2[:-1], c1[:-1], c0[:-1]
+    with np.errstate(all="ignore"):  # rows and branches not picked are not read
+        disc = b * b - 4.0 * a * c
+        s = np.sqrt(np.maximum(disc, 0.0))
+        roots = np.where(b >= 0.0, -2.0 * c / (b + s), (s - b) / (2.0 * a))
+        scale = np.maximum(np.maximum(b * b, np.abs(4.0 * a * c)), 1e-300)
+        cauchy = 1.0 + np.maximum(np.abs(b), np.abs(c)) / a
+        roots = np.where(disc <= 1e-12 * scale, cauchy, roots)
+    raw = float(roots[a > 0.0].min(initial=math.inf))
+    a, b, c = c2.item(-1), c1.item(-1), c0.item(-1)
+    disc = b * b - 4.0 * a * c
+    if a <= 0.0 and b > 0.0 and disc >= 0.0:
+        root = -2.0 * c / (math.sqrt(disc) + b)
+        if t0 < root < raw:
+            raw = root
     if raw == math.inf:
         raise NoPositiveQuadratic(f"no shift quadratic has a root beyond t = {t0!r}")
-    if quantum is None:
-        return raw
-    if quantum < 1:
-        raise ValueError("quantum must be a positive integer")
-    excess = max(raw - t0, ROOT_TINY)
-    return t0 + quantum * math.ceil(excess / quantum)
+    return raw
 
 
-def _parse_increment(spec: str) -> int | None:
-    """The quantum of an increment rule: N for "quantized:N" (bare
-    "quantized" is N = 1), None for "double" (t -> 2 t + 1)."""
-    if spec == "double":
-        return None
-    if spec == "quantized":
-        return 1
-    if not spec.startswith("quantized:"):
-        raise ValueError(f"bad increment spec {spec!r}; use quantized:N or double")
-    try:
-        quantum = int(spec.split(":", 1)[1])
-    except ValueError:
-        raise ValueError(f"bad increment spec {spec!r}")
-    if quantum < 1:
-        raise ValueError("quantum must be a positive integer")
-    return quantum
+# diagnostics["policy"] of each increment spec solve_incremental takes.
+_POLICIES = {"quantized": "quantized", "quantized:1": "quantized", "double": "double_plus_one"}
 
 
 def solve_incremental(
@@ -346,25 +255,27 @@ def solve_incremental(
     the better of the Triangle step and a transfer from a column (see
     hull.apply_step), or, when the iterate is a witness, whatever its
     alpha_b, raises the shift by the increment rule and warm-starts from
-    the same coefficients: "quantized:N" (bare "quantized" is N = 1) moves
-    to the next quadratic root (see next_shift), its increase rounded up to
-    a multiple of N, and "double" to 2 t + 1. The report's
-    diagnostics["policy"] names the rule: "quantized" or "double_plus_one".
+    the same coefficients: "quantized" (also spelt "quantized:1", the
+    default that reports echo) moves to the next quadratic root (see
+    next_shift), its increase rounded up to a whole number, at least 1,
+    and "double" to 2 t + 1. The report's diagnostics["policy"] names the
+    rule: "quantized" or "double_plus_one".
 
     tau_hook, when given, post-processes that same tau0 (clamped below by
     the current shift), and the pass stops by the same test at the shift
     it returns; it exists to reproduce hand-worked shift sequences in
     tests.
 
-    Another increment spec, or an N below 1, raises ValueError before the
-    first step. A e = 0 raises SingularMatrixError: then b(t) = b for every
-    t, and e is a null vector of A. So does A e = 0 to working precision,
-    2^511 or more below the largest entry, where ||A e||^2 is subnormal in
-    stored units. config.max_iterations caps the steps
-    and, separately, the escalations: the a-priori shift bound tau'_* is
-    a worst case, not a cap.
+    Another increment spec raises ValueError before the first step. A e = 0
+    raises SingularMatrixError: then b(t) = b for every t, and e is a null
+    vector of A. So does A e = 0 to working precision, 2^511 or more below
+    the largest entry, where ||A e||^2 is subnormal in stored units.
+    config.max_iterations caps the steps and, separately, the escalations:
+    the a-priori shift bound tau'_* is a worst case, not a cap.
     """
-    quantum = _parse_increment(increment)
+    policy = _POLICIES.get(increment)
+    if policy is None:
+        raise ValueError(f"bad increment spec {increment!r}; use quantized or double")
     # A ||u||^2 below the smallest normal double puts A e 2^511 or more
     # below the largest stored entry: A e = 0 to working precision. The
     # shift re-optimisation's alpha_b ||u||^2 would round to 0 there.
@@ -382,7 +293,7 @@ def solve_incremental(
     steps = 0
     escalations = 0
     shifts = [t0]
-    diagnostics: dict = {"policy": "double_plus_one" if quantum is None else "quantized"}
+    diagnostics: dict = {"policy": policy}
 
     def outcome(status, x=None, residual=None):
         # reseeds is always 0 and kept because perfbench's workloads read
@@ -413,10 +324,11 @@ def solve_incremental(
         # Step 2: witness check via pivot search; Step 3: shift escalation.
         j = find_pivot(instance, iterate)
         while j is None:
-            if quantum is None:
-                new_t = 2.0 * t0 + 1.0
+            if policy == "quantized":
+                raw = next_shift(*build_quadratics(system, iterate), t0)
+                new_t = t0 + math.ceil(max(raw - t0, ROOT_TINY))
             else:
-                new_t = next_shift(build_quadratics(system, iterate), t0, quantum)
+                new_t = 2.0 * t0 + 1.0
             escalations += 1
             if escalations > config.max_iterations:
                 return outcome(SOLVE_CAP_EXCEEDED)

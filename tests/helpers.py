@@ -510,8 +510,8 @@ CLI_CASES = [
             stderr="error: line 5: could not parse a numeric value"),
     CliCase(f"{_SOLVE} --rhs general_rhs.txt --trace T --report R", 0),
     CliCase(f"{_SOLVE} --rhs general_rhs.txt --increment double --report R", 0, "converged"),
-    CliCase(f"{_SOLVE} --rhs general_rhs.txt --increment quantized:2 --report R", 0,
-            "converged"),
+    CliCase(f"{_SOLVE} --rhs general_rhs.txt --increment quantized:2 --report R", 2,
+            stderr="error: bad increment spec 'quantized:2'; use quantized or double"),
     CliCase("analyze --matrix nonneg_matrix.txt --rhs general_rhs.txt --report R", 0),
     CliCase("hull --points tiny_points.txt --target tiny_target.txt", 1, "not_in_hull"),
     CliCase("bench --suite nonneg --sizes 30 --count 2 --epsilon0 0.01 --report R", 0,

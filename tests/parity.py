@@ -10,7 +10,9 @@ coefficients and margins, the diagnostics, and a hash of the trace; for a
 command line, its exit code, output, report and trace. diff prints each
 input whose record differs, with the fields that do, then how many differ
 in each group of inputs (a key's first path segment: forced, cli, ...),
-and exits 1 if any does. The inputs:
+and exits 1 if any does. write also prints the forced runs' escalations
+in all: no unforced input escalates, so this count shows that the
+escalation code still runs. The inputs:
 
 - the general_shift and nonneg_phases systems of perfbench/workloads.py,
   the fixed reference ones and those of seeds 1-3, each solved twice on
@@ -20,7 +22,9 @@ and exits 1 if any does. The inputs:
 - forced escalations: invertible_system(default_rng(s), 2 + s % 7) for
   s < FORCED_SYSTEMS, epsilon0 = 1e-6, a 20,000-step cap and the shift
   re-optimisation pinned (tau_hook), under each increment rule, from the
-  default start and from the centroid;
+  default start and from the centroid; and so, from the default start
+  and at epsilon0 = 0.01, invertible_system(default_rng(s), 40) for
+  s < WIDE_SYSTEMS, where next_shift's minimum runs over 41 points;
 - the CLI cases of helpers.CLI_CASES, run in-process on helpers.CLI_FILES
   (reports without wall_time_s, and bench rows without their seconds);
 - the cli_files inputs: the five commands of perfbench's CliFiles on the
@@ -64,6 +68,7 @@ from helpers import CLI_CASES, invertible_system, run_cli, write_cli_files  # no
 
 SEEDS = (1, 2, 3)
 FORCED_SYSTEMS = 400
+WIDE_SYSTEMS = 6
 SEQUENCE_SYSTEMS = 20
 
 
@@ -128,17 +133,23 @@ def sequence_inputs(records: dict) -> None:
             records[f"sequence/{k}/{name}"] = digest(solve(system, config))
 
 
-def forced_inputs(records: dict) -> None:
-    for s in range(FORCED_SYSTEMS):
-        system, _ = invertible_system(np.random.default_rng(s), 2 + s % 7)
-        starts = {"default": None, "centroid": np.full(system.n + 1, 1.0 / (system.n + 1))}
-        for increment in ("quantized:1", "quantized:2", "double"):
-            for start, coeffs in starts.items():
-                config = SolveConfig(epsilon0=1e-6, max_iterations=20_000, init_coeffs=coeffs)
+def forced_inputs(records: dict) -> int:
+    """Record the forced runs; return their escalations in all."""
+    escalations = 0
+    runs = [(str(s), s, 2 + s % 7, 1e-6, ("default", "centroid")) for s in range(FORCED_SYSTEMS)]
+    runs += [(f"wide{s}", s, 40, 0.01, ("default",)) for s in range(WIDE_SYSTEMS)]
+    for label, seed, n, epsilon0, starts in runs:
+        system, _ = invertible_system(np.random.default_rng(seed), n)
+        for increment in ("quantized:1", "double"):
+            for start in starts:
+                coeffs = None if start == "default" else np.full(n + 1, 1.0 / (n + 1))
+                config = SolveConfig(epsilon0=epsilon0, max_iterations=20_000, init_coeffs=coeffs)
                 outcome = solve_incremental(
                     system, config, increment=increment, tau_hook=lambda t: 0.0
                 )
-                records[f"forced/{s}/{increment}/{start}"] = digest(outcome)
+                records[f"forced/{label}/{increment}/{start}"] = digest(outcome)
+                escalations += outcome.diagnostics["escalations"]
+    return escalations
 
 
 def _untimed(report):
@@ -192,11 +203,13 @@ def headline_input(records: dict) -> None:
 
 def write(path: str) -> None:
     records: dict = {}
-    for inputs in (workload_inputs, sequence_inputs, forced_inputs, cli_inputs,
-                   cli_files_inputs, headline_input):
+    for inputs in (workload_inputs, sequence_inputs, cli_inputs, cli_files_inputs,
+                   headline_input):
         inputs(records)
+    escalations = forced_inputs(records)
     Path(path).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    print(f"{len(records)} inputs written to {path}")
+    print(f"{len(records)} inputs written to {path}; the forced runs escalate "
+          f"{escalations} times in all")
 
 
 def diff(before_path: str, after_path: str) -> int:

@@ -50,7 +50,7 @@ from hullsolve import (
     step_size,
 )
 from hullsolve.incremental import (
-    _rebase,
+    ROOT_TINY,
     _shift_product,
     move_shift,
     shifted_instance,
@@ -137,12 +137,10 @@ def test_criterion_2_example2_regression():
         (5.0 / 16.0, -1.0, -0.75),
         (-35.0 / 16.0, 7.5, -27.0 / 4.0),
     ]
-    for quad, (c2, c1, c0) in zip(quads, expected):
-        assert abs(given_units(system, quad.c2, 2) - c2) <= tol
-        assert abs(given_units(system, quad.c1, 2) - c1) <= tol
-        assert abs(given_units(system, quad.c0, 2) - c0) <= tol
+    # One (c2, c1, c0) row per point, -b(t)'s last.
+    assert np.abs(given_units(system, np.array(quads), 2).T - expected).max() <= tol
 
-    raw = next_shift(quads, t0=0.0, quantum=None)
+    raw = next_shift(*quads, t0=0.0)
     assert abs(raw - (-8.0 + math.sqrt(304.0)) / 10.0) <= tol
     report(2, True, "shift iteration values and quadratics exact to 1e-12")
 
@@ -338,7 +336,8 @@ def test_criterion_9_quadratic_consistency():
 
     Witness states are harvested the way the solver reaches them: Triangle
     steps at the current shift, and on a witness an escalation to the
-    quantized next shift, moving the shifted hull and the iterate there. The second clause
+    quantized next shift, moving the shifted hull and the iterate there,
+    on systems of 2 to 5 unknowns and on one of 40. The second clause
     checks the right-hand-side quadratic where escalation relies on it: it
     opens downward, is negative at the witness's own shift, and stays
     nonpositive up to the raw next shift. It is positive between its real
@@ -347,11 +346,8 @@ def test_criterion_9_quadratic_consistency():
     """
     rng = np.random.default_rng(2029)
     states = []
-    while len(states) < 40:
-        n = int(rng.integers(2, 6))
-        system, x_star = invertible_system(rng, n)
-        if (x_star >= 0).all():
-            continue
+
+    def harvest(system):
         t0 = 0.0
         instance = shifted_instance(system, t0)
         iterate = initial_iterate(instance, centroid_coeffs(instance.n_points))
@@ -360,8 +356,8 @@ def test_criterion_9_quadratic_consistency():
             if j is None:
                 if float(iterate.coeffs[-1]) >= 1e-12:
                     states.append((system, iterate, t0))
-                    quads = build_quadratics(system, iterate)
-                    new_t = next_shift(quads, t0, 1)
+                    raw = next_shift(*build_quadratics(system, iterate), t0)
+                    new_t = t0 + math.ceil(max(raw - t0, ROOT_TINY))
                     u_point = _shift_product(system, iterate.coeffs, t0)
                     iterate = move_shift(system, iterate, t0, new_t, u_point)
                     t0 = new_t
@@ -373,27 +369,34 @@ def test_criterion_9_quadratic_consistency():
             if alpha_b > 1e-12 and iterate.gap / alpha_b < 1e-9 * system.rho:
                 break
 
+    while len(states) < 40:
+        system, x_star = invertible_system(rng, int(rng.integers(2, 6)))
+        if not (x_star >= 0).all():
+            harvest(system)
+    # next_shift's minimum over 41 points.
+    harvest(invertible_system(rng, 40)[0])
+    assert states[-1][0].n == 40
+
     violation = None
     for system, iterate, t0 in states:
-        quads = build_quadratics(system, iterate)
+        c2, c1, c0 = build_quadratics(system, iterate)
         alpha_b = float(iterate.coeffs[-1])
-        base = _rebase(system, iterate)
+        base = system.a @ iterate.coeffs[:-1] - alpha_b * system.b
         for t in rng.uniform(0.0, 5.0 + 2.0 * t0, 10):
             moved = base - t * alpha_b * system.u
             moved_sq = float(moved @ moved)
-            for quad in quads:
-                if quad.is_rhs:
-                    direct = moved_sq + 2.0 * float(moved @ (system.b + t * system.u))
-                else:
-                    direct = moved_sq - 2.0 * float(moved @ system.a[:, quad.index])
-                assert quad.value(t) == pytest.approx(direct, rel=1e-9, abs=1e-9)
-        rhs = quads[-1]
-        assert rhs.c2 < 0.0
-        assert rhs.value(t0) < 0.0
-        raw = next_shift(quads, t0, None)
+            direct = np.append(
+                moved_sq - 2.0 * (system.a.T @ moved),
+                moved_sq + 2.0 * float(moved @ (system.b + t * system.u)),
+            )
+            assert (c2 * t + c1) * t + c0 == pytest.approx(direct, rel=1e-9, abs=1e-9)
+        rhs = c2[-1], c1[-1], c0[-1]
+        assert rhs[0] < 0.0
+        assert (rhs[0] * t0 + rhs[1]) * t0 + rhs[2] < 0.0
+        raw = next_shift(c2, c1, c0, t0)
         grid = np.linspace(t0, raw, 200)
-        values = [rhs.value(t) for t in grid]
-        peak = max(values)
+        values = (rhs[0] * grid + rhs[1]) * grid + rhs[2]
+        peak = values.max()
         if peak > 1e-10 and violation is None:
             violation = (peak, float(grid[int(np.argmax(values))]), t0, raw)
 

@@ -1013,7 +1013,8 @@ class TestNoTraceback:
         matrix, rhs = ex2_files
         argv = ["solve", "--matrix", matrix, "--rhs", rhs, "--increment", f"quantized:{quantum}"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: quantum must be a positive integer\n"
+        err = f"error: bad increment spec 'quantized:{quantum}'; use quantized or double\n"
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize(
         "spec, policy, quantum",
@@ -1034,7 +1035,7 @@ class TestNoTraceback:
             library.status, library.iterations, library.shift_t, library.x.tolist()
         )
 
-    @pytest.mark.parametrize("spec", ["quantized:2", "double"])
+    @pytest.mark.parametrize("spec", ["quantized:1", "double"])
     def test_increment_spec_matches_library(self, ex2_files, tmp_path, spec):
         # solve passes its --increment spec to solve_incremental as it is.
         matrix, rhs = ex2_files

@@ -25,7 +25,6 @@ from hullsolve import (
     HullInstance,
     LinearSystem,
     NoPositiveQuadratic,
-    ShiftQuadratic,
     SingularMatrixError,
     SolveConfig,
     analyze_system,
@@ -79,27 +78,38 @@ class TestOptimizeShift:
                 assert err <= sampled + 1e-12
 
 
+def quadratics(*rows):
+    """The arrays (c2, c1, c0) of hand-built quadratics, one (c2, c1, c0)
+    row per point, -b(t)'s last."""
+    return tuple(np.array(column, dtype=float) for column in zip(*rows))
+
+
+def values(c2, c1, c0, t):
+    """Each quadratic at shift t."""
+    return (c2 * t + c1) * t + c0
+
+
+# A right-hand side that stays negative: no root of its own.
+NO_RHS_ROOT = (0.0, 0.0, -1.0)
+
+
 class TestBuildQuadratics:
     def test_example2_coefficients(self):
         system = example2_system()
         iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
-        # The coefficients are squares of the stored system's units.
-        quads = [
-            given_units(system, [q.c2, q.c1, q.c0], 2) for q in build_quadratics(system, iterate)
-        ]
-        g1, g2, g3 = quads
+        # The coefficients are squares of the stored system's units; one
+        # row per point, -b(t)'s last.
+        g1, g2, g3 = given_units(system, np.array(build_quadratics(system, iterate)), 2).T
         assert tuple(g1) == pytest.approx(
             (5.0 / 16.0, 0.5, -0.75), abs=1e-14
         )
         assert tuple(g2) == pytest.approx((5.0 / 16.0, -1.0, -0.75), abs=1e-14)
         assert tuple(g3) == pytest.approx((-35.0 / 16.0, 7.5, -27.0 / 4.0), abs=1e-14)
-        assert build_quadratics(system, iterate)[2].is_rhs
 
     def test_negative_at_current_shift(self):
         system = example2_system()
         iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
-        for quad in build_quadratics(system, iterate):
-            assert quad.value(0.0) < 0.0
+        assert (values(*build_quadratics(system, iterate), 0.0) < 0.0).all()
 
     def test_vanishing_rhs_weight_escalates_to_the_linear_root(self):
         # p' = (a_1 + 2 a_2) / 3 = (0, 1) puts no weight on -b(t) and is a
@@ -112,7 +122,7 @@ class TestBuildQuadratics:
             assert check_witness(instance, iterate) is not None
             margin_n = float(hull.pivot_margins(iterate)[-1])
             u_point = float(system.u @ (instance.points @ iterate.coeffs))
-            raw = next_shift(build_quadratics(system, iterate), t0, None)
+            raw = next_shift(*build_quadratics(system, iterate), t0)
             assert raw == pytest.approx(t0 - margin_n / u_point, rel=1e-14)
             assert raw == pytest.approx(1.25, rel=1e-14)
 
@@ -140,18 +150,11 @@ class TestBuildQuadratics:
                 base = np.hstack([system.a, -system.b[:, None]]) @ iterate.coeffs
                 moved = base - t * alpha_b * system.u
                 moved_sq = float(moved @ moved)
-                for quad in quads:
-                    if quad.is_rhs:
-                        direct = moved_sq + 2.0 * float(
-                            moved @ (system.b + t * system.u)
-                        )
-                    else:
-                        direct = moved_sq - 2.0 * float(
-                            moved @ system.a[:, quad.index]
-                        )
-                    assert quad.value(t) == pytest.approx(
-                        direct, rel=1e-9, abs=1e-9
-                    )
+                direct = np.append(
+                    moved_sq - 2.0 * (system.a.T @ moved),
+                    moved_sq + 2.0 * float(moved @ (system.b + t * system.u)),
+                )
+                assert values(*quads, t) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_sign_structure(self):
         # Columns open upward with a real root beyond the current shift; the
@@ -161,112 +164,145 @@ class TestBuildQuadratics:
         rng = np.random.default_rng(41)
         for _ in range(25):
             system, iterate = self._random_witness(rng)
-            quads = build_quadratics(system, iterate)
+            c2, c1, c0 = build_quadratics(system, iterate)
             t0 = 0.0
-            for quad in quads[:-1]:
-                assert quad.c2 > 0.0
-                root = next_shift([quad], t0, quantum=None)
-                assert root > t0
-                assert quad.value(root) == pytest.approx(0.0, abs=1e-7)
-            rhs = quads[-1]
-            assert rhs.c2 < 0.0
-            assert rhs.value(t0) < 0.0
-            selected = next_shift(quads, t0, quantum=None)
-            for quad in quads[:-1]:
-                assert selected <= next_shift([quad], t0, quantum=None)
-            for t in np.linspace(t0, selected, 50)[:-1]:
-                assert all(quad.value(t) < 0.0 for quad in quads)
-            assert min(abs(quad.value(selected)) for quad in quads) == pytest.approx(
+            assert (c2[:-1] > 0.0).all()
+            columns = [
+                next_shift(*quadratics((c2[i], c1[i], c0[i]), NO_RHS_ROOT), t0)
+                for i in range(system.n)
+            ]
+            assert min(columns) > t0
+            assert values(c2[:-1], c1[:-1], c0[:-1], np.array(columns)) == pytest.approx(
                 0.0, abs=1e-7
             )
+            assert c2[-1] < 0.0
+            assert values(c2[-1], c1[-1], c0[-1], t0) < 0.0
+            selected = next_shift(c2, c1, c0, t0)
+            assert selected <= min(columns)
+            for t in np.linspace(t0, selected, 50)[:-1]:
+                assert (values(c2, c1, c0, t) < 0.0).all()
+            assert np.abs(values(c2, c1, c0, selected)).min() == pytest.approx(0.0, abs=1e-7)
 
 
 class TestNextShift:
     def test_example2_raw_root(self):
         system = example2_system()
         iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
-        raw = next_shift(build_quadratics(system, iterate), t0=0.0, quantum=None)
+        raw = next_shift(*build_quadratics(system, iterate), t0=0.0)
         assert raw == pytest.approx((-8.0 + math.sqrt(304.0)) / 10.0, abs=1e-12)
 
     def test_example2_quantized_to_one(self):
-        system = example2_system()
-        iterate = make_iterate(shifted_instance(system, 0.0), EXAMPLE2_COEFFS)
-        assert next_shift(build_quadratics(system, iterate), t0=0.0, quantum=1) == 1.0
+        # The solver rounds the raw root (-8 + sqrt(304)) / 10 up to 1.
+        config = SolveConfig(epsilon0=1e-8, init_coeffs=EXAMPLE2_COEFFS)
+        outcome = solve_incremental(example2_system(), config, tau_hook=lambda tau: 0.0)
+        assert outcome.diagnostics["shifts"][:2] == [0.0, 1.0]
 
     def test_constructed_quadratics(self):
-        quads = [
-            ShiftQuadratic(0, 1.0, 0.0, -1.0),
-            ShiftQuadratic(1, 1.0, 0.0, -4.0),
-        ]
-        assert next_shift(quads, t0=0.0, quantum=None) == pytest.approx(1.0)
-        assert next_shift(quads, t0=0.0, quantum=3) == 3.0
+        quads = quadratics((1.0, 0.0, -1.0), (1.0, 0.0, -4.0), NO_RHS_ROOT)
+        assert next_shift(*quads, t0=0.0) == pytest.approx(1.0)
 
     def test_rhs_root_before_column_roots(self):
         # -(t - 0.5)(t - 3) is negative at 0 and turns positive at 0.5, well
         # before the column roots 4 and 5.
-        quads = [
-            ShiftQuadratic(0, 1.0, 0.0, -16.0),
-            ShiftQuadratic(1, 1.0, 0.0, -25.0),
-            ShiftQuadratic(2, -1.0, 3.5, -1.5, is_rhs=True),
-        ]
-        assert next_shift(quads, t0=0.0, quantum=None) == pytest.approx(
-            0.5, abs=1e-14
-        )
-        assert next_shift(quads, t0=0.0, quantum=1) == 1.0
+        quads = quadratics((1.0, 0.0, -16.0), (1.0, 0.0, -25.0), (-1.0, 3.5, -1.5))
+        assert next_shift(*quads, t0=0.0) == pytest.approx(0.5, abs=1e-14)
         # Past both rhs roots only the column roots are left.
-        assert next_shift(quads, t0=3.5, quantum=None) == pytest.approx(
-            4.0, abs=1e-14
-        )
+        assert next_shift(*quads, t0=3.5) == pytest.approx(4.0, abs=1e-14)
 
     def test_rhs_root_without_cancellation(self):
         # -(t - 1e-8)(t - 1e8): the textbook formula loses the small root.
-        quads = [
-            ShiftQuadratic(0, 1.0, 0.0, -1.0),
-            ShiftQuadratic(1, -1.0, 1e8 + 1e-8, -1.0, is_rhs=True),
-        ]
-        assert next_shift(quads, t0=0.0, quantum=None) == pytest.approx(
-            1e-8, rel=1e-12
-        )
+        quads = quadratics((1.0, 0.0, -1.0), (-1.0, 1e8 + 1e-8, -1.0))
+        assert next_shift(*quads, t0=0.0) == pytest.approx(1e-8, rel=1e-12)
 
     def test_rising_rhs_line_gives_its_root(self):
         # At alpha_b = 0 the columns' quadratics are constants and -b(t)'s a
         # line; 2 t - 5 turns nonnegative at 2.5.
-        quads = [
-            ShiftQuadratic(0, 0.0, 0.0, -1.0),
-            ShiftQuadratic(1, 0.0, 2.0, -5.0, is_rhs=True),
-        ]
-        assert next_shift(quads, t0=0.0, quantum=None) == 2.5
-        assert next_shift(quads, t0=0.0, quantum=1) == 3.0
+        assert next_shift(*quadratics((0.0, 0.0, -1.0), (0.0, 2.0, -5.0)), t0=0.0) == 2.5
 
     def test_falling_rhs_line_gives_no_root(self):
-        falling = ShiftQuadratic(1, 0.0, -2.0, -5.0, is_rhs=True)
-        assert next_shift([ShiftQuadratic(0, 1.0, 0.0, -4.0), falling], 0.0, None) == 2.0
+        falling = (0.0, -2.0, -5.0)
+        assert next_shift(*quadratics((1.0, 0.0, -4.0), falling), 0.0) == 2.0
         with pytest.raises(NoPositiveQuadratic):
-            next_shift([ShiftQuadratic(0, 0.0, 0.0, -1.0), falling], t0=0.0)
+            next_shift(*quadratics((0.0, 0.0, -1.0), falling), t0=0.0)
 
     def test_no_upward_quadratic_raises(self):
         with pytest.raises(NoPositiveQuadratic):
-            next_shift([ShiftQuadratic(0, 0.0, 1.0, -1.0)], t0=0.0)
+            next_shift(*quadratics((0.0, 1.0, -1.0), NO_RHS_ROOT), t0=0.0)
 
     def test_double_root_gives_the_cauchy_bound(self):
         # (t - 1)^2: the discriminant is 0, so the root 1 is bounded above
         # by 1 + max(|c1|, |c0|) / c2 = 3 rather than solved for.
-        assert next_shift([ShiftQuadratic(0, 1.0, -2.0, 1.0)], t0=0.0, quantum=None) == 3.0
+        assert next_shift(*quadratics((1.0, -2.0, 1.0), NO_RHS_ROOT), t0=0.0) == 3.0
 
-    def test_quantized_increase_is_multiple(self):
+    def test_quantized_increase_is_multiple(self, monkeypatch):
+        # Under "quantized" the solver raises the shift by next_shift's
+        # raw root rounded up to a whole number: each increase is a
+        # positive integer, and the shift is where the raw root lies or
+        # less than 1 past it.
+        raised = []
+
+        def record(c2, c1, c0, t0):
+            raw = next_shift(c2, c1, c0, t0)
+            raised.append((t0, raw))
+            return raw
+
+        monkeypatch.setattr(incremental, "next_shift", record)
         rng = np.random.default_rng(43)
-        for _ in range(50):
-            c2 = rng.uniform(0.1, 2.0)
-            c1 = rng.uniform(-3.0, 3.0)
-            t0 = rng.uniform(0.0, 4.0)
-            value_at_t0 = rng.uniform(-5.0, -0.1)
-            c0 = value_at_t0 - (c2 * t0 + c1) * t0
-            quad = ShiftQuadratic(0, c2, c1, c0)
-            new_t = next_shift([quad], t0, quantum=2)
-            steps = (new_t - t0) / 2.0
-            assert steps >= 1.0 - 1e-12
-            assert steps == pytest.approx(round(steps), abs=1e-12)
-            assert quad.value(t0) < 0.0
+        for n in (3, 6, 9):
+            system, _ = invertible_system(rng, n)
+            config = SolveConfig(epsilon0=1e-4)
+            outcome = solve_incremental(system, config, tau_hook=lambda tau: 0.0)
+            assert outcome.status == CONVERGED
+            shifts = outcome.diagnostics["shifts"]
+            assert len(shifts) == len(raised) + 1 > 1
+            for (t0, raw), new_t in zip(raised, shifts[1:]):
+                step = new_t - t0
+                assert step >= 1.0 and step == round(step)
+                assert raw <= new_t < raw + 1.0
+            raised.clear()
+
+    def test_matches_the_per_point_reference(self, monkeypatch):
+        # The vectorised roots give the bits of the per-point loop in
+        # Python floats, on every escalation of forced solves, also over
+        # the 41 points of n = 40.
+        calls = []
+
+        def compare(c2, c1, c0, t0):
+            raw = next_shift(c2, c1, c0, t0)
+            assert raw == reference_next_shift(c2, c1, c0, t0)
+            calls.append(len(c2))
+            return raw
+
+        monkeypatch.setattr(incremental, "next_shift", compare)
+        for seed, n, epsilon0 in [(s, 2 + s % 7, 1e-6) for s in range(20)] + [(1, 40, 0.01)]:
+            system, _ = invertible_system(np.random.default_rng(seed), n)
+            config = SolveConfig(epsilon0=epsilon0, max_iterations=20_000)
+            outcome = solve_incremental(system, config, tau_hook=lambda tau: 0.0)
+            assert outcome.status == CONVERGED
+        assert len(calls) >= 30 and max(calls) == 41
+
+
+def reference_next_shift(c2, c1, c0, t0):
+    """next_shift one point at a time in Python floats, with both of
+    -b(t)'s root forms."""
+    raw = math.inf
+    for a, b, c in zip(c2[:-1].tolist(), c1[:-1].tolist(), c0[:-1].tolist()):
+        if a > 0.0:
+            disc = b * b - 4.0 * a * c
+            if disc <= 1e-12 * max(b * b, abs(4.0 * a * c), 1e-300):
+                raw = min(raw, 1.0 + max(abs(b), abs(c)) / a)
+            elif b >= 0.0:
+                raw = min(raw, -2.0 * c / (b + math.sqrt(disc)))
+            else:
+                raw = min(raw, (math.sqrt(disc) - b) / (2.0 * a))
+    a, b, c = -c2.item(-1), -c1.item(-1), -c0.item(-1)  # -b(t)'s, turned upward
+    disc = b * b - 4.0 * a * c
+    if a >= 0.0 and (a > 0.0 or b < 0.0) and disc >= 0.0:
+        s = math.sqrt(disc)
+        root = -(b + s) / (2.0 * a) if b >= 0.0 else 2.0 * c / (s - b)
+        if t0 < root < raw:
+            raw = root
+    return raw
 
 
 class TestCertificate:
@@ -331,8 +367,10 @@ class TestSolveIncremental:
             raise AssertionError("the solve started")
 
         monkeypatch.setattr(incremental, "shifted_instance", started)
-        with pytest.raises(ValueError, match="quantum must be a positive integer"):
-            solve_incremental(example2_system(), SolveConfig(), increment=f"quantized:{quantum}")
+        spec = f"quantized:{quantum}"
+        with pytest.raises(ValueError) as caught:
+            solve_incremental(example2_system(), SolveConfig(), increment=spec)
+        assert str(caught.value) == f"bad increment spec '{spec}'; use quantized or double"
 
     @pytest.mark.parametrize(
         "a", [[[1.0, -1.0], [1.0, -1.0]], [[1.0, -1.0, -1.0, 1.0]] * 4]
@@ -470,12 +508,12 @@ class TestSolveIncremental:
 
     @pytest.mark.parametrize(
         "increment, shifts",
-        [("quantized", [0.0, 1.0, 2.0]), ("quantized:2", [0.0, 2.0]), ("quantized:3", [0.0, 3.0])],
+        [("quantized", [0.0, 1.0, 2.0]), ("quantized:1", [0.0, 1.0, 2.0])],
     )
     def test_increment_spec_picks_the_rule(self, increment, shifts):
         # Witness-driven shifts of the system above (t_* = 1.5): each raise
-        # is the next root rounded up to a multiple of N (bare "quantized"
-        # is N = 1; "double" is test_double_plus_one_witness_driven_sequence).
+        # is the next root rounded up to a whole number, under both
+        # spellings ("double" is test_double_plus_one_witness_driven_sequence).
         system = LinearSystem(
             np.array([[2.0, -1.0], [1.0, 1.0]]), np.array([0.5, -2.0])
         )
@@ -507,7 +545,7 @@ class TestSolveIncremental:
         system, _ = invertible_system(np.random.default_rng(seed), 2 + seed % 7)
         for init in (None, centroid_coeffs(system.n + 1)):
             config = SolveConfig(epsilon0=1e-6, max_iterations=1_000, init_coeffs=init)
-            for increment in ("quantized:1", "quantized:2", "double"):
+            for increment in ("quantized:1", "double"):
                 outcome = solve_incremental(
                     system, config, increment=increment, tau_hook=lambda tau: 0.0
                 )

@@ -17,7 +17,6 @@ from hullsolve import (
     solve_nonneg,
 )
 from hullsolve.hull import apply_step, make_iterate
-from hullsolve.incremental import ShiftQuadratic, next_shift
 from hullsolve.matio import FORMAT_MATRIX_MARKET, ParseError, load_matrix
 from oracles import solve_exact
 
@@ -96,6 +95,12 @@ def _capped_start(config_type, init_coeffs):
     return config_type(max_iterations=1000, init_coeffs=np.array(init_coeffs))
 
 
+def _increment(spec):
+    """A solve whose solution is nonnegative, so that it never escalates:
+    only the check before the first step reads the increment spec."""
+    return solve_incremental(LinearSystem(np.eye(2), np.ones(2)), SolveConfig(), increment=spec)
+
+
 _ONES_IMAGE_2_600 = np.array([[1.0, -1.0], [2.0**-600, 0.0]])
 _ONES_IMAGE_2_520 = np.array([[1.0, -1.0], [2.0**-520, 0.0]])
 _NO_SECOND_PIVOT = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
@@ -134,15 +139,26 @@ _NO_SECOND_PIVOT = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
                      "max_iterations must be at least 1, not None", id="no-cap-hull"),
         pytest.param(lambda: SolveConfig(max_iterations=None),
                      "max_iterations must be at least 1, not None", id="no-cap-solve"),
-        pytest.param(lambda: solve_incremental(LinearSystem(np.eye(2), np.ones(2)), SolveConfig(),
-                                               increment="halving"),
-                     "bad increment spec 'halving'; use quantized:N or double",
+        pytest.param(lambda: _increment("halving"),
+                     "bad increment spec 'halving'; use quantized or double",
                      id="unknown-increment"),
-        pytest.param(lambda: solve_incremental(LinearSystem(np.eye(2), np.ones(2)), SolveConfig(),
-                                               increment="quantized:x"),
-                     "bad increment spec 'quantized:x'", id="increment-not-integer"),
-        pytest.param(lambda: next_shift([ShiftQuadratic(0, 1.0, 0.0, -1.0)], 0.0, quantum=0),
-                     "quantum must be a positive integer", id="next-shift-quantum"),
+        pytest.param(lambda: _increment("quantized:x"),
+                     "bad increment spec 'quantized:x'; use quantized or double",
+                     id="increment-not-integer"),
+        # Only "quantized", "quantized:1" and "double" are taken. int() let
+        # the last three through, as typed, and ran the last as N = 10.
+        pytest.param(lambda: _increment("quantized:2"),
+                     "bad increment spec 'quantized:2'; use quantized or double",
+                     id="increment-quantum-two"),
+        pytest.param(lambda: _increment("quantized:+1"),
+                     "bad increment spec 'quantized:+1'; use quantized or double",
+                     id="increment-signed-one"),
+        pytest.param(lambda: _increment("quantized: 1"),
+                     "bad increment spec 'quantized: 1'; use quantized or double",
+                     id="increment-spaced-one"),
+        pytest.param(lambda: _increment("quantized:1_0"),
+                     "bad increment spec 'quantized:1_0'; use quantized or double",
+                     id="increment-underscored-ten"),
         # Column 2 has no pivot left after the first elimination step.
         pytest.param(lambda: solve_exact(LinearSystem(_NO_SECOND_PIVOT, np.ones(3))),
                      "pivot 0.000e+00 below threshold", id="exact-solve-pivot"),
