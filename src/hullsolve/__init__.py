@@ -17,37 +17,17 @@ from .hull import (
     HullConfig,
     HullInstance,
     HullOutcome,
-    Iterate,
-    Witness,
-    apply_step,
-    find_pivot,
-    initial_iterate,
-    make_iterate,
     run_hull,
-    step_size,
 )
-from .incremental import (
-    NoPositiveQuadratic,
-    build_quadratics,
-    next_shift,
-    optimize_shift_tau0,
-    solve_incremental,
-)
+from .incremental import solve_incremental
 from .system import (
     CONVERGED,
     INFEASIBLE_NONNEG,
-    SOLVE_CAP_EXCEEDED,
-    AlphaBVanishes,
     LinearSystem,
     SingularMatrixError,
     SolveConfig,
     SolveOutcome,
-    recover_solution,
 )
-from .two_phase import (
-    select_inner_epsilon,
-    sensitivity_epsilon_prime,
-    solve_nonneg,
-)
+from .two_phase import solve_nonneg
 
 __version__ = "0.1.0"

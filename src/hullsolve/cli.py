@@ -55,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", metavar="OUT.json", help="machine-readable report")
 
     hull = sub.add_parser("hull", help="convex hull membership query")
+    hull.set_defaults(run=_cmd_hull)
     hull.add_argument("--points", required=True, help="matrix file; columns are points")
     hull.add_argument("--target", required=True, help="vector file; the query point")
     hull.add_argument("--epsilon", type=float, default=1e-2)
@@ -62,6 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common_output(hull)
 
     solve = sub.add_parser("solve", help="solve a square system A x = b")
+    solve.set_defaults(run=_cmd_solve)
     solve.add_argument("--matrix", required=True)
     solve.add_argument("--rhs", required=True)
     solve.add_argument("--epsilon0", type=float, default=1e-8)
@@ -79,11 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common_output(solve)
 
     analyze = sub.add_parser("analyze", help="a-priori bounds for a system")
+    analyze.set_defaults(run=_cmd_analyze)
     analyze.add_argument("--matrix", required=True)
     analyze.add_argument("--rhs", required=True)
     analyze.add_argument("--report", metavar="OUT.json")
 
     bench = sub.add_parser("bench", help="random instance benchmark suites")
+    bench.set_defaults(run=_cmd_bench)
     bench.add_argument("--suite", choices=["membership", "nonneg", "general"], required=True)
     bench.add_argument("--sizes", type=int, nargs="+", required=True)
     bench.add_argument("--count", type=int, default=3, help="instances per size")
@@ -250,14 +254,6 @@ def _cmd_bench(args) -> tuple[dict, list | None, int]:
     return report, None, 0
 
 
-_COMMANDS = {
-    "hull": _cmd_hull,
-    "solve": _cmd_solve,
-    "analyze": _cmd_analyze,
-    "bench": _cmd_bench,
-}
-
-
 def _summary(report: dict) -> list[str]:
     """The lines a run prints, read from its JSON-native report."""
     command = report["command"]
@@ -283,7 +279,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        report, trace, code = _COMMANDS[args.command](args)
+        report, trace, code = args.run(args)
         report["wall_time_s"] = time.perf_counter() - started
         report = _round_trippable(report)
         if args.report:
@@ -305,7 +301,3 @@ def main(argv=None) -> int:
         print(f"error: cannot write the summary to stdout: {exc}", file=sys.stderr)
         return 2
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

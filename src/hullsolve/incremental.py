@@ -47,6 +47,7 @@ import math
 import numpy as np
 
 from .hull import (
+    CAP_EXCEEDED,
     Iterate,
     TraceRecord,
     apply_step,
@@ -58,7 +59,6 @@ from .hull import (
 from .system import (
     ALPHA_FLOOR,
     CONVERGED,
-    SOLVE_CAP_EXCEEDED,
     LinearSystem,
     SingularMatrixError,
     SolveConfig,
@@ -331,7 +331,7 @@ def solve_incremental(
                 new_t = 2.0 * t0 + 1.0
             escalations += 1
             if escalations > config.max_iterations:
-                return outcome(SOLVE_CAP_EXCEEDED)
+                return outcome(CAP_EXCEEDED)
             u_point = _shift_product(system, iterate.coeffs, t0)
             iterate = move_shift(system, iterate, t0, new_t, u_point)
             t0 = new_t
@@ -343,7 +343,7 @@ def solve_incremental(
             j = find_pivot(instance, iterate)
 
         if steps >= config.max_iterations:
-            return outcome(SOLVE_CAP_EXCEEDED)
+            return outcome(CAP_EXCEEDED)
         alpha = step_size(instance, iterate, j)
         iterate = apply_step(instance, iterate, j, alpha, donors=n)
         steps += 1

@@ -50,13 +50,11 @@ __all__ = [
     "solve_outcome",
     "CONVERGED",
     "INFEASIBLE_NONNEG",
-    "SOLVE_CAP_EXCEEDED",
     "ALPHA_FLOOR",
 ]
 
 CONVERGED = "converged"
 INFEASIBLE_NONNEG = "infeasible_nonneg"
-SOLVE_CAP_EXCEEDED = "cap_exceeded"
 
 # A coefficient of -b below this carries no usable weight: x0 = alpha / alpha_b
 # is then unrecoverable and the shift quadratics degenerate.

@@ -52,7 +52,6 @@ from .system import (
     ALPHA_FLOOR,
     CONVERGED,
     INFEASIBLE_NONNEG,
-    SOLVE_CAP_EXCEEDED,
     LinearSystem,
     SingularMatrixError,
     SolveConfig,
@@ -182,7 +181,7 @@ def solve_nonneg(
             diagnostics["phase1"] = (
                 f"phase 1 exceeded {phase1_run.iterations} iterations without a verdict"
             )
-            return outcome(SOLVE_CAP_EXCEEDED)
+            return outcome(CAP_EXCEEDED)
         diagnostics["delta0_source"] = "phase1_witness"
         delta0_prime = 0.5 * phase1_run.iterate.gap
         inner_eps = select_inner_epsilon(eps0, delta0_prime, system)
@@ -220,7 +219,7 @@ def solve_nonneg(
             return outcome(INFEASIBLE_NONNEG, witness=witness)
         if steps >= config.max_iterations:
             diagnostics["last_gap"] = iterate.gap
-            return outcome(SOLVE_CAP_EXCEEDED)
+            return outcome(CAP_EXCEEDED)
         alpha = step_size(instance, iterate, j)
         iterate = apply_step(instance, iterate, j, alpha, donors)
         steps += 1

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hullsolve import LinearSystem, SolveConfig, cli, recover_solution, select_inner_epsilon
+from hullsolve import LinearSystem, SolveConfig, cli
 from hullsolve.hull import (
     CAP_EXCEEDED,
     IN_HULL_APPROX,
@@ -32,8 +32,8 @@ from hullsolve.hull import (
     step_size,
     witness_of,
 )
-from hullsolve.system import shifted_instance
-from hullsolve.two_phase import _phase1_outcome
+from hullsolve.system import recover_solution, shifted_instance
+from hullsolve.two_phase import _phase1_outcome, select_inner_epsilon
 from oracles import hull_verdict
 
 # An increment spec for solve_incremental for each rule name its
@@ -451,13 +451,18 @@ CLI_FILES = {
     "far_target.txt": "3 1\n1000.4\n1000.4\n1000.4\n",
     "square_points.txt": "2 4\n0 1 0 1\n0 0 1 1\n",
     "square_target.txt": "2 1\n0.3\n0.6\n",
+    "many_points.txt": "2 7\n0 1 0 1 0.5 0.2 0.8\n0 0 1 1 0.5 0.9 0.1\n",
     "nonneg_matrix.txt": "3 3\n2 1 0\n1 3 1\n0 1 2\n",
     "nonneg_rhs.txt": "3 1\n3\n5\n3\n",
     "nonneg_array.mtx": "%%MatrixMarket matrix array real general\n% column-major\n3 3\n"
     "2\n1\n0\n1\n3\n1\n0\n1\n2\n",
     "nonneg_coordinate.mtx": "%%MatrixMarket matrix coordinate real general\n3 3 7\n"
     "1 1 2\n2 1 1\n1 2 1\n2 2 3\n3 2 1\n2 3 1\n3 3 2\n",
+    "nonneg_symmetric.mtx": "%%MatrixMarket matrix array real symmetric\n3 3\n"
+    "2\n1\n0\n3\n1\n2\n",
     "nonneg_rhs.mtx": "%%MatrixMarket matrix array real general\n3 1\n3\n5\n3\n",
+    "stall_matrix.txt": "2 2\n1e-5 4e-5\n-1.5 0.75\n",
+    "stall_rhs.txt": "2 1\n1\n0\n",
     "null_matrix.txt": "2 2\n1 -1\n1 -1\n",
     "null_rhs.txt": "2 1\n1\n0\n",
     "wide_matrix.txt": "3 3\n5e153 5e153 5e153\n0 5e152 0\n0 0 5e152\n",
@@ -474,19 +479,21 @@ CLI_FILES = {
 
 class CliCase(NamedTuple):
     """A command line, with R and T standing for its report and trace
-    paths; its exit code; the status each line of its summary names, and
-    its whole stderr but the final newline, where these are pinned."""
+    paths; its exit code; the status each line of its summary names, its
+    whole stderr but the final newline, and fields of its report (a dotted
+    key reads a nested field), where these are pinned."""
 
     command: str
     code: int
     status: str | None = None
     stderr: str | None = None
+    report: dict | None = None
 
 
 _SOLVE = "solve --matrix nonneg_matrix.txt --epsilon0 1e-6"
-# One nonneg system four ways: from DenseText files, with --phase1, and
-# from Matrix Market array and coordinate copies. All give one x, in the
-# same Phase 2 steps.
+# One nonneg system five ways: from DenseText files, with --phase1, and
+# from Matrix Market array, coordinate and symmetric array copies. All
+# give one x, in the same Phase 2 steps.
 NONNEG_COPIES = [
     f"{_SOLVE} --rhs nonneg_rhs.txt --mode nonneg --trace T --report R",
     f"{_SOLVE} --rhs nonneg_rhs.txt --mode nonneg --phase1 --report R",
@@ -494,13 +501,26 @@ NONNEG_COPIES = [
     " --report R",
     "solve --matrix nonneg_coordinate.mtx --rhs nonneg_rhs.mtx --mode nonneg --epsilon0 1e-6"
     " --report R",
+    "solve --matrix nonneg_symmetric.mtx --rhs nonneg_rhs.mtx --mode nonneg --epsilon0 1e-6"
+    " --report R",
 ]
 CLI_CASES = [
     CliCase("hull --points oracle_points.txt --target hull_target.txt --trace T --report R", 0),
     CliCase("hull --points far_points.txt --target far_target.txt --epsilon 1e-6", 0),
     CliCase("hull --points square_points.txt --target square_target.txt --epsilon 1e-200", 0),
+    # More points than twice the dimension: HullInstance's per-column Gram.
+    CliCase("hull --points many_points.txt --target square_target.txt --report R", 0,
+            report={"status": "in_hull_approx", "iterations": 3}),
     *(CliCase(command, 0) for command in NONNEG_COPIES),
     CliCase("solve --matrix null_matrix.txt --rhs null_rhs.txt", 2),
+    CliCase("solve --matrix null_matrix.txt --rhs null_rhs.txt --mode nonneg", 2,
+            stderr="error: origin lies in the convex hull of the columns to tolerance "
+            "(gap 0.000e+00); the matrix is singular"),
+    # Phase 2's first step leaves no weight on -b; Phase 1 runs from there.
+    CliCase("solve --matrix stall_matrix.txt --rhs stall_rhs.txt --mode nonneg --epsilon0 0.05"
+            " --trace T --report R", 0,
+            report={"status": "converged", "iterations": 3,
+                    "diagnostics.phase1_iterations": 1}),
     CliCase("solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode incremental --report R", 0),
     CliCase("solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode nonneg --report R", 0),
     CliCase("analyze --matrix negative_count.mtx --rhs null_rhs.txt", 2),

@@ -22,9 +22,9 @@ escalation code still runs. The inputs:
 - forced escalations: invertible_system(default_rng(s), 2 + s % 7) for
   s < FORCED_SYSTEMS, epsilon0 = 1e-6, a 20,000-step cap and the shift
   re-optimisation pinned (tau_hook), under each increment rule, from the
-  default start and from the centroid; and so, from the default start
-  and at epsilon0 = 0.01, invertible_system(default_rng(s), 40) for
-  s < WIDE_SYSTEMS, where next_shift's minimum runs over 41 points;
+  default start (the centroid); and so, at epsilon0 = 0.01,
+  invertible_system(default_rng(s), 40) for s < WIDE_SYSTEMS, where
+  next_shift's minimum runs over 41 points;
 - the CLI cases of helpers.CLI_CASES, run in-process on helpers.CLI_FILES
   (reports without wall_time_s, and bench rows without their seconds);
 - the cli_files inputs: the five commands of perfbench's CliFiles on the
@@ -136,19 +136,15 @@ def sequence_inputs(records: dict) -> None:
 def forced_inputs(records: dict) -> int:
     """Record the forced runs; return their escalations in all."""
     escalations = 0
-    runs = [(str(s), s, 2 + s % 7, 1e-6, ("default", "centroid")) for s in range(FORCED_SYSTEMS)]
-    runs += [(f"wide{s}", s, 40, 0.01, ("default",)) for s in range(WIDE_SYSTEMS)]
-    for label, seed, n, epsilon0, starts in runs:
+    runs = [(str(s), s, 2 + s % 7, 1e-6) for s in range(FORCED_SYSTEMS)]
+    runs += [(f"wide{s}", s, 40, 0.01) for s in range(WIDE_SYSTEMS)]
+    for label, seed, n, epsilon0 in runs:
         system, _ = invertible_system(np.random.default_rng(seed), n)
+        config = SolveConfig(epsilon0=epsilon0, max_iterations=20_000)
         for increment in ("quantized:1", "double"):
-            for start in starts:
-                coeffs = None if start == "default" else np.full(n + 1, 1.0 / (n + 1))
-                config = SolveConfig(epsilon0=epsilon0, max_iterations=20_000, init_coeffs=coeffs)
-                outcome = solve_incremental(
-                    system, config, increment=increment, tau_hook=lambda t: 0.0
-                )
-                records[f"forced/{label}/{increment}/{start}"] = digest(outcome)
-                escalations += outcome.diagnostics["escalations"]
+            outcome = solve_incremental(system, config, increment=increment, tau_hook=lambda t: 0.0)
+            records[f"forced/{label}/{increment}"] = digest(outcome)
+            escalations += outcome.diagnostics["escalations"]
     return escalations
 
 

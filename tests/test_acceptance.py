@@ -35,27 +35,22 @@ from hullsolve import (
     HullInstance,
     LinearSystem,
     SolveConfig,
-    apply_step,
-    build_quadratics,
-    find_pivot,
-    make_iterate,
-    next_shift,
-    optimize_shift_tau0,
-    recover_solution,
     run_hull,
-    select_inner_epsilon,
-    sensitivity_epsilon_prime,
     solve_incremental,
     solve_nonneg,
-    step_size,
 )
+from hullsolve.hull import apply_step, find_pivot, initial_iterate, make_iterate, step_size
 from hullsolve.incremental import (
     ROOT_TINY,
     _shift_product,
+    build_quadratics,
     move_shift,
+    next_shift,
+    optimize_shift_tau0,
     shifted_instance,
 )
-from hullsolve.hull import initial_iterate
+from hullsolve.system import recover_solution
+from hullsolve.two_phase import select_inner_epsilon, sensitivity_epsilon_prime
 from oracles import min_norm_point, solve_exact
 
 

@@ -1,5 +1,6 @@
 """A-priori bounds: eigenvalue distance bound and shift upper bounds."""
 
+import json
 import math
 import os
 import subprocess
@@ -232,6 +233,28 @@ class TestExtremeScale:
             assert main(["solve", *files]) == 0
             assert main(["solve", *files, "--mode", "nonneg", "--phase1"]) == 0
         assert caught == []
+
+    def test_analyze_past_double_range_reads_inf(self, tmp_path):
+        # Scaled by 2**1000, lambda and q leave double range and read inf
+        # in the report; the log bounds and the verdict do not move.
+        from hullsolve.cli import main
+
+        system, _ = invertible_system(np.random.default_rng(2), 6)
+        reports = []
+        for k in (0, 1000):
+            a, b = (np.ldexp(v, k) for v in given_arrays(system))
+            matrix, rhs, report = (tmp_path / f"{name}{k}" for name in ("A", "b", "report"))
+            np.savetxt(matrix, a, fmt="%.17g", header="6 6", comments="")
+            np.savetxt(rhs, b, fmt="%.17g", header="6 1", comments="")
+            files = ["--matrix", str(matrix), "--rhs", str(rhs), "--report", str(report)]
+            assert main(["analyze", *files]) == 0
+            reports.append(json.loads(report.read_text()))
+        base, scaled = reports
+        for name in ("lambda_min", "lambda_max", "q_min", "w_norm", "delta0_lower_stated"):
+            assert math.isfinite(base[name]) and scaled[name] == math.inf, name
+        for name in ("log_tau_star", "log_tau_star_prime", "tau_star", "tau_star_prime",
+                     "near_singular"):
+            assert scaled[name] == base[name], name
 
 
 class TestAnalysisInvariants:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,9 @@ def test_cli_case(tmp_path, case):
         assert lines and all(case.status in line.split() for line in lines), out
     if case.stderr is not None:
         assert err == case.stderr + "\n"
+    if case.report is not None:
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert {key: reduce(dict.get, key.split("."), report) for key in case.report} == case.report
 
 
 def test_nonneg_copies_give_one_x(tmp_path):

@@ -31,18 +31,22 @@ from hullsolve import (
     DegeneratePivot,
     HullConfig,
     HullInstance,
-    Iterate,
-    apply_step,
-    find_pivot,
-    initial_iterate,
-    make_iterate,
     run_hull,
     solve_incremental,
     solve_nonneg,
-    step_size,
 )
 from hullsolve import hull, incremental, two_phase
-from hullsolve.hull import TIE, exact_iterate, pivot_margins
+from hullsolve.hull import (
+    TIE,
+    Iterate,
+    apply_step,
+    exact_iterate,
+    find_pivot,
+    initial_iterate,
+    make_iterate,
+    pivot_margins,
+    step_size,
+)
 from hullsolve.incremental import _shift_product, move_shift, shifted_instance
 from hullsolve.system import CONVERGED, place_shift
 

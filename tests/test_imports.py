@@ -22,11 +22,14 @@
   do not count.
 - No solver module imports another: two_phase and incremental import
   from hull and system alone, where the stop rule they share lives.
+- The top level of hullsolve is the library API alone; every other name
+  is imported from the module that defines it.
 """
 
 import ast
 import builtins
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -321,3 +324,23 @@ def test_no_solver_imports_another(solver):
     # the other for it.
     source = (PACKAGE / f"{solver}.py").read_text(encoding="utf-8")
     assert package_imports(source) <= {"hull", "system"}
+
+
+def test_top_level_is_the_library_api():
+    # The solvers, the hull query, the analysis, their configs and
+    # outcomes, the statuses and the two exceptions a caller handles; the
+    # kernel, escalation and Phase 1 names stay on their modules.
+    import hullsolve
+
+    names = {
+        name for name, value in vars(hullsolve).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == {
+        "LinearSystem", "SolveConfig", "SolveOutcome", "solve_nonneg", "solve_incremental",
+        "HullInstance", "HullConfig", "HullOutcome", "run_hull",
+        "analyze_system", "SystemAnalysis",
+        "IN_HULL_APPROX", "NOT_IN_HULL", "CAP_EXCEEDED", "CONVERGED", "INFEASIBLE_NONNEG",
+        "SingularMatrixError", "DegeneratePivot",
+    }
+    assert hullsolve.__version__

@@ -41,14 +41,12 @@ from hullsolve import (
     HullInstance,
     LinearSystem,
     SolveConfig,
-    apply_step,
-    find_pivot,
-    make_iterate,
     run_hull,
     solve_incremental,
     solve_nonneg,
 )
 from hullsolve import hull, incremental, two_phase
+from hullsolve.hull import apply_step, find_pivot, make_iterate
 from oracles import hull_verdict, min_norm_point
 
 

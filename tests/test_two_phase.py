@@ -18,23 +18,24 @@ from helpers import (
     reference_margins,
 )
 from hullsolve import (
+    CAP_EXCEEDED,
     CONVERGED,
     INFEASIBLE_NONNEG,
-    SOLVE_CAP_EXCEEDED,
     HullInstance,
     LinearSystem,
     SingularMatrixError,
     SolveConfig,
-    make_iterate,
-    recover_solution,
-    select_inner_epsilon,
-    sensitivity_epsilon_prime,
     solve_incremental,
     solve_nonneg,
 )
 from hullsolve import two_phase
-from hullsolve.system import AlphaBVanishes
-from hullsolve.two_phase import _phase1_outcome
+from hullsolve.hull import make_iterate
+from hullsolve.system import AlphaBVanishes, recover_solution
+from hullsolve.two_phase import (
+    _phase1_outcome,
+    select_inner_epsilon,
+    sensitivity_epsilon_prime,
+)
 from oracles import min_norm_point
 
 
@@ -327,7 +328,7 @@ class TestSolveNonneg:
         system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
         config = SolveConfig(epsilon0=0.01, max_iterations=2, record_trace=True)
         outcome = solve_nonneg(system, config, phase1=True)
-        assert outcome.status == SOLVE_CAP_EXCEEDED
+        assert outcome.status == CAP_EXCEEDED
         assert outcome.iterations == 2
         # Phase 1's step rows, with no alpha_b.
         assert [(r.iteration, r.alpha_b) for r in outcome.trace] == [(1, None), (2, None)]
@@ -347,7 +348,7 @@ class TestSolveNonneg:
         system = LinearSystem(a, a @ rng.uniform(0.5, 1.5, 20))
         config = SolveConfig(epsilon0=0.01, max_iterations=3, record_trace=True)
         outcome = solve_nonneg(system, config)
-        assert (outcome.status, outcome.iterations) == (SOLVE_CAP_EXCEEDED, 3)
+        assert (outcome.status, outcome.iterations) == (CAP_EXCEEDED, 3)
         # The gap of the iterate the cap stopped, as its step row holds it.
         assert outcome.trace[-1].iteration == 3
         assert outcome.diagnostics["last_gap"] == outcome.trace[-1].value > 0.0
