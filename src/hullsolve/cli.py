@@ -3,8 +3,8 @@
 Subcommands: hull (membership query), solve (linear system, nonneg or
 incremental mode), analyze (a-priori bounds), bench (random instance
 suites). Each run starts where its solver starts with no weights given:
-hull and nonneg mode at the point nearest the target, incremental mode at
-the centroid, and its report's init_rule names that start.
+hull at the point nearest the target, solve in both modes at the
+centroid, and its report's init_rule names that start.
 
 Each command computes its result and returns (report, trace, exit code);
 main then has the one output path: it stamps wall_time_s, writes
@@ -177,7 +177,7 @@ def _cmd_solve(args) -> tuple[dict, list | None, int]:
     echo = {
         "mode": args.mode,
         "epsilon0": args.epsilon0,
-        "init_rule": "nearest_vertex" if nonneg else "centroid",
+        "init_rule": "centroid",
         "max_iterations": config.max_iterations,
     }
     if nonneg:

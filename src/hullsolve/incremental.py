@@ -67,6 +67,7 @@ from .system import (
     place_shift,
     shifted_instance,
     solve_outcome,
+    start_coeffs,
 )
 
 __all__ = [
@@ -243,7 +244,7 @@ def solve_incremental(
     """Solve A x = b with no sign assumption, to relative residual epsilon0.
 
     The run starts from config.init_coeffs as given, or, when None, at
-    the centroid: weight 1/(n + 1) on each column and on -b(0). The loop
+    the centroid (start_coeffs), weight 1/(n + 1) on each point. The loop
     per pass, while alpha_b >= ALPHA_FLOOR: recover x0 from the iterate,
     move the shift t to the tau0 >= t minimizing E(t) = ||A x0 - (b + t u)||,
     in O(n) from the iterate, and stop with x = x0 - tau0 e once
@@ -285,10 +286,7 @@ def solve_incremental(
 
     t0 = 0.0
     instance = shifted_instance(system, t0)
-    init_coeffs = config.init_coeffs
-    if init_coeffs is None:
-        init_coeffs = np.full(n + 1, 1.0 / (n + 1))
-    iterate = initial_iterate(instance, init_coeffs)
+    iterate = initial_iterate(instance, start_coeffs(config.init_coeffs, n))
     trace: list[TraceRecord] | None = [] if config.record_trace else None
     steps = 0
     escalations = 0

@@ -6,11 +6,12 @@ followed by n rows of m whitespace-separated decimals. Columns of the
 loaded matrix are what the hull machinery consumes.
 
 Dense values, a DenseText row or a Matrix Market array body, are converted
-by numpy in C (_numbers), in one call per row or per body; only a text it
-refuses is split into lines, and halved until the same conversion names
-the first line it refuses.
+by numpy in C (_numbers), in one call per row or per chunk of a body; only
+a text it refuses is split into lines, and halved until the same
+conversion names the first line it refuses.
 A Matrix Market file is read as its header line, its size line, then its
-body in one read(); a coordinate body is split into its entry lines. Both
+body: a coordinate body in one read(), split into its entry lines, an array
+body _CHUNK characters at a time, each cut at its last line end. Both
 formats read their size line with _sizes. Errors name lines as
 readlines() numbers them, at line ends only: a form feed, U+0085 or U+2028
 starts no line. A line is blank, and skipped, only if it holds nothing but
@@ -185,6 +186,33 @@ def _last_line(size_line: int, body: str) -> int:
     return size_line + body.count("\n") + (bool(body) and not body.endswith("\n"))
 
 
+# An array body is read this many characters at a time, so a load peaks at
+# about twice its values, not at its text held as bytes and as str. Freeing
+# a whole n = 800 body, most likely by raising glibc's mmap threshold, also
+# moved the resident size of what the process did next by some 20 MB.
+_CHUNK = 1 << 16
+
+
+def _array_values(handle, first_line: int) -> tuple[np.ndarray, int]:
+    """The values of the rest of handle, an array body starting at line
+    first_line, and the file's last line (as _last_line gives it). Each
+    chunk read is converted up to its last "\n", with what follows
+    carried into the next, so every text converted holds whole lines."""
+    parts, line, pending = [], first_line, []
+    while True:
+        chunk = handle.read(_CHUNK)
+        cut = chunk.rfind("\n") + 1
+        if cut or not chunk:
+            text = "".join(pending) + chunk[:cut]
+            # Comment lines blanked only if any: the text keeps its line ends.
+            parts.append(_numbers(_COMMENT_LINE.sub("", text) if "%" in text else text, line))
+            line += text.count("\n")
+            pending = []
+        if not chunk:
+            return np.concatenate(parts), line - 1 + bool(text)
+        pending.append(chunk[cut:])
+
+
 def _load_matrix_market(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
@@ -192,32 +220,34 @@ def _load_matrix_market(path: str) -> np.ndarray:
         for size_line, raw in enumerate(handle, start=2):
             if _is_data(raw):
                 break
-        body = handle.read()
-    if not first:
-        raise ParseError("empty file, expected a MatrixMarket header", line=1)
-    header = first.split()
-    if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
-        raise ParseError("malformed MatrixMarket header", line=1)
-    layout, field, symmetry = (token.lower() for token in header[2:5])
-    if layout not in ("coordinate", "array"):
-        raise ParseError(f"unsupported layout {layout!r}", line=1)
-    if field not in ("real", "integer"):
-        raise ParseError(f"unsupported field type {field!r}", line=1)
-    if symmetry not in ("general", "symmetric"):
-        raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
-    symmetric = symmetry == "symmetric"
-    if not _is_data(raw):
-        raise ParseError("missing size line", line=size_line)
-    coordinate = layout == "coordinate"
-    form = "rows cols nnz" if coordinate else "rows cols"
-    counts = _sizes(raw, 2 + coordinate, size_line, f"{layout} size line must be '{form}'",
-                    f"{layout} size line must be integers")
-    rows, cols = counts[:2]
-    if coordinate and counts[2] < 0:
-        raise ParseError("entry count must not be negative", line=size_line)
-    if symmetric and rows != cols:
-        raise ParseError("a symmetric matrix must be square", line=size_line)
-
+        if not first:
+            raise ParseError("empty file, expected a MatrixMarket header", line=1)
+        header = first.split()
+        if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
+            raise ParseError("malformed MatrixMarket header", line=1)
+        layout, field, symmetry = (token.lower() for token in header[2:5])
+        if layout not in ("coordinate", "array"):
+            raise ParseError(f"unsupported layout {layout!r}", line=1)
+        if field not in ("real", "integer"):
+            raise ParseError(f"unsupported field type {field!r}", line=1)
+        if symmetry not in ("general", "symmetric"):
+            raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
+        symmetric = symmetry == "symmetric"
+        if not _is_data(raw):
+            raise ParseError("missing size line", line=size_line)
+        coordinate = layout == "coordinate"
+        form = "rows cols nnz" if coordinate else "rows cols"
+        counts = _sizes(raw, 2 + coordinate, size_line, f"{layout} size line must be '{form}'",
+                        f"{layout} size line must be integers")
+        rows, cols = counts[:2]
+        if coordinate and counts[2] < 0:
+            raise ParseError("entry count must not be negative", line=size_line)
+        if symmetric and rows != cols:
+            raise ParseError("a symmetric matrix must be square", line=size_line)
+        if coordinate:
+            body = handle.read()
+        else:
+            values, last_line = _array_values(handle, size_line + 1)
     if coordinate:
         nnz = counts[2]
         out = np.zeros((rows, cols))
@@ -245,12 +275,9 @@ def _load_matrix_market(path: str) -> np.ndarray:
                 out[j - 1, i - 1] = value
         return out
 
-    # Comment lines blanked only if any: the body keeps its line ends.
-    values = _numbers(_COMMENT_LINE.sub("", body) if "%" in body else body, size_line + 1)
     expected = rows * cols if not symmetric else rows * (rows + 1) // 2
     if values.size != expected:
-        where = _last_line(size_line, body)
-        raise ParseError(f"expected {expected} values, found {values.size}", line=where)
+        raise ParseError(f"expected {expected} values, found {values.size}", line=last_line)
     if not symmetric:
         # Array format is column-major.
         return values.reshape((cols, rows)).T

@@ -44,6 +44,7 @@ __all__ = [
     "shifted_instance",
     "place_shift",
     "SolveConfig",
+    "start_coeffs",
     "SolveOutcome",
     "recover_solution",
     "checked_solution",
@@ -281,6 +282,14 @@ def place_shift(system: LinearSystem, t: float) -> None:
     hull.shift = t
 
 
+def start_coeffs(init_coeffs: np.ndarray | None, n: int) -> np.ndarray:
+    """The weights over a_1, ..., a_n, -b that a solve starts from:
+    init_coeffs, or the centroid, 1/(n + 1) on each, when None."""
+    if init_coeffs is None:
+        return np.full(n + 1, 1.0 / (n + 1))
+    return init_coeffs
+
+
 @dataclass
 class SolveConfig:
     """Settings both solvers read.
@@ -290,11 +299,11 @@ class SolveConfig:
     set, caps the Triangle steps (solve_nonneg: each phase;
     solve_incremental: all of them, and separately its escalations).
     init_coeffs are convex weights over the n + 1 points a_1, ..., a_n, -b
-    to start from, used as they are; None starts solve_nonneg at the point
-    nearest the origin, as in HullConfig, and solve_incremental at their
-    centroid, weight 1/(n + 1) on each (the nonneg Phase 1 always starts
-    from the nearest column). record_trace keeps the per-step rows. The
-    settings of one solver alone are its keyword arguments.
+    to start from, used as they are; None starts both solvers at their
+    centroid, weight 1/(n + 1) on each (start_coeffs; the nonneg Phase 1
+    always starts from the nearest column). record_trace keeps the
+    per-step rows. The settings of one solver alone are its keyword
+    arguments.
     """
 
     epsilon0: float = 1e-8

@@ -1,7 +1,9 @@
 """Two-phase solver for A x = b when the solution is nonnegative.
 
 Phase 2 adjoins -b to the columns of A and drives an iterate toward the
-origin with the Triangle Algorithm; the convex coefficients of the iterate
+origin with the Triangle Algorithm, by default from the centroid of the
+n + 1 points (system.start_coeffs), where Phase 1 starts from the nearest
+column; the convex coefficients of the iterate
 recover an approximate solution x0 = alpha / alpha_b, whose residual is
 A x0 - b = p' / alpha_b. The solver exits as soon as the recovered residual
 passes, by the stop rule both solvers share (system.checked_solution).
@@ -59,6 +61,7 @@ from .system import (
     checked_solution,
     shifted_instance,
     solve_outcome,
+    start_coeffs,
 )
 
 __all__ = [
@@ -135,11 +138,11 @@ def solve_nonneg(
 
     Phase 2 iterates the Triangle Algorithm on conv({a_1, ..., a_n, -b})
     against the origin, starting from config.init_coeffs over the n + 1
-    points, or from the nearest one when None. It stops with x0 once
-    ||A x0 - b|| <= epsilon0 * rho, by system.checked_solution, which forms
-    that residual only when its estimate gap / alpha_b nears the target
-    and once every n steps. A witness means no nonnegative solution
-    exists.
+    points, or from their centroid when None (start_coeffs). It stops
+    with x0 once ||A x0 - b|| <= epsilon0 * rho, by
+    system.checked_solution, which forms that residual only when its
+    estimate gap / alpha_b nears the target and once every n steps. A
+    witness means no nonnegative solution exists.
 
     phase1=True runs Phase 1 first, the paper's path. Its witness gives
     delta0', a lower bound on the hull-to-origin distance, which is
@@ -190,7 +193,7 @@ def solve_nonneg(
         )
 
     instance = shifted_instance(system, 0.0)
-    iterate = initial_iterate(instance, config.init_coeffs)
+    iterate = initial_iterate(instance, start_coeffs(config.init_coeffs, system.n))
     donors = instance.n_points  # -b gives weight as the columns do
 
     while True:

@@ -47,12 +47,20 @@ def centroid_coeffs(k: int) -> np.ndarray:
     return np.full(k, 1.0 / k)
 
 
+def nearest_coeffs(system: LinearSystem) -> np.ndarray:
+    """init_coeffs with all weight on the point of {a_1, ..., a_n, -b}
+    nearest the origin, for tests that pin a path solve_nonneg takes from
+    there."""
+    coeffs = np.zeros(system.n + 1)
+    coeffs[int(shifted_instance(system, 0.0).sq_norms.argmin())] = 1.0
+    return coeffs
+
+
 def nearest_half_coeffs(system: LinearSystem) -> np.ndarray:
     """init_coeffs for solve_incremental with weight 1/2 on the point of
     {a_1, ..., a_n, -b(0)} nearest the origin and 1/2 on -b(0), for tests
     that pin a path or a step sequence taken from that start."""
-    coeffs = np.zeros(system.n + 1)
-    coeffs[int(shifted_instance(system, 0.0).sq_norms.argmin())] = 0.5
+    coeffs = 0.5 * nearest_coeffs(system)
     coeffs[-1] += 0.5
     return coeffs
 
@@ -463,6 +471,7 @@ CLI_FILES = {
     "nonneg_rhs.mtx": "%%MatrixMarket matrix array real general\n3 1\n3\n5\n3\n",
     "stall_matrix.txt": "2 2\n1e-5 4e-5\n-1.5 0.75\n",
     "stall_rhs.txt": "2 1\n1\n0\n",
+    "centroid_stall_matrix.txt": "2 2\n4e-5 0\n0.75 -1e-5\n",
     "null_matrix.txt": "2 2\n1 -1\n1 -1\n",
     "null_rhs.txt": "2 1\n1\n0\n",
     "wide_matrix.txt": "3 3\n5e153 5e153 5e153\n0 5e152 0\n0 0 5e152\n",
@@ -516,10 +525,17 @@ CLI_CASES = [
     CliCase("solve --matrix null_matrix.txt --rhs null_rhs.txt --mode nonneg", 2,
             stderr="error: origin lies in the convex hull of the columns to tolerance "
             "(gap 0.000e+00); the matrix is singular"),
-    # Phase 2's first step leaves no weight on -b; Phase 1 runs from there.
+    # From the nearest column Phase 2's first step leaves no weight on -b
+    # here; from the centroid it keeps it.
     CliCase("solve --matrix stall_matrix.txt --rhs stall_rhs.txt --mode nonneg --epsilon0 0.05"
             " --trace T --report R", 0,
-            report={"status": "converged", "iterations": 3,
+            report={"status": "converged", "iterations": 55,
+                    "diagnostics.phase1_iterations": 0}),
+    # Phase 2's second step from the centroid leaves no weight on -b;
+    # Phase 1 runs from there, and Phase 2 goes on.
+    CliCase("solve --matrix centroid_stall_matrix.txt --rhs stall_rhs.txt --mode nonneg"
+            " --epsilon0 0.05 --trace T --report R", 0,
+            report={"status": "converged", "iterations": 5,
                     "diagnostics.phase1_iterations": 1}),
     CliCase("solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode incremental --report R", 0),
     CliCase("solve --matrix wide_matrix.txt --rhs wide_rhs.txt --mode nonneg --report R", 0),

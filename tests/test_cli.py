@@ -17,6 +17,7 @@ import pytest
 
 from helpers import (
     CLI_CASES,
+    CLI_FILES,
     NONNEG_COPIES,
     centroid_coeffs,
     example2_system,
@@ -254,14 +255,49 @@ class TestLoadMatrix:
             load_matrix(str(path))
         assert str(info.value) == f"line {line}: {message}"
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13])
+    def test_array_body_read_in_chunks(self, tmp_path, monkeypatch, chunk):
+        # Chunks of a few characters cut values, comment lines, CRLF ends
+        # and blank lines apart; the values are those of the whole body
+        # converted at once, bit for bit.
+        values = [repr(float(v)) for v in np.random.default_rng(73).normal(size=12)]
+        lines = ["4 3", *values[:5], "% a comment", "", *values[5:9], "  ", "   % indented",
+                 " ".join(values[9:]), ""]
+        path = tmp_path / "m.mtx"
+        path.write_bytes(("%%MatrixMarket matrix array real general\r\n"
+                          + "\r\n".join(lines)).encode())
+        body = "\n".join(raw for raw in lines[1:] if "%" not in raw)
+        expected = np.fromstring(body, sep=" ").reshape((3, 4)).T
+        monkeypatch.setattr(matio, "_CHUNK", chunk)
+        assert load_matrix(str(path)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 4, 7, 1 << 20])
+    @pytest.mark.parametrize("name, message", [
+        ("bad_value.mtx", "line 7: could not parse a numeric value"),
+        ("separator_line.mtx", "line 5: could not parse a numeric value"),
+        ("short_array.mtx", "line 6: expected 4 values, found 3"),
+    ])
+    def test_array_errors_in_a_later_chunk(self, tmp_path, monkeypatch, chunk, name, message):
+        # The line a refused value or a count error names does not depend
+        # on the chunk it falls in: every chunk goes through _numbers, which
+        # numbers its lines from where the chunk starts.
+        texts = {**CLI_FILES, "short_array.mtx": "%%MatrixMarket matrix array real general\n"
+                 "2 2\n1\n2\n\n3"}
+        (tmp_path / name).write_text(texts[name], encoding="utf-8")
+        monkeypatch.setattr(matio, "_CHUNK", chunk)
+        with pytest.raises(ParseError) as info:
+            load_matrix(str(tmp_path / name))
+        assert str(info.value) == message
+
     def test_array_body_held_once(self, tmp_path):
-        # A Matrix Market array file peaks at its text and the values,
-        # DenseText at its lines and the values: a second copy of the text,
-        # or a token list, would add about 20 or 60 bytes a value.
+        # A Matrix Market array file peaks at its values and their joined
+        # copy, read a chunk at a time, DenseText at its lines and the
+        # values: the whole text, or a token list, would add about 20 or 60
+        # bytes a value.
         values = np.random.default_rng(29).normal(size=100_000)
         body = f"{values.size} 1\n" + "".join(f"{v!r}\n" for v in values.tolist())
         for name, head, bound in [
-            ("column.mtx", "%%MatrixMarket matrix array real general\n", 60),
+            ("column.mtx", "%%MatrixMarket matrix array real general\n", 30),
             ("column.txt", "", 150),
         ]:
             path = tmp_path / name
@@ -775,8 +811,8 @@ class TestOutputPath:
              "log_tau_star_prime = 0.8047189562170503\ntau_star = 8.944271909999161\n"
              "tau_star_prime = 2.23606797749979\nnear_singular = False\n"),
             ("bench --suite nonneg --sizes 3 --count 2", 0,
-             "bench[0] n=3 converged iterations=2 seconds=S\n"
-             "bench[1] n=3 converged iterations=4 seconds=S\n"),
+             "bench[0] n=3 converged iterations=5 seconds=S\n"
+             "bench[1] n=3 converged iterations=1 seconds=S\n"),
         ],
     )
     def test_stdout(self, files, capsys, command, code, stdout):
@@ -1003,7 +1039,7 @@ class TestNoTraceback:
         assert main([*argv, "--report", str(report_path)]) == 0
         own = {
             "incremental": {"increment": "quantized:1", "init_rule": "centroid"},
-            "nonneg": {"delta0_policy": "skip", "init_rule": "nearest_vertex"},
+            "nonneg": {"delta0_policy": "skip", "init_rule": "centroid"},
         }
         assert json.loads(report_path.read_text())["config"] == {
             "mode": mode,
@@ -1083,7 +1119,7 @@ class TestNoTraceback:
             "error: A e = 0: the all-ones vector is a null vector; A is singular\n"
         )
 
-    @pytest.mark.parametrize("mode, steps", [("incremental", 0), ("nonneg", 116)])
+    @pytest.mark.parametrize("mode, steps", [("incremental", 0), ("nonneg", 1)])
     def test_ones_image_past_double_range_solves_as_unscaled(self, tmp_path, mode, steps):
         # Every column's and b's squared norm fits, but ||A e||^2 overflows
         # a double. The system is stored times a power of two, as it is

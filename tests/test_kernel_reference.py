@@ -25,6 +25,7 @@ from helpers import (
     given_units,
     invertible_system,
     membership_instance,
+    nearest_coeffs,
     nearest_half_coeffs,
     nonneg_system,
     outside_instance_2d,
@@ -194,9 +195,10 @@ class TestSolvers:
         rng = np.random.default_rng(409)
         for n in (20, 40):
             system, _ = nonneg_system(rng, n, diag_boost=0.0)
-            # These runs reach 3e-3 in 164 and 656 steps, and 5e-4 in 1,054
-            # and 7,432; 3.5e-4 keeps both runs long.
-            config = SolveConfig(epsilon0=3.5e-4, record_trace=True)
+            # These runs reach 3e-3 in 84 and 172 steps, 5e-4 in 377 and
+            # 3,920, and 2.8e-4 in 977 and 6,010; 2.6e-4 keeps both runs
+            # long, 6,476 and 6,288 steps.
+            config = SolveConfig(epsilon0=2.6e-4, record_trace=True)
             shipped, reference = _with_reference_pivots(
                 monkeypatch, solve_nonneg, system, config
             )
@@ -635,8 +637,9 @@ def test_step_counts_match_the_maintained_point_kernel():
     # The first 6 general_shift reference systems (n = 50, epsilon0 =
     # 0.05) and 3 nonneg_phases-style systems at n = 200 (epsilon0 =
     # 0.005), drawn as perfbench/workloads.py draws them. The nonneg counts
-    # are pinned from the kernel that kept the point p' and its products,
-    # the general ones from the centroid start, solve_incremental's default.
+    # from the nearest point are pinned from the kernel that kept the point
+    # p' and its products; the others are from the centroid start, both
+    # solvers' default.
     rng = np.random.default_rng([0, 1, 1])
     general = [solve_incremental(_column_normalised_system(rng, 50), SolveConfig(epsilon0=0.05))
                for _ in range(6)]
@@ -647,8 +650,10 @@ def test_step_counts_match_the_maintained_point_kernel():
         a = rng.normal(size=(200, 200))
         a /= np.sqrt(np.einsum("ij,ij->j", a, a))
         x = rng.uniform(0.5, 1.5, 200)
-        nonneg.append(solve_nonneg(LinearSystem(a, a @ (x / x.sum())), SolveConfig(epsilon0=0.005)))
-    assert [o.iterations for o in nonneg] == [619, 670, 613]
+        system = LinearSystem(a, a @ (x / x.sum()))
+        nonneg += [solve_nonneg(system, SolveConfig(epsilon0=0.005, init_coeffs=coeffs))
+                   for coeffs in (None, nearest_coeffs(system))]
+    assert [o.iterations for o in nonneg] == [174, 619, 153, 670, 168, 613]
     assert all(o.status == CONVERGED for o in general + nonneg)
 
 

@@ -16,8 +16,9 @@ from hullsolve import LinearSystem, SolveConfig, analyze_system, solve_increment
 
 def _subnormal_squares_system():
     # Solved on A and b as given, this system's squares go subnormal from
-    # 2^-512 down: solve_nonneg took 553 steps from 2^0 to 2^-500, 5,954
-    # at 2^-520, and ran to a 20,000-step cap at 2^-530 and 2^-535.
+    # 2^-512 down: solve_nonneg, from the point nearest the origin, took 553
+    # steps from 2^0 to 2^-500, 5,954 at 2^-520, and ran to a 20,000-step
+    # cap at 2^-530 and 2^-535. From the centroid it takes 222.
     rng = np.random.default_rng(2)
     a = rng.normal(size=(6, 6))
     return a, a @ rng.uniform(0.5, 1.5, 6)
@@ -118,7 +119,7 @@ def test_solves_and_analysis_do_not_depend_on_scale(name):
     base_nonneg, base_incremental, base_system = run(0)
     base_analysis = analyze_system(base_system)
     if name == "subnormal_squares":
-        assert (base_nonneg.status, base_nonneg.iterations) == ("converged", 553)
+        assert (base_nonneg.status, base_nonneg.iterations) == ("converged", 222)
     scales = _exact_scales(a, b)
     for s in sorted({*scales[::25], scales[0], scales[-1], *MEASURED_SCALES}):
         nonneg, incremental, system = run(s)

@@ -13,6 +13,7 @@ from helpers import (
     given_arrays,
     given_units,
     invertible_system,
+    nearest_coeffs,
     nonneg_system,
     reference_hull_target,
     reference_margins,
@@ -239,11 +240,17 @@ class TestPhase1:
             assert float(p_prime @ col) > half_sq
 
     def test_collinear_columns_contain_origin(self):
+        # From the nearest column Phase 2 loses its weight on -b, and Phase 1
+        # finds the origin in the column hull. From the centroid, the
+        # default, one step reaches x = (2, 1), an exact solution.
         system = LinearSystem(
             np.array([[1.0, -1.0], [0.0, 0.0]]), np.array([1.0, 0.0])
         )
+        outcome = solve_nonneg(system, SolveConfig(epsilon0=1e-4))
+        assert (outcome.status, outcome.iterations) == (CONVERGED, 1)
+        assert (outcome.x.tolist(), outcome.residual_norm) == ([2.0, 1.0], 0.0)
         with pytest.raises(SingularMatrixError):
-            solve_nonneg(system, SolveConfig(epsilon0=1e-4))
+            solve_nonneg(system, SolveConfig(epsilon0=1e-4, init_coeffs=nearest_coeffs(system)))
 
     def test_bracket_against_exact_distance(self):
         rng = np.random.default_rng(4)
@@ -263,6 +270,31 @@ class TestSolveNonneg:
         assert np.allclose(outcome.x, [1.0, 2.0], atol=1e-12)
         assert outcome.residual_norm <= 1e-12
         assert outcome.iterations == 1
+
+    def test_default_start_is_the_centroid(self):
+        # Without init_coeffs Phase 2 starts at equal weights 1/(n + 1) on
+        # the n columns and -b: the same run, byte for byte, feasible or
+        # not, with Phase 1 first or not.
+        statuses = set()
+        for n in (5, 20, 60):
+            rng = np.random.default_rng([31, n])
+            for system in (nonneg_system(rng, n)[0], invertible_system(rng, n)[0]):
+                for phase1 in (False, True):
+                    runs = [
+                        solve_nonneg(system, SolveConfig(
+                            epsilon0=1e-3, init_coeffs=coeffs, record_trace=True
+                        ), phase1=phase1)
+                        for coeffs in (None, centroid_coeffs(n + 1))
+                    ]
+                    default, given = (
+                        (o.status, o.iterations, None if o.x is None else o.x.tobytes(),
+                         None if o.witness is None else o.witness.margins.tobytes(),
+                         repr(o.trace))
+                        for o in runs
+                    )
+                    assert default == given
+                    statuses.add(runs[0].status)
+        assert statuses == {CONVERGED, INFEASIBLE_NONNEG}
 
     def test_random_systems_converge_within_cap(self):
         rng = np.random.default_rng(6)
@@ -414,19 +446,23 @@ class TestPairwiseSteps:
     still decide every outcome."""
 
     def test_step_counts(self):
-        # Phase 2 alone; with Phase 1 first the solves take 197 and 710
+        # Phase 2 alone, from the centroid and from the nearest point. From
+        # the centroid, with Phase 1 first the solves take 117 and 236
         # steps, 33 and 64 of them in Phase 1, and the Triangle step alone
-        # takes 805 and 5,063. n = 40 took 656 steps when the iterate kept
-        # its point: at step 462 the products of the active points 40 and
-        # 29 lie 2.8e-13 apart (relative to |v_k^T p'| + ||p'||^2), inside
-        # TIE, so the pairwise step's k is 29, whose transfer loses to the
-        # Triangle step, where the point kernel transferred from 40.
+        # takes 594 and 1,639. From the nearest point, n = 40 took 656
+        # steps when the iterate kept its point: at step 462 the products of
+        # the active points 40 and 29 lie 2.8e-13 apart (relative to
+        # |v_k^T p'| + ||p'||^2), inside TIE, so the pairwise step's k is
+        # 29, whose transfer loses to the Triangle step, where the point
+        # kernel transferred from 40.
         rng = np.random.default_rng(409)
-        for n, expected in ((20, 164), (40, 646)):
+        for n, centroid, nearest in ((20, 84, 164), (40, 172, 646)):
             system, _ = nonneg_system(rng, n, diag_boost=0.0)
-            outcome = solve_nonneg(system, SolveConfig(epsilon0=3e-3))
-            assert outcome.status == CONVERGED
-            assert (outcome.iterations, outcome.diagnostics["phase1_iterations"]) == (expected, 0)
+            for coeffs, expected in ((None, centroid), (nearest_coeffs(system), nearest)):
+                outcome = solve_nonneg(system, SolveConfig(epsilon0=3e-3, init_coeffs=coeffs))
+                assert outcome.status == CONVERGED
+                steps = (outcome.iterations, outcome.diagnostics["phase1_iterations"])
+                assert steps == (expected, 0)
 
     def test_half_the_steps_at_n_600(self):
         # A column-normalised Gaussian system with a positive solution, as
@@ -462,6 +498,15 @@ class TestPairwiseSteps:
             assert (margins < 0.0).all()
 
 
+# The origin lies in the column hull of each A. The first system is
+# inconsistent; x, here (2, 1), solves the others exactly.
+SINGULAR_SYSTEMS = [
+    ([[1.0, -1.0], [1.0, -1.0]], [1.0, 0.0], None),
+    ([[1.0, -1.0], [1.0, -1.0]], [1.0, 1.0], [2.0, 1.0]),
+    ([[1.0, -1.0], [0.0, 0.0]], [1.0, 0.0], [2.0, 1.0]),
+]
+
+
 class TestPhase2First:
     """The default solve runs Phase 2 alone. Phase 1 first, the paper's
     path, changes neither its steps nor its answer."""
@@ -493,35 +538,54 @@ class TestPhase2First:
                         == paper.iterations - phase1
                     )
 
-    @pytest.mark.parametrize(
-        "a, b",
-        [
-            ([[1.0, -1.0], [1.0, -1.0]], [1.0, 0.0]),
-            ([[1.0, -1.0], [1.0, -1.0]], [1.0, 1.0]),
-            ([[1.0, -1.0], [0.0, 0.0]], [1.0, 0.0]),
-        ],
-    )
+    @pytest.mark.parametrize("a, b", [system[:2] for system in SINGULAR_SYSTEMS])
     def test_singular_systems_raise_at_once(self, a, b):
-        # The origin lies in the column hull. Phase 2 loses its weight on -b
-        # (after 101 steps, 1 and 1); without Phase 1 the solves would run
-        # to the cap.
+        # The origin lies in the column hull. From the nearest column Phase
+        # 2 loses its weight on -b (after 101 steps, 1 and 1); without
+        # Phase 1 the solves would run to the cap.
         system = LinearSystem(np.array(a), np.array(b))
+        config = SolveConfig(epsilon0=0.01, init_coeffs=nearest_coeffs(system))
         started = time.perf_counter()
         with pytest.raises(SingularMatrixError, match="the matrix is singular"):
-            solve_nonneg(system, SolveConfig(epsilon0=0.01))
+            solve_nonneg(system, config)
         assert time.perf_counter() - started < 1.0
 
+    @pytest.mark.parametrize("a, b, x", SINGULAR_SYSTEMS)
+    def test_singular_systems_from_the_centroid(self, a, b, x):
+        # The inconsistent system still raises; the consistent ones converge
+        # in one step.
+        system = LinearSystem(np.array(a), np.array(b))
+        if x is None:
+            with pytest.raises(SingularMatrixError, match="the matrix is singular"):
+                solve_nonneg(system, SolveConfig(epsilon0=0.01))
+            return
+        outcome = solve_nonneg(system, SolveConfig(epsilon0=0.01))
+        assert (outcome.status, outcome.iterations) == (CONVERGED, 1)
+        assert (outcome.x.tolist(), outcome.residual_norm) == (x, 0.0)
+
     def test_phase1_rows_follow_the_stalled_step(self):
-        # The columns pass 3e-5 from the origin. Phase 2's first step
-        # leaves no weight on -b, Phase 1 finds a witness in one step, and
-        # Phase 2 goes on to converge, as it does after Phase 1 first.
-        system = LinearSystem(np.array([[1e-5, 4e-5], [-1.5, 0.75]]), np.array([1.0, 0.0]))
-        config = SolveConfig(epsilon0=0.05, record_trace=True)
-        ours = solve_nonneg(system, config)
-        paper = solve_nonneg(system, config, phase1=True)
-        assert ours.status == paper.status == CONVERGED
-        assert ours.x.tobytes() == paper.x.tobytes()
-        assert ours.diagnostics["phase1_iterations"] == 1
-        assert ours.iterations == paper.iterations == 3
-        rows = [(r.iteration, r.alpha_b is None, r.pivot is None) for r in ours.trace]
-        assert rows == [(1, False, False), (2, True, False), (3, False, False), (3, False, True)]
+        # Phase 2 loses its weight on -b, Phase 1 finds a witness in one
+        # step, and Phase 2 goes on to converge, as it does after Phase 1
+        # first. The first system's columns pass 3e-5 from the origin, and
+        # from the nearest column its first step stalls (from the centroid
+        # it converges in 55 steps with no Phase 1); the second stalls at
+        # its second step from the centroid.
+        cases = [
+            ([[1e-5, 4e-5], [-1.5, 0.75]], "nearest", 3,
+             [(1, False, False), (2, True, False), (3, False, False), (3, False, True)]),
+            ([[4e-5, 0.0], [0.75, -1e-5]], None, 5,
+             [(1, False, False), (2, False, False), (3, True, False), (4, False, False),
+              (5, False, False), (5, False, True)]),
+        ]
+        for a, start, steps, expected_rows in cases:
+            system = LinearSystem(np.array(a), np.array([1.0, 0.0]))
+            coeffs = nearest_coeffs(system) if start == "nearest" else None
+            config = SolveConfig(epsilon0=0.05, init_coeffs=coeffs, record_trace=True)
+            ours = solve_nonneg(system, config)
+            paper = solve_nonneg(system, config, phase1=True)
+            assert ours.status == paper.status == CONVERGED
+            assert ours.x.tobytes() == paper.x.tobytes()
+            assert ours.diagnostics["phase1_iterations"] == 1
+            assert ours.iterations == paper.iterations == steps
+            rows = [(r.iteration, r.alpha_b is None, r.pivot is None) for r in ours.trace]
+            assert rows == expected_rows
